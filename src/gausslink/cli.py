@@ -30,7 +30,7 @@ from .experiments import (
     cmd_validate,
 )
 from .presets import PRESETS
-from .transducer import DeviceCaps, PhysicalRates
+from .transducer import DEFAULT_RATES, DeviceCaps, PhysicalRates
 
 _CAPS_KEYS = {"d_a", "d_b", "tau_a", "tau_b", "n_th"}
 _RATE_KEYS = {"kappa_a", "kappa_b", "gamma_m"}
@@ -40,22 +40,47 @@ class ConfigError(ValueError):
     pass
 
 
-def _caps_from_dict(d: dict) -> DeviceCaps:
+def _caps_from_dict(d) -> DeviceCaps:
+    if not isinstance(d, dict):
+        raise ConfigError("caps must be a JSON object")
     unknown = set(d) - _CAPS_KEYS - _RATE_KEYS
     if unknown:
         raise ConfigError(f"unknown caps fields: {sorted(unknown)}")
     missing = _CAPS_KEYS - set(d)
     if missing:
         raise ConfigError(f"missing caps fields: {sorted(missing)}")
-    rates = (
-        PhysicalRates(d["kappa_a"], d["kappa_b"], d["gamma_m"])
-        if _RATE_KEYS <= set(d)
-        else DeviceCaps.__dataclass_fields__["rates"].default
-    )
-    return DeviceCaps(
-        d_a=d["d_a"], d_b=d["d_b"], tau_a=d["tau_a"], tau_b=d["tau_b"],
-        n_th=d["n_th"], rates=rates,
-    )
+    given_rates = _RATE_KEYS & set(d)
+    if given_rates and given_rates != _RATE_KEYS:
+        raise ConfigError(
+            f"caps rates need all of {sorted(_RATE_KEYS)}, got only {sorted(given_rates)}"
+        )
+    try:
+        rates = PhysicalRates(**{k: d[k] for k in _RATE_KEYS}) if given_rates else DEFAULT_RATES
+        return DeviceCaps(**{k: d[k] for k in _CAPS_KEYS}, rates=rates)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid caps: {exc}") from exc
+
+
+def _config_value(key: str, value, default):
+    """Config value for an ExperimentConfig field, checked against its default's type."""
+    if value is None and default is None:
+        return value
+    if isinstance(default, tuple):
+        ok = isinstance(value, list) and len(value) > 0 and all(map(_is_number, value))
+        want = "a non-empty list of numbers"
+    elif key in ("experiment", "out"):
+        ok, want = isinstance(value, str), "a string"
+    elif type(default) is int:
+        ok, want = type(value) is int, "an integer"
+    else:
+        ok, want = _is_number(value), "a number"
+    if not ok:
+        raise ConfigError(f"{key} must be {want}, got {value!r}")
+    return tuple(value) if isinstance(default, tuple) else value
+
+
+def _is_number(v) -> bool:
+    return type(v) in (int, float)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -82,16 +107,15 @@ def _load_config(args) -> ExperimentConfig:
             if key == "caps":
                 cfg.caps = _caps_from_dict(value)
             elif key in valid:
-                current = getattr(cfg, key)
-                if isinstance(current, tuple):
-                    value = tuple(value)
-                setattr(cfg, key, value)
+                setattr(cfg, key, _config_value(key, value, getattr(cfg, key)))
             else:
                 raise ConfigError(f"unknown config key {key!r}")
     for key in ("out", "seed", "jobs", "points"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
+    if cfg.points < 1:
+        raise ConfigError(f"points must be >= 1, got {cfg.points}")
     if getattr(args, "quick", False):
         cfg.checks_n = 2000
     return cfg
@@ -140,8 +164,6 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         cfg.experiment = args.command
-        if args.command in ("device-run", "ebit-rate") and cfg.caps is None:
-            cfg.caps = PRESETS["brubaker2022"]["caps"]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

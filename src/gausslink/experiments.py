@@ -134,6 +134,14 @@ def _write_csv(path, header_lines, columns, rows) -> str:
     return text
 
 
+def _write_json(path, report: dict) -> None:
+    # serialise first, so a report that cannot be encoded leaves no file
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def _map_points(fn, args_list, jobs):
     if jobs and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -328,10 +336,7 @@ def cmd_ebit_rate(cfg: ExperimentConfig) -> dict:
         "rate_ebits_per_s": e * cfg.bandwidth_hz,
         "cooperativities": list(cs),
     }
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_json(cfg.out, report)
     return report
 
 
@@ -500,6 +505,7 @@ def cmd_validate(cfg: ExperimentConfig) -> tuple[int, dict]:
     ok = True
     for name, fn, count in checks:
         worst, tol, tag = fn(cfg.seed, count)
+        worst = float(worst)  # numpy scalars are not JSON-serialisable
         passed = worst <= tol
         ok = ok and passed
         results.append(
@@ -514,8 +520,5 @@ def cmd_validate(cfg: ExperimentConfig) -> tuple[int, dict]:
             }
         )
     report = {"tool": f"gausslink {_version}", "seed": cfg.seed, "results": results, "pass": ok}
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_json(cfg.out, report)
     return (0 if ok else 1), report

@@ -36,6 +36,7 @@ from .transducer import (
     STRICT_MARGIN,
     UnstableOperatingPointError,
     _blue_cap,
+    _check_loss_split,
     _conversion_t_mu,
 )
 
@@ -128,6 +129,7 @@ def loss_slot_count(t: Topology) -> int:
 
 def default_loss_split(t: Topology, tau_e: float) -> tuple[float, ...]:
     """Loss placement used when a config does not specify one."""
+    _check_loss_split(tau_e)
     n = loss_slot_count(t)
     if t.scheme == "down":
         if n == 2:
@@ -194,11 +196,10 @@ def swap(mo1: BalancedForm, mo2: BalancedForm) -> BalancedForm:
 
 
 def _stable_intrinsic(kind: MoKind, c_a, c_b, caps: DeviceCaps) -> bool:
-    rt = caps.rates
     if kind is MoKind.IO:
-        return c_a < _blue_cap(c_b, rt.kappa_a, rt.kappa_b, rt.gamma_m) - STRICT_MARGIN
+        return c_a < _blue_cap(c_b, caps.rates, True) - STRICT_MARGIN
     if kind is MoKind.IM:
-        return c_b < _blue_cap(c_a, rt.kappa_b, rt.kappa_a, rt.gamma_m) - STRICT_MARGIN
+        return c_b < _blue_cap(c_a, caps.rates, False) - STRICT_MARGIN
     return True
 
 
@@ -264,21 +265,12 @@ def _mm_excess(
 
 
 def _resolve_split(t: Topology, tau_e: float, split) -> tuple[float, ...]:
-    if not (0.0 < tau_e <= 1.0):
-        raise ValueError(f"external transmissivity must be in (0, 1], got {tau_e}")
-    n = loss_slot_count(t)
     if split is None:
         return default_loss_split(t, tau_e)
-    split = tuple(float(f) for f in split)
+    n = loss_slot_count(t)
     if len(split) != n:
         raise ValueError(f"{t.label} has {n} loss slot(s), got split of length {len(split)}")
-    prod = math.prod(split)
-    if abs(prod - tau_e) > 1e-12 * max(1.0, tau_e):
-        raise ValueError(f"loss split {split} multiplies to {prod}, expected tau_e={tau_e}")
-    for f in split:
-        if f < tau_e - 1e-12 or f > 1.0 + 1e-12:
-            raise ValueError(f"loss share {f} outside [tau_e={tau_e}, 1]")
-    return split
+    return _check_loss_split(tau_e, split)
 
 
 def _validate_cooperativities(t: Topology, cfg: NetworkConfig) -> None:
@@ -293,21 +285,14 @@ def _validate_cooperativities(t: Topology, cfg: NetworkConfig) -> None:
             raise ValueError(f"{name} = {value} violates {name} >= 0")
         if value > cap * (1.0 + 1e-12) + 1e-15:
             raise ValueError(f"{name} = {value} violates {name} <= {cap}")
-    pairs = ((t.kinds[0], cfg.c_a1, cfg.c_b1),) if t.scheme == "down" else (
-        (t.kinds[0], cfg.c_a1, cfg.c_b1),
-        (t.kinds[1], cfg.c_a2, cfg.c_b2),
-    )
-    for kind, c_a, c_b in pairs:
-        if kind in (MoKind.IO, MoKind.IM) and not _stable_intrinsic(kind, c_a, c_b, caps):
-            rt = caps.rates
-            if kind is MoKind.IO:
-                cap = _blue_cap(c_b, rt.kappa_a, rt.kappa_b, rt.gamma_m)
-                raise UnstableOperatingPointError(
-                    f"IO source unstable: C_a = {c_a} violates C_a < {cap}"
-                )
-            cap = _blue_cap(c_a, rt.kappa_b, rt.kappa_a, rt.gamma_m)
+    # a downconversion topology has one source kind, on transducer 1
+    for kind, (c_a, c_b) in zip(t.kinds, ((cfg.c_a1, cfg.c_b1), (cfg.c_a2, cfg.c_b2))):
+        if not _stable_intrinsic(kind, c_a, c_b, caps):
+            optical = kind is MoKind.IO
+            name, value, c_red = ("C_a", c_a, c_b) if optical else ("C_b", c_b, c_a)
             raise UnstableOperatingPointError(
-                f"IM source unstable: C_b = {c_b} violates C_b < {cap}"
+                f"{kind.name} source unstable: {name} = {value} violates "
+                f"{name} < {_blue_cap(c_red, caps.rates, optical)}"
             )
 
 

@@ -16,6 +16,9 @@ __all__ = ["maximize_box", "golden_max_1d"]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: Relative spread of the simplex values at which Nelder-Mead stops.
+_F_TOL = 1e-10
+
 
 def _plastic_alphas(dim: int) -> list[float]:
     # generalized-golden-ratio constants of the R_d low-discrepancy sequence
@@ -53,7 +56,7 @@ def golden_max_1d(
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def _nelder_mead(f, x0, lo, hi, max_iter, f_tol):
+def _nelder_mead(f, x0, lo, hi, max_iter):
     """Projected Nelder-Mead maximization; returns (x_best, f_best)."""
     dim = len(x0)
 
@@ -75,7 +78,7 @@ def _nelder_mead(f, x0, lo, hi, max_iter, f_tol):
         values = [values[i] for i in order]
         best, worst = values[0], values[-1]
         if math.isfinite(best) and math.isfinite(worst):
-            if best - worst <= f_tol * max(1.0, abs(best)):
+            if best - worst <= _F_TOL * max(1.0, abs(best)):
                 break
         centroid = [
             sum(simplex[i][j] for i in range(dim)) / dim for j in range(dim)
@@ -113,7 +116,6 @@ def maximize_box(
     *,
     n_starts: int = 16,
     nm_max_iter: int = 200,
-    f_tol: float = 1e-10,
     polish: bool = True,
     extra_starts: Sequence[Sequence[float]] = (),
 ) -> tuple[list[float], float]:
@@ -136,7 +138,7 @@ def maximize_box(
         fx = f(x)
         if fx > best_f:
             best_x, best_f = x, fx
-        xo, fo = _nelder_mead(f, x, lo, hi, nm_max_iter, f_tol)
+        xo, fo = _nelder_mead(f, x, lo, hi, nm_max_iter)
         if fo > best_f:
             best_x, best_f = xo, fo
     if best_x is None:

@@ -96,12 +96,6 @@ def _mo_excess(kind: MoKind, c_a, c_b, tau_a, tau_b, n_th, r):
     return A, B, c, P
 
 
-def _mo_abc(kind: MoKind, c_a, c_b, tau_a, tau_b, n_th, r) -> tuple[float, float, float]:
-    """Closed-form (a, b, c) of the MO state; no validation, hot path."""
-    A, B, c, _ = _mo_excess(kind, c_a, c_b, tau_a, tau_b, n_th, r)
-    return 0.5 + A, 0.5 + B, c
-
-
 def _check_source(kind: MoKind, p: DptParams, rates: PhysicalRates) -> None:
     want = REQUIRED_SIGMAS[kind]
     if (p.sigma_a, p.sigma_b) != want:
@@ -129,7 +123,8 @@ def mo_state(
     """
     rv = _as_r(r)
     _check_source(kind, p, rates)
-    return BalancedForm(*_mo_abc(kind, p.c_a, p.c_b, p.tau_a, p.tau_b, p.n_th, rv))
+    A, B, c, _ = _mo_excess(kind, p.c_a, p.c_b, p.tau_a, p.tau_b, p.n_th, rv)
+    return BalancedForm(0.5 + A, 0.5 + B, c)
 
 
 def mo_state_via_composition(

@@ -30,6 +30,7 @@ from .sources import MoKind
 from .transducer import (
     DeviceCaps,
     _blue_cap,
+    _check_loss_split,
     stability_ok,
 )
 
@@ -55,6 +56,10 @@ class ThresholdResult:
     method: str
     argmax: tuple[float, float, float, float]
     can_entangle: bool = True
+
+
+#: Starts and Nelder-Mead iterations of each search in numeric_threshold.
+_SEARCH_STARTS, _SEARCH_ITERS = 6, 80
 
 
 def max_stable_ca(caps: DeviceCaps, c_b: float) -> float:
@@ -94,17 +99,13 @@ def _numeric_gap(c_minus: float) -> float:
     return 1e-8 * (1.0 + c_minus)
 
 
-def _max_stable_cb(caps: DeviceCaps, c_a: float) -> float:
-    """Largest numerically safe C_b for a blue microwave pump."""
-    rt = caps.rates
-    cap = _blue_cap(c_a, rt.kappa_b, rt.kappa_a, rt.gamma_m) - _numeric_gap(c_a)
-    return min(caps.d_b, max(cap, 0.0))
+def _stable_bound(caps: DeviceCaps, c_red: float, optical_blue: bool) -> float:
+    """Largest numerically safe cooperativity of the blue-pumped side.
 
-
-def _stable_ca_bound(caps: DeviceCaps, c_b: float) -> float:
-    rt = caps.rates
-    cap = _blue_cap(c_b, rt.kappa_a, rt.kappa_b, rt.gamma_m) - _numeric_gap(c_b)
-    return min(caps.d_a, max(cap, 0.0))
+    The side is picked as in _blue_cap; the result is clipped to its cap.
+    """
+    cap = _blue_cap(c_red, caps.rates, optical_blue) - _numeric_gap(c_red)
+    return min(caps.d_a if optical_blue else caps.d_b, max(cap, 0.0))
 
 
 def _numeric_ok(kind: MoKind, c_a: float, c_b: float) -> bool:
@@ -205,7 +206,7 @@ def analytic_threshold(
             if down
             else (2.0 * ta - 1.0) * da - 1.0
         )
-        cb_star = min(db, _max_stable_cb(caps, da))
+        cb_star = min(db, _stable_bound(caps, da, False))
         arg = (da, cb_star, da if down else da, db if down else cb_star)
 
     if value <= 0.0 or not math.isfinite(value):
@@ -281,9 +282,9 @@ def _margin_fn4(t, caps, n_th, r, split, guard: bool = False):
 
 def _clamp_pair(kind: MoKind, caps: DeviceCaps, c_a: float, c_b: float):
     if kind is MoKind.IO:
-        c_a = min(c_a, _stable_ca_bound(caps, c_b))
+        c_a = min(c_a, _stable_bound(caps, c_b, True))
     elif kind is MoKind.IM:
-        c_b = min(c_b, _max_stable_cb(caps, c_a))
+        c_b = min(c_b, _stable_bound(caps, c_a, False))
     return c_a, c_b
 
 
@@ -304,7 +305,7 @@ def _corner_candidates(kind: MoKind, caps: DeviceCaps) -> list[tuple[float, floa
     return out
 
 
-def _entangled_at(t, caps, n_th, r, split, candidates, search_budget):
+def _entangled_at(t, caps, n_th, r, split, candidates):
     """Positivity witness for max-over-cooperativities entanglement.
 
     Returns the witnessing source (c_a, c_b) pair or None.  Corner
@@ -324,8 +325,8 @@ def _entangled_at(t, caps, n_th, r, split, candidates, search_budget):
         margin,
         [0.0, 0.0],
         [caps.d_a, caps.d_b],
-        n_starts=search_budget[0],
-        nm_max_iter=search_budget[1],
+        n_starts=_SEARCH_STARTS,
+        nm_max_iter=_SEARCH_ITERS,
         polish=False,
         extra_starts=[list(c) for c in candidates],
     )
@@ -338,8 +339,6 @@ def numeric_threshold(
     t: Topology,
     caps: DeviceCaps,
     r: SqueezeParam | float = 0.0,
-    *,
-    search_budget: tuple[int, int] = (6, 80),
 ) -> ThresholdResult:
     """Threshold by bisecting n_th on the optimized entanglement sign.
 
@@ -363,14 +362,14 @@ def numeric_threshold(
             return (pair[0], pair[1], caps.d_a, caps.d_b)
         return (pair[0], pair[1], pair[0], pair[1])
 
-    witness = _entangled_at(t, caps, 0.0, rv, split, candidates, search_budget)
+    witness = _entangled_at(t, caps, 0.0, rv, split, candidates)
     if hi0 <= 0.0 or witness is None:
         return ThresholdResult(0.0, "bisection", full(candidates[0]), False)
 
     lo, hi = 0.0, hi0
     while hi - lo > max(1e-12 * hi0, 1e-7 * lo):
         mid = 0.5 * (lo + hi)
-        w = _entangled_at(t, caps, mid, rv, split, candidates, search_budget)
+        w = _entangled_at(t, caps, mid, rv, split, candidates)
         if w is not None:
             lo, witness = mid, w
         else:
@@ -442,20 +441,6 @@ def optimize_cooperativities(
     return cs, e
 
 
-def _best_e_at_split(t, caps, n_th, r, tau_e, split, budget):
-    _, e = optimize_cooperativities(
-        t,
-        caps,
-        n_th,
-        r,
-        tau_e=tau_e,
-        loss_split=split,
-        n_starts=budget[0],
-        nm_max_iter=budget[1],
-    )
-    return e
-
-
 def optimize_loss_split(
     t: Topology,
     caps: DeviceCaps,
@@ -473,22 +458,25 @@ def optimize_loss_split(
     over the slot simplex, since its optimum may be interior.
     Cooperativities are re-optimized at every candidate split.
     """
-    if not (0.0 < tau_e <= 1.0):
-        raise ValueError(f"external transmissivity must be in (0, 1], got {tau_e}")
+    _check_loss_split(tau_e)
+
+    def e_at(split) -> float:
+        return optimize_cooperativities(
+            t, caps, n_th, r, tau_e=tau_e, loss_split=split,
+            n_starts=budget[0], nm_max_iter=budget[1],
+        )[1]
+
     n = loss_slot_count(t)
     if t.scheme == "down" or t.is_symmetric:
         split = default_loss_split(t, tau_e)
-        return split, _best_e_at_split(t, caps, n_th, r, tau_e, split, budget)
+        return split, e_at(split)
 
     if n == 2:
-        # one free share t1 in [tau_e, 1]; endpoints are the known extremes
-        def e_of(t1: float) -> float:
-            return _best_e_at_split(t, caps, n_th, r, tau_e, (t1, tau_e / t1), budget)
-
-        cands = [(tau_e, 1.0), (1.0, tau_e)]
-        best_split = max(cands, key=lambda s: _best_e_at_split(t, caps, n_th, r, tau_e, s, budget))
-        best_e = _best_e_at_split(t, caps, n_th, r, tau_e, best_split, budget)
-        t1, e1 = golden_max_1d(e_of, tau_e, 1.0, iters=24)
+        # one free share t1 in [tau_e, 1]; endpoints are the known extremes,
+        # and max keeps the first-listed one on ties
+        ends = [(tau_e, 1.0), (1.0, tau_e)]
+        best_split, best_e = max(((s, e_at(s)) for s in ends), key=lambda se: se[1])
+        t1, e1 = golden_max_1d(lambda t1: e_at((t1, tau_e / t1)), tau_e, 1.0, iters=24)
         if e1 > best_e:
             best_split, best_e = (t1, tau_e / t1), e1
         return best_split, best_e
@@ -499,7 +487,7 @@ def optimize_loss_split(
         t3 = tau_e / (t1 * t2)
         if t3 < tau_e - 1e-12 or t3 > 1.0 + 1e-12:
             return -math.inf
-        return _best_e_at_split(t, caps, n_th, r, tau_e, (t1, t2, min(t3, 1.0)), budget)
+        return e_at((t1, t2, min(t3, 1.0)))
 
     extremes = [
         [1.0, 1.0],

@@ -186,23 +186,13 @@ def dpt_two_mode_channel(p: DptParams) -> TwoModeChannel:
     return TwoModeChannel(T, N)
 
 
-def _conversion_t_n(direction: str, c_a, c_b, tau_a, tau_b, n_th) -> tuple[float, float]:
-    """Scalar (t, n) of the up/down conversion channel, T = t I, N = n I."""
-    s = 1.0 + c_a + c_b
-    t = -2.0 * math.sqrt(tau_a * tau_b * c_a * c_b) / s
-    if direction == "down":
-        n = 0.5 + 2.0 * tau_b * c_b * (2.0 * n_th - tau_a * c_a) / s**2
-    else:
-        n = 0.5 + 2.0 * tau_a * c_a * (2.0 * n_th - tau_b * c_b) / s**2
-    return t, n
-
-
 def _conversion_t_mu(direction: str, c_a, c_b, tau_a, tau_b, n_th) -> tuple[float, float]:
-    """Scalar (t, mu) with mu the above-vacuum output on vacuum input.
+    """Scalar form of the conversion channel, T = t I and N = n I.
 
-    mu = t**2/2 + n - 1/2 collapses to 4 tau C n_th / s**2, which is the
+    Returns (t, mu), with mu = t**2/2 + n - 1/2 the above-vacuum output
+    on vacuum input.  mu collapses to 4 tau C n_th / s**2, which is the
     cancellation-free form needed when tracking states as excesses over
-    vacuum.
+    vacuum; conversion_channel recovers n = 1/2 - t**2/2 + mu.
     """
     s = 1.0 + c_a + c_b
     t = -2.0 * math.sqrt(tau_a * tau_b * c_a * c_b) / s
@@ -227,15 +217,25 @@ def conversion_channel(direction: Literal["up", "down"], p: DptParams) -> OneMod
         raise InvalidOperatingModeError(
             "conversion channels require both pumps red detuned"
         )
-    t, n = _conversion_t_n(direction, p.c_a, p.c_b, p.tau_a, p.tau_b, p.n_th)
+    t, mu = _conversion_t_mu(direction, p.c_a, p.c_b, p.tau_a, p.tau_b, p.n_th)
+    n = 0.5 - t * t / 2.0 + mu
     return OneModeChannel(t * np.eye(2), n * np.eye(2))
 
 
-def _blue_cap(c_minus: float, kappa_plus: float, kappa_minus: float, gamma_m: float) -> float:
-    """Largest C_+ allowed by both stability criteria (strict margins off)."""
-    first = c_minus + 1.0
+def _blue_cap(c_red: float, rates: PhysicalRates, optical_blue: bool) -> float:
+    """Largest C_+ allowed by both stability criteria (strict margins off).
+
+    The blue-pumped side (+) is the optical one (sigma_a = +1, IO source)
+    if optical_blue, else the microwave one; c_red is the other side's C_-.
+    """
+    if optical_blue:
+        kappa_plus, kappa_minus = rates.kappa_a, rates.kappa_b
+    else:
+        kappa_plus, kappa_minus = rates.kappa_b, rates.kappa_a
+    gamma_m = rates.gamma_m
+    first = c_red + 1.0
     # second criterion, linear in C_+ once the coupling bridge is applied
-    rhs = c_minus * kappa_minus * gamma_m / (kappa_plus + gamma_m) + kappa_plus + kappa_minus
+    rhs = c_red * kappa_minus * gamma_m / (kappa_plus + gamma_m) + kappa_plus + kappa_minus
     second = rhs * (kappa_minus + gamma_m) / (kappa_plus * gamma_m)
     return min(first, second)
 
@@ -252,13 +252,24 @@ def stability_ok(p: DptParams, rates: PhysicalRates) -> bool:
     if p.sigma_a == -1 and p.sigma_b == -1:
         return True
     if p.sigma_a == 1:
-        c_plus, c_minus = p.c_a, p.c_b
-        k_plus, k_minus = rates.kappa_a, rates.kappa_b
-    else:
-        c_plus, c_minus = p.c_b, p.c_a
-        k_plus, k_minus = rates.kappa_b, rates.kappa_a
-    cap = _blue_cap(c_minus, k_plus, k_minus, rates.gamma_m)
-    return c_plus < cap - STRICT_MARGIN
+        return p.c_a < _blue_cap(p.c_b, rates, True) - STRICT_MARGIN
+    return p.c_b < _blue_cap(p.c_a, rates, False) - STRICT_MARGIN
+
+
+def _check_loss_split(tau_e: float, split: Sequence[float] | None = None):
+    """Check tau_e in (0, 1] and any split (see fold_external_loss); return it as floats."""
+    if not (0.0 < tau_e <= 1.0):
+        raise ValueError(f"external transmissivity must be in (0, 1], got {tau_e}")
+    if split is None:
+        return None
+    split = tuple(float(f) for f in split)
+    prod = math.prod(split)
+    if abs(prod - tau_e) > 1e-12 * max(1.0, tau_e):
+        raise ValueError(f"loss split {split} multiplies to {prod}, expected tau_e={tau_e}")
+    for f in split:
+        if f < tau_e - 1e-12 or f > 1.0 + 1e-12:
+            raise ValueError(f"loss share {f} outside [tau_e={tau_e}, 1]")
+    return split
 
 
 def fold_external_loss(
@@ -271,13 +282,4 @@ def fold_external_loss(
     (within 1e-12) and each lie in [tau_e, 1]; the microwave tau_b is
     never touched by external optical loss.
     """
-    if not (0.0 < tau_e <= 1.0):
-        raise ValueError(f"external transmissivity must be in (0, 1], got {tau_e}")
-    split = tuple(float(f) for f in split)
-    prod = math.prod(split)
-    if abs(prod - tau_e) > 1e-12 * max(1.0, tau_e):
-        raise ValueError(f"loss split {split} multiplies to {prod}, expected {tau_e}")
-    for f in split:
-        if f < tau_e - 1e-12 or f > 1.0 + 1e-12:
-            raise ValueError(f"loss share {f} outside [{tau_e}, 1]")
-    return tuple(caps.tau_a * f for f in split)
+    return tuple(caps.tau_a * f for f in _check_loss_split(tau_e, split))

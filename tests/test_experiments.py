@@ -168,10 +168,23 @@ class TestValidateCommand:
 
 
 class TestCli:
-    def test_ebit_rate_runs(self, capsys):
-        assert main(["ebit-rate", "--preset", "brubaker2022"]) == 0
+    def test_ebit_rate_runs(self, tmp_path, capsys):
+        path = tmp_path / "rate.json"
+        assert main(["ebit-rate", "--preset", "brubaker2022", "--out", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["bandwidth_hz"] == 2000.0
+        assert json.loads(path.read_text()) == out
+
+    @pytest.mark.parametrize(
+        "command, first_column",
+        [("threshold-vs-da", "d_a"), ("threshold-vs-loss", "loss_db"), ("device-run", "tau_e_db")],
+    )
+    def test_sweep_writes_csv(self, command, first_column, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        assert main([command, "--points", "2", "--out", str(path)]) == 0
+        lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        assert lines[0].split(",")[0] == first_column
+        assert len(lines) == 1 + (4 if command == "threshold-vs-da" else 2)
 
     def test_csv_output_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -190,6 +203,27 @@ class TestCli:
         assert main(["device-run", "--config", str(bad)]) == 2
         bad.write_text(json.dumps({"unknown_key": 1}))
         assert main(["device-run", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            ({"caps": {"d_a": -1, "d_b": 1, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0}}, []),
+            ({"squeezing_db": 5}, []),
+            ({"caps": {"d_a": 1, "d_b": 1, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0,
+                       "kappa_a": 5}}, []),
+            ({}, ["--points", "0"]),
+        ],
+        ids=["negative-cap", "scalar-for-list", "partial-rates", "zero-points"],
+    )
+    def test_invalid_config_is_config_error(self, config, argv, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out.csv"
+        assert main(["device-run", "--config", str(path), "--out", str(out)] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_config_file_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -216,9 +250,13 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["log_negativity"] > 0.0
 
-    def test_validate_quick_exit_zero(self, capsys):
-        assert main(["validate", "--quick", "--seed", "5"]) == 0
+    def test_validate_quick_exit_zero(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert main(["validate", "--quick", "--seed", "5", "--out", str(path)]) == 0
         assert "overall: PASS" in capsys.readouterr().out
+        report = json.loads(path.read_text())
+        assert report["pass"] is True
+        assert all(r["pass"] is True for r in report["results"])
 
     def test_validate_failure_exits_one(self, capsys, monkeypatch):
         import gausslink.experiments as exp

@@ -108,6 +108,11 @@ class TestTopologyType:
             split = default_loss_split(t, 0.7)
             assert math.prod(split) == pytest.approx(0.7, rel=1e-12)
 
+    @pytest.mark.parametrize("tau_e", [-0.5, 0.0, 1.5])
+    def test_default_split_checks_tau_e_first(self, tau_e):
+        with pytest.raises(ValueError, match="external transmissivity"):
+            default_loss_split(Topology.down(MoKind.EO), tau_e)
+
 
 class TestSwap:
     def test_identical_inputs_reduce_to_symmetric_form(self, rng):
@@ -307,6 +312,44 @@ class TestMmState:
     def test_unstable_source_reports_bound(self):
         with pytest.raises(UnstableOperatingPointError, match="C_b"):
             mm_state(Topology.swap_sym(MoKind.IM), self.cfg(c_a1=2.0, c_b1=8.0))
+
+    @pytest.mark.parametrize(
+        "kind, c_red",
+        [(MoKind.IO, 124.0), (MoKind.IO, 10.0), (MoKind.IM, 100.0)],
+        ids=["IO-second-criterion", "IO-first-criterion", "IM-first-criterion"],
+    )
+    def test_kappa_roles_at_unequal_rates(self, kind, c_red):
+        # kappa_a = 1000, kappa_b = 50: swapping which linewidth belongs to
+        # the blue-pumped side moves every bound checked here
+        from gausslink import DptParams, brubaker2022_caps, stability_ok
+
+        caps = brubaker2022_caps()
+        rt = caps.rates
+        optical = kind is MoKind.IO
+        k_plus, k_minus = (rt.kappa_a, rt.kappa_b) if optical else (rt.kappa_b, rt.kappa_a)
+        g = rt.gamma_m
+        # C_+ < C_- + 1 and, with 4 G_i^2 = C_i kappa_i gamma_m,
+        # 4 G_+^2 / (kappa_- + g) < 4 G_-^2 / (kappa_+ + g) + kappa_+ + kappa_-
+        rhs = c_red * k_minus * g / (k_plus + g) + k_plus + k_minus
+        second = rhs * (k_minus + g) / (k_plus * g)
+        bound = min(c_red + 1.0, second)
+        name = "C_a" if optical else "C_b"
+        for c_blue, want in ((bound - 1e-6, True), (bound + 1e-6, False)):
+            c_a, c_b = (c_blue, c_red) if optical else (c_red, c_blue)
+            sigmas = (1, -1) if optical else (-1, 1)
+            p = DptParams(c_a, c_b, caps.tau_a, caps.tau_b, caps.n_th, *sigmas)
+            assert stability_ok(p, rt) is want
+            for t in (Topology.down(kind), Topology.swap_sym(kind)):
+                cfg = NetworkConfig(caps, c_a, c_b, c_a if t.scheme == "swap" else caps.d_a,
+                                    c_b if t.scheme == "swap" else caps.d_b)
+                if want:
+                    mm_state(t, cfg)
+                    continue
+                with pytest.raises(UnstableOperatingPointError) as err:
+                    mm_state(t, cfg)
+                msg = str(err.value)
+                assert f"{kind.name} source unstable: {name} = {c_blue}" in msg
+                assert float(msg.rsplit(f"{name} < ", 1)[1]) == pytest.approx(bound, rel=1e-12)
 
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError, match="multiplies"):

@@ -273,6 +273,21 @@ class TestOptimizeLossSplit:
         assert e >= e_default - 1e-9
         assert split[2] == pytest.approx(0.7, abs=1e-6)
 
+    def test_asym_two_slot_search_never_below_endpoints(self):
+        caps = DeviceCaps(25.0, 6.0, 0.9, 0.85, 0.2)
+        t = Topology.swap_asym(MoKind.IM, MoKind.EM)
+        tau_e, budget = 0.6, (3, 40)
+        split, e = optimize_loss_split(t, caps, caps.n_th, 0.8, tau_e, budget=budget)
+        assert len(split) == 2
+        assert math.prod(split) == pytest.approx(tau_e, rel=1e-12)
+        for end in ((tau_e, 1.0), (1.0, tau_e)):
+            _, e_end = optimize_cooperativities(
+                t, caps, caps.n_th, 0.8, tau_e=tau_e, loss_split=end,
+                n_starts=budget[0], nm_max_iter=budget[1],
+            )
+            assert e >= e_end
+        assert e > 0.0
+
     def test_optimized_asym_swap_never_beats_best_symmetric(self):
         # optimizer-level restatement of the swapping theorem (no
         # external loss): asymmetric pairs cannot beat the better of the

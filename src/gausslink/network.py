@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import BalancedForm, OneModeChannel, SqueezeParam, _as_r, log_negativity
 from .sources import MoKind, _mo_excess
 from .transducer import (
@@ -196,6 +198,10 @@ def swap(mo1: BalancedForm, mo2: BalancedForm) -> BalancedForm:
 
 
 def _stable_intrinsic(kind: MoKind, c_a, c_b, caps: DeviceCaps) -> bool:
+    """Whether a source is stable; elementwise on numpy arrays of (c_a, c_b).
+
+    Only the intrinsic kinds have a blue pump; EO and EM give True.
+    """
     if kind is MoKind.IO:
         return c_a < _blue_cap(c_b, caps.rates, True) - STRICT_MARGIN
     if kind is MoKind.IM:
@@ -218,50 +224,64 @@ def _mm_excess(
     decides entanglement).  No cap validation: this is the hot path
     shared by the public API and the optimizers.
 
+    The cooperativities may also be numpy arrays of one shape.  The
+    result is then four arrays, bit for bit equal to the float
+    evaluation, and all four are NaN where a source is unstable.
+
     Exact update rules: loss tau on the measured mode scales (A, c**2, P)
     by tau; an isotropic conversion (t, mu) on mode 1 maps A -> t**2 A + mu
-    and P -> t**2 P + mu B; the EPR measurement maps P1, P2 to
+    and P -> t**2 P + mu B; the EPR measurement maps B1 to
+    (B1 (1 + A2) + P1) / (1 + A1 + A2), B2 likewise, and P1, P2 to
     (B1 B2 + P1 B2 + P2 B1) / (1 + A1 + A2).
     """
     c_a1, c_b1, c_a2, c_b2 = cs
     tau_a, tau_b = caps.tau_a, caps.tau_b
 
-    if t.scheme == "down":
-        kind = t.kinds[0]
-        if kind is MoKind.EO:
-            t1, m1 = _conversion_t_mu("down", c_a1, c_b1, tau_a * split[0], tau_b, n_th)
-            t2, m2 = _conversion_t_mu("down", c_a2, c_b2, tau_a * split[1], tau_b, n_th)
-            sh2 = math.sinh(r) ** 2
-            sh = math.sinh(2.0 * r) / 2.0
-            # squeezed pair: A0 = B0 = sinh(r)^2, c0 = sinh(2r)/2, P0 = -sinh(r)^2
-            A = t1 * t1 * sh2 + m1
-            P = t1 * t1 * (-sh2) + m1 * sh2
-            B = t2 * t2 * sh2 + m2
-            P = t2 * t2 * P + m2 * A
-            return (A, B, t1 * t2 * sh, P)
-        if not _stable_intrinsic(kind, c_a1, c_b1, caps):
-            return None
-        A0, B0, c0, P0 = _mo_excess(kind, c_a1, c_b1, tau_a, tau_b, n_th, r)
-        td, md = _conversion_t_mu("down", c_a2, c_b2, tau_a * split[0], tau_b, n_th)
-        return (td * td * A0 + md, B0, td * c0, td * td * P0 + md * B0)
+    if t.scheme == "down" and t.kinds[0] is MoKind.EO:
+        t1, m1 = _conversion_t_mu("down", c_a1, c_b1, tau_a * split[0], tau_b, n_th)
+        t2, m2 = _conversion_t_mu("down", c_a2, c_b2, tau_a * split[1], tau_b, n_th)
+        sh2 = math.sinh(r) ** 2
+        sh = math.sinh(2.0 * r) / 2.0
+        # squeezed pair: A0 = B0 = sinh(r)^2, c0 = sinh(2r)/2, P0 = -sinh(r)^2
+        A = t1 * t1 * sh2 + m1
+        P = t1 * t1 * (-sh2) + m1 * sh2
+        B = t2 * t2 * sh2 + m2
+        P = t2 * t2 * P + m2 * A
+        return (A, B, t1 * t2 * sh, P)
 
-    k1, k2 = t.kinds
-    eo_share = split[2] if len(split) == 3 else 1.0
-    states = []
-    for kind, c_a, c_b, tau_m in ((k1, c_a1, c_b1, split[0]), (k2, c_a2, c_b2, split[1])):
-        if not _stable_intrinsic(kind, c_a, c_b, caps):
-            return None
-        ta = tau_a * eo_share if kind is MoKind.EO and len(split) == 3 else tau_a
-        A, B, c, P = _mo_excess(kind, c_a, c_b, ta, tau_b, n_th, r)
-        states.append((tau_m * A, B, math.sqrt(tau_m) * c, tau_m * P))
-    (A1, B1, c1, P1), (A2, B2, c2, P2) = states
-    den = 1.0 + A1 + A2
-    return (
-        B1 - c1 * c1 / den,
-        B2 - c2 * c2 / den,
-        -c1 * c2 / den,
-        (B1 * B2 + P1 * B2 + P2 * B1) / den,
-    )
+    # a downconversion's second transducer is red-red, always stable
+    stable = _stable_intrinsic(t.kinds[0], c_a1, c_b1, caps)
+    if t.scheme == "swap":
+        stable = stable & _stable_intrinsic(t.kinds[1], c_a2, c_b2, caps)
+    # `is True` first, so that a stable float point needs no type check
+    if stable is not True and not isinstance(stable, np.ndarray) and not stable:
+        return None
+
+    if t.scheme == "down":
+        A0, B0, c0, P0 = _mo_excess(t.kinds[0], c_a1, c_b1, tau_a, tau_b, n_th, r)
+        td, md = _conversion_t_mu("down", c_a2, c_b2, tau_a * split[0], tau_b, n_th)
+        out = (td * td * A0 + md, B0, td * c0, td * td * P0 + md * B0)
+    else:
+        k1, k2 = t.kinds
+        eo_share = split[2] if len(split) == 3 else 1.0
+        states = []
+        for kind, c_a, c_b, tau_m in ((k1, c_a1, c_b1, split[0]), (k2, c_a2, c_b2, split[1])):
+            ta = tau_a * eo_share if kind is MoKind.EO and len(split) == 3 else tau_a
+            A, B, c, P = _mo_excess(kind, c_a, c_b, ta, tau_b, n_th, r)
+            states.append((tau_m * A, B, math.sqrt(tau_m) * c, tau_m * P))
+        (A1, B1, c1, P1), (A2, B2, c2, P2) = states
+        den = 1.0 + A1 + A2
+        # B1 - c1**2 / den, rewritten with P1 = A1 B1 - c1**2 so that nothing
+        # cancels when a source sits next to its instability (A1, c1 huge)
+        out = (
+            (B1 * (1.0 + A2) + P1) / den,
+            (B2 * (1.0 + A1) + P2) / den,
+            -c1 * c2 / den,
+            (B1 * B2 + P1 * B2 + P2 * B1) / den,
+        )
+    if stable is True or not isinstance(stable, np.ndarray):
+        return out
+    return tuple(np.where(stable, v, np.nan) for v in out)
 
 
 def _resolve_split(t: Topology, tau_e: float, split) -> tuple[float, ...]:

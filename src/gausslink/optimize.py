@@ -1,10 +1,14 @@
 """Deterministic derivative-free maximization over a box.
 
 Multi-start Nelder-Mead with projection onto the box, followed by a
-coordinate-wise golden-section polish.  Starts come from a fixed
+coordinate-wise golden-section polish.  Starts are the caller's
+extra_starts followed by the first n_starts points of a fixed
 low-discrepancy sequence, so results are reproducible without any RNG
-state.  Objectives signal infeasible points (e.g. unstable operating
-points) by returning -inf, which the simplex treats as a rejection.
+state.  A caller that can evaluate its objective on many points at once
+may rank candidates itself and pass only the best as extra_starts with
+n_starts=0; thresholds.optimize_cooperativities does so from a log grid.
+Objectives signal infeasible points (e.g. unstable operating points) by
+returning -inf, which the simplex treats as a rejection.
 """
 
 from __future__ import annotations

@@ -25,6 +25,8 @@ from __future__ import annotations
 import enum
 import math
 
+import numpy as np
+
 from .core import BalancedForm, SqueezeParam, _as_r, apply_one_mode, apply_two_mode, make_tms
 from .transducer import (
     DEFAULT_RATES,
@@ -66,32 +68,43 @@ def _mo_excess(kind: MoKind, c_a, c_b, tau_a, tau_b, n_th, r):
     form because its sign decides entanglement (entangled iff P < 0)
     and the naive product loses all precision near the squeezing
     instability, where A, B, |c| diverge like 1/(1 + C_- - C_+)**2.
+
+    c_a and c_b may be floats or numpy arrays of one shape; the result
+    is then elementwise, bit for bit equal to the float evaluation.
+    That is why a float's square root is math.sqrt and not ** 0.5:
+    libm's pow is not correctly rounded, numpy's sqrt and math.sqrt are.
     """
+    g = tau_a * tau_b * c_a * c_b
+    g = math.sqrt(g) if type(g) is float else np.sqrt(g)
     if kind is MoKind.EO:
-        s2 = (1.0 + c_a + c_b) ** 2
+        s = 1.0 + c_a + c_b
+        s2 = s * s
         sh2 = math.sinh(r) ** 2
         A = sh2
         B = 4.0 * tau_b * c_b * (n_th + tau_a * c_a * sh2) / s2
-        c = -math.sqrt(tau_a * tau_b * c_a * c_b) * math.sinh(2.0 * r) / (1.0 + c_a + c_b)
+        c = -g * math.sinh(2.0 * r) / s
         P = 4.0 * tau_b * c_b * sh2 * (n_th - tau_a * c_a) / s2
     elif kind is MoKind.EM:
-        s2 = (1.0 + c_a + c_b) ** 2
+        s = 1.0 + c_a + c_b
+        s2 = s * s
         sh2 = math.sinh(r) ** 2
         A = 4.0 * tau_a * c_a * (n_th + tau_b * c_b * sh2) / s2
         B = sh2
-        c = -math.sqrt(tau_a * tau_b * c_a * c_b) * math.sinh(2.0 * r) / (1.0 + c_a + c_b)
+        c = -g * math.sinh(2.0 * r) / s
         P = 4.0 * tau_a * c_a * sh2 * (n_th - tau_b * c_b) / s2
     elif kind is MoKind.IO:
-        d2 = (1.0 - c_a + c_b) ** 2
+        d = 1.0 - c_a + c_b
+        d2 = d * d
         A = 4.0 * tau_a * c_a * (c_b + n_th + 1.0) / d2
         B = 4.0 * tau_b * c_b * (c_a + n_th) / d2
-        c = -2.0 * (c_a + c_b + 2.0 * n_th + 1.0) * math.sqrt(tau_a * tau_b * c_a * c_b) / d2
+        c = -2.0 * (c_a + c_b + 2.0 * n_th + 1.0) * g / d2
         P = -4.0 * tau_a * tau_b * c_a * c_b / d2
     else:
-        d2 = (1.0 + c_a - c_b) ** 2
+        d = 1.0 + c_a - c_b
+        d2 = d * d
         A = 4.0 * tau_a * c_a * (c_b + n_th) / d2
         B = 4.0 * tau_b * c_b * (c_a + n_th + 1.0) / d2
-        c = -2.0 * (c_a + c_b + 2.0 * n_th + 1.0) * math.sqrt(tau_a * tau_b * c_a * c_b) / d2
+        c = -2.0 * (c_a + c_b + 2.0 * n_th + 1.0) * g / d2
         P = -4.0 * tau_a * tau_b * c_a * c_b / d2
     return A, B, c, P
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import SqueezeParam, _as_r
 from .network import (
     Topology,
@@ -60,6 +62,15 @@ class ThresholdResult:
 
 #: Starts and Nelder-Mead iterations of each search in numeric_threshold.
 _SEARCH_STARTS, _SEARCH_ITERS = 6, 80
+
+#: Most halvings numeric_threshold makes of its bracket [0, tau_a d_a].
+_BISECT_STEPS = 200
+
+#: Points per axis of the grid that ranks optimize_cooperativities' starts,
+#: by search dimension; about 4k points per array evaluation keeps its
+#: memory small.  The grid runs from _SEED_FLOOR of each cap to the cap.
+_SEED_GRID = {2: 40, 4: 8}
+_SEED_FLOOR = 1e-4
 
 
 def max_stable_ca(caps: DeviceCaps, c_b: float) -> float:
@@ -108,7 +119,8 @@ def _stable_bound(caps: DeviceCaps, c_red: float, optical_blue: bool) -> float:
     return min(caps.d_a if optical_blue else caps.d_b, max(cap, 0.0))
 
 
-def _numeric_ok(kind: MoKind, c_a: float, c_b: float) -> bool:
+def _numeric_ok(kind: MoKind, c_a, c_b) -> bool:
+    """Whether (c_a, c_b) keeps the numeric gap; elementwise on numpy arrays."""
     if kind is MoKind.IO:
         return 1.0 + c_b - c_a >= _numeric_gap(c_b)
     if kind is MoKind.IM:
@@ -220,27 +232,49 @@ def _margin_of_excess(out) -> float:
     Uses the identity 1/2 - nu = -2P / (A + B + sqrt((A+B)^2 - 4P)),
     which is free of the catastrophic cancellation that the direct
     symplectic-eigenvalue formula suffers for amplified states; in
-    particular the sign is exactly the sign of -P.
+    particular the sign is exactly the sign of -P.  On the arrays of an
+    array evaluation of _mm_excess it works elementwise (NaN stays NaN).
     """
     if out is None:
         return -math.inf
     A, B, c, P = out
     s = A + B
-    q = s + math.sqrt(max(s * s - 4.0 * P, 0.0))
-    if q <= 0.0:
-        return 0.0  # both modes exactly at vacuum
-    return -2.0 * P / q
+    d = s * s - 4.0 * P
+    d = d * (d > 0.0)  # d >= 0 up to rounding; clip it to 0
+    # math.sqrt, as in sources._mo_excess, to match numpy's sqrt bit for bit
+    q = s + (math.sqrt(d) if type(d) is float else np.sqrt(d))
+    # q is 0 only at vacuum (A = B = P = 0), whose margin is 0; dividing by
+    # q + 1 there gives it without a branch, so arrays take the same line
+    return -2.0 * P / (q + (q <= 0.0))
+
+
+def _margin_at(t, caps, n_th, r, cs, split, ok):
+    """Margin at cooperativities cs; -inf where ok fails or a source is unstable.
+
+    A float point that fails ok is not evaluated.  Arrays of points (cs[0]
+    is one then) are evaluated everywhere and masked, with the NaN entries
+    of unstable sources set to -inf as well.
+    """
+    if isinstance(cs[0], np.ndarray):
+        with np.errstate(all="ignore"):  # unstable entries may overflow or divide by 0
+            m = _margin_of_excess(_mm_excess(t, caps, n_th, r, cs, split))
+        return np.where(ok & ~np.isnan(m), m, -np.inf)
+    if not ok:
+        return -math.inf
+    return _margin_of_excess(_mm_excess(t, caps, n_th, r, cs, split))
 
 
 def _margin_fn(t, caps, n_th, r, split, guard: bool = False):
-    """Entanglement margin (1/2 - nu) over mirrored (c_a, c_b)."""
+    """Entanglement margin (1/2 - nu) over mirrored (c_a, c_b).
+
+    Like the two closures below, it takes one point or, to evaluate many
+    points at once, x = (c_a array, c_b array).
+    """
     kind = t.kinds[0]
 
     def margin(x):
-        if guard and not _numeric_ok(kind, x[0], x[1]):
-            return -math.inf
-        cs = (x[0], x[1], x[0], x[1])
-        return _margin_of_excess(_mm_excess(t, caps, n_th, r, cs, split))
+        ok = not guard or _numeric_ok(kind, x[0], x[1])
+        return _margin_at(t, caps, n_th, r, (x[0], x[1], x[0], x[1]), split, ok)
 
     return margin
 
@@ -257,10 +291,8 @@ def _margin_fn_down(t, caps, n_th, r, split, guard: bool = False):
     pin = (caps.d_a, caps.d_b)
 
     def margin(x):
-        if guard and not _numeric_ok(kind, x[0], x[1]):
-            return -math.inf
-        cs = (x[0], x[1], pin[0], pin[1])
-        return _margin_of_excess(_mm_excess(t, caps, n_th, r, cs, split))
+        ok = not guard or _numeric_ok(kind, x[0], x[1])
+        return _margin_at(t, caps, n_th, r, (x[0], x[1], pin[0], pin[1]), split, ok)
 
     return margin
 
@@ -270,12 +302,10 @@ def _margin_fn4(t, caps, n_th, r, split, guard: bool = False):
     k2 = t.kinds[1] if t.scheme == "swap" else None
 
     def margin(x):
-        if guard:
-            if not _numeric_ok(k1, x[0], x[1]):
-                return -math.inf
-            if k2 is not None and not _numeric_ok(k2, x[2], x[3]):
-                return -math.inf
-        return _margin_of_excess(_mm_excess(t, caps, n_th, r, tuple(x), split))
+        ok = not guard or (
+            _numeric_ok(k1, x[0], x[1]) & (k2 is None or _numeric_ok(k2, x[2], x[3]))
+        )
+        return _margin_at(t, caps, n_th, r, tuple(x), split, ok)
 
     return margin
 
@@ -343,10 +373,12 @@ def numeric_threshold(
     """Threshold by bisecting n_th on the optimized entanglement sign.
 
     The bracket is [0, tau_a * d_a]; cooperativities are re-maximized at
-    every n_th evaluation.  The interval is narrowed to a relative width
-    of 1e-7 (with an absolute floor of 1e-12 times the bracket), tighter
-    than the 1e-6 agreement required of the analytic forms.  If the
-    topology cannot entangle even at n_th = 0 the result carries
+    every n_th evaluation.  The interval is narrowed to a width of 1e-7
+    relative to its lower end, tighter than the 1e-6 agreement required
+    of the analytic forms, however small the threshold.  At most
+    _BISECT_STEPS halvings bound the loop, which binds only for
+    thresholds below about 2**-176 of the bracket.  If the topology
+    cannot entangle even at n_th = 0 the result carries
     can_entangle=False and a bound of 0.
     """
     if not t.is_symmetric:
@@ -367,7 +399,9 @@ def numeric_threshold(
         return ThresholdResult(0.0, "bisection", full(candidates[0]), False)
 
     lo, hi = 0.0, hi0
-    while hi - lo > max(1e-12 * hi0, 1e-7 * lo):
+    for _ in range(_BISECT_STEPS):
+        if hi - lo <= 1e-7 * lo:
+            break
         mid = 0.5 * (lo + hi)
         w = _entangled_at(t, caps, mid, rv, split, candidates)
         if w is not None:
@@ -376,6 +410,27 @@ def numeric_threshold(
             hi = mid
     n_star = 0.5 * (lo + hi)
     return ThresholdResult(n_star, "bisection", full(witness), True)
+
+
+def _ranked_starts(margin, hi, corners, n):
+    """The n best distinct points of the seed pool, best first.
+
+    The pool is the corners followed by a log grid of the box [0, hi]
+    (_SEED_GRID points per axis, from _SEED_FLOOR of each cap up to the
+    cap); one array evaluation of margin ranks all of it.  Ties keep
+    pool order, so the choice is deterministic.
+    """
+    axes = [h * np.geomspace(_SEED_FLOOR, 1.0, _SEED_GRID[len(hi)]) for h in hi]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(hi), -1)
+    pool = np.concatenate([np.array(corners, dtype=float).T, grid], axis=1)
+    starts: list[list[float]] = []
+    for i in np.argsort(-margin(pool), kind="stable"):
+        if len(starts) == n:
+            break
+        point = pool[:, i].tolist()
+        if point not in starts:
+            starts.append(point)
+    return starts
 
 
 def optimize_cooperativities(
@@ -392,11 +447,14 @@ def optimize_cooperativities(
     """Maximize the MM logarithmic negativity over the cooperativities.
 
     Symmetric topologies are searched over one transducer's (c_a, c_b)
-    and mirrored; asymmetric swapping searches all four.  The search is
-    multi-start Nelder-Mead with golden-section polish, seeded with the
-    box corners (clamped into the stability region), so the result never
-    falls below the best corner.  Returns the full cooperativity
-    4-tuple and the achieved logarithmic negativity.
+    and mirrored; asymmetric swapping searches all four.  The starts
+    are chosen by one array evaluation of the margin over a fixed log
+    grid of the box plus the box corners (clamped into the stability
+    region): Nelder-Mead (nm_max_iter iterations, twice that in 4-D)
+    runs from the n_starts best of them, then a golden-section polish.
+    Every corner is in the ranked pool, so the result never falls
+    below the best corner.  Returns the full cooperativity 4-tuple and
+    the achieved logarithmic negativity.
     """
     rv = _as_r(r)
     split = (
@@ -411,34 +469,33 @@ def optimize_cooperativities(
     )
     if mirrored:
         margin = _margin_fn(t, caps, n_th, rv, split, guard=True)
+        hi = [caps.d_a, caps.d_b]
         corners = _corner_candidates(t.kinds[0], caps)
-        x, m = maximize_box(
-            margin,
-            [0.0, 0.0],
-            [caps.d_a, caps.d_b],
-            n_starts=n_starts,
-            nm_max_iter=nm_max_iter,
-            extra_starts=[list(c) for c in corners],
-        )
-        cs = (x[0], x[1], x[0], x[1])
+        iters = nm_max_iter
     else:
         margin = _margin_fn4(t, caps, n_th, rv, split, guard=True)
+        hi = [caps.d_a, caps.d_b, caps.d_a, caps.d_b]
         k1 = t.kinds[0]
         k2 = t.kinds[1] if t.scheme == "swap" else None
         cands1 = _corner_candidates(k1, caps)[:3]
         cands2 = _corner_candidates(k2, caps)[:3] if k2 else [(caps.d_a, caps.d_b)]
         corners = [list(p1) + list(p2) for p1 in cands1 for p2 in cands2]
-        x, m = maximize_box(
-            margin,
-            [0.0, 0.0, 0.0, 0.0],
-            [caps.d_a, caps.d_b, caps.d_a, caps.d_b],
-            n_starts=n_starts,
-            nm_max_iter=2 * nm_max_iter,
-            extra_starts=corners,
-        )
-        cs = tuple(x)
-    e = -math.log1p(-2.0 * m) / math.log(2.0) if (m > 0.0 and math.isfinite(m)) else 0.0
-    return cs, e
+        iters = 2 * nm_max_iter
+    x, m = maximize_box(
+        margin,
+        [0.0] * len(hi),
+        hi,
+        n_starts=0,
+        nm_max_iter=iters,
+        extra_starts=_ranked_starts(margin, hi, corners, n_starts),
+    )
+    cs = (x[0], x[1], x[0], x[1]) if mirrored else tuple(x)
+    return cs, _log2_negativity(m)
+
+
+def _log2_negativity(m: float) -> float:
+    """Logarithmic negativity in log2 units (e-bits) from the margin 1/2 - nu."""
+    return -math.log1p(-2.0 * m) / math.log(2.0) if (m > 0.0 and math.isfinite(m)) else 0.0
 
 
 def optimize_loss_split(

@@ -192,14 +192,17 @@ def _conversion_t_mu(direction: str, c_a, c_b, tau_a, tau_b, n_th) -> tuple[floa
     Returns (t, mu), with mu = t**2/2 + n - 1/2 the above-vacuum output
     on vacuum input.  mu collapses to 4 tau C n_th / s**2, which is the
     cancellation-free form needed when tracking states as excesses over
-    vacuum; conversion_channel recovers n = 1/2 - t**2/2 + mu.
+    vacuum; conversion_channel recovers n = 1/2 - t**2/2 + mu.  On numpy
+    arrays of cooperativities it works elementwise.
     """
     s = 1.0 + c_a + c_b
-    t = -2.0 * math.sqrt(tau_a * tau_b * c_a * c_b) / s
+    g = tau_a * tau_b * c_a * c_b
+    # math.sqrt, as in sources._mo_excess, to match numpy's sqrt bit for bit
+    t = -2.0 * (math.sqrt(g) if type(g) is float else np.sqrt(g)) / s
     if direction == "down":
-        mu = 4.0 * tau_b * c_b * n_th / s**2
+        mu = 4.0 * tau_b * c_b * n_th / (s * s)
     else:
-        mu = 4.0 * tau_a * c_a * n_th / s**2
+        mu = 4.0 * tau_a * c_a * n_th / (s * s)
     return t, mu
 
 
@@ -226,7 +229,8 @@ def _blue_cap(c_red: float, rates: PhysicalRates, optical_blue: bool) -> float:
     """Largest C_+ allowed by both stability criteria (strict margins off).
 
     The blue-pumped side (+) is the optical one (sigma_a = +1, IO source)
-    if optical_blue, else the microwave one; c_red is the other side's C_-.
+    if optical_blue, else the microwave one; c_red is the other side's C_-,
+    a float or, elementwise, a numpy array.
     """
     if optical_blue:
         kappa_plus, kappa_minus = rates.kappa_a, rates.kappa_b
@@ -237,7 +241,9 @@ def _blue_cap(c_red: float, rates: PhysicalRates, optical_blue: bool) -> float:
     # second criterion, linear in C_+ once the coupling bridge is applied
     rhs = c_red * kappa_minus * gamma_m / (kappa_plus + gamma_m) + kappa_plus + kappa_minus
     second = rhs * (kappa_minus + gamma_m) / (kappa_plus * gamma_m)
-    return min(first, second)
+    if isinstance(first, np.ndarray):
+        return np.minimum(first, second)
+    return first if first <= second else second
 
 
 def stability_ok(p: DptParams, rates: PhysicalRates) -> bool:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gausslink import DeviceCaps, analytic_threshold, Topology
+from gausslink import DeviceCaps, NetworkConfig, Topology, analytic_threshold, mm_log_negativity
 from gausslink.cli import main
 from gausslink.experiments import (
     ExperimentConfig,
@@ -144,6 +144,31 @@ class TestEbitRate:
             ExperimentConfig(experiment="ebit-rate", caps=brubaker2022_caps(), fiber_km=0.0)
         )
         assert zero_fiber["rate_ebits_per_s"] > report["rate_ebits_per_s"]
+
+    def test_report_gives_optimum_and_corner_in_both_units(self):
+        caps = brubaker2022_caps()
+        report = cmd_ebit_rate(ExperimentConfig(experiment="ebit-rate", caps=caps))
+        bw, ln2 = report["bandwidth_hz"], math.log(2.0)
+        corner = report["corner_cooperativities"]
+        assert corner == [caps.d_a, caps.d_b, caps.d_a, caps.d_b]
+        e_corner = mm_log_negativity(
+            Topology.down(MoKind.IM), NetworkConfig(caps, *corner, tau_e=report["tau_e"])
+        )
+        assert report["corner_log_negativity"] == pytest.approx(e_corner, rel=1e-12)
+        for prefix in ("", "corner_"):
+            e = report[f"{prefix}log_negativity"]
+            assert report[f"{prefix}log_negativity_nats"] == pytest.approx(e * ln2, rel=1e-15)
+            assert report[f"{prefix}rate_ebits_per_s"] == pytest.approx(e * bw, rel=1e-15)
+            assert report[f"{prefix}rate_nats_per_s"] == pytest.approx(e * ln2 * bw, rel=1e-15)
+        assert report["log_negativity"] >= e_corner > 0.0
+
+    def test_corner_clamped_into_stability(self):
+        # a microwave cap beyond the IM source's stability bound
+        caps = DeviceCaps(5.0, 40.0, 0.9, 0.85, 0.0)
+        report = cmd_ebit_rate(ExperimentConfig(experiment="ebit-rate", caps=caps))
+        c_a, c_b, c_a2, c_b2 = report["corner_cooperativities"]
+        assert (c_a, c_a2, c_b2) == (5.0, 5.0, 40.0)
+        assert c_b == pytest.approx(6.0, rel=1e-7) and c_b < 6.0
 
     def test_zero_bandwidth_gives_zero_rate(self):
         cfg = ExperimentConfig(

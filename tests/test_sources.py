@@ -72,6 +72,23 @@ class TestClosedForms:
         assert log_negativity(s) == 0.0
 
 
+class TestArrayPath:
+    def test_equals_float_path_bit_for_bit(self, rng):
+        # enough points that a sqrt that is not correctly rounded on floats
+        # (about 1 in 1000 for libm's pow) shows up in c
+        from gausslink.sources import _mo_excess
+
+        c_a = 10.0 ** rng.uniform(-3.0, 4.0, 3000)
+        c_b = 10.0 ** rng.uniform(-3.0, 4.0, 3000)
+        for kind in MoKind:
+            args = (rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 5.0),
+                    rng.uniform(0.0, 1.2))
+            many = _mo_excess(kind, c_a, c_b, *args)
+            for i in range(3000):
+                one = _mo_excess(kind, float(c_a[i]), float(c_b[i]), *args)
+                assert [float(np.broadcast_to(v, c_a.shape)[i]) for v in many] == list(one)
+
+
 class TestOracleEquivalence:
     def test_matches_composition(self, rng):
         for kind in MoKind:

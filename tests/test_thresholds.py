@@ -15,9 +15,10 @@ from gausslink import (
     optimize_cooperativities,
     optimize_loss_split,
 )
+from gausslink.network import ALL_TOPOLOGIES, default_loss_split
 from gausslink.sampling import random_caps
 from gausslink.sources import MoKind
-from gausslink.thresholds import _maximize_em_cell
+from gausslink.thresholds import _margin_fn, _margin_fn4, _margin_fn_down, _maximize_em_cell
 
 
 class TestAnalyticTable:
@@ -140,6 +141,23 @@ class TestNumericThreshold:
             b = numeric_threshold(t, caps, 0.7)
             assert b.n_th_max == pytest.approx(a.n_th_max, rel=1e-6)
 
+    def test_tiny_threshold_keeps_relative_agreement(self):
+        # seed 102 of the benchmark's threshold_crosscheck stream: a threshold
+        # of 1.075e-8 that an absolute stopping width of 1e-12 tau_a d_a
+        # resolved only to 1e-5 relative
+        caps = DeviceCaps(
+            d_a=0.5783979007966915, d_b=8.275897350723584,
+            tau_a=0.9064244129022773, tau_b=0.6362857930526407, n_th=0.0,
+        )
+        r = 0.0001432204201032805
+        t = Topology.swap_sym(MoKind.EO)
+        a = analytic_threshold(t, caps, r)
+        b = numeric_threshold(t, caps, r)
+        assert a.n_th_max == pytest.approx(1.0753953983207006e-08, rel=1e-12)
+        assert b.can_entangle
+        # explicit: pytest.approx would also accept any error below 1e-12
+        assert abs(b.n_th_max - a.n_th_max) <= 1e-6 * a.n_th_max
+
     def test_infeasible_flagged(self):
         caps = DeviceCaps(100.0, 10.0, 0.5, 0.75, 0.0)
         res = numeric_threshold(Topology.swap_sym(MoKind.IM), caps, 0.0)
@@ -234,6 +252,50 @@ class TestOptimizeCooperativities:
         at_corner = _em_down_cell(caps.d_a, caps.d_b, caps.tau_a, caps.tau_b, caps.d_a)
         assert cb < caps.d_b - 1.0
         assert val > at_corner + 1e-6
+
+    def test_array_margin_equals_scalar_margin(self, rng):
+        # the start ranking evaluates a margin closure on arrays; every entry
+        # must equal the float evaluation, -inf (unstable or guarded) included
+        n_inf = n_finite = 0
+        for _ in range(6):
+            caps = random_caps(rng)
+            rates = PhysicalRates(rng.uniform(1.0, 1e3), rng.uniform(1.0, 1e3), 1.0)
+            caps = DeviceCaps(caps.d_a, caps.d_b, caps.tau_a, caps.tau_b,
+                              rng.uniform(0.0, 2.0), rates)
+            for t in ALL_TOPOLOGIES:
+                split = default_loss_split(t, rng.uniform(0.5, 1.0))
+                r = rng.uniform(0.0, 1.2)
+                x = np.stack([rng.uniform(0.0, d, 60) for d in (caps.d_a, caps.d_b) * 2])
+                # half the points within 1e-12..1 of the first stability criterion
+                for ia, ib in ((0, 1), (2, 3)):
+                    x[ia, :30] = np.clip(
+                        1.0 + x[ib, :30] - 10.0 ** rng.uniform(-12.0, 0.0, 30), 0.0, caps.d_a
+                    )
+                # the pinned-downconverter margin serves downconversion only
+                factories = (_margin_fn, _margin_fn4) + (
+                    (_margin_fn_down,) if t.scheme == "down" else ()
+                )
+                for factory in factories:
+                    for guard in (False, True):
+                        margin = factory(t, caps, caps.n_th, r, split, guard=guard)
+                        many = margin(x)
+                        one = [margin(x[:, i].tolist()) for i in range(x.shape[1])]
+                        assert np.array_equal(many, one), (t.label, factory.__name__, guard)
+                        n_inf += int(np.sum(np.isneginf(many)))
+                        n_finite += int(np.sum(np.isfinite(many)))
+        assert n_inf > 1000 and n_finite > 1000
+
+    def test_swap_next_to_the_numeric_gap_stays_finite(self):
+        # reaches an IO source 4e-8 inside its instability, where the swap's
+        # output excess used to cancel to an unphysical value and log1p raised
+        caps = DeviceCaps(25.0, 6.0, 0.9, 0.85, 0.2)
+        t = Topology.swap_asym(MoKind.IM, MoKind.IO)
+        cs, e = optimize_cooperativities(
+            t, caps, 0.2, 0.8, tau_e=0.6, loss_split=(0.6, 1.0), n_starts=3, nm_max_iter=40
+        )
+        cfg = NetworkConfig(caps, *cs, r=0.8, tau_e=0.6, loss_split=(0.6, 1.0))
+        assert e == pytest.approx(mm_log_negativity(t, cfg), abs=1e-12)
+        assert math.isfinite(e) and e > 0.0
 
     def test_io_argmax_binds_stability(self):
         caps = DeviceCaps(100.0, 10.0, 0.9, 0.8, 0.0)

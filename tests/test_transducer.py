@@ -139,6 +139,18 @@ class TestConversionChannels:
                 np.testing.assert_allclose(t_marg, ch.T, rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(n_marg, ch.N, rtol=1e-12, atol=1e-12)
 
+    def test_scalar_form_on_arrays_equals_float_path(self, rng):
+        from gausslink.transducer import _conversion_t_mu
+
+        c_a = 10.0 ** rng.uniform(-3.0, 4.0, 3000)
+        c_b = 10.0 ** rng.uniform(-3.0, 4.0, 3000)
+        for direction in ("down", "up"):
+            args = (rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 5.0))
+            t, mu = _conversion_t_mu(direction, c_a, c_b, *args)
+            for i in range(3000):
+                one = _conversion_t_mu(direction, float(c_a[i]), float(c_b[i]), *args)
+                assert (t[i], mu[i]) == one
+
     def test_negative_amplitude_is_a_global_phase(self):
         from gausslink import BalancedForm, apply_one_mode, log_negativity, make_tms
 

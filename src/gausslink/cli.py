@@ -35,6 +35,24 @@ from .transducer import DEFAULT_RATES, DeviceCaps, PhysicalRates
 _CAPS_KEYS = {"d_a", "d_b", "tau_a", "tau_b", "n_th"}
 _RATE_KEYS = {"kappa_a", "kappa_b", "gamma_m"}
 
+#: Domains of the numeric config fields that the library takes unchecked,
+#: as (description, test); a list is tested entry by entry and NaN fails
+#: every test.  A negative loss in dB would be a gain, the seed keys a
+#: 64-bit generator, and a geometric d_a grid cannot reach 0.
+_NONNEGATIVE = ("finite and >= 0", lambda v: 0 <= v < math.inf)
+_DOMAINS = {
+    "points": (">= 1", lambda v: v >= 1),
+    "seed": ("in [0, 2**64)", lambda v: 0 <= v < 2**64),
+    "d_a_range": ("finite and > 0", lambda v: 0 < v < math.inf),
+    "tau_a": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "tau_b": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    **dict.fromkeys(
+        ("r", "squeezing_db", "d_b_values", "d_b_loss", "loss_db_max", "taue_db_max",
+         "fiber_km", "loss_db_per_km", "bandwidth_hz"),
+        _NONNEGATIVE,
+    ),
+}
+
 
 class ConfigError(ValueError):
     pass
@@ -114,8 +132,17 @@ def _load_config(args) -> ExperimentConfig:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    if cfg.points < 1:
-        raise ConfigError(f"points must be >= 1, got {cfg.points}")
+    for key, (want, ok) in _DOMAINS.items():
+        value = getattr(cfg, key)
+        if value is not None and not all(map(ok, value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{key} must be {want}, got {value!r}")
+    if len(cfg.d_a_range) != 2:
+        raise ConfigError(f"d_a_range must hold 2 numbers, got {list(cfg.d_a_range)}")
+    # an external loss must leave a transmissivity that a double holds
+    for key, db in (("taue_db_max", cfg.taue_db_max),
+                    ("fiber loss", cfg.fiber_km * cfg.loss_db_per_km)):
+        if not 10.0 ** (-db / 10.0) > 0.0:
+            raise ConfigError(f"{key} of {db} dB leaves a transmissivity of 0")
     if getattr(args, "quick", False):
         cfg.checks_n = 2000
     return cfg

@@ -260,7 +260,13 @@ def min_sympl_eig_pt(s: BalancedForm) -> float:
 
 
 def log_negativity(s: BalancedForm) -> float:
-    """Logarithmic negativity max{0, -log2(2 nu)} of a balanced state."""
+    """Logarithmic negativity max{0, -log2(2 nu)} of a balanced state.
+
+    Works on the full variances (a, b, c) through min_sympl_eig_pt.  Next
+    to a blue-pump instability the variances grow like 1e16 and nu
+    cancels, down to a spurious 0 (a ValueError here); network states
+    are read by network.mm_log_negativity, which keeps the exact sign.
+    """
     nu = min_sympl_eig_pt(s)
     if nu >= 0.5:
         return 0.0

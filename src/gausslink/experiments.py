@@ -40,8 +40,6 @@ from .sampling import (
 from .sources import MoKind, mo_state, mo_state_via_composition
 from .thresholds import (
     _clamp_pair,
-    _log2_negativity,
-    _margin_fn4,
     analytic_threshold,
     numeric_threshold,
     optimize_cooperativities,
@@ -247,7 +245,7 @@ def _device_point(args):
     sq = math.sqrt(tau_e)
     row = {"tau_e_db": taue_db, "tau_e": tau_e}
 
-    def best(topo, r, split, tag=None):
+    def best(topo, r, split=None, tag=None):
         cs, e = optimize_cooperativities(
             topo, caps, caps.n_th, r, tau_e=tau_e, loss_split=split,
             n_starts=3, nm_max_iter=160,
@@ -261,18 +259,18 @@ def _device_point(args):
         r = squeeze_db_to_r(db)
         tag = _db_tag(db)
         name = f"eo_down_{tag}"
-        row[name] = best(Topology.down(MoKind.EO), r, (sq, sq), name)
+        row[name] = best(Topology.down(MoKind.EO), r, tag=name)
         name = f"eo_swap_{tag}"
-        row[name] = best(Topology.swap_sym(MoKind.EO), r, (tau_e, 1.0), name)
+        row[name] = best(Topology.swap_sym(MoKind.EO), r, tag=name)
         row[f"eo_swap_eqsplit_{tag}"] = best(Topology.swap_sym(MoKind.EO), r, (sq, sq))
     for kind in (MoKind.EM, MoKind.IO, MoKind.IM):
         name = kind.name.lower()
-        row[f"{name}_down"] = best(Topology.down(kind), 0.0, (tau_e,), f"{name}_down")
-        row[f"{name}_swap"] = best(Topology.swap_sym(kind), 0.0, (tau_e, 1.0), f"{name}_swap")
+        row[f"{name}_down"] = best(Topology.down(kind), 0.0, tag=f"{name}_down")
+        row[f"{name}_swap"] = best(Topology.swap_sym(kind), 0.0, tag=f"{name}_swap")
     row["im_swap_eqsplit"] = best(Topology.swap_sym(MoKind.IM), 0.0, (sq, sq))
     r_max = squeeze_db_to_r(max(squeezing_db))
     name = f"im_eo_swap_asym_{_db_tag(max(squeezing_db))}"
-    row[name] = best(Topology.swap_asym(MoKind.IM, MoKind.EO), r_max, (1.0, 1.0, tau_e), name)
+    row[name] = best(Topology.swap_asym(MoKind.IM, MoKind.EO), r_max, tag=name)
     return row
 
 
@@ -294,12 +292,12 @@ def device_columns(squeezing_db) -> list[str]:
 def cmd_device_run(cfg: ExperimentConfig):
     """Optimized logarithmic negativity versus external optical loss.
 
-    Loss is placed per topology where it is least harmful: split equally
-    over the two arms for EO downconversion, all on one measured arm for
-    the swapping topologies, and all on the downconverted optical mode
-    for the asymmetric IM+EO swap.  Equal-split swap columns are
-    included as references; the asymmetric topology overtakes both of
-    them inside a loss window.
+    Loss is placed per topology by default_loss_split, where it is least
+    harmful: split equally over the two arms for EO downconversion, all
+    on one measured arm for the swapping topologies, and all on the
+    downconverted optical mode for the asymmetric IM+EO swap.
+    Equal-split swap columns are included as references; the asymmetric
+    topology overtakes both of them inside a loss window.
     """
     caps = cfg.caps if cfg.caps is not None else PRESETS["brubaker2022"]["caps"]
     grid = np.linspace(0.0, cfg.taue_db_max, cfg.points)
@@ -335,9 +333,7 @@ def cmd_ebit_rate(cfg: ExperimentConfig) -> dict:
     topo = Topology.down(MoKind.IM)
     cs, e = optimize_cooperativities(topo, caps, caps.n_th, 0.0, tau_e=tau_e)
     corner = (*_clamp_pair(MoKind.IM, caps, caps.d_a, caps.d_b), caps.d_a, caps.d_b)
-    # the margin path stays exact next to the instability, where a clamped
-    # corner may sit and the direct symplectic eigenvalue cancels
-    e_corner = _log2_negativity(_margin_fn4(topo, caps, caps.n_th, 0.0, (tau_e,))(corner))
+    e_corner = mm_log_negativity(topo, NetworkConfig(caps, *corner, tau_e=tau_e))
     bw, ln2 = cfg.bandwidth_hz, math.log(2.0)
     report = {
         "experiment": "ebit-rate",
@@ -467,7 +463,7 @@ def _check_global_necessary(seed, n):
     return worst, 0.0, tag
 
 
-def _check_loss_split(seed, n):
+def _check_split_optimality(seed, n):
     """Equal split is optimal for EO downconversion, extremal for swapping."""
     rng = generator(seed, stream=6)
     worst = 0.0
@@ -519,7 +515,7 @@ def cmd_validate(cfg: ExperimentConfig) -> tuple[int, dict]:
         ("conversion_trace", _check_conversion_trace, max(n // 10, 100)),
         ("threshold_agreement", _check_thresholds, max(n // 1000, 10)),
         ("global_necessary_condition", _check_global_necessary, max(n // 20, 50)),
-        ("loss_split_optimality", _check_loss_split, max(n // 2500, 6)),
+        ("loss_split_optimality", _check_split_optimality, max(n // 2500, 6)),
         ("determinism", _check_determinism, 1000),
     ]
     results = []

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BalancedForm, OneModeChannel, SqueezeParam, _as_r, log_negativity
+from .core import BalancedForm, OneModeChannel, SqueezeParam, _as_r
 from .sources import MoKind, _mo_excess
 from .transducer import (
     DeviceCaps,
@@ -132,6 +132,9 @@ def loss_slot_count(t: Topology) -> int:
 def default_loss_split(t: Topology, tau_e: float) -> tuple[float, ...]:
     """Loss placement used when a config does not specify one."""
     _check_loss_split(tau_e)
+    # Python floats, as _check_loss_split makes of a given split: numpy
+    # scalars (a sweep's tau_e) would slow every _mm_excess call
+    tau_e = float(tau_e)
     n = loss_slot_count(t)
     if t.scheme == "down":
         if n == 2:
@@ -284,6 +287,33 @@ def _mm_excess(
     return tuple(np.where(stable, v, np.nan) for v in out)
 
 
+def _margin_of_excess(out) -> float:
+    """Entanglement margin 1/2 - nu from the excess representation.
+
+    Uses the identity 1/2 - nu = -2P / (A + B + sqrt((A+B)^2 - 4P)),
+    which is free of the catastrophic cancellation that the direct
+    symplectic-eigenvalue formula suffers for amplified states; in
+    particular the sign is exactly the sign of -P.  On the arrays of an
+    array evaluation of _mm_excess it works elementwise (NaN stays NaN).
+    """
+    if out is None:
+        return -math.inf
+    A, B, c, P = out
+    s = A + B
+    d = s * s - 4.0 * P
+    d = d * (d > 0.0)  # d >= 0 up to rounding; clip it to 0
+    # math.sqrt, as in sources._mo_excess, to match numpy's sqrt bit for bit
+    q = s + (math.sqrt(d) if type(d) is float else np.sqrt(d))
+    # q is 0 only at vacuum (A = B = P = 0), whose margin is 0; dividing by
+    # q + 1 there gives it without a branch, so arrays take the same line
+    return -2.0 * P / (q + (q <= 0.0))
+
+
+def _log2_negativity(m: float) -> float:
+    """Logarithmic negativity in log2 units (e-bits) from the margin 1/2 - nu."""
+    return -math.log1p(-2.0 * m) / math.log(2.0) if (m > 0.0 and math.isfinite(m)) else 0.0
+
+
 def _resolve_split(t: Topology, tau_e: float, split) -> tuple[float, ...]:
     if split is None:
         return default_loss_split(t, tau_e)
@@ -316,6 +346,14 @@ def _validate_cooperativities(t: Topology, cfg: NetworkConfig) -> None:
             )
 
 
+def _checked_excess(t: Topology, cfg: NetworkConfig):
+    """_mm_excess at a validated configuration (split, caps and stability)."""
+    split = _resolve_split(t, cfg.tau_e, cfg.loss_split)
+    _validate_cooperativities(t, cfg)
+    cs = (cfg.c_a1, cfg.c_b1, cfg.c_a2, cfg.c_b2)
+    return _mm_excess(t, cfg.caps, cfg.caps.n_th, _as_r(cfg.r), cs, split)
+
+
 def mm_state(t: Topology, cfg: NetworkConfig) -> BalancedForm:
     """Final microwave-microwave state of a topology at a configuration.
 
@@ -323,18 +361,20 @@ def mm_state(t: Topology, cfg: NetworkConfig) -> BalancedForm:
     and performs the downconversion or the swapping measurement.  Both
     output modes are microwave; mode i belongs to node i.
     """
-    split = _resolve_split(t, cfg.tau_e, cfg.loss_split)
-    _validate_cooperativities(t, cfg)
-    rv = _as_r(cfg.r)
-    out = _mm_excess(
-        t, cfg.caps, cfg.caps.n_th, rv, (cfg.c_a1, cfg.c_b1, cfg.c_a2, cfg.c_b2), split
-    )
-    if out is None:  # pragma: no cover - _validate_cooperativities raises first
-        raise UnstableOperatingPointError(f"unstable configuration for {t.label}")
-    A, B, c, _ = out
+    A, B, c, _ = _checked_excess(t, cfg)
     return BalancedForm(0.5 + A, 0.5 + B, c)
 
 
 def mm_log_negativity(t: Topology, cfg: NetworkConfig) -> float:
-    """Logarithmic negativity of the final MM state."""
-    return log_negativity(mm_state(t, cfg))
+    """Logarithmic negativity of the final MM state, in log2 units (e-bits).
+
+    Read from the margin 1/2 - nu of the excess form, whose sign is the
+    exact sign of the product defect P, so the value stays accurate
+    next to the blue-pump instability, where the full variances of
+    mm_state grow like 1e16 and their symplectic eigenvalue cancels.
+    Returns 0.0 for a separable state.  Raises ValueError for a loss
+    split that does not fit the topology or tau_e and for a
+    cooperativity outside [0, its cap], and UnstableOperatingPointError
+    (a ValueError) for a blue-pumped source beyond its stability bound.
+    """
+    return _log2_negativity(_margin_of_excess(_checked_excess(t, cfg)))

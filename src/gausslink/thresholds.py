@@ -23,6 +23,8 @@ import numpy as np
 from .core import SqueezeParam, _as_r
 from .network import (
     Topology,
+    _log2_negativity,
+    _margin_of_excess,
     _mm_excess,
     default_loss_split,
     loss_slot_count,
@@ -224,28 +226,6 @@ def analytic_threshold(
     if value <= 0.0 or not math.isfinite(value):
         return ThresholdResult(0.0, "analytic", arg, can_entangle=False)
     return ThresholdResult(value, "analytic", arg, can_entangle=True)
-
-
-def _margin_of_excess(out) -> float:
-    """Entanglement margin 1/2 - nu from the excess representation.
-
-    Uses the identity 1/2 - nu = -2P / (A + B + sqrt((A+B)^2 - 4P)),
-    which is free of the catastrophic cancellation that the direct
-    symplectic-eigenvalue formula suffers for amplified states; in
-    particular the sign is exactly the sign of -P.  On the arrays of an
-    array evaluation of _mm_excess it works elementwise (NaN stays NaN).
-    """
-    if out is None:
-        return -math.inf
-    A, B, c, P = out
-    s = A + B
-    d = s * s - 4.0 * P
-    d = d * (d > 0.0)  # d >= 0 up to rounding; clip it to 0
-    # math.sqrt, as in sources._mo_excess, to match numpy's sqrt bit for bit
-    q = s + (math.sqrt(d) if type(d) is float else np.sqrt(d))
-    # q is 0 only at vacuum (A = B = P = 0), whose margin is 0; dividing by
-    # q + 1 there gives it without a branch, so arrays take the same line
-    return -2.0 * P / (q + (q <= 0.0))
 
 
 def _margin_at(t, caps, n_th, r, cs, split, ok):
@@ -491,11 +471,6 @@ def optimize_cooperativities(
     )
     cs = (x[0], x[1], x[0], x[1]) if mirrored else tuple(x)
     return cs, _log2_negativity(m)
-
-
-def _log2_negativity(m: float) -> float:
-    """Logarithmic negativity in log2 units (e-bits) from the margin 1/2 - nu."""
-    return -math.log1p(-2.0 * m) / math.log(2.0) if (m > 0.0 and math.isfinite(m)) else 0.0
 
 
 def optimize_loss_split(

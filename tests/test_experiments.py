@@ -154,7 +154,7 @@ class TestEbitRate:
         e_corner = mm_log_negativity(
             Topology.down(MoKind.IM), NetworkConfig(caps, *corner, tau_e=report["tau_e"])
         )
-        assert report["corner_log_negativity"] == pytest.approx(e_corner, rel=1e-12)
+        assert report["corner_log_negativity"] == e_corner
         for prefix in ("", "corner_"):
             e = report[f"{prefix}log_negativity"]
             assert report[f"{prefix}log_negativity_nats"] == pytest.approx(e * ln2, rel=1e-15)
@@ -169,6 +169,8 @@ class TestEbitRate:
         c_a, c_b, c_a2, c_b2 = report["corner_cooperativities"]
         assert (c_a, c_a2, c_b2) == (5.0, 5.0, 40.0)
         assert c_b == pytest.approx(6.0, rel=1e-7) and c_b < 6.0
+        cfg = NetworkConfig(caps, c_a, c_b, c_a2, c_b2, tau_e=report["tau_e"])
+        assert report["corner_log_negativity"] == mm_log_negativity(Topology.down(MoKind.IM), cfg)
 
     def test_zero_bandwidth_gives_zero_rate(self):
         cfg = ExperimentConfig(
@@ -230,21 +232,35 @@ class TestCli:
         assert main(["device-run", "--config", str(bad)]) == 2
 
     @pytest.mark.parametrize(
-        "config, argv",
+        "command, config, argv",
         [
-            ({"caps": {"d_a": -1, "d_b": 1, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0}}, []),
-            ({"squeezing_db": 5}, []),
-            ({"caps": {"d_a": 1, "d_b": 1, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0,
-                       "kappa_a": 5}}, []),
-            ({}, ["--points", "0"]),
+            ("device-run",
+             {"caps": {"d_a": -1, "d_b": 1, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0}}, []),
+            ("device-run", {"squeezing_db": 5}, []),
+            ("device-run", {"caps": {"d_a": 1, "d_b": 1, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0,
+                                     "kappa_a": 5}}, []),
+            ("device-run", {}, ["--points", "0"]),
+            ("ebit-rate", {"fiber_km": -5}, []),
+            ("validate", {}, ["--quick", "--seed", "-1"]),
+            ("threshold-vs-loss", {"loss_db_max": -3}, []),
+            ("threshold-vs-da", {"d_a_range": [0, 10]}, []),
+            ("device-run", {"taue_db_max": -3}, []),
+            ("threshold-vs-da", {"tau_a": 1.5}, []),
+            ("device-run", {"squeezing_db": [-3]}, []),
+            ("threshold-vs-da", {"d_a_range": [1]}, []),
+            ("validate", {}, ["--quick", "--seed", str(2**64)]),
+            ("ebit-rate", {"fiber_km": 1e5}, []),
         ],
-        ids=["negative-cap", "scalar-for-list", "partial-rates", "zero-points"],
+        ids=["negative-cap", "scalar-for-list", "partial-rates", "zero-points",
+             "negative-fiber", "negative-seed", "negative-loss-max", "zero-d_a", "gain-tau_e",
+             "tau-above-1", "negative-squeezing", "one-entry-d_a_range", "seed-beyond-64-bits",
+             "underflowing-fiber-loss"],
     )
-    def test_invalid_config_is_config_error(self, config, argv, tmp_path, capsys):
+    def test_invalid_config_is_config_error(self, command, config, argv, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out.csv"
-        assert main(["device-run", "--config", str(path), "--out", str(out)] + argv) == 2
+        assert main([command, "--config", str(path), "--out", str(out)] + argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert len(err.splitlines()) == 1

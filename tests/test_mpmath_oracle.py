@@ -18,14 +18,25 @@ must equal the float path bit for bit):
   where A, B and c grow like 1e16 while P stays moderate;
 * at cooperativities up to 1e4;
 * at tau -> 0.
+
+At the same points the public ``mm_log_negativity`` is checked against
+the 50-digit log negativity of the oracle's full variances.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gausslink import ALL_TOPOLOGIES, DeviceCaps, Topology, loss_slot_count
+from gausslink import (
+    ALL_TOPOLOGIES,
+    DeviceCaps,
+    NetworkConfig,
+    Topology,
+    loss_slot_count,
+    mm_log_negativity,
+)
 from gausslink.network import _mm_excess
 from gausslink.sources import MoKind, _mo_excess
 
@@ -188,28 +199,57 @@ def test_mo_excess_matches_50_digit_oracle(edge, kind):
 _MODERATE = (4.0, 3.5)
 
 
-@pytest.mark.parametrize("edge", sorted(EDGE_POINTS))
-@pytest.mark.parametrize("t", ALL_TOPOLOGIES, ids=lambda t: t.label)
-def test_mm_excess_matches_50_digit_oracle(t, edge):
-    # one transducer at the edge, the other at a moderate point, each in
-    # turn: a source next to its instability cancels only against a partner
-    # that is not; a downconversion's second transducer is red-red
+def _mm_edge_cases(t, edge):
+    """(caps, r, cs, split) with one transducer at the edge, the other moderate.
+
+    Each transducer is put at the edge in turn: a source next to its
+    instability cancels only against a partner that is not.  A
+    downconversion's second transducer is red-red.  n_th is caps.n_th.
+    """
     kinds = t.kinds if t.scheme == "swap" else (t.kinds[0], MoKind.EO)
     split = (0.7, 1.0, 0.8)[: loss_slot_count(t)]
     for at_edge in (0, 1):
         for p in EDGE_POINTS[edge][kinds[at_edge]]:
             pair = [_MODERATE, _MODERATE]
             pair[at_edge] = p[:2]
-            cs = (*pair[0], *pair[1])
-            caps = DeviceCaps(1e4, 1e4, p[2], p[3], p[4])
-            got = _mm_excess(t, caps, p[4], p[5], cs, split)
-            assert got is not None
-            _assert_close(got, _excess(_mp_mm_state(t, caps, p[4], p[5], cs, split)), (cs, p))
-            # array path: the point between two neighbours (which may be unstable)
-            arrays = _mm_excess(
-                t, caps, p[4], p[5], tuple(np.array([0.999, 1.0, 1.001]) * c for c in cs), split
-            )
-            assert [float(np.broadcast_to(v, (3,))[1]) for v in arrays] == list(got)
+            yield DeviceCaps(1e4, 1e4, p[2], p[3], p[4]), p[5], (*pair[0], *pair[1]), split
+
+
+@pytest.mark.parametrize("edge", sorted(EDGE_POINTS))
+@pytest.mark.parametrize("t", ALL_TOPOLOGIES, ids=lambda t: t.label)
+def test_mm_excess_matches_50_digit_oracle(t, edge):
+    for caps, r, cs, split in _mm_edge_cases(t, edge):
+        got = _mm_excess(t, caps, caps.n_th, r, cs, split)
+        assert got is not None
+        _assert_close(got, _excess(_mp_mm_state(t, caps, caps.n_th, r, cs, split)), (cs, r))
+        # array path: the point between two neighbours (which may be unstable)
+        arrays = _mm_excess(
+            t, caps, caps.n_th, r, tuple(np.array([0.999, 1.0, 1.001]) * c for c in cs), split
+        )
+        assert [float(np.broadcast_to(v, (3,))[1]) for v in arrays] == list(got)
+
+
+def _mp_log2_negativity(state):
+    """max(0, -log2(2 nu)) from the partial-transpose symplectic eigenvalue nu."""
+    a, b, c = state
+    nu = (a + b - mp.sqrt((a - b) ** 2 + 4 * c * c)) / 2
+    return max(mp.mpf(0), -mp.log(2 * nu, 2))
+
+
+@pytest.mark.parametrize("edge", sorted(EDGE_POINTS))
+@pytest.mark.parametrize("t", ALL_TOPOLOGIES, ids=lambda t: t.label)
+def test_public_log_negativity_matches_50_digit_oracle(t, edge):
+    # mm_log_negativity validates its cooperativities against the caps, and
+    # an edge point may sit past 1e4 (1 + C_- at C_- = 1e4); the caps do not
+    # enter the state otherwise
+    for caps, r, cs, split in _mm_edge_cases(t, edge):
+        want = _mp_log2_negativity(_mp_mm_state(t, caps, caps.n_th, r, cs, split))
+        cfg = NetworkConfig(
+            replace(caps, d_a=2e4, d_b=2e4), *cs, r=r, tau_e=math.prod(split), loss_split=split
+        )
+        got = mm_log_negativity(t, cfg)
+        err = abs(mp.mpf(got) - want)
+        assert err <= 1e-12 * want + ABS_FLOOR, (cs, r, got, mpmath.nstr(want, 20))
 
 
 def test_swap_output_excess_does_not_cancel_at_numeric_gap():
@@ -223,3 +263,15 @@ def test_swap_output_excess_does_not_cancel_at_numeric_gap():
     assert float(want[0]) == pytest.approx(2.29997519976, rel=1e-11)
     _assert_close(got, want, cs)
     assert math.isfinite(got[0]) and got[0] > 0.0
+
+
+def test_public_log_negativity_next_to_the_instability():
+    # the all-maximal ebit-rate corner with its IM source clamped 6e-8 inside
+    # the instability: the full variances reach 3.4e16, and their symplectic
+    # eigenvalue cancels to 0
+    caps, tau_e = DeviceCaps(5.0, 40.0, 0.9, 0.85, 0.0), 10**-0.036
+    t, cs = Topology.down(MoKind.IM), (5.0, 5.99999994, 5.0, 40.0)
+    got = mm_log_negativity(t, NetworkConfig(caps, *cs, tau_e=tau_e))
+    want = _mp_log2_negativity(_mp_mm_state(t, caps, 0.0, 0.0, cs, (tau_e,)))
+    assert float(want) == pytest.approx(0.56355529366734, rel=1e-13)
+    assert abs(mp.mpf(got) - want) <= 1e-12 * want

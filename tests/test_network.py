@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -104,9 +105,11 @@ class TestTopologyType:
         assert loss_slot_count(Topology.swap_asym(MoKind.IM, MoKind.IO)) == 2
 
     def test_default_splits_multiply_to_tau_e(self):
-        for t in ALL_TOPOLOGIES:
-            split = default_loss_split(t, 0.7)
+        # sweeps pass numpy scalars; numpy shares would slow the hot path
+        for t, tau_e in itertools.product(ALL_TOPOLOGIES, (0.7, np.float64(0.7))):
+            split = default_loss_split(t, tau_e)
             assert math.prod(split) == pytest.approx(0.7, rel=1e-12)
+            assert all(type(f) is float for f in split)
 
     @pytest.mark.parametrize("tau_e", [-0.5, 0.0, 1.5])
     def test_default_split_checks_tau_e_first(self, tau_e):
@@ -224,6 +227,9 @@ class TestMmState:
                 s2 = source(t.kinds[1], cfg.c_a2, cfg.c_b2, caps.tau_a)
                 want = swap(s1, s2)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+            # the full-variance symplectic eigenvalue is accurate at these
+            # moderate points, so it cross-checks the margin readout
+            assert mm_log_negativity(t, cfg) == pytest.approx(log_negativity(got), rel=1e-12)
 
     def test_down_eo_matches_lossy_two_arm_form(self, rng):
         # MM state of the split-loss EO distribution: a = td(t1 sinh^2 r + 1/2) + nd

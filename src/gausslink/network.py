@@ -266,13 +266,15 @@ def _mm_excess(
         out = (td * td * A0 + md, B0, td * c0, td * td * P0 + md * B0)
     else:
         k1, k2 = t.kinds
-        eo_share = split[2] if len(split) == 3 else 1.0
-        states = []
-        for kind, c_a, c_b, tau_m in ((k1, c_a1, c_b1, split[0]), (k2, c_a2, c_b2, split[1])):
-            ta = tau_a * eo_share if kind is MoKind.EO and len(split) == 3 else tau_a
-            A, B, c, P = _mo_excess(kind, c_a, c_b, ta, tau_b, n_th, r)
-            states.append((tau_m * A, B, math.sqrt(tau_m) * c, tau_m * P))
-        (A1, B1, c1, P1), (A2, B2, c2, P2) = states
+        # a third slot is the EO state's pre-downconversion mode
+        ta_eo = tau_a * split[2] if len(split) == 3 else tau_a
+        ta1 = ta_eo if k1 is MoKind.EO else tau_a
+        ta2 = ta_eo if k2 is MoKind.EO else tau_a
+        tau1, tau2 = split[0], split[1]
+        A1, B1, c1, P1 = _mo_excess(k1, c_a1, c_b1, ta1, tau_b, n_th, r)
+        A1, c1, P1 = tau1 * A1, math.sqrt(tau1) * c1, tau1 * P1
+        A2, B2, c2, P2 = _mo_excess(k2, c_a2, c_b2, ta2, tau_b, n_th, r)
+        A2, c2, P2 = tau2 * A2, math.sqrt(tau2) * c2, tau2 * P2
         den = 1.0 + A1 + A2
         # B1 - c1**2 / den, rewritten with P1 = A1 B1 - c1**2 so that nothing
         # cancels when a source sits next to its instability (A1, c1 huge)

@@ -1,7 +1,11 @@
 """Deterministic derivative-free maximization over a box.
 
-Multi-start Nelder-Mead with projection onto the box, followed by a
-coordinate-wise golden-section polish.  Starts are the caller's
+Multi-start Nelder-Mead with projection onto the box, followed by one
+coordinate-wise golden-section polish round, each axis bracketed to
+_POLISH_WIDTH of its span on either side of the best point (clipped to
+the box): the simplex has already found the basin, so the polish only
+refines it, and a full-width bracket would spend most of its
+evaluations far from the optimum.  Starts are the caller's
 extra_starts followed by the first n_starts points of a fixed
 low-discrepancy sequence, so results are reproducible without any RNG
 state.  A caller that can evaluate its objective on many points at once
@@ -22,6 +26,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Relative spread of the simplex values at which Nelder-Mead stops.
 _F_TOL = 1e-10
+
+#: Half-width of the polish bracket about the best point, as a fraction of
+#: each axis's span, and the golden-section iterations spent in it.
+_POLISH_WIDTH, _POLISH_ITERS = 0.02, 40
 
 
 def _plastic_alphas(dim: int) -> list[float]:
@@ -63,12 +71,13 @@ def golden_max_1d(
 def _nelder_mead(f, x0, lo, hi, max_iter):
     """Projected Nelder-Mead maximization; returns (x_best, f_best)."""
     dim = len(x0)
+    bounds = list(zip(lo, hi))
 
     def clip(x):
-        return [min(max(x[i], lo[i]), hi[i]) for i in range(dim)]
+        return [l if v < l else (h if v > h else v) for v, (l, h) in zip(x, bounds)]
 
     # initial simplex: x0 plus 5% of the box span along each axis
-    simplex = [clip(list(x0))]
+    simplex = [clip(x0)]
     for i in range(dim):
         step = 0.05 * (hi[i] - lo[i])
         x = list(simplex[0])
@@ -77,20 +86,19 @@ def _nelder_mead(f, x0, lo, hi, max_iter):
     values = [f(x) for x in simplex]
 
     for _ in range(max_iter):
-        order = sorted(range(dim + 1), key=lambda i: values[i], reverse=True)
+        order = sorted(range(dim + 1), key=values.__getitem__, reverse=True)
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
         best, worst = values[0], values[-1]
         if math.isfinite(best) and math.isfinite(worst):
             if best - worst <= _F_TOL * max(1.0, abs(best)):
                 break
-        centroid = [
-            sum(simplex[i][j] for i in range(dim)) / dim for j in range(dim)
-        ]
-        refl = clip([2.0 * centroid[j] - simplex[-1][j] for j in range(dim)])
+        centroid = [sum(col) / dim for col in zip(*simplex[:-1])]
+        pairs = list(zip(centroid, simplex[-1]))
+        refl = clip([2.0 * c - w for c, w in pairs])
         f_refl = f(refl)
         if f_refl > best:
-            exp = clip([3.0 * centroid[j] - 2.0 * simplex[-1][j] for j in range(dim)])
+            exp = clip([3.0 * c - 2.0 * w for c, w in pairs])
             f_exp = f(exp)
             if f_exp > f_refl:
                 simplex[-1], values[-1] = exp, f_exp
@@ -99,17 +107,15 @@ def _nelder_mead(f, x0, lo, hi, max_iter):
         elif f_refl > values[-2]:
             simplex[-1], values[-1] = refl, f_refl
         else:
-            contr = clip([0.5 * (centroid[j] + simplex[-1][j]) for j in range(dim)])
+            contr = clip([0.5 * (c + w) for c, w in pairs])
             f_contr = f(contr)
             if f_contr > worst:
                 simplex[-1], values[-1] = contr, f_contr
             else:
                 for i in range(1, dim + 1):
-                    simplex[i] = [
-                        0.5 * (simplex[0][j] + simplex[i][j]) for j in range(dim)
-                    ]
+                    simplex[i] = [0.5 * (b + v) for b, v in zip(simplex[0], simplex[i])]
                     values[i] = f(simplex[i])
-    i_best = max(range(dim + 1), key=lambda i: values[i])
+    i_best = max(range(dim + 1), key=values.__getitem__)
     return simplex[i_best], values[i_best]
 
 
@@ -149,20 +155,21 @@ def maximize_box(
         best_x = [0.5 * (lo[i] + hi[i]) for i in range(dim)]
 
     if polish and math.isfinite(best_f):
-        for _ in range(2):
-            for i in range(dim):
-                if hi[i] - lo[i] <= 0.0:
-                    continue
-                base = list(best_x)
+        for i in range(dim):
+            w = _POLISH_WIDTH * (hi[i] - lo[i])
+            if w <= 0.0:
+                continue
+            base = list(best_x)
 
-                def fi(v, i=i, base=base):
-                    probe = list(base)
-                    probe[i] = v
-                    return f(probe)
+            def fi(v):
+                probe = list(base)
+                probe[i] = v
+                return f(probe)
 
-                xi, fxi = golden_max_1d(fi, lo[i], hi[i])
-                if fxi > best_f:
-                    best_x = list(base)
-                    best_x[i] = xi
-                    best_f = fxi
+            a, b = max(lo[i], base[i] - w), min(hi[i], base[i] + w)
+            xi, fxi = golden_max_1d(fi, a, b, iters=_POLISH_ITERS)
+            if fxi > best_f:
+                best_x = list(base)
+                best_x[i] = xi
+                best_f = fxi
     return best_x, best_f

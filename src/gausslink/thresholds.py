@@ -26,6 +26,7 @@ from .network import (
     _log2_negativity,
     _margin_of_excess,
     _mm_excess,
+    _resolve_split,
     default_loss_split,
     loss_slot_count,
 )
@@ -431,17 +432,16 @@ def optimize_cooperativities(
     are chosen by one array evaluation of the margin over a fixed log
     grid of the box plus the box corners (clamped into the stability
     region): Nelder-Mead (nm_max_iter iterations, twice that in 4-D)
-    runs from the n_starts best of them, then a golden-section polish.
+    runs from the n_starts best of them, then one golden-section polish
+    round along each axis, within 2% of the axis's cap of the best point.
     Every corner is in the ranked pool, so the result never falls
-    below the best corner.  Returns the full cooperativity 4-tuple and
+    below the best corner.  loss_split is checked as in NetworkConfig
+    (one share per slot, multiplying to tau_e, each in [tau_e, 1]);
+    ValueError otherwise.  Returns the full cooperativity 4-tuple and
     the achieved logarithmic negativity.
     """
     rv = _as_r(r)
-    split = (
-        default_loss_split(t, tau_e)
-        if loss_split is None
-        else tuple(float(f) for f in loss_split)
-    )
+    split = _resolve_split(t, tau_e, loss_split)
     uniform_split = all(f == split[0] for f in split)
     mirrored = uniform_split and (
         (t.scheme == "swap" and t.is_symmetric)

@@ -220,6 +220,14 @@ class TestCli:
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("command", ["device-run", "threshold-vs-da"])
+    def test_parallel_points_give_identical_output(self, command, tmp_path):
+        out1, out2 = tmp_path / "jobs1.csv", tmp_path / "jobs2.csv"
+        argv = [command, "--points", "3"]
+        assert main(argv + ["--jobs", "1", "--out", str(out1)]) == 0
+        assert main(argv + ["--jobs", "2", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_unknown_preset_is_config_error(self, capsys):
         assert main(["device-run", "--preset", "nope"]) == 2
         assert "config error" in capsys.readouterr().err

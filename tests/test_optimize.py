@@ -1,0 +1,71 @@
+import math
+
+import pytest
+
+from gausslink.optimize import _POLISH_WIDTH, maximize_box
+
+
+def _bumpy(x):
+    """Several local maxima over the box, none at a corner."""
+    return sum(math.sin(3.0 * v + i) * math.cos(2.0 * v * v) for i, v in enumerate(x))
+
+
+BOXES = [
+    ([0.0, 0.0], [1.0, 1.0]),
+    ([0.0, 2.0], [1.0, 2.0]),
+    ([-3.0, 0.5], [-1.0, 0.5000001]),
+    ([-2.0, -1e-3, 1e-3], [5.0, 1e-3, 2.0]),
+    ([0.0, 0.0, 0.0, 0.0], [26000.0, 124.0, 26000.0, 124.0]),
+]
+
+
+@pytest.mark.parametrize("lo, hi", BOXES)
+@pytest.mark.parametrize("polish", [True, False])
+def test_every_probe_lies_in_the_box(lo, hi, polish):
+    seen = []
+
+    def f(x):
+        seen.append(list(x))
+        return _bumpy(x)
+
+    # starts outside the box are projected before their first evaluation
+    outside = [[l - 1.0 for l in lo], [h + 1.0 for h in hi]]
+    x, v = maximize_box(f, lo, hi, n_starts=4, nm_max_iter=60, polish=polish,
+                        extra_starts=outside)
+    assert len(seen) > 50
+    for probe in seen + [x]:
+        assert all(l <= p <= h for p, l, h in zip(probe, lo, hi)), probe
+    assert v == _bumpy(x)
+
+
+@pytest.mark.parametrize("lo, hi", BOXES)
+@pytest.mark.parametrize("polish", [True, False])
+def test_never_below_the_best_start(lo, hi, polish):
+    dim = len(lo)
+    starts = [
+        [l + (h - l) * ((0.37 * (k + 1) + 0.21 * i) % 1.0) for i, (l, h) in enumerate(zip(lo, hi))]
+        for k in range(5)
+    ]
+    best_start = max(_bumpy(s) for s in starts)
+    # two iterations leave the simplex far from converged, so the floor binds
+    x, v = maximize_box(_bumpy, lo, hi, n_starts=0, nm_max_iter=2, polish=polish,
+                        extra_starts=starts)
+    assert v >= best_start
+    assert v == _bumpy(x) and len(x) == dim
+
+
+def test_peak_on_a_cliff_inside_the_polish_bracket():
+    # the peak (0.7, 0.4) is the last feasible point along x: every probe
+    # past it is rejected, and Nelder-Mead alone stops about 1e-11 short
+    cliff, peak_y = 0.7, 0.4
+
+    def f(x):
+        if x[0] > cliff:
+            return -math.inf
+        return 1.0 - (x[0] - cliff) ** 2 - (x[1] - peak_y) ** 2
+
+    for starts in ([[0.1, 0.9]], [[0.2, 0.2]], [[0.69, 0.41]]):
+        x, v = maximize_box(f, [0.0, 0.0], [1.0, 1.0], n_starts=0, extra_starts=starts)
+        assert v == pytest.approx(1.0, rel=1e-12)
+        assert cliff - _POLISH_WIDTH < x[0] <= cliff
+        assert abs(x[1] - peak_y) < _POLISH_WIDTH

@@ -297,6 +297,18 @@ class TestOptimizeCooperativities:
         assert e == pytest.approx(mm_log_negativity(t, cfg), abs=1e-12)
         assert math.isfinite(e) and e > 0.0
 
+    @pytest.mark.parametrize(
+        "split, message",
+        [((2.0, 1.0), "multiplies to"), ((0.5,), "loss slot"), ((0.25, 2.0), "outside")],
+    )
+    def test_rejects_a_split_that_does_not_fit(self, split, message):
+        caps = DeviceCaps(50.0, 8.0, 0.9, 0.85, 0.0)
+        with pytest.raises(ValueError, match=message):
+            optimize_cooperativities(
+                Topology.swap_sym(MoKind.EO), caps, 0.0, 0.5,
+                tau_e=0.5, loss_split=split, n_starts=1, nm_max_iter=10,
+            )
+
     def test_io_argmax_binds_stability(self):
         caps = DeviceCaps(100.0, 10.0, 0.9, 0.8, 0.0)
         res = numeric_threshold(Topology.swap_sym(MoKind.IO), caps, 0.0)

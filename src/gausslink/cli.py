@@ -41,7 +41,7 @@ _RATE_KEYS = {"kappa_a", "kappa_b", "gamma_m"}
 #: 64-bit generator, and a geometric d_a grid cannot reach 0.
 _NONNEGATIVE = ("finite and >= 0", lambda v: 0 <= v < math.inf)
 _DOMAINS = {
-    "points": (">= 1", lambda v: v >= 1),
+    **dict.fromkeys(("points", "jobs"), (">= 1", lambda v: v >= 1)),
     "seed": ("in [0, 2**64)", lambda v: 0 <= v < 2**64),
     "d_a_range": ("finite and > 0", lambda v: 0 < v < math.inf),
     "tau_a": ("in [0, 1]", lambda v: 0 <= v <= 1),

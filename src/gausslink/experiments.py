@@ -239,38 +239,45 @@ def cmd_threshold_vs_loss(cfg: ExperimentConfig):
 
 # -- realistic-device run -----------------------------------------------------
 
+def _device_cells(squeezing_db, tau_e: float) -> list:
+    """(column, topology, r, split, tagged) of each device-run column, in CSV order.
+
+    split None is the default placement; a tagged column also records
+    "<column>_ok" and "<column>_argmax".
+    """
+    sq = math.sqrt(tau_e)
+    eo_swap = Topology.swap_sym(MoKind.EO)
+    cells = []
+    for db in squeezing_db:
+        r, tag = squeeze_db_to_r(db), _db_tag(db)
+        cells += [(f"eo_down_{tag}", Topology.down(MoKind.EO), r, None, True),
+                  (f"eo_swap_{tag}", eo_swap, r, None, True),
+                  (f"eo_swap_eqsplit_{tag}", eo_swap, r, (sq, sq), False)]
+    for kind in (MoKind.EM, MoKind.IO, MoKind.IM):
+        name = kind.name.lower()
+        cells += [(f"{name}_down", Topology.down(kind), 0.0, None, True),
+                  (f"{name}_swap", Topology.swap_sym(kind), 0.0, None, True)]
+    db_max = max(squeezing_db)
+    return cells + [
+        ("im_swap_eqsplit", Topology.swap_sym(MoKind.IM), 0.0, (sq, sq), False),
+        (f"im_eo_swap_asym_{_db_tag(db_max)}", Topology.swap_asym(MoKind.IM, MoKind.EO),
+         squeeze_db_to_r(db_max), None, True),
+    ]
+
+
 def _device_point(args):
     caps, squeezing_db, taue_db = args
     tau_e = 10.0 ** (-taue_db / 10.0)
-    sq = math.sqrt(tau_e)
     row = {"tau_e_db": taue_db, "tau_e": tau_e}
-
-    def best(topo, r, split=None, tag=None):
+    for name, topo, r, split, tagged in _device_cells(squeezing_db, tau_e):
         cs, e = optimize_cooperativities(
             topo, caps, caps.n_th, r, tau_e=tau_e, loss_split=split,
             n_starts=3, nm_max_iter=160,
         )
-        if tag is not None:
-            row[f"{tag}_ok"] = e > 0.0
-            row[f"{tag}_argmax"] = cs
-        return e
-
-    for db in squeezing_db:
-        r = squeeze_db_to_r(db)
-        tag = _db_tag(db)
-        name = f"eo_down_{tag}"
-        row[name] = best(Topology.down(MoKind.EO), r, tag=name)
-        name = f"eo_swap_{tag}"
-        row[name] = best(Topology.swap_sym(MoKind.EO), r, tag=name)
-        row[f"eo_swap_eqsplit_{tag}"] = best(Topology.swap_sym(MoKind.EO), r, (sq, sq))
-    for kind in (MoKind.EM, MoKind.IO, MoKind.IM):
-        name = kind.name.lower()
-        row[f"{name}_down"] = best(Topology.down(kind), 0.0, tag=f"{name}_down")
-        row[f"{name}_swap"] = best(Topology.swap_sym(kind), 0.0, tag=f"{name}_swap")
-    row["im_swap_eqsplit"] = best(Topology.swap_sym(MoKind.IM), 0.0, (sq, sq))
-    r_max = squeeze_db_to_r(max(squeezing_db))
-    name = f"im_eo_swap_asym_{_db_tag(max(squeezing_db))}"
-    row[name] = best(Topology.swap_asym(MoKind.IM, MoKind.EO), r_max, tag=name)
+        if tagged:
+            row[f"{name}_ok"] = e > 0.0
+            row[f"{name}_argmax"] = cs
+        row[name] = e
     return row
 
 
@@ -279,14 +286,7 @@ def _db_tag(db: float) -> str:
 
 
 def device_columns(squeezing_db) -> list[str]:
-    cols = ["tau_e_db", "tau_e"]
-    for db in squeezing_db:
-        tag = _db_tag(db)
-        cols += [f"eo_down_{tag}", f"eo_swap_{tag}", f"eo_swap_eqsplit_{tag}"]
-    for kind in (MoKind.EM, MoKind.IO, MoKind.IM):
-        cols += [f"{kind.name.lower()}_down", f"{kind.name.lower()}_swap"]
-    cols += ["im_swap_eqsplit", f"im_eo_swap_asym_{_db_tag(max(squeezing_db))}"]
-    return cols
+    return ["tau_e_db", "tau_e"] + [cell[0] for cell in _device_cells(squeezing_db, 1.0)]
 
 
 def cmd_device_run(cfg: ExperimentConfig):

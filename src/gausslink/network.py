@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BalancedForm, OneModeChannel, SqueezeParam, _as_r
-from .sources import MoKind, _mo_excess
+from .sources import _EO, _IM, _IO, MoKind, _mo_excess
 from .transducer import (
     DeviceCaps,
     STRICT_MARGIN,
@@ -75,6 +75,9 @@ class Topology:
     def __post_init__(self):
         if self.scheme not in ("down", "swap"):
             raise ValueError(f"scheme must be 'down' or 'swap', got {self.scheme!r}")
+        bad = [kind for kind in self.kinds if not isinstance(kind, MoKind)]
+        if bad:
+            raise ValueError(f"topology kinds must be MoKind members, got {bad!r}")
         n = len(self.kinds)
         if self.scheme == "down" and n != 1:
             raise ValueError("downconversion topologies take exactly one kind")
@@ -150,11 +153,11 @@ def default_loss_split(t: Topology, tau_e: float) -> tuple[float, ...]:
 class NetworkConfig:
     """Operating point of a two-transducer network.
 
-    Cooperativities are per transducer; transducer 1 owns the first MO
-    state (or, for down(EO), the first arm) and transducer 2 the second
-    MO state or the downconverter.  loss_split is one share per optical
-    slot of the topology (see default_loss_split); None picks the
-    default placement.
+    Cooperativities are per transducer, and transducer i sits at node i:
+    transducer 1 makes the (first) MO state, for down(EO) an EO state,
+    and transducer 2 the second MO state or the downconverter.
+    loss_split is one share per optical slot of the topology (see
+    default_loss_split); None picks the default placement.
     """
 
     caps: DeviceCaps
@@ -205,9 +208,9 @@ def _stable_intrinsic(kind: MoKind, c_a, c_b, caps: DeviceCaps) -> bool:
 
     Only the intrinsic kinds have a blue pump; EO and EM give True.
     """
-    if kind is MoKind.IO:
+    if kind is _IO:
         return c_a < _blue_cap(c_b, caps.rates, True) - STRICT_MARGIN
-    if kind is MoKind.IM:
+    if kind is _IM:
         return c_b < _blue_cap(c_a, caps.rates, False) - STRICT_MARGIN
     return True
 
@@ -231,7 +234,12 @@ def _mm_excess(
     result is then four arrays, bit for bit equal to the float
     evaluation, and all four are NaN where a source is unstable.
 
-    Exact update rules: loss tau on the measured mode scales (A, c**2, P)
+    One branch per scheme, both in node order (A is node 1's microwave
+    mode).  A downconversion sends the optical mode of transducer 1's
+    source, after loss split[-1], through transducer 2's converter;
+    down(EO)'s source is an EO state whose converted arm carries
+    split[0].  A swap measures the optical modes of two sources.  Exact
+    update rules: loss tau on the measured mode scales (A, c**2, P)
     by tau; an isotropic conversion (t, mu) on mode 1 maps A -> t**2 A + mu
     and P -> t**2 P + mu B; the EPR measurement maps B1 to
     (B1 (1 + A2) + P1) / (1 + A1 + A2), B2 likewise, and P1, P2 to
@@ -239,37 +247,28 @@ def _mm_excess(
     """
     c_a1, c_b1, c_a2, c_b2 = cs
     tau_a, tau_b = caps.tau_a, caps.tau_b
+    k1 = t.kinds[0]
+    down = t.scheme == "down"
 
-    if t.scheme == "down" and t.kinds[0] is MoKind.EO:
-        t1, m1 = _conversion_t_mu("down", c_a1, c_b1, tau_a * split[0], tau_b, n_th)
-        t2, m2 = _conversion_t_mu("down", c_a2, c_b2, tau_a * split[1], tau_b, n_th)
-        sh2 = math.sinh(r) ** 2
-        sh = math.sinh(2.0 * r) / 2.0
-        # squeezed pair: A0 = B0 = sinh(r)^2, c0 = sinh(2r)/2, P0 = -sinh(r)^2
-        A = t1 * t1 * sh2 + m1
-        P = t1 * t1 * (-sh2) + m1 * sh2
-        B = t2 * t2 * sh2 + m2
-        P = t2 * t2 * P + m2 * A
-        return (A, B, t1 * t2 * sh, P)
-
-    # a downconversion's second transducer is red-red, always stable
-    stable = _stable_intrinsic(t.kinds[0], c_a1, c_b1, caps)
-    if t.scheme == "swap":
-        stable = stable & _stable_intrinsic(t.kinds[1], c_a2, c_b2, caps)
+    # red-red transducers (a downconverter, an EO source) are always stable
+    stable = k1 is _EO or _stable_intrinsic(k1, c_a1, c_b1, caps)
+    if not down:
+        k2 = t.kinds[1]
+        stable = stable & _stable_intrinsic(k2, c_a2, c_b2, caps)
     # `is True` first, so that a stable float point needs no type check
     if stable is not True and not isinstance(stable, np.ndarray) and not stable:
         return None
 
-    if t.scheme == "down":
-        A0, B0, c0, P0 = _mo_excess(t.kinds[0], c_a1, c_b1, tau_a, tau_b, n_th, r)
-        td, md = _conversion_t_mu("down", c_a2, c_b2, tau_a * split[0], tau_b, n_th)
-        out = (td * td * A0 + md, B0, td * c0, td * td * P0 + md * B0)
+    if down:
+        ta1 = tau_a * split[0] if k1 is _EO else tau_a
+        A0, B0, c0, P0 = _mo_excess(k1, c_a1, c_b1, ta1, tau_b, n_th, r)
+        td, md = _conversion_t_mu(c_a2, c_b2, tau_a * split[-1], tau_b, n_th)
+        out = (B0, td * td * A0 + md, td * c0, td * td * P0 + md * B0)
     else:
-        k1, k2 = t.kinds
         # a third slot is the EO state's pre-downconversion mode
         ta_eo = tau_a * split[2] if len(split) == 3 else tau_a
-        ta1 = ta_eo if k1 is MoKind.EO else tau_a
-        ta2 = ta_eo if k2 is MoKind.EO else tau_a
+        ta1 = ta_eo if k1 is _EO else tau_a
+        ta2 = ta_eo if k2 is _EO else tau_a
         tau1, tau2 = split[0], split[1]
         A1, B1, c1, P1 = _mo_excess(k1, c_a1, c_b1, ta1, tau_b, n_th, r)
         A1, c1, P1 = tau1 * A1, math.sqrt(tau1) * c1, tau1 * P1
@@ -361,7 +360,8 @@ def mm_state(t: Topology, cfg: NetworkConfig) -> BalancedForm:
 
     Builds the MO resource state(s), applies the external-loss split,
     and performs the downconversion or the swapping measurement.  Both
-    output modes are microwave; mode i belongs to node i.
+    output modes are microwave; mode i belongs to node i, so for a
+    downconversion mode 1 is the source's and mode 2 the converted one.
     """
     A, B, c, _ = _checked_excess(t, cfg)
     return BalancedForm(0.5 + A, 0.5 + B, c)

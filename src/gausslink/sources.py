@@ -5,7 +5,10 @@ through a red-red transducer (EO downconverts one half of an optical
 pair, EM upconverts one half of a microwave pair).  Two intrinsic
 constructions drive the transducer itself as a two-mode squeezer on
 vacuum inputs, with either the optical (IO) or the microwave (IM) pump
-blue detuned.
+blue detuned.  EM and IM are the optical<->microwave mirrors of EO and
+IO: exchanging the roles of the two sides, (C_a, tau_a) <-> (C_b,
+tau_b), maps one onto the other with the output modes exchanged, so
+only EO and IO need closed forms.
 
 Every resulting state is balanced-correlated; mode 1 is always the
 optical mode and mode 2 the microwave mode.  mo_state evaluates the
@@ -58,6 +61,8 @@ REQUIRED_SIGMAS = {
     MoKind.IO: (1, -1),
     MoKind.IM: (-1, 1),
 }
+#: Bound once for the hot paths: a global loads faster than MoKind.X.
+_EO, _EM, _IO, _IM = MoKind
 
 
 def _mo_excess(kind: MoKind, c_a, c_b, tau_a, tau_b, n_th, r):
@@ -69,14 +74,21 @@ def _mo_excess(kind: MoKind, c_a, c_b, tau_a, tau_b, n_th, r):
     and the naive product loses all precision near the squeezing
     instability, where A, B, |c| diverge like 1/(1 + C_- - C_+)**2.
 
+    EM and IM are evaluated as the mirrors of EO and IO (see the module
+    docstring): the roles swap on the way in and (A, B) on the way out.
+
     c_a and c_b may be floats or numpy arrays of one shape; the result
     is then elementwise, bit for bit equal to the float evaluation.
     That is why a float's square root is math.sqrt and not ** 0.5:
     libm's pow is not correctly rounded, numpy's sqrt and math.sqrt are.
     """
+    if kind is _EM or kind is _IM:
+        B, A, c, P = _mo_excess(_EO if kind is _EM else _IO, c_b, c_a, tau_b, tau_a, n_th, r)
+        return A, B, c, P
     g = tau_a * tau_b * c_a * c_b
     g = math.sqrt(g) if type(g) is float else np.sqrt(g)
-    if kind is MoKind.EO:
+    if kind is _EO:
+        # the squeezed pair's second (b-side) mode passes the red-red converter
         s = 1.0 + c_a + c_b
         s2 = s * s
         sh2 = math.sinh(r) ** 2
@@ -84,26 +96,12 @@ def _mo_excess(kind: MoKind, c_a, c_b, tau_a, tau_b, n_th, r):
         B = 4.0 * tau_b * c_b * (n_th + tau_a * c_a * sh2) / s2
         c = -g * math.sinh(2.0 * r) / s
         P = 4.0 * tau_b * c_b * sh2 * (n_th - tau_a * c_a) / s2
-    elif kind is MoKind.EM:
-        s = 1.0 + c_a + c_b
-        s2 = s * s
-        sh2 = math.sinh(r) ** 2
-        A = 4.0 * tau_a * c_a * (n_th + tau_b * c_b * sh2) / s2
-        B = sh2
-        c = -g * math.sinh(2.0 * r) / s
-        P = 4.0 * tau_a * c_a * sh2 * (n_th - tau_b * c_b) / s2
-    elif kind is MoKind.IO:
+    else:
+        # the a side is pumped blue; d > 0 is the stability margin
         d = 1.0 - c_a + c_b
         d2 = d * d
         A = 4.0 * tau_a * c_a * (c_b + n_th + 1.0) / d2
         B = 4.0 * tau_b * c_b * (c_a + n_th) / d2
-        c = -2.0 * (c_a + c_b + 2.0 * n_th + 1.0) * g / d2
-        P = -4.0 * tau_a * tau_b * c_a * c_b / d2
-    else:
-        d = 1.0 + c_a - c_b
-        d2 = d * d
-        A = 4.0 * tau_a * c_a * (c_b + n_th) / d2
-        B = 4.0 * tau_b * c_b * (c_a + n_th + 1.0) / d2
         c = -2.0 * (c_a + c_b + 2.0 * n_th + 1.0) * g / d2
         P = -4.0 * tau_a * tau_b * c_a * c_b / d2
     return A, B, c, P

@@ -186,31 +186,28 @@ def dpt_two_mode_channel(p: DptParams) -> TwoModeChannel:
     return TwoModeChannel(T, N)
 
 
-def _conversion_t_mu(direction: str, c_a, c_b, tau_a, tau_b, n_th) -> tuple[float, float]:
-    """Scalar form of the conversion channel, T = t I and N = n I.
+def _conversion_t_mu(c_a, c_b, tau_a, tau_b, n_th) -> tuple[float, float]:
+    """Scalar form of the down-conversion channel, T = t I and N = n I.
 
     Returns (t, mu), with mu = t**2/2 + n - 1/2 the above-vacuum output
-    on vacuum input.  mu collapses to 4 tau C n_th / s**2, which is the
+    on vacuum input.  mu collapses to 4 tau_b C_b n_th / s**2, the
     cancellation-free form needed when tracking states as excesses over
-    vacuum; conversion_channel recovers n = 1/2 - t**2/2 + mu.  On numpy
-    arrays of cooperativities it works elementwise.
+    vacuum; conversion_channel recovers n = 1/2 - t**2/2 + mu, and gets
+    up-conversion by exchanging the a and b roles.  Elementwise on arrays.
     """
     s = 1.0 + c_a + c_b
     g = tau_a * tau_b * c_a * c_b
     # math.sqrt, as in sources._mo_excess, to match numpy's sqrt bit for bit
     t = -2.0 * (math.sqrt(g) if type(g) is float else np.sqrt(g)) / s
-    if direction == "down":
-        mu = 4.0 * tau_b * c_b * n_th / (s * s)
-    else:
-        mu = 4.0 * tau_a * c_a * n_th / (s * s)
-    return t, mu
+    return t, 4.0 * tau_b * c_b * n_th / (s * s)
 
 
 def conversion_channel(direction: Literal["up", "down"], p: DptParams) -> OneModeChannel:
     """One-mode up- or down-conversion channel of a red-red transducer.
 
     Down-conversion maps an optical input to the microwave output (the
-    unused optical output is traced out); up-conversion is the reverse.
+    unused optical output is traced out); up-conversion is the reverse,
+    the same channel with the optical and microwave roles exchanged.
     The transmission amplitude carries a global sign flip that is
     irrelevant for any entanglement quantity.
     """
@@ -220,7 +217,10 @@ def conversion_channel(direction: Literal["up", "down"], p: DptParams) -> OneMod
         raise InvalidOperatingModeError(
             "conversion channels require both pumps red detuned"
         )
-    t, mu = _conversion_t_mu(direction, p.c_a, p.c_b, p.tau_a, p.tau_b, p.n_th)
+    if direction == "down":
+        t, mu = _conversion_t_mu(p.c_a, p.c_b, p.tau_a, p.tau_b, p.n_th)
+    else:
+        t, mu = _conversion_t_mu(p.c_b, p.c_a, p.tau_b, p.tau_a, p.n_th)
     n = 0.5 - t * t / 2.0 + mu
     return OneModeChannel(t * np.eye(2), n * np.eye(2))
 

@@ -258,11 +258,13 @@ class TestCli:
             ("threshold-vs-da", {"d_a_range": [1]}, []),
             ("validate", {}, ["--quick", "--seed", str(2**64)]),
             ("ebit-rate", {"fiber_km": 1e5}, []),
+            ("device-run", {"jobs": 0}, []),
+            ("threshold-vs-da", {}, ["--jobs", "-3"]),
         ],
         ids=["negative-cap", "scalar-for-list", "partial-rates", "zero-points",
              "negative-fiber", "negative-seed", "negative-loss-max", "zero-d_a", "gain-tau_e",
              "tau-above-1", "negative-squeezing", "one-entry-d_a_range", "seed-beyond-64-bits",
-             "underflowing-fiber-loss"],
+             "underflowing-fiber-loss", "zero-jobs", "negative-jobs"],
     )
     def test_invalid_config_is_config_error(self, command, config, argv, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -123,7 +123,8 @@ def _mp_mm_state(t, caps, n_th, r, cs, split):
     if t.scheme == "down":
         state = _mp_mo_state(t.kinds[0], c_a1, c_b1, ta, tb, n_th, r)
         state = _loss(state, 1, split[0])
-        return _on_mode(state, 1, *_mp_conversion("down", c_a2, c_b2, ta, tb, n_th))
+        a, b, c = _on_mode(state, 1, *_mp_conversion("down", c_a2, c_b2, ta, tb, n_th))
+        return b, a, c  # node order: the source's microwave mode (node 1) first
     eo_share = split[2] if len(split) == 3 else 1.0
     (a1, b1, c1), (a2, b2, c2) = (
         _loss(_mp_mo_state(kind, c_a, c_b, ta, tb, n_th, r, eo_share), 1, tau_m)

@@ -93,6 +93,17 @@ class TestTopologyType:
         with pytest.raises(ValueError):
             Topology.swap_asym(MoKind.EO, MoKind.EO)
 
+    @pytest.mark.parametrize("scheme, kinds", [
+        ("down", ("EO",)),
+        ("swap", ("EO", "IM")),
+        ("swap", (MoKind.IM, "extrinsic-optical")),
+    ])
+    def test_kinds_must_be_mokind_members(self, scheme, kinds):
+        # a name or value string is not a kind: it used to pass as IM-down,
+        # or to fail with a bare TypeError when a swap sorted its kinds
+        with pytest.raises(ValueError, match="MoKind"):
+            Topology(scheme, kinds)
+
     def test_labels(self):
         assert Topology.down(MoKind.IM).label == "IM-down"
         assert Topology.swap_sym(MoKind.EO).label == "EO-swap"
@@ -221,7 +232,9 @@ class TestMmState:
                 s = source(t.kinds[0], cfg.c_a1, cfg.c_b1, caps.tau_a)
                 p = DptParams(cfg.c_a2, cfg.c_b2, caps.tau_a, caps.tau_b, caps.n_th)
                 v = apply_one_mode(conversion_channel("down", p), s.to_cov(), 1)
-                want = BalancedForm.from_cov(v)
+                w = BalancedForm.from_cov(v)
+                # node order: the source's microwave mode (node 1) first
+                want = BalancedForm(w.b, w.a, w.c)
             else:
                 s1 = source(t.kinds[0], cfg.c_a1, cfg.c_b1, caps.tau_a)
                 s2 = source(t.kinds[1], cfg.c_a2, cfg.c_b2, caps.tau_a)
@@ -230,6 +243,22 @@ class TestMmState:
             # the full-variance symplectic eigenvalue is accurate at these
             # moderate points, so it cross-checks the margin readout
             assert mm_log_negativity(t, cfg) == pytest.approx(log_negativity(got), rel=1e-12)
+
+    @pytest.mark.parametrize("t", DOWN_TOPOLOGIES, ids=lambda t: t.label)
+    def test_down_topologies_return_node_order(self, t):
+        # mode 1 of the MM state is node 1's: the source's microwave mode,
+        # untouched by the downconverter, so it is the source's mode 2 exactly
+        from gausslink import DptParams
+        from gausslink.sources import REQUIRED_SIGMAS
+
+        kind, caps, tau_e = t.kinds[0], self.caps, 0.64
+        c_a1, c_b1 = (5.5, 5.0) if kind is MoKind.IO else (20.0, 5.0)
+        split = (0.8, 0.8) if kind is MoKind.EO else (tau_e,)
+        cfg = self.cfg(c_a1=c_a1, c_b1=c_b1, c_a2=40.0, c_b2=7.0, tau_e=tau_e, loss_split=split)
+        # only down(EO)'s source arm carries a share of the loss
+        tau_a1 = caps.tau_a * split[0] if kind is MoKind.EO else caps.tau_a
+        p = DptParams(c_a1, c_b1, tau_a1, caps.tau_b, caps.n_th, *REQUIRED_SIGMAS[kind])
+        assert mm_state(t, cfg).a == mo_state(kind, p, cfg.r, caps.rates).b
 
     def test_down_eo_matches_lossy_two_arm_form(self, rng):
         # MM state of the split-loss EO distribution: a = td(t1 sinh^2 r + 1/2) + nd

@@ -144,11 +144,11 @@ class TestConversionChannels:
 
         c_a = 10.0 ** rng.uniform(-3.0, 4.0, 3000)
         c_b = 10.0 ** rng.uniform(-3.0, 4.0, 3000)
-        for direction in ("down", "up"):
+        for x, y in ((c_a, c_b), (c_b, c_a)):  # down-, then up-conversion roles
             args = (rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 5.0))
-            t, mu = _conversion_t_mu(direction, c_a, c_b, *args)
+            t, mu = _conversion_t_mu(x, y, *args)
             for i in range(3000):
-                one = _conversion_t_mu(direction, float(c_a[i]), float(c_b[i]), *args)
+                one = _conversion_t_mu(float(x[i]), float(y[i]), *args)
                 assert (t[i], mu[i]) == one
 
     def test_negative_amplitude_is_a_global_phase(self):

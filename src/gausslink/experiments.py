@@ -358,6 +358,11 @@ def cmd_ebit_rate(cfg: ExperimentConfig) -> dict:
 
 
 # -- validation suite ---------------------------------------------------------
+#
+# Each check returns (worst, tolerance, detail).  The detail names the draw
+# that set worst and its configuration as keyword arguments with exact
+# reprs, e.g. "EO-down draw 3: caps=DeviceCaps(...), r=0.5", so that
+# eval(f"dict({config})") replays a failure without the seed.
 
 def _check_swap_theorem(seed, n):
     """E12 <= max(E11, E22) for independent physical balanced pairs."""
@@ -366,7 +371,12 @@ def _check_swap_theorem(seed, n):
     rng = generator(seed, stream=1)
     states = random_balanced_states(rng, 2 * n)
     worst = -math.inf
-    worst_idx = -1
+    tag = ""
+
+    def pair(i):
+        s1, s2 = (tuple(states[j].tolist()) for j in (2 * i, 2 * i + 1))
+        return f"pair {i}: s1=BalancedForm{s1!r}, s2=BalancedForm{s2!r}"
+
     for i in range(n):
         s1 = BalancedForm(*states[2 * i])
         s2 = BalancedForm(*states[2 * i + 1])
@@ -375,11 +385,11 @@ def _check_swap_theorem(seed, n):
             e11 = log_negativity(swap(s1, s1))
             e22 = log_negativity(swap(s2, s2))
         except ValueError:
-            return math.inf, 1e-12, f"unphysical swap output at pair {i}"
+            return math.inf, 1e-12, f"unphysical swap output at {pair(i)}"
         excess = e12 - max(e11, e22)
         if excess > worst:
-            worst, worst_idx = excess, i
-    return worst, 1e-12, f"pair index {worst_idx}"
+            worst, tag = excess, pair(i)
+    return worst, 1e-12, tag
 
 
 def _check_mo_oracle(seed, n):
@@ -396,7 +406,7 @@ def _check_mo_oracle(seed, n):
             scale = max(1.0, abs(s1.a), abs(s1.b), abs(s1.c))
             err = max(abs(s1.a - s2.a), abs(s1.b - s2.b), abs(s1.c - s2.c)) / scale
             if err > worst:
-                worst, tag = err, f"{kind.name} draw {i}"
+                worst, tag = err, f"{kind.name} draw {i}: p={p!r}, r={r!r}"
     return worst, 1e-12, tag
 
 
@@ -404,6 +414,7 @@ def _check_conversion_trace(seed, n):
     """One-mode conversion channels versus traced two-mode marginals."""
     rng = generator(seed, stream=3)
     worst = 0.0
+    tag = ""
     for i in range(n):
         p = random_red_params(rng)
         full = dpt_two_mode_channel(p)
@@ -417,8 +428,9 @@ def _check_conversion_trace(seed, n):
                 np.max(np.abs(t_marg - ch.T)),
                 np.max(np.abs(n_marg - ch.N)),
             )
-            worst = max(worst, err)
-    return worst, 1e-12, ""
+            if err > worst:
+                worst, tag = err, f"{direction} draw {i}: p={p!r}"
+    return worst, 1e-12, tag
 
 
 def _check_thresholds(seed, n):
@@ -437,12 +449,13 @@ def _check_thresholds(seed, n):
         for topo in rows:
             a = analytic_threshold(topo, caps, r)
             b = numeric_threshold(topo, caps, r)
+            config = f"{topo.label} draw {i}: caps={caps!r}, r={r!r}"
             if a.can_entangle != b.can_entangle:
-                return math.inf, 1e-6, f"{topo.label} draw {i}: feasibility mismatch"
+                return math.inf, 1e-6, f"{config} (feasibility mismatch)"
             if a.can_entangle:
                 rel = abs(a.n_th_max - b.n_th_max) / a.n_th_max
                 if rel > worst:
-                    worst, tag = rel, f"{topo.label} draw {i}"
+                    worst, tag = rel, config
     return worst, 1e-6, tag
 
 
@@ -459,7 +472,7 @@ def _check_global_necessary(seed, n):
         topo = SYMMETRIC_TOPOLOGIES[int(rng.integers(len(SYMMETRIC_TOPOLOGIES)))]
         _, e = optimize_cooperativities(topo, caps, n_th, r, n_starts=4, nm_max_iter=60)
         if e > worst:
-            worst, tag = e, f"{topo.label} draw {i}"
+            worst, tag = e, f"{topo.label} draw {i}: caps={caps!r}, r={r!r}"
     return worst, 0.0, tag
 
 
@@ -475,6 +488,7 @@ def _check_split_optimality(seed, n):
         tau_e = rng.uniform(0.3, 0.95)
         cs = (caps.d_a, caps.d_b, caps.d_a, caps.d_b)
         grid = np.linspace(tau_e, 1.0, 101)
+        config = f"caps={caps!r}, r={r!r}, tau_e={tau_e!r}"
 
         topo = Topology.down(MoKind.EO)
         s = math.sqrt(tau_e)
@@ -484,7 +498,7 @@ def _check_split_optimality(seed, n):
                 topo, NetworkConfig(caps, *cs, r=r, tau_e=tau_e, loss_split=(t1, tau_e / t1))
             )
             if e - e_eq > worst:
-                worst, tag = e - e_eq, f"down draw {i} t1={t1}"
+                worst, tag = e - e_eq, f"down draw {i}: {config}, t1={float(t1)!r}"
 
         topo = Topology.swap_sym(MoKind.EO)
         e_ex = mm_log_negativity(
@@ -495,7 +509,7 @@ def _check_split_optimality(seed, n):
                 topo, NetworkConfig(caps, *cs, r=r, tau_e=tau_e, loss_split=(t1, tau_e / t1))
             )
             if e - e_ex > worst:
-                worst, tag = e - e_ex, f"swap draw {i} t1={t1}"
+                worst, tag = e - e_ex, f"swap draw {i}: {config}, t1={float(t1)!r}"
     return worst, 1e-10, tag
 
 

@@ -1,18 +1,16 @@
 """Deterministic derivative-free maximization over a box.
 
-Multi-start Nelder-Mead with projection onto the box, followed by one
-coordinate-wise golden-section polish round, each axis bracketed to
-_POLISH_WIDTH of its span on either side of the best point (clipped to
-the box): the simplex has already found the basin, so the polish only
-refines it, and a full-width bracket would spend most of its
-evaluations far from the optimum.  Starts are the caller's
-extra_starts followed by the first n_starts points of a fixed
-low-discrepancy sequence, so results are reproducible without any RNG
-state.  A caller that can evaluate its objective on many points at once
-may rank candidates itself and pass only the best as extra_starts with
-n_starts=0; thresholds.optimize_cooperativities does so from a log grid.
-Objectives signal infeasible points (e.g. unstable operating points) by
-returning -inf, which the simplex treats as a rejection.
+Nelder-Mead with projection onto the box from each of the caller's
+starts, followed by one coordinate-wise golden-section polish round,
+each axis bracketed to _POLISH_WIDTH of its span on either side of the
+best point (clipped to the box): the simplex has already found the
+basin, so the polish only refines it, and a full-width bracket would
+spend most of its evaluations far from the optimum.  The caller
+chooses the starts; the searches over cooperativities rank theirs with
+one array evaluation over a log grid (thresholds._ranked_starts).
+Nothing is random, so results are reproducible.  Objectives signal
+infeasible points (e.g. unstable operating points) by returning -inf,
+which the simplex treats as a rejection.
 """
 
 from __future__ import annotations
@@ -30,20 +28,6 @@ _F_TOL = 1e-10
 #: Half-width of the polish bracket about the best point, as a fraction of
 #: each axis's span, and the golden-section iterations spent in it.
 _POLISH_WIDTH, _POLISH_ITERS = 0.02, 40
-
-
-def _plastic_alphas(dim: int) -> list[float]:
-    # generalized-golden-ratio constants of the R_d low-discrepancy sequence
-    phi = 2.0
-    for _ in range(40):
-        phi = (1.0 + phi) ** (1.0 / (dim + 1.0))
-    return [(1.0 / phi) ** (i + 1) for i in range(dim)]
-
-
-def low_discrepancy_points(dim: int, n: int) -> list[list[float]]:
-    """First n points of the R_d sequence in the unit cube."""
-    alphas = _plastic_alphas(dim)
-    return [[(0.5 + (k + 1) * a) % 1.0 for a in alphas] for k in range(n)]
 
 
 def golden_max_1d(
@@ -123,24 +107,20 @@ def maximize_box(
     f: Callable[[Sequence[float]], float],
     lo: Sequence[float],
     hi: Sequence[float],
+    starts: Sequence[Sequence[float]],
     *,
-    n_starts: int = 16,
     nm_max_iter: int = 200,
     polish: bool = True,
-    extra_starts: Sequence[Sequence[float]] = (),
 ) -> tuple[list[float], float]:
-    """Maximize f over the box [lo, hi].
+    """Maximize f over the box [lo, hi], running Nelder-Mead from each start.
 
-    extra_starts are tried verbatim (after projection) in addition to the
-    low-discrepancy starts; the returned value is never below the best
-    evaluated start, so corner candidates passed here give a hard floor.
+    Starts are projected onto the box and evaluated before their simplex
+    runs, so the returned value is never below the best start: corner
+    candidates passed here give a hard floor.
     """
     lo = [float(v) for v in lo]
     hi = [float(v) for v in hi]
     dim = len(lo)
-    starts = [list(s) for s in extra_starts]
-    for u in low_discrepancy_points(dim, n_starts):
-        starts.append([lo[i] + u[i] * (hi[i] - lo[i]) for i in range(dim)])
 
     best_x, best_f = None, -math.inf
     for s in starts:

@@ -31,7 +31,7 @@ from .network import (
     loss_slot_count,
 )
 from .optimize import golden_max_1d, maximize_box
-from .sources import MoKind
+from .sources import _EM, _EO, _IM, _IO, MoKind
 from .transducer import (
     DeviceCaps,
     _blue_cap,
@@ -63,15 +63,18 @@ class ThresholdResult:
     can_entangle: bool = True
 
 
-#: Starts and Nelder-Mead iterations of each search in numeric_threshold.
-_SEARCH_STARTS, _SEARCH_ITERS = 6, 80
+#: Ranked starts of each threshold search (an extrinsic-microwave cell of
+#: analytic_threshold, or numeric_threshold's witness search), and the
+#: Nelder-Mead iterations of the witness search.
+_SEARCH_STARTS, _SEARCH_ITERS = 3, 80
 
 #: Most halvings numeric_threshold makes of its bracket [0, tau_a d_a].
 _BISECT_STEPS = 200
 
-#: Points per axis of the grid that ranks optimize_cooperativities' starts,
-#: by search dimension; about 4k points per array evaluation keeps its
-#: memory small.  The grid runs from _SEED_FLOOR of each cap to the cap.
+#: Points per axis of the grid that ranks the starts of every search over
+#: cooperativities, by search dimension; about 4k points per array
+#: evaluation keeps its memory small.  The grid runs from _SEED_FLOOR of
+#: each cap to the cap.
 _SEED_GRID = {2: 40, 4: 8}
 _SEED_FLOOR = 1e-4
 
@@ -124,22 +127,29 @@ def _stable_bound(caps: DeviceCaps, c_red: float, optical_blue: bool) -> float:
 
 def _numeric_ok(kind: MoKind, c_a, c_b) -> bool:
     """Whether (c_a, c_b) keeps the numeric gap; elementwise on numpy arrays."""
-    if kind is MoKind.IO:
+    if kind is _IO:
         return 1.0 + c_b - c_a >= _numeric_gap(c_b)
-    if kind is MoKind.IM:
+    if kind is _IM:
         return 1.0 + c_a - c_b >= _numeric_gap(c_a)
     return True
 
 
-def _em_down_cell(c_a, c_b, tau_a, tau_b, d_a) -> float:
+def _em_down_cell(c_a, c_b, tau_a, tau_b, d_a):
+    """EM-down bound at (c_a, c_b); floats or numpy arrays, elementwise."""
     s2 = (1.0 + c_a + c_b) ** 2
     return 4.0 * tau_a**2 * tau_b * c_a * c_b * d_a / (s2 + 4.0 * tau_a**2 * c_a * d_a)
 
 
-def _em_swap_cell(c_a, c_b, tau_a, tau_b) -> float:
-    if c_a <= 0.0:
+def _em_swap_cell(c_a, c_b, tau_a, tau_b):
+    """EM-swap bound at (c_a, c_b), -inf where c_a <= 0; floats or arrays, elementwise."""
+    array = isinstance(c_a, np.ndarray)
+    if array:
+        ok = c_a > 0.0
+        c_a = np.where(ok, c_a, 1.0)
+    elif c_a <= 0.0:
         return -math.inf
-    return tau_b * c_b - (1.0 + c_a + c_b) ** 2 / (8.0 * tau_a * c_a)
+    value = tau_b * c_b - (1.0 + c_a + c_b) ** 2 / (8.0 * tau_a * c_a)
+    return np.where(ok, value, -np.inf) if array else value
 
 
 def _maximize_em_cell(t: Topology, caps: DeviceCaps) -> tuple[float, float, float]:
@@ -148,20 +158,15 @@ def _maximize_em_cell(t: Topology, caps: DeviceCaps) -> tuple[float, float, floa
         cell = lambda x: _em_down_cell(x[0], x[1], caps.tau_a, caps.tau_b, caps.d_a)
     else:
         cell = lambda x: _em_swap_cell(x[0], x[1], caps.tau_a, caps.tau_b)
-    # the optimum in c_a sits near 1 + c_b; give the search that ridge
+    # the optimum in c_a sits near 1 + c_b; the ridge leads the ranked pool
     ridge = [
         [min(caps.d_a, 1.0 + caps.d_b), caps.d_b],
         [caps.d_a, caps.d_b],
         [min(caps.d_a, 1.0), min(caps.d_b, 1.0)],
     ]
-    x, val = maximize_box(
-        cell,
-        [0.0, 0.0],
-        [caps.d_a, caps.d_b],
-        n_starts=12,
-        nm_max_iter=200,
-        extra_starts=ridge,
-    )
+    hi = [caps.d_a, caps.d_b]
+    starts = _ranked_starts(cell, hi, ridge, _SEARCH_STARTS)
+    x, val = maximize_box(cell, [0.0, 0.0], hi, starts, nm_max_iter=200)
     return x[0], x[1], val
 
 
@@ -176,8 +181,9 @@ def analytic_threshold(
 
     Extrinsic-microwave rows only have a closed form at given source
     cooperativities; pass c_a and c_b to evaluate there, or leave both
-    None to maximize the bound over the caps numerically.  Intrinsic-
-    optical rows use the largest stable optical cooperativity at
+    None to maximize the bound over the caps numerically, by Nelder-Mead
+    from the _SEARCH_STARTS best points of the ranked log grid.
+    Intrinsic-optical rows use the largest stable optical cooperativity at
     c_b = d_b (or at the supplied c_b).  Asymmetric swapping topologies
     have no closed form and are rejected.
     """
@@ -188,14 +194,14 @@ def analytic_threshold(
     down = t.scheme == "down"
     da, db, ta, tb = caps.d_a, caps.d_b, caps.tau_a, caps.tau_b
 
-    if kind is MoKind.EO:
+    if kind is _EO:
         value = (
             ta * da * (1.0 - math.exp(-2.0 * rv)) / 2.0
             if down
             else ta * da * math.sinh(rv) ** 2 / math.cosh(2.0 * rv)
         )
         arg = (da, db, da, db)
-    elif kind is MoKind.EM:
+    elif kind is _EM:
         if (c_a is None) != (c_b is None):
             raise ValueError("supply both c_a and c_b for extrinsic-microwave rows")
         if c_a is None:
@@ -207,7 +213,7 @@ def analytic_threshold(
                 else _em_swap_cell(c_a, c_b, ta, tb)
             )
         arg = (c_a, c_b, da if down else c_a, db if down else c_b)
-    elif kind is MoKind.IO:
+    elif kind is _IO:
         ca_bar = max_stable_ca(caps, db if c_b is None else c_b)
         value = (
             (math.sqrt(ca_bar * (ca_bar + 4.0 * ta**2 * da)) - ca_bar) / 2.0
@@ -292,9 +298,9 @@ def _margin_fn4(t, caps, n_th, r, split, guard: bool = False):
 
 
 def _clamp_pair(kind: MoKind, caps: DeviceCaps, c_a: float, c_b: float):
-    if kind is MoKind.IO:
+    if kind is _IO:
         c_a = min(c_a, _stable_bound(caps, c_b, True))
-    elif kind is MoKind.IM:
+    elif kind is _IM:
         c_b = min(c_b, _stable_bound(caps, c_a, False))
     return c_a, c_b
 
@@ -320,27 +326,23 @@ def _entangled_at(t, caps, n_th, r, split, candidates):
     """Positivity witness for max-over-cooperativities entanglement.
 
     Returns the witnessing source (c_a, c_b) pair or None.  Corner
-    candidates decide quickly on the entangled side; a bounded
-    multi-start search settles the separable side.  The entanglement
-    sign is exact here (it is the sign of the tracked product defect),
-    so any returned witness is a true positive.
+    candidates decide quickly on the entangled side.  Otherwise one
+    array evaluation of the margin ranks the candidates and a log grid
+    of the box (_ranked_starts), and Nelder-Mead without polish from
+    the _SEARCH_STARTS best of them settles the separable side.  The
+    entanglement sign is exact here (it is the sign of the tracked
+    product defect), so any returned witness is a true positive.
     """
-    if t.scheme == "down" and t.kinds[0] is not MoKind.EO:
+    if t.scheme == "down" and t.kinds[0] is not _EO:
         margin = _margin_fn_down(t, caps, n_th, r, split)
     else:
         margin = _margin_fn(t, caps, n_th, r, split)
     for cand in candidates:
         if margin(cand) > 0.0:
             return cand
-    x, best = maximize_box(
-        margin,
-        [0.0, 0.0],
-        [caps.d_a, caps.d_b],
-        n_starts=_SEARCH_STARTS,
-        nm_max_iter=_SEARCH_ITERS,
-        polish=False,
-        extra_starts=[list(c) for c in candidates],
-    )
+    hi = [caps.d_a, caps.d_b]
+    starts = _ranked_starts(margin, hi, candidates, _SEARCH_STARTS)
+    x, best = maximize_box(margin, [0.0, 0.0], hi, starts, nm_max_iter=_SEARCH_ITERS, polish=False)
     if best > 0.0:
         return (x[0], x[1])
     return None
@@ -354,9 +356,11 @@ def numeric_threshold(
     """Threshold by bisecting n_th on the optimized entanglement sign.
 
     The bracket is [0, tau_a * d_a]; cooperativities are re-maximized at
-    every n_th evaluation.  The interval is narrowed to a width of 1e-7
-    relative to its lower end, tighter than the 1e-6 agreement required
-    of the analytic forms, however small the threshold.  At most
+    every n_th evaluation: corner candidates first, then a search from
+    the ranked log grid (_entangled_at).  The interval is narrowed to a
+    width of 1e-7 relative to its lower end, tighter than the 1e-6
+    agreement required of the analytic forms, however small the
+    threshold.  At most
     _BISECT_STEPS halvings bound the loop, which binds only for
     thresholds below about 2**-176 of the bracket.  If the topology
     cannot entangle even at n_th = 0 the result carries
@@ -371,7 +375,7 @@ def numeric_threshold(
     candidates = _corner_candidates(kind, caps)
 
     def full(pair):
-        if t.scheme == "down" and kind is not MoKind.EO:
+        if t.scheme == "down" and kind is not _EO:
             return (pair[0], pair[1], caps.d_a, caps.d_b)
         return (pair[0], pair[1], pair[0], pair[1])
 
@@ -445,7 +449,7 @@ def optimize_cooperativities(
     uniform_split = all(f == split[0] for f in split)
     mirrored = uniform_split and (
         (t.scheme == "swap" and t.is_symmetric)
-        or (t.scheme == "down" and t.kinds[0] is MoKind.EO)
+        or (t.scheme == "down" and t.kinds[0] is _EO)
     )
     if mirrored:
         margin = _margin_fn(t, caps, n_th, rv, split, guard=True)
@@ -461,14 +465,8 @@ def optimize_cooperativities(
         cands2 = _corner_candidates(k2, caps)[:3] if k2 else [(caps.d_a, caps.d_b)]
         corners = [list(p1) + list(p2) for p1 in cands1 for p2 in cands2]
         iters = 2 * nm_max_iter
-    x, m = maximize_box(
-        margin,
-        [0.0] * len(hi),
-        hi,
-        n_starts=0,
-        nm_max_iter=iters,
-        extra_starts=_ranked_starts(margin, hi, corners, n_starts),
-    )
+    starts = _ranked_starts(margin, hi, corners, n_starts)
+    x, m = maximize_box(margin, [0.0] * len(hi), hi, starts, nm_max_iter=iters)
     cs = (x[0], x[1], x[0], x[1]) if mirrored else tuple(x)
     return cs, _log2_negativity(m)
 
@@ -527,14 +525,10 @@ def optimize_loss_split(
         [1.0, tau_e],
         [tau_e ** (1.0 / 3.0), tau_e ** (1.0 / 3.0)],
     ]
+    # each evaluation is a whole optimisation, so the known extremes are the
+    # starts rather than the best of a ranked grid
     x, e = maximize_box(
-        e_of_pair,
-        [tau_e, tau_e],
-        [1.0, 1.0],
-        n_starts=6,
-        nm_max_iter=40,
-        polish=False,
-        extra_starts=extremes,
+        e_of_pair, [tau_e, tau_e], [1.0, 1.0], extremes, nm_max_iter=40, polish=False
     )
     t1, t2 = x
     t3 = min(max(tau_e / (t1 * t2), tau_e), 1.0)

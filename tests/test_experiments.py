@@ -4,10 +4,25 @@ import math
 import numpy as np
 import pytest
 
-from gausslink import DeviceCaps, NetworkConfig, Topology, analytic_threshold, mm_log_negativity
+from gausslink import (
+    SYMMETRIC_TOPOLOGIES,
+    BalancedForm,
+    DeviceCaps,
+    DptParams,
+    NetworkConfig,
+    PhysicalRates,
+    Topology,
+    analytic_threshold,
+    mm_log_negativity,
+    numeric_threshold,
+)
 from gausslink.cli import main
 from gausslink.experiments import (
     ExperimentConfig,
+    _check_conversion_trace,
+    _check_mo_oracle,
+    _check_swap_theorem,
+    _check_thresholds,
     cmd_device_run,
     cmd_ebit_rate,
     cmd_threshold_vs_da,
@@ -192,6 +207,33 @@ class TestValidateCommand:
         _, r1 = cmd_validate(cfg)
         _, r2 = cmd_validate(cfg)
         assert r1 == r2
+
+    @staticmethod
+    def _config(detail):
+        """The keyword arguments a check's detail names after its label."""
+        names = {"BalancedForm": BalancedForm, "DeviceCaps": DeviceCaps,
+                 "DptParams": DptParams, "PhysicalRates": PhysicalRates}
+        return eval(f"dict({detail.split(': ', 1)[1]})", names)
+
+    def test_threshold_detail_replays_worst(self):
+        # the worst draw's caps and r, read back from the detail alone,
+        # reproduce the reported worst exactly
+        worst, _, detail = _check_thresholds(0, 10)
+        assert worst > 0.0
+        label = detail.split(" draw ")[0]
+        topo = next(t for t in SYMMETRIC_TOPOLOGIES if t.label == label)
+        kw = self._config(detail)
+        a = analytic_threshold(topo, kw["caps"], kw["r"])
+        b = numeric_threshold(topo, kw["caps"], kw["r"])
+        assert abs(a.n_th_max - b.n_th_max) / a.n_th_max == worst
+
+    def test_details_name_exact_configurations(self):
+        swap = self._config(_check_swap_theorem(0, 50)[2])
+        assert set(swap) == {"s1", "s2"} and isinstance(swap["s1"], BalancedForm)
+        mo = self._config(_check_mo_oracle(0, 20)[2])
+        assert isinstance(mo["p"], DptParams) and isinstance(mo["r"], float)
+        conv = self._config(_check_conversion_trace(0, 20)[2])
+        assert isinstance(conv["p"], DptParams)
 
 
 class TestCli:

@@ -30,8 +30,8 @@ def test_every_probe_lies_in_the_box(lo, hi, polish):
 
     # starts outside the box are projected before their first evaluation
     outside = [[l - 1.0 for l in lo], [h + 1.0 for h in hi]]
-    x, v = maximize_box(f, lo, hi, n_starts=4, nm_max_iter=60, polish=polish,
-                        extra_starts=outside)
+    interior = [[l + u * (h - l) for l, h in zip(lo, hi)] for u in (0.2, 0.4, 0.6, 0.8)]
+    x, v = maximize_box(f, lo, hi, outside + interior, nm_max_iter=60, polish=polish)
     assert len(seen) > 50
     for probe in seen + [x]:
         assert all(l <= p <= h for p, l, h in zip(probe, lo, hi)), probe
@@ -48,10 +48,24 @@ def test_never_below_the_best_start(lo, hi, polish):
     ]
     best_start = max(_bumpy(s) for s in starts)
     # two iterations leave the simplex far from converged, so the floor binds
-    x, v = maximize_box(_bumpy, lo, hi, n_starts=0, nm_max_iter=2, polish=polish,
-                        extra_starts=starts)
+    x, v = maximize_box(_bumpy, lo, hi, starts, nm_max_iter=2, polish=polish)
     assert v >= best_start
     assert v == _bumpy(x) and len(x) == dim
+
+
+@pytest.mark.parametrize("lo, hi", BOXES)
+def test_evaluates_only_what_its_starts_imply(lo, hi):
+    # each start costs its own evaluation plus an initial simplex of dim + 1
+    # points; without iterations or polish nothing else is evaluated
+    seen = []
+
+    def f(x):
+        seen.append(list(x))
+        return _bumpy(x)
+
+    starts = [list(lo), list(hi), [0.5 * (l + h) for l, h in zip(lo, hi)]]
+    maximize_box(f, lo, hi, starts, nm_max_iter=0, polish=False)
+    assert len(seen) == len(starts) * (len(lo) + 2)
 
 
 def test_peak_on_a_cliff_inside_the_polish_bracket():
@@ -65,7 +79,7 @@ def test_peak_on_a_cliff_inside_the_polish_bracket():
         return 1.0 - (x[0] - cliff) ** 2 - (x[1] - peak_y) ** 2
 
     for starts in ([[0.1, 0.9]], [[0.2, 0.2]], [[0.69, 0.41]]):
-        x, v = maximize_box(f, [0.0, 0.0], [1.0, 1.0], n_starts=0, extra_starts=starts)
+        x, v = maximize_box(f, [0.0, 0.0], [1.0, 1.0], starts)
         assert v == pytest.approx(1.0, rel=1e-12)
         assert cliff - _POLISH_WIDTH < x[0] <= cliff
         assert abs(x[1] - peak_y) < _POLISH_WIDTH

@@ -18,7 +18,14 @@ from gausslink import (
 from gausslink.network import ALL_TOPOLOGIES, default_loss_split
 from gausslink.sampling import random_caps
 from gausslink.sources import MoKind
-from gausslink.thresholds import _margin_fn, _margin_fn4, _margin_fn_down, _maximize_em_cell
+from gausslink.thresholds import (
+    _em_down_cell,
+    _em_swap_cell,
+    _margin_fn,
+    _margin_fn4,
+    _margin_fn_down,
+    _maximize_em_cell,
+)
 
 
 class TestAnalyticTable:
@@ -86,6 +93,61 @@ class TestAnalyticTable:
             for t in (Topology.down(MoKind.EM), Topology.swap_sym(MoKind.EM)):
                 res = analytic_threshold(t, caps, r, c_a=c_a, c_b=c_b)
                 assert res.n_th_max <= bound
+
+
+def _em_candidates(t: Topology, caps: DeviceCaps) -> list[tuple[float, float]]:
+    """Closed-form candidates for the optimum of an extrinsic-microwave cell.
+
+    EM-down: c_a = 1 + d_b with c_b capped, or the stationary point in
+    c_b with c_a capped.  EM-swap: c_a = 1 + c_b (clamped to d_a) along
+    the corners, the kink c_b = d_a - 1 and the stationary point of the
+    clamped branch c_a = d_a.
+    """
+    da, db, ta, tb = caps.d_a, caps.d_b, caps.tau_a, caps.tau_b
+    if t.scheme == "down":
+        return [
+            (min(da, 1.0 + db), db),
+            (da, min(db, math.sqrt((1.0 + da) ** 2 + 4.0 * ta**2 * da**2))),
+        ]
+    cbs = (0.0, db, da - 1.0, 4.0 * ta * tb * da - 1.0 - da)
+    return [(min(da, 1.0 + cb), cb) for cb in (min(max(v, 0.0), db) for v in cbs)]
+
+
+class TestEmOracle:
+    """The searched EM rows of analytic_threshold against their closed forms."""
+
+    def _check(self, caps, r):
+        for t in (Topology.down(MoKind.EM), Topology.swap_sym(MoKind.EM)):
+            got = analytic_threshold(t, caps, r)
+            best = max(
+                analytic_threshold(t, caps, r, c_a=ca, c_b=cb).n_th_max
+                for ca, cb in _em_candidates(t, caps)
+            )
+            assert got.can_entangle == (best > 0.0), (t.label, caps)
+            if best > 0.0:
+                rel = abs(got.n_th_max - best) / best
+                assert rel <= 1e-12, (t.label, caps, got.n_th_max, best)
+
+    def test_random_caps(self, rng):
+        for _ in range(300):
+            self._check(random_caps(rng), rng.uniform(0.0, 1.2))
+
+    @pytest.mark.parametrize("d_a, d_b", [(0.0, 50.0), (0.0, 0.0), (200.0, 0.0), (0.3, 0.0)])
+    def test_zero_caps(self, d_a, d_b):
+        for tau_a, tau_b in ((0.95, 0.9), (0.6, 0.55)):
+            self._check(DeviceCaps(d_a, d_b, tau_a, tau_b, 0.0), 0.4)
+
+    def test_em_cells_take_arrays(self, rng):
+        # the ranked start pool evaluates the cells on arrays; every entry,
+        # -inf at c_a <= 0 included, equals the float evaluation
+        c_a = np.concatenate([[0.0, -1.0], 10.0 ** rng.uniform(-3.0, 3.0, 40)])
+        c_b = 10.0 ** rng.uniform(-3.0, 3.0, 42)
+        swap = _em_swap_cell(c_a, c_b, 0.9, 0.8)
+        down = _em_down_cell(c_a, c_b, 0.9, 0.8, 50.0)
+        assert swap[0] == swap[1] == -math.inf
+        for i in range(len(c_a)):
+            assert swap[i] == _em_swap_cell(float(c_a[i]), float(c_b[i]), 0.9, 0.8)
+            assert down[i] == _em_down_cell(float(c_a[i]), float(c_b[i]), 0.9, 0.8, 50.0)
 
 
 class TestMaxStableCa:
@@ -247,8 +309,6 @@ class TestOptimizeCooperativities:
         caps = DeviceCaps(200.0, 1000.0, 0.95, 0.9, 0.0)
         t = Topology.down(MoKind.EM)
         ca, cb, val = _maximize_em_cell(t, caps)
-        from gausslink.thresholds import _em_down_cell
-
         at_corner = _em_down_cell(caps.d_a, caps.d_b, caps.tau_a, caps.tau_b, caps.d_a)
         assert cb < caps.d_b - 1.0
         assert val > at_corner + 1e-6

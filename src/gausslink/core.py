@@ -14,6 +14,7 @@ to call concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,6 +58,9 @@ OMEGA = np.array(
 
 _SYMMETRY_TOL = 1e-12
 _PHYSICALITY_TOL = 1e-10
+#: Largest finite float: a check written not (lo <= x <= _FINITE) fails
+#: NaN and +-inf as well as x < lo.
+_FINITE = sys.float_info.max
 
 
 def squeeze_db_to_r(db: float) -> float:
@@ -76,8 +80,8 @@ class SqueezeParam:
     r: float
 
     def __post_init__(self):
-        if not (self.r >= 0.0):
-            raise ValueError(f"squeezing parameter must be >= 0, got {self.r}")
+        if not (0.0 <= self.r <= _FINITE):
+            raise ValueError(f"squeezing parameter must be finite and >= 0, got {self.r}")
 
     @classmethod
     def from_db(cls, db: float) -> "SqueezeParam":
@@ -89,32 +93,35 @@ class SqueezeParam:
 
 
 def _as_r(r) -> float:
-    """Accept either a SqueezeParam or a bare float."""
-    value = r.r if isinstance(r, SqueezeParam) else float(r)
-    if not (value >= 0.0):
-        raise ValueError(f"squeezing parameter must be >= 0, got {value}")
-    return value
+    """Accept either a SqueezeParam or a bare float, checked as a SqueezeParam."""
+    return (r if isinstance(r, SqueezeParam) else SqueezeParam(float(r))).r
+
+
+def _frozen_matrix(m, n: int, what: str, symmetric: bool = False) -> np.ndarray:
+    """Read-only float copy of an n x n matrix of finite entries, symmetric if asked."""
+    m = np.array(m, dtype=float)
+    if m.shape != (n, n):
+        raise ValueError(f"{what} must be {n}x{n}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has a non-finite entry")
+    if symmetric and np.max(np.abs(m - m.T)) > _SYMMETRY_TOL:
+        raise ValueError(f"{what} is not symmetric within 1e-12")
+    m.flags.writeable = False
+    return m
 
 
 class CovMat2:
     """4x4 real symmetric covariance matrix of a two-mode Gaussian state.
 
-    Construction only enforces symmetry; physicality (the uncertainty
-    relation) is a separate check because unphysical matrices are useful
-    as negative test inputs.
+    Construction only enforces finite entries and symmetry; physicality
+    (the uncertainty relation) is a separate check because unphysical
+    matrices are useful as negative test inputs.
     """
 
     __slots__ = ("m",)
 
     def __init__(self, m):
-        m = np.asarray(m, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"covariance matrix must be 4x4, got {m.shape}")
-        if np.max(np.abs(m - m.T)) > _SYMMETRY_TOL:
-            raise ValueError("covariance matrix is not symmetric within 1e-12")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", _frozen_matrix(m, 4, "covariance matrix", symmetric=True))
 
     def __setattr__(self, name, value):
         raise AttributeError("CovMat2 is immutable")
@@ -155,15 +162,15 @@ class BalancedForm(NamedTuple):
         """
         m = v.m
         a, b, c = m[0, 0], m[2, 2], m[0, 2]
-        expected = np.zeros((4, 4))
-        expected[0, 0] = expected[1, 1] = a
-        expected[2, 2] = expected[3, 3] = b
-        expected[0, 2] = expected[2, 0] = c
-        expected[1, 3] = expected[3, 1] = -c
         scale = max(1.0, abs(a), abs(b), abs(c))
-        if np.max(np.abs(m - expected)) > tol * scale:
+        if np.max(np.abs(m - cls(a, b, c).to_cov().m)) > tol * scale:
             raise ValueError("covariance matrix is not balanced-correlated")
         return cls(a, b, c)
+
+
+def _freeze_channel(ch, n: int) -> None:
+    object.__setattr__(ch, "T", _frozen_matrix(ch.T, n, "channel matrix T"))
+    object.__setattr__(ch, "N", _frozen_matrix(ch.N, n, "channel noise matrix N", symmetric=True))
 
 
 @dataclass(frozen=True)
@@ -174,14 +181,7 @@ class TwoModeChannel:
     N: np.ndarray
 
     def __post_init__(self):
-        T = np.asarray(self.T, dtype=float)
-        N = np.asarray(self.N, dtype=float)
-        if T.shape != (4, 4) or N.shape != (4, 4):
-            raise ValueError("two-mode channel matrices must be 4x4")
-        if np.max(np.abs(N - N.T)) > _SYMMETRY_TOL:
-            raise ValueError("channel noise matrix must be symmetric")
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "N", N)
+        _freeze_channel(self, 4)
 
 
 @dataclass(frozen=True)
@@ -192,14 +192,7 @@ class OneModeChannel:
     N: np.ndarray
 
     def __post_init__(self):
-        T = np.asarray(self.T, dtype=float)
-        N = np.asarray(self.N, dtype=float)
-        if T.shape != (2, 2) or N.shape != (2, 2):
-            raise ValueError("one-mode channel matrices must be 2x2")
-        if np.max(np.abs(N - N.T)) > _SYMMETRY_TOL:
-            raise ValueError("channel noise matrix must be symmetric")
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "N", N)
+        _freeze_channel(self, 2)
 
 
 def make_tms(r) -> CovMat2:

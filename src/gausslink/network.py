@@ -32,15 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BalancedForm, OneModeChannel, SqueezeParam, _as_r
-from .sources import _EO, _IM, _IO, MoKind, _mo_excess
-from .transducer import (
-    DeviceCaps,
-    STRICT_MARGIN,
-    UnstableOperatingPointError,
-    _blue_cap,
-    _check_loss_split,
-    _conversion_t_mu,
-)
+from .sources import _EO, MoKind, _check_stable, _mo_excess, _stable_intrinsic
+from .transducer import DeviceCaps, _check_cap, _check_loss_split, _conversion_t_mu
 
 __all__ = [
     "Topology",
@@ -203,18 +196,6 @@ def swap(mo1: BalancedForm, mo2: BalancedForm) -> BalancedForm:
     )
 
 
-def _stable_intrinsic(kind: MoKind, c_a, c_b, caps: DeviceCaps) -> bool:
-    """Whether a source is stable; elementwise on numpy arrays of (c_a, c_b).
-
-    Only the intrinsic kinds have a blue pump; EO and EM give True.
-    """
-    if kind is _IO:
-        return c_a < _blue_cap(c_b, caps.rates, True) - STRICT_MARGIN
-    if kind is _IM:
-        return c_b < _blue_cap(c_a, caps.rates, False) - STRICT_MARGIN
-    return True
-
-
 def _mm_excess(
     t: Topology,
     caps: DeviceCaps,
@@ -251,10 +232,10 @@ def _mm_excess(
     down = t.scheme == "down"
 
     # red-red transducers (a downconverter, an EO source) are always stable
-    stable = k1 is _EO or _stable_intrinsic(k1, c_a1, c_b1, caps)
+    stable = k1 is _EO or _stable_intrinsic(k1, c_a1, c_b1, caps.rates)
     if not down:
         k2 = t.kinds[1]
-        stable = stable & _stable_intrinsic(k2, c_a2, c_b2, caps)
+        stable = stable & _stable_intrinsic(k2, c_a2, c_b2, caps.rates)
     # `is True` first, so that a stable float point needs no type check
     if stable is not True and not isinstance(stable, np.ndarray) and not stable:
         return None
@@ -326,25 +307,13 @@ def _resolve_split(t: Topology, tau_e: float, split) -> tuple[float, ...]:
 
 def _validate_cooperativities(t: Topology, cfg: NetworkConfig) -> None:
     caps = cfg.caps
-    for name, value, cap in (
-        ("C_a,1", cfg.c_a1, caps.d_a),
-        ("C_b,1", cfg.c_b1, caps.d_b),
-        ("C_a,2", cfg.c_a2, caps.d_a),
-        ("C_b,2", cfg.c_b2, caps.d_b),
-    ):
-        if value < 0.0:
-            raise ValueError(f"{name} = {value} violates {name} >= 0")
-        if value > cap * (1.0 + 1e-12) + 1e-15:
-            raise ValueError(f"{name} = {value} violates {name} <= {cap}")
+    pairs = ((cfg.c_a1, cfg.c_b1), (cfg.c_a2, cfg.c_b2))
+    for i, (c_a, c_b) in enumerate(pairs, 1):
+        _check_cap(f"C_a,{i}", c_a, caps.d_a)
+        _check_cap(f"C_b,{i}", c_b, caps.d_b)
     # a downconversion topology has one source kind, on transducer 1
-    for kind, (c_a, c_b) in zip(t.kinds, ((cfg.c_a1, cfg.c_b1), (cfg.c_a2, cfg.c_b2))):
-        if not _stable_intrinsic(kind, c_a, c_b, caps):
-            optical = kind is MoKind.IO
-            name, value, c_red = ("C_a", c_a, c_b) if optical else ("C_b", c_b, c_a)
-            raise UnstableOperatingPointError(
-                f"{kind.name} source unstable: {name} = {value} violates "
-                f"{name} < {_blue_cap(c_red, caps.rates, optical)}"
-            )
+    for kind, (c_a, c_b) in zip(t.kinds, pairs):
+        _check_stable(kind, c_a, c_b, caps.rates)
 
 
 def _checked_excess(t: Topology, cfg: NetworkConfig):
@@ -376,7 +345,8 @@ def mm_log_negativity(t: Topology, cfg: NetworkConfig) -> float:
     mm_state grow like 1e16 and their symplectic eigenvalue cancels.
     Returns 0.0 for a separable state.  Raises ValueError for a loss
     split that does not fit the topology or tau_e and for a
-    cooperativity outside [0, its cap], and UnstableOperatingPointError
-    (a ValueError) for a blue-pumped source beyond its stability bound.
+    cooperativity outside [0, its cap] (NaN included), and
+    UnstableOperatingPointError (a ValueError) for a blue-pumped source
+    beyond its stability bound, with the message of mo_state.
     """
     return _log2_negativity(_margin_of_excess(_checked_excess(t, cfg)))

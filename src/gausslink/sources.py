@@ -33,13 +33,14 @@ import numpy as np
 from .core import BalancedForm, SqueezeParam, _as_r, apply_one_mode, apply_two_mode, make_tms
 from .transducer import (
     DEFAULT_RATES,
+    STRICT_MARGIN,
     DptParams,
     InvalidOperatingModeError,
     PhysicalRates,
     UnstableOperatingPointError,
+    _blue_cap,
     conversion_channel,
     dpt_two_mode_channel,
-    stability_ok,
 )
 
 __all__ = ["MoKind", "mo_state", "mo_state_via_composition"]
@@ -107,6 +108,29 @@ def _mo_excess(kind: MoKind, c_a, c_b, tau_a, tau_b, n_th, r):
     return A, B, c, P
 
 
+def _stable_intrinsic(kind: MoKind, c_a, c_b, rates: PhysicalRates) -> bool:
+    """Whether a source is stable; elementwise on numpy arrays of (c_a, c_b).
+
+    Only the intrinsic kinds have a blue pump; EO and EM give True.
+    """
+    if kind is _IO:
+        return c_a < _blue_cap(c_b, rates, True) - STRICT_MARGIN
+    if kind is _IM:
+        return c_b < _blue_cap(c_a, rates, False) - STRICT_MARGIN
+    return True
+
+
+def _check_stable(kind: MoKind, c_a: float, c_b: float, rates: PhysicalRates) -> None:
+    """Raise UnstableOperatingPointError, naming the bound, for an unstable source."""
+    if not _stable_intrinsic(kind, c_a, c_b, rates):
+        optical = kind is _IO
+        name, value, c_red = ("C_a", c_a, c_b) if optical else ("C_b", c_b, c_a)
+        raise UnstableOperatingPointError(
+            f"{kind.name} source unstable: {name} = {value} violates "
+            f"{name} < {_blue_cap(c_red, rates, optical)}"
+        )
+
+
 def _check_source(kind: MoKind, p: DptParams, rates: PhysicalRates) -> None:
     want = REQUIRED_SIGMAS[kind]
     if (p.sigma_a, p.sigma_b) != want:
@@ -114,10 +138,7 @@ def _check_source(kind: MoKind, p: DptParams, rates: PhysicalRates) -> None:
             f"{kind.name} source requires pump signs {want}, "
             f"got ({p.sigma_a}, {p.sigma_b})"
         )
-    if kind in (MoKind.IO, MoKind.IM) and not stability_ok(p, rates):
-        raise UnstableOperatingPointError(
-            f"{kind.name} source is unstable at C_a={p.c_a}, C_b={p.c_b}"
-        )
+    _check_stable(kind, p.c_a, p.c_b, rates)
 
 
 def mo_state(

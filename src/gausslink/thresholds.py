@@ -35,6 +35,8 @@ from .sources import _EM, _EO, _IM, _IO, MoKind
 from .transducer import (
     DeviceCaps,
     _blue_cap,
+    _check_cap,
+    _check_fields,
     _check_loss_split,
     stability_ok,
 )
@@ -86,8 +88,7 @@ def max_stable_ca(caps: DeviceCaps, c_b: float) -> float:
     absolute tolerance of 1e-10; the cap d_a binds when stability does
     not.
     """
-    if not (0.0 <= c_b <= caps.d_b * (1.0 + 1e-12) + 1e-15):
-        raise ValueError(f"c_b = {c_b} outside [0, d_b = {caps.d_b}]")
+    _check_cap("c_b", c_b, caps.d_b)
 
     def stable(c_a: float) -> bool:
         return stability_ok(caps.params(c_a, c_b, sigma_a=1), caps.rates)
@@ -184,8 +185,10 @@ def analytic_threshold(
     None to maximize the bound over the caps numerically, by Nelder-Mead
     from the _SEARCH_STARTS best points of the ranked log grid.
     Intrinsic-optical rows use the largest stable optical cooperativity at
-    c_b = d_b (or at the supplied c_b).  Asymmetric swapping topologies
-    have no closed form and are rejected.
+    c_b = d_b.  Raises ValueError for an asymmetric swapping topology
+    (it has no closed form), for c_a or c_b on any other row than an
+    extrinsic-microwave one, for only one of the two, and for a point
+    outside 0 <= c_a <= d_a, 0 <= c_b <= d_b.
     """
     if not t.is_symmetric:
         raise ValueError("no closed-form threshold for asymmetric swapping topologies")
@@ -193,6 +196,8 @@ def analytic_threshold(
     kind = t.kinds[0]
     down = t.scheme == "down"
     da, db, ta, tb = caps.d_a, caps.d_b, caps.tau_a, caps.tau_b
+    if kind is not _EM and (c_a is not None or c_b is not None):
+        raise ValueError(f"c_a and c_b apply only to extrinsic-microwave rows, not {t.label}")
 
     if kind is _EO:
         value = (
@@ -207,6 +212,8 @@ def analytic_threshold(
         if c_a is None:
             c_a, c_b, value = _maximize_em_cell(t, caps)
         else:
+            _check_cap("c_a", c_a, da)
+            _check_cap("c_b", c_b, db)
             value = (
                 _em_down_cell(c_a, c_b, ta, tb, da)
                 if down
@@ -214,21 +221,21 @@ def analytic_threshold(
             )
         arg = (c_a, c_b, da if down else c_a, db if down else c_b)
     elif kind is _IO:
-        ca_bar = max_stable_ca(caps, db if c_b is None else c_b)
+        ca_bar = max_stable_ca(caps, db)
         value = (
             (math.sqrt(ca_bar * (ca_bar + 4.0 * ta**2 * da)) - ca_bar) / 2.0
             if down
             else (2.0 * ta - 1.0) * ca_bar
         )
-        arg = (ca_bar, db if c_b is None else c_b, da if down else ca_bar, db)
+        arg = (ca_bar, db, da if down else ca_bar, db)
     else:
         value = (
             (math.sqrt((1.0 + da) ** 2 + 4.0 * ta**2 * da**2) - da - 1.0) / 2.0
             if down
             else (2.0 * ta - 1.0) * da - 1.0
         )
-        cb_star = min(db, _stable_bound(caps, da, False))
-        arg = (da, cb_star, da if down else da, db if down else cb_star)
+        cb_star = _stable_bound(caps, da, False)
+        arg = (da, cb_star, da, db if down else cb_star)
 
     if value <= 0.0 or not math.isfinite(value):
         return ThresholdResult(0.0, "analytic", arg, can_entangle=False)
@@ -441,9 +448,11 @@ def optimize_cooperativities(
     Every corner is in the ranked pool, so the result never falls
     below the best corner.  loss_split is checked as in NetworkConfig
     (one share per slot, multiplying to tau_e, each in [tau_e, 1]);
-    ValueError otherwise.  Returns the full cooperativity 4-tuple and
-    the achieved logarithmic negativity.
+    ValueError otherwise, and n_th as in DeviceCaps (finite and >= 0).
+    Returns the full cooperativity 4-tuple and the achieved logarithmic
+    negativity.
     """
+    _check_fields(n_th)
     rv = _as_r(r)
     split = _resolve_split(t, tau_e, loss_split)
     uniform_split = all(f == split[0] for f in split)

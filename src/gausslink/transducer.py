@@ -22,7 +22,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .core import OneModeChannel, TwoModeChannel
+from .core import _FINITE, OneModeChannel, TwoModeChannel
 
 __all__ = [
     "DptParams",
@@ -55,6 +55,22 @@ class UnstableOperatingPointError(ValueError):
     """Blue-detuned operation outside the stability region."""
 
 
+def _check_fields(n_th, tau_a=1.0, tau_b=1.0, c_a=0.0, c_b=0.0, what="cooperativities"):
+    """The field rule of DptParams and DeviceCaps; also checks a lone n_th."""
+    if not (0.0 <= c_a <= _FINITE and 0.0 <= c_b <= _FINITE):
+        raise ValueError(f"{what} must be finite and >= 0, got ({c_a}, {c_b})")
+    if not (0.0 <= tau_a <= 1.0 and 0.0 <= tau_b <= 1.0):
+        raise ValueError(f"transmissivities must lie in [0, 1], got ({tau_a}, {tau_b})")
+    if not (0.0 <= n_th <= _FINITE):
+        raise ValueError(f"thermal occupancy must be finite and >= 0, got {n_th}")
+
+
+def _check_cap(name: str, value, cap: float) -> None:
+    """The cap rule 0 <= value <= cap, with a slack of 1e-12 relative and 1e-15 absolute."""
+    if not (0.0 <= value <= cap * (1.0 + 1e-12) + 1e-15):
+        raise ValueError(f"{name} = {value} violates 0 <= {name} <= {cap}")
+
+
 @dataclass(frozen=True)
 class DptParams:
     """Dimensionless operating point of one transducer.
@@ -72,12 +88,7 @@ class DptParams:
     sigma_b: int = -1
 
     def __post_init__(self):
-        if self.c_a < 0.0 or self.c_b < 0.0:
-            raise ValueError("cooperativities must be >= 0")
-        if not (0.0 <= self.tau_a <= 1.0 and 0.0 <= self.tau_b <= 1.0):
-            raise ValueError("transmissivities must lie in [0, 1]")
-        if self.n_th < 0.0:
-            raise ValueError("thermal occupancy must be >= 0")
+        _check_fields(self.n_th, self.tau_a, self.tau_b, self.c_a, self.c_b)
         if self.sigma_a not in (-1, 1) or self.sigma_b not in (-1, 1):
             raise ValueError("pump signs must be -1 (red) or +1 (blue)")
         if self.sigma_a == 1 and self.sigma_b == 1:
@@ -97,8 +108,8 @@ class PhysicalRates:
     gamma_m: float
 
     def __post_init__(self):
-        if min(self.kappa_a, self.kappa_b, self.gamma_m) <= 0.0:
-            raise ValueError("all rates must be strictly positive")
+        if not all(0.0 < x <= _FINITE for x in (self.kappa_a, self.kappa_b, self.gamma_m)):
+            raise ValueError(f"all rates must be finite and > 0, got {self}")
 
 
 DEFAULT_RATES = PhysicalRates(kappa_a=100.0, kappa_b=100.0, gamma_m=1.0)
@@ -123,12 +134,7 @@ class DeviceCaps:
     rates: PhysicalRates = DEFAULT_RATES
 
     def __post_init__(self):
-        if self.d_a < 0.0 or self.d_b < 0.0:
-            raise ValueError("maximum cooperativities must be >= 0")
-        if not (0.0 <= self.tau_a <= 1.0 and 0.0 <= self.tau_b <= 1.0):
-            raise ValueError("transmissivities must lie in [0, 1]")
-        if self.n_th < 0.0:
-            raise ValueError("thermal occupancy must be >= 0")
+        _check_fields(self.n_th, self.tau_a, self.tau_b, self.d_a, self.d_b, "maximum cooperativities")
 
     def params(self, c_a: float, c_b: float, sigma_a: int = -1, sigma_b: int = -1) -> DptParams:
         """Operating point at the cap transmissivities and noise floor."""
@@ -270,10 +276,10 @@ def _check_loss_split(tau_e: float, split: Sequence[float] | None = None):
         return None
     split = tuple(float(f) for f in split)
     prod = math.prod(split)
-    if abs(prod - tau_e) > 1e-12 * max(1.0, tau_e):
+    if not abs(prod - tau_e) <= 1e-12 * max(1.0, tau_e):
         raise ValueError(f"loss split {split} multiplies to {prod}, expected tau_e={tau_e}")
     for f in split:
-        if f < tau_e - 1e-12 or f > 1.0 + 1e-12:
+        if not (tau_e - 1e-12 <= f <= 1.0 + 1e-12):
             raise ValueError(f"loss share {f} outside [tau_e={tau_e}, 1]")
     return split
 

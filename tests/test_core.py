@@ -40,6 +40,13 @@ class TestSqueezeParam:
         with pytest.raises(ValueError):
             make_tms(-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            SqueezeParam(bad)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            make_tms(bad)
+
 
 class TestMakeTms:
     def test_zero_squeezing_is_vacuum(self):
@@ -218,3 +225,26 @@ class TestTypes:
             TwoModeChannel(np.eye(4), n)
         with pytest.raises(ValueError):
             OneModeChannel(np.eye(2), n[:2, :2])
+
+    @pytest.mark.parametrize("cls, n", [(TwoModeChannel, 4), (OneModeChannel, 2)])
+    def test_channel_keeps_a_read_only_copy(self, cls, n):
+        T, N = np.eye(n), 0.25 * np.eye(n)
+        ch = cls(T, N)
+        T[0, 0] = N[0, 0] = 7.0
+        assert ch.T[0, 0] == 1.0 and ch.N[0, 0] == 0.25
+        for m in (ch.T, ch.N):
+            with pytest.raises(ValueError):
+                m[0, 0] = 2.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_matrices_reject_non_finite_entries(self, bad):
+        m = 0.5 * np.eye(4)
+        m[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            CovMat2(m)
+        for n, cls in ((4, TwoModeChannel), (2, OneModeChannel)):
+            ok = np.eye(n)
+            with pytest.raises(ValueError, match="non-finite"):
+                cls(m[:n, :n], ok)
+            with pytest.raises(ValueError, match="non-finite"):
+                cls(ok, m[:n, :n])

@@ -302,11 +302,16 @@ class TestCli:
             ("ebit-rate", {"fiber_km": 1e5}, []),
             ("device-run", {"jobs": 0}, []),
             ("threshold-vs-da", {}, ["--jobs", "-3"]),
+            ("ebit-rate",
+             {"caps": {"d_a": math.nan, "d_b": 1, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0}}, []),
+            ("ebit-rate", {"caps": {"d_a": 1, "d_b": 1, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0,
+                                    "kappa_a": math.inf, "kappa_b": 50, "gamma_m": 1}}, []),
         ],
         ids=["negative-cap", "scalar-for-list", "partial-rates", "zero-points",
              "negative-fiber", "negative-seed", "negative-loss-max", "zero-d_a", "gain-tau_e",
              "tau-above-1", "negative-squeezing", "one-entry-d_a_range", "seed-beyond-64-bits",
-             "underflowing-fiber-loss", "zero-jobs", "negative-jobs"],
+             "underflowing-fiber-loss", "zero-jobs", "negative-jobs", "nan-d_a",
+             "infinite-kappa_a"],
     )
     def test_invalid_config_is_config_error(self, command, config, argv, tmp_path, capsys):
         path = tmp_path / "cfg.json"

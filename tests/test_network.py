@@ -344,6 +344,12 @@ class TestMmState:
         with pytest.raises(ValueError, match="C_a,1 .* <= 50"):
             mm_state(Topology.down(MoKind.EO), self.cfg(c_a1=51.0))
 
+    @pytest.mark.parametrize("field", ["c_a1", "c_b1", "c_a2", "c_b2"])
+    def test_nan_cooperativity_rejected(self, field):
+        for t in (Topology.down(MoKind.EO), Topology.swap_sym(MoKind.EO)):
+            with pytest.raises(ValueError, match="nan violates"):
+                mm_log_negativity(t, self.cfg(**{field: math.nan}))
+
     def test_unstable_source_reports_bound(self):
         with pytest.raises(UnstableOperatingPointError, match="C_b"):
             mm_state(Topology.swap_sym(MoKind.IM), self.cfg(c_a1=2.0, c_b1=8.0))
@@ -385,6 +391,14 @@ class TestMmState:
                 msg = str(err.value)
                 assert f"{kind.name} source unstable: {name} = {c_blue}" in msg
                 assert float(msg.rsplit(f"{name} < ", 1)[1]) == pytest.approx(bound, rel=1e-12)
+
+    def test_nan_split_rejected(self):
+        for split in ((math.nan, math.nan), (math.nan, 0.5)):
+            with pytest.raises(ValueError, match="multiplies|outside"):
+                mm_state(
+                    Topology.down(MoKind.EO),
+                    NetworkConfig(self.caps, 10, 5, 10, 5, r=0.5, tau_e=0.5, loss_split=split),
+                )
 
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError, match="multiplies"):

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from gausslink import (
+    DeviceCaps,
     DptParams,
     InvalidOperatingModeError,
+    NetworkConfig,
+    Topology,
     UnstableOperatingPointError,
     balanced_physicality_check,
     log_negativity,
     min_sympl_eig_pt,
+    mm_state,
     mo_state,
     mo_state_via_composition,
 )
@@ -177,6 +181,20 @@ class TestValidation:
             mo_state(MoKind.IO, p)
         with pytest.raises(UnstableOperatingPointError):
             mo_state_via_composition(MoKind.IO, p)
+
+    @pytest.mark.parametrize(
+        "kind, c_a, c_b", [(MoKind.IO, 5.0, 1.0), (MoKind.IM, 1.0, 5.0)], ids=["IO", "IM"]
+    )
+    def test_unstable_message_matches_mm_state(self, kind, c_a, c_b):
+        caps = DeviceCaps(10.0, 10.0, 0.9, 0.9, 0.1)
+        sigmas = (1, -1) if kind is MoKind.IO else (-1, 1)
+        with pytest.raises(UnstableOperatingPointError) as mo:
+            mo_state(kind, caps.params(c_a, c_b, *sigmas))
+        with pytest.raises(UnstableOperatingPointError) as mm:
+            mm_state(Topology.swap_sym(kind), NetworkConfig(caps, c_a, c_b, c_a, c_b))
+        name, value = ("C_a", c_a) if kind is MoKind.IO else ("C_b", c_b)
+        assert str(mo.value) == str(mm.value)
+        assert str(mo.value).startswith(f"{kind.name} source unstable: {name} = {value} violates")
 
     def test_intrinsic_ignores_squeezing_argument(self, rng):
         p = random_source_params(rng, MoKind.IM)

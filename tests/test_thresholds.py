@@ -75,6 +75,23 @@ class TestAnalyticTable:
         with pytest.raises(ValueError):
             analytic_threshold(Topology.swap_sym(MoKind.EM), caps, 0.0, c_a=11.0)
 
+    def test_cooperativities_only_on_em_rows(self):
+        caps = DeviceCaps(100.0, 10.0, 0.9, 0.8, 0.0)
+        for kind in (MoKind.EO, MoKind.IO, MoKind.IM):
+            for t in (Topology.down(kind), Topology.swap_sym(kind)):
+                for kw in (dict(c_a=11.0, c_b=10.0), dict(c_a=11.0), dict(c_b=5.0)):
+                    with pytest.raises(ValueError, match="only to extrinsic-microwave"):
+                        analytic_threshold(t, caps, 0.5, **kw)
+
+    @pytest.mark.parametrize(
+        "c_a, c_b", [(1e6, 10.0), (11.0, -3.0), (math.nan, 10.0), (11.0, math.inf)]
+    )
+    def test_em_point_must_lie_within_the_caps(self, c_a, c_b):
+        caps = DeviceCaps(100.0, 10.0, 0.9, 0.8, 0.0)
+        for t in (Topology.down(MoKind.EM), Topology.swap_sym(MoKind.EM)):
+            with pytest.raises(ValueError, match="violates 0 <= c_"):
+                analytic_threshold(t, caps, 0.0, c_a=c_a, c_b=c_b)
+
     def test_all_cells_below_global_bound(self, rng):
         # EM cells are sampled at supplied cooperativities (their table
         # entries are parameterized); the other rows are the optimized cells
@@ -368,6 +385,15 @@ class TestOptimizeCooperativities:
                 Topology.swap_sym(MoKind.EO), caps, 0.0, 0.5,
                 tau_e=0.5, loss_split=split, n_starts=1, nm_max_iter=10,
             )
+
+    @pytest.mark.parametrize("n_th", [-5.0, math.nan, math.inf])
+    def test_rejects_an_invalid_n_th(self, n_th):
+        caps = DeviceCaps(50.0, 8.0, 0.9, 0.85, 0.0)
+        t = Topology.swap_sym(MoKind.EO)
+        with pytest.raises(ValueError, match="thermal occupancy must be finite and >= 0"):
+            optimize_cooperativities(t, caps, n_th, 0.5)
+        with pytest.raises(ValueError, match="thermal occupancy must be finite and >= 0"):
+            optimize_loss_split(t, caps, n_th, 0.5, 0.5)
 
     def test_io_argmax_binds_stability(self):
         caps = DeviceCaps(100.0, 10.0, 0.9, 0.8, 0.0)

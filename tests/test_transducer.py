@@ -217,6 +217,22 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             DptParams(**kwargs)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "cls, good",
+        [
+            (DptParams, dict(c_a=1.0, c_b=2.0, tau_a=0.5, tau_b=0.5, n_th=0.0)),
+            (DeviceCaps, dict(d_a=1.0, d_b=2.0, tau_a=0.5, tau_b=0.5, n_th=0.0)),
+            (PhysicalRates, dict(kappa_a=100.0, kappa_b=100.0, gamma_m=1.0)),
+        ],
+        ids=["DptParams", "DeviceCaps", "PhysicalRates"],
+    )
+    def test_non_finite_fields_rejected(self, cls, good, bad):
+        cls(**good)
+        for field in good:
+            with pytest.raises(ValueError, match=r"(finite|\[0, 1\]).*got"):
+                cls(**{**good, field: bad})
+
 
 class TestFoldExternalLoss:
     def setup_method(self):

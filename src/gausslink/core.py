@@ -261,12 +261,12 @@ def log_negativity(s: BalancedForm) -> float:
     are read by network.mm_log_negativity, which keeps the exact sign.
     """
     nu = min_sympl_eig_pt(s)
+    if not (nu > 0.0):  # NaN fails it too
+        raise ValueError(
+            f"partial-transpose eigenvalue {nu} is not > 0: state {s} is unphysical"
+        )
     if nu >= 0.5:
         return 0.0
-    if nu <= 0.0:
-        raise ValueError(
-            f"nonpositive partial-transpose eigenvalue {nu}: state {s} is unphysical"
-        )
     return -math.log2(2.0 * nu)
 
 

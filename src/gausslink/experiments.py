@@ -24,9 +24,11 @@ import numpy as np
 from . import __version__ as _version
 from .core import BalancedForm, log_negativity, squeeze_db_to_r
 from .network import (
+    ALL_TOPOLOGIES,
     SYMMETRIC_TOPOLOGIES,
     NetworkConfig,
     Topology,
+    _log2_negativity,
     mm_log_negativity,
 )
 from .presets import PRESETS
@@ -40,11 +42,12 @@ from .sampling import (
 from .sources import MoKind, mo_state, mo_state_via_composition
 from .thresholds import (
     _clamp_pair,
+    _CooperativityBox,
     analytic_threshold,
     numeric_threshold,
     optimize_cooperativities,
 )
-from .transducer import DeviceCaps, conversion_channel, dpt_two_mode_channel
+from .transducer import DeviceCaps, PhysicalRates, conversion_channel, dpt_two_mode_channel
 
 __all__ = [
     "ExperimentConfig",
@@ -460,7 +463,11 @@ def _check_thresholds(seed, n):
 
 
 def _check_global_necessary(seed, n):
-    """No symmetric topology entangles once n_th >= tau_a * d_a."""
+    """No symmetric topology entangles once n_th >= tau_a * d_a.
+
+    Searches every draw, without the corner shortcut of
+    optimize_cooperativities, so that the search stays evidence.
+    """
     rng = generator(seed, stream=5)
     worst = 0.0
     tag = ""
@@ -470,9 +477,39 @@ def _check_global_necessary(seed, n):
         caps = replace(caps, n_th=n_th)
         r = rng.uniform(0.0, 1.2)
         topo = SYMMETRIC_TOPOLOGIES[int(rng.integers(len(SYMMETRIC_TOPOLOGIES)))]
-        _, e = optimize_cooperativities(topo, caps, n_th, r, n_starts=4, nm_max_iter=60)
+        _, m = _CooperativityBox.of(topo, caps, n_th, r).search(4, 60)
+        e = _log2_negativity(m)
         if e > worst:
             worst, tag = e, f"{topo.label} draw {i}: caps={caps!r}, r={r!r}"
+    return worst, 0.0, tag
+
+
+def _check_corner_shortcut(seed, n):
+    """Where the all-max corner proves a cell separable, the search finds no margin.
+
+    Draws all 14 topologies with random rates, r and external loss;
+    worst is the largest margin the search finds over the draws where
+    optimize_cooperativities would skip it (at most 0 when sound), and
+    the detail names that closest draw.
+    """
+    rng = generator(seed, stream=7)
+    worst = -math.inf
+    tag = ""
+    for i in range(n):
+        kappa_a, kappa_b = (10.0 ** rng.uniform(-1.0, 2.5, 2)).tolist()
+        caps = random_caps(rng, PhysicalRates(kappa_a, kappa_b, 1.0))
+        caps = replace(caps, n_th=caps.tau_a * caps.d_a * rng.uniform(0.0, 1.0) ** 2)
+        r = rng.uniform(0.0, 1.2)
+        tau_e = rng.uniform(0.3, 1.0)
+        topo = ALL_TOPOLOGIES[int(rng.integers(len(ALL_TOPOLOGIES)))]
+        box = _CooperativityBox.of(topo, caps, caps.n_th, r, tau_e)
+        if not box.corner_separable():
+            continue
+        _, m = box.search(4, 60)
+        if m > worst:
+            worst, tag = m, f"{topo.label} draw {i}: caps={caps!r}, r={r!r}, tau_e={tau_e!r}"
+    if worst == -math.inf:
+        return math.inf, 0.0, "the corner proved no draw separable"
     return worst, 0.0, tag
 
 
@@ -529,6 +566,7 @@ def cmd_validate(cfg: ExperimentConfig) -> tuple[int, dict]:
         ("conversion_trace", _check_conversion_trace, max(n // 10, 100)),
         ("threshold_agreement", _check_thresholds, max(n // 1000, 10)),
         ("global_necessary_condition", _check_global_necessary, max(n // 20, 50)),
+        ("corner_shortcut", _check_corner_shortcut, max(n // 20, 50)),
         ("loss_split_optimality", _check_split_optimality, max(n // 2500, 6)),
         ("determinism", _check_determinism, 1000),
     ]

@@ -30,11 +30,23 @@ _F_TOL = 1e-10
 _POLISH_WIDTH, _POLISH_ITERS = 0.02, 40
 
 
+def _check_box(lo: Sequence[float], hi: Sequence[float]) -> None:
+    """Raise ValueError unless every bound is finite and lo <= hi, axis by axis."""
+    for l, h in zip(lo, hi):
+        if not (-math.inf < l <= h < math.inf):
+            raise ValueError(f"box bounds must be finite with lo <= hi, got [{l}, {h}]")
+
+
 def golden_max_1d(
     f: Callable[[float], float], lo: float, hi: float, *, iters: int = 60
 ) -> tuple[float, float]:
-    """Golden-section maximization of f on [lo, hi]."""
-    a, b = lo, hi
+    """Golden-section maximization of f on [lo, hi]; ValueError for a bad bracket."""
+    _check_box((lo,), (hi,))
+    return _golden(f, lo, hi, iters)
+
+
+def _golden(f, a, b, iters):
+    """golden_max_1d on a checked bracket [a, b]."""
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
@@ -116,10 +128,12 @@ def maximize_box(
 
     Starts are projected onto the box and evaluated before their simplex
     runs, so the returned value is never below the best start: corner
-    candidates passed here give a hard floor.
+    candidates passed here give a hard floor.  ValueError unless every
+    bound is finite and lo <= hi.
     """
     lo = [float(v) for v in lo]
     hi = [float(v) for v in hi]
+    _check_box(lo, hi)
     dim = len(lo)
 
     best_x, best_f = None, -math.inf
@@ -147,7 +161,7 @@ def maximize_box(
                 return f(probe)
 
             a, b = max(lo[i], base[i] - w), min(hi[i], base[i] + w)
-            xi, fxi = golden_max_1d(fi, a, b, iters=_POLISH_ITERS)
+            xi, fxi = _golden(fi, a, b, _POLISH_ITERS)
             if fxi > best_f:
                 best_x = list(base)
                 best_x[i] = xi

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .network import (
 from .optimize import golden_max_1d, maximize_box
 from .sources import _EM, _EO, _IM, _IO, MoKind
 from .transducer import (
+    STRICT_MARGIN,
     DeviceCaps,
     _blue_cap,
     _check_cap,
@@ -120,18 +122,28 @@ def _numeric_gap(c_minus: float) -> float:
 def _stable_bound(caps: DeviceCaps, c_red: float, optical_blue: bool) -> float:
     """Largest numerically safe cooperativity of the blue-pumped side.
 
-    The side is picked as in _blue_cap; the result is clipped to its cap.
+    The side is picked as in _blue_cap.  The result is the largest float
+    that is stable (below _blue_cap by more than STRICT_MARGIN) and
+    passes _numeric_ok, clipped to the side's cap: the supremum of the
+    region that the guarded searches explore.  The numeric gap applies
+    to the first stability criterion only, the one whose singularity
+    it keeps away from.
     """
-    cap = _blue_cap(c_red, caps.rates, optical_blue) - _numeric_gap(c_red)
+    stable = math.nextafter(_blue_cap(c_red, caps.rates, optical_blue) - STRICT_MARGIN, -math.inf)
+    cap = min(stable, 1.0 + c_red - _numeric_gap(c_red))
     return min(caps.d_a if optical_blue else caps.d_b, max(cap, 0.0))
 
 
 def _numeric_ok(kind: MoKind, c_a, c_b) -> bool:
-    """Whether (c_a, c_b) keeps the numeric gap; elementwise on numpy arrays."""
+    """Whether (c_a, c_b) keeps the numeric gap; elementwise on numpy arrays.
+
+    The bound is rounded as in _stable_bound, so that a point clamped
+    there (a corner of _corner_candidates) passes.
+    """
     if kind is _IO:
-        return 1.0 + c_b - c_a >= _numeric_gap(c_b)
+        return c_a <= 1.0 + c_b - _numeric_gap(c_b)
     if kind is _IM:
-        return 1.0 + c_a - c_b >= _numeric_gap(c_a)
+        return c_b <= 1.0 + c_a - _numeric_gap(c_a)
     return True
 
 
@@ -425,6 +437,73 @@ def _ranked_starts(margin, hi, corners, n):
     return starts
 
 
+@dataclass(frozen=True)
+class _CooperativityBox:
+    """The search problem of optimize_cooperativities, inputs checked.
+
+    margin is the guarded margin over the box [0, hi]: over one
+    transducer's (c_a, c_b) when mirrored, else over all four
+    cooperativities.  corners seed the ranked pool; corners[0] is the
+    clamped all-max corner.  corner_decides is False where that corner
+    does not bound the margin from above (an EM source at r > 0).
+    """
+
+    margin: Callable
+    hi: list[float]
+    corners: list
+    mirrored: bool
+    corner_decides: bool
+
+    @classmethod
+    def of(cls, t, caps, n_th, r, tau_e=1.0, loss_split=None) -> "_CooperativityBox":
+        """Check the inputs as optimize_cooperativities does and build its box."""
+        _check_fields(n_th)
+        rv = _as_r(r)
+        split = _resolve_split(t, tau_e, loss_split)
+        uniform_split = all(f == split[0] for f in split)
+        mirrored = uniform_split and (
+            (t.scheme == "swap" and t.is_symmetric)
+            or (t.scheme == "down" and t.kinds[0] is _EO)
+        )
+        if mirrored:
+            margin = _margin_fn(t, caps, n_th, rv, split, guard=True)
+            hi = [caps.d_a, caps.d_b]
+            corners = _corner_candidates(t.kinds[0], caps)
+        else:
+            margin = _margin_fn4(t, caps, n_th, rv, split, guard=True)
+            hi = [caps.d_a, caps.d_b, caps.d_a, caps.d_b]
+            k1 = t.kinds[0]
+            k2 = t.kinds[1] if t.scheme == "swap" else None
+            cands1 = _corner_candidates(k1, caps)[:3]
+            cands2 = _corner_candidates(k2, caps)[:3] if k2 else [(caps.d_a, caps.d_b)]
+            corners = [list(p1) + list(p2) for p1 in cands1 for p2 in cands2]
+        return cls(margin, hi, corners, mirrored, not (rv > 0.0 and _EM in t.kinds))
+
+    def full(self, x) -> tuple[float, float, float, float]:
+        """The cooperativity 4-tuple of a point of the box."""
+        return (x[0], x[1], x[0], x[1]) if self.mirrored else tuple(x)
+
+    def corner_separable(self) -> bool:
+        """Whether the clamped all-max corner proves that no point entangles.
+
+        True where corner_decides holds and the margin there is finite and
+        <= 0; see optimize_cooperativities for the proof.
+        """
+        return self.corner_decides and -math.inf < self.margin(self.corners[0]) <= 0.0
+
+    def search(self, n_starts: int, nm_max_iter: int) -> tuple[list[float], float]:
+        """Nelder-Mead from the n_starts best of the ranked pool, then a polish.
+
+        Runs nm_max_iter iterations per start in 2-D, twice that in 4-D.
+        Returns the best point of the box and its margin.
+        """
+        starts = _ranked_starts(self.margin, self.hi, self.corners, n_starts)
+        return maximize_box(
+            self.margin, [0.0] * len(self.hi), self.hi, starts,
+            nm_max_iter=nm_max_iter * len(self.hi) // 2,
+        )
+
+
 def optimize_cooperativities(
     t: Topology,
     caps: DeviceCaps,
@@ -451,33 +530,31 @@ def optimize_cooperativities(
     ValueError otherwise, and n_th as in DeviceCaps (finite and >= 0).
     Returns the full cooperativity 4-tuple and the achieved logarithmic
     negativity.
+
+    Before any search the guarded margin is evaluated once at the
+    clamped all-max corner: every node at _corner_candidates(kind,
+    caps)[0], a downconverter at (d_a, d_b).  If it is finite and <= 0
+    there, that corner is returned with exactly 0.0 and nothing is
+    searched.  This is exact: the sign of the output defect P factorises
+    over the nodes through each source's ratio rho = P/B, taken after
+    its loss share.  A swap entangles iff 1 + rho_1 + rho_2 < 0, a
+    downconversion iff rho_0 + n_th / (tau_a split[-1] C_a2) < 0, and a
+    node with B = 0 also has c = 0, so it cannot entangle.  Each rho is
+    smallest at that corner: EO has rho = sh^2 (n - tau' C_a) / (n +
+    tau' C_a sh^2), IO rho = -tau_a C_a / (C_a + n) at the largest
+    stable C_a, which is at C_b = d_b, and IM rho = -tau_a C_a / (C_a +
+    n + 1); all three fall as C_a grows and do not depend on C_b, and EM
+    at r = 0 has B = 0.  The clamp (_stable_bound) is the largest C_a
+    that the guard and the stability check admit, so no point of the
+    search beats the corner.  EM at r > 0, whose rho has an interior
+    minimum, and a corner that the guard rejects (-inf) are searched as
+    before.
     """
-    _check_fields(n_th)
-    rv = _as_r(r)
-    split = _resolve_split(t, tau_e, loss_split)
-    uniform_split = all(f == split[0] for f in split)
-    mirrored = uniform_split and (
-        (t.scheme == "swap" and t.is_symmetric)
-        or (t.scheme == "down" and t.kinds[0] is _EO)
-    )
-    if mirrored:
-        margin = _margin_fn(t, caps, n_th, rv, split, guard=True)
-        hi = [caps.d_a, caps.d_b]
-        corners = _corner_candidates(t.kinds[0], caps)
-        iters = nm_max_iter
-    else:
-        margin = _margin_fn4(t, caps, n_th, rv, split, guard=True)
-        hi = [caps.d_a, caps.d_b, caps.d_a, caps.d_b]
-        k1 = t.kinds[0]
-        k2 = t.kinds[1] if t.scheme == "swap" else None
-        cands1 = _corner_candidates(k1, caps)[:3]
-        cands2 = _corner_candidates(k2, caps)[:3] if k2 else [(caps.d_a, caps.d_b)]
-        corners = [list(p1) + list(p2) for p1 in cands1 for p2 in cands2]
-        iters = 2 * nm_max_iter
-    starts = _ranked_starts(margin, hi, corners, n_starts)
-    x, m = maximize_box(margin, [0.0] * len(hi), hi, starts, nm_max_iter=iters)
-    cs = (x[0], x[1], x[0], x[1]) if mirrored else tuple(x)
-    return cs, _log2_negativity(m)
+    box = _CooperativityBox.of(t, caps, n_th, r, tau_e, loss_split)
+    if box.corner_separable():
+        return box.full(box.corners[0]), 0.0
+    x, m = box.search(n_starts, nm_max_iter)
+    return box.full(x), _log2_negativity(m)
 
 
 def optimize_loss_split(

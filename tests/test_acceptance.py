@@ -48,6 +48,7 @@ from gausslink.sampling import (
     random_source_params,
 )
 from gausslink.sources import MoKind
+from gausslink.thresholds import _CooperativityBox
 
 SEED = 20260808
 
@@ -333,7 +334,9 @@ def test_criterion_7_global_necessary_condition():
         cfg = NetworkConfig(caps, c_a, c_b, c_a, c_b, r=r)
         assert mm_log_negativity(t, cfg) == 0.0, (i, t.label, caps)
         checked += 1
-    # and with the cooperativity optimizer in the loop on a subset
+    # and with the cooperativity search in the loop on a subset; the search
+    # runs on every config, and the all-max corner must prove each one
+    # separable wherever it decides (all but EM at r > 0)
     for i in range(100):
         caps = DeviceCaps(
             10.0 ** rng.uniform(-1.0, 3.0), 10.0 ** rng.uniform(-1.0, 2.0),
@@ -342,9 +345,10 @@ def test_criterion_7_global_necessary_condition():
         n_th = caps.tau_a * caps.d_a * 1.000001
         caps = DeviceCaps(caps.d_a, caps.d_b, caps.tau_a, caps.tau_b, n_th)
         t = SYMMETRIC_TOPOLOGIES[i % len(SYMMETRIC_TOPOLOGIES)]
-        _, e = optimize_cooperativities(t, caps, n_th, rng.uniform(0.0, 1.2),
-                                        n_starts=6, nm_max_iter=80)
-        assert e == 0.0, (i, t.label, caps)
+        box = _CooperativityBox.of(t, caps, n_th, rng.uniform(0.0, 1.2))
+        _, m = box.search(6, 80)
+        assert m <= 0.0, (i, t.label, caps)
+        assert box.corner_separable() == box.corner_decides, (i, t.label, caps)
     _report(7, f"{checked} random configs + 100 optimized configs all separable")
 
 

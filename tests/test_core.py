@@ -168,6 +168,18 @@ class TestEntanglementMeasures:
         s = BalancedForm.from_cov(make_tms(0.58))
         assert log_negativity(s) == pytest.approx(2.0 * 0.58 / math.log(2.0), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "s",
+        [
+            BalancedForm(math.nan, 1.0, 0.0),
+            BalancedForm(1.0, 1.0, math.nan),
+            BalancedForm(0.1, 0.1, 0.2),  # nu = -0.1
+        ],
+    )
+    def test_nan_or_nonpositive_eigenvalue_rejected(self, s):
+        with pytest.raises(ValueError, match="is not > 0"):
+            log_negativity(s)
+
 
 class TestPhysicality:
     def test_vacuum_physical(self):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gausslink.optimize import _POLISH_WIDTH, maximize_box
+from gausslink.optimize import _POLISH_WIDTH, golden_max_1d, maximize_box
 
 
 def _bumpy(x):
@@ -83,3 +83,32 @@ def test_peak_on_a_cliff_inside_the_polish_bracket():
         assert v == pytest.approx(1.0, rel=1e-12)
         assert cliff - _POLISH_WIDTH < x[0] <= cliff
         assert abs(x[1] - peak_y) < _POLISH_WIDTH
+
+
+BAD_BOUNDS = [
+    (math.nan, 1.0),
+    (0.0, math.nan),
+    (1.0, 0.0),
+    (-math.inf, 1.0),
+    (0.0, math.inf),
+]
+
+
+@pytest.mark.parametrize("lo, hi", BAD_BOUNDS)
+def test_golden_rejects_a_bad_bracket(lo, hi):
+    with pytest.raises(ValueError, match="box bounds must be finite with lo <= hi"):
+        golden_max_1d(lambda v: -v * v, lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", BAD_BOUNDS)
+def test_maximize_box_rejects_a_bad_box(lo, hi):
+    # the bad bound sits on the second axis; the first is fine
+    with pytest.raises(ValueError, match="box bounds must be finite with lo <= hi"):
+        maximize_box(_bumpy, [0.0, lo], [1.0, hi], [[0.5, 0.5]])
+
+
+def test_a_degenerate_box_is_accepted():
+    x, v = golden_max_1d(lambda v: -v * v, 0.25, 0.25)
+    assert (x, v) == (0.25, -0.0625)
+    x, v = maximize_box(_bumpy, [0.25, 0.0], [0.25, 1.0], [[0.5, 0.5]])
+    assert x[0] == 0.25 and v == _bumpy(x)

@@ -15,10 +15,12 @@ from gausslink import (
     optimize_cooperativities,
     optimize_loss_split,
 )
-from gausslink.network import ALL_TOPOLOGIES, default_loss_split
-from gausslink.sampling import random_caps
+from gausslink.experiments import ExperimentConfig, cmd_device_run
+from gausslink.network import ALL_TOPOLOGIES, default_loss_split, loss_slot_count
+from gausslink.sampling import generator, random_caps
 from gausslink.sources import MoKind
 from gausslink.thresholds import (
+    _CooperativityBox,
     _em_down_cell,
     _em_swap_cell,
     _margin_fn,
@@ -399,6 +401,115 @@ class TestOptimizeCooperativities:
         caps = DeviceCaps(100.0, 10.0, 0.9, 0.8, 0.0)
         res = numeric_threshold(Topology.swap_sym(MoKind.IO), caps, 0.0)
         assert res.argmax[0] == pytest.approx(max_stable_ca(caps, res.argmax[1]), rel=1e-6)
+
+
+def _dense_grid(hi):
+    """0, each cap, and a log and a linear ladder between them, on every axis."""
+    k = 100 if len(hi) == 2 else 6
+    axes = [
+        np.unique(np.concatenate([[0.0], h * np.geomspace(1e-6, 1.0, k), np.linspace(0.0, h, k)]))
+        for h in hi
+    ]
+    return np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(hi), -1)
+
+
+def _corner_threshold(t, caps, r, tau_e, split):
+    """n_th at which the all-max corner's margin turns <= 0, by bisection."""
+    lo, hi = 0.0, caps.tau_a * caps.d_a
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        box = _CooperativityBox.of(t, caps, mid, r, tau_e, split)
+        lo, hi = (lo, mid) if box.margin(box.corners[0]) <= 0.0 else (mid, hi)
+    return hi
+
+
+def _shortcut_draw(rng, t):
+    """(caps, n_th, r, tau_e, split) with random rates and edge cases mixed in.
+
+    The split is uniform (the mirrored 2-D search), the default one, or
+    random shares.  r is 0 in a fifth of the draws and d_b tiny in about
+    a seventh; n_th is 0 in a fifth, within 1e-6 above the n_th at which
+    the corner's margin changes sign in a third, and spread over four
+    decades below tau_a d_a otherwise.
+    """
+    kappa_a, kappa_b = (10.0 ** rng.uniform(-1.0, 2.5, 2)).tolist()
+    rates = PhysicalRates(kappa_a, kappa_b, 10.0 ** rng.uniform(-1.0, 1.0))
+    tiny = rng.uniform() < 0.15
+    d_b = 10.0 ** (rng.uniform(-9.0, -5.0) if tiny else rng.uniform(-2.0, 3.0))
+    caps = DeviceCaps(
+        10.0 ** rng.uniform(-2.0, 4.0), d_b, rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0),
+        0.0, rates,
+    )
+    r = 0.0 if rng.uniform() < 0.2 else rng.uniform(0.0, 1.5)
+    n = loss_slot_count(t)
+    kind = rng.integers(3)
+    if kind == 0:
+        split = [rng.uniform(0.3, 1.0)] * n
+    elif kind == 1:
+        split = list(default_loss_split(t, rng.uniform(0.3, 1.0)))
+    else:
+        split = rng.uniform(0.3, 1.0, n).tolist()
+    tau_e, split = math.prod(split), tuple(split)
+    u = rng.uniform()
+    if u < 0.2:
+        n_th = 0.0
+    elif u < 0.53:
+        n_th = _corner_threshold(t, caps, r, tau_e, split) * (1.0 + 10.0 ** rng.uniform(-9.0, -6.0))
+    else:
+        n_th = caps.tau_a * caps.d_a * 10.0 ** rng.uniform(-4.0, 0.0)
+    return caps, n_th, r, tau_e, split
+
+
+class TestCornerShortcut:
+    """optimize_cooperativities skips its search where the all-max corner
+    proves a cell separable."""
+
+    def test_sound_on_random_draws(self):
+        # wherever the shortcut fires, neither a dense grid of the guarded
+        # margin nor the full search finds a positive margin
+        rng = generator(20260808, stream=110)
+        fired = mirrored = 0
+        for i in range(560):
+            t = ALL_TOPOLOGIES[i % len(ALL_TOPOLOGIES)]
+            caps, n_th, r, tau_e, split = _shortcut_draw(rng, t)
+            box = _CooperativityBox.of(t, caps, n_th, r, tau_e, split)
+            if not box.corner_separable():
+                continue
+            config = (i, t.label, caps, n_th, r, split)
+            assert np.max(box.margin(_dense_grid(box.hi))) <= 0.0, config
+            assert box.search(16, 250)[1] <= 0.0, config
+            fired += 1
+            mirrored += box.mirrored
+        assert fired >= 200 and mirrored >= 30, (fired, mirrored)
+
+    @pytest.mark.parametrize(
+        "t",
+        [Topology.down(k) for k in (MoKind.EO, MoKind.IO, MoKind.IM)]
+        + [Topology.swap_sym(k) for k in (MoKind.EO, MoKind.IO, MoKind.IM)],
+        ids=lambda t: t.label,
+    )
+    def test_fires_exactly_above_the_analytic_threshold(self, t):
+        rng = generator(20260808, stream=111)
+        checked = 0
+        for _ in range(40):
+            kappa_a, kappa_b = (10.0 ** rng.uniform(-1.0, 2.5, 2)).tolist()
+            caps = random_caps(rng, PhysicalRates(kappa_a, kappa_b, 1.0))
+            r = rng.uniform(0.1, 1.2)
+            res = analytic_threshold(t, caps, r)
+            if not res.can_entangle:
+                continue
+            for factor, fires in ((1.0 + 1e-6, True), (1.0 - 1e-6, False)):
+                box = _CooperativityBox.of(t, caps, res.n_th_max * factor, r)
+                assert box.corner_separable() is fires, (t.label, caps, r, factor)
+            checked += 1
+        assert checked >= 10
+
+    def test_device_run_unchanged_without_the_shortcut(self, monkeypatch):
+        cfg = ExperimentConfig(experiment="device-run", points=13, jobs=1)
+        _, text = cmd_device_run(cfg)
+        monkeypatch.setattr(_CooperativityBox, "corner_separable", lambda box: False)
+        _, searched = cmd_device_run(cfg)
+        assert text == searched
 
 
 class TestOptimizeLossSplit:

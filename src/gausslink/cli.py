@@ -19,10 +19,12 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from .experiments import (
     ExperimentConfig,
+    OutputError,
     cmd_device_run,
     cmd_ebit_rate,
     cmd_threshold_vs_da,
@@ -101,6 +103,24 @@ def _is_number(v) -> bool:
     return type(v) in (int, float)
 
 
+def _check_out(path: str) -> None:
+    """ConfigError unless path names a file that can be created or replaced.
+
+    Checked before a command runs, so that a sweep does not run only to
+    fail at its last step; a failure of the write itself is an OutputError.
+    """
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        reason = f"no directory {folder}"
+    elif os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise ConfigError(f"cannot write {path}: {reason}")
+
+
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.preset:
@@ -143,6 +163,8 @@ def _load_config(args) -> ExperimentConfig:
                     ("fiber loss", cfg.fiber_km * cfg.loss_db_per_km)):
         if not 10.0 ** (-db / 10.0) > 0.0:
             raise ConfigError(f"{key} of {db} dB leaves a transmissivity of 0")
+    if cfg.out:
+        _check_out(cfg.out)
     if getattr(args, "quick", False):
         cfg.checks_n = 2000
     return cfg
@@ -195,28 +217,32 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "threshold-vs-da":
-        rows, text = cmd_threshold_vs_da(cfg)
-        if not cfg.out:
-            sys.stdout.write(text)
-    elif args.command == "threshold-vs-loss":
-        rows, slopes, text = cmd_threshold_vs_loss(cfg)
-        if not cfg.out:
-            sys.stdout.write(text)
-        else:
-            clean = {k: (None if math.isnan(v) else v) for k, v in slopes.items()}
-            print(json.dumps({"slopes": clean}, indent=2, sort_keys=True))
-    elif args.command == "device-run":
-        rows, text = cmd_device_run(cfg)
-        if not cfg.out:
-            sys.stdout.write(text)
-    elif args.command == "ebit-rate":
-        report = cmd_ebit_rate(cfg)
-        print(json.dumps(report, indent=2, sort_keys=True))
-    elif args.command == "validate":
-        code, report = cmd_validate(cfg)
-        _print_validation(report)
-        return code
+    try:
+        if args.command == "threshold-vs-da":
+            rows, text = cmd_threshold_vs_da(cfg)
+            if not cfg.out:
+                sys.stdout.write(text)
+        elif args.command == "threshold-vs-loss":
+            rows, slopes, text = cmd_threshold_vs_loss(cfg)
+            if not cfg.out:
+                sys.stdout.write(text)
+            else:
+                clean = {k: (None if math.isnan(v) else v) for k, v in slopes.items()}
+                print(json.dumps({"slopes": clean}, indent=2, sort_keys=True))
+        elif args.command == "device-run":
+            rows, text = cmd_device_run(cfg)
+            if not cfg.out:
+                sys.stdout.write(text)
+        elif args.command == "ebit-rate":
+            report = cmd_ebit_rate(cfg)
+            print(json.dumps(report, indent=2, sort_keys=True))
+        elif args.command == "validate":
+            code, report = cmd_validate(cfg)
+            _print_validation(report)
+            return code
+    except OutputError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -136,18 +136,28 @@ def _write_csv(path, header_lines, columns, rows) -> str:
     for row in rows:
         writer.writerow([_fmt(row[c]) for c in columns])
     text = buf.getvalue()
-    if path:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+    _write_out(path, text)
     return text
 
 
 def _write_json(path, report: dict) -> None:
     # serialise first, so a report that cannot be encoded leaves no file
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w") as fh:
+    _write_out(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
+class OutputError(OSError):
+    """An output file could not be written; the message names its path."""
+
+
+def _write_out(path, text: str) -> None:
+    """Write text to path, if one is given; OutputError if that fails."""
+    if not path:
+        return
+    try:
+        with open(path, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _map_points(fn, args_list, jobs):

@@ -64,8 +64,11 @@ def _golden(f, a, b, iters):
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def _nelder_mead(f, x0, lo, hi, max_iter):
-    """Projected Nelder-Mead maximization; returns (x_best, f_best)."""
+def _nelder_mead(f, x0, f0, lo, hi, max_iter):
+    """Projected Nelder-Mead maximization from x0 in the box, where f(x0) = f0.
+
+    Returns (x_best, f_best).
+    """
     dim = len(x0)
     bounds = list(zip(lo, hi))
 
@@ -73,13 +76,13 @@ def _nelder_mead(f, x0, lo, hi, max_iter):
         return [l if v < l else (h if v > h else v) for v, (l, h) in zip(x, bounds)]
 
     # initial simplex: x0 plus 5% of the box span along each axis
-    simplex = [clip(x0)]
+    simplex = [x0]
     for i in range(dim):
         step = 0.05 * (hi[i] - lo[i])
-        x = list(simplex[0])
+        x = list(x0)
         x[i] = x[i] + step if x[i] + step <= hi[i] else x[i] - step
         simplex.append(clip(x))
-    values = [f(x) for x in simplex]
+    values = [f0] + [f(x) for x in simplex[1:]]
 
     for _ in range(max_iter):
         order = sorted(range(dim + 1), key=values.__getitem__, reverse=True)
@@ -126,9 +129,9 @@ def maximize_box(
 ) -> tuple[list[float], float]:
     """Maximize f over the box [lo, hi], running Nelder-Mead from each start.
 
-    Starts are projected onto the box and evaluated before their simplex
-    runs, so the returned value is never below the best start: corner
-    candidates passed here give a hard floor.  ValueError unless every
+    Starts are projected onto the box and evaluated once, as the first
+    vertex of their simplex, so the returned value is never below the
+    best start: corner candidates passed here give a hard floor.  ValueError unless every
     bound is finite and lo <= hi.
     """
     lo = [float(v) for v in lo]
@@ -142,7 +145,7 @@ def maximize_box(
         fx = f(x)
         if fx > best_f:
             best_x, best_f = x, fx
-        xo, fo = _nelder_mead(f, x, lo, hi, nm_max_iter)
+        xo, fo = _nelder_mead(f, x, fx, lo, hi, nm_max_iter)
         if fo > best_f:
             best_x, best_f = xo, fo
     if best_x is None:

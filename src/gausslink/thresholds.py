@@ -15,6 +15,7 @@ bisection bracket.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -26,11 +27,13 @@ from .network import (
     Topology,
     _log2_negativity,
     _margin_of_excess,
-    _mm_excess,
+    _mm_excess_fn,
     _resolve_split,
     default_loss_split,
     loss_slot_count,
 )
+# the benchmark's tracer (perfbench/tracer.py) patches thresholds._mm_excess by name
+from .network import _mm_excess  # noqa: F401
 from .optimize import golden_max_1d, maximize_box
 from .sources import _EM, _EO, _IM, _IO, MoKind
 from .transducer import (
@@ -107,16 +110,16 @@ def max_stable_ca(caps: DeviceCaps, c_b: float) -> float:
     return lo
 
 
-def _numeric_gap(c_minus: float) -> float:
-    """Minimum distance to the squeezing-interaction singularity.
+def _gap_cap(c_minus):
+    """Largest C_+ that keeps the numeric gap from the squeezing singularity.
 
     State components grow like 1/(1 + C_- - C_+)**2, so points closer to
-    the boundary than this lose the entanglement margin to float
-    cancellation.  Keeping the search this far out shifts optimized
-    quantities by at most ~1e-8 relative, well inside every tolerance
-    used here.
+    the boundary C_+ = 1 + C_- than a gap of 1e-8 (1 + C_-) lose the
+    entanglement margin to float cancellation.  Keeping the search this
+    far out shifts optimized quantities by at most ~1e-8 relative, well
+    inside every tolerance used here.  Elementwise on numpy arrays.
     """
-    return 1e-8 * (1.0 + c_minus)
+    return 1.0 + c_minus - 1e-8 * (1.0 + c_minus)
 
 
 def _stable_bound(caps: DeviceCaps, c_red: float, optical_blue: bool) -> float:
@@ -124,27 +127,28 @@ def _stable_bound(caps: DeviceCaps, c_red: float, optical_blue: bool) -> float:
 
     The side is picked as in _blue_cap.  The result is the largest float
     that is stable (below _blue_cap by more than STRICT_MARGIN) and
-    passes _numeric_ok, clipped to the side's cap: the supremum of the
+    passes _numeric_ok_fn, clipped to the side's cap: the supremum of the
     region that the guarded searches explore.  The numeric gap applies
     to the first stability criterion only, the one whose singularity
     it keeps away from.
     """
     stable = math.nextafter(_blue_cap(c_red, caps.rates, optical_blue) - STRICT_MARGIN, -math.inf)
-    cap = min(stable, 1.0 + c_red - _numeric_gap(c_red))
+    cap = min(stable, _gap_cap(c_red))
     return min(caps.d_a if optical_blue else caps.d_b, max(cap, 0.0))
 
 
-def _numeric_ok(kind: MoKind, c_a, c_b) -> bool:
-    """Whether (c_a, c_b) keeps the numeric gap; elementwise on numpy arrays.
+def _numeric_ok_fn(kind: MoKind):
+    """f(c_a, c_b): whether (c_a, c_b) keeps the numeric gap; None for EO and EM.
 
-    The bound is rounded as in _stable_bound, so that a point clamped
-    there (a corner of _corner_candidates) passes.
+    Elementwise on numpy arrays.  The bound is _gap_cap, as in
+    _stable_bound, so that a point clamped there (a corner of
+    _corner_candidates) passes.
     """
     if kind is _IO:
-        return c_a <= 1.0 + c_b - _numeric_gap(c_b)
+        return lambda c_a, c_b: c_a <= _gap_cap(c_b)
     if kind is _IM:
-        return c_b <= 1.0 + c_a - _numeric_gap(c_a)
-    return True
+        return lambda c_a, c_b: c_b <= _gap_cap(c_a)
+    return None
 
 
 def _em_down_cell(c_a, c_b, tau_a, tau_b, d_a):
@@ -254,35 +258,53 @@ def analytic_threshold(
     return ThresholdResult(value, "analytic", arg, can_entangle=True)
 
 
-def _margin_at(t, caps, n_th, r, cs, split, ok):
-    """Margin at cooperativities cs; -inf where ok fails or a source is unstable.
+def _margin_closure(t, caps, n_th, r, split, layout: str, guard: bool):
+    """Entanglement margin (1/2 - nu) at the point x of a cooperativity layout.
 
-    A float point that fails ok is not evaluated.  Arrays of points (cs[0]
-    is one then) are evaluated everywhere and masked, with the NaN entries
-    of unstable sources set to -inf as well.
+    layout "mirrored": x = (c_a, c_b) sets both transducers; "pinned":
+    x is the source's (c_a, c_b) and the downconverter sits at its caps;
+    "full": x = (c_a1, c_b1, c_a2, c_b2).  The margin is -inf where a
+    source is unstable and, with guard, where node 1 (and in "full" also
+    node 2) misses the numeric gap; a float point that misses it is not
+    evaluated.  x may also hold arrays (x[0] an ndarray) to evaluate
+    many points at once; they are evaluated everywhere and masked, bit
+    for bit equal to the points one at a time.
+
+    Everything fixed for one search (topology, caps, n_th, r, split and
+    layout) is bound here once, by _mm_excess_fn, so one evaluation is
+    a few calls of straight-line float arithmetic.
     """
-    if isinstance(cs[0], np.ndarray):
-        with np.errstate(all="ignore"):  # unstable entries may overflow or divide by 0
-            m = _margin_of_excess(_mm_excess(t, caps, n_th, r, cs, split))
-        return np.where(ok & ~np.isnan(m), m, -np.inf)
-    if not ok:
-        return -math.inf
-    return _margin_of_excess(_mm_excess(t, caps, n_th, r, cs, split))
+    excess = _mm_excess_fn(t, caps, n_th, r, split)
+    full = layout == "full"
+    pin = (caps.d_a, caps.d_b) if layout == "pinned" else None
+    ok1 = _numeric_ok_fn(t.kinds[0]) if guard else None
+    ok2 = _numeric_ok_fn(t.kinds[1]) if guard and full and t.scheme == "swap" else None
+
+    def margin(x):
+        c_a1, c_b1 = x[0], x[1]
+        if full:
+            c_a2, c_b2 = x[2], x[3]
+        elif pin is None:
+            c_a2, c_b2 = c_a1, c_b1
+        else:
+            c_a2, c_b2 = pin
+        ok = True if ok1 is None else ok1(c_a1, c_b1)
+        if ok2 is not None:
+            ok = ok & ok2(c_a2, c_b2)
+        if isinstance(c_a1, np.ndarray):
+            with np.errstate(all="ignore"):  # unstable entries may overflow or divide by 0
+                m = _margin_of_excess(excess(c_a1, c_b1, c_a2, c_b2))
+            return np.where(ok & ~np.isnan(m), m, -np.inf)
+        if not ok:
+            return -math.inf
+        return _margin_of_excess(excess(c_a1, c_b1, c_a2, c_b2))
+
+    return margin
 
 
 def _margin_fn(t, caps, n_th, r, split, guard: bool = False):
-    """Entanglement margin (1/2 - nu) over mirrored (c_a, c_b).
-
-    Like the two closures below, it takes one point or, to evaluate many
-    points at once, x = (c_a array, c_b array).
-    """
-    kind = t.kinds[0]
-
-    def margin(x):
-        ok = not guard or _numeric_ok(kind, x[0], x[1])
-        return _margin_at(t, caps, n_th, r, (x[0], x[1], x[0], x[1]), split, ok)
-
-    return margin
+    """Margin over mirrored (c_a, c_b): one transducer's setting serves both."""
+    return _margin_closure(t, caps, n_th, r, split, "mirrored", guard)
 
 
 def _margin_fn_down(t, caps, n_th, r, split, guard: bool = False):
@@ -293,27 +315,12 @@ def _margin_fn_down(t, caps, n_th, r, split, guard: bool = False):
     which is minimized at C_a2 = d_a for any C_b2 > 0, so pinning the
     downconverter at its caps is sign-dominant.
     """
-    kind = t.kinds[0]
-    pin = (caps.d_a, caps.d_b)
-
-    def margin(x):
-        ok = not guard or _numeric_ok(kind, x[0], x[1])
-        return _margin_at(t, caps, n_th, r, (x[0], x[1], pin[0], pin[1]), split, ok)
-
-    return margin
+    return _margin_closure(t, caps, n_th, r, split, "pinned", guard)
 
 
 def _margin_fn4(t, caps, n_th, r, split, guard: bool = False):
-    k1 = t.kinds[0]
-    k2 = t.kinds[1] if t.scheme == "swap" else None
-
-    def margin(x):
-        ok = not guard or (
-            _numeric_ok(k1, x[0], x[1]) & (k2 is None or _numeric_ok(k2, x[2], x[3]))
-        )
-        return _margin_at(t, caps, n_th, r, tuple(x), split, ok)
-
-    return margin
+    """Margin over all four cooperativities."""
+    return _margin_closure(t, caps, n_th, r, split, "full", guard)
 
 
 def _clamp_pair(kind: MoKind, caps: DeviceCaps, c_a: float, c_b: float):
@@ -416,6 +423,15 @@ def numeric_threshold(
     return ThresholdResult(n_star, "bisection", full(witness), True)
 
 
+@functools.lru_cache(maxsize=len(_SEED_GRID))
+def _unit_seed_grid(dim: int) -> np.ndarray:
+    """The seed grid of the unit box in dim dimensions, one point per column; read-only."""
+    axis = np.geomspace(_SEED_FLOOR, 1.0, _SEED_GRID[dim])
+    grid = np.stack(np.meshgrid(*[axis] * dim, indexing="ij")).reshape(dim, -1)
+    grid.flags.writeable = False
+    return grid
+
+
 def _ranked_starts(margin, hi, corners, n):
     """The n best distinct points of the seed pool, best first.
 
@@ -424,8 +440,7 @@ def _ranked_starts(margin, hi, corners, n):
     cap); one array evaluation of margin ranks all of it.  Ties keep
     pool order, so the choice is deterministic.
     """
-    axes = [h * np.geomspace(_SEED_FLOOR, 1.0, _SEED_GRID[len(hi)]) for h in hi]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(hi), -1)
+    grid = np.array(hi, dtype=float)[:, None] * _unit_seed_grid(len(hi))
     pool = np.concatenate([np.array(corners, dtype=float).T, grid], axis=1)
     starts: list[list[float]] = []
     for i in np.argsort(-margin(pool), kind="stable"):

@@ -192,20 +192,34 @@ def dpt_two_mode_channel(p: DptParams) -> TwoModeChannel:
     return TwoModeChannel(T, N)
 
 
-def _conversion_t_mu(c_a, c_b, tau_a, tau_b, n_th) -> tuple[float, float]:
+def _conversion_t_mu_fn(tau_a, tau_b, n_th):
     """Scalar form of the down-conversion channel, T = t I and N = n I.
 
-    Returns (t, mu), with mu = t**2/2 + n - 1/2 the above-vacuum output
-    on vacuum input.  mu collapses to 4 tau_b C_b n_th / s**2, the
-    cancellation-free form needed when tracking states as excesses over
-    vacuum; conversion_channel recovers n = 1/2 - t**2/2 + mu, and gets
-    up-conversion by exchanging the a and b roles.  Elementwise on arrays.
+    Returns f(c_a, c_b) = (t, mu), with mu = t**2/2 + n - 1/2 the
+    above-vacuum output on vacuum input.  mu collapses to 4 tau_b C_b
+    n_th / s**2, the cancellation-free form needed when tracking states
+    as excesses over vacuum; conversion_channel recovers n = 1/2 - t**2/2
+    + mu, and gets up-conversion by exchanging the a and b roles.
+    Elementwise on arrays.  The factors fixed by (tau_a, tau_b) are
+    bound once; each is a leading prefix of a left-to-right product, so
+    binding it changes no bit of the result.
     """
-    s = 1.0 + c_a + c_b
-    g = tau_a * tau_b * c_a * c_b
-    # math.sqrt, as in sources._mo_excess, to match numpy's sqrt bit for bit
-    t = -2.0 * (math.sqrt(g) if type(g) is float else np.sqrt(g)) / s
-    return t, 4.0 * tau_b * c_b * n_th / (s * s)
+    tau_ab = tau_a * tau_b
+    four_tau_b = 4.0 * tau_b
+
+    def t_mu(c_a, c_b):
+        s = 1.0 + c_a + c_b
+        g = tau_ab * c_a * c_b
+        # math.sqrt, as in sources._mo_excess_fn, to match numpy's sqrt bit for bit
+        t = -2.0 * (math.sqrt(g) if type(g) is float else np.sqrt(g)) / s
+        return t, four_tau_b * c_b * n_th / (s * s)
+
+    return t_mu
+
+
+def _conversion_t_mu(c_a, c_b, tau_a, tau_b, n_th) -> tuple[float, float]:
+    """_conversion_t_mu_fn evaluated once."""
+    return _conversion_t_mu_fn(tau_a, tau_b, n_th)(c_a, c_b)
 
 
 def conversion_channel(direction: Literal["up", "down"], p: DptParams) -> OneModeChannel:
@@ -231,8 +245,8 @@ def conversion_channel(direction: Literal["up", "down"], p: DptParams) -> OneMod
     return OneModeChannel(t * np.eye(2), n * np.eye(2))
 
 
-def _blue_cap(c_red: float, rates: PhysicalRates, optical_blue: bool) -> float:
-    """Largest C_+ allowed by both stability criteria (strict margins off).
+def _blue_cap_fn(rates: PhysicalRates, optical_blue: bool):
+    """f(c_red): the largest C_+ allowed by both stability criteria (strict margins off).
 
     The blue-pumped side (+) is the optical one (sigma_a = +1, IO source)
     if optical_blue, else the microwave one; c_red is the other side's C_-,
@@ -243,13 +257,25 @@ def _blue_cap(c_red: float, rates: PhysicalRates, optical_blue: bool) -> float:
     else:
         kappa_plus, kappa_minus = rates.kappa_b, rates.kappa_a
     gamma_m = rates.gamma_m
-    first = c_red + 1.0
-    # second criterion, linear in C_+ once the coupling bridge is applied
-    rhs = c_red * kappa_minus * gamma_m / (kappa_plus + gamma_m) + kappa_plus + kappa_minus
-    second = rhs * (kappa_minus + gamma_m) / (kappa_plus * gamma_m)
-    if isinstance(first, np.ndarray):
-        return np.minimum(first, second)
-    return first if first <= second else second
+    # the parenthesised groups of the formulas below, bound once
+    plus_den, minus_num = kappa_plus + gamma_m, kappa_minus + gamma_m
+    second_den = kappa_plus * gamma_m
+
+    def cap(c_red):
+        first = c_red + 1.0
+        # second criterion, linear in C_+ once the coupling bridge is applied
+        rhs = c_red * kappa_minus * gamma_m / plus_den + kappa_plus + kappa_minus
+        second = rhs * minus_num / second_den
+        if isinstance(first, np.ndarray):
+            return np.minimum(first, second)
+        return first if first <= second else second
+
+    return cap
+
+
+def _blue_cap(c_red: float, rates: PhysicalRates, optical_blue: bool) -> float:
+    """_blue_cap_fn evaluated once."""
+    return _blue_cap_fn(rates, optical_blue)(c_red)
 
 
 def stability_ok(p: DptParams, rates: PhysicalRates) -> bool:

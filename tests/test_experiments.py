@@ -16,6 +16,7 @@ from gausslink import (
     mm_log_negativity,
     numeric_threshold,
 )
+from gausslink import cli
 from gausslink.cli import main
 from gausslink.experiments import (
     ExperimentConfig,
@@ -322,6 +323,37 @@ class TestCli:
         assert err.startswith("config error: ")
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", ["threshold-vs-da", "threshold-vs-loss", "device-run", "ebit-rate", "validate"]
+    )
+    def test_out_into_missing_directory_is_config_error(self, command, tmp_path, capsys,
+                                                         monkeypatch):
+        # the path is checked before the command runs any point
+        name = "cmd_" + command.replace("-", "_")
+        monkeypatch.setattr(cli, name, lambda cfg: pytest.fail(f"{name} ran"))
+        out = tmp_path / "missing" / "out"
+        argv = [command] + (["--quick"] if command == "validate" else []) + ["--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out}: ")
+        assert len(err.splitlines()) == 1
+        assert not out.parent.exists()
+
+    def test_failed_write_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # the directory vanishes after the check: the write fails, typed
+        out = tmp_path / "sub" / "out.csv"
+        out.parent.mkdir()
+
+        def sweep(cfg):
+            out.parent.rmdir()
+            return cmd_threshold_vs_da(cfg)
+
+        monkeypatch.setattr(cli, "cmd_threshold_vs_da", sweep)
+        assert main(["threshold-vs-da", "--points", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out}: ")
+        assert len(err.splitlines()) == 1
 
     def test_config_file_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -43,8 +43,9 @@ from .transducer import (
     _check_cap,
     _check_fields,
     _check_loss_split,
-    stability_ok,
 )
+# the benchmark's tracer (perfbench/tracer.py) patches thresholds.stability_ok by name
+from .transducer import stability_ok  # noqa: F401
 
 __all__ = [
     "ThresholdResult",
@@ -79,10 +80,10 @@ _SEARCH_STARTS, _SEARCH_ITERS = 3, 80
 _BISECT_STEPS = 200
 
 #: Points per axis of the grid that ranks the starts of every search over
-#: cooperativities, by search dimension; about 4k points per array
-#: evaluation keeps its memory small.  The grid runs from _SEED_FLOOR of
-#: each cap to the cap.
-_SEED_GRID = {2: 40, 4: 8}
+#: cooperativities, by search dimension; at most about 4k points per
+#: array evaluation keeps its memory small.  The grid runs from
+#: _SEED_FLOOR of each cap to the cap.
+_SEED_GRID = {1: 40, 2: 40, 3: 16, 4: 8}
 _SEED_FLOOR = 1e-4
 
 
@@ -91,19 +92,17 @@ def max_stable_ca(caps: DeviceCaps, c_b: float) -> float:
 
     Bisects the (monotone) stability predicate at fixed c_b down to an
     absolute tolerance of 1e-10; the cap d_a binds when stability does
-    not.
+    not.  The predicate is stability_ok's, c_a < _blue_cap(c_b) -
+    STRICT_MARGIN, with the bound computed once per call.
     """
     _check_cap("c_b", c_b, caps.d_b)
-
-    def stable(c_a: float) -> bool:
-        return stability_ok(caps.params(c_a, c_b, sigma_a=1), caps.rates)
-
-    if stable(caps.d_a):
+    bound = _blue_cap(c_b, caps.rates, True) - STRICT_MARGIN
+    if caps.d_a < bound:
         return caps.d_a
     lo, hi = 0.0, caps.d_a
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        if stable(mid):
+        if mid < bound:
             lo = mid
         else:
             hi = mid
@@ -258,36 +257,82 @@ def analytic_threshold(
     return ThresholdResult(value, "analytic", arg, can_entangle=True)
 
 
-def _margin_closure(t, caps, n_th, r, split, layout: str, guard: bool):
-    """Entanglement margin (1/2 - nu) at the point x of a cooperativity layout.
+def _converter_nodes(t: Topology) -> tuple[bool, bool]:
+    """Which nodes are a red-red converter whose output is a final microwave mode.
+
+    Those are an EO source (its converter turns the squeezed pair's
+    second mode into a final microwave mode) and a downconverter, node 2
+    of every downconversion.  See optimize_cooperativities for why such
+    a node's best C_b is min(d_b, 1 + C_a).
+    """
+    if t.scheme == "down":
+        return t.kinds[0] is _EO, True
+    return t.kinds[0] is _EO, t.kinds[1] is _EO
+
+
+def _layout_coords(t, caps, layout: str, pin_cb: bool):
+    """f(x) = (c_a1, c_b1, c_a2, c_b2) at the point x of a cooperativity layout.
 
     layout "mirrored": x = (c_a, c_b) sets both transducers; "pinned":
     x is the source's (c_a, c_b) and the downconverter sits at its caps;
-    "full": x = (c_a1, c_b1, c_a2, c_b2).  The margin is -inf where a
-    source is unstable and, with guard, where node 1 (and in "full" also
-    node 2) misses the numeric gap; a float point that misses it is not
-    evaluated.  x may also hold arrays (x[0] an ndarray) to evaluate
-    many points at once; they are evaluated everywhere and masked, bit
-    for bit equal to the points one at a time.
+    "full": x = (c_a1, c_b1, c_a2, c_b2).  With pin_cb, each converter node
+    (_converter_nodes) of a "mirrored" or "full" layout has no C_b axis:
+    x omits it and its C_b is min(d_b, 1 + C_a), np.minimum on arrays,
+    so both give the same bits.  x may hold floats or arrays.
+    """
+    d_a, d_b = caps.d_a, caps.d_b
+    if layout == "pinned":
+        return lambda x: (x[0], x[1], d_a, d_b)
+    pin1, pin2 = _converter_nodes(t) if pin_cb else (False, False)
+    if layout == "mirrored":
+        if not pin1:
+            return lambda x: (x[0], x[1], x[0], x[1])
+
+        def mirrored(x):
+            c_a = x[0]
+            c_b = (np.minimum if isinstance(c_a, np.ndarray) else min)(d_b, 1.0 + c_a)
+            return c_a, c_b, c_a, c_b
+
+        return mirrored
+    if not (pin1 or pin2):
+        return lambda x: (x[0], x[1], x[2], x[3])
+    i2 = 1 if pin1 else 2  # index of c_a2 in x
+
+    def full(x):
+        c_a1, c_a2 = x[0], x[i2]
+        least = np.minimum if isinstance(c_a1, np.ndarray) else min
+        c_b1 = least(d_b, 1.0 + c_a1) if pin1 else x[1]
+        c_b2 = least(d_b, 1.0 + c_a2) if pin2 else x[i2 + 1]
+        return c_a1, c_b1, c_a2, c_b2
+
+    return full
+
+
+def _margin_closure(t, caps, n_th, r, split, layout: str, guard: bool, pin_cb: bool = False):
+    """Entanglement margin (1/2 - nu) at the point x of a cooperativity layout.
+
+    The layouts, and pin_cb, are those of _layout_coords.  The margin is
+    -inf where a source is unstable and, with guard, where node 1 (and
+    in "full" also node 2) misses the numeric gap; a float point that
+    misses it is not evaluated.  x may also hold arrays (x[0] an
+    ndarray) to evaluate many points at once; they are evaluated
+    everywhere and masked, bit for bit equal to the points one at a
+    time.
 
     Everything fixed for one search (topology, caps, n_th, r, split and
     layout) is bound here once, by _mm_excess_fn, so one evaluation is
     a few calls of straight-line float arithmetic.
     """
     excess = _mm_excess_fn(t, caps, n_th, r, split)
-    full = layout == "full"
-    pin = (caps.d_a, caps.d_b) if layout == "pinned" else None
+    coords = _layout_coords(t, caps, layout, pin_cb)
     ok1 = _numeric_ok_fn(t.kinds[0]) if guard else None
-    ok2 = _numeric_ok_fn(t.kinds[1]) if guard and full and t.scheme == "swap" else None
+    ok2 = (
+        _numeric_ok_fn(t.kinds[1])
+        if guard and layout == "full" and t.scheme == "swap" else None
+    )
 
     def margin(x):
-        c_a1, c_b1 = x[0], x[1]
-        if full:
-            c_a2, c_b2 = x[2], x[3]
-        elif pin is None:
-            c_a2, c_b2 = c_a1, c_b1
-        else:
-            c_a2, c_b2 = pin
+        c_a1, c_b1, c_a2, c_b2 = coords(x)
         ok = True if ok1 is None else ok1(c_a1, c_b1)
         if ok2 is not None:
             ok = ok & ok2(c_a2, c_b2)
@@ -302,9 +347,9 @@ def _margin_closure(t, caps, n_th, r, split, layout: str, guard: bool):
     return margin
 
 
-def _margin_fn(t, caps, n_th, r, split, guard: bool = False):
+def _margin_fn(t, caps, n_th, r, split, guard: bool = False, pin_cb: bool = False):
     """Margin over mirrored (c_a, c_b): one transducer's setting serves both."""
-    return _margin_closure(t, caps, n_th, r, split, "mirrored", guard)
+    return _margin_closure(t, caps, n_th, r, split, "mirrored", guard, pin_cb)
 
 
 def _margin_fn_down(t, caps, n_th, r, split, guard: bool = False):
@@ -318,9 +363,9 @@ def _margin_fn_down(t, caps, n_th, r, split, guard: bool = False):
     return _margin_closure(t, caps, n_th, r, split, "pinned", guard)
 
 
-def _margin_fn4(t, caps, n_th, r, split, guard: bool = False):
-    """Margin over all four cooperativities."""
-    return _margin_closure(t, caps, n_th, r, split, "full", guard)
+def _margin_fn4(t, caps, n_th, r, split, guard: bool = False, pin_cb: bool = False):
+    """Margin over all four cooperativities, less the C_b axes that pin_cb removes."""
+    return _margin_closure(t, caps, n_th, r, split, "full", guard, pin_cb)
 
 
 def _clamp_pair(kind: MoKind, caps: DeviceCaps, c_a: float, c_b: float):
@@ -452,18 +497,31 @@ def _ranked_starts(margin, hi, corners, n):
     return starts
 
 
+def _free_axes(pairs, pinned: bool, n: int | None = None) -> list[list[float]]:
+    """The first n (default all) distinct (c_a, c_b) pairs, as (c_a,) alone on a pinned node."""
+    out: list[list[float]] = []
+    for c_a, c_b in pairs:
+        point = [c_a] if pinned else [c_a, c_b]
+        if point not in out:
+            out.append(point)
+    return out[:n]
+
+
 @dataclass(frozen=True)
 class _CooperativityBox:
     """The search problem of optimize_cooperativities, inputs checked.
 
     margin is the guarded margin over the box [0, hi]: over one
-    transducer's (c_a, c_b) when mirrored, else over all four
-    cooperativities.  corners seed the ranked pool; corners[0] is the
-    clamped all-max corner.  corner_decides is False where that corner
-    does not bound the margin from above (an EM source at r > 0).
+    transducer's cooperativities when mirrored, else over both
+    transducers'; a converter node (_converter_nodes) has only its C_a
+    axis.  coords maps a point of the box to the cooperativity 4-tuple.
+    corners seed the ranked pool; corners[0] is the clamped all-max
+    corner.  corner_decides is False where that corner does not bound
+    the margin from above (an EM source at r > 0).
     """
 
     margin: Callable
+    coords: Callable
     hi: list[float]
     corners: list
     mirrored: bool
@@ -480,23 +538,29 @@ class _CooperativityBox:
             (t.scheme == "swap" and t.is_symmetric)
             or (t.scheme == "down" and t.kinds[0] is _EO)
         )
+        pin1, pin2 = _converter_nodes(t)
         if mirrored:
-            margin = _margin_fn(t, caps, n_th, rv, split, guard=True)
-            hi = [caps.d_a, caps.d_b]
-            corners = _corner_candidates(t.kinds[0], caps)
+            margin = _margin_fn(t, caps, n_th, rv, split, guard=True, pin_cb=True)
+            layout = "mirrored"
+            corners = _free_axes(_corner_candidates(t.kinds[0], caps), pin1)
+            nodes = [pin1]
         else:
-            margin = _margin_fn4(t, caps, n_th, rv, split, guard=True)
-            hi = [caps.d_a, caps.d_b, caps.d_a, caps.d_b]
-            k1 = t.kinds[0]
+            margin = _margin_fn4(t, caps, n_th, rv, split, guard=True, pin_cb=True)
+            layout = "full"
             k2 = t.kinds[1] if t.scheme == "swap" else None
-            cands1 = _corner_candidates(k1, caps)[:3]
-            cands2 = _corner_candidates(k2, caps)[:3] if k2 else [(caps.d_a, caps.d_b)]
-            corners = [list(p1) + list(p2) for p1 in cands1 for p2 in cands2]
-        return cls(margin, hi, corners, mirrored, not (rv > 0.0 and _EM in t.kinds))
+            cands1 = _free_axes(_corner_candidates(t.kinds[0], caps), pin1, 3)
+            cands2 = _free_axes(
+                _corner_candidates(k2, caps) if k2 else [(caps.d_a, caps.d_b)], pin2, 3
+            )
+            corners = [p1 + p2 for p1 in cands1 for p2 in cands2]
+            nodes = [pin1, pin2]
+        hi = [c for pinned in nodes for c in ([caps.d_a] if pinned else [caps.d_a, caps.d_b])]
+        coords = _layout_coords(t, caps, layout, pin_cb=True)
+        return cls(margin, coords, hi, corners, mirrored, not (rv > 0.0 and _EM in t.kinds))
 
     def full(self, x) -> tuple[float, float, float, float]:
         """The cooperativity 4-tuple of a point of the box."""
-        return (x[0], x[1], x[0], x[1]) if self.mirrored else tuple(x)
+        return tuple(self.coords(x))
 
     def corner_separable(self) -> bool:
         """Whether the clamped all-max corner proves that no point entangles.
@@ -509,8 +573,9 @@ class _CooperativityBox:
     def search(self, n_starts: int, nm_max_iter: int) -> tuple[list[float], float]:
         """Nelder-Mead from the n_starts best of the ranked pool, then a polish.
 
-        Runs nm_max_iter iterations per start in 2-D, twice that in 4-D.
-        Returns the best point of the box and its margin.
+        Runs nm_max_iter * dim // 2 iterations per start in dim
+        dimensions (nm_max_iter in 2-D).  Returns the best point of the
+        box and its margin.
         """
         starts = _ranked_starts(self.margin, self.hi, self.corners, n_starts)
         return maximize_box(
@@ -532,31 +597,56 @@ def optimize_cooperativities(
 ) -> tuple[tuple[float, float, float, float], float]:
     """Maximize the MM logarithmic negativity over the cooperativities.
 
-    Symmetric topologies are searched over one transducer's (c_a, c_b)
-    and mirrored; asymmetric swapping searches all four.  The starts
-    are chosen by one array evaluation of the margin over a fixed log
-    grid of the box plus the box corners (clamped into the stability
-    region): Nelder-Mead (nm_max_iter iterations, twice that in 4-D)
-    runs from the n_starts best of them, then one golden-section polish
-    round along each axis, within 2% of the axis's cap of the best point.
-    Every corner is in the ranked pool, so the result never falls
-    below the best corner.  loss_split is checked as in NetworkConfig
-    (one share per slot, multiplying to tau_e, each in [tau_e, 1]);
-    ValueError otherwise, and n_th as in DeviceCaps (finite and >= 0).
-    Returns the full cooperativity 4-tuple and the achieved logarithmic
-    negativity.
+    Symmetric topologies with a uniform loss split, and down(EO), are
+    searched over one transducer's cooperativities and mirrored; the
+    others over both transducers'.  A converter node, a red-red
+    converter whose output is a final microwave mode (the converter
+    inside an EO source, and the downconverter of a downconversion),
+    has C_a as its only search axis: its C_b is min(d_b, 1 + C_a),
+    exactly, as shown below.  A search thus runs in 1 to 4 dimensions.
+    The starts are chosen by one array evaluation of the margin over a
+    fixed log grid of the box plus the box corners (clamped into the
+    stability region): Nelder-Mead (nm_max_iter * dim // 2 iterations
+    in dim dimensions) runs from the n_starts best of them, then one
+    golden-section polish round along each axis, within 2% of the
+    axis's cap of the best point.  Every corner is in the ranked pool,
+    so the result never falls below the best corner.  loss_split is
+    checked as in NetworkConfig (one share per slot, multiplying to
+    tau_e, each in [tau_e, 1]); ValueError otherwise, and n_th as in
+    DeviceCaps (finite and >= 0).  Returns the full cooperativity
+    4-tuple and the achieved logarithmic negativity.
+
+    The converter pin is exact.  In the excess form of
+    network._mm_excess_fn a converter maps the mode it converts as A ->
+    t^2 (A + nu), c -> t c and P -> t^2 (P + nu B), B being the other
+    mode's excess, with nu = n_th / (tau' C_a) and t^2 = 4 tau' tau_b
+    C_a C_b / (1 + C_a + C_b)^2, where tau' is tau_a times the loss
+    share in front of the converter.  nu does not depend on C_b, and at
+    fixed C_a, t^2 rises with C_b up to C_b = 1 + C_a and falls beyond,
+    so on [0, d_b] it peaks at C_b* = min(d_b, 1 + C_a).  Pure loss eta
+    maps (A, c, P) to (eta A, sqrt(eta) c, eta P), so the channel at any
+    other C_b is the channel at C_b* followed by pure loss t^2 / t*^2 on
+    its output.  That output is a final microwave mode, so the loss is
+    a local channel, which cannot raise the logarithmic negativity: the
+    maximum over the box is reached with every converter node at C_b*.
+    (At C_a = 0 or tau' = 0, t = 0 and the output is uncorrelated for
+    every C_b.)  A separable margin is not ordered so; loss moves it up
+    toward 0, which changes no returned value.  The argument needs a
+    final output: the converter of an EM source outputs the optical mode
+    that is measured or downconverted, and IO and IM sources are
+    two-mode squeezers, so their C_b stays a search axis.
 
     Before any search the guarded margin is evaluated once at the
     clamped all-max corner: every node at _corner_candidates(kind,
-    caps)[0], a downconverter at (d_a, d_b).  If it is finite and <= 0
-    there, that corner is returned with exactly 0.0 and nothing is
-    searched.  This is exact: the sign of the output defect P factorises
-    over the nodes through each source's ratio rho = P/B, taken after
-    its loss share.  A swap entangles iff 1 + rho_1 + rho_2 < 0, a
-    downconversion iff rho_0 + n_th / (tau_a split[-1] C_a2) < 0, and a
-    node with B = 0 also has c = 0, so it cannot entangle.  Each rho is
-    smallest at that corner: EO has rho = sh^2 (n - tau' C_a) / (n +
-    tau' C_a sh^2), IO rho = -tau_a C_a / (C_a + n) at the largest
+    caps)[0], a converter node at (d_a, min(d_b, 1 + d_a)).  If it is
+    finite and <= 0 there, that corner is returned with exactly 0.0 and
+    nothing is searched.  This is exact: the sign of the output defect P
+    factorises over the nodes through each source's ratio rho = P/B,
+    taken after its loss share.  A swap entangles iff 1 + rho_1 + rho_2
+    < 0, a downconversion iff rho_0 + n_th / (tau_a split[-1] C_a2) < 0,
+    and a node with B = 0 also has c = 0, so it cannot entangle.  Each
+    rho is smallest at that corner: EO has rho = sh^2 (n - tau' C_a) /
+    (n + tau' C_a sh^2), IO rho = -tau_a C_a / (C_a + n) at the largest
     stable C_a, which is at C_b = d_b, and IM rho = -tau_a C_a / (C_a +
     n + 1); all three fall as C_a grows and do not depend on C_b, and EM
     at r = 0 has B = 0.  The clamp (_stable_bound) is the largest C_a

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from gausslink import (
     optimize_cooperativities,
     optimize_loss_split,
 )
-from gausslink.experiments import ExperimentConfig, cmd_device_run
+from gausslink.experiments import ExperimentConfig, _device_cells, cmd_device_run
 from gausslink.network import ALL_TOPOLOGIES, default_loss_split, loss_slot_count
+from gausslink.presets import PRESETS
 from gausslink.sampling import generator, random_caps
 from gausslink.sources import MoKind
 from gausslink.thresholds import (
@@ -27,6 +29,7 @@ from gausslink.thresholds import (
     _margin_fn4,
     _margin_fn_down,
     _maximize_em_cell,
+    stability_ok,
 )
 
 
@@ -194,6 +197,37 @@ class TestMaxStableCa:
         caps = DeviceCaps(10.0, 5.0, 0.9, 0.8, 0.0)
         with pytest.raises(ValueError):
             max_stable_ca(caps, 6.0)
+
+    def test_equals_the_bisection_on_stability_ok(self, rng):
+        # max_stable_ca computes the stability bound once per call; it must
+        # return what a bisection on stability_ok itself returns, bit for bit
+        def reference(caps, c_b):
+            def stable(c_a):
+                return stability_ok(caps.params(c_a, c_b, sigma_a=1), caps.rates)
+
+            if stable(caps.d_a):
+                return caps.d_a
+            lo, hi = 0.0, caps.d_a
+            while hi - lo > 1e-10:
+                mid = 0.5 * (lo + hi)
+                if stable(mid):
+                    lo = mid
+                else:
+                    hi = mid
+            return lo
+
+        capped = bisected = 0
+        for _ in range(300):
+            kappa_a, kappa_b = (10.0 ** rng.uniform(-1.0, 3.0, 2)).tolist()
+            rates = PhysicalRates(kappa_a, kappa_b, 10.0 ** rng.uniform(-1.0, 1.0))
+            caps = random_caps(rng, rates)
+            u = rng.uniform()
+            c_b = 0.0 if u < 0.1 else caps.d_b if u < 0.3 else rng.uniform(0.0, caps.d_b)
+            got, want = max_stable_ca(caps, c_b), reference(caps, c_b)
+            assert got == want, (caps, c_b, got, want)
+            capped += got == caps.d_a
+            bisected += got < caps.d_a
+        assert capped >= 30 and bisected >= 30, (capped, bisected)
 
 
 class TestNumericThreshold:
@@ -476,7 +510,11 @@ class TestCornerShortcut:
             if not box.corner_separable():
                 continue
             config = (i, t.label, caps, n_th, r, split)
-            assert np.max(box.margin(_dense_grid(box.hi))) <= 0.0, config
+            # the dense grid covers the whole box, without the converter pin
+            factory = _margin_fn if box.mirrored else _margin_fn4
+            free = factory(t, caps, n_th, r, split, guard=True)
+            hi = [caps.d_a, caps.d_b] * (1 if box.mirrored else 2)
+            assert np.max(free(_dense_grid(hi))) <= 0.0, config
             assert box.search(16, 250)[1] <= 0.0, config
             fired += 1
             mirrored += box.mirrored
@@ -510,6 +548,105 @@ class TestCornerShortcut:
         monkeypatch.setattr(_CooperativityBox, "corner_separable", lambda box: False)
         _, searched = cmd_device_run(cfg)
         assert text == searched
+
+
+_CONVERTER_TOPOLOGIES = [t for t in ALL_TOPOLOGIES if t.scheme == "down" or MoKind.EO in t.kinds]
+
+
+def _with_pin(t, caps, x):
+    """x (rows c_a1, c_b1, c_a2, c_b2) with each converter node's C_b at min(d_b, 1 + C_a)."""
+    y = x.copy()
+    if t.kinds[0] is MoKind.EO:
+        y[1] = np.minimum(caps.d_b, 1.0 + y[0])
+    if t.scheme == "down" or t.kinds[1] is MoKind.EO:
+        y[3] = np.minimum(caps.d_b, 1.0 + y[2])
+    return y
+
+
+class TestConverterPin:
+    """A red-red converter whose output is a final microwave mode (an EO
+    source's converter, a downconverter) is best at C_b = min(d_b, 1 + C_a)."""
+
+    def test_pin_never_lowers_the_entanglement(self):
+        # at random points of the full box, moving each converter's C_b to
+        # the pin keeps every entangled margin or raises it.  A separable
+        # margin is not ordered: the pin undoes a pure loss, and loss moves
+        # a separable state's margin up toward 0
+        rng = generator(20260808, stream=112)
+        entangled = below = 0
+        for i in range(40 * len(_CONVERTER_TOPOLOGIES)):
+            t = _CONVERTER_TOPOLOGIES[i % len(_CONVERTER_TOPOLOGIES)]
+            caps, n_th, r, tau_e, split = _shortcut_draw(rng, t)
+            free = _margin_fn4(t, caps, n_th, r, split)
+            spread = 10.0 ** rng.uniform(-4.0, 0.0, (4, 200))
+            x = np.array([caps.d_a, caps.d_b] * 2)[:, None] * np.where(
+                rng.uniform(size=(4, 200)) < 0.5, spread, rng.uniform(size=(4, 200))
+            )
+            m, m_pin = free(x), free(_with_pin(t, caps, x))
+            ent = m > 0.0
+            assert np.all(m_pin[ent] >= m[ent] - 1e-13), (i, t.label, caps, n_th, r, split)
+            entangled += int(np.sum(ent))
+            below += int(np.sum(ent & ((1.0 + x[0] < caps.d_b) | (1.0 + x[2] < caps.d_b))))
+        assert entangled >= 8000 and below >= 2000, (entangled, below)
+
+    def test_box_margin_is_the_free_margin_at_the_pin(self, rng):
+        # the box searches only the free axes, and box.full expands a point
+        # into the cooperativities at which the unpinned margin takes the
+        # same value, bit for bit, on floats and on arrays
+        for _ in range(4):
+            kappa_a, kappa_b = (10.0 ** rng.uniform(-1.0, 2.5, 2)).tolist()
+            caps = random_caps(rng, PhysicalRates(kappa_a, kappa_b, 1.0))
+            caps = DeviceCaps(caps.d_a, caps.d_b, caps.tau_a, caps.tau_b,
+                              0.1 * caps.tau_a * caps.d_a, caps.rates)
+            for t in ALL_TOPOLOGIES:
+                r, tau_e = rng.uniform(0.0, 1.2), rng.uniform(0.5, 1.0)
+                for split in (None, (tau_e ** (1.0 / loss_slot_count(t)),) * loss_slot_count(t)):
+                    box = _CooperativityBox.of(t, caps, caps.n_th, r, tau_e, split)
+                    split = split or default_loss_split(t, tau_e)
+                    factory = _margin_fn if box.mirrored else _margin_fn4
+                    free = factory(t, caps, caps.n_th, r, split, guard=True)
+                    x = np.array(box.hi)[:, None] * rng.uniform(size=(len(box.hi), 40))
+                    many = box.margin(x)
+                    for i in range(x.shape[1]):
+                        point = x[:, i].tolist()
+                        cs = box.full(point)
+                        assert box.margin(point) == many[i]
+                        assert free(cs if not box.mirrored else cs[:2]) == many[i]
+                        if t.kinds[0] is MoKind.EO:
+                            assert cs[1] == min(caps.d_b, 1.0 + cs[0])
+
+    def test_device_run_search_dimensions(self):
+        # one axis per free cooperativity: a converter node keeps only C_a
+        caps = PRESETS["brubaker2022"]["caps"]
+        want = {"eo_down": 1, "eo_swap": 2, "eo_swap_eqsplit": 1, "em_down": 3,
+                "em_swap": 4, "io_down": 3, "io_swap": 4, "im_down": 3, "im_swap": 4,
+                "im_swap_eqsplit": 2, "im_eo_swap_asym": 3}
+        # at 0 dB every default split is uniform and the symmetric swaps mirror
+        at_0db = dict(want, eo_swap=1, em_swap=2, io_swap=2, im_swap=2)
+        for tau_e, dims in ((0.5, want), (1.0, at_0db)):
+            for name, t, r, split, _ in _device_cells((3.0, 10.0), tau_e):
+                box = _CooperativityBox.of(t, caps, caps.n_th, r, tau_e, split)
+                column = name.rsplit("_", 1)[0] if name.endswith("db") else name
+                assert len(box.hi) == dims[column], (name, tau_e)
+
+    def test_argmax_satisfies_the_pin(self):
+        rng = generator(20260808, stream=113)
+        searched = 0
+        for i in range(6 * len(_CONVERTER_TOPOLOGIES)):
+            t = _CONVERTER_TOPOLOGIES[i % len(_CONVERTER_TOPOLOGIES)]
+            caps, n_th, r, tau_e, split = _shortcut_draw(rng, t)
+            cs, e = optimize_cooperativities(
+                t, caps, n_th, r, tau_e=tau_e, loss_split=split, n_starts=2, nm_max_iter=40
+            )
+            config = (i, t.label, caps, n_th, r, split, cs)
+            if t.kinds[0] is MoKind.EO:
+                assert cs[1] == min(caps.d_b, 1.0 + cs[0]), config
+            if t.scheme == "down" or t.kinds[1] is MoKind.EO:
+                assert cs[3] == min(caps.d_b, 1.0 + cs[2]), config
+            cfg = NetworkConfig(replace(caps, n_th=n_th), *cs, r=r, tau_e=tau_e, loss_split=split)
+            assert e == pytest.approx(mm_log_negativity(t, cfg), abs=1e-12), config
+            searched += e > 0.0
+        assert searched >= 15, searched
 
 
 class TestOptimizeLossSplit:

@@ -500,7 +500,10 @@ def _check_corner_shortcut(seed, n):
     Draws all 14 topologies with random rates, r and external loss;
     worst is the largest margin the search finds over the draws where
     optimize_cooperativities would skip it (at most 0 when sound), and
-    the detail names that closest draw.
+    the detail names that closest draw.  The corner's blue-pumped sides
+    sit at the largest stable float, and the search's margin is -inf
+    only where a source is unstable, so the search can reach every
+    point that the corner is claimed to bound.
     """
     rng = generator(seed, stream=7)
     worst = -math.inf

@@ -33,13 +33,12 @@ import numpy as np
 from .core import BalancedForm, SqueezeParam, _as_r, apply_one_mode, apply_two_mode, make_tms
 from .transducer import (
     DEFAULT_RATES,
-    STRICT_MARGIN,
     DptParams,
     InvalidOperatingModeError,
     PhysicalRates,
     UnstableOperatingPointError,
-    _blue_cap,
-    _blue_cap_fn,
+    _blue_bound,
+    _blue_bound_fn,
     conversion_channel,
     dpt_two_mode_channel,
 )
@@ -144,23 +143,23 @@ def _stable_intrinsic_fn(kind: MoKind, rates: PhysicalRates):
     Only the intrinsic kinds have a blue pump; EO and EM, always stable, give None.
     """
     if kind is _IO:
-        cap = _blue_cap_fn(rates, True)
-        return lambda c_a, c_b: c_a < cap(c_b) - STRICT_MARGIN
+        bound = _blue_bound_fn(rates, True)
+        return lambda c_a, c_b: c_a < bound(c_b)
     if kind is _IM:
-        cap = _blue_cap_fn(rates, False)
-        return lambda c_a, c_b: c_b < cap(c_a) - STRICT_MARGIN
+        bound = _blue_bound_fn(rates, False)
+        return lambda c_a, c_b: c_b < bound(c_a)
     return None
 
 
 def _check_stable(kind: MoKind, c_a: float, c_b: float, rates: PhysicalRates) -> None:
-    """Raise UnstableOperatingPointError, naming the bound, for an unstable source."""
+    """Raise UnstableOperatingPointError, naming the enforced bound, for an unstable source."""
     stable = _stable_intrinsic_fn(kind, rates)
     if stable is not None and not stable(c_a, c_b):
         optical = kind is _IO
         name, value, c_red = ("C_a", c_a, c_b) if optical else ("C_b", c_b, c_a)
         raise UnstableOperatingPointError(
             f"{kind.name} source unstable: {name} = {value} violates "
-            f"{name} < {_blue_cap(c_red, rates, optical)}"
+            f"{name} < {_blue_bound(c_red, rates, optical)}"
         )
 
 

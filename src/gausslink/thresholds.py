@@ -37,9 +37,8 @@ from .network import _mm_excess  # noqa: F401
 from .optimize import golden_max_1d, maximize_box
 from .sources import _EM, _EO, _IM, _IO, MoKind
 from .transducer import (
-    STRICT_MARGIN,
     DeviceCaps,
-    _blue_cap,
+    _blue_bound,
     _check_cap,
     _check_fields,
     _check_loss_split,
@@ -92,11 +91,11 @@ def max_stable_ca(caps: DeviceCaps, c_b: float) -> float:
 
     Bisects the (monotone) stability predicate at fixed c_b down to an
     absolute tolerance of 1e-10; the cap d_a binds when stability does
-    not.  The predicate is stability_ok's, c_a < _blue_cap(c_b) -
-    STRICT_MARGIN, with the bound computed once per call.
+    not.  The predicate is stability_ok's, c_a < _blue_bound(c_b), with
+    the bound computed once per call.
     """
     _check_cap("c_b", c_b, caps.d_b)
-    bound = _blue_cap(c_b, caps.rates, True) - STRICT_MARGIN
+    bound = _blue_bound(c_b, caps.rates, True)
     if caps.d_a < bound:
         return caps.d_a
     lo, hi = 0.0, caps.d_a
@@ -109,45 +108,17 @@ def max_stable_ca(caps: DeviceCaps, c_b: float) -> float:
     return lo
 
 
-def _gap_cap(c_minus):
-    """Largest C_+ that keeps the numeric gap from the squeezing singularity.
-
-    State components grow like 1/(1 + C_- - C_+)**2, so points closer to
-    the boundary C_+ = 1 + C_- than a gap of 1e-8 (1 + C_-) lose the
-    entanglement margin to float cancellation.  Keeping the search this
-    far out shifts optimized quantities by at most ~1e-8 relative, well
-    inside every tolerance used here.  Elementwise on numpy arrays.
-    """
-    return 1.0 + c_minus - 1e-8 * (1.0 + c_minus)
-
-
 def _stable_bound(caps: DeviceCaps, c_red: float, optical_blue: bool) -> float:
-    """Largest numerically safe cooperativity of the blue-pumped side.
+    """Largest stable cooperativity of the blue-pumped side, within its cap.
 
-    The side is picked as in _blue_cap.  The result is the largest float
-    that is stable (below _blue_cap by more than STRICT_MARGIN) and
-    passes _numeric_ok_fn, clipped to the side's cap: the supremum of the
-    region that the guarded searches explore.  The numeric gap applies
-    to the first stability criterion only, the one whose singularity
-    it keeps away from.
+    The side is picked as in _blue_bound.  The result is the largest
+    float below _blue_bound (the largest that stability_ok admits),
+    clipped to [0, the side's cap]: the supremum of the region that a
+    search over cooperativities visits, since its margin is -inf
+    wherever a source is unstable.
     """
-    stable = math.nextafter(_blue_cap(c_red, caps.rates, optical_blue) - STRICT_MARGIN, -math.inf)
-    cap = min(stable, _gap_cap(c_red))
-    return min(caps.d_a if optical_blue else caps.d_b, max(cap, 0.0))
-
-
-def _numeric_ok_fn(kind: MoKind):
-    """f(c_a, c_b): whether (c_a, c_b) keeps the numeric gap; None for EO and EM.
-
-    Elementwise on numpy arrays.  The bound is _gap_cap, as in
-    _stable_bound, so that a point clamped there (a corner of
-    _corner_candidates) passes.
-    """
-    if kind is _IO:
-        return lambda c_a, c_b: c_a <= _gap_cap(c_b)
-    if kind is _IM:
-        return lambda c_a, c_b: c_b <= _gap_cap(c_a)
-    return None
+    stable = math.nextafter(_blue_bound(c_red, caps.rates, optical_blue), -math.inf)
+    return min(caps.d_a if optical_blue else caps.d_b, max(stable, 0.0))
 
 
 def _em_down_cell(c_a, c_b, tau_a, tau_b, d_a):
@@ -308,16 +279,14 @@ def _layout_coords(t, caps, layout: str, pin_cb: bool):
     return full
 
 
-def _margin_closure(t, caps, n_th, r, split, layout: str, guard: bool, pin_cb: bool = False):
+def _margin_closure(t, caps, n_th, r, split, layout: str, pin_cb: bool = False):
     """Entanglement margin (1/2 - nu) at the point x of a cooperativity layout.
 
     The layouts, and pin_cb, are those of _layout_coords.  The margin is
-    -inf where a source is unstable and, with guard, where node 1 (and
-    in "full" also node 2) misses the numeric gap; a float point that
-    misses it is not evaluated.  x may also hold arrays (x[0] an
-    ndarray) to evaluate many points at once; they are evaluated
-    everywhere and masked, bit for bit equal to the points one at a
-    time.
+    -inf where a source is unstable, and only there.  x may also hold
+    arrays (x[0] an ndarray) to evaluate many points at once; they are
+    evaluated everywhere and masked, bit for bit equal to the points one
+    at a time.
 
     Everything fixed for one search (topology, caps, n_th, r, split and
     layout) is bound here once, by _mm_excess_fn, so one evaluation is
@@ -325,34 +294,24 @@ def _margin_closure(t, caps, n_th, r, split, layout: str, guard: bool, pin_cb: b
     """
     excess = _mm_excess_fn(t, caps, n_th, r, split)
     coords = _layout_coords(t, caps, layout, pin_cb)
-    ok1 = _numeric_ok_fn(t.kinds[0]) if guard else None
-    ok2 = (
-        _numeric_ok_fn(t.kinds[1])
-        if guard and layout == "full" and t.scheme == "swap" else None
-    )
 
     def margin(x):
         c_a1, c_b1, c_a2, c_b2 = coords(x)
-        ok = True if ok1 is None else ok1(c_a1, c_b1)
-        if ok2 is not None:
-            ok = ok & ok2(c_a2, c_b2)
         if isinstance(c_a1, np.ndarray):
             with np.errstate(all="ignore"):  # unstable entries may overflow or divide by 0
                 m = _margin_of_excess(excess(c_a1, c_b1, c_a2, c_b2))
-            return np.where(ok & ~np.isnan(m), m, -np.inf)
-        if not ok:
-            return -math.inf
+            return np.where(np.isnan(m), -np.inf, m)
         return _margin_of_excess(excess(c_a1, c_b1, c_a2, c_b2))
 
     return margin
 
 
-def _margin_fn(t, caps, n_th, r, split, guard: bool = False, pin_cb: bool = False):
+def _margin_fn(t, caps, n_th, r, split, pin_cb: bool = False):
     """Margin over mirrored (c_a, c_b): one transducer's setting serves both."""
-    return _margin_closure(t, caps, n_th, r, split, "mirrored", guard, pin_cb)
+    return _margin_closure(t, caps, n_th, r, split, "mirrored", pin_cb)
 
 
-def _margin_fn_down(t, caps, n_th, r, split, guard: bool = False):
+def _margin_fn_down(t, caps, n_th, r, split):
     """Margin over the source (c_a, c_b) with the downconverter pinned.
 
     For downconversion of an EM/IO/IM resource the sign of the margin
@@ -360,12 +319,12 @@ def _margin_fn_down(t, caps, n_th, r, split, guard: bool = False):
     which is minimized at C_a2 = d_a for any C_b2 > 0, so pinning the
     downconverter at its caps is sign-dominant.
     """
-    return _margin_closure(t, caps, n_th, r, split, "pinned", guard)
+    return _margin_closure(t, caps, n_th, r, split, "pinned")
 
 
-def _margin_fn4(t, caps, n_th, r, split, guard: bool = False, pin_cb: bool = False):
+def _margin_fn4(t, caps, n_th, r, split, pin_cb: bool = False):
     """Margin over all four cooperativities, less the C_b axes that pin_cb removes."""
-    return _margin_closure(t, caps, n_th, r, split, "full", guard, pin_cb)
+    return _margin_closure(t, caps, n_th, r, split, "full", pin_cb)
 
 
 def _clamp_pair(kind: MoKind, caps: DeviceCaps, c_a: float, c_b: float):
@@ -511,13 +470,13 @@ def _free_axes(pairs, pinned: bool, n: int | None = None) -> list[list[float]]:
 class _CooperativityBox:
     """The search problem of optimize_cooperativities, inputs checked.
 
-    margin is the guarded margin over the box [0, hi]: over one
-    transducer's cooperativities when mirrored, else over both
-    transducers'; a converter node (_converter_nodes) has only its C_a
-    axis.  coords maps a point of the box to the cooperativity 4-tuple.
-    corners seed the ranked pool; corners[0] is the clamped all-max
-    corner.  corner_decides is False where that corner does not bound
-    the margin from above (an EM source at r > 0).
+    margin is the margin over the box [0, hi], -inf where a source is
+    unstable: over one transducer's cooperativities when mirrored, else
+    over both transducers'; a converter node (_converter_nodes) has only
+    its C_a axis.  coords maps a point of the box to the cooperativity
+    4-tuple.  corners seed the ranked pool; corners[0] is the clamped
+    all-max corner.  corner_decides is False where that corner does not
+    bound the margin from above (an EM source at r > 0).
     """
 
     margin: Callable
@@ -540,12 +499,12 @@ class _CooperativityBox:
         )
         pin1, pin2 = _converter_nodes(t)
         if mirrored:
-            margin = _margin_fn(t, caps, n_th, rv, split, guard=True, pin_cb=True)
+            margin = _margin_fn(t, caps, n_th, rv, split, pin_cb=True)
             layout = "mirrored"
             corners = _free_axes(_corner_candidates(t.kinds[0], caps), pin1)
             nodes = [pin1]
         else:
-            margin = _margin_fn4(t, caps, n_th, rv, split, guard=True, pin_cb=True)
+            margin = _margin_fn4(t, caps, n_th, rv, split, pin_cb=True)
             layout = "full"
             k2 = t.kinds[1] if t.scheme == "swap" else None
             cands1 = _free_axes(_corner_candidates(t.kinds[0], caps), pin1, 3)
@@ -636,7 +595,7 @@ def optimize_cooperativities(
     that is measured or downconverted, and IO and IM sources are
     two-mode squeezers, so their C_b stays a search axis.
 
-    Before any search the guarded margin is evaluated once at the
+    Before any search the margin is evaluated once at the
     clamped all-max corner: every node at _corner_candidates(kind,
     caps)[0], a converter node at (d_a, min(d_b, 1 + d_a)).  If it is
     finite and <= 0 there, that corner is returned with exactly 0.0 and
@@ -650,10 +609,9 @@ def optimize_cooperativities(
     stable C_a, which is at C_b = d_b, and IM rho = -tau_a C_a / (C_a +
     n + 1); all three fall as C_a grows and do not depend on C_b, and EM
     at r = 0 has B = 0.  The clamp (_stable_bound) is the largest C_a
-    that the guard and the stability check admit, so no point of the
-    search beats the corner.  EM at r > 0, whose rho has an interior
-    minimum, and a corner that the guard rejects (-inf) are searched as
-    before.
+    that the stability check admits, and the margin is -inf at every
+    unstable point, so no point of the search beats the corner.  EM at
+    r > 0, whose rho has an interior minimum, is searched as before.
     """
     box = _CooperativityBox.of(t, caps, n_th, r, tau_e, loss_split)
     if box.corner_separable():

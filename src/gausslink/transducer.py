@@ -245,12 +245,14 @@ def conversion_channel(direction: Literal["up", "down"], p: DptParams) -> OneMod
     return OneModeChannel(t * np.eye(2), n * np.eye(2))
 
 
-def _blue_cap_fn(rates: PhysicalRates, optical_blue: bool):
-    """f(c_red): the largest C_+ allowed by both stability criteria (strict margins off).
+def _blue_bound_fn(rates: PhysicalRates, optical_blue: bool):
+    """f(c_red): the strict stability bound on C_+, one blue pump's only rule.
 
     The blue-pumped side (+) is the optical one (sigma_a = +1, IO source)
     if optical_blue, else the microwave one; c_red is the other side's C_-,
-    a float or, elementwise, a numpy array.
+    a float or, elementwise, a numpy array.  A point is stable iff
+    C_+ < f(C_-): the lesser of the two criteria's largest C_+, less
+    STRICT_MARGIN.
     """
     if optical_blue:
         kappa_plus, kappa_minus = rates.kappa_a, rates.kappa_b
@@ -261,21 +263,23 @@ def _blue_cap_fn(rates: PhysicalRates, optical_blue: bool):
     plus_den, minus_num = kappa_plus + gamma_m, kappa_minus + gamma_m
     second_den = kappa_plus * gamma_m
 
-    def cap(c_red):
+    def bound(c_red):
         first = c_red + 1.0
         # second criterion, linear in C_+ once the coupling bridge is applied
         rhs = c_red * kappa_minus * gamma_m / plus_den + kappa_plus + kappa_minus
         second = rhs * minus_num / second_den
         if isinstance(first, np.ndarray):
-            return np.minimum(first, second)
-        return first if first <= second else second
+            least = np.minimum(first, second)
+        else:
+            least = first if first <= second else second
+        return least - STRICT_MARGIN
 
-    return cap
+    return bound
 
 
-def _blue_cap(c_red: float, rates: PhysicalRates, optical_blue: bool) -> float:
-    """_blue_cap_fn evaluated once."""
-    return _blue_cap_fn(rates, optical_blue)(c_red)
+def _blue_bound(c_red: float, rates: PhysicalRates, optical_blue: bool) -> float:
+    """_blue_bound_fn evaluated once."""
+    return _blue_bound_fn(rates, optical_blue)(c_red)
 
 
 def stability_ok(p: DptParams, rates: PhysicalRates) -> bool:
@@ -285,13 +289,14 @@ def stability_ok(p: DptParams, rates: PhysicalRates) -> bool:
     criteria must hold with a strict margin: C_+ < C_- + 1 and
     4 G_+^2/(kappa_- + gamma_m) < 4 G_-^2/(kappa_+ + gamma_m)
     + kappa_+ + kappa_-, where + labels the blue-pumped side and the
-    couplings follow from C_i = 4 G_i^2/(kappa_i gamma_m).
+    couplings follow from C_i = 4 G_i^2/(kappa_i gamma_m).  The test is
+    C_+ < _blue_bound(C_-).
     """
     if p.sigma_a == -1 and p.sigma_b == -1:
         return True
     if p.sigma_a == 1:
-        return p.c_a < _blue_cap(p.c_b, rates, True) - STRICT_MARGIN
-    return p.c_b < _blue_cap(p.c_a, rates, False) - STRICT_MARGIN
+        return p.c_a < _blue_bound(p.c_b, rates, True)
+    return p.c_b < _blue_bound(p.c_a, rates, False)
 
 
 def _check_loss_split(tau_e: float, split: Sequence[float] | None = None):

@@ -1,9 +1,9 @@
 """Bit-identity of the margin closures against a recorded golden file.
 
-golden_margins.json holds the float.hex of every margin factory's value,
-with the guard on and off, at seeded points of all 14 topologies: half
-of them drawn over the caps and half within 1e-12..1 of the first
-stability criterion, where the guard and the stability check decide.
+golden_margins.json holds the float.hex of every margin factory's value
+at seeded points of all 14 topologies: half of them drawn over the caps
+and half within 1e-12..1 of the first stability criterion, where the
+stability check decides.
 It was recorded before the margin closures were staged, so any change
 in the order of their floating-point operations shows up here as a
 changed last bit.  Each case is also evaluated once on arrays, which
@@ -59,15 +59,12 @@ def _cases():
         x[:, 0] = (caps.d_a, caps.d_b) * 2  # the all-max corner
         factories = (_margin_fn, _margin_fn4) + ((_margin_fn_down,) if t.scheme == "down" else ())
         for factory in factories:
-            for guard in (False, True):
-                key = f"{t.label}|{factory.__name__}|{'guard' if guard else 'open'}"
-                yield key, factory, (t, caps, n_th, r, split, guard), x
+            yield f"{t.label}|{factory.__name__}|open", factory, (t, caps, n_th, r, split), x
 
 
 def _evaluate(factory, args, x):
     """(hex of each scalar evaluation, hex of the one array evaluation)."""
-    t, caps, n_th, r, split, guard = args
-    margin = factory(t, caps, n_th, r, split, guard=guard)
+    margin = factory(*args)
     one = [float(margin(x[:, i].tolist())).hex() for i in range(x.shape[1])]
     many = [float(v).hex() for v in margin(x)]
     return one, many
@@ -82,7 +79,7 @@ def test_margins_are_bit_identical_to_the_golden_file():
         assert many == golden[key], key
         keys.append(key)
     assert sorted(keys) == sorted(golden)
-    assert len(keys) == 64
+    assert len(keys) == 32
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

@@ -14,8 +14,9 @@ reused.
 Three edges are checked, on the float path and on the array path (which
 must equal the float path bit for bit):
 
-* inside the numeric gap 1e-8 (1 + C_-) of the blue-pump instability,
-  where A, B and c grow like 1e16 while P stays moderate;
+* next to the blue-pump instability, within 1e-8 (1 + C_-) of it and
+  at 2 STRICT_MARGIN from it, the closest that a search may go, where
+  A, B and c grow like 1e16 while P stays moderate;
 * at cooperativities up to 1e4;
 * at tau -> 0.
 
@@ -39,6 +40,7 @@ from gausslink import (
 )
 from gausslink.network import _mm_excess
 from gausslink.sources import MoKind, _mo_excess
+from gausslink.transducer import STRICT_MARGIN
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -147,9 +149,9 @@ def _assert_close(got, want, label):
         assert err <= REL_TOL * abs(w) + ABS_FLOOR, (label, name, float(g), mpmath.nstr(w, 20))
 
 
-def _gap_pair(kind, c_red, fraction):
-    """(c_a, c_b) a fraction of the numeric gap 1e-8 (1 + C_-) inside the instability."""
-    c_plus = 1.0 + c_red - fraction * 1e-8 * (1.0 + c_red)
+def _gap_pair(kind, c_red, gap):
+    """(c_a, c_b) with C_+ = 1 + C_- - gap, gap below the first stability criterion."""
+    c_plus = 1.0 + c_red - gap
     return (c_plus, c_red) if kind is MoKind.IO else (c_red, c_plus)
 
 
@@ -158,9 +160,11 @@ def _oriented(kind, points):
     return [(p[1], p[0], *p[2:]) for p in points] if kind is MoKind.IM else points
 
 
-# (c_a, c_b, tau_a, tau_b, n_th, r) per edge and kind, all stable
-_GAP = [(*_gap_pair(MoKind.IO, c_red, f), 0.9, 0.8, n_th, 0.0)
-        for c_red, f, n_th in ((0.5, 0.5, 0.0), (3.0, 1.0, 0.2), (50.0, 0.7, 5.0), (1e4, 0.9, 1e3))]
+# (c_a, c_b, tau_a, tau_b, n_th, r) per edge and kind, all stable; the gap
+# row takes fractions of 1e-8 (1 + C_-), then 2 STRICT_MARGIN at each C_-
+_GAP = [(*_gap_pair(MoKind.IO, c_red, gap), 0.9, 0.8, n_th, 0.0)
+        for c_red, f, n_th in ((0.5, 0.5, 0.0), (3.0, 1.0, 0.2), (50.0, 0.7, 5.0), (1e4, 0.9, 1e3))
+        for gap in (f * 1e-8 * (1.0 + c_red), 2.0 * STRICT_MARGIN)]
 _CAPS = [(1e4, 1e4, 0.9, 0.8, 0.3, 0.7), (2.5e3, 1e4, 0.6, 0.95, 1e3, 1.2),
          (9999.5, 1e4, 0.99, 0.5, 0.0, 0.3)]
 _TAU = [(20.0, 19.5, 1e-12, 0.8, 0.3, 0.5), (19.5, 20.0, 0.8, 1e-12, 0.3, 0.5),
@@ -254,8 +258,8 @@ def test_public_log_negativity_matches_50_digit_oracle(t, edge):
 
 
 def test_swap_output_excess_does_not_cancel_at_numeric_gap():
-    # an IO source 4.15e-8 inside its instability, just past the numeric gap:
-    # B1 - c1**2 / (1 + A1 + A2) used to cancel to A = 0.0 here
+    # an IO source 4.15e-8 inside its instability, where
+    # B1 - c1**2 / (1 + A1 + A2) used to cancel to A = 0.0
     caps = DeviceCaps(25.0, 6.0, 0.9, 0.85, 0.2)
     t = Topology.swap_asym(MoKind.IM, MoKind.IO)
     cs, split = (3.99999995801, 2.9999999995, 20.0, 5.0), (0.6, 1.0)

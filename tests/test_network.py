@@ -32,6 +32,7 @@ from gausslink.network import (
 )
 from gausslink.sampling import random_balanced_states
 from gausslink.sources import MoKind
+from gausslink.transducer import STRICT_MARGIN
 
 
 def epr_measurement_oracle(s1: BalancedForm, s2: BalancedForm) -> np.ndarray:
@@ -390,7 +391,22 @@ class TestMmState:
                     mm_state(t, cfg)
                 msg = str(err.value)
                 assert f"{kind.name} source unstable: {name} = {c_blue}" in msg
-                assert float(msg.rsplit(f"{name} < ", 1)[1]) == pytest.approx(bound, rel=1e-12)
+                # the message names the enforced bound, margin included
+                enforced = bound - STRICT_MARGIN
+                assert float(msg.rsplit(f"{name} < ", 1)[1]) == pytest.approx(enforced, rel=1e-12)
+
+    def test_unstable_message_states_a_violated_inequality(self):
+        # 5e-10 below the first criterion's C_+ = C_- + 1 = 5, inside the
+        # strict margin: unstable, and the message must not claim 4.9999999995 < 5
+        caps = DeviceCaps(10.0, 4.0, 0.9, 0.8, 0.0)
+        c_a = 5.0 - STRICT_MARGIN / 2
+        cfg = NetworkConfig(caps, c_a, 4.0, c_a, 4.0)
+        with pytest.raises(UnstableOperatingPointError) as err:
+            mm_log_negativity(Topology.swap_sym(MoKind.IO), cfg)
+        bound = float(str(err.value).rsplit("C_a < ", 1)[1])
+        assert str(err.value).startswith(f"IO source unstable: C_a = {c_a} violates")
+        assert bound == 5.0 - STRICT_MARGIN
+        assert not c_a < bound
 
     def test_nan_split_rejected(self):
         for split in ((math.nan, math.nan), (math.nan, 0.5)):

@@ -29,6 +29,7 @@ from gausslink.thresholds import (
     _margin_fn4,
     _margin_fn_down,
     _maximize_em_cell,
+    _stable_bound,
     stability_ok,
 )
 
@@ -229,6 +230,41 @@ class TestMaxStableCa:
             bisected += got < caps.d_a
         assert capped >= 30 and bisected >= 30, (capped, bisected)
 
+    def test_stable_bound_is_the_largest_stable_float(self, rng):
+        # where its cap does not bind, _stable_bound is admitted by
+        # stability_ok and the next float up is not, on either blue side;
+        # max_stable_ca lies within its 1e-10 bisection tolerance below it
+        binds = {"first": 0, "second": 0}
+        for _ in range(400):
+            kappa_a, kappa_b = (10.0 ** rng.uniform(-1.0, 3.0, 2)).tolist()
+            rates = PhysicalRates(kappa_a, kappa_b, 10.0 ** rng.uniform(-1.0, 1.0))
+            caps = random_caps(rng, rates)
+            for optical in (True, False):
+                d_plus, d_minus = (caps.d_a, caps.d_b) if optical else (caps.d_b, caps.d_a)
+                u = rng.uniform()
+                c_red = 0.0 if u < 0.1 else d_minus if u < 0.2 else rng.uniform(0.0, d_minus)
+                bound = _stable_bound(caps, c_red, optical)
+                if bound == d_plus:
+                    continue
+                sigmas = (1, -1) if optical else (-1, 1)
+
+                def stable(c_blue):
+                    cs = (c_blue, c_red) if optical else (c_red, c_blue)
+                    return stability_ok(caps.params(*cs, *sigmas), rates)
+
+                config = (caps, c_red, optical)
+                assert stable(bound), config
+                assert not stable(math.nextafter(bound, math.inf)), config
+                if optical:
+                    assert bound - 1e-10 <= max_stable_ca(caps, c_red) <= bound, config
+                k_plus, k_minus = (kappa_a, kappa_b) if optical else (kappa_b, kappa_a)
+                g = rates.gamma_m
+                second = (c_red * k_minus * g / (k_plus + g) + k_plus + k_minus) * (
+                    k_minus + g
+                ) / (k_plus * g)
+                binds["first" if c_red + 1.0 <= second else "second"] += 1
+        assert min(binds.values()) >= 50, binds
+
 
 class TestNumericThreshold:
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -368,7 +404,7 @@ class TestOptimizeCooperativities:
 
     def test_array_margin_equals_scalar_margin(self, rng):
         # the start ranking evaluates a margin closure on arrays; every entry
-        # must equal the float evaluation, -inf (unstable or guarded) included
+        # must equal the float evaluation, -inf (unstable) included
         n_inf = n_finite = 0
         for _ in range(6):
             caps = random_caps(rng)
@@ -389,13 +425,12 @@ class TestOptimizeCooperativities:
                     (_margin_fn_down,) if t.scheme == "down" else ()
                 )
                 for factory in factories:
-                    for guard in (False, True):
-                        margin = factory(t, caps, caps.n_th, r, split, guard=guard)
-                        many = margin(x)
-                        one = [margin(x[:, i].tolist()) for i in range(x.shape[1])]
-                        assert np.array_equal(many, one), (t.label, factory.__name__, guard)
-                        n_inf += int(np.sum(np.isneginf(many)))
-                        n_finite += int(np.sum(np.isfinite(many)))
+                    margin = factory(t, caps, caps.n_th, r, split)
+                    many = margin(x)
+                    one = [margin(x[:, i].tolist()) for i in range(x.shape[1])]
+                    assert np.array_equal(many, one), (t.label, factory.__name__)
+                    n_inf += int(np.sum(np.isneginf(many)))
+                    n_finite += int(np.sum(np.isfinite(many)))
         assert n_inf > 1000 and n_finite > 1000
 
     def test_swap_next_to_the_numeric_gap_stays_finite(self):
@@ -499,8 +534,8 @@ class TestCornerShortcut:
     proves a cell separable."""
 
     def test_sound_on_random_draws(self):
-        # wherever the shortcut fires, neither a dense grid of the guarded
-        # margin nor the full search finds a positive margin
+        # wherever the shortcut fires, neither a dense grid of the margin
+        # nor the full search finds a positive margin
         rng = generator(20260808, stream=110)
         fired = mirrored = 0
         for i in range(560):
@@ -512,7 +547,7 @@ class TestCornerShortcut:
             config = (i, t.label, caps, n_th, r, split)
             # the dense grid covers the whole box, without the converter pin
             factory = _margin_fn if box.mirrored else _margin_fn4
-            free = factory(t, caps, n_th, r, split, guard=True)
+            free = factory(t, caps, n_th, r, split)
             hi = [caps.d_a, caps.d_b] * (1 if box.mirrored else 2)
             assert np.max(free(_dense_grid(hi))) <= 0.0, config
             assert box.search(16, 250)[1] <= 0.0, config
@@ -604,7 +639,7 @@ class TestConverterPin:
                     box = _CooperativityBox.of(t, caps, caps.n_th, r, tau_e, split)
                     split = split or default_loss_split(t, tau_e)
                     factory = _margin_fn if box.mirrored else _margin_fn4
-                    free = factory(t, caps, caps.n_th, r, split, guard=True)
+                    free = factory(t, caps, caps.n_th, r, split)
                     x = np.array(box.hi)[:, None] * rng.uniform(size=(len(box.hi), 40))
                     many = box.margin(x)
                     for i in range(x.shape[1]):

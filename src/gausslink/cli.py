@@ -22,6 +22,7 @@ import math
 import os
 import sys
 
+from .core import R_MAX, squeeze_db_to_r
 from .experiments import (
     ExperimentConfig,
     OutputError,
@@ -40,7 +41,8 @@ _RATE_KEYS = {"kappa_a", "kappa_b", "gamma_m"}
 #: Domains of the numeric config fields that the library takes unchecked,
 #: as (description, test); a list is tested entry by entry and NaN fails
 #: every test.  A negative loss in dB would be a gain, the seed keys a
-#: 64-bit generator, and a geometric d_a grid cannot reach 0.
+#: 64-bit generator, a geometric d_a grid cannot reach 0, and squeezing
+#: is bounded as SqueezeParam bounds it.
 _NONNEGATIVE = ("finite and >= 0", lambda v: 0 <= v < math.inf)
 _DOMAINS = {
     **dict.fromkeys(("points", "jobs"), (">= 1", lambda v: v >= 1)),
@@ -48,8 +50,11 @@ _DOMAINS = {
     "d_a_range": ("finite and > 0", lambda v: 0 < v < math.inf),
     "tau_a": ("in [0, 1]", lambda v: 0 <= v <= 1),
     "tau_b": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "r": (f"in [0, {R_MAX}]", lambda v: 0 <= v <= R_MAX),
+    "squeezing_db": (f">= 0 and at most r = {R_MAX} (about 869 dB)",
+                     lambda v: 0 <= squeeze_db_to_r(v) <= R_MAX),
     **dict.fromkeys(
-        ("r", "squeezing_db", "d_b_values", "d_b_loss", "loss_db_max", "taue_db_max",
+        ("d_b_values", "d_b_loss", "loss_db_max", "taue_db_max",
          "fiber_km", "loss_db_per_km", "bandwidth_hz"),
         _NONNEGATIVE,
     ),

@@ -39,6 +39,7 @@ __all__ = [
     "balanced_physicality_check",
     "squeeze_db_to_r",
     "squeeze_r_to_db",
+    "R_MAX",
 ]
 
 VACUUM_VARIANCE = 0.5
@@ -62,6 +63,12 @@ _PHYSICALITY_TOL = 1e-10
 #: NaN and +-inf as well as x < lo.
 _FINITE = sys.float_info.max
 
+#: Largest squeezing parameter, about 869 dB.  Beyond it the excess forms
+#: lose their terms to rounding: at the brubaker2022 caps the optimized
+#: negativities fall to 0 from about r = 180, the EO-swap threshold from
+#: r = 354, and past r = 355 they overflow.
+R_MAX = 100.0
+
 
 def squeeze_db_to_r(db: float) -> float:
     """Convert squeezing in dB to the dimensionless squeezing parameter."""
@@ -75,13 +82,15 @@ def squeeze_r_to_db(r: float) -> float:
 
 @dataclass(frozen=True)
 class SqueezeParam:
-    """Dimensionless two-mode squeezing parameter, r >= 0."""
+    """Dimensionless two-mode squeezing parameter, 0 <= r <= R_MAX."""
 
     r: float
 
     def __post_init__(self):
-        if not (0.0 <= self.r <= _FINITE):
-            raise ValueError(f"squeezing parameter must be finite and >= 0, got {self.r}")
+        if not (0.0 <= self.r <= R_MAX):
+            raise ValueError(
+                f"squeezing parameter must be finite and >= 0, at most {R_MAX}, got {self.r}"
+            )
 
     @classmethod
     def from_db(cls, db: float) -> "SqueezeParam":

@@ -213,13 +213,17 @@ def _loss_point(args):
 
 
 def _fit_slopes(rows, lo_db, hi_db):
-    """Log-log slope of threshold versus tau_a over [lo_db, hi_db]."""
+    """Log-log slope of threshold versus tau_a over [lo_db, hi_db].
+
+    NaN where the window holds fewer than two distinct tau_a, or a
+    threshold of 0.
+    """
     slopes = {}
     sel = [row for row in rows if lo_db <= row["loss_db"] <= hi_db]
     for name, _ in _TOPOLOGY_COLUMNS:
         vals = np.array([row[name] for row in sel])
         taus = np.array([row["tau_a"] for row in sel])
-        if len(vals) >= 2 and np.all(vals > 0.0):
+        if len(set(taus)) >= 2 and np.all(vals > 0.0):
             slopes[name] = float(np.polyfit(np.log10(taus), np.log10(vals), 1)[0])
         else:
             slopes[name] = float("nan")
@@ -372,10 +376,13 @@ def cmd_ebit_rate(cfg: ExperimentConfig) -> dict:
 
 # -- validation suite ---------------------------------------------------------
 #
-# Each check returns (worst, tolerance, detail).  The detail names the draw
-# that set worst and its configuration as keyword arguments with exact
-# reprs, e.g. "EO-down draw 3: caps=DeviceCaps(...), r=0.5", so that
-# eval(f"dict({config})") replays a failure without the seed.
+# Each check yields (value, detail) per draw; the worst is the first
+# largest value.  detail is a zero-argument callable, called only while
+# its draw is the current one, that names the draw and its configuration
+# as keyword arguments with exact reprs, e.g. "EO-down draw 3:
+# caps=DeviceCaps(...), r=0.5", so that eval(f"dict({config})") replays a
+# failure without the seed.  A check that cannot go on, or finds nothing
+# to check, yields inf and stops.
 
 def _check_swap_theorem(seed, n):
     """E12 <= max(E11, E22) for independent physical balanced pairs."""
@@ -383,8 +390,6 @@ def _check_swap_theorem(seed, n):
 
     rng = generator(seed, stream=1)
     states = random_balanced_states(rng, 2 * n)
-    worst = -math.inf
-    tag = ""
 
     def pair(i):
         s1, s2 = (tuple(states[j].tolist()) for j in (2 * i, 2 * i + 1))
@@ -398,18 +403,14 @@ def _check_swap_theorem(seed, n):
             e11 = log_negativity(swap(s1, s1))
             e22 = log_negativity(swap(s2, s2))
         except ValueError:
-            return math.inf, 1e-12, f"unphysical swap output at {pair(i)}"
-        excess = e12 - max(e11, e22)
-        if excess > worst:
-            worst, tag = excess, pair(i)
-    return worst, 1e-12, tag
+            yield math.inf, lambda: f"unphysical swap output at {pair(i)}"
+            return
+        yield e12 - max(e11, e22), lambda: pair(i)
 
 
 def _check_mo_oracle(seed, n):
     """Closed forms versus explicit channel composition, all four kinds."""
     rng = generator(seed, stream=2)
-    worst = 0.0
-    tag = ""
     for kind in MoKind:
         for i in range(n):
             p = random_source_params(rng, kind)
@@ -418,16 +419,12 @@ def _check_mo_oracle(seed, n):
             s2 = mo_state_via_composition(kind, p, r)
             scale = max(1.0, abs(s1.a), abs(s1.b), abs(s1.c))
             err = max(abs(s1.a - s2.a), abs(s1.b - s2.b), abs(s1.c - s2.c)) / scale
-            if err > worst:
-                worst, tag = err, f"{kind.name} draw {i}: p={p!r}, r={r!r}"
-    return worst, 1e-12, tag
+            yield err, lambda: f"{kind.name} draw {i}: p={p!r}, r={r!r}"
 
 
 def _check_conversion_trace(seed, n):
     """One-mode conversion channels versus traced two-mode marginals."""
     rng = generator(seed, stream=3)
-    worst = 0.0
-    tag = ""
     for i in range(n):
         p = random_red_params(rng)
         full = dpt_two_mode_channel(p)
@@ -441,9 +438,7 @@ def _check_conversion_trace(seed, n):
                 np.max(np.abs(t_marg - ch.T)),
                 np.max(np.abs(n_marg - ch.N)),
             )
-            if err > worst:
-                worst, tag = err, f"{direction} draw {i}: p={p!r}"
-    return worst, 1e-12, tag
+            yield err, lambda: f"{direction} draw {i}: p={p!r}"
 
 
 def _check_thresholds(seed, n):
@@ -454,22 +449,18 @@ def _check_thresholds(seed, n):
         Topology.down(MoKind.IO), Topology.swap_sym(MoKind.IO),
         Topology.down(MoKind.IM), Topology.swap_sym(MoKind.IM),
     ]
-    worst = 0.0
-    tag = ""
     for i in range(n):
         caps = random_caps(rng)
         r = rng.uniform(0.0, 1.2)
         for topo in rows:
             a = analytic_threshold(topo, caps, r)
             b = numeric_threshold(topo, caps, r)
-            config = f"{topo.label} draw {i}: caps={caps!r}, r={r!r}"
+            config = lambda: f"{topo.label} draw {i}: caps={caps!r}, r={r!r}"
             if a.can_entangle != b.can_entangle:
-                return math.inf, 1e-6, f"{config} (feasibility mismatch)"
+                yield math.inf, lambda: f"{config()} (feasibility mismatch)"
+                return
             if a.can_entangle:
-                rel = abs(a.n_th_max - b.n_th_max) / a.n_th_max
-                if rel > worst:
-                    worst, tag = rel, config
-    return worst, 1e-6, tag
+                yield abs(a.n_th_max - b.n_th_max) / a.n_th_max, config
 
 
 def _check_global_necessary(seed, n):
@@ -479,8 +470,6 @@ def _check_global_necessary(seed, n):
     optimize_cooperativities, so that the search stays evidence.
     """
     rng = generator(seed, stream=5)
-    worst = 0.0
-    tag = ""
     for i in range(n):
         caps = random_caps(rng)
         n_th = caps.tau_a * caps.d_a * rng.uniform(1.0, 3.0)
@@ -488,26 +477,21 @@ def _check_global_necessary(seed, n):
         r = rng.uniform(0.0, 1.2)
         topo = SYMMETRIC_TOPOLOGIES[int(rng.integers(len(SYMMETRIC_TOPOLOGIES)))]
         _, m = _CooperativityBox.of(topo, caps, n_th, r).search(4, 60)
-        e = _log2_negativity(m)
-        if e > worst:
-            worst, tag = e, f"{topo.label} draw {i}: caps={caps!r}, r={r!r}"
-    return worst, 0.0, tag
+        yield _log2_negativity(m), lambda: f"{topo.label} draw {i}: caps={caps!r}, r={r!r}"
 
 
 def _check_corner_shortcut(seed, n):
     """Where the all-max corner proves a cell separable, the search finds no margin.
 
-    Draws all 14 topologies with random rates, r and external loss;
-    worst is the largest margin the search finds over the draws where
-    optimize_cooperativities would skip it (at most 0 when sound), and
-    the detail names that closest draw.  The corner's blue-pumped sides
-    sit at the largest stable float, and the search's margin is -inf
-    only where a source is unstable, so the search can reach every
-    point that the corner is claimed to bound.
+    Draws all 14 topologies with random rates, r and external loss, and
+    yields the margin the search finds on each draw where
+    optimize_cooperativities would skip it (at most 0 when sound).  The
+    corner's blue-pumped sides sit at the largest stable float, and the
+    search's margin is -inf only where a source is unstable, so the
+    search can reach every point that the corner is claimed to bound.
     """
     rng = generator(seed, stream=7)
-    worst = -math.inf
-    tag = ""
+    fired = False
     for i in range(n):
         kappa_a, kappa_b = (10.0 ** rng.uniform(-1.0, 2.5, 2)).tolist()
         caps = random_caps(rng, PhysicalRates(kappa_a, kappa_b, 1.0))
@@ -516,91 +500,81 @@ def _check_corner_shortcut(seed, n):
         tau_e = rng.uniform(0.3, 1.0)
         topo = ALL_TOPOLOGIES[int(rng.integers(len(ALL_TOPOLOGIES)))]
         box = _CooperativityBox.of(topo, caps, caps.n_th, r, tau_e)
-        if not box.corner_separable():
-            continue
-        _, m = box.search(4, 60)
-        if m > worst:
-            worst, tag = m, f"{topo.label} draw {i}: caps={caps!r}, r={r!r}, tau_e={tau_e!r}"
-    if worst == -math.inf:
-        return math.inf, 0.0, "the corner proved no draw separable"
-    return worst, 0.0, tag
+        if box.corner_separable():
+            fired = True
+            _, m = box.search(4, 60)
+            yield m, lambda: f"{topo.label} draw {i}: caps={caps!r}, r={r!r}, tau_e={tau_e!r}"
+    if not fired:
+        yield math.inf, lambda: "the corner proved no draw separable"
 
 
 def _check_split_optimality(seed, n):
     """Equal split is optimal for EO downconversion, extremal for swapping."""
     rng = generator(seed, stream=6)
-    worst = 0.0
-    tag = ""
     for i in range(n):
         caps = random_caps(rng)
         caps = replace(caps, n_th=rng.uniform(0.0, 0.2) * caps.tau_a * caps.d_a)
         r = rng.uniform(0.2, 1.2)
         tau_e = rng.uniform(0.3, 0.95)
         cs = (caps.d_a, caps.d_b, caps.d_a, caps.d_b)
-        grid = np.linspace(tau_e, 1.0, 101)
         config = f"caps={caps!r}, r={r!r}, tau_e={tau_e!r}"
-
-        topo = Topology.down(MoKind.EO)
         s = math.sqrt(tau_e)
-        e_eq = mm_log_negativity(topo, NetworkConfig(caps, *cs, r=r, tau_e=tau_e, loss_split=(s, s)))
-        for t1 in grid:
-            e = mm_log_negativity(
-                topo, NetworkConfig(caps, *cs, r=r, tau_e=tau_e, loss_split=(t1, tau_e / t1))
-            )
-            if e - e_eq > worst:
-                worst, tag = e - e_eq, f"down draw {i}: {config}, t1={float(t1)!r}"
-
-        topo = Topology.swap_sym(MoKind.EO)
-        e_ex = mm_log_negativity(
-            topo, NetworkConfig(caps, *cs, r=r, tau_e=tau_e, loss_split=(tau_e, 1.0))
-        )
-        for t1 in grid:
-            e = mm_log_negativity(
-                topo, NetworkConfig(caps, *cs, r=r, tau_e=tau_e, loss_split=(t1, tau_e / t1))
-            )
-            if e - e_ex > worst:
-                worst, tag = e - e_ex, f"swap draw {i}: {config}, t1={float(t1)!r}"
-    return worst, 1e-10, tag
+        for topo, best in ((Topology.down(MoKind.EO), (s, s)),
+                           (Topology.swap_sym(MoKind.EO), (tau_e, 1.0))):
+            e_best = mm_log_negativity(
+                topo, NetworkConfig(caps, *cs, r=r, tau_e=tau_e, loss_split=best))
+            for t1 in np.linspace(tau_e, 1.0, 101):
+                e = mm_log_negativity(
+                    topo, NetworkConfig(caps, *cs, r=r, tau_e=tau_e, loss_split=(t1, tau_e / t1))
+                )
+                yield e - e_best, lambda: f"{topo.scheme} draw {i}: {config}, t1={float(t1)!r}"
 
 
 def _check_determinism(seed, n):
     """Identical seeds reproduce identical draws."""
     a = random_balanced_states(generator(seed, stream=1), n)
     b = random_balanced_states(generator(seed, stream=1), n)
-    return float(np.max(np.abs(a - b))), 0.0, ""
+    yield np.max(np.abs(a - b)), lambda: ""
+
+
+def _worst_draw(draws, worst: float) -> tuple[float, str]:
+    """The first largest value of a check's draws above worst, and its detail."""
+    detail = ""
+    for value, describe in draws:
+        if value > worst:
+            worst, detail = value, describe()
+    return float(worst), detail  # numpy scalars are not JSON-serialisable
 
 
 def cmd_validate(cfg: ExperimentConfig) -> tuple[int, dict]:
     """Run the oracle and property suite; returns (exit_code, report)."""
     n = max(cfg.checks_n, 100)
+    # (name, check, draws, tolerance, worst before any draw)
     checks = [
-        ("swap_theorem", _check_swap_theorem, n),
-        ("mo_state_oracle", _check_mo_oracle, max(n // 10, 100)),
-        ("conversion_trace", _check_conversion_trace, max(n // 10, 100)),
-        ("threshold_agreement", _check_thresholds, max(n // 1000, 10)),
-        ("global_necessary_condition", _check_global_necessary, max(n // 20, 50)),
-        ("corner_shortcut", _check_corner_shortcut, max(n // 20, 50)),
-        ("loss_split_optimality", _check_split_optimality, max(n // 2500, 6)),
-        ("determinism", _check_determinism, 1000),
+        ("swap_theorem", _check_swap_theorem, n, 1e-12, -math.inf),
+        ("mo_state_oracle", _check_mo_oracle, max(n // 10, 100), 1e-12, 0.0),
+        ("conversion_trace", _check_conversion_trace, max(n // 10, 100), 1e-12, 0.0),
+        ("threshold_agreement", _check_thresholds, max(n // 1000, 10), 1e-6, 0.0),
+        ("global_necessary_condition", _check_global_necessary, max(n // 20, 50), 0.0, 0.0),
+        ("corner_shortcut", _check_corner_shortcut, max(n // 20, 50), 0.0, -math.inf),
+        ("loss_split_optimality", _check_split_optimality, max(n // 2500, 6), 1e-10, 0.0),
+        ("determinism", _check_determinism, 1000, 0.0, 0.0),
     ]
     results = []
-    ok = True
-    for name, fn, count in checks:
-        worst, tol, tag = fn(cfg.seed, count)
-        worst = float(worst)  # numpy scalars are not JSON-serialisable
-        passed = worst <= tol
-        ok = ok and passed
+    for name, check, count, tol, start in checks:
+        worst, detail = _worst_draw(check(cfg.seed, count), start)
         results.append(
             {
                 "check": name,
                 "n": count,
                 "worst": worst,
                 "tolerance": tol,
-                "pass": passed,
-                "detail": tag,
+                "pass": worst <= tol,
+                "detail": detail,
                 "seed": cfg.seed,
             }
         )
+    ok = all(r["pass"] for r in results)
     report = {"tool": f"gausslink {_version}", "seed": cfg.seed, "results": results, "pass": ok}
     _write_json(cfg.out, report)
     return (0 if ok else 1), report

@@ -128,14 +128,15 @@ def _em_down_cell(c_a, c_b, tau_a, tau_b, d_a):
 
 
 def _em_swap_cell(c_a, c_b, tau_a, tau_b):
-    """EM-swap bound at (c_a, c_b), -inf where c_a <= 0; floats or arrays, elementwise."""
-    array = isinstance(c_a, np.ndarray)
+    """EM-swap bound at (c_a, c_b), -inf where tau_a c_a <= 0; floats or arrays, elementwise."""
+    den = 8.0 * tau_a * c_a
+    array = isinstance(den, np.ndarray)
     if array:
-        ok = c_a > 0.0
-        c_a = np.where(ok, c_a, 1.0)
-    elif c_a <= 0.0:
+        ok = den > 0.0
+        den = np.where(ok, den, 1.0)
+    elif den <= 0.0:
         return -math.inf
-    value = tau_b * c_b - (1.0 + c_a + c_b) ** 2 / (8.0 * tau_a * c_a)
+    value = tau_b * c_b - (1.0 + c_a + c_b) ** 2 / den
     return np.where(ok, value, -np.inf) if array else value
 
 

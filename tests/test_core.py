@@ -20,6 +20,7 @@ from gausslink import (
     min_sympl_eig_pt,
     physicality_check,
 )
+from gausslink.core import R_MAX
 from gausslink.sampling import generator, random_balanced_states
 
 from conftest import random_covmat_channel
@@ -39,6 +40,11 @@ class TestSqueezeParam:
             SqueezeParam(-0.1)
         with pytest.raises(ValueError):
             make_tms(-1.0)
+
+    def test_beyond_r_max_rejected(self):
+        assert SqueezeParam(R_MAX).r == R_MAX
+        with pytest.raises(ValueError, match="at most"):
+            SqueezeParam(math.nextafter(R_MAX, math.inf))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, bad):

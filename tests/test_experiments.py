@@ -24,6 +24,7 @@ from gausslink.experiments import (
     _check_mo_oracle,
     _check_swap_theorem,
     _check_thresholds,
+    _worst_draw,
     cmd_device_run,
     cmd_ebit_rate,
     cmd_threshold_vs_da,
@@ -98,6 +99,11 @@ class TestThresholdVsLoss:
         assert slopes["eo_swap"] == pytest.approx(1.0, abs=0.1)
         for name in ("em_down", "io_down", "im_down"):
             assert slopes[name] == pytest.approx(2.0, abs=0.1)
+
+    def test_slopes_nan_without_two_distinct_tau_a(self):
+        cfg = ExperimentConfig(experiment="threshold-vs-loss", points=3, loss_db_max=0.0)
+        _, slopes, _ = cmd_threshold_vs_loss(cfg)
+        assert all(math.isnan(v) for v in slopes.values())
 
     def test_non_eo_swaps_dead_past_3db(self, vs_loss_result):
         rows, _, _ = vs_loss_result
@@ -219,7 +225,7 @@ class TestValidateCommand:
     def test_threshold_detail_replays_worst(self):
         # the worst draw's caps and r, read back from the detail alone,
         # reproduce the reported worst exactly
-        worst, _, detail = _check_thresholds(0, 10)
+        worst, detail = _worst_draw(_check_thresholds(0, 10), 0.0)
         assert worst > 0.0
         label = detail.split(" draw ")[0]
         topo = next(t for t in SYMMETRIC_TOPOLOGIES if t.label == label)
@@ -229,11 +235,11 @@ class TestValidateCommand:
         assert abs(a.n_th_max - b.n_th_max) / a.n_th_max == worst
 
     def test_details_name_exact_configurations(self):
-        swap = self._config(_check_swap_theorem(0, 50)[2])
+        swap = self._config(_worst_draw(_check_swap_theorem(0, 50), -math.inf)[1])
         assert set(swap) == {"s1", "s2"} and isinstance(swap["s1"], BalancedForm)
-        mo = self._config(_check_mo_oracle(0, 20)[2])
+        mo = self._config(_worst_draw(_check_mo_oracle(0, 20), 0.0)[1])
         assert isinstance(mo["p"], DptParams) and isinstance(mo["r"], float)
-        conv = self._config(_check_conversion_trace(0, 20)[2])
+        conv = self._config(_worst_draw(_check_conversion_trace(0, 20), 0.0)[1])
         assert isinstance(conv["p"], DptParams)
 
 
@@ -325,6 +331,32 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command, config, code",
+        [
+            ("threshold-vs-da", {"r": 400}, 2),
+            ("threshold-vs-da", {"r": 355}, 2),
+            ("threshold-vs-da", {"r": 100}, 0),
+            ("device-run", {"squeezing_db": [4000]}, 2),
+            ("device-run", {"squeezing_db": [2000]}, 2),
+            ("device-run", {"squeezing_db": [1500]}, 2),
+            ("threshold-vs-loss", {"loss_db_max": 0}, 0),
+            ("threshold-vs-da", {"tau_a": 0}, 0),
+        ],
+        ids=["r-400", "r-355", "r-100", "squeezing-4000db", "squeezing-2000db",
+             "squeezing-1500db", "zero-loss-window", "zero-tau_a"],
+    )
+    def test_edge_config_exits_cleanly(self, command, config, code, tmp_path, capfd):
+        # capfd also catches what numpy's C code writes to stderr
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path), "--points", "3"]) == code
+        err = capfd.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("config error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
         "command", ["threshold-vs-da", "threshold-vs-loss", "device-run", "ebit-rate", "validate"]
     )
     def test_out_into_missing_directory_is_config_error(self, command, tmp_path, capsys,
@@ -392,7 +424,7 @@ class TestCli:
         import gausslink.experiments as exp
 
         monkeypatch.setattr(
-            exp, "_check_determinism", lambda seed, n: (1.0, 0.0, "forced failure")
+            exp, "_check_determinism", lambda seed, n: [(1.0, lambda: "forced failure")]
         )
         assert main(["validate", "--quick", "--seed", "5"]) == 1
         out = capsys.readouterr().out

@@ -160,6 +160,14 @@ class TestEmOracle:
         for tau_a, tau_b in ((0.95, 0.9), (0.6, 0.55)):
             self._check(DeviceCaps(d_a, d_b, tau_a, tau_b, 0.0), 0.4)
 
+    def test_zero_tau_a_cannot_entangle(self):
+        # every EM-swap cell is -inf at tau_a = 0, on floats and on arrays
+        caps = DeviceCaps(1.0, 1.0, 0.0, 0.5, 0.0)
+        self._check(caps, 0.4)
+        assert not analytic_threshold(Topology.swap_sym(MoKind.EM), caps).can_entangle
+        cells = _em_swap_cell(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 0.0, 0.5)
+        assert np.all(cells == -math.inf)
+
     def test_em_cells_take_arrays(self, rng):
         # the ranked start pool evaluates the cells on arrays; every entry,
         # -inf at c_a <= 0 included, equals the float evaluation

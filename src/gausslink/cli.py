@@ -22,7 +22,7 @@ import math
 import os
 import sys
 
-from .core import R_MAX, squeeze_db_to_r
+from .core import R_MAX, squeeze_r_to_db
 from .experiments import (
     ExperimentConfig,
     OutputError,
@@ -44,6 +44,10 @@ _RATE_KEYS = {"kappa_a", "kappa_b", "gamma_m"}
 #: 64-bit generator, a geometric d_a grid cannot reach 0, and squeezing
 #: is bounded as SqueezeParam bounds it.
 _NONNEGATIVE = ("finite and >= 0", lambda v: 0 <= v < math.inf)
+#: R_MAX in dB, which converts back to exactly R_MAX.  The squeezing_db
+#: test compares in dB, so a JSON integer too large for a float is
+#: rejected rather than overflowing in the conversion.
+_DB_MAX = squeeze_r_to_db(R_MAX)
 _DOMAINS = {
     **dict.fromkeys(("points", "jobs"), (">= 1", lambda v: v >= 1)),
     "seed": ("in [0, 2**64)", lambda v: 0 <= v < 2**64),
@@ -52,7 +56,7 @@ _DOMAINS = {
     "tau_b": ("in [0, 1]", lambda v: 0 <= v <= 1),
     "r": (f"in [0, {R_MAX}]", lambda v: 0 <= v <= R_MAX),
     "squeezing_db": (f">= 0 and at most r = {R_MAX} (about 869 dB)",
-                     lambda v: 0 <= squeeze_db_to_r(v) <= R_MAX),
+                     lambda v: 0 <= v <= _DB_MAX),
     **dict.fromkeys(
         ("d_b_values", "d_b_loss", "loss_db_max", "taue_db_max",
          "fiber_km", "loss_db_per_km", "bandwidth_hz"),

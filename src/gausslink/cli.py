@@ -42,16 +42,17 @@ _RATE_KEYS = {"kappa_a", "kappa_b", "gamma_m"}
 #: as (description, test); a list is tested entry by entry and NaN fails
 #: every test.  A negative loss in dB would be a gain, the seed keys a
 #: 64-bit generator, a geometric d_a grid cannot reach 0, and squeezing
-#: is bounded as SqueezeParam bounds it.
-_NONNEGATIVE = ("finite and >= 0", lambda v: 0 <= v < math.inf)
-#: R_MAX in dB, which converts back to exactly R_MAX.  The squeezing_db
-#: test compares in dB, so a JSON integer too large for a float is
-#: rejected rather than overflowing in the conversion.
+#: is bounded as SqueezeParam bounds it.  Each test compares the value
+#: as read, without converting it, and "finite" means at most the largest
+#: float, so a JSON integer too large for a float is rejected here rather
+#: than overflowing at run time; squeezing_db is compared in dB.
+_FLOAT_MAX = sys.float_info.max
+_NONNEGATIVE = ("finite and >= 0", lambda v: 0 <= v <= _FLOAT_MAX)
 _DB_MAX = squeeze_r_to_db(R_MAX)
 _DOMAINS = {
     **dict.fromkeys(("points", "jobs"), (">= 1", lambda v: v >= 1)),
     "seed": ("in [0, 2**64)", lambda v: 0 <= v < 2**64),
-    "d_a_range": ("finite and > 0", lambda v: 0 < v < math.inf),
+    "d_a_range": ("finite and > 0", lambda v: 0 < v <= _FLOAT_MAX),
     "tau_a": ("in [0, 1]", lambda v: 0 <= v <= 1),
     "tau_b": ("in [0, 1]", lambda v: 0 <= v <= 1),
     "r": (f"in [0, {R_MAX}]", lambda v: 0 <= v <= R_MAX),

@@ -340,11 +340,15 @@ class TestCli:
             ("device-run", {"squeezing_db": [2000]}, 2),
             ("device-run", {"squeezing_db": [1500]}, 2),
             ("device-run", {"squeezing_db": [10**400]}, 2),
+            ("device-run", {"fiber_km": 10**400}, 2),
+            ("threshold-vs-loss", {"loss_db_max": 10**400}, 2),
+            ("threshold-vs-da", {"d_a_range": [1, 10**400]}, 2),
             ("threshold-vs-loss", {"loss_db_max": 0}, 0),
             ("threshold-vs-da", {"tau_a": 0}, 0),
         ],
         ids=["r-400", "r-355", "r-100", "squeezing-4000db", "squeezing-2000db",
-             "squeezing-1500db", "squeezing-huge-int", "zero-loss-window", "zero-tau_a"],
+             "squeezing-1500db", "squeezing-huge-int", "fiber-huge-int", "loss-max-huge-int",
+             "d_a-huge-int", "zero-loss-window", "zero-tau_a"],
     )
     def test_edge_config_exits_cleanly(self, command, config, code, tmp_path, capfd):
         # capfd also catches what numpy's C code writes to stderr

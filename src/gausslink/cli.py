@@ -33,7 +33,7 @@ from .experiments import (
     cmd_validate,
 )
 from .presets import PRESETS
-from .transducer import DEFAULT_RATES, DeviceCaps, PhysicalRates
+from .transducer import C_MAX, DEFAULT_RATES, DeviceCaps, PhysicalRates
 
 _CAPS_KEYS = {"d_a", "d_b", "tau_a", "tau_b", "n_th"}
 _RATE_KEYS = {"kappa_a", "kappa_b", "gamma_m"}
@@ -41,26 +41,29 @@ _RATE_KEYS = {"kappa_a", "kappa_b", "gamma_m"}
 #: Domains of the numeric config fields that the library takes unchecked,
 #: as (description, test); a list is tested entry by entry and NaN fails
 #: every test.  A negative loss in dB would be a gain, the seed keys a
-#: 64-bit generator, a geometric d_a grid cannot reach 0, and squeezing
-#: is bounded as SqueezeParam bounds it.  Each test compares the value
-#: as read, without converting it, and "finite" means at most the largest
-#: float, so a JSON integer too large for a float is rejected here rather
-#: than overflowing at run time; squeezing_db is compared in dB.
+#: 64-bit generator, a geometric d_a grid cannot reach 0, squeezing is
+#: bounded as SqueezeParam bounds it, and the caps as DeviceCaps bounds
+#: them, by C_MAX (threshold-vs-loss sets d_a = 10 d_b_loss).  Each test
+#: compares the value as read, without converting it, and "finite" means
+#: at most the largest float, so a JSON integer too large for a float is
+#: rejected here rather than overflowing at run time; squeezing_db is
+#: compared in dB.
 _FLOAT_MAX = sys.float_info.max
 _NONNEGATIVE = ("finite and >= 0", lambda v: 0 <= v <= _FLOAT_MAX)
 _DB_MAX = squeeze_r_to_db(R_MAX)
 _DOMAINS = {
     **dict.fromkeys(("points", "jobs"), (">= 1", lambda v: v >= 1)),
     "seed": ("in [0, 2**64)", lambda v: 0 <= v < 2**64),
-    "d_a_range": ("finite and > 0", lambda v: 0 < v <= _FLOAT_MAX),
+    "d_a_range": (f"> 0 and at most {C_MAX:g}", lambda v: 0 < v <= C_MAX),
+    "d_b_values": (f">= 0 and at most {C_MAX:g}", lambda v: 0 <= v <= C_MAX),
+    "d_b_loss": (f">= 0 and at most {C_MAX / 10:g}", lambda v: 0 <= v <= C_MAX / 10),
     "tau_a": ("in [0, 1]", lambda v: 0 <= v <= 1),
     "tau_b": ("in [0, 1]", lambda v: 0 <= v <= 1),
     "r": (f"in [0, {R_MAX}]", lambda v: 0 <= v <= R_MAX),
     "squeezing_db": (f">= 0 and at most r = {R_MAX} (about 869 dB)",
                      lambda v: 0 <= v <= _DB_MAX),
     **dict.fromkeys(
-        ("d_b_values", "d_b_loss", "loss_db_max", "taue_db_max",
-         "fiber_km", "loss_db_per_km", "bandwidth_hz"),
+        ("loss_db_max", "taue_db_max", "fiber_km", "loss_db_per_km", "bandwidth_hz"),
         _NONNEGATIVE,
     ),
 }
@@ -214,7 +217,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", help="output path (CSV or JSON)")
         p.add_argument("--seed", type=int, help="seed for randomized sweeps")
         p.add_argument("--jobs", type=int, help="parallel workers for sweep points")
-        if name != "ebit-rate":
+        if name not in ("ebit-rate", "validate"):
             p.add_argument("--points", type=int, help="sweep grid size")
         if name == "validate":
             p.add_argument("--quick", action="store_true", help="reduced draw counts")

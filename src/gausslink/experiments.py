@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -162,6 +161,9 @@ def _write_out(path, text: str) -> None:
 
 def _map_points(fn, args_list, jobs):
     if jobs and jobs > 1:
+        # imported here, so that a --jobs 1 run does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, args_list, chunksize=4))
     return [fn(a) for a in args_list]

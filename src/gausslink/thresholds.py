@@ -70,7 +70,7 @@ class ThresholdResult:
     can_entangle: bool = True
 
 
-#: Ranked starts of each threshold search (an extrinsic-microwave cell of
+#: Ranked starts of each threshold search (the EM-swap cell of
 #: analytic_threshold, or numeric_threshold's witness search), and the
 #: Nelder-Mead iterations of the witness search.
 _SEARCH_STARTS, _SEARCH_ITERS = 3, 80
@@ -90,16 +90,18 @@ def max_stable_ca(caps: DeviceCaps, c_b: float) -> float:
     """Largest stable optical cooperativity for a blue optical pump.
 
     Bisects the (monotone) stability predicate at fixed c_b down to an
-    absolute tolerance of 1e-10; the cap d_a binds when stability does
-    not.  The predicate is stability_ok's, c_a < _blue_bound(c_b), with
-    the bound computed once per call.
+    absolute tolerance of 1e-10, or until no float lies strictly between
+    the ends (above a bound of about 5e5 their spacing exceeds 1e-10);
+    the cap d_a binds when stability does not.  The predicate is
+    stability_ok's, c_a < _blue_bound(c_b), with the bound computed once
+    per call.
     """
     _check_cap("c_b", c_b, caps.d_b)
     bound = _blue_bound(c_b, caps.rates, True)
     if caps.d_a < bound:
         return caps.d_a
     lo, hi = 0.0, caps.d_a
-    while hi - lo > 1e-10:
+    while hi - lo > 1e-10 and math.nextafter(lo, hi) < hi:
         mid = 0.5 * (lo + hi)
         if mid < bound:
             lo = mid
@@ -140,12 +142,31 @@ def _em_swap_cell(c_a, c_b, tau_a, tau_b):
     return np.where(ok, value, -np.inf) if array else value
 
 
-def _maximize_em_cell(t: Topology, caps: DeviceCaps) -> tuple[float, float, float]:
-    """Maximize the extrinsic-microwave bound over both cooperativities."""
-    if t.scheme == "down":
-        cell = lambda x: _em_down_cell(x[0], x[1], caps.tau_a, caps.tau_b, caps.d_a)
-    else:
-        cell = lambda x: _em_swap_cell(x[0], x[1], caps.tau_a, caps.tau_b)
+def _em_down_max(caps: DeviceCaps) -> tuple[float, float, float]:
+    """Maximum of the EM-down bound over the caps, in closed form.
+
+    Write f = _em_down_cell and K = 4 tau_a^2 d_a, so f is proportional
+    to c_a c_b / ((1 + c_a + c_b)^2 + K c_a).  Its partial derivatives
+    have the signs of (1 + c_a + c_b)(1 + c_b - c_a) in c_a and of
+    (1 + c_a)^2 + K c_a - c_b^2 in c_b.  The first vanishes in the box
+    only on c_a = 1 + c_b, where the second is 4 + 4 c_b + K (1 + c_b)
+    > 0, so f has no stationary point inside the box.  f is 0 on the
+    edges c_a = 0 and c_b = 0, so its maximum lies on the edge c_b = d_b
+    or the edge c_a = d_a.  Along each, f rises up to the zero of its
+    partial derivative and falls beyond it: the candidates are (min(d_a,
+    1 + d_b), d_b) and (d_a, min(d_b, sqrt((1 + d_a)^2 + K d_a))), and
+    the first of the larger is returned as (c_a, c_b, value).
+    """
+    da, db, ta, tb = caps.d_a, caps.d_b, caps.tau_a, caps.tau_b
+    edge_b = (min(da, 1.0 + db), db)
+    edge_a = (da, min(db, math.sqrt((1.0 + da) ** 2 + 4.0 * ta**2 * da**2)))
+    value_b, value_a = (_em_down_cell(*x, ta, tb, da) for x in (edge_b, edge_a))
+    return (*edge_b, value_b) if value_b >= value_a else (*edge_a, value_a)
+
+
+def _maximize_em_swap_cell(caps: DeviceCaps) -> tuple[float, float, float]:
+    """Maximize the EM-swap bound over both cooperativities, by Nelder-Mead."""
+    cell = lambda x: _em_swap_cell(x[0], x[1], caps.tau_a, caps.tau_b)
     # the optimum in c_a sits near 1 + c_b; the ridge leads the ranked pool
     ridge = [
         [min(caps.d_a, 1.0 + caps.d_b), caps.d_b],
@@ -167,10 +188,12 @@ def analytic_threshold(
 ) -> ThresholdResult:
     """Closed-form n_th bound for one of the eight symmetric topologies.
 
-    Extrinsic-microwave rows only have a closed form at given source
+    Extrinsic-microwave rows are closed forms at given source
     cooperativities; pass c_a and c_b to evaluate there, or leave both
-    None to maximize the bound over the caps numerically, by Nelder-Mead
-    from the _SEARCH_STARTS best points of the ranked log grid.
+    None to maximize the bound over the caps.  EM-down takes the better
+    of two edge points, in closed form (_em_down_max); EM-swap is still
+    searched, by Nelder-Mead from the _SEARCH_STARTS best points of the
+    ranked log grid.
     Intrinsic-optical rows use the largest stable optical cooperativity at
     c_b = d_b.  Raises ValueError for an asymmetric swapping topology
     (it has no closed form), for c_a or c_b on any other row than an
@@ -197,7 +220,7 @@ def analytic_threshold(
         if (c_a is None) != (c_b is None):
             raise ValueError("supply both c_a and c_b for extrinsic-microwave rows")
         if c_a is None:
-            c_a, c_b, value = _maximize_em_cell(t, caps)
+            c_a, c_b, value = _em_down_max(caps) if down else _maximize_em_swap_cell(caps)
         else:
             _check_cap("c_a", c_a, da)
             _check_cap("c_b", c_b, db)

@@ -25,6 +25,7 @@ import numpy as np
 from .core import _FINITE, OneModeChannel, TwoModeChannel
 
 __all__ = [
+    "C_MAX",
     "DptParams",
     "PhysicalRates",
     "DeviceCaps",
@@ -42,6 +43,11 @@ __all__ = [
 #: so optimizers stay off singular boundaries.
 STRICT_MARGIN = 1e-9
 
+#: Largest cooperativity, of an operating point or a cap: far above any
+#: device, and far enough below overflow that the channel and threshold
+#: forms, which square and multiply cooperativities, stay finite.
+C_MAX = 1e12
+
 
 class SingularOperatingPointError(ValueError):
     """The channel denominator 1 - sigma_a C_a - sigma_b C_b vanishes."""
@@ -57,8 +63,8 @@ class UnstableOperatingPointError(ValueError):
 
 def _check_fields(n_th, tau_a=1.0, tau_b=1.0, c_a=0.0, c_b=0.0, what="cooperativities"):
     """The field rule of DptParams and DeviceCaps; also checks a lone n_th."""
-    if not (0.0 <= c_a <= _FINITE and 0.0 <= c_b <= _FINITE):
-        raise ValueError(f"{what} must be finite and >= 0, got ({c_a}, {c_b})")
+    if not (0.0 <= c_a <= C_MAX and 0.0 <= c_b <= C_MAX):
+        raise ValueError(f"{what} must be finite and >= 0, at most {C_MAX:g}, got ({c_a}, {c_b})")
     if not (0.0 <= tau_a <= 1.0 and 0.0 <= tau_b <= 1.0):
         raise ValueError(f"transmissivities must lie in [0, 1], got ({tau_a}, {tau_b})")
     if not (0.0 <= n_th <= _FINITE):

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,9 @@ from gausslink.experiments import (
 )
 from gausslink.presets import brubaker2022_caps
 from gausslink.sources import MoKind
+from gausslink.transducer import C_MAX
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(scope="module")
@@ -360,6 +367,62 @@ class TestCli:
             assert err == ""
         else:
             assert err.startswith("config error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command, beyond",
+        [(command, beyond)
+         for command in ("threshold-vs-da", "threshold-vs-loss", "device-run", "ebit-rate")
+         for beyond in (False, True)] + [("validate", True)],
+    )
+    def test_cooperativity_bound(self, command, beyond, tmp_path, capfd):
+        # every cap a command reads may reach C_MAX, warning-free, and no
+        # further; validate reads no caps, but its config is checked alike
+        cap = math.nextafter(C_MAX, math.inf) if beyond else C_MAX
+        config = {
+            "threshold-vs-da": {"d_a_range": [cap, cap], "d_b_values": [cap]},
+            "threshold-vs-loss": {"d_b_loss": cap / 10},
+        }.get(command, {"caps": {"d_a": cap, "d_b": cap, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0.01}})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        points = ["--quick"] if command == "validate" else [] if command == "ebit-rate" else [
+            "--points", "2"]
+        assert main([command, "--config", str(path)] + points) == (2 if beyond else 0)
+        err = capfd.readouterr().err
+        if beyond:
+            assert err.startswith("config error: ") and len(err.splitlines()) == 1
+        else:
+            assert err == ""
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [("threshold-vs-da", {"d_a_range": [1e7, 1e7], "d_b_values": [1e6]}),
+         ("threshold-vs-loss", {"d_b_loss": 1e6})],
+    )
+    def test_large_caps_return(self, command, config, tmp_path):
+        # where adjacent floats lie more than 1e-10 apart, max_stable_ca
+        # must still return; in a subprocess, so that a hang fails the test
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = "import sys; from gausslink.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", code, command, "--points", "2", "--config", str(path)],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+
+    def test_jobs_1_loads_no_multiprocessing(self):
+        # the process pool is imported only by a run with --jobs > 1
+        code = ("import sys; from gausslink.cli import main; main(['threshold-vs-da', "
+                "'--points', '2']); print('multiprocessing' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+        assert done.returncode == 0 and done.stdout.splitlines()[-1] == "False"
+
+    def test_validate_takes_no_points(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--quick", "--points", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --points" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command", ["threshold-vs-da", "threshold-vs-loss", "device-run", "ebit-rate", "validate"]

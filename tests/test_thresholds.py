@@ -18,6 +18,7 @@ from gausslink import (
 )
 from gausslink.experiments import ExperimentConfig, _device_cells, cmd_device_run
 from gausslink.network import ALL_TOPOLOGIES, default_loss_split, loss_slot_count
+from gausslink.optimize import maximize_box
 from gausslink.presets import PRESETS
 from gausslink.sampling import generator, random_caps
 from gausslink.sources import MoKind
@@ -28,7 +29,7 @@ from gausslink.thresholds import (
     _margin_fn,
     _margin_fn4,
     _margin_fn_down,
-    _maximize_em_cell,
+    _ranked_starts,
     _stable_bound,
     stability_ok,
 )
@@ -118,38 +119,48 @@ class TestAnalyticTable:
                 assert res.n_th_max <= bound
 
 
-def _em_candidates(t: Topology, caps: DeviceCaps) -> list[tuple[float, float]]:
-    """Closed-form candidates for the optimum of an extrinsic-microwave cell.
+def _em_swap_candidates(caps: DeviceCaps) -> list[tuple[float, float]]:
+    """Closed-form candidates for the optimum of the EM-swap cell.
 
-    EM-down: c_a = 1 + d_b with c_b capped, or the stationary point in
-    c_b with c_a capped.  EM-swap: c_a = 1 + c_b (clamped to d_a) along
-    the corners, the kink c_b = d_a - 1 and the stationary point of the
-    clamped branch c_a = d_a.
+    c_a = 1 + c_b (clamped to d_a) along the corners, the kink
+    c_b = d_a - 1 and the stationary point of the clamped branch c_a = d_a.
     """
     da, db, ta, tb = caps.d_a, caps.d_b, caps.tau_a, caps.tau_b
-    if t.scheme == "down":
-        return [
-            (min(da, 1.0 + db), db),
-            (da, min(db, math.sqrt((1.0 + da) ** 2 + 4.0 * ta**2 * da**2))),
-        ]
     cbs = (0.0, db, da - 1.0, 4.0 * ta * tb * da - 1.0 - da)
     return [(min(da, 1.0 + cb), cb) for cb in (min(max(v, 0.0), db) for v in cbs)]
 
 
+def _em_down_search(caps: DeviceCaps) -> float:
+    """The EM-down cell maximized by a search: the ranked log grid, then Nelder-Mead.
+
+    Seeded with the all-max corner only, so that it does not share the
+    edge points of the closed form.
+    """
+    cell = lambda x: _em_down_cell(x[0], x[1], caps.tau_a, caps.tau_b, caps.d_a)
+    hi = [caps.d_a, caps.d_b]
+    starts = _ranked_starts(cell, hi, [hi], 3)
+    return float(maximize_box(cell, [0.0, 0.0], hi, starts, nm_max_iter=200)[1])
+
+
 class TestEmOracle:
-    """The searched EM rows of analytic_threshold against their closed forms."""
+    """The EM rows of analytic_threshold: EM-down, a closed form, against a
+    search; EM-swap, a search, against its closed-form candidates."""
 
     def _check(self, caps, r):
-        for t in (Topology.down(MoKind.EM), Topology.swap_sym(MoKind.EM)):
-            got = analytic_threshold(t, caps, r)
-            best = max(
-                analytic_threshold(t, caps, r, c_a=ca, c_b=cb).n_th_max
-                for ca, cb in _em_candidates(t, caps)
-            )
-            assert got.can_entangle == (best > 0.0), (t.label, caps)
-            if best > 0.0:
-                rel = abs(got.n_th_max - best) / best
-                assert rel <= 1e-12, (t.label, caps, got.n_th_max, best)
+        down = analytic_threshold(Topology.down(MoKind.EM), caps, r)
+        searched = _em_down_search(caps)
+        assert down.can_entangle == (searched > 0.0), caps
+        assert down.n_th_max >= searched - 1e-12 * abs(searched), (caps, down, searched)
+        t = Topology.swap_sym(MoKind.EM)
+        got = analytic_threshold(t, caps, r)
+        best = max(
+            analytic_threshold(t, caps, r, c_a=ca, c_b=cb).n_th_max
+            for ca, cb in _em_swap_candidates(caps)
+        )
+        assert got.can_entangle == (best > 0.0), (t.label, caps)
+        if best > 0.0:
+            rel = abs(got.n_th_max - best) / best
+            assert rel <= 1e-12, (t.label, caps, got.n_th_max, best)
 
     def test_random_caps(self, rng):
         for _ in range(300):
@@ -201,6 +212,12 @@ class TestMaxStableCa:
         got = max_stable_ca(caps, 124.0)
         want = (124.0 * 50.0 / 1001.0 + 1050.0) * 51.0 / 1000.0
         assert got == pytest.approx(want, abs=1e-6)
+
+    def test_returns_above_the_spacing_of_its_tolerance(self):
+        # above a bound of about 5.2e5 adjacent floats lie more than 1e-10
+        # apart; the bisection stops at the largest stable float
+        caps = DeviceCaps(2e6, 6e5, 0.9, 0.8, 0.0)
+        assert max_stable_ca(caps, 6e5) == _stable_bound(caps, 6e5, True)
 
     def test_out_of_range_c_b(self):
         caps = DeviceCaps(10.0, 5.0, 0.9, 0.8, 0.0)
@@ -404,8 +421,8 @@ class TestOptimizeCooperativities:
     def test_em_interior_optimum_exists(self):
         # a caps draw where capping both cooperativities is suboptimal
         caps = DeviceCaps(200.0, 1000.0, 0.95, 0.9, 0.0)
-        t = Topology.down(MoKind.EM)
-        ca, cb, val = _maximize_em_cell(t, caps)
+        res = analytic_threshold(Topology.down(MoKind.EM), caps)
+        (ca, cb, _, _), val = res.argmax, res.n_th_max
         at_corner = _em_down_cell(caps.d_a, caps.d_b, caps.tau_a, caps.tau_b, caps.d_a)
         assert cb < caps.d_b - 1.0
         assert val > at_corner + 1e-6

@@ -377,16 +377,18 @@ class TestCli:
     def test_cooperativity_bound(self, command, beyond, tmp_path, capfd):
         # every cap a command reads may reach C_MAX, warning-free, and no
         # further; validate reads no caps, but its config is checked alike
-        cap = math.nextafter(C_MAX, math.inf) if beyond else C_MAX
+        def at(bound):
+            return math.nextafter(bound, math.inf) if beyond else bound
+
+        cap = at(C_MAX)
         config = {
             "threshold-vs-da": {"d_a_range": [cap, cap], "d_b_values": [cap]},
-            "threshold-vs-loss": {"d_b_loss": cap / 10},
+            "threshold-vs-loss": {"d_b_loss": at(C_MAX / 10)},
         }.get(command, {"caps": {"d_a": cap, "d_b": cap, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0.01}})
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
-        points = ["--quick"] if command == "validate" else [] if command == "ebit-rate" else [
-            "--points", "2"]
-        assert main([command, "--config", str(path)] + points) == (2 if beyond else 0)
+        size = {"validate": ["--quick"], "ebit-rate": []}.get(command, ["--points", "2"])
+        assert main([command, "--config", str(path)] + size) == (2 if beyond else 0)
         err = capfd.readouterr().err
         if beyond:
             assert err.startswith("config error: ") and len(err.splitlines()) == 1

@@ -31,6 +31,7 @@ from .experiments import (
     cmd_threshold_vs_da,
     cmd_threshold_vs_loss,
     cmd_validate,
+    device_columns,
 )
 from .presets import PRESETS
 from .transducer import C_MAX, DEFAULT_RATES, DeviceCaps, PhysicalRates
@@ -52,7 +53,7 @@ _FLOAT_MAX = sys.float_info.max
 _NONNEGATIVE = ("finite and >= 0", lambda v: 0 <= v <= _FLOAT_MAX)
 _DB_MAX = squeeze_r_to_db(R_MAX)
 _DOMAINS = {
-    **dict.fromkeys(("points", "jobs"), (">= 1", lambda v: v >= 1)),
+    **dict.fromkeys(("points", "jobs", "checks_n"), (">= 1", lambda v: v >= 1)),
     "seed": ("in [0, 2**64)", lambda v: 0 <= v < 2**64),
     "d_a_range": (f"> 0 and at most {C_MAX:g}", lambda v: 0 < v <= C_MAX),
     "d_b_values": (f">= 0 and at most {C_MAX:g}", lambda v: 0 <= v <= C_MAX),
@@ -171,6 +172,11 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"{key} must be {want}, got {value!r}")
     if len(cfg.d_a_range) != 2:
         raise ConfigError(f"d_a_range must hold 2 numbers, got {list(cfg.d_a_range)}")
+    if args.command == "device-run":
+        try:
+            device_columns(cfg.squeezing_db)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     # an external loss must leave a transmissivity that a double holds
     for key, db in (("taue_db_max", cfg.taue_db_max),
                     ("fiber loss", cfg.fiber_km * cfg.loss_db_per_km)):

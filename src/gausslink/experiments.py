@@ -305,6 +305,10 @@ def _db_tag(db: float) -> str:
 
 
 def device_columns(squeezing_db) -> list[str]:
+    """The device-run CSV columns; ValueError where two squeezing values share a column tag."""
+    tags = [_db_tag(db) for db in squeezing_db]
+    if len(set(tags)) < len(tags):
+        raise ValueError(f"squeezing_db values {list(squeezing_db)} repeat a column tag: {tags}")
     return ["tau_e_db", "tau_e"] + [cell[0] for cell in _device_cells(squeezing_db, 1.0)]
 
 
@@ -316,13 +320,14 @@ def cmd_device_run(cfg: ExperimentConfig):
     on one measured arm for the swapping topologies, and all on the
     downconverted optical mode for the asymmetric IM+EO swap.
     Equal-split swap columns are included as references; the asymmetric
-    topology overtakes both of them inside a loss window.
+    topology overtakes both of them inside a loss window.  ValueError,
+    before any point runs, where two squeezing values share a column tag.
     """
+    columns = device_columns(cfg.squeezing_db)
     caps = cfg.caps if cfg.caps is not None else PRESETS["brubaker2022"]["caps"]
     grid = np.linspace(0.0, cfg.taue_db_max, cfg.points)
     args = [(caps, tuple(cfg.squeezing_db), db) for db in grid]
     rows = _map_points(_device_point, args, cfg.jobs)
-    columns = device_columns(cfg.squeezing_db)
     header = _provenance(
         cfg, caps, {"squeezing_db": ",".join(map(str, cfg.squeezing_db)), "points": cfg.points}
     )

@@ -16,7 +16,9 @@ bisection bracket.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -252,72 +254,67 @@ def analytic_threshold(
     return ThresholdResult(value, "analytic", arg, can_entangle=True)
 
 
-def _converter_nodes(t: Topology) -> tuple[bool, bool]:
-    """Which nodes are a red-red converter whose output is a final microwave mode.
+def _converter_nodes(t: Topology) -> tuple[int, int]:
+    """The layout (_layout_coords) of t's two nodes: 1 on a converter node, else 2.
 
-    Those are an EO source (its converter turns the squeezed pair's
-    second mode into a final microwave mode) and a downconverter, node 2
-    of every downconversion.  See optimize_cooperativities for why such
-    a node's best C_b is min(d_b, 1 + C_a).
+    A converter node is a red-red converter whose output is a final
+    microwave mode: an EO source (its converter turns the squeezed
+    pair's second mode into a final microwave mode) and the
+    downconverter, node 2 of every downconversion.  See
+    optimize_cooperativities for why its best C_b is min(d_b, 1 + C_a).
     """
-    if t.scheme == "down":
-        return t.kinds[0] is _EO, True
-    return t.kinds[0] is _EO, t.kinds[1] is _EO
+    second = t.scheme == "down" or t.kinds[1] is _EO
+    return (1 if t.kinds[0] is _EO else 2), (1 if second else 2)
 
 
-def _layout_coords(t, caps, layout: str, pin_cb: bool):
+def _layout_coords(caps, axes: tuple[int, ...]):
     """f(x) = (c_a1, c_b1, c_a2, c_b2) at the point x of a cooperativity layout.
 
-    layout "mirrored": x = (c_a, c_b) sets both transducers; "pinned":
-    x is the source's (c_a, c_b) and the downconverter sits at its caps;
-    "full": x = (c_a1, c_b1, c_a2, c_b2).  With pin_cb, each converter node
-    (_converter_nodes) of a "mirrored" or "full" layout has no C_b axis:
-    x omits it and its C_b is min(d_b, 1 + C_a), np.minimum on arrays,
-    so both give the same bits.  x may hold floats or arrays.
+    A layout gives, in node order, the number of axes of x that each node
+    searches: 2 its (C_a, C_b); 1 its C_a alone, a converter node whose
+    C_b is min(d_b, 1 + C_a), the same bits on floats and arrays; 0 none,
+    the node held at its caps (d_a, d_b).  A 1-tuple is
+    mirrored: its node's setting serves both transducers.  x may hold
+    floats or arrays.
     """
     d_a, d_b = caps.d_a, caps.d_b
-    if layout == "pinned":
-        return lambda x: (x[0], x[1], d_a, d_b)
-    pin1, pin2 = _converter_nodes(t) if pin_cb else (False, False)
-    if layout == "mirrored":
-        if not pin1:
-            return lambda x: (x[0], x[1], x[0], x[1])
 
-        def mirrored(x):
-            c_a = x[0]
-            c_b = (np.minimum if isinstance(c_a, np.ndarray) else min)(d_b, 1.0 + c_a)
-            return c_a, c_b, c_a, c_b
+    def node(k: int, i: int):
+        if k == 2:
+            return operator.itemgetter(i, i + 1)
+        if k == 0:
+            return lambda x: (d_a, d_b)
 
-        return mirrored
-    if not (pin1 or pin2):
-        return lambda x: (x[0], x[1], x[2], x[3])
-    i2 = 1 if pin1 else 2  # index of c_a2 in x
+        def converter(x):
+            c_a = x[i]
+            if isinstance(c_a, np.ndarray):
+                return c_a, np.minimum(d_b, 1.0 + c_a)
+            c_b = 1.0 + c_a
+            return c_a, (c_b if c_b < d_b else d_b)  # min(d_b, c_b), bit for bit
 
-    def full(x):
-        c_a1, c_a2 = x[0], x[i2]
-        least = np.minimum if isinstance(c_a1, np.ndarray) else min
-        c_b1 = least(d_b, 1.0 + c_a1) if pin1 else x[1]
-        c_b2 = least(d_b, 1.0 + c_a2) if pin2 else x[i2 + 1]
-        return c_a1, c_b1, c_a2, c_b2
+        return converter
 
-    return full
+    first = node(axes[0], 0)
+    if len(axes) == 1:
+        return lambda x: first(x) * 2
+    second = node(axes[1], axes[0])
+    return lambda x: first(x) + second(x)
 
 
-def _margin_closure(t, caps, n_th, r, split, layout: str, pin_cb: bool = False):
-    """Entanglement margin (1/2 - nu) at the point x of a cooperativity layout.
+def _margin_closure(t, caps, n_th, r, split, axes: tuple[int, ...]):
+    """Entanglement margin (1/2 - nu) at the point x of the cooperativity layout axes.
 
-    The layouts, and pin_cb, are those of _layout_coords.  The margin is
-    -inf where a source is unstable, and only there.  x may also hold
-    arrays (x[0] an ndarray) to evaluate many points at once; they are
-    evaluated everywhere and masked, bit for bit equal to the points one
-    at a time.
+    The layout is that of _layout_coords.  The margin is -inf where a
+    source is unstable, and only there.  x may also hold arrays (x[0] an
+    ndarray) to evaluate many points at once; they are evaluated
+    everywhere and masked, bit for bit equal to the points one at a time.
 
     Everything fixed for one search (topology, caps, n_th, r, split and
     layout) is bound here once, by _mm_excess_fn, so one evaluation is
     a few calls of straight-line float arithmetic.
     """
     excess = _mm_excess_fn(t, caps, n_th, r, split)
-    coords = _layout_coords(t, caps, layout, pin_cb)
+    coords = _layout_coords(caps, axes)
 
     def margin(x):
         c_a1, c_b1, c_a2, c_b2 = coords(x)
@@ -331,8 +328,8 @@ def _margin_closure(t, caps, n_th, r, split, layout: str, pin_cb: bool = False):
 
 
 def _margin_fn(t, caps, n_th, r, split, pin_cb: bool = False):
-    """Margin over mirrored (c_a, c_b): one transducer's setting serves both."""
-    return _margin_closure(t, caps, n_th, r, split, "mirrored", pin_cb)
+    """Margin over mirrored (c_a, c_b), less the C_b axis that pin_cb removes."""
+    return _margin_closure(t, caps, n_th, r, split, _converter_nodes(t)[:1] if pin_cb else (2,))
 
 
 def _margin_fn_down(t, caps, n_th, r, split):
@@ -343,12 +340,17 @@ def _margin_fn_down(t, caps, n_th, r, split):
     which is minimized at C_a2 = d_a for any C_b2 > 0, so pinning the
     downconverter at its caps is sign-dominant.
     """
-    return _margin_closure(t, caps, n_th, r, split, "pinned")
+    return _margin_closure(t, caps, n_th, r, split, (2, 0))
 
 
 def _margin_fn4(t, caps, n_th, r, split, pin_cb: bool = False):
     """Margin over all four cooperativities, less the C_b axes that pin_cb removes."""
-    return _margin_closure(t, caps, n_th, r, split, "full", pin_cb)
+    return _margin_closure(t, caps, n_th, r, split, _converter_nodes(t) if pin_cb else (2, 2))
+
+
+def _witness_axes(t: Topology) -> tuple[int, ...]:
+    """numeric_threshold's layout: mirrored, or EM/IO/IM-down's downconverter at its caps."""
+    return (2, 0) if t.scheme == "down" and t.kinds[0] is not _EO else (2,)
 
 
 def _clamp_pair(kind: MoKind, caps: DeviceCaps, c_a: float, c_b: float):
@@ -387,10 +389,8 @@ def _entangled_at(t, caps, n_th, r, split, candidates):
     entanglement sign is exact here (it is the sign of the tracked
     product defect), so any returned witness is a true positive.
     """
-    if t.scheme == "down" and t.kinds[0] is not _EO:
-        margin = _margin_fn_down(t, caps, n_th, r, split)
-    else:
-        margin = _margin_fn(t, caps, n_th, r, split)
+    factory = _margin_fn if len(_witness_axes(t)) == 1 else _margin_fn_down
+    margin = factory(t, caps, n_th, r, split)
     for cand in candidates:
         if margin(cand) > 0.0:
             return cand
@@ -425,17 +425,12 @@ def numeric_threshold(
     rv = _as_r(r)
     split = (1.0,) * loss_slot_count(t)
     hi0 = caps.tau_a * caps.d_a
-    kind = t.kinds[0]
-    candidates = _corner_candidates(kind, caps)
-
-    def full(pair):
-        if t.scheme == "down" and kind is not _EO:
-            return (pair[0], pair[1], caps.d_a, caps.d_b)
-        return (pair[0], pair[1], pair[0], pair[1])
+    candidates = _corner_candidates(t.kinds[0], caps)
+    coords = _layout_coords(caps, _witness_axes(t))
 
     witness = _entangled_at(t, caps, 0.0, rv, split, candidates)
     if hi0 <= 0.0 or witness is None:
-        return ThresholdResult(0.0, "bisection", full(candidates[0]), False)
+        return ThresholdResult(0.0, "bisection", coords(candidates[0]), False)
 
     lo, hi = 0.0, hi0
     for _ in range(_BISECT_STEPS):
@@ -448,7 +443,7 @@ def numeric_threshold(
         else:
             hi = mid
     n_star = 0.5 * (lo + hi)
-    return ThresholdResult(n_star, "bisection", full(witness), True)
+    return ThresholdResult(n_star, "bisection", coords(witness), True)
 
 
 @functools.lru_cache(maxsize=len(_SEED_GRID))
@@ -480,31 +475,22 @@ def _ranked_starts(margin, hi, corners, n):
     return starts
 
 
-def _free_axes(pairs, pinned: bool, n: int | None = None) -> list[list[float]]:
-    """The first n (default all) distinct (c_a, c_b) pairs, as (c_a,) alone on a pinned node."""
-    out: list[list[float]] = []
-    for c_a, c_b in pairs:
-        point = [c_a] if pinned else [c_a, c_b]
-        if point not in out:
-            out.append(point)
-    return out[:n]
-
-
 @dataclass(frozen=True)
 class _CooperativityBox:
     """The search problem of optimize_cooperativities, inputs checked.
 
     margin is the margin over the box [0, hi], -inf where a source is
-    unstable: over one transducer's cooperativities when mirrored, else
-    over both transducers'; a converter node (_converter_nodes) has only
-    its C_a axis.  coords maps a point of the box to the cooperativity
-    4-tuple.  corners seed the ranked pool; corners[0] is the clamped
-    all-max corner.  corner_decides is False where that corner does not
-    bound the margin from above (an EM source at r > 0).
+    unstable, in the layout (_layout_coords) of one transducer when
+    mirrored, else of both; a converter node (_converter_nodes) has only
+    its C_a axis.  full maps a point of the box to the cooperativity
+    4-tuple.  corners seed the ranked pool, at most 3 per node when both
+    nodes are searched; corners[0] is the clamped all-max corner.
+    corner_decides is False where that corner does not bound the margin
+    from above (an EM source at r > 0).
     """
 
     margin: Callable
-    coords: Callable
+    full: Callable
     hi: list[float]
     corners: list
     mirrored: bool
@@ -521,29 +507,19 @@ class _CooperativityBox:
             (t.scheme == "swap" and t.is_symmetric)
             or (t.scheme == "down" and t.kinds[0] is _EO)
         )
-        pin1, pin2 = _converter_nodes(t)
-        if mirrored:
-            margin = _margin_fn(t, caps, n_th, rv, split, pin_cb=True)
-            layout = "mirrored"
-            corners = _free_axes(_corner_candidates(t.kinds[0], caps), pin1)
-            nodes = [pin1]
-        else:
-            margin = _margin_fn4(t, caps, n_th, rv, split, pin_cb=True)
-            layout = "full"
-            k2 = t.kinds[1] if t.scheme == "swap" else None
-            cands1 = _free_axes(_corner_candidates(t.kinds[0], caps), pin1, 3)
-            cands2 = _free_axes(
-                _corner_candidates(k2, caps) if k2 else [(caps.d_a, caps.d_b)], pin2, 3
-            )
-            corners = [p1 + p2 for p1 in cands1 for p2 in cands2]
-            nodes = [pin1, pin2]
-        hi = [c for pinned in nodes for c in ([caps.d_a] if pinned else [caps.d_a, caps.d_b])]
-        coords = _layout_coords(t, caps, layout, pin_cb=True)
-        return cls(margin, coords, hi, corners, mirrored, not (rv > 0.0 and _EM in t.kinds))
-
-    def full(self, x) -> tuple[float, float, float, float]:
-        """The cooperativity 4-tuple of a point of the box."""
-        return tuple(self.coords(x))
+        axes = _converter_nodes(t)[: 1 if mirrored else 2]
+        margin = (_margin_fn if mirrored else _margin_fn4)(t, caps, n_th, rv, split, pin_cb=True)
+        # each node's distinct candidates, cut to its axes; the downconverter's one is its caps
+        kinds = t.kinds if t.scheme == "swap" else (t.kinds[0], None)
+        most = None if mirrored else 3
+        per_node = []
+        for kind, k in zip(kinds, axes):
+            pairs = [(caps.d_a, caps.d_b)] if kind is None else _corner_candidates(kind, caps)
+            per_node.append(list(dict.fromkeys(pair[:k] for pair in pairs))[:most])
+        corners = [sum(point, ()) for point in itertools.product(*per_node)]
+        hi = [c for k in axes for c in (caps.d_a, caps.d_b)[:k]]
+        full = _layout_coords(caps, axes)
+        return cls(margin, full, hi, corners, mirrored, not (rv > 0.0 and _EM in t.kinds))
 
     def corner_separable(self) -> bool:
         """Whether the clamped all-max corner proves that no point entangles.
@@ -582,11 +558,12 @@ def optimize_cooperativities(
 
     Symmetric topologies with a uniform loss split, and down(EO), are
     searched over one transducer's cooperativities and mirrored; the
-    others over both transducers'.  A converter node, a red-red
-    converter whose output is a final microwave mode (the converter
-    inside an EO source, and the downconverter of a downconversion),
-    has C_a as its only search axis: its C_b is min(d_b, 1 + C_a),
-    exactly, as shown below.  A search thus runs in 1 to 4 dimensions.
+    others over both transducers'.  _converter_nodes gives each node its
+    axes: a converter node, a red-red converter whose output is a final
+    microwave mode (the converter inside an EO source, and the
+    downconverter of a downconversion), has C_a as its only axis, its C_b
+    being min(d_b, 1 + C_a), exactly, as shown below; every other node
+    has both.  A search thus runs in 1 to 4 dimensions.
     The starts are chosen by one array evaluation of the margin over a
     fixed log grid of the box plus the box corners (clamped into the
     stability region): Nelder-Mead (nm_max_iter * dim // 2 iterations
@@ -595,9 +572,10 @@ def optimize_cooperativities(
     axis's cap of the best point.  Every corner is in the ranked pool,
     so the result never falls below the best corner.  loss_split is
     checked as in NetworkConfig (one share per slot, multiplying to
-    tau_e, each in [tau_e, 1]); ValueError otherwise, and n_th as in
-    DeviceCaps (finite and >= 0).  Returns the full cooperativity
-    4-tuple and the achieved logarithmic negativity.
+    tau_e, each in [tau_e, 1]); ValueError otherwise, for n_th outside
+    DeviceCaps's domain (finite and >= 0), and unless n_starts is an
+    integer >= 1 and nm_max_iter an integer >= 0.  Returns the full
+    cooperativity 4-tuple and the achieved logarithmic negativity.
 
     The converter pin is exact.  In the excess form of
     network._mm_excess_fn a converter maps the mode it converts as A ->
@@ -637,6 +615,9 @@ def optimize_cooperativities(
     unstable point, so no point of the search beats the corner.  EM at
     r > 0, whose rho has an interior minimum, is searched as before.
     """
+    for name, value, least in (("n_starts", n_starts, 1), ("nm_max_iter", nm_max_iter, 0)):
+        if type(value) is not int or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     box = _CooperativityBox.of(t, caps, n_th, r, tau_e, loss_split)
     if box.corner_separable():
         return box.full(box.corners[0]), 0.0

@@ -160,6 +160,13 @@ class TestDeviceRun:
         _, text2 = cmd_device_run(cfg)
         assert text1 == text2
 
+    @pytest.mark.parametrize("squeezing_db", [(3.0, 3.0), (3, 3.0000000000001)])
+    def test_rejects_squeezing_values_that_share_a_column(self, squeezing_db):
+        # both values print as 3db: the second would overwrite the first's cells
+        cfg = ExperimentConfig(experiment="device-run", squeezing_db=squeezing_db, points=2)
+        with pytest.raises(ValueError, match="repeat a column tag"):
+            cmd_device_run(cfg)
+
 
 class TestEbitRate:
     def test_report_fields_and_monotonicity(self):
@@ -320,12 +327,17 @@ class TestCli:
              {"caps": {"d_a": math.nan, "d_b": 1, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0}}, []),
             ("ebit-rate", {"caps": {"d_a": 1, "d_b": 1, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0,
                                     "kappa_a": math.inf, "kappa_b": 50, "gamma_m": 1}}, []),
+            ("device-run", {"squeezing_db": [3, 3]}, []),
+            ("device-run", {"squeezing_db": [3, 3.0000000000001]}, []),
+            ("validate", {"checks_n": -5}, []),
+            ("validate", {"checks_n": 0}, ["--quick"]),
         ],
         ids=["negative-cap", "scalar-for-list", "partial-rates", "zero-points",
              "negative-fiber", "negative-seed", "negative-loss-max", "zero-d_a", "gain-tau_e",
              "tau-above-1", "negative-squeezing", "one-entry-d_a_range", "seed-beyond-64-bits",
              "underflowing-fiber-loss", "zero-jobs", "negative-jobs", "nan-d_a",
-             "infinite-kappa_a"],
+             "infinite-kappa_a", "repeated-squeezing", "squeezing-sharing-a-tag",
+             "negative-checks_n", "zero-checks_n"],
     )
     def test_invalid_config_is_config_error(self, command, config, argv, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -491,6 +491,29 @@ class TestOptimizeCooperativities:
         with pytest.raises(ValueError, match="thermal occupancy must be finite and >= 0"):
             optimize_loss_split(t, caps, n_th, 0.5, 0.5)
 
+    @pytest.mark.parametrize(
+        "n_starts, nm_max_iter, name",
+        [(0, 10, "n_starts"), (-1, 10, "n_starts"), (2.0, 10, "n_starts"),
+         (True, 10, "n_starts"), (3, -1, "nm_max_iter"), (3, 10.5, "nm_max_iter")],
+    )
+    def test_rejects_an_invalid_search_budget(self, n_starts, nm_max_iter, name):
+        # n_starts=0 used to return the box midpoint with 0 e-bits, and
+        # n_starts=-1 to start Nelder-Mead from the whole seed pool
+        caps = DeviceCaps(25.0, 6.0, 0.9, 0.85, 0.2)
+        t = Topology.swap_sym(MoKind.IM)
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+            optimize_cooperativities(t, caps, 0.2, n_starts=n_starts, nm_max_iter=nm_max_iter)
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+            optimize_loss_split(t, caps, 0.2, 0.0, 0.5, budget=(n_starts, nm_max_iter))
+
+    def test_smallest_search_budget_still_searches(self):
+        # one start and no simplex steps: the best ranked point, polished
+        caps = DeviceCaps(25.0, 6.0, 0.9, 0.85, 0.2)
+        t = Topology.swap_sym(MoKind.IM)
+        _, e = optimize_cooperativities(t, caps, 0.2, n_starts=1, nm_max_iter=0)
+        _, e_full = optimize_cooperativities(t, caps, 0.2)
+        assert e == pytest.approx(e_full, rel=1e-4)
+
     def test_io_argmax_binds_stability(self):
         caps = DeviceCaps(100.0, 10.0, 0.9, 0.8, 0.0)
         res = numeric_threshold(Topology.swap_sym(MoKind.IO), caps, 0.0)

@@ -1,11 +1,12 @@
 """Command-line interface.
 
-    gausslink threshold-vs-da   [--config F] [--preset P] [--out PATH] ...
-    gausslink threshold-vs-loss [--config F] [--preset P] [--out PATH] ...
-    gausslink device-run        [--config F] [--preset P] [--out PATH] ...
-    gausslink ebit-rate         [--config F] [--preset P] [--out PATH] ...
-    gausslink validate          [--config F] [--seed N] [--quick]
+    gausslink threshold-vs-da [--config F] [--out PATH] [--seed N] [--jobs N] [--points N]
+    gausslink threshold-vs-loss [--config F] [--out PATH] [--seed N] [--jobs N] [--points N]
+    gausslink device-run [--config F] [--preset P] [--out PATH] [--seed N] [--jobs N] [--points N]
+    gausslink ebit-rate [--config F] [--preset P] [--out PATH]
+    gausslink validate [--config F] [--out PATH] [--seed N] [--quick]
 
+Each command takes only the settings of its experiments.SETTINGS row.
 Sweep commands write CSV (with provenance comment lines); ebit-rate and
 validate emit JSON.  Exit codes: 0 success, 1 validation failure,
 2 configuration error.
@@ -16,7 +17,6 @@ Conventions: squeezing dB = 10*log10(e**(2r)); loss dB = -10*log10(tau).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -24,6 +24,7 @@ import sys
 
 from .core import R_MAX, squeeze_r_to_db
 from .experiments import (
+    SETTINGS,
     ExperimentConfig,
     OutputError,
     cmd_device_run,
@@ -102,7 +103,7 @@ def _config_value(key: str, value, default):
     if isinstance(default, tuple):
         ok = isinstance(value, list) and len(value) > 0 and all(map(_is_number, value))
         want = "a non-empty list of numbers"
-    elif key in ("experiment", "out"):
+    elif key == "out":
         ok, want = isinstance(value, str), "a string"
     elif type(default) is int:
         ok, want = type(value) is int, "an integer"
@@ -136,16 +137,14 @@ def _check_out(path: str) -> None:
 
 
 def _load_config(args) -> ExperimentConfig:
+    reads = SETTINGS[args.command]
     cfg = ExperimentConfig()
-    if args.preset:
+    if getattr(args, "preset", None):
         if args.preset not in PRESETS:
             raise ConfigError(f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}")
-        preset = PRESETS[args.preset]
-        cfg.caps = preset["caps"]
-        cfg.squeezing_db = tuple(preset["squeezing_db"])
-        cfg.fiber_km = preset["fiber_km"]
-        cfg.loss_db_per_km = preset["loss_db_per_km"]
-        cfg.bandwidth_hz = preset["bandwidth_hz"]
+        for key in set(reads) & PRESETS[args.preset].keys():
+            setattr(cfg, key, PRESETS[args.preset][key])
+    data = {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -154,38 +153,39 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        valid = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        for key, value in data.items():
-            if key == "caps":
-                cfg.caps = _caps_from_dict(value)
-            elif key in valid:
-                setattr(cfg, key, _config_value(key, value, getattr(cfg, key)))
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-    for key in ("out", "seed", "jobs", "points"):
+    for key, value in data.items():
+        if key not in reads:
+            raise ConfigError(f"{args.command} reads no config key {key!r}")
+        if key == "caps":
+            cfg.caps = _caps_from_dict(value)
+        else:
+            setattr(cfg, key, _config_value(key, value, getattr(cfg, key)))
+    for key in reads:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
+    if getattr(args, "quick", False):
+        if "checks_n" in data:
+            raise ConfigError("--quick sets checks_n, so the config may not")
+        cfg.checks_n = 2000
     for key, (want, ok) in _DOMAINS.items():
-        value = getattr(cfg, key)
+        value = getattr(cfg, key) if key in reads else None
         if value is not None and not all(map(ok, value if isinstance(value, tuple) else (value,))):
             raise ConfigError(f"{key} must be {want}, got {value!r}")
-    if len(cfg.d_a_range) != 2:
+    if "d_a_range" in reads and len(cfg.d_a_range) != 2:
         raise ConfigError(f"d_a_range must hold 2 numbers, got {list(cfg.d_a_range)}")
-    if args.command == "device-run":
+    if "squeezing_db" in reads:
         try:
             device_columns(cfg.squeezing_db)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     # an external loss must leave a transmissivity that a double holds
-    for key, db in (("taue_db_max", cfg.taue_db_max),
-                    ("fiber loss", cfg.fiber_km * cfg.loss_db_per_km)):
-        if not 10.0 ** (-db / 10.0) > 0.0:
-            raise ConfigError(f"{key} of {db} dB leaves a transmissivity of 0")
+    for key, label, db in (("taue_db_max", "taue_db_max", cfg.taue_db_max),
+                           ("fiber_km", "fiber loss", cfg.fiber_km * cfg.loss_db_per_km)):
+        if key in reads and not 10.0 ** (-db / 10.0) > 0.0:
+            raise ConfigError(f"{label} of {db} dB leaves a transmissivity of 0")
     if cfg.out:
         _check_out(cfg.out)
-    if getattr(args, "quick", False):
-        cfg.checks_n = 2000
     return cfg
 
 
@@ -217,14 +217,17 @@ def main(argv=None) -> int:
         ("ebit-rate", "e-bit rate estimate over fiber (JSON)"),
         ("validate", "run the oracle/property suite (JSON report)"),
     ):
+        reads = SETTINGS[name]
         p = sub.add_parser(name, help=help_text, epilog=conventions)
-        p.add_argument("--config", help="JSON config file mirroring ExperimentConfig")
-        p.add_argument("--preset", help="named device preset, e.g. brubaker2022")
+        p.add_argument("--config", help="JSON object of any of: " + ", ".join(reads))
+        if "caps" in reads:
+            p.add_argument("--preset", help="named device preset, e.g. brubaker2022")
         p.add_argument("--out", help="output path (CSV or JSON)")
-        p.add_argument("--seed", type=int, help="seed for randomized sweeps")
-        p.add_argument("--jobs", type=int, help="parallel workers for sweep points")
-        if name not in ("ebit-rate", "validate"):
-            p.add_argument("--points", type=int, help="sweep grid size")
+        for key, flag_help in (("seed", "seed of validate's draws; a sweep's provenance"),
+                               ("jobs", "parallel workers for sweep points"),
+                               ("points", "sweep grid size")):
+            if key in reads:
+                p.add_argument(f"--{key}", type=int, help=flag_help)
         if name == "validate":
             p.add_argument("--quick", action="store_true", help="reduced draw counts")
     args = parser.parse_args(argv)

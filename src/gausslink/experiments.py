@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +51,7 @@ from .transducer import DeviceCaps, PhysicalRates, conversion_channel, dpt_two_m
 
 __all__ = [
     "ExperimentConfig",
+    "SETTINGS",
     "cmd_threshold_vs_da",
     "cmd_threshold_vs_loss",
     "cmd_device_run",
@@ -100,6 +102,18 @@ class ExperimentConfig:
 
     def resolve_r(self, default_r: float) -> float:
         return self.r if self.r is not None else default_r
+
+
+#: The ExperimentConfig fields each command reads besides experiment; the
+#: CLI offers each command these settings and no other.
+SETTINGS = {
+    "threshold-vs-da": ("r", "points", "d_a_range", "d_b_values", "tau_a", "tau_b", "seed",
+                        "jobs", "out"),
+    "threshold-vs-loss": ("r", "points", "d_b_loss", "loss_db_max", "seed", "jobs", "out"),
+    "device-run": ("caps", "squeezing_db", "points", "taue_db_max", "seed", "jobs", "out"),
+    "ebit-rate": ("caps", "fiber_km", "loss_db_per_km", "bandwidth_hz", "out"),
+    "validate": ("seed", "checks_n", "out"),
+}
 
 
 def _fmt(x) -> str:
@@ -160,11 +174,13 @@ def _write_out(path, text: str) -> None:
 
 
 def _map_points(fn, args_list, jobs):
-    if jobs and jobs > 1:
+    # the pool forks every worker up front: start no more than can be busy
+    workers = min(jobs, len(args_list), os.cpu_count() or 1)
+    if workers > 1:
         # imported here, so that a --jobs 1 run does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, args_list, chunksize=4))
     return [fn(a) for a in args_list]
 
@@ -554,7 +570,16 @@ def _worst_draw(draws, worst: float) -> tuple[float, str]:
 
 
 def cmd_validate(cfg: ExperimentConfig) -> tuple[int, dict]:
-    """Run the oracle and property suite; returns (exit_code, report)."""
+    """Run the oracle and property suite; returns (exit_code, report).
+
+    Draws per check, for n = checks_n (ValueError unless an integer >= 1):
+    swap_theorem max(n, 100), mo_state_oracle (per kind) and conversion_trace
+    max(n // 10, 100), threshold_agreement max(n // 1000, 10),
+    global_necessary_condition and corner_shortcut max(n // 20, 50),
+    loss_split_optimality max(n // 2500, 6), determinism 1000.
+    """
+    if type(cfg.checks_n) is not int or cfg.checks_n < 1:
+        raise ValueError(f"checks_n must be an integer >= 1, got {cfg.checks_n!r}")
     n = max(cfg.checks_n, 100)
     # (name, check, draws, tolerance, worst before any draw)
     checks = [

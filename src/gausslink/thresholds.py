@@ -640,9 +640,12 @@ def optimize_loss_split(
     shares for EO downconversion, everything on one measured arm for
     symmetric swapping); asymmetric swapping is searched numerically
     over the slot simplex, since its optimum may be interior.
-    Cooperativities are re-optimized at every candidate split.
+    Cooperativities are re-optimized at every candidate split with budget
+    = (n_starts, nm_max_iter); ValueError unless budget is such a pair.
     """
     _check_loss_split(tau_e)
+    if type(budget) is not tuple or len(budget) != 2:
+        raise ValueError(f"budget must be a pair (n_starts, nm_max_iter), got {budget!r}")
 
     def e_at(split) -> float:
         return optimize_cooperativities(

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,11 +25,13 @@ from gausslink import (
 from gausslink import cli
 from gausslink.cli import main
 from gausslink.experiments import (
+    SETTINGS,
     ExperimentConfig,
     _check_conversion_trace,
     _check_mo_oracle,
     _check_swap_theorem,
     _check_thresholds,
+    _map_points,
     _worst_draw,
     cmd_device_run,
     cmd_ebit_rate,
@@ -40,6 +44,25 @@ from gausslink.sources import MoKind
 from gausslink.transducer import C_MAX
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# a valid, non-default value of every ExperimentConfig field but
+# experiment and out, in its JSON form
+_CAPS = {"d_a": 300.0, "d_b": 20.0, "tau_a": 0.8, "tau_b": 0.7, "n_th": 0.5}
+_OTHER = {
+    "caps": _CAPS, "squeezing_db": [4.0], "r": 0.3, "points": 3, "d_a_range": [1.0, 100.0],
+    "d_b_values": [5.0], "d_b_loss": 100.0, "tau_a": 0.8, "tau_b": 0.6, "loss_db_max": 12.0,
+    "taue_db_max": 3.0, "fiber_km": 5.0, "loss_db_per_km": 0.3, "bandwidth_hz": 500.0,
+    "seed": 7, "jobs": 2, "checks_n": 150,
+}
+
+
+def _other_value(key):
+    """_OTHER[key] as ExperimentConfig holds it."""
+    value = _OTHER[key]
+    if key == "caps":
+        return DeviceCaps(**value)
+    return tuple(value) if isinstance(value, list) else value
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +246,12 @@ class TestValidateCommand:
         assert code == 0, f"failing checks: {failing}"
         assert report["pass"]
 
+    @pytest.mark.parametrize("checks_n", [-5, 0, 2.0, True])
+    def test_rejects_an_invalid_checks_n(self, checks_n):
+        # checks_n=-5 used to run the floor draw counts and pass
+        with pytest.raises(ValueError, match="checks_n must be an integer >= 1"):
+            cmd_validate(ExperimentConfig(experiment="validate", checks_n=checks_n))
+
     def test_report_is_reproducible(self):
         cfg = ExperimentConfig(experiment="validate", seed=3, checks_n=300)
         _, r1 = cmd_validate(cfg)
@@ -331,13 +360,14 @@ class TestCli:
             ("device-run", {"squeezing_db": [3, 3.0000000000001]}, []),
             ("validate", {"checks_n": -5}, []),
             ("validate", {"checks_n": 0}, ["--quick"]),
+            ("validate", {"checks_n": 100}, ["--quick"]),
         ],
         ids=["negative-cap", "scalar-for-list", "partial-rates", "zero-points",
              "negative-fiber", "negative-seed", "negative-loss-max", "zero-d_a", "gain-tau_e",
              "tau-above-1", "negative-squeezing", "one-entry-d_a_range", "seed-beyond-64-bits",
              "underflowing-fiber-loss", "zero-jobs", "negative-jobs", "nan-d_a",
              "infinite-kappa_a", "repeated-squeezing", "squeezing-sharing-a-tag",
-             "negative-checks_n", "zero-checks_n"],
+             "negative-checks_n", "zero-checks_n", "quick-with-checks_n"],
     )
     def test_invalid_config_is_config_error(self, command, config, argv, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -388,7 +418,7 @@ class TestCli:
     )
     def test_cooperativity_bound(self, command, beyond, tmp_path, capfd):
         # every cap a command reads may reach C_MAX, warning-free, and no
-        # further; validate reads no caps, but its config is checked alike
+        # further; validate reads no caps, so it rejects the key
         def at(bound):
             return math.nextafter(bound, math.inf) if beyond else bound
 
@@ -431,6 +461,32 @@ class TestCli:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=60, env={**os.environ, "PYTHONPATH": SRC})
         assert done.returncode == 0 and done.stdout.splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("points, cpus, workers", [(2, 64, 2), (10, 3, 3), (1, 64, 1)])
+    def test_workers_capped_by_points_and_cpus(self, points, cpus, workers, monkeypatch):
+        # the pool forks every worker up front, so --jobs 10**6 must not ask
+        # for a million; a recorder stands in for the pool and runs serially
+        import concurrent.futures
+
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert _map_points(abs, range(-points, 0), 10**6) == list(range(points, 0, -1))
+        assert asked == ([workers] if workers > 1 else [])
 
     def test_validate_takes_no_points(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -511,3 +567,95 @@ class TestCli:
         assert main(["validate", "--quick", "--seed", "5"]) == 1
         out = capsys.readouterr().out
         assert "overall: FAIL" in out and "forced failure" in out
+
+
+class TestSettings:
+    """Each command takes exactly the settings of its SETTINGS row."""
+
+    def test_every_field_has_an_other_value(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert fields == set(_OTHER) | {"experiment", "out"}
+        assert all(set(row) <= fields for row in SETTINGS.values())
+
+    @pytest.mark.parametrize("command", list(SETTINGS))
+    def test_command_reads_no_field_outside_its_row(self, command):
+        # every field outside the row at a non-default value leaves the
+        # command's whole result byte-identical
+        row = SETTINGS[command]
+        small = {k: v for k, v in (("points", 2), ("checks_n", 1)) if k in row}
+        base = ExperimentConfig(experiment=command, **small)
+        other = dataclasses.replace(
+            base, **{k: _other_value(k) for k in _OTHER if k not in row})
+        run = getattr(cli, "cmd_" + command.replace("-", "_"))
+        assert repr(run(other)) == repr(run(base))
+
+    @pytest.mark.parametrize("command", list(SETTINGS))
+    def test_config_takes_the_row_keys(self, command, tmp_path, monkeypatch):
+        row = SETTINGS[command]
+        config = {k: (str(tmp_path / "out") if k == "out" else _OTHER[k]) for k in row}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        class Ran(Exception):
+            pass
+
+        def record(cfg):
+            raise Ran(cfg)  # stops main before it reads a result
+
+        monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), record)
+        with pytest.raises(Ran) as ran:
+            main([command, "--config", str(path)])
+        assert {k: getattr(ran.value.args[0], k) for k in row} == {
+            k: (config[k] if k == "out" else _other_value(k)) for k in row}
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [(command, key) for command, row in SETTINGS.items()
+         for key in ["experiment", *_OTHER] if key not in row],
+    )
+    def test_config_rejects_other_keys(self, command, key, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: _OTHER.get(key, command)}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {command} reads no config key '{key}'\n"
+        assert not out.exists()
+
+    @staticmethod
+    def _flags(text: str) -> set[str]:
+        return set(re.findall(r"--[a-z]+", text)) - {"--help"}
+
+    def _offered(self, command, capsys) -> set[str]:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        return self._flags(capsys.readouterr().out.split("\n\n")[0])  # the usage lines
+
+    @pytest.mark.parametrize("command", list(SETTINGS))
+    def test_flags_follow_the_row(self, command, capsys):
+        row = SETTINGS[command]
+        want = {"--config", "--out"} | {f"--{k}" for k in ("seed", "jobs", "points") if k in row}
+        want |= {"--preset"} if "caps" in row else set()
+        want |= {"--quick"} if command == "validate" else set()
+        assert self._offered(command, capsys) == want
+
+    @pytest.mark.parametrize(
+        "argv", [["threshold-vs-da", "--preset", "brubaker2022"], ["ebit-rate", "--seed", "3"],
+                 ["validate", "--jobs", "2"]],
+    )
+    def test_other_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(SETTINGS))
+    def test_docs_name_the_offered_settings(self, command, capsys):
+        # the README and cli synopses, and the README's table of config keys
+        offered = self._offered(command, capsys)
+        readme = README.read_text()
+        for doc in (readme, cli.__doc__):
+            lines = [line for line in doc.splitlines()
+                     if line.strip().startswith(f"gausslink {command} ")]
+            assert len(lines) == 1, lines
+            assert self._flags(lines[0]) == offered
+        [row] = [line for line in readme.splitlines() if line.startswith(f"| `{command}` |")]
+        assert re.findall(r"`(\w+)`", row.split("|")[2]) == list(SETTINGS[command])

@@ -506,6 +506,14 @@ class TestOptimizeCooperativities:
         with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
             optimize_loss_split(t, caps, 0.2, 0.0, 0.5, budget=(n_starts, nm_max_iter))
 
+    @pytest.mark.parametrize("budget", [(), (3,), (3, 10, 99), 3])
+    def test_loss_split_rejects_a_budget_that_is_not_a_pair(self, budget):
+        # (3,) used to raise IndexError, and (3, 10, 99) to drop the 99
+        caps = DeviceCaps(25.0, 6.0, 0.9, 0.85, 0.2)
+        t = Topology.swap_asym(MoKind.IM, MoKind.EO)
+        with pytest.raises(ValueError, match="budget must be a pair"):
+            optimize_loss_split(t, caps, 0.2, 0.0, 0.5, budget=budget)
+
     def test_smallest_search_budget_still_searches(self):
         # one start and no simplex steps: the best ranked point, polished
         caps = DeviceCaps(25.0, 6.0, 0.9, 0.85, 0.2)

@@ -41,33 +41,33 @@ _CAPS_KEYS = {"d_a", "d_b", "tau_a", "tau_b", "n_th"}
 _RATE_KEYS = {"kappa_a", "kappa_b", "gamma_m"}
 
 #: Domains of the numeric config fields that the library takes unchecked,
-#: as (description, test); a list is tested entry by entry and NaN fails
-#: every test.  A negative loss in dB would be a gain, the seed keys a
-#: 64-bit generator, a geometric d_a grid cannot reach 0, squeezing is
-#: bounded as SqueezeParam bounds it, and the caps as DeviceCaps bounds
-#: them, by C_MAX (threshold-vs-loss sets d_a = 10 d_b_loss).  Each test
-#: compares the value as read, without converting it, and "finite" means
-#: at most the largest float, so a JSON integer too large for a float is
-#: rejected here rather than overflowing at run time; squeezing_db is
-#: compared in dB.
+#: as (description, test of the whole value); NaN fails every test.  A
+#: negative loss in dB would be a gain, the seed keys a 64-bit generator,
+#: a geometric d_a grid cannot reach 0, squeezing is bounded as
+#: SqueezeParam bounds it, and the caps as DeviceCaps bounds them, by
+#: C_MAX (threshold-vs-loss sets d_a = 10 d_b_loss).  Each test compares
+#: the value as read, without converting it, and "finite" means at most
+#: the largest float, so a JSON integer too large for a float is rejected
+#: here rather than overflowing at run time; squeezing_db is compared in
+#: dB, and an external loss must leave a transmissivity a double holds.
 _FLOAT_MAX = sys.float_info.max
 _NONNEGATIVE = ("finite and >= 0", lambda v: 0 <= v <= _FLOAT_MAX)
 _DB_MAX = squeeze_r_to_db(R_MAX)
 _DOMAINS = {
     **dict.fromkeys(("points", "jobs", "checks_n"), (">= 1", lambda v: v >= 1)),
     "seed": ("in [0, 2**64)", lambda v: 0 <= v < 2**64),
-    "d_a_range": (f"> 0 and at most {C_MAX:g}", lambda v: 0 < v <= C_MAX),
-    "d_b_values": (f">= 0 and at most {C_MAX:g}", lambda v: 0 <= v <= C_MAX),
+    "d_a_range": (f"2 numbers, each > 0 and at most {C_MAX:g}",
+                  lambda v: len(v) == 2 and all(0 < x <= C_MAX for x in v)),
+    "d_b_values": (f"each >= 0 and at most {C_MAX:g}", lambda v: all(0 <= x <= C_MAX for x in v)),
     "d_b_loss": (f">= 0 and at most {C_MAX / 10:g}", lambda v: 0 <= v <= C_MAX / 10),
     "tau_a": ("in [0, 1]", lambda v: 0 <= v <= 1),
     "tau_b": ("in [0, 1]", lambda v: 0 <= v <= 1),
     "r": (f"in [0, {R_MAX}]", lambda v: 0 <= v <= R_MAX),
-    "squeezing_db": (f">= 0 and at most r = {R_MAX} (about 869 dB)",
-                     lambda v: 0 <= v <= _DB_MAX),
-    **dict.fromkeys(
-        ("loss_db_max", "taue_db_max", "fiber_km", "loss_db_per_km", "bandwidth_hz"),
-        _NONNEGATIVE,
-    ),
+    "squeezing_db": (f"each >= 0 and at most r = {R_MAX} (about 869 dB)",
+                     lambda v: all(0 <= x <= _DB_MAX for x in v)),
+    "taue_db_max": ("finite and >= 0, leaving a transmissivity > 0",
+                    lambda v: 0 <= v <= _FLOAT_MAX and 10.0 ** (-v / 10.0) > 0.0),
+    **dict.fromkeys(("loss_db_max", "fiber_km", "loss_db_per_km", "bandwidth_hz"), _NONNEGATIVE),
 }
 
 
@@ -168,22 +168,19 @@ def _load_config(args) -> ExperimentConfig:
         if "checks_n" in data:
             raise ConfigError("--quick sets checks_n, so the config may not")
         cfg.checks_n = 2000
-    for key, (want, ok) in _DOMAINS.items():
-        value = getattr(cfg, key) if key in reads else None
-        if value is not None and not all(map(ok, value if isinstance(value, tuple) else (value,))):
+    for key in [k for k in reads if k in _DOMAINS]:
+        want, ok = _DOMAINS[key]
+        value = getattr(cfg, key)
+        if value is not None and not ok(value):
             raise ConfigError(f"{key} must be {want}, got {value!r}")
-    if "d_a_range" in reads and len(cfg.d_a_range) != 2:
-        raise ConfigError(f"d_a_range must hold 2 numbers, got {list(cfg.d_a_range)}")
     if "squeezing_db" in reads:
         try:
             device_columns(cfg.squeezing_db)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    # an external loss must leave a transmissivity that a double holds
-    for key, label, db in (("taue_db_max", "taue_db_max", cfg.taue_db_max),
-                           ("fiber_km", "fiber loss", cfg.fiber_km * cfg.loss_db_per_km)):
-        if key in reads and not 10.0 ** (-db / 10.0) > 0.0:
-            raise ConfigError(f"{label} of {db} dB leaves a transmissivity of 0")
+    db = cfg.fiber_km * cfg.loss_db_per_km
+    if "fiber_km" in reads and not 10.0 ** (-db / 10.0) > 0.0:
+        raise ConfigError(f"fiber loss of {db} dB leaves a transmissivity of 0")
     if cfg.out:
         _check_out(cfg.out)
     return cfg

@@ -313,7 +313,10 @@ class TestCli:
         assert out1.read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize("command", ["device-run", "threshold-vs-da"])
-    def test_parallel_points_give_identical_output(self, command, tmp_path):
+    def test_parallel_points_give_identical_output(self, command, tmp_path, monkeypatch):
+        # _map_points caps its workers at the CPU count: report two, so that
+        # --jobs 2 starts a real pool on a one-CPU machine too
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         out1, out2 = tmp_path / "jobs1.csv", tmp_path / "jobs2.csv"
         argv = [command, "--points", "3"]
         assert main(argv + ["--jobs", "1", "--out", str(out1)]) == 0
@@ -359,7 +362,7 @@ class TestCli:
             ("device-run", {"squeezing_db": [3, 3]}, []),
             ("device-run", {"squeezing_db": [3, 3.0000000000001]}, []),
             ("validate", {"checks_n": -5}, []),
-            ("validate", {"checks_n": 0}, ["--quick"]),
+            ("validate", {"checks_n": 0}, []),
             ("validate", {"checks_n": 100}, ["--quick"]),
         ],
         ids=["negative-cap", "scalar-for-list", "partial-rates", "zero-points",
@@ -377,6 +380,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert len(err.splitlines()) == 1
+        # each case is a key the command reads, rejected for its value
+        assert "reads no config key" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -389,7 +394,7 @@ class TestCli:
             ("device-run", {"squeezing_db": [2000]}, 2),
             ("device-run", {"squeezing_db": [1500]}, 2),
             ("device-run", {"squeezing_db": [10**400]}, 2),
-            ("device-run", {"fiber_km": 10**400}, 2),
+            ("ebit-rate", {"fiber_km": 10**400}, 2),
             ("threshold-vs-loss", {"loss_db_max": 10**400}, 2),
             ("threshold-vs-da", {"d_a_range": [1, 10**400]}, 2),
             ("threshold-vs-loss", {"loss_db_max": 0}, 0),
@@ -403,12 +408,14 @@ class TestCli:
         # capfd also catches what numpy's C code writes to stderr
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
-        assert main([command, "--config", str(path), "--points", "3"]) == code
+        points = ["--points", "3"] if "points" in SETTINGS[command] else []
+        assert main([command, "--config", str(path)] + points) == code
         err = capfd.readouterr().err
         if code == 0:
             assert err == ""
         else:
             assert err.startswith("config error: ") and len(err.splitlines()) == 1
+            assert "reads no config key" not in err
 
     @pytest.mark.parametrize(
         "command, beyond",

@@ -17,12 +17,13 @@ import io
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__ as _version
-from .core import BalancedForm, log_negativity, squeeze_db_to_r
+from .core import R_MAX, BalancedForm, log_negativity, squeeze_db_to_r, squeeze_r_to_db
 from .network import (
     ALL_TOPOLOGIES,
     SYMMETRIC_TOPOLOGIES,
@@ -47,9 +48,10 @@ from .thresholds import (
     numeric_threshold,
     optimize_cooperativities,
 )
-from .transducer import DeviceCaps, PhysicalRates, conversion_channel, dpt_two_mode_channel
+from .transducer import C_MAX, DeviceCaps, PhysicalRates, conversion_channel, dpt_two_mode_channel
 
 __all__ = [
+    "ConfigError",
     "ExperimentConfig",
     "SETTINGS",
     "cmd_threshold_vs_da",
@@ -77,11 +79,12 @@ class ExperimentConfig:
 
     Figure-specific fields (grids, transmissivities) carry the defaults
     of the corresponding experiment and may be overridden via a JSON
-    config file; caps normally come from a preset.
+    config file; caps default to the brubaker2022 device.  Each cmd_*
+    raises ConfigError where a field of its SETTINGS row breaks its rule.
     """
 
     experiment: str = ""
-    caps: DeviceCaps | None = None
+    caps: DeviceCaps = PRESETS["brubaker2022"]["caps"]
     squeezing_db: tuple[float, ...] = (3.0, 10.0)
     r: float | None = None
     points: int = 201
@@ -114,6 +117,91 @@ SETTINGS = {
     "ebit-rate": ("caps", "fiber_km", "loss_db_per_km", "bandwidth_hz", "out"),
     "validate": ("seed", "checks_n", "out"),
 }
+
+
+class ConfigError(ValueError):
+    """A setting breaks its rule; the message names the setting."""
+
+
+def _domain(want: str, ok):
+    """The rule that a setting's whole value passes ok, described as want."""
+    return lambda key, value, cfg: None if ok(value) else f"{key} must be {want}, got {value!r}"
+
+
+def _distinct_tags(key, squeezing_db, cfg):
+    tags = [_db_tag(db) for db in squeezing_db]
+    if len(set(tags)) < len(tags):
+        return f"squeezing_db values {list(squeezing_db)} repeat a column tag: {tags}"
+
+
+def _fiber_transmits(key, fiber_km, cfg):
+    db = fiber_km * cfg.loss_db_per_km
+    if not 10.0 ** (-db / 10.0) > 0.0:
+        return f"fiber loss of {db} dB leaves a transmissivity of 0"
+
+
+def _writable(key, path, cfg):
+    """Why no file can be created or replaced at path, if none can.
+
+    Checked before a command runs, so that a sweep does not run only to
+    fail at its last step; a failure of the write itself is an OutputError.
+    """
+    if not path:
+        return None
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        return f"cannot write {path}: no directory {folder}"
+    if os.path.isdir(path):
+        return f"cannot write {path}: it is a directory"
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        return f"cannot write {path}: permission denied"
+
+
+#: The rules of the ExperimentConfig fields, as (field, rule) in the order
+#: they are checked: rule(field, value, cfg) names what is wrong, if
+#: anything, and a field at None is not checked.  NaN fails every domain.
+#: A negative loss in dB would be a gain, the seed keys a 64-bit generator,
+#: a geometric d_a grid cannot reach 0, squeezing is bounded as
+#: SqueezeParam bounds it, and the caps as DeviceCaps bounds them, by C_MAX
+#: (threshold-vs-loss sets d_a = 10 d_b_loss).  Each domain compares the
+#: value as given, and "finite" means at most the largest float, so an
+#: integer too large for a float is rejected rather than overflowing at
+#: run time; squeezing_db is compared in dB, and an external or fiber loss
+#: must leave a transmissivity a double holds.
+_FLOAT_MAX = sys.float_info.max
+_NONNEGATIVE = _domain("finite and >= 0", lambda v: 0 <= v <= _FLOAT_MAX)
+_DB_MAX = squeeze_r_to_db(R_MAX)
+_RULES = [
+    *((key, _domain(">= 1", lambda v: v >= 1)) for key in ("points", "jobs")),
+    *((key, _domain("non-empty", lambda v: len(v) > 0)) for key in ("d_b_values", "squeezing_db")),
+    ("checks_n", _domain("an integer >= 1", lambda v: type(v) is int and v >= 1)),
+    ("seed", _domain("in [0, 2**64)", lambda v: 0 <= v < 2**64)),
+    ("d_a_range", _domain(f"2 numbers, each > 0 and at most {C_MAX:g}",
+                          lambda v: len(v) == 2 and all(0 < x <= C_MAX for x in v))),
+    ("d_b_values", _domain(f"each >= 0 and at most {C_MAX:g}",
+                           lambda v: all(0 <= x <= C_MAX for x in v))),
+    ("d_b_loss", _domain(f">= 0 and at most {C_MAX / 10:g}", lambda v: 0 <= v <= C_MAX / 10)),
+    *((key, _domain("in [0, 1]", lambda v: 0 <= v <= 1)) for key in ("tau_a", "tau_b")),
+    ("r", _domain(f"in [0, {R_MAX}]", lambda v: 0 <= v <= R_MAX)),
+    ("squeezing_db", _domain(f"each >= 0 and at most r = {R_MAX} (about 869 dB)",
+                             lambda v: all(0 <= x <= _DB_MAX for x in v))),
+    ("taue_db_max", _domain("finite and >= 0, leaving a transmissivity > 0",
+                            lambda v: 0 <= v <= _FLOAT_MAX and 10.0 ** (-v / 10.0) > 0.0)),
+    *((key, _NONNEGATIVE)
+      for key in ("loss_db_max", "fiber_km", "loss_db_per_km", "bandwidth_hz")),
+    ("squeezing_db", _distinct_tags),
+    ("fiber_km", _fiber_transmits),
+    ("out", _writable),
+]
+
+
+def _check_settings(cfg: ExperimentConfig, command: str) -> None:
+    """ConfigError where a field of command's SETTINGS row breaks its rule."""
+    for key, rule in _RULES:
+        value = getattr(cfg, key)
+        problem = key in SETTINGS[command] and value is not None and rule(key, value, cfg)
+        if problem:
+            raise ConfigError(problem)
 
 
 def _fmt(x) -> str:
@@ -209,7 +297,9 @@ def cmd_threshold_vs_da(cfg: ExperimentConfig):
 
     Defaults reproduce the standard comparison: tau_a = 1, tau_b = 0.75,
     5 dB of extrinsic squeezing, and two microwave-cap regimes.
+    ConfigError, before any point runs, where a setting breaks its rule.
     """
+    _check_settings(cfg, "threshold-vs-da")
     r = cfg.resolve_r(0.58)
     grid = np.geomspace(cfg.d_a_range[0], cfg.d_a_range[1], cfg.points)
     args = [(d_a, d_b, cfg.tau_a, cfg.tau_b, r) for d_b in cfg.d_b_values for d_a in grid]
@@ -255,7 +345,9 @@ def cmd_threshold_vs_loss(cfg: ExperimentConfig):
     squeezing.  The returned slopes are log-log fits of threshold
     against tau_a over the final decade of the sweep; extrinsic-optical
     topologies scale linearly there while the rest scale quadratically.
+    ConfigError, before any point runs, where a setting breaks its rule.
     """
+    _check_settings(cfg, "threshold-vs-loss")
     r = cfg.resolve_r(0.92)
     d_b = cfg.d_b_loss
     d_a = 10.0 * d_b
@@ -321,10 +413,7 @@ def _db_tag(db: float) -> str:
 
 
 def device_columns(squeezing_db) -> list[str]:
-    """The device-run CSV columns; ValueError where two squeezing values share a column tag."""
-    tags = [_db_tag(db) for db in squeezing_db]
-    if len(set(tags)) < len(tags):
-        raise ValueError(f"squeezing_db values {list(squeezing_db)} repeat a column tag: {tags}")
+    """The device-run CSV columns."""
     return ["tau_e_db", "tau_e"] + [cell[0] for cell in _device_cells(squeezing_db, 1.0)]
 
 
@@ -336,16 +425,16 @@ def cmd_device_run(cfg: ExperimentConfig):
     on one measured arm for the swapping topologies, and all on the
     downconverted optical mode for the asymmetric IM+EO swap.
     Equal-split swap columns are included as references; the asymmetric
-    topology overtakes both of them inside a loss window.  ValueError,
-    before any point runs, where two squeezing values share a column tag.
+    topology overtakes both of them inside a loss window.  ConfigError,
+    before any point runs, where a setting breaks its rule.
     """
+    _check_settings(cfg, "device-run")
     columns = device_columns(cfg.squeezing_db)
-    caps = cfg.caps if cfg.caps is not None else PRESETS["brubaker2022"]["caps"]
     grid = np.linspace(0.0, cfg.taue_db_max, cfg.points)
-    args = [(caps, tuple(cfg.squeezing_db), db) for db in grid]
+    args = [(cfg.caps, tuple(cfg.squeezing_db), db) for db in grid]
     rows = _map_points(_device_point, args, cfg.jobs)
     header = _provenance(
-        cfg, caps, {"squeezing_db": ",".join(map(str, cfg.squeezing_db)), "points": cfg.points}
+        cfg, cfg.caps, {"squeezing_db": ",".join(map(str, cfg.squeezing_db)), "points": cfg.points}
     )
     text = _write_csv(cfg.out, header, columns, rows)
     return rows, text
@@ -365,9 +454,11 @@ def cmd_ebit_rate(cfg: ExperimentConfig) -> dict:
     corner (``corner_*``), where every cooperativity sits at its cap,
     the source's microwave one clamped into the stability region if
     its cap lies beyond it.  Each value comes in log2 units (e-bits)
-    and, under the ``*_nats`` keys, in natural-log units.
+    and, under the ``*_nats`` keys, in natural-log units.  ConfigError,
+    before anything runs, where a setting breaks its rule.
     """
-    caps = cfg.caps if cfg.caps is not None else PRESETS["brubaker2022"]["caps"]
+    _check_settings(cfg, "ebit-rate")
+    caps = cfg.caps
     loss_db = cfg.loss_db_per_km * cfg.fiber_km
     tau_e = 10.0 ** (-loss_db / 10.0)
     topo = Topology.down(MoKind.IM)
@@ -572,14 +663,14 @@ def _worst_draw(draws, worst: float) -> tuple[float, str]:
 def cmd_validate(cfg: ExperimentConfig) -> tuple[int, dict]:
     """Run the oracle and property suite; returns (exit_code, report).
 
-    Draws per check, for n = checks_n (ValueError unless an integer >= 1):
-    swap_theorem max(n, 100), mo_state_oracle (per kind) and conversion_trace
-    max(n // 10, 100), threshold_agreement max(n // 1000, 10),
-    global_necessary_condition and corner_shortcut max(n // 20, 50),
-    loss_split_optimality max(n // 2500, 6), determinism 1000.
+    Draws per check, for n = checks_n: swap_theorem max(n, 100),
+    mo_state_oracle (per kind) and conversion_trace max(n // 10, 100),
+    threshold_agreement max(n // 1000, 10), global_necessary_condition
+    and corner_shortcut max(n // 20, 50), loss_split_optimality
+    max(n // 2500, 6), determinism 1000.  ConfigError, before any check
+    runs, where a setting breaks its rule.
     """
-    if type(cfg.checks_n) is not int or cfg.checks_n < 1:
-        raise ValueError(f"checks_n must be an integer >= 1, got {cfg.checks_n!r}")
+    _check_settings(cfg, "validate")
     n = max(cfg.checks_n, 100)
     # (name, check, draws, tolerance, worst before any draw)
     checks = [

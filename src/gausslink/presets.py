@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .transducer import DeviceCaps, PhysicalRates
 
-__all__ = ["brubaker2022_caps", "PRESETS", "BRUBAKER2022"]
+__all__ = ["brubaker2022_caps", "PRESETS"]
 
 # Reported operating point: bare transmissivities 0.791 (optical) and
 # 0.866 (microwave), with mode-matching / transmission factors 0.88 and
@@ -39,12 +39,4 @@ def brubaker2022_caps() -> DeviceCaps:
     )
 
 
-BRUBAKER2022 = {
-    "caps": brubaker2022_caps(),
-    "squeezing_db": (3.0, 10.0),
-    "fiber_km": 2.0,
-    "loss_db_per_km": 0.18,
-    "bandwidth_hz": 2000.0,
-}
-
-PRESETS = {"brubaker2022": BRUBAKER2022}
+PRESETS = {"brubaker2022": {"caps": brubaker2022_caps()}}

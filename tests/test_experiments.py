@@ -26,6 +26,7 @@ from gausslink import cli
 from gausslink.cli import main
 from gausslink.experiments import (
     SETTINGS,
+    ConfigError,
     ExperimentConfig,
     _check_conversion_trace,
     _check_mo_oracle,
@@ -63,6 +64,16 @@ def _other_value(key):
     if key == "caps":
         return DeviceCaps(**value)
     return tuple(value) if isinstance(value, list) else value
+
+
+def _fields(config, argv):
+    """The ExperimentConfig fields that main sets from a JSON config and flags."""
+    fields = {k: tuple(v) if isinstance(v, list) else v for k, v in config.items()}
+    if "--quick" in argv:
+        argv = [a for a in argv if a != "--quick"]
+        fields["checks_n"] = 2000
+    fields.update((flag[2:], int(v)) for flag, v in zip(argv[::2], argv[1::2]))
+    return fields
 
 
 @pytest.fixture(scope="module")
@@ -289,7 +300,7 @@ class TestValidateCommand:
 class TestCli:
     def test_ebit_rate_runs(self, tmp_path, capsys):
         path = tmp_path / "rate.json"
-        assert main(["ebit-rate", "--preset", "brubaker2022", "--out", str(path)]) == 0
+        assert main(["ebit-rate", "--out", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["bandwidth_hz"] == 2000.0
         assert json.loads(path.read_text()) == out
@@ -323,10 +334,6 @@ class TestCli:
         assert main(argv + ["--jobs", "2", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_unknown_preset_is_config_error(self, capsys):
-        assert main(["device-run", "--preset", "nope"]) == 2
-        assert "config error" in capsys.readouterr().err
-
     def test_bad_config_file_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
         bad.write_text("{not json")
@@ -335,44 +342,55 @@ class TestCli:
         assert main(["device-run", "--config", str(bad)]) == 2
 
     @pytest.mark.parametrize(
-        "command, config, argv",
+        "command, config, argv, library",
         [
             ("device-run",
-             {"caps": {"d_a": -1, "d_b": 1, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0}}, []),
-            ("device-run", {"squeezing_db": 5}, []),
+             {"caps": {"d_a": -1, "d_b": 1, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0}}, [], False),
+            ("device-run", {"squeezing_db": 5}, [], False),
             ("device-run", {"caps": {"d_a": 1, "d_b": 1, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0,
-                                     "kappa_a": 5}}, []),
-            ("device-run", {}, ["--points", "0"]),
-            ("ebit-rate", {"fiber_km": -5}, []),
-            ("validate", {}, ["--quick", "--seed", "-1"]),
-            ("threshold-vs-loss", {"loss_db_max": -3}, []),
-            ("threshold-vs-da", {"d_a_range": [0, 10]}, []),
-            ("device-run", {"taue_db_max": -3}, []),
-            ("threshold-vs-da", {"tau_a": 1.5}, []),
-            ("device-run", {"squeezing_db": [-3]}, []),
-            ("threshold-vs-da", {"d_a_range": [1]}, []),
-            ("validate", {}, ["--quick", "--seed", str(2**64)]),
-            ("ebit-rate", {"fiber_km": 1e5}, []),
-            ("device-run", {"jobs": 0}, []),
-            ("threshold-vs-da", {}, ["--jobs", "-3"]),
+                                     "kappa_a": 5}}, [], False),
+            ("device-run", {}, ["--points", "0"], True),
+            ("ebit-rate", {"fiber_km": -5}, [], True),
+            ("validate", {}, ["--quick", "--seed", "-1"], True),
+            ("threshold-vs-loss", {"loss_db_max": -3}, [], True),
+            ("threshold-vs-da", {"d_a_range": [0, 10]}, [], True),
+            ("device-run", {"taue_db_max": -3}, [], True),
+            ("threshold-vs-da", {"tau_a": 1.5}, [], True),
+            ("device-run", {"squeezing_db": [-3]}, [], True),
+            ("threshold-vs-da", {"d_a_range": [1]}, [], True),
+            ("validate", {}, ["--quick", "--seed", str(2**64)], True),
+            ("ebit-rate", {"fiber_km": 1e5}, [], True),
+            ("device-run", {"jobs": 0}, [], True),
+            ("threshold-vs-da", {}, ["--jobs", "-3"], True),
             ("ebit-rate",
-             {"caps": {"d_a": math.nan, "d_b": 1, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0}}, []),
+             {"caps": {"d_a": math.nan, "d_b": 1, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0}}, [],
+             False),
             ("ebit-rate", {"caps": {"d_a": 1, "d_b": 1, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0,
-                                    "kappa_a": math.inf, "kappa_b": 50, "gamma_m": 1}}, []),
-            ("device-run", {"squeezing_db": [3, 3]}, []),
-            ("device-run", {"squeezing_db": [3, 3.0000000000001]}, []),
-            ("validate", {"checks_n": -5}, []),
-            ("validate", {"checks_n": 0}, []),
-            ("validate", {"checks_n": 100}, ["--quick"]),
+                                    "kappa_a": math.inf, "kappa_b": 50, "gamma_m": 1}}, [], False),
+            ("device-run", {"squeezing_db": [3, 3]}, [], True),
+            ("device-run", {"squeezing_db": [3, 3.0000000000001]}, [], True),
+            ("validate", {"checks_n": -5}, [], True),
+            ("validate", {"checks_n": 0}, [], True),
+            ("validate", {"checks_n": 100}, ["--quick"], False),
+            ("threshold-vs-da", {"points": 0}, [], True),
+            ("ebit-rate", {"bandwidth_hz": -1}, [], True),
+            ("threshold-vs-da", {"d_a_range": [1, 10, 100]}, [], True),
+            ("threshold-vs-da", {"d_b_values": []}, [], True),
+            ("device-run", {"squeezing_db": []}, [], True),
         ],
         ids=["negative-cap", "scalar-for-list", "partial-rates", "zero-points",
              "negative-fiber", "negative-seed", "negative-loss-max", "zero-d_a", "gain-tau_e",
              "tau-above-1", "negative-squeezing", "one-entry-d_a_range", "seed-beyond-64-bits",
              "underflowing-fiber-loss", "zero-jobs", "negative-jobs", "nan-d_a",
              "infinite-kappa_a", "repeated-squeezing", "squeezing-sharing-a-tag",
-             "negative-checks_n", "zero-checks_n", "quick-with-checks_n"],
+             "negative-checks_n", "zero-checks_n", "quick-with-checks_n", "zero-points-config",
+             "negative-bandwidth", "three-entry-d_a_range", "empty-d_b_values",
+             "empty-squeezing"],
     )
-    def test_invalid_config_is_config_error(self, command, config, argv, tmp_path, capsys):
+    def test_invalid_config_is_config_error(self, command, config, argv, library, tmp_path,
+                                            capsys):
+        # library marks a value rule, which the cmd_* function checks too; the
+        # other cases are JSON the CLI cannot turn into an ExperimentConfig
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out.csv"
@@ -383,6 +401,12 @@ class TestCli:
         # each case is a key the command reads, rejected for its value
         assert "reads no config key" not in err
         assert not out.exists()
+        if library:
+            cfg = ExperimentConfig(**_fields(config, argv), out=str(out))
+            with pytest.raises(ConfigError) as exc:
+                getattr(cli, "cmd_" + command.replace("-", "_"))(cfg)
+            assert err == f"config error: {exc.value}\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, config, code",
@@ -506,9 +530,11 @@ class TestCli:
     )
     def test_out_into_missing_directory_is_config_error(self, command, tmp_path, capsys,
                                                          monkeypatch):
-        # the path is checked before the command runs any point
-        name = "cmd_" + command.replace("-", "_")
-        monkeypatch.setattr(cli, name, lambda cfg: pytest.fail(f"{name} ran"))
+        # the path is checked before the command runs any point, search or check
+        import gausslink.experiments as exp
+
+        for name in ("_map_points", "optimize_cooperativities", "_worst_draw"):
+            monkeypatch.setattr(exp, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
         out = tmp_path / "missing" / "out"
         argv = [command] + (["--quick"] if command == "validate" else []) + ["--out", str(out)]
         assert main(argv) == 2
@@ -519,14 +545,17 @@ class TestCli:
 
     def test_failed_write_is_config_error(self, tmp_path, capsys, monkeypatch):
         # the directory vanishes after the check: the write fails, typed
+        import gausslink.experiments as exp
+
         out = tmp_path / "sub" / "out.csv"
         out.parent.mkdir()
+        map_points = exp._map_points
 
-        def sweep(cfg):
+        def sweep(*args):
             out.parent.rmdir()
-            return cmd_threshold_vs_da(cfg)
+            return map_points(*args)
 
-        monkeypatch.setattr(cli, "cmd_threshold_vs_da", sweep)
+        monkeypatch.setattr(exp, "_map_points", sweep)
         assert main(["threshold-vs-da", "--points", "2", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write {out}: ")
@@ -535,7 +564,7 @@ class TestCli:
     def test_config_file_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"fiber_km": 0.0}))
-        assert main(["ebit-rate", "--preset", "brubaker2022", "--config", str(cfg)]) == 0
+        assert main(["ebit-rate", "--config", str(cfg)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["fiber_km"] == 0.0
         assert out["tau_e"] == 1.0
@@ -640,13 +669,13 @@ class TestSettings:
     def test_flags_follow_the_row(self, command, capsys):
         row = SETTINGS[command]
         want = {"--config", "--out"} | {f"--{k}" for k in ("seed", "jobs", "points") if k in row}
-        want |= {"--preset"} if "caps" in row else set()
         want |= {"--quick"} if command == "validate" else set()
         assert self._offered(command, capsys) == want
 
     @pytest.mark.parametrize(
         "argv", [["threshold-vs-da", "--preset", "brubaker2022"], ["ebit-rate", "--seed", "3"],
-                 ["validate", "--jobs", "2"]],
+                 ["validate", "--jobs", "2"], ["device-run", "--preset", "brubaker2022"],
+                 ["ebit-rate", "--preset", "brubaker2022"]],
     )
     def test_other_flags_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

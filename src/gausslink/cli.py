@@ -26,6 +26,7 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     OutputError,
+    _wrong_type,
     cmd_device_run,
     cmd_ebit_rate,
     cmd_threshold_vs_da,
@@ -59,25 +60,12 @@ def _caps_from_dict(d) -> DeviceCaps:
         raise ConfigError(f"invalid caps: {exc}") from exc
 
 
-def _config_value(key: str, value, default):
-    """Config value for an ExperimentConfig field, checked against its default's type."""
-    if value is None and default is None:
-        return value
-    if isinstance(default, tuple):
-        ok, want = isinstance(value, list) and all(map(_is_number, value)), "a list of numbers"
-    elif key == "out":
-        ok, want = isinstance(value, str), "a string"
-    elif type(default) is int:
-        ok, want = type(value) is int, "an integer"
-    else:
-        ok, want = _is_number(value), "a number"
-    if not ok:
-        raise ConfigError(f"{key} must be {want}, got {value!r}")
-    return tuple(value) if isinstance(default, tuple) else value
-
-
-def _is_number(v) -> bool:
-    return type(v) in (int, float)
+def _config_value(key: str, value):
+    """Config value for an ExperimentConfig field, checked against the field's type."""
+    problem = _wrong_type(key, value)
+    if problem:
+        raise ConfigError(problem)
+    return tuple(value) if isinstance(value, list) else value
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -98,7 +86,7 @@ def _load_config(args) -> ExperimentConfig:
         if key == "caps":
             cfg.caps = _caps_from_dict(value)
         else:
-            setattr(cfg, key, _config_value(key, value, getattr(cfg, key)))
+            setattr(cfg, key, _config_value(key, value))
     for key in reads:
         value = getattr(args, key, None)
         if value is not None:

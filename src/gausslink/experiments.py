@@ -16,9 +16,10 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -123,9 +124,44 @@ class ConfigError(ValueError):
     """A setting breaks its rule; the message names the setting."""
 
 
+_DEFAULTS = ExperimentConfig()
+
+
+def _wrong_type(key: str, value, cfg=None):
+    """Why value cannot be the ExperimentConfig field key, if it cannot; a rule of _RULES.
+
+    The field's default sets the type: an integer where it is an int, a
+    list or tuple of numbers where it is a tuple, a DeviceCaps for caps,
+    a string or None for out, and otherwise a number (or None for r).  A
+    bool is neither an integer nor a number.  The CLI checks the values
+    of a JSON config with it too.
+    """
+    default = getattr(_DEFAULTS, key)
+    if value is None and default is None:
+        return None
+    if isinstance(default, tuple):
+        ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
+        want = "a list of numbers"
+    elif isinstance(default, DeviceCaps):
+        ok, want = isinstance(value, DeviceCaps), "a DeviceCaps"
+    elif key == "out":
+        ok, want = isinstance(value, str), "a string"
+    elif type(default) is int:
+        ok, want = type(value) is int, "an integer"
+    else:
+        ok, want = _is_number(value), "a number"
+    return None if ok else f"{key} must be {want}, got {value!r}"
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def _domain(want: str, ok):
-    """The rule that a setting's whole value passes ok, described as want."""
-    return lambda key, value, cfg: None if ok(value) else f"{key} must be {want}, got {value!r}"
+    """The rule that a setting's whole value, unless None, passes ok, described as want."""
+    return lambda key, value, cfg: (
+        None if value is None or ok(value) else f"{key} must be {want}, got {value!r}"
+    )
 
 
 def _distinct_tags(key, squeezing_db, cfg):
@@ -159,7 +195,9 @@ def _writable(key, path, cfg):
 
 #: The rules of the ExperimentConfig fields, as (field, rule) in the order
 #: they are checked: rule(field, value, cfg) names what is wrong, if
-#: anything, and a field at None is not checked.  NaN fails every domain.
+#: anything.  Each field's type (_wrong_type) is checked first, so a value
+#: rule sees a value of its field's type, or None where the field may be
+#: None (r, out), which passes it.  NaN fails every domain.
 #: A negative loss in dB would be a gain, the seed keys a 64-bit generator,
 #: a geometric d_a grid cannot reach 0, squeezing is bounded as
 #: SqueezeParam bounds it, and the caps as DeviceCaps bounds them, by C_MAX
@@ -172,6 +210,8 @@ _FLOAT_MAX = sys.float_info.max
 _NONNEGATIVE = _domain("finite and >= 0", lambda v: 0 <= v <= _FLOAT_MAX)
 _DB_MAX = squeeze_r_to_db(R_MAX)
 _RULES = [
+    # checks_n's one rule checks its type along with its range
+    *((f.name, _wrong_type) for f in fields(ExperimentConfig) if f.name != "checks_n"),
     *((key, _domain(">= 1", lambda v: v >= 1)) for key in ("points", "jobs")),
     *((key, _domain("non-empty", lambda v: len(v) > 0)) for key in ("d_b_values", "squeezing_db")),
     ("checks_n", _domain("an integer >= 1", lambda v: type(v) is int and v >= 1)),
@@ -198,8 +238,7 @@ _RULES = [
 def _check_settings(cfg: ExperimentConfig, command: str) -> None:
     """ConfigError where a field of command's SETTINGS row breaks its rule."""
     for key, rule in _RULES:
-        value = getattr(cfg, key)
-        problem = key in SETTINGS[command] and value is not None and rule(key, value, cfg)
+        problem = key in SETTINGS[command] and rule(key, getattr(cfg, key), cfg)
         if problem:
             raise ConfigError(problem)
 
@@ -600,9 +639,11 @@ def _check_corner_shortcut(seed, n):
     Draws all 14 topologies with random rates, r and external loss, and
     yields the margin the search finds on each draw where
     optimize_cooperativities would skip it (at most 0 when sound).  The
-    corner's blue-pumped sides sit at the largest stable float, and the
-    search's margin is -inf only where a source is unstable, so the
-    search can reach every point that the corner is claimed to bound.
+    corner's blue-pumped sides sit at the largest stable float, as the
+    search's do, and the search's margin is -inf only where a source is
+    unstable, so the search reaches every point that the corner is
+    claimed to bound, or, off a source's stability face, a point of the
+    face at least as entangled (the blue pin of optimize_cooperativities).
     """
     rng = generator(seed, stream=7)
     fired = False

@@ -41,6 +41,7 @@ from .sources import _EM, _EO, _IM, _IO, MoKind
 from .transducer import (
     DeviceCaps,
     _blue_bound,
+    _blue_bound_fn,
     _check_cap,
     _check_fields,
     _check_loss_split,
@@ -112,17 +113,33 @@ def max_stable_ca(caps: DeviceCaps, c_b: float) -> float:
     return lo
 
 
-def _stable_bound(caps: DeviceCaps, c_red: float, optical_blue: bool) -> float:
-    """Largest stable cooperativity of the blue-pumped side, within its cap.
+def _stable_bound_fn(caps: DeviceCaps, optical_blue: bool):
+    """f(c_red): the largest stable cooperativity of the blue-pumped side, within its cap.
 
-    The side is picked as in _blue_bound.  The result is the largest
-    float below _blue_bound (the largest that stability_ok admits),
-    clipped to [0, the side's cap]: the supremum of the region that a
-    search over cooperativities visits, since its margin is -inf
-    wherever a source is unstable.
+    The side is picked as in _blue_bound_fn, whose bound is bound here
+    once.  The result is the largest float below that bound (the largest
+    that stability_ok admits), clipped to [0, the side's cap]: the
+    supremum of the region that a search over cooperativities visits,
+    since its margin is -inf wherever a source is unstable.  c_red may
+    be a float or a numpy array, with the same bits elementwise.
     """
-    stable = math.nextafter(_blue_bound(c_red, caps.rates, optical_blue), -math.inf)
-    return min(caps.d_a if optical_blue else caps.d_b, max(stable, 0.0))
+    bound = _blue_bound_fn(caps.rates, optical_blue)
+    cap = caps.d_a if optical_blue else caps.d_b
+
+    def stable(c_red):
+        b = bound(c_red)
+        if isinstance(b, np.ndarray):
+            return np.minimum(cap, np.maximum(np.nextafter(b, -np.inf), 0.0))
+        b = math.nextafter(b, -math.inf)
+        b = b if b > 0.0 else 0.0
+        return b if b < cap else cap  # min(cap, max(b, 0.0)), bit for bit
+
+    return stable
+
+
+def _stable_bound(caps: DeviceCaps, c_red: float, optical_blue: bool) -> float:
+    """_stable_bound_fn evaluated once."""
+    return _stable_bound_fn(caps, optical_blue)(c_red)
 
 
 def _em_down_cell(c_a, c_b, tau_a, tau_b, d_a):
@@ -254,36 +271,51 @@ def analytic_threshold(
     return ThresholdResult(value, "analytic", arg, can_entangle=True)
 
 
-def _converter_nodes(t: Topology) -> tuple[int, int]:
-    """The layout (_layout_coords) of t's two nodes: 1 on a converter node, else 2.
+#: The entries of a node's (C_a, C_b) that each node code of a layout
+#: (_layout_coords) searches, in order.
+_NODE_AXES = {2: (0, 1), 1: (0,), 0: (), _IM: (0,), _IO: (1,)}
 
-    A converter node is a red-red converter whose output is a final
-    microwave mode: an EO source (its converter turns the squeezed
+
+def _converter_nodes(t: Topology) -> tuple:
+    """The layout (_layout_coords) of t's two nodes: one axis on all but an EM source.
+
+    A converter node, code 1, is a red-red converter whose output is a
+    final microwave mode: an EO source (its converter turns the squeezed
     pair's second mode into a final microwave mode) and the
-    downconverter, node 2 of every downconversion.  See
-    optimize_cooperativities for why its best C_b is min(d_b, 1 + C_a).
+    downconverter, node 2 of every downconversion; its best C_b is
+    min(d_b, 1 + C_a).  An IO or IM source, code _IO or _IM, is best
+    with its blue-pumped side at its stable bound.  An EM source, code
+    2, keeps both axes.  See optimize_cooperativities for both proofs.
     """
-    second = t.scheme == "down" or t.kinds[1] is _EO
-    return (1 if t.kinds[0] is _EO else 2), (1 if second else 2)
+    code = {_EO: 1, _EM: 2, _IO: _IO, _IM: _IM}
+    return code[t.kinds[0]], (1 if t.scheme == "down" else code[t.kinds[1]])
 
 
-def _layout_coords(caps, axes: tuple[int, ...]):
+def _layout_coords(caps, axes: tuple):
     """f(x) = (c_a1, c_b1, c_a2, c_b2) at the point x of a cooperativity layout.
 
-    A layout gives, in node order, the number of axes of x that each node
-    searches: 2 its (C_a, C_b); 1 its C_a alone, a converter node whose
-    C_b is min(d_b, 1 + C_a), the same bits on floats and arrays; 0 none,
-    the node held at its caps (d_a, d_b).  A 1-tuple is
-    mirrored: its node's setting serves both transducers.  x may hold
-    floats or arrays.
+    A layout gives, in node order, a code for each node; the node
+    searches the axes of x that _NODE_AXES gives its code.  2 searches
+    its (C_a, C_b); 1 its C_a alone, a converter node whose C_b is
+    min(d_b, 1 + C_a); _IM its C_a and _IO its C_b, the red-pumped side
+    of an intrinsic source, whose blue-pumped side sits at its stable
+    bound (_stable_bound_fn); 0 none, the node held at its caps (d_a,
+    d_b).  The pinned side has the same bits on floats and arrays.  A
+    1-tuple is mirrored: its node's setting serves both transducers.  x
+    may hold floats or arrays.
     """
     d_a, d_b = caps.d_a, caps.d_b
 
-    def node(k: int, i: int):
+    def node(k, i: int):
         if k == 2:
             return operator.itemgetter(i, i + 1)
         if k == 0:
             return lambda x: (d_a, d_b)
+        if k is _IO or k is _IM:
+            face = _stable_bound_fn(caps, k is _IO)
+            if k is _IO:
+                return lambda x: (face(x[i]), x[i])
+            return lambda x: (x[i], face(x[i]))
 
         def converter(x):
             c_a = x[i]
@@ -297,11 +329,11 @@ def _layout_coords(caps, axes: tuple[int, ...]):
     first = node(axes[0], 0)
     if len(axes) == 1:
         return lambda x: first(x) * 2
-    second = node(axes[1], axes[0])
+    second = node(axes[1], len(_NODE_AXES[axes[0]]))
     return lambda x: first(x) + second(x)
 
 
-def _margin_closure(t, caps, n_th, r, split, axes: tuple[int, ...]):
+def _margin_closure(t, caps, n_th, r, split, axes: tuple):
     """Entanglement margin (1/2 - nu) at the point x of the cooperativity layout axes.
 
     The layout is that of _layout_coords.  The margin is -inf where a
@@ -328,7 +360,7 @@ def _margin_closure(t, caps, n_th, r, split, axes: tuple[int, ...]):
 
 
 def _margin_fn(t, caps, n_th, r, split, pin_cb: bool = False):
-    """Margin over mirrored (c_a, c_b), less the C_b axis that pin_cb removes."""
+    """Margin over mirrored (c_a, c_b), less the axis that pin_cb pins (_converter_nodes)."""
     return _margin_closure(t, caps, n_th, r, split, _converter_nodes(t)[:1] if pin_cb else (2,))
 
 
@@ -344,7 +376,7 @@ def _margin_fn_down(t, caps, n_th, r, split):
 
 
 def _margin_fn4(t, caps, n_th, r, split, pin_cb: bool = False):
-    """Margin over all four cooperativities, less the C_b axes that pin_cb removes."""
+    """Margin over all four cooperativities, less the axes that pin_cb pins (_converter_nodes)."""
     return _margin_closure(t, caps, n_th, r, split, _converter_nodes(t) if pin_cb else (2, 2))
 
 
@@ -481,10 +513,12 @@ class _CooperativityBox:
 
     margin is the margin over the box [0, hi], -inf where a source is
     unstable, in the layout (_layout_coords) of one transducer when
-    mirrored, else of both; a converter node (_converter_nodes) has only
-    its C_a axis.  full maps a point of the box to the cooperativity
-    4-tuple.  corners seed the ranked pool, at most 3 per node when both
-    nodes are searched; corners[0] is the clamped all-max corner.
+    mirrored, else of both: a converter node (_converter_nodes) has only
+    its C_a axis, an IO or IM source only its red-pumped side, and an EM
+    source both.  full maps a point of the box to the cooperativity
+    4-tuple.  corners, each node's corner candidates cut to its axes,
+    seed the ranked pool, at most 3 per node when both nodes are
+    searched; corners[0] is the clamped all-max corner.
     corner_decides is False where that corner does not bound the margin
     from above (an EM source at r > 0).
     """
@@ -515,9 +549,10 @@ class _CooperativityBox:
         per_node = []
         for kind, k in zip(kinds, axes):
             pairs = [(caps.d_a, caps.d_b)] if kind is None else _corner_candidates(kind, caps)
-            per_node.append(list(dict.fromkeys(pair[:k] for pair in pairs))[:most])
+            cut = (tuple(pair[j] for j in _NODE_AXES[k]) for pair in pairs)
+            per_node.append(list(dict.fromkeys(cut))[:most])
         corners = [sum(point, ()) for point in itertools.product(*per_node)]
-        hi = [c for k in axes for c in (caps.d_a, caps.d_b)[:k]]
+        hi = [(caps.d_a, caps.d_b)[j] for k in axes for j in _NODE_AXES[k]]
         full = _layout_coords(caps, axes)
         return cls(margin, full, hi, corners, mirrored, not (rv > 0.0 and _EM in t.kinds))
 
@@ -562,8 +597,10 @@ def optimize_cooperativities(
     axes: a converter node, a red-red converter whose output is a final
     microwave mode (the converter inside an EO source, and the
     downconverter of a downconversion), has C_a as its only axis, its C_b
-    being min(d_b, 1 + C_a), exactly, as shown below; every other node
-    has both.  A search thus runs in 1 to 4 dimensions.
+    being min(d_b, 1 + C_a); an IO or IM source has its red-pumped side
+    as its only axis, its blue-pumped side sitting at its stable bound
+    (_stable_bound_fn); both pins are exact, as shown below.  Only an EM
+    source keeps both axes, so a search runs in 1 to 4 dimensions.
     The starts are chosen by one array evaluation of the margin over a
     fixed log grid of the box plus the box corners (clamped into the
     stability region): Nelder-Mead (nm_max_iter * dim // 2 iterations
@@ -594,8 +631,31 @@ def optimize_cooperativities(
     every C_b.)  A separable margin is not ordered so; loss moves it up
     toward 0, which changes no returned value.  The argument needs a
     final output: the converter of an EM source outputs the optical mode
-    that is measured or downconverted, and IO and IM sources are
-    two-mode squeezers, so their C_b stays a search axis.
+    that is measured or downconverted, so its C_b stays a search axis.
+
+    The blue pin is exact too.  Call C_+ the blue-pumped side of an IO
+    or IM source (IO's C_a, IM's C_b) and C_- the other.  The margin m
+    is the larger root of m^2 + S m + P = 0 (_margin_of_excess), S = A
+    + B and P being the final state's; for a swap, multiply through by
+    den = 1 + A1 + A2 first, which leaves a quadratic in m with a
+    positive leading coefficient.  After its loss share, the source's
+    (A, B, P) are w (a, b, p), where w = 1/d^2, d = 1 + C_- - C_+ > 0
+    on the stable side, rises with C_+, and a, b and p are affine in
+    C_+, with nonnegative intercepts: only 4 tau_b C_b n_th (in b) for
+    IO and only 4 tau_a C_a n_th (in a) for IM.  At fixed other nodes
+    the equation reads Q = C0(m) + w F(m, C_+) = 0, F affine in C_+.  A
+    downconversion has C0 = m^2 + M m, M >= 0 the downconverter's
+    added noise; a swap has C0 = m (m (1 + A_o) + B_o + P_o), o the
+    other node; C0 >= 0 for m >= 0, since every physical balanced
+    state has P >= -min(A, B).  At C_+ = 0, p and one of a and b vanish,
+    and F(m, 0) >= 0 for m >= 0 in all four cases.  So at a root m >
+    0, F = -C0 / w <= 0, hence dF/dC_+ = (F - F(m, 0)) / C_+ <= 0, and
+    dm/dC_+ = -(w' F + w dF/dC_+) / (dQ/dm) >= 0, dQ/dm being >= 0 at
+    the larger root.  The margin thus never falls along the blue axis
+    where it is positive, and the best point of the stable interval [0,
+    bound) within the cap is its largest float: _stable_bound_fn at C_-.
+    Pinning one node and then the other gives the same for two sources.
+    A separable margin may fall instead, which changes no returned value.
 
     Before any search the margin is evaluated once at the
     clamped all-max corner: every node at _corner_candidates(kind,

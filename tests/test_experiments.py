@@ -346,7 +346,7 @@ class TestCli:
         [
             ("device-run",
              {"caps": {"d_a": -1, "d_b": 1, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0}}, [], False),
-            ("device-run", {"squeezing_db": 5}, [], False),
+            ("device-run", {"squeezing_db": 5}, [], True),
             ("device-run", {"caps": {"d_a": 1, "d_b": 1, "tau_a": 0.9, "tau_b": 0.8, "n_th": 0,
                                      "kappa_a": 5}}, [], False),
             ("device-run", {}, ["--points", "0"], True),
@@ -377,6 +377,14 @@ class TestCli:
             ("threshold-vs-da", {"d_a_range": [1, 10, 100]}, [], True),
             ("threshold-vs-da", {"d_b_values": []}, [], True),
             ("device-run", {"squeezing_db": []}, [], True),
+            ("device-run", {"points": 2.5}, [], True),
+            ("threshold-vs-loss", {"jobs": 1.5}, [], True),
+            ("threshold-vs-da", {"points": True}, [], True),
+            ("validate", {"seed": 1.0}, [], True),
+            ("device-run", {"squeezing_db": 5.0}, [], True),
+            ("threshold-vs-da", {"tau_a": "0.5"}, [], True),
+            ("device-run", {"caps": None}, [], "caps must be a DeviceCaps, got None"),
+            ("ebit-rate", {"caps": None}, [], "caps must be a DeviceCaps, got None"),
         ],
         ids=["negative-cap", "scalar-for-list", "partial-rates", "zero-points",
              "negative-fiber", "negative-seed", "negative-loss-max", "zero-d_a", "gain-tau_e",
@@ -385,11 +393,14 @@ class TestCli:
              "infinite-kappa_a", "repeated-squeezing", "squeezing-sharing-a-tag",
              "negative-checks_n", "zero-checks_n", "quick-with-checks_n", "zero-points-config",
              "negative-bandwidth", "three-entry-d_a_range", "empty-d_b_values",
-             "empty-squeezing"],
+             "empty-squeezing", "fractional-points", "fractional-jobs", "boolean-points",
+             "float-seed", "float-for-list", "string-tau_a", "null-caps-device-run",
+             "null-caps-ebit-rate"],
     )
     def test_invalid_config_is_config_error(self, command, config, argv, library, tmp_path,
                                             capsys):
-        # library marks a value rule, which the cmd_* function checks too; the
+        # library marks a type or value rule, which the cmd_* function checks
+        # too, with the CLI's message, or else with the message it names; the
         # other cases are JSON the CLI cannot turn into an ExperimentConfig
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -405,7 +416,9 @@ class TestCli:
             cfg = ExperimentConfig(**_fields(config, argv), out=str(out))
             with pytest.raises(ConfigError) as exc:
                 getattr(cli, "cmd_" + command.replace("-", "_"))(cfg)
-            assert err == f"config error: {exc.value}\n"
+            assert f"config error: {exc.value}\n" == (
+                err if library is True else f"config error: {library}\n"
+            )
             assert not out.exists()
 
     @pytest.mark.parametrize(

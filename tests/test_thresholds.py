@@ -707,13 +707,14 @@ class TestConverterPin:
                             assert cs[1] == min(caps.d_b, 1.0 + cs[0])
 
     def test_device_run_search_dimensions(self):
-        # one axis per free cooperativity: a converter node keeps only C_a
+        # one axis per free cooperativity: a converter node keeps only C_a,
+        # an IO or IM source only its red-pumped side, an EM source both
         caps = PRESETS["brubaker2022"]["caps"]
         want = {"eo_down": 1, "eo_swap": 2, "eo_swap_eqsplit": 1, "em_down": 3,
-                "em_swap": 4, "io_down": 3, "io_swap": 4, "im_down": 3, "im_swap": 4,
-                "im_swap_eqsplit": 2, "im_eo_swap_asym": 3}
+                "em_swap": 4, "io_down": 2, "io_swap": 2, "im_down": 2, "im_swap": 2,
+                "im_swap_eqsplit": 1, "im_eo_swap_asym": 2}
         # at 0 dB every default split is uniform and the symmetric swaps mirror
-        at_0db = dict(want, eo_swap=1, em_swap=2, io_swap=2, im_swap=2)
+        at_0db = dict(want, eo_swap=1, em_swap=2, io_swap=1, im_swap=1)
         for tau_e, dims in ((0.5, want), (1.0, at_0db)):
             for name, t, r, split, _ in _device_cells((3.0, 10.0), tau_e):
                 box = _CooperativityBox.of(t, caps, caps.n_th, r, tau_e, split)
@@ -738,6 +739,105 @@ class TestConverterPin:
             assert e == pytest.approx(mm_log_negativity(t, cfg), abs=1e-12), config
             searched += e > 0.0
         assert searched >= 15, searched
+
+
+_BLUE_KINDS = (MoKind.IO, MoKind.IM)
+_BLUE_TOPOLOGIES = [t for t in ALL_TOPOLOGIES if set(t.kinds) & set(_BLUE_KINDS)]
+
+
+def _blue_nodes(t):
+    """(blue index, red index) of each IO or IM source of t, in (c_a1, c_b1, c_a2, c_b2)."""
+    sources = t.kinds[:1] if t.scheme == "down" else t.kinds
+    return [
+        (2 * j, 2 * j + 1) if kind is MoKind.IO else (2 * j + 1, 2 * j)
+        for j, kind in enumerate(sources) if kind in _BLUE_KINDS
+    ]
+
+
+class TestBluePin:
+    """An IO or IM source is best with its blue-pumped side at its stable
+    bound, the largest stable float within its cap."""
+
+    def test_margin_is_highest_at_the_face(self):
+        # along the blue axis of a source, with every other cooperativity
+        # fixed, the pinned point's margin is at least every entangled
+        # margin of the line.  1e-11 relative allows for rounding: on
+        # margins near 1e-12, a 60-digit evaluation of each gap that the
+        # float margins showed in these draws put the pinned point higher
+        rng = generator(20260808, stream=114)
+        u = np.unique(np.concatenate([
+            np.geomspace(1e-6, 1.0, 40), 1.0 - np.geomspace(1e-15, 0.5, 30), np.linspace(0, 1, 31)
+        ]))
+        draws = entangled = 0
+        for i in range(36 * len(_BLUE_TOPOLOGIES)):
+            t = _BLUE_TOPOLOGIES[i % len(_BLUE_TOPOLOGIES)]
+            caps, n_th, r, tau_e, split = _shortcut_draw(rng, t)
+            n_th *= rng.uniform() ** 2
+            free = _margin_fn4(t, caps, n_th, r, split)
+            for blue, red in _blue_nodes(t):
+                # each other cooperativity log-spread, uniform or at its cap
+                scale = np.choose(rng.integers(3, size=4),
+                                  [10.0 ** rng.uniform(-4.0, 0.0, 4), rng.uniform(size=4), 1.0])
+                x = np.array([caps.d_a, caps.d_b] * 2) * scale
+                face = _stable_bound(caps, x[red], blue % 2 == 0)
+                pinned = x.copy()
+                pinned[blue] = face
+                line = np.repeat(x[:, None], len(u), axis=1)
+                line[blue] = face * u
+                m_pin, m = free(pinned.tolist()), free(line)
+                ent = m > 0.0
+                config = (i, t.label, caps, n_th, r, split, x.tolist())
+                assert np.all(m_pin >= m[ent] * (1.0 - 1e-11)), config
+                entangled += bool(np.any(ent))
+            draws += 1
+        assert draws >= 300 and entangled >= 80, (draws, entangled)
+
+    def test_pinned_coordinates_are_bit_equal_on_floats_and_arrays(self):
+        # box.full puts each blue side at _stable_bound of its red side, with
+        # the same bits on floats and arrays, and box.margin is the free 4-D
+        # margin there, bit for bit.  Rates of 0.1 to 300 let either
+        # stability criterion bind, and caps of 1e-2 to 1e4 the cap
+        rng = generator(20260808, stream=115)
+        for i in range(8 * len(_BLUE_TOPOLOGIES)):
+            t = _BLUE_TOPOLOGIES[i % len(_BLUE_TOPOLOGIES)]
+            kappa_a, kappa_b = (10.0 ** rng.uniform(-1.0, 2.5, 2)).tolist()
+            caps = random_caps(rng, PhysicalRates(kappa_a, kappa_b, 1.0))
+            n_th = 0.1 * caps.tau_a * caps.d_a
+            r, tau_e = rng.uniform(0.0, 1.2), rng.uniform(0.5, 1.0)
+            n = loss_slot_count(t)
+            for split in (None, (tau_e ** (1.0 / n),) * n):
+                box = _CooperativityBox.of(t, caps, n_th, r, tau_e, split)
+                free = _margin_fn4(t, caps, n_th, r, split or default_loss_split(t, tau_e))
+                x = np.array(box.hi)[:, None] * rng.uniform(size=(len(box.hi), 32))
+                x[:, 0], x[:, 1] = 0.0, box.hi  # the red sides at 0 and at their caps
+                many, many_cs = box.margin(x), box.full(x)
+                for k in range(x.shape[1]):
+                    point = x[:, k].tolist()
+                    cs = box.full(point)
+                    assert cs == tuple(float(v[k]) for v in many_cs), (i, t.label, point)
+                    assert box.margin(point) == many[k] == free(cs), (i, t.label, point)
+                    for blue, red in _blue_nodes(t):
+                        assert cs[blue] == _stable_bound(caps, cs[red], blue % 2 == 0)
+
+    def test_mends_a_search_miss_next_to_the_face(self):
+        # the free 3-D search ended at the downconverter's cap with 2.08e-4
+        # e-bits, even at the default budget; the best point has the IO
+        # source on its face and the downconverter at C_a near 6.5
+        rates = PhysicalRates(3950.350335296853, 79.6563050716506, 2.8571064288264614)
+        caps = DeviceCaps(61438.952496569626, 4.5081734154912665, 0.9440001136948692,
+                          0.31834032064944484, 0.21621995208953143, rates)
+        t, tau_e = Topology.down(MoKind.IO), 0.8378070398404089
+        _, e = optimize_cooperativities(t, caps, caps.n_th, tau_e=tau_e)
+        # a dense scan of the face: the source's C_a at its largest stable
+        # value, the downconverter's C_b at its converter pin
+        scan = 0.0
+        for c_b in np.linspace(0.0, caps.d_b, 61).tolist():
+            c_a = max_stable_ca(caps, c_b)
+            for c_a2 in np.geomspace(1e-2, caps.d_a, 141).tolist():
+                cfg = NetworkConfig(caps, c_a, c_b, c_a2, min(caps.d_b, 1.0 + c_a2), tau_e=tau_e)
+                scan = max(scan, mm_log_negativity(t, cfg))
+        assert scan > 0.328
+        assert e >= scan - 1e-9
 
 
 class TestOptimizeLossSplit:

@@ -202,8 +202,13 @@ def _mm_excess_fn(t: Topology, caps: DeviceCaps, n_th: float, r: float, split: t
     """f(c_a1, c_b1, c_a2, c_b2): final MM state as (A, B, c, P), or None for an unstable source.
 
     A and B are variances in excess of vacuum and P = A*B - c*c is
-    tracked through every stage in a cancellation-free form (its sign
-    decides entanglement).  No cap validation: this is the hot path
+    tracked through every stage in a form of its own (its sign decides
+    entanglement), so that nothing cancels next to a source's
+    instability, where A, B and c are huge.  Not every form is free of
+    cancellation: the swap's output defect (B1 B2 + P1 B2 + P2 B1) / den
+    adds terms of opposite sign, so next to the separable boundary it
+    loses digits (8.3e-13 relative at a margin of 4.5e-12 has been
+    seen).  No cap validation: this is the hot path
     shared by the public API and the optimizers.  The branch, the node
     functions and every factor fixed by (t, caps, n_th, r, split) are
     bound once, so that each evaluation is straight-line arithmetic;

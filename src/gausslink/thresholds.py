@@ -507,6 +507,26 @@ def _ranked_starts(margin, hi, corners, n):
     return starts
 
 
+def _mirrored_eo_peak(scheme: str, caps: DeviceCaps, n_th: float, r: float, share: float) -> float:
+    """The best C_a of a mirrored EO layout, x* = min(d_a, 1 + d_b + 2M/K).
+
+    share is the loss share of each arm (down) or measured arm (swap).
+    The margin on the axis is k C_b (K C_a - M) / (1 + C_a + C_b)**2
+    with k > 0; optimize_cooperativities gives K, M and the proof.
+    Where K <= 0 no point entangles, and C_a = 0 is returned: there the
+    converter transmits nothing, and the margin evaluates to <= 0
+    without rounding, every term of P being a product of factors >= 0.
+    """
+    if scheme == "down":
+        gain, noise = caps.tau_a * share * math.sinh(r) * math.exp(-r), n_th
+    else:
+        sh2 = math.sinh(r) ** 2
+        gain, noise = caps.tau_a * sh2 * (2.0 * share - 1.0), n_th * (1.0 + 2.0 * share * sh2)
+    if gain <= 0.0:
+        return 0.0
+    return min(caps.d_a, 1.0 + caps.d_b + 2.0 * noise / gain)
+
+
 @dataclass(frozen=True)
 class _CooperativityBox:
     """The search problem of optimize_cooperativities, inputs checked.
@@ -520,7 +540,9 @@ class _CooperativityBox:
     seed the ranked pool, at most 3 per node when both nodes are
     searched; corners[0] is the clamped all-max corner.
     corner_decides is False where that corner does not bound the margin
-    from above (an EM source at r > 0).
+    from above (an EM source at r > 0).  peak is the best point of a
+    mirrored EO layout, in closed form (_mirrored_eo_peak), and None for
+    every other layout, which is searched.
     """
 
     margin: Callable
@@ -529,6 +551,7 @@ class _CooperativityBox:
     corners: list
     mirrored: bool
     corner_decides: bool
+    peak: tuple[float] | None
 
     @classmethod
     def of(cls, t, caps, n_th, r, tau_e=1.0, loss_split=None) -> "_CooperativityBox":
@@ -554,7 +577,10 @@ class _CooperativityBox:
         corners = [sum(point, ()) for point in itertools.product(*per_node)]
         hi = [(caps.d_a, caps.d_b)[j] for k in axes for j in _NODE_AXES[k]]
         full = _layout_coords(caps, axes)
-        return cls(margin, full, hi, corners, mirrored, not (rv > 0.0 and _EM in t.kinds))
+        peak = None
+        if mirrored and t.kinds[0] is _EO:
+            peak = (_mirrored_eo_peak(t.scheme, caps, n_th, rv, split[0]),)
+        return cls(margin, full, hi, corners, mirrored, not (rv > 0.0 and _EM in t.kinds), peak)
 
     def corner_separable(self) -> bool:
         """Whether the clamped all-max corner proves that no point entangles.
@@ -591,16 +617,19 @@ def optimize_cooperativities(
 ) -> tuple[tuple[float, float, float, float], float]:
     """Maximize the MM logarithmic negativity over the cooperativities.
 
-    Symmetric topologies with a uniform loss split, and down(EO), are
-    searched over one transducer's cooperativities and mirrored; the
-    others over both transducers'.  _converter_nodes gives each node its
+    Symmetric swaps and down(EO), each at a uniform loss split, are
+    mirrored: one transducer's cooperativities serve both; the others
+    take both transducers'.  _converter_nodes gives each node its
     axes: a converter node, a red-red converter whose output is a final
     microwave mode (the converter inside an EO source, and the
     downconverter of a downconversion), has C_a as its only axis, its C_b
     being min(d_b, 1 + C_a); an IO or IM source has its red-pumped side
     as its only axis, its blue-pumped side sitting at its stable bound
     (_stable_bound_fn); both pins are exact, as shown below.  Only an EM
-    source keeps both axes, so a search runs in 1 to 4 dimensions.
+    source keeps both axes, so a search runs in 1 to 4 dimensions.  A
+    mirrored EO layout, down(EO) or the EO swap, is not searched: its
+    best point has a closed form (_mirrored_eo_peak), proven below.
+    Every other layout is searched.
     The starts are chosen by one array evaluation of the margin over a
     fixed log grid of the box plus the box corners (clamped into the
     stability region): Nelder-Mead (nm_max_iter * dim // 2 iterations
@@ -657,6 +686,25 @@ def optimize_cooperativities(
     Pinning one node and then the other gives the same for two sources.
     A separable margin may fall instead, which changes no returned value.
 
+    A mirrored EO layout peaks in closed form.  Its one axis is x = C_a,
+    with C_b = min(d_b, 1 + x) by the converter pin.  Both nodes hold
+    the same converter, so the final state is symmetric, A = B, and the
+    margin is |c| - A.  The excess forms give it as k C_b (K x - M) / (1
+    + x + C_b)^2, with k = 4 tau_b for down(EO) and 4 tau_b / (1 + 2 t
+    sinh^2 r) for the swap, both > 0.  down(EO), with share s on each
+    arm, has K = tau_a s sinh(r) e^-r and M = n_th; the EO swap, with
+    share t on each measured arm, has K = tau_a sinh^2(r) (2t - 1) and
+    M = n_th (1 + 2t sinh^2 r).  Where C_b = 1 + x (x <= d_b - 1) the
+    margin is (K x - M) / (4 (1 + x)), whose derivative (K + M) / (4 (1
+    + x)^2) is > 0 wherever K > 0.  Where C_b = d_b, its derivative has
+    the sign of K (1 + d_b + 2M/K - x), so it rises up to x = 1 + d_b +
+    2M/K, which is >= d_b - 1, and falls beyond.  The margin is
+    continuous at x = d_b - 1, so its maximum on [0, d_a] is at x* =
+    min(d_a, 1 + d_b + 2M/K).  Where K <= 0 the margin is <= 0 at every
+    point, so the corner shortcut below has returned, unless rounding
+    lifted the corner's margin above 0; C_a = 0 is then returned, where
+    the margin is <= 0 exactly (_mirrored_eo_peak).
+
     Before any search the margin is evaluated once at the
     clamped all-max corner: every node at _corner_candidates(kind,
     caps)[0], a converter node at (d_a, min(d_b, 1 + d_a)).  If it is
@@ -681,7 +729,10 @@ def optimize_cooperativities(
     box = _CooperativityBox.of(t, caps, n_th, r, tau_e, loss_split)
     if box.corner_separable():
         return box.full(box.corners[0]), 0.0
-    x, m = box.search(n_starts, nm_max_iter)
+    if box.peak is not None:
+        x, m = box.peak, box.margin(box.peak)
+    else:
+        x, m = box.search(n_starts, nm_max_iter)
     return box.full(x), _log2_negativity(m)
 
 

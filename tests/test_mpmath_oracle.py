@@ -46,7 +46,11 @@ mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
 #: Relative error allowed against the oracle.  The closed forms take a
-#: dozen roundings; nothing in them cancels, so a few ulp is what they miss by.
+#: dozen roundings, and at these edges a few ulp is what they miss by.  Not
+#: every form is free of cancellation: the swap's output defect
+#: (B1 B2 + P1 B2 + P2 B1) / den adds terms of opposite sign, so next to the
+#: separable boundary it loses digits (8.3e-13 relative at a margin of
+#: 4.5e-12 has been seen).  The edges checked here do not sit at that boundary.
 REL_TOL = 1e-13
 #: Absolute floor for quantities that are exactly 0 (a vacuum EO source at
 #: r = 0 and n_th = 0), where 50 digits leave the oracle at about 1e-50.

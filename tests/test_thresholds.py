@@ -17,7 +17,12 @@ from gausslink import (
     optimize_loss_split,
 )
 from gausslink.experiments import ExperimentConfig, _device_cells, cmd_device_run
-from gausslink.network import ALL_TOPOLOGIES, default_loss_split, loss_slot_count
+from gausslink.network import (
+    ALL_TOPOLOGIES,
+    _log2_negativity,
+    default_loss_split,
+    loss_slot_count,
+)
 from gausslink.optimize import maximize_box
 from gausslink.presets import PRESETS
 from gausslink.sampling import generator, random_caps
@@ -739,6 +744,152 @@ class TestConverterPin:
             assert e == pytest.approx(mm_log_negativity(t, cfg), abs=1e-12), config
             searched += e > 0.0
         assert searched >= 15, searched
+
+
+_MIRRORED_EO = (Topology.down(MoKind.EO), Topology.swap_sym(MoKind.EO))
+
+
+def _pin_line_search(t, caps, n_th, r, split) -> tuple[float, float]:
+    """(C_a, margin) of the best point on the converter pin, by a scan.
+
+    The free mirrored margin, at C_b = min(d_b, 1 + C_a), is scanned on
+    0, d_a and a log and a linear ladder between them; each of 12 rounds
+    then rescans the two steps around the best point so far.  Neither the
+    closed form nor maximize_box takes part.
+    """
+    free = _margin_fn(t, caps, n_th, r, split)
+    d_a, d_b = caps.d_a, caps.d_b
+    x = np.unique(np.concatenate([[0.0], d_a * np.geomspace(1e-9, 1.0, 400),
+                                  np.linspace(0.0, d_a, 400)]))
+    best_x, best = 0.0, -math.inf
+    for _ in range(12):
+        m = free(np.stack([x, np.minimum(d_b, 1.0 + x)]))
+        i = int(np.argmax(m))
+        if m[i] > best:
+            best_x, best = float(x[i]), float(m[i])
+        x = np.linspace(x[max(i - 1, 0)], x[min(i + 1, len(x) - 1)], 41)
+    return best_x, best
+
+
+def _mirrored_eo_draw(rng, t, edge):
+    """(caps, n_th, r, tau_e, split) for a mirrored EO layout at one of the edges.
+
+    Caps run from 1e-2 to 1e7 and transmissivities from 0.05 to 1; the
+    swap's share is above 1/2, where it can entangle.  n_th is 0 in a
+    fifth of the draws, else log-spread below tau_a d_a.
+    """
+    d_a, d_b = (10.0 ** rng.uniform(-2.0, 7.0, 2)).tolist()
+    if edge == "d_a below d_b - 1":
+        d_b = 1.0 + d_a * 10.0 ** rng.uniform(0.1, 3.0)
+    elif edge == "d_a within 1 of d_b":
+        d_b = 10.0 ** rng.uniform(0.0, 5.0)
+        d_a = d_b - 1.0 + rng.uniform(0.0, 2.0)
+    elif edge == "caps up to 1e7":
+        d_a, d_b = (10.0 ** rng.uniform(5.0, 7.0, 2)).tolist()
+    caps = DeviceCaps(d_a, d_b, rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0), 0.0)
+    r = 10.0 ** rng.uniform(-8.0, -3.0) if edge == "small r" else rng.uniform(0.0, 2.5)
+    if t.scheme == "down":
+        share = math.sqrt(rng.uniform(0.05, 1.0))
+    elif edge == "share just above 1/2":
+        share = 0.5 + 10.0 ** rng.uniform(-12.0, -6.0)
+    else:
+        share = rng.uniform(0.5, 1.0)
+    zero = edge == "n_th = 0" or rng.uniform() < 0.2
+    n_th = 0.0 if zero else caps.tau_a * d_a * 10.0 ** rng.uniform(-12.0, 0.0)
+    return caps, n_th, r, share * share, (share, share)
+
+
+class TestMirroredEoPeak:
+    """down(EO) and the EO swap at a uniform split peak in closed form at
+    C_a = min(d_a, 1 + d_b + 2M/K), and are not searched."""
+
+    @pytest.mark.parametrize("edge", [
+        "random", "n_th = 0", "d_a below d_b - 1", "d_a within 1 of d_b", "small r",
+        "share just above 1/2", "caps up to 1e7",
+    ])
+    @pytest.mark.parametrize("t", _MIRRORED_EO, ids=lambda t: t.label)
+    def test_reaches_the_scanned_maximum(self, t, edge):
+        rng = generator(20260808, stream=116)
+        entangled = 0
+        for i in range(40):
+            caps, n_th, r, tau_e, split = _mirrored_eo_draw(rng, t, edge)
+            cs, e = optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)
+            x, m = _pin_line_search(t, caps, n_th, r, split)
+            scanned = _log2_negativity(m)
+            config = (i, edge, t.label, caps, n_th, r, split, cs, x)
+            assert e >= scanned - 1e-12 * max(1.0, scanned), config
+            assert (e > 0.0) == (scanned > 0.0), config
+            assert cs[1] == min(caps.d_b, 1.0 + cs[0]) and cs[2:] == cs[:2], config
+            cfg = NetworkConfig(replace(caps, n_th=n_th), *cs, r=r, tau_e=tau_e, loss_split=split)
+            assert e == pytest.approx(mm_log_negativity(t, cfg), abs=1e-12), config
+            if e > 0.0:
+                entangled += 1
+                # where the cap binds, the peak is the cap itself
+                if edge == "n_th = 0":
+                    assert cs[0] == min(caps.d_a, 1.0 + caps.d_b), config
+                elif edge in ("d_a below d_b - 1", "d_a within 1 of d_b"):
+                    assert cs[0] == caps.d_a, config
+        assert entangled >= 10, entangled
+
+    def test_searches_nothing(self, monkeypatch):
+        # the mirrored EO layouts never reach the search; the others still do
+        caps = PRESETS["brubaker2022"]["caps"]
+        calls = []
+        search = _CooperativityBox.search
+        monkeypatch.setattr(_CooperativityBox, "search",
+                            lambda box, *a: calls.append(box) or search(box, *a))
+        for t in _MIRRORED_EO:
+            _, e = optimize_cooperativities(t, caps, 1.0, 1.0, tau_e=0.5, loss_split=(0.5**0.5,) * 2)
+            assert e > 0.0
+        assert not calls
+        optimize_cooperativities(Topology.swap_sym(MoKind.EO), caps, 1.0, 1.0, tau_e=0.5)
+        assert len(calls) == 1 and calls[0].peak is None
+
+    @pytest.mark.parametrize("t, r, tau_e", [
+        (Topology.down(MoKind.EO), 0.0, 0.5),
+        (Topology.swap_sym(MoKind.EO), 0.0, 0.5),
+        (Topology.swap_sym(MoKind.EO), 1.15, 0.25),
+        (Topology.swap_sym(MoKind.EO), 1.15, 0.2),
+    ], ids=["eo_down r=0", "eo_swap r=0", "eo_swap t=1/2", "eo_swap t<1/2"])
+    def test_no_gain_returns_zero_at_the_corner(self, t, r, tau_e):
+        # K <= 0: no squeezing, or a share of at most 1/2 on each measured
+        # arm.  The corner shortcut returns exactly 0.0 there; pytest turns
+        # any RuntimeWarning into an error
+        caps = PRESETS["brubaker2022"]["caps"]
+        split = (math.sqrt(tau_e),) * 2
+        for n_th in (caps.n_th, 1e-3, 0.0):
+            box = _CooperativityBox.of(t, caps, n_th, r, tau_e, split)
+            cs, e = optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)
+            assert e == 0.0, (t.label, r, tau_e, n_th)
+            if (n_th, tau_e) != (0.0, 0.25):
+                assert cs == box.full(box.corners[0]), (t.label, r, tau_e, n_th)
+
+    def test_no_gain_is_exactly_zero_past_rounding(self):
+        # at t = 1/2 and n_th = 0 the margin is exactly 0 everywhere, and
+        # the corner's rounds above 0 on some caps; the closed form still
+        # returns exactly 0.0, at C_a = 0
+        rng = generator(20260808, stream=117)
+        t, split = Topology.swap_sym(MoKind.EO), (0.5, 0.5)
+        rounded = 0
+        for _ in range(60):
+            caps = random_caps(rng)
+            r = rng.uniform(0.1, 2.5)
+            box = _CooperativityBox.of(t, caps, 0.0, r, 0.25, split)
+            cs, e = optimize_cooperativities(t, caps, 0.0, r, tau_e=0.25, loss_split=split)
+            assert e == 0.0, (caps, r)
+            if not box.corner_separable():
+                rounded += 1
+                assert cs == box.full((0.0,)), (caps, r)
+        assert rounded >= 5, rounded
+
+    def test_device_run_past_6_db(self):
+        # above 6.02 dB the equal split puts a share below 1/2 on each arm
+        cfg = ExperimentConfig(experiment="device-run", points=3, taue_db_max=8.0, jobs=1)
+        rows, _ = cmd_device_run(cfg)
+        assert rows[-1]["tau_e"] < 0.25
+        for db in cfg.squeezing_db:
+            assert rows[-1][f"eo_swap_eqsplit_{format(db, 'g')}db"] == 0.0
+            assert rows[0][f"eo_swap_eqsplit_{format(db, 'g')}db"] > 0.0
 
 
 _BLUE_KINDS = (MoKind.IO, MoKind.IM)

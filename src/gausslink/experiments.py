@@ -643,7 +643,9 @@ def _check_corner_shortcut(seed, n):
     search's do, and the search's margin is -inf only where a source is
     unstable, so the search reaches every point that the corner is
     claimed to bound, or, off a source's stability face, a point of the
-    face at least as entangled (the blue pin of optimize_cooperativities).
+    face at least as entangled (the blue pin of optimize_cooperativities),
+    and, for a symmetric swap, whose box holds only the diagonal, a
+    diagonal point at least as entangled (its diagonal proof).
     """
     rng = generator(seed, stream=7)
     fired = False

@@ -128,7 +128,14 @@ def loss_slot_count(t: Topology) -> int:
 
 
 def default_loss_split(t: Topology, tau_e: float) -> tuple[float, ...]:
-    """Loss placement used when a config does not specify one."""
+    """Loss placement used when a config does not specify one.
+
+    All on one measured arm, (tau_e, 1), is optimal for a symmetric
+    swap: its best margin depends on the shares (t_1, t_2) only through
+    t_1 + t_2 and never falls as that grows, and at t_1 t_2 = tau_e the
+    sum is largest at an end (the diagonal proof of
+    thresholds.optimize_cooperativities).
+    """
     _check_loss_split(tau_e)
     # Python floats, as _check_loss_split makes of a given split: numpy
     # scalars (a sweep's tau_e) would slow every _mm_excess call

@@ -85,7 +85,7 @@ _BISECT_STEPS = 200
 #: cooperativities, by search dimension; at most about 4k points per
 #: array evaluation keeps its memory small.  The grid runs from
 #: _SEED_FLOOR of each cap to the cap.
-_SEED_GRID = {1: 40, 2: 40, 3: 16, 4: 8}
+_SEED_GRID = {1: 40, 2: 40, 3: 16}
 _SEED_FLOOR = 1e-4
 
 
@@ -510,7 +510,8 @@ def _ranked_starts(margin, hi, corners, n):
 def _mirrored_eo_peak(scheme: str, caps: DeviceCaps, n_th: float, r: float, share: float) -> float:
     """The best C_a of a mirrored EO layout, x* = min(d_a, 1 + d_b + 2M/K).
 
-    share is the loss share of each arm (down) or measured arm (swap).
+    share is the mean loss share of the two arms (down, where both are
+    equal) or measured arms (swap, at any split).
     The margin on the axis is k C_b (K C_a - M) / (1 + C_a + C_b)**2
     with k > 0; optimize_cooperativities gives K, M and the proof.
     Where K <= 0 no point entangles, and C_a = 0 is returned: there the
@@ -540,9 +541,11 @@ class _CooperativityBox:
     seed the ranked pool, at most 3 per node when both nodes are
     searched; corners[0] is the clamped all-max corner.
     corner_decides is False where that corner does not bound the margin
-    from above (an EM source at r > 0).  peak is the best point of a
-    mirrored EO layout, in closed form (_mirrored_eo_peak), and None for
-    every other layout, which is searched.
+    from above (an EM source at r > 0).  A symmetric swap is mirrored at
+    any split and down(EO) at a uniform one (the diagonal of
+    optimize_cooperativities).  peak is the best point of a mirrored EO
+    layout, in closed form (_mirrored_eo_peak at the mean share), and
+    None for every other layout, which is searched.
     """
 
     margin: Callable
@@ -559,10 +562,9 @@ class _CooperativityBox:
         _check_fields(n_th)
         rv = _as_r(r)
         split = _resolve_split(t, tau_e, loss_split)
-        uniform_split = all(f == split[0] for f in split)
-        mirrored = uniform_split and (
-            (t.scheme == "swap" and t.is_symmetric)
-            or (t.scheme == "down" and t.kinds[0] is _EO)
+        # a symmetric swap at any split, down(EO) at a uniform one
+        mirrored = t.is_symmetric and (
+            t.scheme == "swap" or (t.kinds[0] is _EO and split[0] == split[1])
         )
         axes = _converter_nodes(t)[: 1 if mirrored else 2]
         margin = (_margin_fn if mirrored else _margin_fn4)(t, caps, n_th, rv, split, pin_cb=True)
@@ -579,7 +581,7 @@ class _CooperativityBox:
         full = _layout_coords(caps, axes)
         peak = None
         if mirrored and t.kinds[0] is _EO:
-            peak = (_mirrored_eo_peak(t.scheme, caps, n_th, rv, split[0]),)
+            peak = (_mirrored_eo_peak(t.scheme, caps, n_th, rv, 0.5 * (split[0] + split[1])),)
         return cls(margin, full, hi, corners, mirrored, not (rv > 0.0 and _EM in t.kinds), peak)
 
     def corner_separable(self) -> bool:
@@ -617,16 +619,17 @@ def optimize_cooperativities(
 ) -> tuple[tuple[float, float, float, float], float]:
     """Maximize the MM logarithmic negativity over the cooperativities.
 
-    Symmetric swaps and down(EO), each at a uniform loss split, are
-    mirrored: one transducer's cooperativities serve both; the others
-    take both transducers'.  _converter_nodes gives each node its
-    axes: a converter node, a red-red converter whose output is a final
-    microwave mode (the converter inside an EO source, and the
-    downconverter of a downconversion), has C_a as its only axis, its C_b
-    being min(d_b, 1 + C_a); an IO or IM source has its red-pumped side
+    A symmetric swap, at any loss split, and down(EO), at a uniform one,
+    are mirrored: one transducer's cooperativities serve both, which is
+    exact (the diagonal, below); the others take both transducers'.
+    _converter_nodes gives each node its axes: a converter node, a
+    red-red converter whose output is a final microwave mode (the
+    converter inside an EO source, and the downconverter of a
+    downconversion), has C_a as its only axis, its C_b being min(d_b, 1
+    + C_a); an IO or IM source has its red-pumped side
     as its only axis, its blue-pumped side sitting at its stable bound
     (_stable_bound_fn); both pins are exact, as shown below.  Only an EM
-    source keeps both axes, so a search runs in 1 to 4 dimensions.  A
+    source keeps both axes, so a search runs in 1 to 3 dimensions.  A
     mirrored EO layout, down(EO) or the EO swap, is not searched: its
     best point has a closed form (_mirrored_eo_peak), proven below.
     Every other layout is searched.
@@ -686,20 +689,48 @@ def optimize_cooperativities(
     Pinning one node and then the other gives the same for two sources.
     A separable margin may fall instead, which changes no returned value.
 
+    The diagonal is exact: a symmetric swap at any split (t_1, t_2) is
+    best with both nodes at the same cooperativities.  Write a node's
+    state before its share as (a, b, g, p), p = a b - g^2, so that after
+    it A_i = t_i a_i, c_i = sqrt(t_i) g_i and P_i = t_i p_i.  The margin
+    of a final state (A, B, c) is the larger eigenvalue of [[-A, c], [c,
+    -B]], which the EPR update makes -diag(B_1, B_2) + w w^T / den, with
+    w = (c_1, -c_2) and den = 1 + A_1 + A_2 > 0.  So the margin exceeds
+    mu > 0 iff (|c_1| z_1 + |c_2| z_2)^2 / den > (B_1 + mu) z_1^2 + (B_2
+    + mu) z_2^2 for some z != 0.  Write u^2 / den as the maximum over l
+    of 2 l u - l^2 den and maximize each z_i alone (at z_i = l |c_i| /
+    (B_i + mu)): the condition becomes t_1 h_1 + t_2 h_2 > 1, where h_i
+    = -(p_i + mu a_i) / (b_i + mu) depends on node i's cooperativities
+    alone.  The two nodes of a symmetric swap range over the same set
+    with the same h, so the sum is at most S sup h, S = t_1 + t_2, and
+    diagonal points come arbitrarily close: wherever some point has a
+    margin above mu, so does a diagonal one.  The pins act node by node,
+    so the same holds on the pinned layouts.  Only S enters, and a
+    larger S can only raise the best margin (the condition needs sup h
+    > 0), so at t_1 t_2 = tau_e the best split maximizes S = t_1 + tau_e
+    / t_1, convex on [tau_e, 1]: an end, all the loss on one measured
+    arm, as network.default_loss_split places it.
+
     A mirrored EO layout peaks in closed form.  Its one axis is x = C_a,
-    with C_b = min(d_b, 1 + x) by the converter pin.  Both nodes hold
-    the same converter, so the final state is symmetric, A = B, and the
-    margin is |c| - A.  The excess forms give it as k C_b (K x - M) / (1
-    + x + C_b)^2, with k = 4 tau_b for down(EO) and 4 tau_b / (1 + 2 t
-    sinh^2 r) for the swap, both > 0.  down(EO), with share s on each
-    arm, has K = tau_a s sinh(r) e^-r and M = n_th; the EO swap, with
-    share t on each measured arm, has K = tau_a sinh^2(r) (2t - 1) and
-    M = n_th (1 + 2t sinh^2 r).  Where C_b = 1 + x (x <= d_b - 1) the
-    margin is (K x - M) / (4 (1 + x)), whose derivative (K + M) / (4 (1
-    + x)^2) is > 0 wherever K > 0.  Where C_b = d_b, its derivative has
-    the sign of K (1 + d_b + 2M/K - x), so it rises up to x = 1 + d_b +
-    2M/K, which is >= d_b - 1, and falls beyond.  The margin is
-    continuous at x = d_b - 1, so its maximum on [0, d_a] is at x* =
+    with C_b = min(d_b, 1 + x) by the converter pin, and its margin
+    exceeds any mu > 0 exactly where the form k C_b (K x - M) / (1 + x +
+    C_b)^2 does, with k > 0.  down(EO), with share s on each arm, holds
+    the same converter on both, so A = B and the margin is |c| - A,
+    which the excess forms give with k = 4 tau_b, K = tau_a s sinh(r)
+    e^-r and M = n_th.  In the EO swap the converter acts on each node's
+    microwave mode only, as the local factor T = t^2 with added noise
+    nu; the measured arms keep a = sinh^2 r, so den = 1 + S sinh^2 r
+    does not depend on the cooperativities.  On the diagonal, b = T
+    (sinh^2 r + nu), g^2 = T sinh^2 r cosh^2 r and p = T sinh^2 r (nu -
+    1), and S h > 1 reads mu < T (sinh^2 r (S - 1) - nu (1 + S sinh^2
+    r)) / (1 + S sinh^2 r): k = 4 tau_b / (1 + S sinh^2 r), K = tau_a
+    sinh^2(r) (S - 1) and M = n_th (1 + S sinh^2 r), which depend on
+    the split only through the mean share S/2.  Where C_b = 1 + x (x <=
+    d_b - 1) the form is k (K x - M) / (4 (1 + x)), whose derivative k
+    (K + M) / (4 (1 + x)^2) is > 0 wherever K > 0.  Where C_b = d_b, its
+    derivative has the sign of K (1 + d_b + 2M/K - x), so it rises up to
+    x = 1 + d_b + 2M/K, which is >= d_b - 1, and falls beyond.  The form
+    is continuous at x = d_b - 1, so its maximum on [0, d_a] is at x* =
     min(d_a, 1 + d_b + 2M/K).  Where K <= 0 the margin is <= 0 at every
     point, so the corner shortcut below has returned, unless rounding
     lifted the corner's margin above 0; C_a = 0 is then returned, where
@@ -749,8 +780,10 @@ def optimize_loss_split(
 
     Closed-form placements are used where the optimum is known (equal
     shares for EO downconversion, everything on one measured arm for
-    symmetric swapping); asymmetric swapping is searched numerically
-    over the slot simplex, since its optimum may be interior.
+    symmetric swapping, which is proven: its best margin depends on the
+    shares only through their sum, largest at that end; see the diagonal
+    in optimize_cooperativities); asymmetric swapping is searched
+    numerically over the slot simplex, since its optimum may be interior.
     Cooperativities are re-optimized at every candidate split with budget
     = (n_starts, nm_max_iter); ValueError unless budget is such a pair.
     """

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -23,7 +24,7 @@ from gausslink.network import (
     default_loss_split,
     loss_slot_count,
 )
-from gausslink.optimize import maximize_box
+from gausslink.optimize import golden_max_1d, maximize_box
 from gausslink.presets import PRESETS
 from gausslink.sampling import generator, random_caps
 from gausslink.sources import MoKind
@@ -606,10 +607,12 @@ class TestCornerShortcut:
             if not box.corner_separable():
                 continue
             config = (i, t.label, caps, n_th, r, split)
-            # the dense grid covers the whole box, without the converter pin
-            factory = _margin_fn if box.mirrored else _margin_fn4
-            free = factory(t, caps, n_th, r, split)
-            hi = [caps.d_a, caps.d_b] * (1 if box.mirrored else 2)
+            # the dense grid covers the whole box, without the converter pin;
+            # a symmetric swap's box is its diagonal at every split, but off a
+            # uniform split the grid still sets both nodes apart
+            uniform = box.mirrored and len(set(split)) == 1
+            free = (_margin_fn if uniform else _margin_fn4)(t, caps, n_th, r, split)
+            hi = [caps.d_a, caps.d_b] * (1 if uniform else 2)
             assert np.max(free(_dense_grid(hi))) <= 0.0, config
             assert box.search(16, 250)[1] <= 0.0, config
             fired += 1
@@ -713,18 +716,19 @@ class TestConverterPin:
 
     def test_device_run_search_dimensions(self):
         # one axis per free cooperativity: a converter node keeps only C_a,
-        # an IO or IM source only its red-pumped side, an EM source both
+        # an IO or IM source only its red-pumped side, an EM source both.
+        # The symmetric swaps mirror at every split, and every EO column
+        # but the asymmetric swap takes the closed form
         caps = PRESETS["brubaker2022"]["caps"]
-        want = {"eo_down": 1, "eo_swap": 2, "eo_swap_eqsplit": 1, "em_down": 3,
-                "em_swap": 4, "io_down": 2, "io_swap": 2, "im_down": 2, "im_swap": 2,
+        dims = {"eo_down": 1, "eo_swap": 1, "eo_swap_eqsplit": 1, "em_down": 3,
+                "em_swap": 2, "io_down": 2, "io_swap": 1, "im_down": 2, "im_swap": 1,
                 "im_swap_eqsplit": 1, "im_eo_swap_asym": 2}
-        # at 0 dB every default split is uniform and the symmetric swaps mirror
-        at_0db = dict(want, eo_swap=1, em_swap=2, io_swap=1, im_swap=1)
-        for tau_e, dims in ((0.5, want), (1.0, at_0db)):
+        for tau_e in (0.5, 1.0):
             for name, t, r, split, _ in _device_cells((3.0, 10.0), tau_e):
                 box = _CooperativityBox.of(t, caps, caps.n_th, r, tau_e, split)
                 column = name.rsplit("_", 1)[0] if name.endswith("db") else name
                 assert len(box.hi) == dims[column], (name, tau_e)
+                assert (box.peak is not None) == column.startswith("eo_"), (name, tau_e)
 
     def test_argmax_satisfies_the_pin(self):
         rng = generator(20260808, stream=113)
@@ -800,8 +804,8 @@ def _mirrored_eo_draw(rng, t, edge):
 
 
 class TestMirroredEoPeak:
-    """down(EO) and the EO swap at a uniform split peak in closed form at
-    C_a = min(d_a, 1 + d_b + 2M/K), and are not searched."""
+    """down(EO) at a uniform split and the EO swap at any split peak in
+    closed form at C_a = min(d_a, 1 + d_b + 2M/K), and are not searched."""
 
     @pytest.mark.parametrize("edge", [
         "random", "n_th = 0", "d_a below d_b - 1", "d_a within 1 of d_b", "small r",
@@ -832,7 +836,8 @@ class TestMirroredEoPeak:
         assert entangled >= 10, entangled
 
     def test_searches_nothing(self, monkeypatch):
-        # the mirrored EO layouts never reach the search; the others still do
+        # the mirrored EO layouts never reach the search, the EO swap at its
+        # default split neither; the others still do
         caps = PRESETS["brubaker2022"]["caps"]
         calls = []
         search = _CooperativityBox.search
@@ -841,8 +846,11 @@ class TestMirroredEoPeak:
         for t in _MIRRORED_EO:
             _, e = optimize_cooperativities(t, caps, 1.0, 1.0, tau_e=0.5, loss_split=(0.5**0.5,) * 2)
             assert e > 0.0
+        _, e = optimize_cooperativities(Topology.swap_sym(MoKind.EO), caps, 1.0, 1.0, tau_e=0.5)
+        assert e > 0.0
         assert not calls
-        optimize_cooperativities(Topology.swap_sym(MoKind.EO), caps, 1.0, 1.0, tau_e=0.5)
+        asym = Topology.swap_asym(MoKind.IM, MoKind.EO)
+        optimize_cooperativities(asym, caps, 1.0, 1.0, tau_e=0.5)
         assert len(calls) == 1 and calls[0].peak is None
 
     @pytest.mark.parametrize("t, r, tau_e", [
@@ -890,6 +898,127 @@ class TestMirroredEoPeak:
         for db in cfg.squeezing_db:
             assert rows[-1][f"eo_swap_eqsplit_{format(db, 'g')}db"] == 0.0
             assert rows[0][f"eo_swap_eqsplit_{format(db, 'g')}db"] > 0.0
+
+
+_SYMMETRIC_SWAPS = tuple(Topology.swap_sym(k) for k in MoKind)
+
+
+def _diagonal_draw(rng, noise, shares):
+    """(caps, n_th, r, tau_e, split) for a symmetric swap off a uniform split.
+
+    shares is "one at tau_e", the default (tau_e, 1), or "interior", t_1
+    < t_2 < 1.  Efficiencies from 0.85 let an EM swap entangle too.  n_th
+    is 0 or log-spread over three decades below min(tau_a d_a, d_b) / 10.
+    """
+    kappa_a, kappa_b = (10.0 ** rng.uniform(-1.0, 2.5, 2)).tolist()
+    d_a, d_b = 10.0 ** rng.uniform(-1.0, 4.0), 10.0 ** rng.uniform(0.5, 3.0)
+    tau_a, tau_b = rng.uniform(0.85, 1.0, 2).tolist()
+    caps = DeviceCaps(d_a, d_b, tau_a, tau_b, 0.0, PhysicalRates(kappa_a, kappa_b, 1.0))
+    r = rng.uniform(0.2, 1.5)
+    if shares == "one at tau_e":
+        split = (rng.uniform(0.3, 0.95), 1.0)
+    else:
+        t_1, t_2 = sorted(rng.uniform(0.5, 0.99, 2).tolist())
+        split = (t_1, t_2 if t_2 > t_1 else 0.995)
+    n_th = 0.0 if noise == "n_th = 0" else min(tau_a * d_a, d_b) * 10.0 ** rng.uniform(-4.0, -1.0)
+    return caps, n_th, r, math.prod(split), split
+
+
+def _free_search(margin, hi, rng) -> float:
+    """Best margin over the box [0, hi] with every axis free, by a search of its own.
+
+    2,000 random points, log- or linearly spread on each axis, rank the
+    starts; from each of the best 3 a pattern search steps along every
+    direction of {-1, 0, 1}^dim, doubling its per-axis step after a gain
+    and halving it otherwise, down to 1e-15 of each cap.
+    """
+    hi = np.array(hi, dtype=float)[:, None]
+    u = rng.uniform(size=(len(hi), 2000))
+    x = hi * np.where(rng.uniform(size=u.shape) < 0.5, 10.0 ** (-6.0 * u), u)
+    x = np.concatenate([x, hi], axis=1)
+    m = margin(x)
+    dirs = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=len(hi)))).T
+    best = -math.inf
+    for i in np.argsort(-m, kind="stable")[:3]:
+        p, v, step = x[:, i : i + 1], m[i], 0.1 * hi
+        while np.any(step > 1e-15 * hi):
+            trial = np.clip(p + dirs * step, 0.0, hi)
+            mt = margin(trial)
+            j = int(np.argmax(mt))
+            if mt[j] > v:
+                p, v, step = trial[:, j : j + 1], mt[j], np.minimum(2.0 * step, hi)
+            else:
+                step = 0.5 * step
+        best = max(best, float(v))
+    return best
+
+
+class TestSwapDiagonal:
+    """A symmetric swap at any loss split is best with both nodes at the
+    same cooperativities, and the EO swap's best point is the closed form
+    at the mean share."""
+
+    @pytest.mark.parametrize("shares", ["one at tau_e", "interior"])
+    @pytest.mark.parametrize("noise", ["n_th = 0", "n_th > 0"])
+    @pytest.mark.parametrize("t", _SYMMETRIC_SWAPS, ids=lambda t: t.label)
+    def test_diagonal_reaches_the_free_search(self, t, noise, shares):
+        # the same search of the test's own runs on the pinned layout with
+        # both nodes free (_margin_fn4 with pin_cb, 2-D; 4-D for EM) and on
+        # its diagonal (_margin_fn with pin_cb): the diagonal is never
+        # lower.  optimize_cooperativities searches that diagonal; its
+        # golden polish brackets the kink where an IM face meets its cap
+        # to about 1e-12 relative, hence its looser bound
+        rng = generator(20260808, stream=120)
+        entangled = 0
+        for i in range(6):
+            caps, n_th, r, tau_e, split = _diagonal_draw(rng, noise, shares)
+            box = _CooperativityBox.of(t, caps, n_th, r, tau_e, split)
+            assert box.mirrored
+            free = _margin_fn4(t, caps, n_th, r, split, pin_cb=True)
+            diagonal = _margin_fn(t, caps, n_th, r, split, pin_cb=True)
+            v = _log2_negativity(_free_search(free, box.hi * 2, rng))
+            d = _log2_negativity(_free_search(diagonal, box.hi, rng))
+            cs, e = optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)
+            config = (i, t.label, caps, n_th, r, split, cs)
+            assert d >= v - 1e-12 * max(1.0, abs(v)), config
+            assert e >= v - 1e-10 * max(1.0, abs(v)), config
+            assert cs[2:] == cs[:2], config
+            entangled += e > 0.0
+        assert entangled >= 3, entangled
+
+    @pytest.mark.parametrize("shares", ["one at tau_e", "interior"])
+    def test_eo_peak_at_unequal_shares_against_a_scan(self, shares):
+        # a dense 2-D scan of (C_a1, C_a2), each node at its converter pin,
+        # refined 12 times around its best point
+        t = Topology.swap_sym(MoKind.EO)
+        rng = generator(20260808, stream=121)
+        entangled = 0
+        for i in range(24):
+            noise = "n_th > 0" if i % 4 else "n_th = 0"
+            caps, n_th, r, tau_e, split = _diagonal_draw(rng, noise, shares)
+            assert _CooperativityBox.of(t, caps, n_th, r, tau_e, split).peak is not None
+            cs, e = optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)
+            free = _margin_fn4(t, caps, n_th, r, split, pin_cb=True)
+            axes = [np.unique(np.concatenate([[0.0], caps.d_a * np.geomspace(1e-9, 1.0, 200),
+                                              np.linspace(0.0, caps.d_a, 200)]))] * 2
+            best = -math.inf
+            for _ in range(12):
+                x = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(2, -1)
+                m = free(x)
+                k = int(np.argmax(m))
+                best = max(best, float(m[k]))
+                idx = np.unravel_index(k, (len(axes[0]), len(axes[1])))
+                axes = [np.linspace(a[max(j - 1, 0)], a[min(j + 1, len(a) - 1)], 41)
+                        for a, j in zip(axes, idx)]
+            scanned = _log2_negativity(best)
+            config = (i, caps, n_th, r, split, cs)
+            assert e >= scanned - 1e-12 * max(1.0, scanned), config
+            assert (e > 0.0) == (scanned > 0.0), config
+            assert cs[1] == min(caps.d_b, 1.0 + cs[0]) and cs[2:] == cs[:2], config
+            cfg = NetworkConfig(replace(caps, n_th=n_th), *cs, r=r, tau_e=tau_e, loss_split=split)
+            assert e == pytest.approx(mm_log_negativity(t, cfg), abs=1e-12), config
+            entangled += e > 0.0
+        assert entangled >= 12, entangled
 
 
 _BLUE_KINDS = (MoKind.IO, MoKind.IM)
@@ -1051,6 +1180,27 @@ class TestOptimizeLossSplit:
             _, e11 = optimize_cooperativities(Topology.swap_sym(k1), caps, caps.n_th, r)
             _, e22 = optimize_cooperativities(Topology.swap_sym(k2), caps, caps.n_th, r)
             assert e12 <= max(e11, e22) + 1e-9
+
+    @pytest.mark.parametrize("kind", [MoKind.EO, MoKind.IM], ids=lambda k: k.name)
+    def test_symmetric_swap_split_beats_the_golden_search(self, kind):
+        # a symmetric swap's best margin rises with t_1 + t_2, which at t_1
+        # t_2 = tau_e is largest at (tau_e, 1): the 2-slot search that
+        # optimize_loss_split runs for an asymmetric swap (both ends, then
+        # golden section over t_1) finds nothing better
+        t = Topology.swap_sym(kind)
+        rng = generator(20260808, stream=122)
+        for i in range(4):
+            caps, n_th, r, tau_e, _ = _diagonal_draw(rng, "n_th > 0", "one at tau_e")
+            split, e = optimize_loss_split(t, caps, n_th, r, tau_e)
+            assert split == (tau_e, 1.0)
+
+            def e_at(s):
+                return optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=s)[1]
+
+            v = max(e_at((1.0, tau_e)), golden_max_1d(lambda t1: e_at((t1, tau_e / t1)),
+                                                       tau_e, 1.0, iters=24)[1])
+            assert e >= v - 1e-12 * max(1.0, abs(v)), (i, caps, n_th, r, tau_e)
+            assert e > 0.0 or v == 0.0
 
     def test_swap_extremal_split_with_grid_oracle(self):
         caps = DeviceCaps(25.0, 6.0, 0.9, 0.85, 1.0)

@@ -78,6 +78,11 @@ class ThresholdResult:
 #: Nelder-Mead iterations of the witness search.
 _SEARCH_STARTS, _SEARCH_ITERS = 3, 80
 
+#: The cooperativity search budget (n_starts, nm_max_iter) at each split
+#: that optimize_loss_split evaluates, and the golden-section iterations
+#: of its search along the edge of 3-slot splits.
+_SPLIT_BUDGET, _EDGE_ITERS = (8, 120), 24
+
 #: Most halvings numeric_threshold makes of its bracket [0, tau_a d_a].
 _BISECT_STEPS = 200
 
@@ -773,64 +778,69 @@ def optimize_loss_split(
     n_th: float,
     r: SqueezeParam | float = 0.0,
     tau_e: float = 1.0,
-    *,
-    budget: tuple[int, int] = (8, 120),
 ) -> tuple[tuple[float, ...], float]:
     """Best distribution of external optical loss over a topology's slots.
 
-    Closed-form placements are used where the optimum is known (equal
-    shares for EO downconversion, everything on one measured arm for
-    symmetric swapping, which is proven: its best margin depends on the
-    shares only through their sum, largest at that end; see the diagonal
-    in optimize_cooperativities); asymmetric swapping is searched
-    numerically over the slot simplex, since its optimum may be interior.
-    Cooperativities are re-optimized at every candidate split with budget
-    = (n_starts, nm_max_iter); ValueError unless budget is such a pair.
+    Returns the split, as Python floats, and the logarithmic negativity
+    there; the cooperativities are optimized at every split evaluated,
+    with _SPLIT_BUDGET = (n_starts, nm_max_iter).  A downconversion or a
+    symmetric swap takes network.default_loss_split: equal shares for
+    down(EO), everything on one measured arm for a symmetric swap (the
+    diagonal in optimize_cooperativities proves it).  A 2-slot
+    asymmetric swap takes the better of its two ends, (tau_e, 1) and (1,
+    tau_e), and searches nothing.  A 3-slot one, an asymmetric swap
+    whose EO node (node 1) has a third share t_3 in front of its
+    converter, takes the best of the ends of the edge (tau_e / t_3, 1,
+    t_3), t_3 in [tau_e, 1], and of one golden-section search over t_3
+    along it; every point of the edge is a valid split.  Ties keep the
+    first split listed.
+
+    The proof.  The diagonal proof in optimize_cooperativities holds for
+    any swap: the margin exceeds mu > 0 iff t_1 h_1 + t_2 h_2 > 1, where
+    h_i depends only on node i's state before its measured share t_i.
+    Fix both nodes' cooperativities and mu, and let t_1 t_2 = q.  On t_1
+    in [q, 1], f = t_1 h_1 + (q / t_1) h_2 is convex where h_2 >= 0,
+    rises where h_2 < 0 <= h_1, and stays below 0 < 1 where both are
+    negative, so wherever f exceeds 1 it does so at t_1 = q or t_1 = 1.
+    Any margin above mu at some split is thus reached at an end with the
+    same cooperativities, and the best margin over all splits, and with
+    it the negativity, is the better end's.  A 2-slot swap has q =
+    tau_e.  In a 3-slot swap t_3 enters only the EO node's state before
+    its measured share, so at a fixed t_3 the same holds with q = tau_e
+    / t_3: the optimum lies on the edge above or on (1, u, t_3), u =
+    tau_e / t_3.  That second edge never beats its end (1, 1, tau_e).
+    Write T = 4 tau_a tau_b C_a C_b / (1 + C_a + C_b)^2, nu = n_th /
+    (tau_a C_a) and sh = sinh r, ch = cosh r.  The loss t_3 scales the
+    converter's input, so before its measured share the EO node has a =
+    sh^2, b = T (t_3 sh^2 + nu) and p = T sh^2 (nu - t_3), and with X =
+    T nu + mu > 0, h_1 = 1 - X ch^2 / (T t_3 sh^2 + X) < 1.  So h_1 + u
+    h_2 > 1 needs h_2 > X ch^2 / (T tau_e sh^2 + u X), no less than the
+    X ch^2 / (T tau_e sh^2 + X) that (1, 1, tau_e) needs, since u <= 1.
+    Along the edge searched the optimum may be interior (IM+EO); the
+    golden section assumes one peak there, which is not proven.
     """
     _check_loss_split(tau_e)
-    if type(budget) is not tuple or len(budget) != 2:
-        raise ValueError(f"budget must be a pair (n_starts, nm_max_iter), got {budget!r}")
+    # Python floats, as default_loss_split returns: a numpy tau_e would
+    # make numpy shares
+    tau_e = float(tau_e)
 
     def e_at(split) -> float:
         return optimize_cooperativities(
             t, caps, n_th, r, tau_e=tau_e, loss_split=split,
-            n_starts=budget[0], nm_max_iter=budget[1],
+            n_starts=_SPLIT_BUDGET[0], nm_max_iter=_SPLIT_BUDGET[1],
         )[1]
 
-    n = loss_slot_count(t)
-    if t.scheme == "down" or t.is_symmetric:
+    if t.is_symmetric:
         split = default_loss_split(t, tau_e)
         return split, e_at(split)
+    if loss_slot_count(t) == 2:
+        candidates = [(s, e_at(s)) for s in ((tau_e, 1.0), (1.0, tau_e))]
+    else:
+        def edge(t3):
+            return (tau_e / t3, 1.0, t3)
 
-    if n == 2:
-        # one free share t1 in [tau_e, 1]; endpoints are the known extremes,
-        # and max keeps the first-listed one on ties
-        ends = [(tau_e, 1.0), (1.0, tau_e)]
-        best_split, best_e = max(((s, e_at(s)) for s in ends), key=lambda se: se[1])
-        t1, e1 = golden_max_1d(lambda t1: e_at((t1, tau_e / t1)), tau_e, 1.0, iters=24)
-        if e1 > best_e:
-            best_split, best_e = (t1, tau_e / t1), e1
-        return best_split, best_e
-
-    # three slots: shares (t1, t2) free with t3 = tau_e / (t1 t2)
-    def e_of_pair(x) -> float:
-        t1, t2 = x
-        t3 = tau_e / (t1 * t2)
-        if t3 < tau_e - 1e-12 or t3 > 1.0 + 1e-12:
-            return -math.inf
-        return e_at((t1, t2, min(t3, 1.0)))
-
-    extremes = [
-        [1.0, 1.0],
-        [tau_e, 1.0],
-        [1.0, tau_e],
-        [tau_e ** (1.0 / 3.0), tau_e ** (1.0 / 3.0)],
-    ]
-    # each evaluation is a whole optimisation, so the known extremes are the
-    # starts rather than the best of a ranked grid
-    x, e = maximize_box(
-        e_of_pair, [tau_e, tau_e], [1.0, 1.0], extremes, nm_max_iter=40, polish=False
-    )
-    t1, t2 = x
-    t3 = min(max(tau_e / (t1 * t2), tau_e), 1.0)
-    return (t1, t2, t3), e
+        # its ends, all the loss in front of the converter first
+        candidates = [(s, e_at(s)) for s in (edge(tau_e), edge(1.0))]
+        t3, e = golden_max_1d(lambda t3: e_at(edge(t3)), tau_e, 1.0, iters=_EDGE_ITERS)
+        candidates.append((edge(t3), e))
+    return max(candidates, key=operator.itemgetter(1))

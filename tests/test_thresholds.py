@@ -20,6 +20,7 @@ from gausslink import (
 from gausslink.experiments import ExperimentConfig, _device_cells, cmd_device_run
 from gausslink.network import (
     ALL_TOPOLOGIES,
+    ASYMMETRIC_SWAP_TOPOLOGIES,
     _log2_negativity,
     default_loss_split,
     loss_slot_count,
@@ -29,6 +30,7 @@ from gausslink.presets import PRESETS
 from gausslink.sampling import generator, random_caps
 from gausslink.sources import MoKind
 from gausslink.thresholds import (
+    _SPLIT_BUDGET,
     _CooperativityBox,
     _em_down_cell,
     _em_swap_cell,
@@ -509,16 +511,6 @@ class TestOptimizeCooperativities:
         t = Topology.swap_sym(MoKind.IM)
         with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
             optimize_cooperativities(t, caps, 0.2, n_starts=n_starts, nm_max_iter=nm_max_iter)
-        with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
-            optimize_loss_split(t, caps, 0.2, 0.0, 0.5, budget=(n_starts, nm_max_iter))
-
-    @pytest.mark.parametrize("budget", [(), (3,), (3, 10, 99), 3])
-    def test_loss_split_rejects_a_budget_that_is_not_a_pair(self, budget):
-        # (3,) used to raise IndexError, and (3, 10, 99) to drop the 99
-        caps = DeviceCaps(25.0, 6.0, 0.9, 0.85, 0.2)
-        t = Topology.swap_asym(MoKind.IM, MoKind.EO)
-        with pytest.raises(ValueError, match="budget must be a pair"):
-            optimize_loss_split(t, caps, 0.2, 0.0, 0.5, budget=budget)
 
     def test_smallest_search_budget_still_searches(self):
         # one start and no simplex steps: the best ranked point, polished
@@ -909,6 +901,8 @@ def _diagonal_draw(rng, noise, shares):
     shares is "one at tau_e", the default (tau_e, 1), or "interior", t_1
     < t_2 < 1.  Efficiencies from 0.85 let an EM swap entangle too.  n_th
     is 0 or log-spread over three decades below min(tau_a d_a, d_b) / 10.
+    The asymmetric loss-split tests take the first four and place tau_e
+    themselves.
     """
     kappa_a, kappa_b = (10.0 ** rng.uniform(-1.0, 2.5, 2)).tolist()
     d_a, d_b = 10.0 ** rng.uniform(-1.0, 4.0), 10.0 ** rng.uniform(0.5, 3.0)
@@ -1145,7 +1139,7 @@ class TestOptimizeLossSplit:
         caps = brubaker2022_caps()
         t = Topology.swap_asym(MoKind.IM, MoKind.EO)
         r = SqueezeParam.from_db(10.0)
-        split, e = optimize_loss_split(t, caps, caps.n_th, r, tau_e=0.7, budget=(6, 80))
+        split, e = optimize_loss_split(t, caps, caps.n_th, r, tau_e=0.7)
         _, e_default = optimize_cooperativities(
             t, caps, caps.n_th, r, tau_e=0.7, loss_split=(1.0, 1.0, 0.7)
         )
@@ -1155,8 +1149,8 @@ class TestOptimizeLossSplit:
     def test_asym_two_slot_search_never_below_endpoints(self):
         caps = DeviceCaps(25.0, 6.0, 0.9, 0.85, 0.2)
         t = Topology.swap_asym(MoKind.IM, MoKind.EM)
-        tau_e, budget = 0.6, (3, 40)
-        split, e = optimize_loss_split(t, caps, caps.n_th, 0.8, tau_e, budget=budget)
+        tau_e, budget = 0.6, _SPLIT_BUDGET
+        split, e = optimize_loss_split(t, caps, caps.n_th, 0.8, tau_e)
         assert len(split) == 2
         assert math.prod(split) == pytest.approx(tau_e, rel=1e-12)
         for end in ((tau_e, 1.0), (1.0, tau_e)):
@@ -1184,9 +1178,8 @@ class TestOptimizeLossSplit:
     @pytest.mark.parametrize("kind", [MoKind.EO, MoKind.IM], ids=lambda k: k.name)
     def test_symmetric_swap_split_beats_the_golden_search(self, kind):
         # a symmetric swap's best margin rises with t_1 + t_2, which at t_1
-        # t_2 = tau_e is largest at (tau_e, 1): the 2-slot search that
-        # optimize_loss_split runs for an asymmetric swap (both ends, then
-        # golden section over t_1) finds nothing better
+        # t_2 = tau_e is largest at (tau_e, 1): neither the other end nor a
+        # golden-section search over t_1 between them finds anything better
         t = Topology.swap_sym(kind)
         rng = generator(20260808, stream=122)
         for i in range(4):
@@ -1214,3 +1207,122 @@ class TestOptimizeLossSplit:
         for t1 in np.linspace(tau_e, 1.0, 101):
             cfg = NetworkConfig(caps, *cs, tau_e=tau_e, loss_split=(t1, tau_e / t1))
             assert e_ref >= mm_log_negativity(t, cfg) - 1e-10
+
+    @pytest.mark.parametrize("t", ALL_TOPOLOGIES, ids=lambda t: t.label)
+    def test_returns_python_floats_for_a_numpy_tau_e(self, t):
+        # a numpy tau_e (a sweep's) used to come back as a numpy share
+        from gausslink import brubaker2022_caps
+
+        caps = brubaker2022_caps()
+        split, e = optimize_loss_split(t, caps, caps.n_th, 0.5, np.float64(0.5))
+        assert all(type(share) is float for share in split), split
+        assert type(e) is float
+
+
+def _stable_node(rng, kind, caps):
+    """A random stable (C_a, C_b) of a source of this kind, each log-spread below its cap."""
+    c_a = caps.d_a * 10.0 ** rng.uniform(-2.0, 0.0)
+    c_b = caps.d_b * 10.0 ** rng.uniform(-2.0, 0.0)
+    if kind is MoKind.IO:
+        c_a = rng.uniform(0.5, 1.0) * _stable_bound(caps, c_b, True)
+    elif kind is MoKind.IM:
+        c_b = rng.uniform(0.5, 1.0) * _stable_bound(caps, c_a, False)
+    return c_a, c_b
+
+
+def _split_position(split) -> str:
+    """Where an asymmetric swap's best split lies: an end, or inside the 3-slot edge."""
+    if len(split) == 2:
+        return "(tau_e, 1)" if split[1] == 1.0 else "(1, tau_e)"
+    if split[2] == 1.0:
+        return "(tau_e, 1, 1)"
+    return "(1, 1, tau_e)" if split[0] == 1.0 else "(tau_e / t_3, 1, t_3)"
+
+
+#: An EO+IO draw (caps, n_th, r, tau_e) whose best split is (tau_e, 1, 1),
+#: all the loss on the EO node's measured arm, which seeded draws seldom give.
+_FAR_END_DRAW = (
+    DeviceCaps(0.30737504114315795, 19.968395650379325, 0.9814983811795761,
+               0.9650966303958368, 0.0, PhysicalRates(4.15568086609806, 1.480294792691675, 1.0)),
+    0.00256326505747115,
+    1.7375141035536912,
+    0.8478610623822502,
+)
+
+
+class TestAsymmetricLossSplit:
+    @pytest.mark.parametrize("t", ASYMMETRIC_SWAP_TOPOLOGIES, ids=lambda t: t.label)
+    def test_no_split_beats_the_better_end_at_fixed_cooperativities(self, t):
+        # the proof in optimize_loss_split, with nothing searched: at fixed
+        # cooperativities, and for a 3-slot swap at a fixed t_3, no split
+        # with t_1 t_2 = q beats the better of (q, 1) and (1, q)
+        rng = generator(20260808, stream=123)
+        entangled = 0
+        for i in range(16):
+            caps, n_th, r, tau_e, _ = _diagonal_draw(rng, "n_th > 0" if i % 2 else "n_th = 0",
+                                                     "one at tau_e")
+            caps = replace(caps, n_th=n_th)
+            cs = _stable_node(rng, t.kinds[0], caps) + _stable_node(rng, t.kinds[1], caps)
+            tails = [()] if loss_slot_count(t) == 2 else [(tau_e**f,) for f in (0.0, 1 / 3, 2 / 3)]
+            for tail in tails:
+                q = tau_e / math.prod(tail)
+                e = [
+                    mm_log_negativity(t, NetworkConfig(
+                        caps, *cs, r=r, tau_e=tau_e, loss_split=(t_1, q / t_1) + tail))
+                    for t_1 in np.linspace(q, 1.0, 101).tolist()
+                ]
+                end = max(e[0], e[-1])
+                assert max(e) <= end + 1e-12, (i, caps, cs, r, tau_e, tail)
+                entangled += end > 0.0
+        assert entangled >= 4, entangled
+
+    @pytest.mark.parametrize("t", ASYMMETRIC_SWAP_TOPOLOGIES[:3], ids=lambda t: t.label)
+    def test_the_edge_not_searched_never_beats_its_end(self, t):
+        # the proof in optimize_loss_split: at fixed cooperativities no split
+        # (1, tau_e / t_3, t_3) beats (1, 1, tau_e), however large t_3
+        assert loss_slot_count(t) == 3
+        rng = generator(20260808, stream=124)
+        entangled = 0
+        for i in range(16):
+            caps, n_th, r, tau_e, _ = _diagonal_draw(rng, "n_th > 0" if i % 2 else "n_th = 0",
+                                                     "one at tau_e")
+            caps = replace(caps, n_th=n_th)
+            cs = _stable_node(rng, t.kinds[0], caps) + _stable_node(rng, t.kinds[1], caps)
+            e = [
+                mm_log_negativity(t, NetworkConfig(
+                    caps, *cs, r=r, tau_e=tau_e, loss_split=(1.0, tau_e / t_3, t_3)))
+                for t_3 in np.linspace(tau_e, 1.0, 101).tolist()
+            ]
+            assert max(e) <= e[0] + 1e-12, (i, caps, cs, r, tau_e)
+            entangled += e[0] > 0.0
+        assert entangled >= 4, entangled
+
+    def test_reaches_a_scan_of_every_split(self):
+        # a coarse scan of the feasible (t_1, t_2) square, t_3 = tau_e / (t_1
+        # t_2), each point a full cooperativity optimization.  The draws put
+        # the best split at each end of the 2-slot segment and at each end
+        # and inside the 3-slot edge, so a search that skips one falls short
+        rng = generator(20260808, stream=125)
+        draws = [(t, *_diagonal_draw(rng, noise, "one at tau_e")[:4])
+                 for t in ASYMMETRIC_SWAP_TOPOLOGIES for noise in ("n_th = 0", "n_th > 0")]
+        draws.append((Topology.swap_asym(MoKind.EO, MoKind.IO), *_FAR_END_DRAW))
+        found = set()
+        for t, caps, n_th, r, tau_e in draws:
+            split, e = optimize_loss_split(t, caps, n_th, r, tau_e)
+            grid = np.linspace(tau_e, 1.0, 5).tolist()
+            if len(split) == 2:
+                scan = [(t_1, tau_e / t_1) for t_1 in grid]
+            else:
+                scan = [(t_1, t_2, tau_e / (t_1 * t_2)) for t_1 in grid for t_2 in grid
+                        if t_1 * t_2 >= tau_e]
+            v = max(
+                optimize_cooperativities(
+                    t, caps, n_th, r, tau_e=tau_e, loss_split=s,
+                    n_starts=_SPLIT_BUDGET[0], nm_max_iter=_SPLIT_BUDGET[1],
+                )[1]
+                for s in scan
+            )
+            assert e >= v - 1e-12 * max(1.0, abs(v)), (t.label, caps, n_th, r, tau_e, split)
+            if e > 0.0:
+                found.add(_split_position(split))
+        assert len(found) == 5, found

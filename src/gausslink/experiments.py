@@ -436,10 +436,7 @@ def _device_point(args):
     tau_e = 10.0 ** (-taue_db / 10.0)
     row = {"tau_e_db": taue_db, "tau_e": tau_e}
     for name, topo, r, split, tagged in _device_cells(squeezing_db, tau_e):
-        cs, e = optimize_cooperativities(
-            topo, caps, caps.n_th, r, tau_e=tau_e, loss_split=split,
-            n_starts=3, nm_max_iter=160,
-        )
+        cs, e = optimize_cooperativities(topo, caps, caps.n_th, r, tau_e=tau_e, loss_split=split)
         if tagged:
             row[f"{name}_ok"] = e > 0.0
             row[f"{name}_argmax"] = cs

@@ -39,9 +39,11 @@ from .network import _mm_excess  # noqa: F401
 from .optimize import golden_max_1d, maximize_box
 from .sources import _EM, _EO, _IM, _IO, MoKind
 from .transducer import (
+    STRICT_MARGIN,
     DeviceCaps,
     _blue_bound,
     _blue_bound_fn,
+    _blue_bound_lines,
     _check_cap,
     _check_fields,
     _check_loss_split,
@@ -512,25 +514,219 @@ def _ranked_starts(margin, hi, corners, n):
     return starts
 
 
-def _mirrored_eo_peak(scheme: str, caps: DeviceCaps, n_th: float, r: float, share: float) -> float:
-    """The best C_a of a mirrored EO layout, x* = min(d_a, 1 + d_b + 2M/K).
+#: Most steps of _NodeRoot.solve; each step raises the margin, and
+#: rounding ends the ascent after a few.
+_ROOT_STEPS = 64
 
-    share is the mean loss share of the two arms (down, where both are
-    equal) or measured arms (swap, at any split).
-    The margin on the axis is k C_b (K C_a - M) / (1 + C_a + C_b)**2
-    with k > 0; optimize_cooperativities gives K, M and the proof.
-    Where K <= 0 no point entangles, and C_a = 0 is returned: there the
-    converter transmits nothing, and the margin evaluates to <= 0
-    without rounding, every term of P being a product of factors >= 0.
+
+def _ratio(num: float, den: float) -> float:
+    """num / den, -inf where den <= 0 (a node that cannot entangle)."""
+    return num / den if den > 0.0 else -math.inf
+
+
+def _falling_root(a: float, b: float, c: float) -> float | None:
+    """The root where a x^2 + b x + c falls through 0, or None.
+
+    Its slope at a root is +-sqrt(b^2 - 4ac), so the falling one is (-b
+    - sqrt(b^2 - 4ac)) / 2a, taken in the form without cancellation; a
+    line falls where b < 0, and a double root only touches 0.
     """
-    if scheme == "down":
-        gain, noise = caps.tau_a * share * math.sinh(r) * math.exp(-r), n_th
-    else:
+    if a == 0.0:
+        return -c / b if b < 0.0 else None
+    disc = b * b - 4.0 * a * c
+    if disc <= 0.0:
+        return None
+    root = math.sqrt(disc)
+    return -(b + root) / (2.0 * a) if b >= 0.0 else 2.0 * c / (root - b)
+
+
+def _times(p, q) -> tuple[float, float, float]:
+    """The product of two polynomials of degree <= 1, as coefficients (c0, c1, c2)."""
+    return p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[1] * q[1]
+
+
+class _ConverterNode:
+    """A converter node (code 1 of _converter_nodes) in the node-local condition.
+
+    With sh2 = sinh(r)^2 it is an EO source, whose value is its h; with
+    sh2 None the downconverter, whose value is -g.  tau is tau_a times
+    the loss share in front of the converter.  Both are best at the one
+    C_a that minimises g (optimize_cooperativities).
+    """
+
+    def __init__(self, caps: DeviceCaps, tau: float, n_th: float, sh2: float | None = None):
+        self.d_a, self.d_b, self.tau, self.n_th, self.sh2 = caps.d_a, caps.d_b, tau, n_th, sh2
+        self.four_tau_b = 4.0 * caps.tau_b
+        self.x_sq, self.x_sq_mu = (1.0 + caps.d_b) ** 2, self.four_tau_b * caps.d_b * n_th
+
+    def argmax(self, mu: float) -> tuple[float, float]:
+        """(x*, value there): x* = min(d_a, sqrt((1 + d_b)^2 + 4 tau_b d_b n_th / mu)), d_a at mu = 0."""
+        x = self.d_a
+        if mu > 0.0:
+            x = min(x, math.sqrt(self.x_sq + self.x_sq_mu / mu))
+        return x, self.value(x, mu)
+
+    def value(self, x: float, mu: float) -> float:
+        c_b = min(self.d_b, 1.0 + x)
+        s = 1.0 + x + c_b
+        q = s * s
+        # t^2 and the added noise, times s^2
+        tq = self.four_tau_b * c_b * self.tau * x
+        nq = self.four_tau_b * c_b * self.n_th
+        if self.sh2 is None:
+            return -_ratio(mu * q + nq, tq)
+        return _ratio(self.sh2 * (tq - nq - mu * q), tq * self.sh2 + nq + mu * q)
+
+
+class _BlueNode:
+    """An IO or IM source on its stability face, in the node-local condition.
+
+    Its axis is its red-pumped side v, and its blue-pumped side u sits
+    at the face (_stable_bound_fn).  Times d^2, d = 1 + v - u, its h is
+    (4 tau_a tau_b u v - mu a~) / (b~ + mu d^2), with a~ = 4 tau_a u (v
+    + n + 1) and b~ = 4 tau_b v (u + n) for IO, and a~ = 4 tau_a v (u +
+    n) and b~ = 4 tau_b u (v + n + 1) for IM.  The face is the least of
+    the two stability lines, less STRICT_MARGIN, and the cap, so on each
+    piece between their crossings u is linear in v, and h is a ratio of
+    polynomials of degree <= 2.
+    """
+
+    def __init__(self, kind: MoKind, caps: DeviceCaps, n_th: float):
+        self.io = kind is _IO
+        self.face = _stable_bound_fn(caps, self.io)
+        self.n_th = n_th
+        self.ta, self.tb, self.tab = 4.0 * caps.tau_a, 4.0 * caps.tau_b, 4.0 * caps.tau_a * caps.tau_b
+        d_red, d_blue = (caps.d_b, caps.d_a) if self.io else (caps.d_a, caps.d_b)
+        lines = [(s, c - STRICT_MARGIN) for s, c in _blue_bound_lines(caps.rates, self.io)]
+        lines.append((0.0, d_blue))
+        cuts = {0.0, d_red}
+        for (s1, c1), (s2, c2) in itertools.combinations(lines, 2):
+            if s1 != s2 and 0.0 < (c2 - c1) / (s1 - s2) < d_red:
+                cuts.add((c2 - c1) / (s1 - s2))
+        cuts = sorted(cuts)
+        self.ends = [self.state(v) for v in cuts]
+        self.pieces = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            s, c = min(lines, key=lambda line: line[0] * 0.5 * (lo + hi) + line[1])
+            self.pieces.append((lo, hi, *self._coefficients(s, c)))
+
+    def _factors(self, v, u):
+        """The factors (v u, a~ / 4 tau_a, b~ / 4 tau_b), of numbers or of polynomials in v."""
+        n = self.n_th
+        if isinstance(v, tuple):
+            vu, shift = _times(v, u), lambda p, k: (p[0] + k, p[1])
+            u_vn1, v_un = _times(u, shift(v, n + 1.0)), _times(v, shift(u, n))
+        else:
+            vu, u_vn1, v_un = v * u, u * (v + n + 1.0), v * (u + n)
+        return (vu, u_vn1, v_un) if self.io else (vu, v_un, u_vn1)
+
+    def _coefficients(self, s: float, c: float):
+        """h's numerator and denominator on the piece u = s v + c: (N0, N1, D0, D1), N = N0 + mu N1."""
+        vu, xa, xb = self._factors((0.0, 1.0), (c, s))
+        return (
+            tuple(self.tab * k for k in vu),
+            tuple(-self.ta * k for k in xa),
+            tuple(self.tb * k for k in xb),
+            _times((1.0 - c, 1.0 - s), (1.0 - c, 1.0 - s)),
+        )
+
+    def state(self, v: float):
+        """(v, 4 tau_a tau_b u v, a~, b~, d^2) at the face point of red side v."""
+        u = self.face(v)
+        d = 1.0 + v - u
+        vu, xa, xb = self._factors(v, u)
+        return v, self.tab * vu, self.ta * xa, self.tb * xb, d * d
+
+    @staticmethod
+    def h(state, mu: float) -> float:
+        _, p, a, b, w = state
+        return _ratio(p - mu * a, b + mu * w)
+
+    def value(self, v: float, mu: float) -> float:
+        return self.h(self.state(v), mu)
+
+    def argmax(self, mu: float) -> tuple[float, float]:
+        """(v, h) at the best of the piece ends and the local maxima inside the pieces.
+
+        On a piece h = N / D with D > 0, so h' has the sign of N'D - ND',
+        a polynomial of degree <= 2, and h has a local maximum inside the
+        piece only where that polynomial falls through 0 (_falling_root).
+        """
+        best = max(self.ends, key=lambda st: self.h(st, mu))
+        value = self.h(best, mu)
+        for lo, hi, N0, N1, D0, D1 in self.pieces:
+            n0, n1, n2 = (p + mu * q for p, q in zip(N0, N1))
+            d0, d1, d2 = (p + mu * q for p, q in zip(D0, D1))
+            v = _falling_root(n2 * d1 - n1 * d2, 2.0 * (n2 * d0 - n0 * d2), n1 * d0 - n0 * d1)
+            if v is not None and lo < v < hi:
+                st = self.state(v)
+                if self.h(st, mu) > value:
+                    best, value = st, self.h(st, mu)
+        return best[0], value
+
+
+@dataclass(frozen=True)
+class _NodeRoot:
+    """The best point of a layout without an EM source, by the node-local condition.
+
+    The margin exceeds mu > 0 iff w_1 v_1 + w_2 v_2 > offset, where v_i
+    is node i's value at mu: a swap has w = (t_1, t_2), offset 1 and v =
+    h; a downconversion w = (1, 1), offset 0, v_1 = h of the source and
+    v_2 = -g of the downconverter (optimize_cooperativities).  Each node
+    maximises its value alone (argmax); a mirrored layout takes node 1's
+    point for both.
+    """
+
+    nodes: tuple
+    weights: tuple[float, float]
+    offset: float
+    mirrored: bool
+
+    @classmethod
+    def of(cls, t, caps: DeviceCaps, n_th: float, r: float, split, mirrored: bool) -> "_NodeRoot":
         sh2 = math.sinh(r) ** 2
-        gain, noise = caps.tau_a * sh2 * (2.0 * share - 1.0), n_th * (1.0 + 2.0 * share * sh2)
-    if gain <= 0.0:
-        return 0.0
-    return min(caps.d_a, 1.0 + caps.d_b + 2.0 * noise / gain)
+
+        def source(kind, tau):
+            return _ConverterNode(caps, tau, n_th, sh2) if kind is _EO else _BlueNode(kind, caps, n_th)
+
+        if t.scheme == "down":
+            nodes = (source(t.kinds[0], caps.tau_a * split[0]),
+                     _ConverterNode(caps, caps.tau_a * split[-1], n_th))
+            return cls(nodes, (1.0, 1.0), 0.0, mirrored)
+        # a third slot is the EO state's pre-downconversion mode
+        tau = caps.tau_a * split[2] if len(split) == 3 else caps.tau_a
+        return cls(tuple(source(k, tau) for k in t.kinds), (split[0], split[1]), 1.0, mirrored)
+
+    def argmax(self, mu: float) -> tuple[tuple[float, ...], float]:
+        """The best point of the layout at mu, and w_1 v_1 + w_2 v_2 - offset there."""
+        (w1, w2), first, second = self.weights, *self.nodes
+        x1, v1 = first.argmax(mu)
+        if self.mirrored:
+            return (x1,), w1 * v1 + w2 * second.value(x1, mu) - self.offset
+        x2, v2 = second.argmax(mu)
+        return (x1, x2), w1 * v1 + w2 * v2 - self.offset
+
+    def solve(self, margin: Callable) -> tuple[list[float], float]:
+        """The best point of the box and its margin (see optimize_cooperativities).
+
+        Where the condition fails at mu = 0 no point entangles, and the
+        point with every axis at 0, where no node correlates, is
+        returned.  Otherwise each step moves to the best point at the
+        margin of the last, while that raises the margin.
+        """
+        x, excess = self.argmax(0.0)
+        if not excess > 0.0:
+            x = (0.0,) * len(x)
+        m = margin(x)
+        for _ in range(_ROOT_STEPS):
+            if not m > 0.0:
+                break
+            y = self.argmax(m)[0]
+            m_y = margin(y)
+            if not m_y > m:
+                break
+            x, m = y, m_y
+        return list(x), m
 
 
 @dataclass(frozen=True)
@@ -548,9 +744,10 @@ class _CooperativityBox:
     corner_decides is False where that corner does not bound the margin
     from above (an EM source at r > 0).  A symmetric swap is mirrored at
     any split and down(EO) at a uniform one (the diagonal of
-    optimize_cooperativities).  peak is the best point of a mirrored EO
-    layout, in closed form (_mirrored_eo_peak at the mean share), and
-    None for every other layout, which is searched.
+    optimize_cooperativities).  root() builds the _NodeRoot that solves
+    a layout without an EM source node by node, only once the corner
+    shortcut has not fired; root is None where an EM source keeps the
+    layout searched.
     """
 
     margin: Callable
@@ -559,7 +756,7 @@ class _CooperativityBox:
     corners: list
     mirrored: bool
     corner_decides: bool
-    peak: tuple[float] | None
+    root: Callable[[], _NodeRoot] | None
 
     @classmethod
     def of(cls, t, caps, n_th, r, tau_e=1.0, loss_split=None) -> "_CooperativityBox":
@@ -584,10 +781,9 @@ class _CooperativityBox:
         corners = [sum(point, ()) for point in itertools.product(*per_node)]
         hi = [(caps.d_a, caps.d_b)[j] for k in axes for j in _NODE_AXES[k]]
         full = _layout_coords(caps, axes)
-        peak = None
-        if mirrored and t.kinds[0] is _EO:
-            peak = (_mirrored_eo_peak(t.scheme, caps, n_th, rv, 0.5 * (split[0] + split[1])),)
-        return cls(margin, full, hi, corners, mirrored, not (rv > 0.0 and _EM in t.kinds), peak)
+        root = None if _EM in t.kinds else functools.partial(
+            _NodeRoot.of, t, caps, n_th, rv, split, mirrored)
+        return cls(margin, full, hi, corners, mirrored, not (rv > 0.0 and _EM in t.kinds), root)
 
     def corner_separable(self) -> bool:
         """Whether the clamped all-max corner proves that no point entangles.
@@ -634,10 +830,9 @@ def optimize_cooperativities(
     + C_a); an IO or IM source has its red-pumped side
     as its only axis, its blue-pumped side sitting at its stable bound
     (_stable_bound_fn); both pins are exact, as shown below.  Only an EM
-    source keeps both axes, so a search runs in 1 to 3 dimensions.  A
-    mirrored EO layout, down(EO) or the EO swap, is not searched: its
-    best point has a closed form (_mirrored_eo_peak), proven below.
-    Every other layout is searched.
+    source keeps both axes.  A layout without an EM source is not
+    searched: it is solved node by node (_NodeRoot), as proven below.
+    A layout with an EM source is searched, in 2 or 3 dimensions.
     The starts are chosen by one array evaluation of the margin over a
     fixed log grid of the box plus the box corners (clamped into the
     stability region): Nelder-Mead (nm_max_iter * dim // 2 iterations
@@ -716,30 +911,52 @@ def optimize_cooperativities(
     / t_1, convex on [tau_e, 1]: an end, all the loss on one measured
     arm, as network.default_loss_split places it.
 
-    A mirrored EO layout peaks in closed form.  Its one axis is x = C_a,
-    with C_b = min(d_b, 1 + x) by the converter pin, and its margin
-    exceeds any mu > 0 exactly where the form k C_b (K x - M) / (1 + x +
-    C_b)^2 does, with k > 0.  down(EO), with share s on each arm, holds
-    the same converter on both, so A = B and the margin is |c| - A,
-    which the excess forms give with k = 4 tau_b, K = tau_a s sinh(r)
-    e^-r and M = n_th.  In the EO swap the converter acts on each node's
-    microwave mode only, as the local factor T = t^2 with added noise
-    nu; the measured arms keep a = sinh^2 r, so den = 1 + S sinh^2 r
-    does not depend on the cooperativities.  On the diagonal, b = T
-    (sinh^2 r + nu), g^2 = T sinh^2 r cosh^2 r and p = T sinh^2 r (nu -
-    1), and S h > 1 reads mu < T (sinh^2 r (S - 1) - nu (1 + S sinh^2
-    r)) / (1 + S sinh^2 r): k = 4 tau_b / (1 + S sinh^2 r), K = tau_a
-    sinh^2(r) (S - 1) and M = n_th (1 + S sinh^2 r), which depend on
-    the split only through the mean share S/2.  Where C_b = 1 + x (x <=
-    d_b - 1) the form is k (K x - M) / (4 (1 + x)), whose derivative k
-    (K + M) / (4 (1 + x)^2) is > 0 wherever K > 0.  Where C_b = d_b, its
-    derivative has the sign of K (1 + d_b + 2M/K - x), so it rises up to
-    x = 1 + d_b + 2M/K, which is >= d_b - 1, and falls beyond.  The form
-    is continuous at x = d_b - 1, so its maximum on [0, d_a] is at x* =
-    min(d_a, 1 + d_b + 2M/K).  Where K <= 0 the margin is <= 0 at every
-    point, so the corner shortcut below has returned, unless rounding
-    lifted the corner's margin above 0; C_a = 0 is then returned, where
-    the margin is <= 0 exactly (_mirrored_eo_peak).
+    The node-local root.  A layout without an EM source is solved node
+    by node.  A swap's margin exceeds mu > 0 iff t_1 h_1 + t_2 h_2 > 1
+    (the diagonal, above).  A downconversion's final state is (B0, t^2
+    A0 + m, t c0, .), where (A0, B0, c0, P0) is the source's state and
+    (t, m) the downconverter's transmission and added noise, so its
+    margin, the larger eigenvalue of [[-B0, t c0], [t c0, -(t^2 A0 +
+    m)]], whose diagonal is < 0, exceeds mu iff (B0 + mu)(t^2 A0 + m +
+    mu) < t^2 c0^2, that is iff g < h_0.  Here h_0 = -(P0 + mu A0) / (B0
+    + mu) is the source's h, and g = (mu + m) / t^2 = n_th / (tau' C_a2)
+    + mu s^2 / (4 tau' tau_b C_a2 C_b2), s = 1 + C_a2 + C_b2, is the
+    downconverter's alone.  Each node thus enters through one value, so
+    the best point at mu is each node's own best: the largest h of a
+    source, the least g of the downconverter; a mirrored layout's node
+    1 has the same best point as node 2.  h falls as mu grows (dh/dmu =
+    -g_i^2 / (b_i + mu)^2) and g rises, so the condition holds on an
+    interval (0, m*), and m* is the best margin.
+    Each node's best point at mu has a closed form or a short list of
+    candidates.  The least g of a converter: on C_b = d_b, 4 tau' tau_b
+    d_b g = 4 tau_b d_b n_th / x + mu (1 + d_b + x)^2 / x with x = C_a,
+    whose derivative has the sign of mu (x^2 - (1 + d_b)^2) - 4 tau_b d_b
+    n_th; on C_b = 1 + x (x <= d_b - 1), g = (n_th + mu / tau_b) / (tau'
+    x) + mu / (tau' tau_b), which falls.  So g is least at x* = min(d_a,
+    sqrt((1 + d_b)^2 + 4 tau_b d_b n_th / mu)), d_a at mu = 0, and it does
+    not depend on tau'.  An EO source has h = 1 - X ch^2 / (T sh^2 + X),
+    X = T nu + mu (optimize_loss_split), which rises as X / T falls, and
+    X / T is g with its own tau': its best point is the same x*.  An IO
+    or IM source sits on its face, the least of the two stability lines
+    (less STRICT_MARGIN) and its cap, so on each piece between their
+    crossings its blue side is linear in its red side v.  Times d^2, h
+    is a ratio N / D of polynomials of degree <= 2 in v with D > 0
+    (_BlueNode), so h' has the sign of N'D - ND', of degree <= 2, and h
+    has a local maximum inside a piece only where that falls through 0.
+    The largest h is thus at a piece end or at one such root per piece
+    (_falling_root); a root need not be exact, since h is flat there.
+    The condition at mu = 0 (the corner shortcut, below, on the node
+    values) decides whether any point entangles; where it fails, the
+    point with every axis at 0 is returned, where no node correlates,
+    so the margin is <= 0 (without rounding for an EO node, whose
+    converter then transmits nothing) even where the corner's rounded
+    above 0.  Otherwise each step takes the best point at mu_k, the
+    margin of the last point: its margin is above mu_k unless mu_k >=
+    m*, so the margins rise to m*, superlinearly as in Dinkelbach's
+    method for fractional programs, and reach it in one step where the
+    best point is a piece end.  The steps stop once the margin no longer
+    rises, after 1 to 10 on default device-run (5 to 7 on most cells),
+    and the returned value is the margin at the returned point.
 
     Before any search the margin is evaluated once at the
     clamped all-max corner: every node at _corner_candidates(kind,
@@ -756,8 +973,8 @@ def optimize_cooperativities(
     n + 1); all three fall as C_a grows and do not depend on C_b, and EM
     at r = 0 has B = 0.  The clamp (_stable_bound) is the largest C_a
     that the stability check admits, and the margin is -inf at every
-    unstable point, so no point of the search beats the corner.  EM at
-    r > 0, whose rho has an interior minimum, is searched as before.
+    unstable point, so no point of the box beats the corner.  EM at r >
+    0, whose rho has an interior minimum, is searched as before.
     """
     for name, value, least in (("n_starts", n_starts, 1), ("nm_max_iter", nm_max_iter, 0)):
         if type(value) is not int or value < least:
@@ -765,8 +982,8 @@ def optimize_cooperativities(
     box = _CooperativityBox.of(t, caps, n_th, r, tau_e, loss_split)
     if box.corner_separable():
         return box.full(box.corners[0]), 0.0
-    if box.peak is not None:
-        x, m = box.peak, box.margin(box.peak)
+    if box.root is not None:
+        x, m = box.root().solve(box.margin)
     else:
         x, m = box.search(n_starts, nm_max_iter)
     return box.full(x), _log2_negativity(m)

@@ -283,6 +283,23 @@ def _blue_bound_fn(rates: PhysicalRates, optical_blue: bool):
     return bound
 
 
+def _blue_bound_lines(rates: PhysicalRates, optical_blue: bool):
+    """The two criteria of _blue_bound_fn as lines (slope, intercept) in C_-, before STRICT_MARGIN.
+
+    The bound is the lesser line less STRICT_MARGIN.  These coefficients
+    may differ from the bound's own arithmetic in the last bit, so they
+    locate its pieces; the bound itself stays _blue_bound_fn's.
+    """
+    if optical_blue:
+        kappa_plus, kappa_minus = rates.kappa_a, rates.kappa_b
+    else:
+        kappa_plus, kappa_minus = rates.kappa_b, rates.kappa_a
+    gamma_m = rates.gamma_m
+    scale = (kappa_minus + gamma_m) / (kappa_plus * gamma_m)
+    second = (kappa_minus * gamma_m / (kappa_plus + gamma_m) * scale, (kappa_plus + kappa_minus) * scale)
+    return (1.0, 1.0), second
+
+
 def _blue_bound(c_red: float, rates: PhysicalRates, optical_blue: bool) -> float:
     """_blue_bound_fn evaluated once."""
     return _blue_bound_fn(rates, optical_blue)(c_red)

@@ -186,6 +186,19 @@ class TestDeviceRun:
             assert row["eo_down_10db"] >= row["eo_down_3db"]
             assert row["eo_swap_10db"] >= row["eo_swap_3db"]
 
+    def test_searches_nothing(self, monkeypatch):
+        # every column without an EM source is solved node by node, and the
+        # EM columns (r = 0) stop at the corner shortcut
+        from gausslink.thresholds import _CooperativityBox
+
+        def search(box, *args):
+            raise AssertionError("device-run searched")
+
+        monkeypatch.setattr(_CooperativityBox, "search", search)
+        cfg = ExperimentConfig(experiment="device-run")
+        rows, _ = cmd_device_run(cfg)
+        assert len(rows) == cfg.points
+
     def test_determinism(self):
         cfg = ExperimentConfig(
             experiment="device-run", caps=brubaker2022_caps(), points=2, taue_db_max=1.0

@@ -31,6 +31,7 @@ from gausslink.sampling import generator, random_caps
 from gausslink.sources import MoKind
 from gausslink.thresholds import (
     _SPLIT_BUDGET,
+    _BlueNode,
     _CooperativityBox,
     _em_down_cell,
     _em_swap_cell,
@@ -513,11 +514,13 @@ class TestOptimizeCooperativities:
             optimize_cooperativities(t, caps, 0.2, n_starts=n_starts, nm_max_iter=nm_max_iter)
 
     def test_smallest_search_budget_still_searches(self):
-        # one start and no simplex steps: the best ranked point, polished
+        # one start and no simplex steps: the best ranked point, polished.
+        # Only an EM source at r > 0 is searched
         caps = DeviceCaps(25.0, 6.0, 0.9, 0.85, 0.2)
-        t = Topology.swap_sym(MoKind.IM)
-        _, e = optimize_cooperativities(t, caps, 0.2, n_starts=1, nm_max_iter=0)
-        _, e_full = optimize_cooperativities(t, caps, 0.2)
+        t = Topology.swap_sym(MoKind.EM)
+        _, e = optimize_cooperativities(t, caps, 0.2, 0.8, n_starts=1, nm_max_iter=0)
+        _, e_full = optimize_cooperativities(t, caps, 0.2, 0.8)
+        assert e_full > 0.0
         assert e == pytest.approx(e_full, rel=1e-4)
 
     def test_io_argmax_binds_stability(self):
@@ -709,8 +712,8 @@ class TestConverterPin:
     def test_device_run_search_dimensions(self):
         # one axis per free cooperativity: a converter node keeps only C_a,
         # an IO or IM source only its red-pumped side, an EM source both.
-        # The symmetric swaps mirror at every split, and every EO column
-        # but the asymmetric swap takes the closed form
+        # The symmetric swaps mirror at every split, and every column
+        # without an EM source is solved node by node, not searched
         caps = PRESETS["brubaker2022"]["caps"]
         dims = {"eo_down": 1, "eo_swap": 1, "eo_swap_eqsplit": 1, "em_down": 3,
                 "em_swap": 2, "io_down": 2, "io_swap": 1, "im_down": 2, "im_swap": 1,
@@ -720,7 +723,7 @@ class TestConverterPin:
                 box = _CooperativityBox.of(t, caps, caps.n_th, r, tau_e, split)
                 column = name.rsplit("_", 1)[0] if name.endswith("db") else name
                 assert len(box.hi) == dims[column], (name, tau_e)
-                assert (box.peak is not None) == column.startswith("eo_"), (name, tau_e)
+                assert (box.root is None) == column.startswith("em_"), (name, tau_e)
 
     def test_argmax_satisfies_the_pin(self):
         rng = generator(20260808, stream=113)
@@ -751,7 +754,7 @@ def _pin_line_search(t, caps, n_th, r, split) -> tuple[float, float]:
     The free mirrored margin, at C_b = min(d_b, 1 + C_a), is scanned on
     0, d_a and a log and a linear ladder between them; each of 12 rounds
     then rescans the two steps around the best point so far.  Neither the
-    closed form nor maximize_box takes part.
+    node-local root nor maximize_box takes part.
     """
     free = _margin_fn(t, caps, n_th, r, split)
     d_a, d_b = caps.d_a, caps.d_b
@@ -796,8 +799,9 @@ def _mirrored_eo_draw(rng, t, edge):
 
 
 class TestMirroredEoPeak:
-    """down(EO) at a uniform split and the EO swap at any split peak in
-    closed form at C_a = min(d_a, 1 + d_b + 2M/K), and are not searched."""
+    """down(EO) at a uniform split and the EO swap at any split: the
+    node-local root reaches the best point on the converter pin, which is
+    min(d_a, 1 + d_b) at n_th = 0, and nothing is searched."""
 
     @pytest.mark.parametrize("edge", [
         "random", "n_th = 0", "d_a below d_b - 1", "d_a within 1 of d_b", "small r",
@@ -829,7 +833,8 @@ class TestMirroredEoPeak:
 
     def test_searches_nothing(self, monkeypatch):
         # the mirrored EO layouts never reach the search, the EO swap at its
-        # default split neither; the others still do
+        # default split and the asymmetric IM+EO swap neither; an EM source
+        # at r > 0 still does
         caps = PRESETS["brubaker2022"]["caps"]
         calls = []
         search = _CooperativityBox.search
@@ -841,9 +846,12 @@ class TestMirroredEoPeak:
         _, e = optimize_cooperativities(Topology.swap_sym(MoKind.EO), caps, 1.0, 1.0, tau_e=0.5)
         assert e > 0.0
         assert not calls
-        asym = Topology.swap_asym(MoKind.IM, MoKind.EO)
-        optimize_cooperativities(asym, caps, 1.0, 1.0, tau_e=0.5)
-        assert len(calls) == 1 and calls[0].peak is None
+        _, e = optimize_cooperativities(Topology.swap_asym(MoKind.IM, MoKind.EO), caps, 1.0, 1.0,
+                                        tau_e=0.5)
+        assert e > 0.0
+        assert not calls
+        optimize_cooperativities(Topology.down(MoKind.EM), caps, 1.0, 1.0, tau_e=0.5)
+        assert len(calls) == 1 and calls[0].root is None
 
     @pytest.mark.parametrize("t, r, tau_e", [
         (Topology.down(MoKind.EO), 0.0, 0.5),
@@ -866,8 +874,8 @@ class TestMirroredEoPeak:
 
     def test_no_gain_is_exactly_zero_past_rounding(self):
         # at t = 1/2 and n_th = 0 the margin is exactly 0 everywhere, and
-        # the corner's rounds above 0 on some caps; the closed form still
-        # returns exactly 0.0, at C_a = 0
+        # the corner's rounds above 0 on some caps; the node values fail
+        # the condition at mu = 0 exactly, so 0.0 is returned, at C_a = 0
         rng = generator(20260808, stream=117)
         t, split = Topology.swap_sym(MoKind.EO), (0.5, 0.5)
         rounded = 0
@@ -949,8 +957,8 @@ def _free_search(margin, hi, rng) -> float:
 
 class TestSwapDiagonal:
     """A symmetric swap at any loss split is best with both nodes at the
-    same cooperativities, and the EO swap's best point is the closed form
-    at the mean share."""
+    same cooperativities, and the EO swap's best point depends on the
+    split only through the mean share."""
 
     @pytest.mark.parametrize("shares", ["one at tau_e", "interior"])
     @pytest.mark.parametrize("noise", ["n_th = 0", "n_th > 0"])
@@ -959,9 +967,8 @@ class TestSwapDiagonal:
         # the same search of the test's own runs on the pinned layout with
         # both nodes free (_margin_fn4 with pin_cb, 2-D; 4-D for EM) and on
         # its diagonal (_margin_fn with pin_cb): the diagonal is never
-        # lower.  optimize_cooperativities searches that diagonal; its
-        # golden polish brackets the kink where an IM face meets its cap
-        # to about 1e-12 relative, hence its looser bound
+        # lower.  optimize_cooperativities solves that diagonal node by
+        # node (an EM swap is searched on it), to the same 1e-12
         rng = generator(20260808, stream=120)
         entangled = 0
         for i in range(6):
@@ -975,7 +982,7 @@ class TestSwapDiagonal:
             cs, e = optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)
             config = (i, t.label, caps, n_th, r, split, cs)
             assert d >= v - 1e-12 * max(1.0, abs(v)), config
-            assert e >= v - 1e-10 * max(1.0, abs(v)), config
+            assert e >= v - 1e-12 * max(1.0, abs(v)), config
             assert cs[2:] == cs[:2], config
             entangled += e > 0.0
         assert entangled >= 3, entangled
@@ -990,7 +997,7 @@ class TestSwapDiagonal:
         for i in range(24):
             noise = "n_th > 0" if i % 4 else "n_th = 0"
             caps, n_th, r, tau_e, split = _diagonal_draw(rng, noise, shares)
-            assert _CooperativityBox.of(t, caps, n_th, r, tau_e, split).peak is not None
+            assert _CooperativityBox.of(t, caps, n_th, r, tau_e, split).root is not None
             cs, e = optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)
             free = _margin_fn4(t, caps, n_th, r, split, pin_cb=True)
             axes = [np.unique(np.concatenate([[0.0], caps.d_a * np.geomspace(1e-9, 1.0, 200),
@@ -1013,6 +1020,97 @@ class TestSwapDiagonal:
             assert e == pytest.approx(mm_log_negativity(t, cfg), abs=1e-12), config
             entangled += e > 0.0
         assert entangled >= 12, entangled
+
+
+_NON_EM = [t for t in ALL_TOPOLOGIES if MoKind.EM not in t.kinds]
+
+
+def _node_root_draw(rng, t):
+    """(caps, n_th, r, tau_e, split) for a layout without an EM source.
+
+    Rates of 0.1 to 300 and caps of 0.1 to 3e3 put an IO or IM source's
+    optimum on each piece of its face: a stability line, the cap, or a
+    kink between them.  n_th is 0 in about a third of the draws, else
+    log-spread below min(tau_a d_a, d_b); every slot takes a random share.
+    """
+    rates = PhysicalRates(*(10.0 ** rng.uniform(-1.0, 2.5, 2)).tolist(), 10.0 ** rng.uniform(-1.0, 1.0))
+    d_a, d_b = (10.0 ** rng.uniform(-1.0, 3.5, 2)).tolist()
+    tau_a, tau_b = rng.uniform(0.6, 1.0, 2).tolist()
+    caps = DeviceCaps(d_a, d_b, tau_a, tau_b, 0.0, rates)
+    n_th = 0.0 if rng.uniform() < 0.3 else min(tau_a * d_a, d_b) * 10.0 ** rng.uniform(-4.0, -0.5)
+    split = tuple(rng.uniform(0.5, 1.0, loss_slot_count(t)).tolist())
+    return caps, n_th, rng.uniform(0.0, 1.5), math.prod(split), split
+
+
+def _face_piece(node, v) -> str:
+    """Where v lies on a blue node's face: "end" (a kink or a cap of v), or the line of its piece."""
+    if any(abs(v - end[0]) <= 1e-9 * max(1.0, end[0]) for end in node.ends):
+        return "end"
+    for lo, hi, N0, *_ in node.pieces:
+        if lo < v < hi:
+            # N0 = 4 tau_a tau_b (0, c, s) on the piece u = s v + c
+            return {1.0: "first", 0.0: "cap"}.get(N0[2] / node.tab, "second")
+    raise AssertionError(v)
+
+
+class TestNodeRoot:
+    """A layout without an EM source is solved node by node: each node's
+    best point at mu, and the margin's fixed point in mu."""
+
+    def test_reaches_the_search(self):
+        # the search is the test's own (_free_search) over the production
+        # margin of the box; the solver reaches it on all nine topologies,
+        # and its argmax re-evaluates through the public path.  The draws
+        # put IO and IM optima at kinks and inside cap and stability-line
+        # pieces, so a dropped candidate shows
+        rng = generator(20260808, stream=130)
+        pieces, entangled = set(), {"n_th = 0": 0, "n_th > 0": 0}
+        for i in range(16 * len(_NON_EM)):
+            t = _NON_EM[i % len(_NON_EM)]
+            caps, n_th, r, tau_e, split = _node_root_draw(rng, t)
+            box = _CooperativityBox.of(t, caps, n_th, r, tau_e, split)
+            cs, e = optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)
+            v = _log2_negativity(_free_search(box.margin, box.hi, rng))
+            config = (i, t.label, caps, n_th, r, split, cs)
+            assert e >= v - 1e-12 * max(1.0, abs(v)), config
+            cfg = NetworkConfig(replace(caps, n_th=n_th), *cs, r=r, tau_e=tau_e, loss_split=split)
+            assert abs(e - mm_log_negativity(t, cfg)) <= 1e-12, config
+            if e > 0.0:
+                entangled["n_th = 0" if n_th == 0.0 else "n_th > 0"] += 1
+                root = box.root()
+                x, _ = root.solve(box.margin)
+                for k, node in enumerate(root.nodes[: len(x)]):
+                    if isinstance(node, _BlueNode):
+                        pieces.add(("IO" if node.io else "IM", _face_piece(node, x[k])))
+        assert min(entangled.values()) >= 20, entangled
+        want = {(kind, piece) for kind in ("IO", "IM") for piece in ("end", "cap", "second")}
+        assert want <= pieces, pieces
+
+    def test_reaches_the_kink_of_an_im_face(self):
+        # the IM source is best where its second stability line meets its
+        # cap d_b; the golden polish of the search stopped 2.7e-12 relative
+        # short of it, and a pattern search on the diagonal reaches
+        # 1.7722625411119048
+        rates = PhysicalRates(kappa_a=2.4519795153440604, kappa_b=3.507713828404308, gamma_m=1.0)
+        caps = DeviceCaps(114.52744547102647, 22.627470972412777, 0.9379270062129013,
+                          0.8574777032577955, 0.0, rates)
+        split = (0.9261405407781866, 0.9710487359633644)
+        cs, e = optimize_cooperativities(Topology.swap_sym(MoKind.IM), caps, 0.0, 1.344942143206662,
+                                         tau_e=math.prod(split), loss_split=split)
+        assert e >= 1.7722625411119048 - 1e-12
+        assert cs[1] == caps.d_b
+
+    def test_no_entanglement_at_mu_0_returns_zero(self):
+        # where the condition fails at mu = 0 no point entangles: the
+        # result is exactly 0 at the point with every axis at 0, whatever
+        # the corner's margin rounds to
+        caps = PRESETS["brubaker2022"]["caps"]
+        for t in (Topology.swap_sym(MoKind.IO), Topology.down(MoKind.IM)):
+            box = _CooperativityBox.of(t, caps, caps.tau_a * caps.d_a, 0.0)
+            root = box.root()
+            assert root.argmax(0.0)[1] <= 0.0
+            x, m = root.solve(box.margin)
+            assert x == [0.0] * len(box.hi) and m <= 0.0
 
 
 _BLUE_KINDS = (MoKind.IO, MoKind.IM)

@@ -616,7 +616,7 @@ def _check_thresholds(seed, n):
 def _check_global_necessary(seed, n):
     """No symmetric topology entangles once n_th >= tau_a * d_a.
 
-    Searches every draw, without the corner shortcut of
+    Searches every draw, without the separable exits of
     optimize_cooperativities, so that the search stays evidence.
     """
     rng = generator(seed, stream=5)
@@ -630,19 +630,19 @@ def _check_global_necessary(seed, n):
         yield _log2_negativity(m), lambda: f"{topo.label} draw {i}: caps={caps!r}, r={r!r}"
 
 
-def _check_corner_shortcut(seed, n):
-    """Where the all-max corner proves a cell separable, the search finds no margin.
+def _check_separable_exit(seed, n):
+    """Where optimize_cooperativities returns 0 without searching, the search finds no margin.
 
     Draws all 14 topologies with random rates, r and external loss, and
-    yields the margin the search finds on each draw where
-    optimize_cooperativities would skip it (at most 0 when sound).  The
-    corner's blue-pumped sides sit at the largest stable float, as the
-    search's do, and the search's margin is -inf only where a source is
-    unstable, so the search reaches every point that the corner is
-    claimed to bound, or, off a source's stability face, a point of the
-    face at least as entangled (the blue pin of optimize_cooperativities),
-    and, for a symmetric swap, whose box holds only the diagonal, a
-    diagonal point at least as entangled (its diagonal proof).
+    yields the margin the search finds on each draw that
+    optimize_cooperativities settles at 0 e-bits without a search (at
+    most 0 when sound): a layout without an EM source, solved node by
+    node, or one with an EM source at r = 0.  The search's margin is
+    -inf only where a source is unstable, so it reaches every point of
+    the box, or, off a source's stability face, a point of the face at
+    least as entangled (the blue pin of optimize_cooperativities), and,
+    for a symmetric swap, whose box holds only the diagonal, a diagonal
+    point at least as entangled (its diagonal proof).
     """
     rng = generator(seed, stream=7)
     fired = False
@@ -654,12 +654,14 @@ def _check_corner_shortcut(seed, n):
         tau_e = rng.uniform(0.3, 1.0)
         topo = ALL_TOPOLOGIES[int(rng.integers(len(ALL_TOPOLOGIES)))]
         box = _CooperativityBox.of(topo, caps, caps.n_th, r, tau_e)
-        if box.corner_separable():
+        if box.root is None and not box.idle:
+            continue
+        if optimize_cooperativities(topo, caps, caps.n_th, r, tau_e=tau_e)[1] == 0.0:
             fired = True
             _, m = box.search(4, 60)
             yield m, lambda: f"{topo.label} draw {i}: caps={caps!r}, r={r!r}, tau_e={tau_e!r}"
     if not fired:
-        yield math.inf, lambda: "the corner proved no draw separable"
+        yield math.inf, lambda: "no draw was settled at 0 without a search"
 
 
 def _check_split_optimality(seed, n):
@@ -706,7 +708,7 @@ def cmd_validate(cfg: ExperimentConfig) -> tuple[int, dict]:
     Draws per check, for n = checks_n: swap_theorem max(n, 100),
     mo_state_oracle (per kind) and conversion_trace max(n // 10, 100),
     threshold_agreement max(n // 1000, 10), global_necessary_condition
-    and corner_shortcut max(n // 20, 50), loss_split_optimality
+    and separable_exit max(n // 20, 50), loss_split_optimality
     max(n // 2500, 6), determinism 1000.  ConfigError, before any check
     runs, where a setting breaks its rule.
     """
@@ -719,7 +721,7 @@ def cmd_validate(cfg: ExperimentConfig) -> tuple[int, dict]:
         ("conversion_trace", _check_conversion_trace, max(n // 10, 100), 1e-12, 0.0),
         ("threshold_agreement", _check_thresholds, max(n // 1000, 10), 1e-6, 0.0),
         ("global_necessary_condition", _check_global_necessary, max(n // 20, 50), 0.0, 0.0),
-        ("corner_shortcut", _check_corner_shortcut, max(n // 20, 50), 0.0, -math.inf),
+        ("separable_exit", _check_separable_exit, max(n // 20, 50), 0.0, -math.inf),
         ("loss_split_optimality", _check_split_optimality, max(n // 2500, 6), 1e-10, 0.0),
         ("determinism", _check_determinism, 1000, 0.0, 0.0),
     ]

@@ -711,12 +711,13 @@ class _NodeRoot:
 
         Where the condition fails at mu = 0 no point entangles, and the
         point with every axis at 0, where no node correlates, is
-        returned.  Otherwise each step moves to the best point at the
-        margin of the last, while that raises the margin.
+        returned with a margin of 0.  Otherwise each step moves to the
+        best point at the margin of the last, while that raises the
+        margin.
         """
         x, excess = self.argmax(0.0)
         if not excess > 0.0:
-            x = (0.0,) * len(x)
+            return [0.0] * len(x), 0.0
         m = margin(x)
         for _ in range(_ROOT_STEPS):
             if not m > 0.0:
@@ -737,25 +738,23 @@ class _CooperativityBox:
     unstable, in the layout (_layout_coords) of one transducer when
     mirrored, else of both: a converter node (_converter_nodes) has only
     its C_a axis, an IO or IM source only its red-pumped side, and an EM
-    source both.  full maps a point of the box to the cooperativity
-    4-tuple.  corners, each node's corner candidates cut to its axes,
-    seed the ranked pool, at most 3 per node when both nodes are
-    searched; corners[0] is the clamped all-max corner.
-    corner_decides is False where that corner does not bound the margin
-    from above (an EM source at r > 0).  A symmetric swap is mirrored at
-    any split and down(EO) at a uniform one (the diagonal of
-    optimize_cooperativities).  root() builds the _NodeRoot that solves
-    a layout without an EM source node by node, only once the corner
-    shortcut has not fired; root is None where an EM source keeps the
-    layout searched.
+    source both.  nodes pairs each node's kind (None for a
+    downconverter) with its layout code.  full maps a point of the box
+    to the cooperativity 4-tuple; hi is the clamped all-max corner.  A
+    symmetric swap is mirrored at any split and down(EO) at a uniform
+    one (the diagonal of optimize_cooperativities).  idle is True where
+    an EM source has r = 0 and so correlates nothing.  root() builds the
+    _NodeRoot that solves a layout without an EM source node by node;
+    root is None where an EM source keeps the layout searched.
     """
 
+    caps: DeviceCaps
+    nodes: tuple
     margin: Callable
     full: Callable
     hi: list[float]
-    corners: list
     mirrored: bool
-    corner_decides: bool
+    idle: bool
     root: Callable[[], _NodeRoot] | None
 
     @classmethod
@@ -770,37 +769,31 @@ class _CooperativityBox:
         )
         axes = _converter_nodes(t)[: 1 if mirrored else 2]
         margin = (_margin_fn if mirrored else _margin_fn4)(t, caps, n_th, rv, split, pin_cb=True)
-        # each node's distinct candidates, cut to its axes; the downconverter's one is its caps
-        kinds = t.kinds if t.scheme == "swap" else (t.kinds[0], None)
-        most = None if mirrored else 3
-        per_node = []
-        for kind, k in zip(kinds, axes):
-            pairs = [(caps.d_a, caps.d_b)] if kind is None else _corner_candidates(kind, caps)
-            cut = (tuple(pair[j] for j in _NODE_AXES[k]) for pair in pairs)
-            per_node.append(list(dict.fromkeys(cut))[:most])
-        corners = [sum(point, ()) for point in itertools.product(*per_node)]
         hi = [(caps.d_a, caps.d_b)[j] for k in axes for j in _NODE_AXES[k]]
         full = _layout_coords(caps, axes)
+        nodes = tuple(zip(t.kinds if t.scheme == "swap" else (t.kinds[0], None), axes))
         root = None if _EM in t.kinds else functools.partial(
             _NodeRoot.of, t, caps, n_th, rv, split, mirrored)
-        return cls(margin, full, hi, corners, mirrored, not (rv > 0.0 and _EM in t.kinds), root)
-
-    def corner_separable(self) -> bool:
-        """Whether the clamped all-max corner proves that no point entangles.
-
-        True where corner_decides holds and the margin there is finite and
-        <= 0; see optimize_cooperativities for the proof.
-        """
-        return self.corner_decides and -math.inf < self.margin(self.corners[0]) <= 0.0
+        return cls(caps, nodes, margin, full, hi, mirrored, _EM in t.kinds and rv == 0.0, root)
 
     def search(self, n_starts: int, nm_max_iter: int) -> tuple[list[float], float]:
         """Nelder-Mead from the n_starts best of the ranked pool, then a polish.
 
-        Runs nm_max_iter * dim // 2 iterations per start in dim
-        dimensions (nm_max_iter in 2-D).  Returns the best point of the
-        box and its margin.
+        The pool's corners are each node's corner candidates cut to its
+        axes, at most 3 per node when both nodes are searched.  Runs
+        nm_max_iter * dim // 2 iterations per start in dim dimensions
+        (nm_max_iter in 2-D).  Returns the best point of the box and its
+        margin.
         """
-        starts = _ranked_starts(self.margin, self.hi, self.corners, n_starts)
+        caps, most = self.caps, (None if self.mirrored else 3)
+        per_node = []
+        # each node's distinct candidates, cut to its axes; the downconverter's one is its caps
+        for kind, k in self.nodes:
+            pairs = [(caps.d_a, caps.d_b)] if kind is None else _corner_candidates(kind, caps)
+            cut = (tuple(pair[j] for j in _NODE_AXES[k]) for pair in pairs)
+            per_node.append(list(dict.fromkeys(cut))[:most])
+        corners = [sum(point, ()) for point in itertools.product(*per_node)]
+        starts = _ranked_starts(self.margin, self.hi, corners, n_starts)
         return maximize_box(
             self.margin, [0.0] * len(self.hi), self.hi, starts,
             nm_max_iter=nm_max_iter * len(self.hi) // 2,
@@ -832,7 +825,8 @@ def optimize_cooperativities(
     (_stable_bound_fn); both pins are exact, as shown below.  Only an EM
     source keeps both axes.  A layout without an EM source is not
     searched: it is solved node by node (_NodeRoot), as proven below.
-    A layout with an EM source is searched, in 2 or 3 dimensions.
+    A layout with an EM source is searched, in 2 or 3 dimensions, at r
+    > 0; at r = 0 none of its points entangles (below).
     The starts are chosen by one array evaluation of the margin over a
     fixed log grid of the box plus the box corners (clamped into the
     stability region): Nelder-Mead (nm_max_iter * dim // 2 iterations
@@ -945,47 +939,42 @@ def optimize_cooperativities(
     has a local maximum inside a piece only where that falls through 0.
     The largest h is thus at a piece end or at one such root per piece
     (_falling_root); a root need not be exact, since h is flat there.
-    The condition at mu = 0 (the corner shortcut, below, on the node
-    values) decides whether any point entangles; where it fails, the
-    point with every axis at 0 is returned, where no node correlates,
-    so the margin is <= 0 (without rounding for an EO node, whose
-    converter then transmits nothing) even where the corner's rounded
-    above 0.  Otherwise each step takes the best point at mu_k, the
-    margin of the last point: its margin is above mu_k unless mu_k >=
-    m*, so the margins rise to m*, superlinearly as in Dinkelbach's
-    method for fractional programs, and reach it in one step where the
-    best point is a piece end.  The steps stop once the margin no longer
-    rises, after 1 to 10 on default device-run (5 to 7 on most cells),
-    and the returned value is the margin at the returned point.
-
-    Before any search the margin is evaluated once at the
-    clamped all-max corner: every node at _corner_candidates(kind,
-    caps)[0], a converter node at (d_a, min(d_b, 1 + d_a)).  If it is
-    finite and <= 0 there, that corner is returned with exactly 0.0 and
-    nothing is searched.  This is exact: the sign of the output defect P
-    factorises over the nodes through each source's ratio rho = P/B,
-    taken after its loss share.  A swap entangles iff 1 + rho_1 + rho_2
-    < 0, a downconversion iff rho_0 + n_th / (tau_a split[-1] C_a2) < 0,
-    and a node with B = 0 also has c = 0, so it cannot entangle.  Each
-    rho is smallest at that corner: EO has rho = sh^2 (n - tau' C_a) /
-    (n + tau' C_a sh^2), IO rho = -tau_a C_a / (C_a + n) at the largest
-    stable C_a, which is at C_b = d_b, and IM rho = -tau_a C_a / (C_a +
-    n + 1); all three fall as C_a grows and do not depend on C_b, and EM
-    at r = 0 has B = 0.  The clamp (_stable_bound) is the largest C_a
-    that the stability check admits, and the margin is -inf at every
-    unstable point, so no point of the box beats the corner.  EM at r >
-    0, whose rho has an interior minimum, is searched as before.
+    The condition at mu = 0 decides whether any point entangles.  A
+    point of margin m > 0 meets it at every mu in (0, m), hence at mu =
+    0, where each h is no lower and g no higher; where the best point
+    at mu = 0 meets it, so does that point at some small mu > 0.  At mu
+    = 0 it is the sign of the output defect P, which factorises over
+    the nodes through each source's ratio rho = P/B after its loss
+    share, rho_i = -t_i h_i: a swap entangles iff 1 + rho_1 + rho_2 <
+    0, a downconversion iff rho_0 + n_th / (tau' C_a2) < 0, and a node
+    with B = 0 also has c = 0, so it cannot entangle.  Each rho is
+    smallest at the clamped all-max corner: EO has rho = sh^2 (n - tau'
+    C_a) / (n + tau' C_a sh^2), IO rho = -tau_a C_a / (C_a + n) at the
+    largest stable C_a, which is at C_b = d_b, and IM rho = -tau_a C_a
+    / (C_a + n + 1); all three fall as C_a grows and do not depend on
+    C_b, so each node's best point at mu = 0 is that corner.  Where the
+    condition fails there, the point with every axis at 0 is returned
+    with 0.0: no node correlates there, so its margin is <= 0 (without
+    rounding for an EO node, whose converter then transmits nothing),
+    even where the corner's margin rounds above 0 (an EO swap at share
+    1/2, where it is 0).  An EM source at r = 0 has B = c = 0, so a
+    layout with one returns the same point with 0.0 and is not
+    searched; EM at r > 0, whose rho has an interior minimum, is.
+    Otherwise each step takes the best point at mu_k, the margin of the
+    last point: its margin is above mu_k unless mu_k >= m*, so the
+    margins rise to m*, superlinearly as in Dinkelbach's method for
+    fractional programs, and reach it in one step where the best point
+    is a piece end.  The steps stop once the margin no longer rises,
+    after 1 to 10 on default device-run (5 to 7 on most cells), and the
+    returned value is the margin at the returned point.
     """
     for name, value, least in (("n_starts", n_starts, 1), ("nm_max_iter", nm_max_iter, 0)):
         if type(value) is not int or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     box = _CooperativityBox.of(t, caps, n_th, r, tau_e, loss_split)
-    if box.corner_separable():
-        return box.full(box.corners[0]), 0.0
-    if box.root is not None:
-        x, m = box.root().solve(box.margin)
-    else:
-        x, m = box.search(n_starts, nm_max_iter)
+    if box.idle:
+        return box.full([0.0] * len(box.hi)), 0.0
+    x, m = box.root().solve(box.margin) if box.root else box.search(n_starts, nm_max_iter)
     return box.full(x), _log2_negativity(m)
 
 

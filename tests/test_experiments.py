@@ -188,7 +188,7 @@ class TestDeviceRun:
 
     def test_searches_nothing(self, monkeypatch):
         # every column without an EM source is solved node by node, and the
-        # EM columns (r = 0) stop at the corner shortcut
+        # EM columns (r = 0) return 0 at once: their sources correlate nothing
         from gausslink.thresholds import _CooperativityBox
 
         def search(box, *args):

@@ -17,6 +17,7 @@ from gausslink import (
     optimize_cooperativities,
     optimize_loss_split,
 )
+from gausslink import thresholds
 from gausslink.experiments import ExperimentConfig, _device_cells, cmd_device_run
 from gausslink.network import (
     ALL_TOPOLOGIES,
@@ -539,13 +540,18 @@ def _dense_grid(hi):
     return np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(hi), -1)
 
 
+def _corner_margin(box):
+    """The margin at the clamped all-max corner, box.hi: cooperativities box.full(box.hi)."""
+    return box.margin(box.hi)
+
+
 def _corner_threshold(t, caps, r, tau_e, split):
     """n_th at which the all-max corner's margin turns <= 0, by bisection."""
     lo, hi = 0.0, caps.tau_a * caps.d_a
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         box = _CooperativityBox.of(t, caps, mid, r, tau_e, split)
-        lo, hi = (lo, mid) if box.margin(box.corners[0]) <= 0.0 else (mid, hi)
+        lo, hi = (lo, mid) if _corner_margin(box) <= 0.0 else (mid, hi)
     return hi
 
 
@@ -586,22 +592,38 @@ def _shortcut_draw(rng, t):
     return caps, n_th, r, tau_e, split
 
 
+def _separable_at_mu_0(box) -> bool:
+    """_NodeRoot.solve stops at mu = 0, at the zero point with a margin of 0."""
+    return box.root().solve(box.margin) == ([0.0] * len(box.hi), 0.0)
+
+
+def _settled_without_search(box) -> bool:
+    """optimize_cooperativities returns 0 e-bits at the zero point without a search."""
+    return box.idle or (box.root is not None and _separable_at_mu_0(box))
+
+
+_NON_EM = [t for t in ALL_TOPOLOGIES if MoKind.EM not in t.kinds]
+
+
 class TestCornerShortcut:
-    """optimize_cooperativities skips its search where the all-max corner
-    proves a cell separable."""
+    """optimize_cooperativities returns 0 e-bits without a search where the
+    node-local condition fails at mu = 0, and for an EM source at r = 0.
+    The margin at the clamped all-max corner is the oracle of the first."""
 
     def test_sound_on_random_draws(self):
-        # wherever the shortcut fires, neither a dense grid of the margin
-        # nor the full search finds a positive margin
+        # wherever a cell is settled without a search, neither a dense grid
+        # of the margin nor the full search finds a positive margin
         rng = generator(20260808, stream=110)
         fired = mirrored = 0
         for i in range(560):
             t = ALL_TOPOLOGIES[i % len(ALL_TOPOLOGIES)]
             caps, n_th, r, tau_e, split = _shortcut_draw(rng, t)
             box = _CooperativityBox.of(t, caps, n_th, r, tau_e, split)
-            if not box.corner_separable():
+            if not _settled_without_search(box):
                 continue
             config = (i, t.label, caps, n_th, r, split)
+            cs, e = optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)
+            assert e == 0.0 and cs == box.full([0.0] * len(box.hi)), config
             # the dense grid covers the whole box, without the converter pin;
             # a symmetric swap's box is its diagonal at every split, but off a
             # uniform split the grid still sets both nodes apart
@@ -632,16 +654,75 @@ class TestCornerShortcut:
                 continue
             for factor, fires in ((1.0 + 1e-6, True), (1.0 - 1e-6, False)):
                 box = _CooperativityBox.of(t, caps, res.n_th_max * factor, r)
-                assert box.corner_separable() is fires, (t.label, caps, r, factor)
+                assert _separable_at_mu_0(box) is fires, (t.label, caps, r, factor)
             checked += 1
         assert checked >= 10
 
+    def test_agrees_with_the_corner_on_random_draws(self):
+        # the margin at the clamped all-max corner is the oracle: the node
+        # values fail the condition at mu = 0 exactly where that margin is
+        # <= 0, on every layout without an EM source, the asymmetric swaps
+        # included.  The one exception, a corner margin that rounds above a
+        # true 0 (the EO swap at share 1/2), has its own test in
+        # TestMirroredEoPeak
+        rng = generator(20260808, stream=118)
+        separable = entangled = 0
+        for i in range(40 * len(_NON_EM)):
+            t = _NON_EM[i % len(_NON_EM)]
+            caps, n_th, r, tau_e, split = _shortcut_draw(rng, t)
+            box = _CooperativityBox.of(t, caps, n_th, r, tau_e, split)
+            corner = _corner_margin(box)
+            assert corner > -math.inf
+            config = (i, t.label, caps, n_th, r, split, corner)
+            assert _separable_at_mu_0(box) == (corner <= 0.0), config
+            separable += corner <= 0.0
+            entangled += corner > 0.0
+        assert separable >= 100 and entangled >= 100, (separable, entangled)
+
+    def test_agrees_with_the_corner_on_both_sides_of_its_threshold(self):
+        # within 1e-12 to 1e-6 relative of the n_th at which the corner's
+        # margin changes sign, the node values decide as the corner does
+        rng = generator(20260808, stream=119)
+        checked = 0
+        for i in range(10 * len(_NON_EM)):
+            t = _NON_EM[i % len(_NON_EM)]
+            caps, _, r, tau_e, split = _shortcut_draw(rng, t)
+            if _corner_margin(_CooperativityBox.of(t, caps, 0.0, r, tau_e, split)) <= 0.0:
+                continue  # the corner never entangles
+            n_star = _corner_threshold(t, caps, r, tau_e, split)
+            for sign in (1.0, -1.0):
+                n_th = n_star * (1.0 + sign * 10.0 ** rng.uniform(-12.0, -6.0))
+                box = _CooperativityBox.of(t, caps, n_th, r, tau_e, split)
+                config = (i, t.label, caps, n_th, r, split)
+                assert _separable_at_mu_0(box) == (_corner_margin(box) <= 0.0) == (sign > 0), config
+            checked += 1
+        assert checked >= 50, checked
+
     def test_device_run_unchanged_without_the_shortcut(self, monkeypatch):
+        # an EM source at r = 0 is searched instead of settled at once
         cfg = ExperimentConfig(experiment="device-run", points=13, jobs=1)
         _, text = cmd_device_run(cfg)
-        monkeypatch.setattr(_CooperativityBox, "corner_separable", lambda box: False)
-        _, searched = cmd_device_run(cfg)
-        assert text == searched
+        of = _CooperativityBox.of.__func__
+        searched = []
+
+        def busy(cls, *args):
+            box = of(cls, *args)
+            searched.append(box.idle)
+            return replace(box, idle=False)
+
+        monkeypatch.setattr(_CooperativityBox, "of", classmethod(busy))
+        _, forced = cmd_device_run(cfg)
+        assert text == forced
+        assert sum(searched) == 26, sum(searched)
+
+    def test_device_run_builds_no_corner_candidates(self, monkeypatch):
+        def candidates(*args):
+            raise AssertionError("device-run built corner candidates")
+
+        monkeypatch.setattr(thresholds, "_corner_candidates", candidates)
+        cfg = ExperimentConfig(experiment="device-run")
+        rows, _ = cmd_device_run(cfg)
+        assert len(rows) == cfg.points
 
 
 _CONVERTER_TOPOLOGIES = [t for t in ALL_TOPOLOGIES if t.scheme == "down" or MoKind.EO in t.kinds]
@@ -861,16 +942,16 @@ class TestMirroredEoPeak:
     ], ids=["eo_down r=0", "eo_swap r=0", "eo_swap t=1/2", "eo_swap t<1/2"])
     def test_no_gain_returns_zero_at_the_corner(self, t, r, tau_e):
         # K <= 0: no squeezing, or a share of at most 1/2 on each measured
-        # arm.  The corner shortcut returns exactly 0.0 there; pytest turns
-        # any RuntimeWarning into an error
+        # arm.  The node values fail the condition at mu = 0, so exactly 0.0
+        # is returned at the point with every axis at 0; pytest turns any
+        # RuntimeWarning into an error
         caps = PRESETS["brubaker2022"]["caps"]
         split = (math.sqrt(tau_e),) * 2
         for n_th in (caps.n_th, 1e-3, 0.0):
             box = _CooperativityBox.of(t, caps, n_th, r, tau_e, split)
             cs, e = optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)
             assert e == 0.0, (t.label, r, tau_e, n_th)
-            if (n_th, tau_e) != (0.0, 0.25):
-                assert cs == box.full(box.corners[0]), (t.label, r, tau_e, n_th)
+            assert cs == box.full((0.0,)), (t.label, r, tau_e, n_th)
 
     def test_no_gain_is_exactly_zero_past_rounding(self):
         # at t = 1/2 and n_th = 0 the margin is exactly 0 everywhere, and
@@ -884,10 +965,8 @@ class TestMirroredEoPeak:
             r = rng.uniform(0.1, 2.5)
             box = _CooperativityBox.of(t, caps, 0.0, r, 0.25, split)
             cs, e = optimize_cooperativities(t, caps, 0.0, r, tau_e=0.25, loss_split=split)
-            assert e == 0.0, (caps, r)
-            if not box.corner_separable():
-                rounded += 1
-                assert cs == box.full((0.0,)), (caps, r)
+            assert e == 0.0 and cs == box.full((0.0,)), (caps, r)
+            rounded += _corner_margin(box) > 0.0
         assert rounded >= 5, rounded
 
     def test_device_run_past_6_db(self):

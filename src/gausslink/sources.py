@@ -26,6 +26,7 @@ under c -> -c.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 import numpy as np
@@ -140,15 +141,22 @@ def _mo_excess(kind: MoKind, c_a, c_b, tau_a, tau_b, n_th, r):
 def _stable_intrinsic_fn(kind: MoKind, rates: PhysicalRates):
     """f(c_a, c_b): whether a source is stable, elementwise on numpy arrays.
 
-    Only the intrinsic kinds have a blue pump; EO and EM, always stable, give None.
+    Only the intrinsic kinds have a blue pump; EO and EM, always stable,
+    give None.  An IO or IM check is built once per process for each
+    rates, by _stable_intrinsic_of, and every network on them shares it.
     """
-    if kind is _IO:
-        bound = _blue_bound_fn(rates, True)
+    if kind is _EO or kind is _EM:
+        return None
+    return _stable_intrinsic_of(kind is _IO, rates._key)
+
+
+@functools.lru_cache(maxsize=16)
+def _stable_intrinsic_of(optical_blue: bool, rates_key: tuple):
+    """The check of an IO (optical_blue) or IM source, at the rates of an exact key (transducer._exact_key)."""
+    bound = _blue_bound_fn(PhysicalRates(*rates_key[0]), optical_blue)
+    if optical_blue:
         return lambda c_a, c_b: c_a < bound(c_b)
-    if kind is _IM:
-        bound = _blue_bound_fn(rates, False)
-        return lambda c_a, c_b: c_b < bound(c_a)
-    return None
+    return lambda c_a, c_b: c_b < bound(c_a)
 
 
 def _check_stable(kind: MoKind, c_a: float, c_b: float, rates: PhysicalRates) -> None:

@@ -44,9 +44,11 @@ from .transducer import (
     _blue_bound,
     _blue_bound_fn,
     _blue_bound_lines,
+    _caps_of,
     _check_cap,
     _check_fields,
     _check_loss_split,
+    _exact_key,
 )
 # the benchmark's tracer (perfbench/tracer.py) patches thresholds.stability_ok by name
 from .transducer import stability_ok  # noqa: F401
@@ -282,6 +284,13 @@ def analytic_threshold(
 #: (_layout_coords) searches, in order.
 _NODE_AXES = {2: (0, 1), 1: (0,), 0: (), _IM: (0,), _IO: (1,)}
 
+#: The layout code of each kind of source (_converter_nodes).
+_SOURCE_CODES = {_EO: 1, _EM: 2, _IO: _IO, _IM: _IM}
+
+#: Most entries of each cache of a factory that depends only on the caps
+#: (_layout_coords_of, _blue_node_of): device-run fills 8 and 2.
+_CAPS_CACHE = 64
+
 
 def _converter_nodes(t: Topology) -> tuple:
     """The layout (_layout_coords) of t's two nodes: one axis on all but an EM source.
@@ -294,8 +303,7 @@ def _converter_nodes(t: Topology) -> tuple:
     with its blue-pumped side at its stable bound.  An EM source, code
     2, keeps both axes.  See optimize_cooperativities for both proofs.
     """
-    code = {_EO: 1, _EM: 2, _IO: _IO, _IM: _IM}
-    return code[t.kinds[0]], (1 if t.scheme == "down" else code[t.kinds[1]])
+    return _SOURCE_CODES[t.kinds[0]], (1 if t.scheme == "down" else _SOURCE_CODES[t.kinds[1]])
 
 
 def _layout_coords(caps, axes: tuple):
@@ -309,8 +317,17 @@ def _layout_coords(caps, axes: tuple):
     bound (_stable_bound_fn); 0 none, the node held at its caps (d_a,
     d_b).  The pinned side has the same bits on floats and arrays.  A
     1-tuple is mirrored: its node's setting serves both transducers.  x
-    may hold floats or arrays.
+    may hold floats or arrays.  Built once per process for each caps and
+    layout, by _layout_coords_of, and shared by every cell and margin
+    closure of that layout.
     """
+    return _layout_coords_of(caps._key, axes)
+
+
+@functools.lru_cache(maxsize=_CAPS_CACHE)
+def _layout_coords_of(caps_key: tuple, axes: tuple):
+    """_layout_coords at the caps of an exact key (transducer._exact_key)."""
+    caps = _caps_of(caps_key)
     d_a, d_b = caps.d_a, caps.d_b
 
     def node(k, i: int):
@@ -589,6 +606,11 @@ class _BlueNode:
     the two stability lines, less STRICT_MARGIN, and the cap, so on each
     piece between their crossings u is linear in v, and h is a ratio of
     polynomials of degree <= 2.
+
+    A node depends on its kind, the caps and n_th alone, not on a
+    cell's tau_e, r or split, so _NodeRoot takes it from _blue_node,
+    which builds it once per process for each of them (up to
+    _CAPS_CACHE).  Nothing changes it after __init__.
     """
 
     def __init__(self, kind: MoKind, caps: DeviceCaps, n_th: float):
@@ -604,11 +626,12 @@ class _BlueNode:
             if s1 != s2 and 0.0 < (c2 - c1) / (s1 - s2) < d_red:
                 cuts.add((c2 - c1) / (s1 - s2))
         cuts = sorted(cuts)
-        self.ends = [self.state(v) for v in cuts]
-        self.pieces = []
+        self.ends = tuple(self.state(v) for v in cuts)
+        pieces = []
         for lo, hi in zip(cuts, cuts[1:]):
             s, c = min(lines, key=lambda line: line[0] * 0.5 * (lo + hi) + line[1])
-            self.pieces.append((lo, hi, *self._coefficients(s, c)))
+            pieces.append((lo, hi, *self._coefficients(s, c)))
+        self.pieces = tuple(pieces)
 
     def _factors(self, v, u):
         """The factors (v u, a~ / 4 tau_a, b~ / 4 tau_b), of numbers or of polynomials in v."""
@@ -651,18 +674,34 @@ class _BlueNode:
         On a piece h = N / D with D > 0, so h' has the sign of N'D - ND',
         a polynomial of degree <= 2, and h has a local maximum inside the
         piece only where that polynomial falls through 0 (_falling_root).
+        Ties keep the first maximum, ends before roots.
         """
-        best = max(self.ends, key=lambda st: self.h(st, mu))
-        value = self.h(best, mu)
-        for lo, hi, N0, N1, D0, D1 in self.pieces:
-            n0, n1, n2 = (p + mu * q for p, q in zip(N0, N1))
-            d0, d1, d2 = (p + mu * q for p, q in zip(D0, D1))
+        best = value = None
+        for st in self.ends:
+            h = self.h(st, mu)
+            if best is None or h > value:
+                best, value = st, h
+        for lo, hi, (n00, n01, n02), (n10, n11, n12), (d00, d01, d02), (d10, d11, d12) in self.pieces:
+            n0, n1, n2 = n00 + mu * n10, n01 + mu * n11, n02 + mu * n12
+            d0, d1, d2 = d00 + mu * d10, d01 + mu * d11, d02 + mu * d12
             v = _falling_root(n2 * d1 - n1 * d2, 2.0 * (n2 * d0 - n0 * d2), n1 * d0 - n0 * d1)
             if v is not None and lo < v < hi:
                 st = self.state(v)
-                if self.h(st, mu) > value:
-                    best, value = st, self.h(st, mu)
+                h = self.h(st, mu)
+                if h > value:
+                    best, value = st, h
         return best[0], value
+
+
+def _blue_node(kind: MoKind, caps: DeviceCaps, n_th: float) -> _BlueNode:
+    """_BlueNode(kind, caps, n_th), built once per process for each kind, caps and n_th."""
+    return _blue_node_of(kind, caps._key, _exact_key(n_th))
+
+
+@functools.lru_cache(maxsize=_CAPS_CACHE)
+def _blue_node_of(kind: MoKind, caps_key: tuple, n_th_key: tuple) -> _BlueNode:
+    """_blue_node at the caps and n_th of exact keys (transducer._exact_key)."""
+    return _BlueNode(kind, _caps_of(caps_key), n_th_key[0][0])
 
 
 @dataclass(frozen=True)
@@ -675,6 +714,10 @@ class _NodeRoot:
     v_2 = -g of the downconverter (optimize_cooperativities).  Each node
     maximises its value alone (argmax); a mirrored layout takes node 1's
     point for both.
+
+    of builds one per cell: its converter nodes and weights depend on
+    the cell's r and split, while its IO and IM nodes come from
+    _blue_node, built once per process for each (kind, caps, n_th).
     """
 
     nodes: tuple
@@ -687,7 +730,7 @@ class _NodeRoot:
         sh2 = math.sinh(r) ** 2
 
         def source(kind, tau):
-            return _ConverterNode(caps, tau, n_th, sh2) if kind is _EO else _BlueNode(kind, caps, n_th)
+            return _ConverterNode(caps, tau, n_th, sh2) if kind is _EO else _blue_node(kind, caps, n_th)
 
         if t.scheme == "down":
             nodes = (source(t.kinds[0], caps.tau_a * split[0]),

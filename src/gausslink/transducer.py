@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
@@ -117,6 +118,11 @@ class PhysicalRates:
         if not all(0.0 < x <= _FINITE for x in (self.kappa_a, self.kappa_b, self.gamma_m)):
             raise ValueError(f"all rates must be finite and > 0, got {self}")
 
+    @cached_property
+    def _key(self) -> tuple:
+        """The rates as an exact cache key (_exact_key), made once per object."""
+        return _exact_key(self.kappa_a, self.kappa_b, self.gamma_m)
+
 
 DEFAULT_RATES = PhysicalRates(kappa_a=100.0, kappa_b=100.0, gamma_m=1.0)
 
@@ -153,6 +159,33 @@ class DeviceCaps:
             sigma_a=sigma_a,
             sigma_b=sigma_b,
         )
+
+    @cached_property
+    def _key(self) -> tuple:
+        """The fields, the rates' included, as an exact cache key (_exact_key); see _caps_of."""
+        r = self.rates
+        return _exact_key(self.d_a, self.d_b, self.tau_a, self.tau_b, self.n_th,
+                          r.kappa_a, r.kappa_b, r.gamma_m)
+
+
+def _exact_key(*numbers) -> tuple:
+    """numbers as a cache key that is equal only for the same numbers; numbers is key[0].
+
+    == takes 1 == 1.0 == np.float64(1.0) and 0.0 == -0.0, but a result
+    built from them may keep a number's type or sign, in its bits or its
+    repr.  So the key also holds each number's type and, where one is a
+    zero, every sign: a cache hit returns what a miss would, in repr.
+    """
+    types = tuple(map(type, numbers))
+    if 0 in numbers:
+        return numbers, types, tuple(math.copysign(1.0, x) for x in numbers)
+    return numbers, types
+
+
+def _caps_of(key: tuple) -> DeviceCaps:
+    """The DeviceCaps whose _key is key: the same numbers as the caps it came from."""
+    numbers = key[0]
+    return DeviceCaps(*numbers[:5], PhysicalRates(*numbers[5:]))
 
 
 def dpt_two_mode_channel(p: DptParams) -> TwoModeChannel:

@@ -17,7 +17,7 @@ from gausslink import (
     optimize_cooperativities,
     optimize_loss_split,
 )
-from gausslink import thresholds
+from gausslink import experiments, sources, thresholds
 from gausslink.experiments import ExperimentConfig, _device_cells, cmd_device_run
 from gausslink.network import (
     ALL_TOPOLOGIES,
@@ -34,8 +34,13 @@ from gausslink.thresholds import (
     _SPLIT_BUDGET,
     _BlueNode,
     _CooperativityBox,
+    _blue_node,
+    _blue_node_of,
     _em_down_cell,
     _em_swap_cell,
+    _falling_root,
+    _layout_coords,
+    _layout_coords_of,
     _margin_fn,
     _margin_fn4,
     _margin_fn_down,
@@ -1190,6 +1195,193 @@ class TestNodeRoot:
             assert root.argmax(0.0)[1] <= 0.0
             x, m = root.solve(box.margin)
             assert x == [0.0] * len(box.hi) and m <= 0.0
+
+
+def _generic_argmax(node, mu):
+    """_BlueNode.argmax written with max(ends, key=...), zip and generators."""
+    best = max(node.ends, key=lambda st: node.h(st, mu))
+    value = node.h(best, mu)
+    for lo, hi, N0, N1, D0, D1 in node.pieces:
+        n0, n1, n2 = (p + mu * q for p, q in zip(N0, N1))
+        d0, d1, d2 = (p + mu * q for p, q in zip(D0, D1))
+        v = _falling_root(n2 * d1 - n1 * d2, 2.0 * (n2 * d0 - n0 * d2), n1 * d0 - n0 * d1)
+        if v is not None and lo < v < hi:
+            st = node.state(v)
+            if node.h(st, mu) > value:
+                best, value = st, node.h(st, mu)
+    return best[0], value
+
+
+def _winner(node, mu) -> str:
+    """Where node's best point at mu lies: "end" (a kink or a cap of its face) or "root"."""
+    v = node.argmax(mu)[0]
+    return "end" if any(v == end[0] for end in node.ends) else "root"
+
+
+class TestBlueNodeArgmax:
+    """_BlueNode.argmax, unrolled, keeps every bit of the generic form."""
+
+    def test_matches_the_generic_form(self):
+        # mu on a log grid, and on both sides of each mu where the best
+        # point moves between a kink of the face and the root of a piece,
+        # found by bisection; there the two candidates almost tie
+        rng = generator(20260808, stream=131)
+        winners, switches = set(), 0
+        for i in range(24):
+            kind = _BLUE_KINDS[i % 2]
+            caps, n_th, *_ = _node_root_draw(rng, Topology.swap_sym(kind))
+            node = _BlueNode(kind, caps, n_th)
+            scale = max(abs(node.argmax(0.0)[1]), 1e-3)
+            grid = [0.0] + (scale * np.geomspace(1e-6, 1e3, 60)).tolist()
+            mus = list(grid)
+            for lo, hi in zip(grid, grid[1:]):
+                if _winner(node, lo) == _winner(node, hi):
+                    continue
+                for _ in range(80):
+                    mid = 0.5 * (lo + hi)
+                    if mid in (lo, hi):
+                        break
+                    lo, hi = (mid, hi) if _winner(node, mid) == _winner(node, lo) else (lo, mid)
+                mus += [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+                switches += 1
+            for mu in mus:
+                got, want = node.argmax(mu), _generic_argmax(node, mu)
+                assert repr(got) == repr(want), (i, kind, caps, n_th, mu)
+                winners.add(_winner(node, mu))
+        assert winners == {"end", "root"} and switches >= 10, (winners, switches)
+
+    def test_ties_keep_the_first_maximum(self):
+        # copies of the best end, with other red sides, before and after
+        # the others: both forms return the first copy
+        rng = generator(20260808, stream=132)
+        for i in range(16):
+            kind = _BLUE_KINDS[i % 2]
+            caps, n_th, *_ = _node_root_draw(rng, Topology.swap_sym(kind))
+            node = _BlueNode(kind, caps, n_th)
+            for mu in (0.0, 1e-3, 1.0):
+                best = max(node.ends, key=lambda st: node.h(st, mu))
+                node.ends = ((-1.0, *best[1:]), *node.ends, (-2.0, *best[1:]))
+                got, want = node.argmax(mu), _generic_argmax(node, mu)
+                assert repr(got) == repr(want), (i, kind, caps, n_th, mu)
+                assert got[0] == -1.0 or _winner(node, mu) == "root"
+
+
+def _caps_cast(caps, cast):
+    """caps with cast applied to every field, its rates' included."""
+    r = caps.rates
+    return DeviceCaps(*map(cast, (caps.d_a, caps.d_b, caps.tau_a, caps.tau_b, caps.n_th)),
+                      PhysicalRates(*map(cast, (r.kappa_a, r.kappa_b, r.gamma_m))))
+
+
+def _integral(x):
+    return int(x) if x == int(x) else x
+
+
+_CACHES = (_layout_coords_of, _blue_node_of, sources._stable_intrinsic_of)
+
+
+def _clear_caches():
+    for cache in _CACHES:
+        cache.cache_clear()
+
+
+def _check_exact(factory, cache, variants, probe):
+    """Variants equal under == each get their own entry of cache, and a hit is what a miss builds."""
+    cache.cache_clear()
+    built = [factory(*args) for args in variants]
+    assert len(set(map(id, built))) == len(variants)
+    assert cache.cache_info().misses == len(variants)
+    assert all(factory(*args) is obj for args, obj in zip(variants, built))
+    for args, obj in zip(variants, built):
+        cache.cache_clear()
+        assert probe(obj) == probe(factory(*args)), args
+
+
+class TestFactoryCaches:
+    """The factories that depend only on the caps, a kind or a layout are
+    built once per process; a hit returns what a miss would, in repr."""
+
+    caps = PRESETS["brubaker2022"]["caps"]
+    # equal under ==, but not in type or in the sign of a zero
+    variants = [caps, _caps_cast(caps, np.float64), _caps_cast(caps, _integral)]
+    zero = DeviceCaps(5.0, 0.0, 0.9, 0.8, 0.0)
+    zeros = [zero, replace(zero, d_b=-0.0), replace(zero, d_b=0), replace(zero, d_b=np.float64(0.0))]
+
+    def test_caches_are_bounded(self):
+        for cache in _CACHES:
+            assert 0 < cache.cache_info().maxsize <= 64
+
+    def test_layout_coords(self):
+        for axes in [(2,), (1,), (0,), (MoKind.IO,), (MoKind.IM,), (2, 0), (1, 1),
+                     (MoKind.IO, MoKind.IM)]:
+            dim = sum(len(thresholds._NODE_AXES[k]) for k in axes)
+
+            def probe(coords):
+                return repr([coords([0.5] * dim), coords([1e9] * dim),
+                             coords(np.array([[0.0, 0.5, 1e9]] * dim))])
+
+            _check_exact(_layout_coords, _layout_coords_of,
+                         [(caps, axes) for caps in self.variants + self.zeros], probe)
+
+    def test_stable_intrinsic_fn(self):
+        def probe(stable):
+            return repr([stable(1.0, 2.0), stable(1e9, 3.0),
+                         stable(np.array([1.0, 1e9]), np.array([2.0, 3.0]))])
+
+        for kind in _BLUE_KINDS:
+            _check_exact(sources._stable_intrinsic_fn, sources._stable_intrinsic_of,
+                         [(kind, caps.rates) for caps in self.variants], probe)
+        assert sources._stable_intrinsic_fn(MoKind.EO, self.caps.rates) is None
+        assert sources._stable_intrinsic_fn(MoKind.EM, self.caps.rates) is None
+
+    def test_blue_node(self):
+        def probe(node):
+            return repr((vars(node).keys(), node.ends, node.pieces,
+                         [node.argmax(mu) for mu in (0.0, 0.1, 10.0)], node.value(0.5, 0.1)))
+
+        for kind in _BLUE_KINDS:
+            variants = [(kind, caps, n_th) for caps in self.variants + self.zeros
+                        for n_th in (caps.n_th, 1.0, 1)]
+            _check_exact(_blue_node, _blue_node_of, variants, probe)
+            for args in variants:
+                assert probe(_blue_node(*args)) == probe(_BlueNode(*args)), args
+
+    def test_argmax_leaves_a_cached_node_unchanged(self):
+        for kind in _BLUE_KINDS:
+            node = _blue_node(kind, self.caps, self.caps.n_th)
+            before = repr(vars(node))
+            for mu in [0.0] + np.geomspace(1e-6, 1e3, 40).tolist():
+                v, _ = node.argmax(mu)
+                node.value(v, mu)
+            assert repr(vars(node)) == before
+            assert _blue_node(kind, self.caps, self.caps.n_th) is node
+
+    def test_device_run_builds_each_blue_node_once(self, monkeypatch):
+        # without the cache every IO or IM node of every cell built one, 117 in all
+        built = []
+        init = _BlueNode.__init__
+
+        def counted(node, kind, *args):
+            built.append(kind.name)
+            init(node, kind, *args)
+
+        _clear_caches()
+        monkeypatch.setattr(_BlueNode, "__init__", counted)
+        cmd_device_run(ExperimentConfig(experiment="device-run", points=13, jobs=1))
+        assert sorted(built) == ["IM", "IO"]
+
+    def test_device_run_same_with_cold_caches(self, monkeypatch):
+        cfg = ExperimentConfig(experiment="device-run", points=13, jobs=1)
+        cmd_device_run(cfg)
+        warm, _ = cmd_device_run(cfg)
+
+        def cold(*args, **kwargs):
+            _clear_caches()
+            return optimize_cooperativities(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "optimize_cooperativities", cold)
+        rows, _ = cmd_device_run(cfg)
+        assert repr(rows) == repr(warm)
 
 
 _BLUE_KINDS = (MoKind.IO, MoKind.IM)

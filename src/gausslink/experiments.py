@@ -631,13 +631,12 @@ def _check_global_necessary(seed, n):
 
 
 def _check_separable_exit(seed, n):
-    """Where optimize_cooperativities returns 0 without searching, the search finds no margin.
+    """Where optimize_cooperativities returns 0, the search finds no margin.
 
     Draws all 14 topologies with random rates, r and external loss, and
     yields the margin the search finds on each draw that
-    optimize_cooperativities settles at 0 e-bits without a search (at
-    most 0 when sound): a layout without an EM source, solved node by
-    node, or one with an EM source at r = 0.  The search's margin is
+    optimize_cooperativities, which solves every layout node by node,
+    settles at 0 e-bits (at most 0 when sound).  The search's margin is
     -inf only where a source is unstable, so it reaches every point of
     the box, or, off a source's stability face, a point of the face at
     least as entangled (the blue pin of optimize_cooperativities), and,
@@ -653,15 +652,46 @@ def _check_separable_exit(seed, n):
         r = rng.uniform(0.0, 1.2)
         tau_e = rng.uniform(0.3, 1.0)
         topo = ALL_TOPOLOGIES[int(rng.integers(len(ALL_TOPOLOGIES)))]
-        box = _CooperativityBox.of(topo, caps, caps.n_th, r, tau_e)
-        if box.root is None and not box.idle:
-            continue
         if optimize_cooperativities(topo, caps, caps.n_th, r, tau_e=tau_e)[1] == 0.0:
             fired = True
-            _, m = box.search(4, 60)
+            _, m = _CooperativityBox.of(topo, caps, caps.n_th, r, tau_e).search(4, 60)
             yield m, lambda: f"{topo.label} draw {i}: caps={caps!r}, r={r!r}, tau_e={tau_e!r}"
     if not fired:
-        yield math.inf, lambda: "no draw was settled at 0 without a search"
+        yield math.inf, lambda: "no draw was settled at 0"
+
+
+def _check_root_vs_search(seed, n):
+    """Where optimize_cooperativities entangles, the search finds no more.
+
+    Draws all 14 topologies in turn with random rates, efficiencies from
+    0.8 (so that an EM swap can entangle), r > 0, external loss tau_e <
+    1 and n_th log-spread over six decades below tau_a d_a, and yields
+    (search - root) / max(1, |root|) in e-bits on each draw where the
+    node-local root of optimize_cooperativities entangles (at most
+    1e-12 when sound).  The EM layouts are among them: at r > 0 their
+    sources correlate.
+    """
+    rng = generator(seed, stream=8)
+    fired = False
+    for i in range(n):
+        kappa_a, kappa_b = (10.0 ** rng.uniform(-1.0, 2.5, 2)).tolist()
+        caps = random_caps(rng, PhysicalRates(kappa_a, kappa_b, 1.0))
+        tau_a, tau_b = rng.uniform(0.8, 1.0, 2).tolist()
+        n_th = tau_a * caps.d_a * 10.0 ** rng.uniform(-6.0, 0.0)
+        caps = replace(caps, tau_a=tau_a, tau_b=tau_b, n_th=n_th)
+        r = rng.uniform(0.05, 1.2)
+        tau_e = rng.uniform(0.3, 0.99)
+        topo = ALL_TOPOLOGIES[i % len(ALL_TOPOLOGIES)]
+        root = optimize_cooperativities(topo, caps, caps.n_th, r, tau_e=tau_e)[1]
+        if root > 0.0:
+            fired = True
+            _, m = _CooperativityBox.of(topo, caps, caps.n_th, r, tau_e).search(8, 120)
+            yield (
+                (_log2_negativity(m) - root) / max(1.0, abs(root)),
+                lambda: f"{topo.label} draw {i}: caps={caps!r}, r={r!r}, tau_e={tau_e!r}",
+            )
+    if not fired:
+        yield math.inf, lambda: "no draw entangled"
 
 
 def _check_split_optimality(seed, n):
@@ -707,10 +737,10 @@ def cmd_validate(cfg: ExperimentConfig) -> tuple[int, dict]:
 
     Draws per check, for n = checks_n: swap_theorem max(n, 100),
     mo_state_oracle (per kind) and conversion_trace max(n // 10, 100),
-    threshold_agreement max(n // 1000, 10), global_necessary_condition
-    and separable_exit max(n // 20, 50), loss_split_optimality
-    max(n // 2500, 6), determinism 1000.  ConfigError, before any check
-    runs, where a setting breaks its rule.
+    threshold_agreement max(n // 1000, 10), global_necessary_condition,
+    separable_exit and root_vs_search max(n // 20, 50),
+    loss_split_optimality max(n // 2500, 6), determinism 1000.
+    ConfigError, before any check runs, where a setting breaks its rule.
     """
     _check_settings(cfg, "validate")
     n = max(cfg.checks_n, 100)
@@ -722,6 +752,7 @@ def cmd_validate(cfg: ExperimentConfig) -> tuple[int, dict]:
         ("threshold_agreement", _check_thresholds, max(n // 1000, 10), 1e-6, 0.0),
         ("global_necessary_condition", _check_global_necessary, max(n // 20, 50), 0.0, 0.0),
         ("separable_exit", _check_separable_exit, max(n // 20, 50), 0.0, -math.inf),
+        ("root_vs_search", _check_root_vs_search, max(n // 20, 50), 1e-12, -math.inf),
         ("loss_split_optimality", _check_split_optimality, max(n // 2500, 6), 1e-10, 0.0),
         ("determinism", _check_determinism, 1000, 0.0, 0.0),
     ]

@@ -36,7 +36,7 @@ from .network import (
 )
 # the benchmark's tracer (perfbench/tracer.py) patches thresholds._mm_excess by name
 from .network import _mm_excess  # noqa: F401
-from .optimize import golden_max_1d, maximize_box
+from .optimize import maximize_box
 from .sources import _EM, _EO, _IM, _IO, MoKind
 from .transducer import (
     STRICT_MARGIN,
@@ -81,11 +81,6 @@ class ThresholdResult:
 #: analytic_threshold, or numeric_threshold's witness search), and the
 #: Nelder-Mead iterations of the witness search.
 _SEARCH_STARTS, _SEARCH_ITERS = 3, 80
-
-#: The cooperativity search budget (n_starts, nm_max_iter) at each split
-#: that optimize_loss_split evaluates, and the golden-section iterations
-#: of its search along the edge of 3-slot splits.
-_SPLIT_BUDGET, _EDGE_ITERS = (8, 120), 24
 
 #: Most halvings numeric_threshold makes of its bracket [0, tau_a d_a].
 _BISECT_STEPS = 200
@@ -281,7 +276,7 @@ def analytic_threshold(
 
 
 #: The entries of a node's (C_a, C_b) that each node code of a layout
-#: (_layout_coords) searches, in order.
+#: (_layout_coords) keeps as axes, in order.
 _NODE_AXES = {2: (0, 1), 1: (0,), 0: (), _IM: (0,), _IO: (1,)}
 
 #: The layout code of each kind of source (_converter_nodes).
@@ -310,8 +305,8 @@ def _layout_coords(caps, axes: tuple):
     """f(x) = (c_a1, c_b1, c_a2, c_b2) at the point x of a cooperativity layout.
 
     A layout gives, in node order, a code for each node; the node
-    searches the axes of x that _NODE_AXES gives its code.  2 searches
-    its (C_a, C_b); 1 its C_a alone, a converter node whose C_b is
+    takes the axes of x that _NODE_AXES gives its code.  2 takes its
+    (C_a, C_b); 1 its C_a alone, a converter node whose C_b is
     min(d_b, 1 + C_a); _IM its C_a and _IO its C_b, the red-pumped side
     of an intrinsic source, whose blue-pumped side sits at its stable
     bound (_stable_bound_fn); 0 none, the node held at its caps (d_a,
@@ -531,9 +526,28 @@ def _ranked_starts(margin, hi, corners, n):
     return starts
 
 
-#: Most steps of _NodeRoot.solve; each step raises the margin, and
+#: Most steps of an ascent (_ascend); each step raises the margin, and
 #: rounding ends the ascent after a few.
 _ROOT_STEPS = 64
+
+
+def _ascend(x, margin: Callable, best_at: Callable):
+    """(x, margin(x)) after the ascent in mu from x: Dinkelbach's steps.
+
+    Each step moves to best_at(m), the best point at the margin m of
+    the last, while the margin is positive and that raises it; at most
+    _ROOT_STEPS steps.
+    """
+    m = margin(x)
+    for _ in range(_ROOT_STEPS):
+        if not m > 0.0:
+            break
+        y = best_at(m)
+        m_y = margin(y)
+        if not m_y > m:
+            break
+        x, m = y, m_y
+    return x, m
 
 
 def _ratio(num: float, den: float) -> float:
@@ -576,12 +590,12 @@ class _ConverterNode:
         self.four_tau_b = 4.0 * caps.tau_b
         self.x_sq, self.x_sq_mu = (1.0 + caps.d_b) ** 2, self.four_tau_b * caps.d_b * n_th
 
-    def argmax(self, mu: float) -> tuple[float, float]:
-        """(x*, value there): x* = min(d_a, sqrt((1 + d_b)^2 + 4 tau_b d_b n_th / mu)), d_a at mu = 0."""
+    def argmax(self, mu: float) -> tuple[tuple[float], float]:
+        """((x*,), value there): x* = min(d_a, sqrt((1 + d_b)^2 + 4 tau_b d_b n_th / mu)), d_a at mu = 0."""
         x = self.d_a
         if mu > 0.0:
             x = min(x, math.sqrt(self.x_sq + self.x_sq_mu / mu))
-        return x, self.value(x, mu)
+        return (x,), self.value(x, mu)
 
     def value(self, x: float, mu: float) -> float:
         c_b = min(self.d_b, 1.0 + x)
@@ -668,8 +682,8 @@ class _BlueNode:
     def value(self, v: float, mu: float) -> float:
         return self.h(self.state(v), mu)
 
-    def argmax(self, mu: float) -> tuple[float, float]:
-        """(v, h) at the best of the piece ends and the local maxima inside the pieces.
+    def argmax(self, mu: float) -> tuple[tuple[float], float]:
+        """((v,), h) at the best of the piece ends and the local maxima inside the pieces.
 
         On a piece h = N / D with D > 0, so h' has the sign of N'D - ND',
         a polynomial of degree <= 2, and h has a local maximum inside the
@@ -690,7 +704,7 @@ class _BlueNode:
                 h = self.h(st, mu)
                 if h > value:
                     best, value = st, h
-        return best[0], value
+        return best[:1], value
 
 
 def _blue_node(kind: MoKind, caps: DeviceCaps, n_th: float) -> _BlueNode:
@@ -704,20 +718,58 @@ def _blue_node_of(kind: MoKind, caps_key: tuple, n_th_key: tuple) -> _BlueNode:
     return _BlueNode(kind, _caps_of(caps_key), n_th_key[0][0])
 
 
+class _EmNode:
+    """An EM source in the node-local condition; both of its axes stay open.
+
+    Its h is 4 tau_a C_a (kappa C_b - n_th) / (1 + C_a + C_b)^2, with
+    kappa = tau_b sh^2 (1 - mu) / (sh^2 + mu), sh = sinh r, and it is best
+    at one of three points (optimize_cooperativities).  At r = 0 kappa is
+    0, and (0, 0) is best at every mu.  Its point is (C_a, C_b).
+    """
+
+    def __init__(self, caps: DeviceCaps, n_th: float, sh2: float):
+        self.d_a, self.d_b, self.n_th, self.sh2 = caps.d_a, caps.d_b, n_th, sh2
+        self.four_tau_a, self.tau_b_sh2 = 4.0 * caps.tau_a, caps.tau_b * sh2
+
+    def kappa(self, mu: float) -> float:
+        return self.tau_b_sh2 * (1.0 - mu) / (self.sh2 + mu) if self.sh2 > 0.0 else 0.0
+
+    def h(self, c_a: float, c_b: float, kappa: float) -> float:
+        s = 1.0 + c_a + c_b
+        return self.four_tau_a * c_a * (kappa * c_b - self.n_th) / (s * s)
+
+    def value(self, c_a: float, c_b: float, mu: float) -> float:
+        return self.h(c_a, c_b, self.kappa(mu))
+
+    def argmax(self, mu: float) -> tuple[tuple[float, float], float]:
+        """((C_a, C_b), h) at the first best of (0, 0), (min(d_a, 1 + d_b), d_b)
+        and (d_a, min(d_b, 1 + d_a + 2 n_th / kappa))."""
+        kappa = self.kappa(mu)
+        best, value = (0.0, 0.0), 0.0
+        if kappa > 0.0:
+            d_a, d_b = self.d_a, self.d_b
+            for point in ((min(d_a, 1.0 + d_b), d_b),
+                          (d_a, min(d_b, 1.0 + d_a + 2.0 * self.n_th / kappa))):
+                h = self.h(*point, kappa)
+                if h > value:
+                    best, value = point, h
+        return best, value
+
+
 @dataclass(frozen=True)
 class _NodeRoot:
-    """The best point of a layout without an EM source, by the node-local condition.
+    """The best point of a layout, by the node-local condition.
 
     The margin exceeds mu > 0 iff w_1 v_1 + w_2 v_2 > offset, where v_i
     is node i's value at mu: a swap has w = (t_1, t_2), offset 1 and v =
     h; a downconversion w = (1, 1), offset 0, v_1 = h of the source and
     v_2 = -g of the downconverter (optimize_cooperativities).  Each node
-    maximises its value alone (argmax); a mirrored layout takes node 1's
-    point for both.
+    maximises its value alone (argmax, which returns the node's axes as
+    a tuple); a mirrored layout takes node 1's point for both.
 
-    of builds one per cell: its converter nodes and weights depend on
-    the cell's r and split, while its IO and IM nodes come from
-    _blue_node, built once per process for each (kind, caps, n_th).
+    of builds one per cell: its converter and EM nodes and its weights
+    depend on the cell's r and split, while its IO and IM nodes come
+    from _blue_node, built once per process for each (kind, caps, n_th).
     """
 
     nodes: tuple
@@ -730,7 +782,9 @@ class _NodeRoot:
         sh2 = math.sinh(r) ** 2
 
         def source(kind, tau):
-            return _ConverterNode(caps, tau, n_th, sh2) if kind is _EO else _blue_node(kind, caps, n_th)
+            if kind is _EO:
+                return _ConverterNode(caps, tau, n_th, sh2)
+            return _EmNode(caps, n_th, sh2) if kind is _EM else _blue_node(kind, caps, n_th)
 
         if t.scheme == "down":
             nodes = (source(t.kinds[0], caps.tau_a * split[0]),
@@ -745,9 +799,9 @@ class _NodeRoot:
         (w1, w2), first, second = self.weights, *self.nodes
         x1, v1 = first.argmax(mu)
         if self.mirrored:
-            return (x1,), w1 * v1 + w2 * second.value(x1, mu) - self.offset
+            return x1, w1 * v1 + w2 * second.value(*x1, mu) - self.offset
         x2, v2 = second.argmax(mu)
-        return (x1, x2), w1 * v1 + w2 * v2 - self.offset
+        return x1 + x2, w1 * v1 + w2 * v2 - self.offset
 
     def solve(self, margin: Callable) -> tuple[list[float], float]:
         """The best point of the box and its margin (see optimize_cooperativities).
@@ -761,21 +815,13 @@ class _NodeRoot:
         x, excess = self.argmax(0.0)
         if not excess > 0.0:
             return [0.0] * len(x), 0.0
-        m = margin(x)
-        for _ in range(_ROOT_STEPS):
-            if not m > 0.0:
-                break
-            y = self.argmax(m)[0]
-            m_y = margin(y)
-            if not m_y > m:
-                break
-            x, m = y, m_y
+        x, m = _ascend(x, margin, lambda mu: self.argmax(mu)[0])
         return list(x), m
 
 
 @dataclass(frozen=True)
 class _CooperativityBox:
-    """The search problem of optimize_cooperativities, inputs checked.
+    """The problem of optimize_cooperativities, inputs checked.
 
     margin is the margin over the box [0, hi], -inf where a source is
     unstable, in the layout (_layout_coords) of one transducer when
@@ -785,10 +831,10 @@ class _CooperativityBox:
     downconverter) with its layout code.  full maps a point of the box
     to the cooperativity 4-tuple; hi is the clamped all-max corner.  A
     symmetric swap is mirrored at any split and down(EO) at a uniform
-    one (the diagonal of optimize_cooperativities).  idle is True where
-    an EM source has r = 0 and so correlates nothing.  root() builds the
-    _NodeRoot that solves a layout without an EM source node by node;
-    root is None where an EM source keeps the layout searched.
+    one (the diagonal of optimize_cooperativities).  root() builds the
+    _NodeRoot that solves every layout node by node.  search, which
+    production code does not call, serves as the oracle of root: the
+    validate checks and the tests compare the two.
     """
 
     caps: DeviceCaps
@@ -797,8 +843,7 @@ class _CooperativityBox:
     full: Callable
     hi: list[float]
     mirrored: bool
-    idle: bool
-    root: Callable[[], _NodeRoot] | None
+    root: Callable[[], _NodeRoot]
 
     @classmethod
     def of(cls, t, caps, n_th, r, tau_e=1.0, loss_split=None) -> "_CooperativityBox":
@@ -815,9 +860,8 @@ class _CooperativityBox:
         hi = [(caps.d_a, caps.d_b)[j] for k in axes for j in _NODE_AXES[k]]
         full = _layout_coords(caps, axes)
         nodes = tuple(zip(t.kinds if t.scheme == "swap" else (t.kinds[0], None), axes))
-        root = None if _EM in t.kinds else functools.partial(
-            _NodeRoot.of, t, caps, n_th, rv, split, mirrored)
-        return cls(caps, nodes, margin, full, hi, mirrored, _EM in t.kinds and rv == 0.0, root)
+        root = functools.partial(_NodeRoot.of, t, caps, n_th, rv, split, mirrored)
+        return cls(caps, nodes, margin, full, hi, mirrored, root)
 
     def search(self, n_starts: int, nm_max_iter: int) -> tuple[list[float], float]:
         """Nelder-Mead from the n_starts best of the ranked pool, then a polish.
@@ -866,22 +910,18 @@ def optimize_cooperativities(
     + C_a); an IO or IM source has its red-pumped side
     as its only axis, its blue-pumped side sitting at its stable bound
     (_stable_bound_fn); both pins are exact, as shown below.  Only an EM
-    source keeps both axes.  A layout without an EM source is not
-    searched: it is solved node by node (_NodeRoot), as proven below.
-    A layout with an EM source is searched, in 2 or 3 dimensions, at r
-    > 0; at r = 0 none of its points entangles (below).
-    The starts are chosen by one array evaluation of the margin over a
-    fixed log grid of the box plus the box corners (clamped into the
-    stability region): Nelder-Mead (nm_max_iter * dim // 2 iterations
-    in dim dimensions) runs from the n_starts best of them, then one
-    golden-section polish round along each axis, within 2% of the
-    axis's cap of the best point.  Every corner is in the ranked pool,
-    so the result never falls below the best corner.  loss_split is
-    checked as in NetworkConfig (one share per slot, multiplying to
-    tau_e, each in [tau_e, 1]); ValueError otherwise, for n_th outside
-    DeviceCaps's domain (finite and >= 0), and unless n_starts is an
-    integer >= 1 and nm_max_iter an integer >= 0.  Returns the full
-    cooperativity 4-tuple and the achieved logarithmic negativity.
+    source keeps both axes.  Nothing is searched: every layout is solved
+    node by node (_NodeRoot), as proven below.  n_starts and nm_max_iter
+    are inert: they were the budget of the search that the node-local
+    root replaced, and they are still checked and accepted only because
+    callers pass them (the benchmark's warm-up,
+    perfbench/workloads.py:DeviceSweep.warm_up); they select nothing.
+    loss_split is checked as in NetworkConfig (one share per slot,
+    multiplying to tau_e, each in [tau_e, 1]); ValueError otherwise, for
+    n_th outside DeviceCaps's domain (finite and >= 0), and unless
+    n_starts is an integer >= 1 and nm_max_iter an integer >= 0.
+    Returns the full cooperativity 4-tuple and the achieved logarithmic
+    negativity.
 
     The converter pin is exact.  In the excess form of
     network._mm_excess_fn a converter maps the mode it converts as A ->
@@ -900,7 +940,7 @@ def optimize_cooperativities(
     every C_b.)  A separable margin is not ordered so; loss moves it up
     toward 0, which changes no returned value.  The argument needs a
     final output: the converter of an EM source outputs the optical mode
-    that is measured or downconverted, so its C_b stays a search axis.
+    that is measured or downconverted, so its C_b stays an axis.
 
     The blue pin is exact too.  Call C_+ the blue-pumped side of an IO
     or IM source (IO's C_a, IM's C_b) and C_- the other.  The margin m
@@ -948,9 +988,9 @@ def optimize_cooperativities(
     / t_1, convex on [tau_e, 1]: an end, all the loss on one measured
     arm, as network.default_loss_split places it.
 
-    The node-local root.  A layout without an EM source is solved node
-    by node.  A swap's margin exceeds mu > 0 iff t_1 h_1 + t_2 h_2 > 1
-    (the diagonal, above).  A downconversion's final state is (B0, t^2
+    The node-local root.  Every layout is solved node by node.  A swap's
+    margin exceeds mu > 0 iff t_1 h_1 + t_2 h_2 > 1 (the diagonal,
+    above).  A downconversion's final state is (B0, t^2
     A0 + m, t c0, .), where (A0, B0, c0, P0) is the source's state and
     (t, m) the downconverter's transmission and added noise, so its
     margin, the larger eigenvalue of [[-B0, t c0], [t c0, -(t^2 A0 +
@@ -982,6 +1022,22 @@ def optimize_cooperativities(
     has a local maximum inside a piece only where that falls through 0.
     The largest h is thus at a piece end or at one such root per piece
     (_falling_root); a root need not be exact, since h is flat there.
+    An EM source, the mirror of EO (sources), has a = T (nu + sh^2), b =
+    sh^2 and p = T sh^2 (nu - 1), with T = 4 tau_a tau_b C_a C_b / s^2, s
+    = 1 + C_a + C_b and nu = n_th / (tau_b C_b), so h = 4 tau_a C_a (kappa
+    C_b - n_th) / s^2 with kappa = tau_b sh^2 (1 - mu) / (sh^2 + mu) > 0
+    (mu < 1; every margin is below 1/2).  Where h > 0 its partial
+    derivatives have the signs of 1 + C_b - C_a in C_a and of kappa (1 +
+    C_a - C_b) + 2 n_th in C_b.  The first vanishes only on C_a = 1 +
+    C_b, where the second is 2 kappa + 2 n_th > 0, so h has no stationary
+    point inside the box where it is positive.  h is 0 on C_a = 0 and <=
+    0 on C_b = 0, so a positive maximum lies on the edge C_b = d_b or C_a
+    = d_a; along each, h rises up to the zero of its partial derivative
+    and falls beyond.  The best point is thus the first best of (0, 0),
+    where h = 0, (min(d_a, 1 + d_b), d_b) and (d_a, min(d_b, 1 + d_a + 2
+    n_th / kappa)) (_EmNode).  At r = 0, sh = 0: the source has B = c =
+    0 and correlates nothing, h = -4 tau_a C_a n_th / s^2 <= 0, and (0, 0)
+    is best at every mu.
     The condition at mu = 0 decides whether any point entangles.  A
     point of margin m > 0 meets it at every mu in (0, m), hence at mu =
     0, where each h is no lower and g no higher; where the best point
@@ -990,19 +1046,20 @@ def optimize_cooperativities(
     the nodes through each source's ratio rho = P/B after its loss
     share, rho_i = -t_i h_i: a swap entangles iff 1 + rho_1 + rho_2 <
     0, a downconversion iff rho_0 + n_th / (tau' C_a2) < 0, and a node
-    with B = 0 also has c = 0, so it cannot entangle.  Each rho is
-    smallest at the clamped all-max corner: EO has rho = sh^2 (n - tau'
-    C_a) / (n + tau' C_a sh^2), IO rho = -tau_a C_a / (C_a + n) at the
-    largest stable C_a, which is at C_b = d_b, and IM rho = -tau_a C_a
-    / (C_a + n + 1); all three fall as C_a grows and do not depend on
+    with B = 0 also has c = 0, so it cannot entangle.  An EM source's
+    best point at mu = 0 is its own, above, with kappa = tau_b.  Every
+    other rho is smallest at the clamped all-max corner: EO has rho =
+    sh^2 (n - tau' C_a) / (n + tau' C_a sh^2), IO rho = -tau_a C_a /
+    (C_a + n) at the largest stable C_a, which is at C_b = d_b, and IM
+    rho = -tau_a C_a / (C_a + n + 1); all three fall as C_a grows and do not depend on
     C_b, so each node's best point at mu = 0 is that corner.  Where the
     condition fails there, the point with every axis at 0 is returned
     with 0.0: no node correlates there, so its margin is <= 0 (without
     rounding for an EO node, whose converter then transmits nothing),
     even where the corner's margin rounds above 0 (an EO swap at share
-    1/2, where it is 0).  An EM source at r = 0 has B = c = 0, so a
-    layout with one returns the same point with 0.0 and is not
-    searched; EM at r > 0, whose rho has an interior minimum, is.
+    1/2, where it is 0).  A layout with an EM source at r = 0 fails the
+    condition at mu = 0 and returns that point too: its EM node's best
+    h is 0, at (0, 0), and the other node alone cannot entangle.
     Otherwise each step takes the best point at mu_k, the margin of the
     last point: its margin is above mu_k unless mu_k >= m*, so the
     margins rise to m*, superlinearly as in Dinkelbach's method for
@@ -1015,9 +1072,7 @@ def optimize_cooperativities(
         if type(value) is not int or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     box = _CooperativityBox.of(t, caps, n_th, r, tau_e, loss_split)
-    if box.idle:
-        return box.full([0.0] * len(box.hi)), 0.0
-    x, m = box.root().solve(box.margin) if box.root else box.search(n_starts, nm_max_iter)
+    x, m = box.root().solve(box.margin)
     return box.full(x), _log2_negativity(m)
 
 
@@ -1032,17 +1087,17 @@ def optimize_loss_split(
 
     Returns the split, as Python floats, and the logarithmic negativity
     there; the cooperativities are optimized at every split evaluated,
-    with _SPLIT_BUDGET = (n_starts, nm_max_iter).  A downconversion or a
-    symmetric swap takes network.default_loss_split: equal shares for
-    down(EO), everything on one measured arm for a symmetric swap (the
-    diagonal in optimize_cooperativities proves it).  A 2-slot
-    asymmetric swap takes the better of its two ends, (tau_e, 1) and (1,
-    tau_e), and searches nothing.  A 3-slot one, an asymmetric swap
-    whose EO node (node 1) has a third share t_3 in front of its
-    converter, takes the best of the ends of the edge (tau_e / t_3, 1,
-    t_3), t_3 in [tau_e, 1], and of one golden-section search over t_3
-    along it; every point of the edge is a valid split.  Ties keep the
-    first split listed.
+    as optimize_cooperativities does.  A downconversion or a symmetric
+    swap takes network.default_loss_split: equal shares for down(EO),
+    everything on one measured arm for a symmetric swap (the diagonal in
+    optimize_cooperativities proves it).  A 2-slot asymmetric swap takes
+    the better of its two ends, (tau_e, 1) and (1, tau_e), the first on
+    a tie.  A 3-slot one, an asymmetric swap whose EO node (node 1) has
+    a third share t_3 in front of its converter, is best on the edge
+    (tau_e / t_3, 1, t_3), t_3 in [tau_e, 1], at the t_3 that the ascent
+    below reaches; where no split of the edge entangles it returns (1,
+    1, tau_e), all the loss in front of the converter, with 0.0.
+    Nothing is searched.
 
     The proof.  The diagonal proof in optimize_cooperativities holds for
     any swap: the margin exceeds mu > 0 iff t_1 h_1 + t_2 h_2 > 1, where
@@ -1065,8 +1120,26 @@ def optimize_loss_split(
     T nu + mu > 0, h_1 = 1 - X ch^2 / (T t_3 sh^2 + X) < 1.  So h_1 + u
     h_2 > 1 needs h_2 > X ch^2 / (T tau_e sh^2 + u X), no less than the
     X ch^2 / (T tau_e sh^2 + X) that (1, 1, tau_e) needs, since u <= 1.
-    Along the edge searched the optimum may be interior (IM+EO); the
-    golden section assumes one peak there, which is not proven.
+
+    The edge kept.  On it the condition reads F(t_3) + h_2 > 1, where F
+    = (tau_e / t_3) h_1 = tau_e sh^2 (T t_3 - X) / (t_3 (T sh^2 t_3 +
+    X)), since ch^2 - 1 = sh^2.  F' has the sign of X^2 + 2 T X sh^2 t_3
+    - T^2 sh^2 t_3^2, which is positive at t_3 = 0 and has one positive
+    root, T t_3 = X (1 + coth r) (as sqrt(sh^2 (sh^2 + 1)) = sh ch).  So
+    F rises up to t_3* = (X / T)(1 + coth r) = (n_th / (tau_a C_a) + mu
+    / T)(1 + coth r) and falls beyond: its one peak on the edge is t_3*
+    clipped to [tau_e, 1], and it may be interior (IM+EO).  h_2 does not
+    depend on t_3, and at every t_3 h_1 rises as X / T falls, so the EO
+    node's best C_a at mu is the x* of optimize_cooperativities whatever
+    t_3, and X / T there is the least g of a converter with tau' =
+    tau_a.  The best point at mu of the split and the cooperativities
+    together is thus t_3*(mu) at x*(mu), with each node at its own
+    best.  The ascent is that of _NodeRoot.solve, on the split too: at
+    mu = 0 the condition at t_3*(0) decides whether any split of the
+    edge entangles; then each step moves to t_3*(mu_k), mu_k the best
+    margin at the last split, whose best margin exceeds mu_k unless mu_k
+    is already the best over the edge, and the steps stop once it no
+    longer rises (_ascend).  At r = 0, F = 0 and no split entangles.
     """
     _check_loss_split(tau_e)
     # Python floats, as default_loss_split returns: a numpy tau_e would
@@ -1074,22 +1147,27 @@ def optimize_loss_split(
     tau_e = float(tau_e)
 
     def e_at(split) -> float:
-        return optimize_cooperativities(
-            t, caps, n_th, r, tau_e=tau_e, loss_split=split,
-            n_starts=_SPLIT_BUDGET[0], nm_max_iter=_SPLIT_BUDGET[1],
-        )[1]
+        return optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)[1]
 
     if t.is_symmetric:
         split = default_loss_split(t, tau_e)
         return split, e_at(split)
     if loss_slot_count(t) == 2:
-        candidates = [(s, e_at(s)) for s in ((tau_e, 1.0), (1.0, tau_e))]
-    else:
-        def edge(t3):
-            return (tau_e / t3, 1.0, t3)
+        return max(((s, e_at(s)) for s in ((tau_e, 1.0), (1.0, tau_e))), key=operator.itemgetter(1))
+    rv = _as_r(r)
+    converter = _ConverterNode(caps, caps.tau_a, n_th)
+    lead = 1.0 + 1.0 / math.tanh(rv) if rv > 0.0 else 0.0
 
-        # its ends, all the loss in front of the converter first
-        candidates = [(s, e_at(s)) for s in (edge(tau_e), edge(1.0))]
-        t3, e = golden_max_1d(lambda t3: e_at(edge(t3)), tau_e, 1.0, iters=_EDGE_ITERS)
-        candidates.append((edge(t3), e))
-    return max(candidates, key=operator.itemgetter(1))
+    def peak(mu: float) -> float:
+        """t_3*(mu) at x*(mu), clipped to [tau_e, 1]; tau_e at r = 0 (0 times g, or NaN)."""
+        t3 = float(-converter.argmax(mu)[1] * lead)
+        return min(1.0, t3) if t3 > tau_e else tau_e
+
+    def margin_at(t3: float) -> float:
+        box = _CooperativityBox.of(t, caps, n_th, rv, tau_e, (tau_e / t3, 1.0, t3))
+        return box.root().solve(box.margin)[1]
+
+    t3, m = _ascend(peak(0.0), margin_at, peak)
+    if not m > 0.0:
+        t3 = tau_e
+    return (tau_e / t3, 1.0, t3), _log2_negativity(m)

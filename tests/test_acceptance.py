@@ -335,9 +335,8 @@ def test_criterion_7_global_necessary_condition():
         assert mm_log_negativity(t, cfg) == 0.0, (i, t.label, caps)
         checked += 1
     # and with the cooperativity search in the loop on a subset; the search
-    # runs on every config, and every layout without an EM source must stop
-    # at mu = 0, where the node values fail its condition (EM at r > 0 is
-    # searched)
+    # runs on every config, and every layout must stop at mu = 0, where the
+    # node values fail its condition
     for i in range(100):
         caps = DeviceCaps(
             10.0 ** rng.uniform(-1.0, 3.0), 10.0 ** rng.uniform(-1.0, 2.0),
@@ -349,8 +348,7 @@ def test_criterion_7_global_necessary_condition():
         box = _CooperativityBox.of(t, caps, n_th, rng.uniform(0.0, 1.2))
         _, m = box.search(6, 80)
         assert m <= 0.0, (i, t.label, caps)
-        if box.root is not None:
-            assert box.root().solve(box.margin) == ([0.0] * len(box.hi), 0.0), (i, t.label, caps)
+        assert box.root().solve(box.margin) == ([0.0] * len(box.hi), 0.0), (i, t.label, caps)
     _report(7, f"{checked} random configs + 100 optimized configs all separable")
 
 

@@ -187,8 +187,8 @@ class TestDeviceRun:
             assert row["eo_swap_10db"] >= row["eo_swap_3db"]
 
     def test_searches_nothing(self, monkeypatch):
-        # every column without an EM source is solved node by node, and the
-        # EM columns (r = 0) return 0 at once: their sources correlate nothing
+        # every column is solved node by node, and the EM columns (r = 0)
+        # stop at mu = 0: their sources correlate nothing
         from gausslink.thresholds import _CooperativityBox
 
         def search(box, *args):

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from gausslink import (
     optimize_cooperativities,
     optimize_loss_split,
 )
-from gausslink import experiments, sources, thresholds
+from gausslink import experiments, optimize, sources, thresholds
 from gausslink.experiments import ExperimentConfig, _device_cells, cmd_device_run
 from gausslink.network import (
     ALL_TOPOLOGIES,
@@ -31,7 +33,6 @@ from gausslink.presets import PRESETS
 from gausslink.sampling import generator, random_caps
 from gausslink.sources import MoKind
 from gausslink.thresholds import (
-    _SPLIT_BUDGET,
     _BlueNode,
     _CooperativityBox,
     _blue_node,
@@ -519,15 +520,17 @@ class TestOptimizeCooperativities:
         with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
             optimize_cooperativities(t, caps, 0.2, n_starts=n_starts, nm_max_iter=nm_max_iter)
 
-    def test_smallest_search_budget_still_searches(self):
-        # one start and no simplex steps: the best ranked point, polished.
-        # Only an EM source at r > 0 is searched
+    def test_search_budget_selects_nothing(self):
+        # nothing is searched, so the smallest valid budget returns what the
+        # default one does, bit for bit, an EM source at r > 0 included
         caps = DeviceCaps(25.0, 6.0, 0.9, 0.85, 0.2)
-        t = Topology.swap_sym(MoKind.EM)
-        _, e = optimize_cooperativities(t, caps, 0.2, 0.8, n_starts=1, nm_max_iter=0)
-        _, e_full = optimize_cooperativities(t, caps, 0.2, 0.8)
-        assert e_full > 0.0
-        assert e == pytest.approx(e_full, rel=1e-4)
+        for t in (Topology.swap_sym(MoKind.EM), Topology.down(MoKind.EM),
+                  Topology.swap_asym(MoKind.EO, MoKind.IM)):
+            small = optimize_cooperativities(t, caps, 0.2, 0.8, tau_e=0.7, n_starts=1,
+                                             nm_max_iter=0)
+            full = optimize_cooperativities(t, caps, 0.2, 0.8, tau_e=0.7)
+            assert full[1] > 0.0, t.label
+            assert repr(small) == repr(full), t.label
 
     def test_io_argmax_binds_stability(self):
         caps = DeviceCaps(100.0, 10.0, 0.9, 0.8, 0.0)
@@ -602,29 +605,25 @@ def _separable_at_mu_0(box) -> bool:
     return box.root().solve(box.margin) == ([0.0] * len(box.hi), 0.0)
 
 
-def _settled_without_search(box) -> bool:
-    """optimize_cooperativities returns 0 e-bits at the zero point without a search."""
-    return box.idle or (box.root is not None and _separable_at_mu_0(box))
-
-
 _NON_EM = [t for t in ALL_TOPOLOGIES if MoKind.EM not in t.kinds]
 
 
 class TestCornerShortcut:
-    """optimize_cooperativities returns 0 e-bits without a search where the
-    node-local condition fails at mu = 0, and for an EM source at r = 0.
-    The margin at the clamped all-max corner is the oracle of the first."""
+    """optimize_cooperativities returns 0 e-bits at once where the
+    node-local condition fails at mu = 0, an EM source at r = 0 included.
+    On layouts without an EM source the margin at the clamped all-max
+    corner is its oracle."""
 
     def test_sound_on_random_draws(self):
-        # wherever a cell is settled without a search, neither a dense grid
-        # of the margin nor the full search finds a positive margin
+        # wherever a cell stops at mu = 0, on all 14 topologies, neither a
+        # dense grid of the margin nor the full search finds a positive margin
         rng = generator(20260808, stream=110)
         fired = mirrored = 0
         for i in range(560):
             t = ALL_TOPOLOGIES[i % len(ALL_TOPOLOGIES)]
             caps, n_th, r, tau_e, split = _shortcut_draw(rng, t)
             box = _CooperativityBox.of(t, caps, n_th, r, tau_e, split)
-            if not _settled_without_search(box):
+            if not _separable_at_mu_0(box):
                 continue
             config = (i, t.label, caps, n_th, r, split)
             cs, e = optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)
@@ -704,21 +703,25 @@ class TestCornerShortcut:
         assert checked >= 50, checked
 
     def test_device_run_unchanged_without_the_shortcut(self, monkeypatch):
-        # an EM source at r = 0 is searched instead of settled at once
+        # the EM cells, all at r = 0, stop at mu = 0; searched instead of
+        # solved, they print the same text
         cfg = ExperimentConfig(experiment="device-run", points=13, jobs=1)
         _, text = cmd_device_run(cfg)
         of = _CooperativityBox.of.__func__
         searched = []
 
-        def busy(cls, *args):
-            box = of(cls, *args)
-            searched.append(box.idle)
-            return replace(box, idle=False)
+        def busy(cls, t, caps, n_th, r, *args):
+            box = of(cls, t, caps, n_th, r, *args)
+            if MoKind.EM not in t.kinds:
+                return box
+            assert r == 0.0 and _separable_at_mu_0(box), (t.label, r)
+            searched.append(t.label)
+            return replace(box, root=lambda: SimpleNamespace(solve=lambda m: box.search(16, 250)))
 
         monkeypatch.setattr(_CooperativityBox, "of", classmethod(busy))
         _, forced = cmd_device_run(cfg)
         assert text == forced
-        assert sum(searched) == 26, sum(searched)
+        assert len(searched) == 26, len(searched)
 
     def test_device_run_builds_no_corner_candidates(self, monkeypatch):
         def candidates(*args):
@@ -798,8 +801,8 @@ class TestConverterPin:
     def test_device_run_search_dimensions(self):
         # one axis per free cooperativity: a converter node keeps only C_a,
         # an IO or IM source only its red-pumped side, an EM source both.
-        # The symmetric swaps mirror at every split, and every column
-        # without an EM source is solved node by node, not searched
+        # The symmetric swaps mirror at every split, and the root's point
+        # has the box's dimension on every column
         caps = PRESETS["brubaker2022"]["caps"]
         dims = {"eo_down": 1, "eo_swap": 1, "eo_swap_eqsplit": 1, "em_down": 3,
                 "em_swap": 2, "io_down": 2, "io_swap": 1, "im_down": 2, "im_swap": 1,
@@ -809,7 +812,7 @@ class TestConverterPin:
                 box = _CooperativityBox.of(t, caps, caps.n_th, r, tau_e, split)
                 column = name.rsplit("_", 1)[0] if name.endswith("db") else name
                 assert len(box.hi) == dims[column], (name, tau_e)
-                assert (box.root is None) == column.startswith("em_"), (name, tau_e)
+                assert len(box.root().solve(box.margin)[0]) == dims[column], (name, tau_e)
 
     def test_argmax_satisfies_the_pin(self):
         rng = generator(20260808, stream=113)
@@ -919,8 +922,8 @@ class TestMirroredEoPeak:
 
     def test_searches_nothing(self, monkeypatch):
         # the mirrored EO layouts never reach the search, the EO swap at its
-        # default split and the asymmetric IM+EO swap neither; an EM source
-        # at r > 0 still does
+        # default split, the asymmetric IM+EO swap and an EM source at r > 0
+        # neither
         caps = PRESETS["brubaker2022"]["caps"]
         calls = []
         search = _CooperativityBox.search
@@ -936,8 +939,9 @@ class TestMirroredEoPeak:
                                         tau_e=0.5)
         assert e > 0.0
         assert not calls
-        optimize_cooperativities(Topology.down(MoKind.EM), caps, 1.0, 1.0, tau_e=0.5)
-        assert len(calls) == 1 and calls[0].root is None
+        _, e = optimize_cooperativities(Topology.down(MoKind.EM), caps, 1.0, 1.0, tau_e=0.5)
+        assert e > 0.0
+        assert not calls
 
     @pytest.mark.parametrize("t, r, tau_e", [
         (Topology.down(MoKind.EO), 0.0, 0.5),
@@ -1052,7 +1056,7 @@ class TestSwapDiagonal:
         # both nodes free (_margin_fn4 with pin_cb, 2-D; 4-D for EM) and on
         # its diagonal (_margin_fn with pin_cb): the diagonal is never
         # lower.  optimize_cooperativities solves that diagonal node by
-        # node (an EM swap is searched on it), to the same 1e-12
+        # node, to the same 1e-12
         rng = generator(20260808, stream=120)
         entangled = 0
         for i in range(6):
@@ -1209,12 +1213,12 @@ def _generic_argmax(node, mu):
             st = node.state(v)
             if node.h(st, mu) > value:
                 best, value = st, node.h(st, mu)
-    return best[0], value
+    return best[:1], value
 
 
 def _winner(node, mu) -> str:
     """Where node's best point at mu lies: "end" (a kink or a cap of its face) or "root"."""
-    v = node.argmax(mu)[0]
+    (v,) = node.argmax(mu)[0]
     return "end" if any(v == end[0] for end in node.ends) else "root"
 
 
@@ -1263,7 +1267,7 @@ class TestBlueNodeArgmax:
                 node.ends = ((-1.0, *best[1:]), *node.ends, (-2.0, *best[1:]))
                 got, want = node.argmax(mu), _generic_argmax(node, mu)
                 assert repr(got) == repr(want), (i, kind, caps, n_th, mu)
-                assert got[0] == -1.0 or _winner(node, mu) == "root"
+                assert got[0] == (-1.0,) or _winner(node, mu) == "root"
 
 
 def _caps_cast(caps, cast):
@@ -1351,7 +1355,7 @@ class TestFactoryCaches:
             node = _blue_node(kind, self.caps, self.caps.n_th)
             before = repr(vars(node))
             for mu in [0.0] + np.geomspace(1e-6, 1e3, 40).tolist():
-                v, _ = node.argmax(mu)
+                (v,), _ = node.argmax(mu)
                 node.value(v, mu)
             assert repr(vars(node)) == before
             assert _blue_node(kind, self.caps, self.caps.n_th) is node
@@ -1518,15 +1522,12 @@ class TestOptimizeLossSplit:
     def test_asym_two_slot_search_never_below_endpoints(self):
         caps = DeviceCaps(25.0, 6.0, 0.9, 0.85, 0.2)
         t = Topology.swap_asym(MoKind.IM, MoKind.EM)
-        tau_e, budget = 0.6, _SPLIT_BUDGET
+        tau_e = 0.6
         split, e = optimize_loss_split(t, caps, caps.n_th, 0.8, tau_e)
         assert len(split) == 2
         assert math.prod(split) == pytest.approx(tau_e, rel=1e-12)
         for end in ((tau_e, 1.0), (1.0, tau_e)):
-            _, e_end = optimize_cooperativities(
-                t, caps, caps.n_th, 0.8, tau_e=tau_e, loss_split=end,
-                n_starts=budget[0], nm_max_iter=budget[1],
-            )
+            _, e_end = optimize_cooperativities(t, caps, caps.n_th, 0.8, tau_e=tau_e, loss_split=end)
             assert e >= e_end
         assert e > 0.0
 
@@ -1685,13 +1686,254 @@ class TestAsymmetricLossSplit:
                 scan = [(t_1, t_2, tau_e / (t_1 * t_2)) for t_1 in grid for t_2 in grid
                         if t_1 * t_2 >= tau_e]
             v = max(
-                optimize_cooperativities(
-                    t, caps, n_th, r, tau_e=tau_e, loss_split=s,
-                    n_starts=_SPLIT_BUDGET[0], nm_max_iter=_SPLIT_BUDGET[1],
-                )[1]
+                optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=s)[1]
                 for s in scan
             )
             assert e >= v - 1e-12 * max(1.0, abs(v)), (t.label, caps, n_th, r, tau_e, split)
             if e > 0.0:
                 found.add(_split_position(split))
         assert len(found) == 5, found
+
+
+#: An EO+IO draw (caps, r, tau_e) whose 3-slot edge entangles only on a
+#: window of t_3 around 0.13: a golden-section search over t_3 put both of
+#: its first probes (near 0.42 and 0.64) on the separable plateau and
+#: returned 0, as did both ends of the edge.
+_NARROW_WINDOW_DRAW = (
+    DeviceCaps(0.18651040736752453, 0.7986825747985009, 0.9269807816636275, 0.744742616687756,
+               0.005364901969811258,
+               PhysicalRates(kappa_a=9.164392666173583, kappa_b=0.2615355241856583, gamma_m=1.0)),
+    0.30822023464518905,
+    0.05803962180491662,
+)
+
+_THREE_SLOT = [t for t in ASYMMETRIC_SWAP_TOPOLOGIES if loss_slot_count(t) == 3]
+
+
+def _edge_e(t, caps, n_th, r, tau_e, t_3) -> float:
+    """The optimized negativity at the split (tau_e / t_3, 1, t_3) of the edge."""
+    split = (tau_e / t_3, 1.0, t_3)
+    return optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)[1]
+
+
+def _edge_grid(t, caps, n_th, r, tau_e, k=97) -> float:
+    """The best negativity on a k-point geometric grid of t_3 over [tau_e, 1]."""
+    return max(_edge_e(t, caps, n_th, r, tau_e, t_3) for t_3 in np.geomspace(tau_e, 1.0, k).tolist())
+
+
+def _edge_golden(t, caps, n_th, r, tau_e) -> float:
+    """The best of the edge's two ends and a 24-step golden-section search over t_3 along it."""
+    e_at = functools.partial(_edge_e, t, caps, n_th, r, tau_e)
+    return max(e_at(tau_e), e_at(1.0), golden_max_1d(e_at, tau_e, 1.0, iters=24)[1])
+
+
+def _edge_draw(rng, t):
+    """(caps, n_th, r, tau_e) just inside the n_th at which a 25-point t_3 grid stops entangling.
+
+    tau_e runs from 0.03 to 0.9, so that the edge is long, and n_th sits
+    1e-6 to 1e-1 relative below that grid's threshold, found by
+    bisection, where the window of t_3 that entangles may be narrow.
+    A draw that does not entangle at n_th = 0 is returned at n_th = 0.
+    """
+    kappa_a, kappa_b = (10.0 ** rng.uniform(-1.0, 2.5, 2)).tolist()
+    caps = random_caps(rng, PhysicalRates(kappa_a, kappa_b, 1.0))
+    r, tau_e = rng.uniform(0.1, 1.5), 10.0 ** rng.uniform(-1.5, -0.05)
+    lo, hi = 0.0, caps.tau_a * caps.d_a
+    if _edge_grid(t, caps, 0.0, r, tau_e, 25) > 0.0:
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _edge_grid(t, caps, mid, r, tau_e, 25) > 0.0 else (lo, mid)
+    return caps, lo * (1.0 - 10.0 ** rng.uniform(-6.0, -1.0)), r, tau_e
+
+
+class TestThreeSlotEdge:
+    """A 3-slot asymmetric swap is best on the edge (tau_e / t_3, 1, t_3),
+    at the one peak of its EO term in t_3, which optimize_loss_split
+    reaches by an ascent without a search."""
+
+    def test_reaches_a_narrow_window(self):
+        caps, r, tau_e = _NARROW_WINDOW_DRAW
+        t = Topology.swap_asym(MoKind.EO, MoKind.IO)
+        inside = (0.4359329208473224, 1.0, 0.13313888222092762)
+        cs, e_inside = optimize_cooperativities(t, caps, caps.n_th, r, tau_e=tau_e, loss_split=inside)
+        cfg = NetworkConfig(caps, *cs, r=r, tau_e=tau_e, loss_split=inside)
+        assert mm_log_negativity(t, cfg) == e_inside == pytest.approx(4.5387e-06, rel=1e-4)
+        # the golden-section search and both ends see only the plateau
+        assert _edge_golden(t, caps, caps.n_th, r, tau_e) == 0.0
+        split, e = optimize_loss_split(t, caps, caps.n_th, r, tau_e)
+        assert e > 4.5e-06 and e >= e_inside
+        assert split[1] == 1.0 and tau_e < split[2] < 1.0
+        assert all(type(share) is float for share in split)
+        assert split[0] * split[2] == pytest.approx(tau_e, rel=1e-15)
+        assert e == optimize_cooperativities(t, caps, caps.n_th, r, tau_e=tau_e, loss_split=split)[1]
+
+    @pytest.mark.parametrize("t", _THREE_SLOT, ids=lambda t: t.label)
+    def test_reaches_the_grid_and_the_golden_search_near_threshold(self, t):
+        # the value is never below a 97-point geometric grid of t_3 nor the
+        # golden-section search along the edge, each to 1e-12 relative, on
+        # draws just inside the threshold of the edge, where its window
+        # may be narrow.  With an IO or IM partner the draws put the best
+        # t_3 inside the edge, and the golden search falls short on some
+        rng = generator(20260808, stream=126)
+        where, short = set(), 0
+        for i in range(10):
+            caps, n_th, r, tau_e = _edge_draw(rng, t)
+            split, e = optimize_loss_split(t, caps, n_th, r, tau_e)
+            grid, golden = _edge_grid(t, caps, n_th, r, tau_e), _edge_golden(t, caps, n_th, r, tau_e)
+            config = (i, t.label, caps, n_th, r, tau_e, split, e, grid, golden)
+            assert e >= grid - 1e-12 * grid and e >= golden - 1e-12 * golden, config
+            assert e == _edge_e(t, caps, n_th, r, tau_e, split[2]), config
+            assert split[:2] == (tau_e / split[2], 1.0), config
+            if e > 0.0:
+                where.add(_split_position(split))
+            else:
+                assert split == (1.0, 1.0, tau_e), config
+            short += golden < e * (1.0 - 1e-9)
+        assert "(1, 1, tau_e)" in where, where
+        if MoKind.EM not in t.kinds:
+            assert "(tau_e / t_3, 1, t_3)" in where and short >= 1, (where, short)
+
+    def test_nothing_entangles_at_r_0(self):
+        # at r = 0 the EO node correlates nothing, and the result is the
+        # first end with 0.0, as where no split entangles
+        caps = PRESETS["brubaker2022"]["caps"]
+        for t in _THREE_SLOT:
+            assert optimize_loss_split(t, caps, 0.0, 0.0, 0.5) == ((1.0, 1.0, 0.5), 0.0)
+
+
+_EM_TOPOLOGIES = [t for t in ALL_TOPOLOGIES if MoKind.EM in t.kinds]
+_EM_EDGES = ("random", "small r", "d_b <= d_a - 1", "d_b >= d_a + 1", "d_b within 1 of d_a")
+
+
+def _em_draw(rng, t, edge):
+    """(caps, n_th, r, tau_e, split) for a layout with an EM source.
+
+    Efficiencies from 0.8 let every EM layout entangle, and rates of 0.1
+    to 300 let the stability lines of an IO or IM partner bind.  edge
+    picks "small r" (r from 1e-8 to 1e-3), "d_b <= d_a - 1", where the
+    EM node's best C_a may sit inside its cap, "d_b >= d_a + 1", where
+    its best C_b may, "d_b within 1 of d_a", where it is best at its
+    caps, or caps of 0.1 to 3e3 ("random").  n_th is 0 in a
+    fifth of the draws, else log-spread over 5.5 decades below min(tau_a
+    d_a, tau_b d_b); every slot takes a random share.
+    """
+    rates = PhysicalRates(*(10.0 ** rng.uniform(-1.0, 2.5, 2)).tolist(), 1.0)
+    d_a, d_b = (10.0 ** rng.uniform(-1.0, 3.5, 2)).tolist()
+    if edge == "d_b <= d_a - 1":
+        d_a = 1.0 + d_b * 10.0 ** rng.uniform(0.0, 2.0)
+    elif edge == "d_b >= d_a + 1":
+        d_b = (1.0 + d_a) * 10.0 ** rng.uniform(0.0, 3.0)
+    elif edge == "d_b within 1 of d_a":
+        d_b = max(d_a - 1.0, 0.0) + rng.uniform(0.0, 2.0)
+    tau_a, tau_b = rng.uniform(0.8, 1.0, 2).tolist()
+    caps = DeviceCaps(d_a, d_b, tau_a, tau_b, 0.0, rates)
+    r = 10.0 ** rng.uniform(-8.0, -3.0) if edge == "small r" else rng.uniform(0.05, 1.5)
+    n_th = 0.0 if rng.uniform() < 0.2 else min(tau_a * d_a, tau_b * d_b) * 10.0 ** rng.uniform(-6.0, -0.5)
+    split = tuple(rng.uniform(0.5, 1.0, loss_slot_count(t)).tolist())
+    return caps, n_th, r, math.prod(split), split
+
+
+def _em_piece(t, caps, cs) -> str:
+    """Where the EM node of t sits in cs: at (0, 0), a cap corner, or with C_a or C_b inside its cap."""
+    c_a, c_b = cs[2:] if t.kinds[0] is MoKind.EO else cs[:2]
+    if c_a == c_b == 0.0:
+        return "zero"
+    if c_b == caps.d_b:
+        return "corner" if c_a == caps.d_a else "C_a inside"
+    return "C_b inside" if c_a == caps.d_a else "elsewhere"
+
+
+class TestEmNode:
+    """An EM source is solved node by node too: its best point at mu is the
+    first best of (0, 0), (min(d_a, 1 + d_b), d_b) and (d_a, min(d_b, 1 +
+    d_a + 2 n_th / kappa))."""
+
+    def test_reaches_the_search(self):
+        # the box's own search and the test's pattern search, on all five EM
+        # topologies: the root is never lower, and its argmax re-evaluates
+        # through the public path.  The edges put the EM node's best point
+        # on every branch of its candidates
+        rng = generator(20260808, stream=133)
+        pieces, entangled = set(), set()
+        for edge in _EM_EDGES:
+            for i in range(3 * len(_EM_TOPOLOGIES)):
+                t = _EM_TOPOLOGIES[i % len(_EM_TOPOLOGIES)]
+                caps, n_th, r, tau_e, split = _em_draw(rng, t, edge)
+                box = _CooperativityBox.of(t, caps, n_th, r, tau_e, split)
+                cs, e = optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)
+                v = _log2_negativity(max(box.search(16, 250)[1],
+                                         _free_search(box.margin, box.hi, rng)))
+                config = (i, edge, t.label, caps, n_th, r, split, cs, e, v)
+                assert e >= v - 1e-12 * max(1.0, abs(v)), config
+                cfg = NetworkConfig(replace(caps, n_th=n_th), *cs, r=r, tau_e=tau_e, loss_split=split)
+                assert abs(e - mm_log_negativity(t, cfg)) <= 1e-12, config
+                if e > 0.0:
+                    entangled.add((edge, t.label))
+                    pieces.add(_em_piece(t, caps, cs))
+                else:
+                    assert cs == box.full([0.0] * len(box.hi)), config
+        assert pieces == {"C_a inside", "C_b inside", "corner"}, pieces
+        assert {label for _, label in entangled} == {t.label for t in _EM_TOPOLOGIES}, entangled
+        assert {edge for edge, _ in entangled} == set(_EM_EDGES), entangled
+
+    def test_argmax_beats_a_dense_grid_of_h(self):
+        # h from the EM state itself, -(P + mu A) / (B + mu) with A the
+        # optical excess of sources._mo_excess, on a dense grid of the box:
+        # the node's value agrees with it, and no grid point beats its argmax
+        rng = generator(20260808, stream=134)
+        branches = set()
+        for i in range(60):
+            edge = ("random", "d_b <= d_a - 1", "d_b >= d_a + 1")[i % 3]
+            caps, n_th, r, *_ = _em_draw(rng, Topology.down(MoKind.EM), edge)
+            mu = 0.0 if i % 4 == 0 else 0.5 * 10.0 ** rng.uniform(-8.0, 0.0)
+            node = thresholds._EmNode(caps, n_th, math.sinh(r) ** 2)
+            x = _dense_grid([caps.d_a, caps.d_b])
+            A, B, _, P = sources._mo_excess(MoKind.EM, x[0], x[1], caps.tau_a, caps.tau_b, n_th, r)
+            h = -(P + mu * A) / (B + mu)
+            for k in rng.integers(x.shape[1], size=20).tolist():
+                got = node.value(float(x[0, k]), float(x[1, k]), mu)
+                assert got == pytest.approx(h[k], rel=1e-12, abs=1e-300), (i, caps, n_th, r, mu)
+            (c_a, c_b), value = node.argmax(mu)
+            config = (i, caps, n_th, r, mu, c_a, c_b, value)
+            assert value == node.value(c_a, c_b, mu) or (c_a, c_b) == (0.0, 0.0), config
+            assert value >= np.max(h) - 1e-12 * max(1e-300, abs(value)), config
+            if value > 0.0:
+                branches.add("C_b = d_b" if c_b == caps.d_b else "C_b inside")
+                branches.add("C_a = d_a" if c_a == caps.d_a else "C_a inside")
+        assert branches == {"C_b = d_b", "C_b inside", "C_a = d_a", "C_a inside"}, branches
+
+    def test_r_0_stops_at_mu_0(self):
+        # at r = 0 an EM source correlates nothing: every EM layout returns
+        # exactly 0 at the point with every axis at 0, without a step
+        caps = PRESETS["brubaker2022"]["caps"]
+        for t in _EM_TOPOLOGIES:
+            for tau_e in (1.0, 0.5):
+                box = _CooperativityBox.of(t, caps, caps.n_th, 0.0, tau_e)
+                assert _separable_at_mu_0(box), (t.label, tau_e)
+                cs, e = optimize_cooperativities(t, caps, caps.n_th, 0.0, tau_e=tau_e)
+                assert e == 0.0 and cs == box.full([0.0] * len(box.hi)), (t.label, tau_e)
+
+
+class TestNothingSearched:
+    def test_production_never_searches(self, monkeypatch):
+        # with every search patched to raise, optimize_cooperativities and
+        # optimize_loss_split run on all 14 topologies, at r = 0 and r > 0
+        def searched(*args, **kwargs):
+            raise AssertionError("a production path searched")
+
+        assert not hasattr(thresholds, "golden_max_1d")
+        for module, name in ((thresholds, "maximize_box"), (optimize, "maximize_box"),
+                             (optimize, "golden_max_1d"), (thresholds, "_ranked_starts")):
+            monkeypatch.setattr(module, name, searched)
+        monkeypatch.setattr(_CooperativityBox, "search", searched)
+        rng = generator(20260808, stream=135)
+        entangled = set()
+        for i in range(3 * len(ALL_TOPOLOGIES)):
+            t = ALL_TOPOLOGIES[i % len(ALL_TOPOLOGIES)]
+            caps, n_th, r, tau_e, split = _em_draw(rng, t, "random")
+            for r_i in (0.0, r):
+                _, e = optimize_cooperativities(t, caps, n_th, r_i, tau_e=tau_e, loss_split=split)
+                _, e_split = optimize_loss_split(t, caps, n_th, r_i, tau_e)
+                if e > 0.0 and e_split > 0.0:
+                    entangled.add(t.label)
+        assert len(entangled) == len(ALL_TOPOLOGIES), entangled

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BalancedForm, OneModeChannel, SqueezeParam, _as_r
-from .sources import _EO, MoKind, _check_stable, _mo_excess_fn, _stable_intrinsic_fn
+from .sources import _EO, MoKind, _check_stable, _mo_excess_fn
 # the benchmark's tracer (perfbench/tracer.py) patches network._mo_excess by name
 from .sources import _mo_excess  # noqa: F401
 from .transducer import DeviceCaps, _check_cap, _check_loss_split, _conversion_t_mu_fn
@@ -70,6 +70,9 @@ class Topology:
     def __post_init__(self):
         if self.scheme not in ("down", "swap"):
             raise ValueError(f"scheme must be 'down' or 'swap', got {self.scheme!r}")
+        # a tuple for both schemes, so that equality and hashing do not
+        # depend on the sequence given, and a generator is read only once
+        object.__setattr__(self, "kinds", tuple(self.kinds))
         bad = [kind for kind in self.kinds if not isinstance(kind, MoKind)]
         if bad:
             raise ValueError(f"topology kinds must be MoKind members, got {bad!r}")
@@ -206,7 +209,7 @@ def swap(mo1: BalancedForm, mo2: BalancedForm) -> BalancedForm:
 
 
 def _mm_excess_fn(t: Topology, caps: DeviceCaps, n_th: float, r: float, split: tuple[float, ...]):
-    """f(c_a1, c_b1, c_a2, c_b2): final MM state as (A, B, c, P), or None for an unstable source.
+    """f(c_a1, c_b1, c_a2, c_b2): final MM state as (A, B, c, P).
 
     A and B are variances in excess of vacuum and P = A*B - c*c is
     tracked through every stage in a form of its own (its sign decides
@@ -215,15 +218,18 @@ def _mm_excess_fn(t: Topology, caps: DeviceCaps, n_th: float, r: float, split: t
     cancellation: the swap's output defect (B1 B2 + P1 B2 + P2 B1) / den
     adds terms of opposite sign, so next to the separable boundary it
     loses digits (8.3e-13 relative at a margin of 4.5e-12 has been
-    seen).  No cap validation: this is the hot path
-    shared by the public API and the optimizers.  The branch, the node
+    seen).  No validation, of caps or of stability: this is the hot path
+    shared by the public API, which validates each point
+    (_checked_excess), and the margin closures, which mask the points
+    of their free intrinsic nodes (thresholds._margin_closure).  At an
+    unstable source the result is meaningless.  The branch, the node
     functions and every factor fixed by (t, caps, n_th, r, split) are
     bound once, so that each evaluation is straight-line arithmetic;
     no bound factor regroups a sum, so binding changes no bit.
 
     The cooperativities may also be numpy arrays of one shape.  The
     result is then four arrays, bit for bit equal to the float
-    evaluation, and all four are NaN where a source is unstable.
+    evaluation.
 
     One branch per scheme, both in node order (A is node 1's microwave
     mode).  A downconversion sends the optical mode of transducer 1's
@@ -239,15 +245,11 @@ def _mm_excess_fn(t: Topology, caps: DeviceCaps, n_th: float, r: float, split: t
     tau_a, tau_b = caps.tau_a, caps.tau_b
     k1 = t.kinds[0]
     down = t.scheme == "down"
-    # red-red transducers (a downconverter, an EO or EM source) are always stable
-    stable1 = _stable_intrinsic_fn(k1, caps.rates)
     if down:
-        stable2 = None
         node1 = _mo_excess_fn(k1, tau_a * split[0] if k1 is _EO else tau_a, tau_b, n_th, r)
         node2 = _conversion_t_mu_fn(tau_a * split[-1], tau_b, n_th)
     else:
         k2 = t.kinds[1]
-        stable2 = _stable_intrinsic_fn(k2, caps.rates)
         # a third slot is the EO state's pre-downconversion mode
         ta_eo = tau_a * split[2] if len(split) == 3 else tau_a
         node1 = _mo_excess_fn(k1, ta_eo if k1 is _EO else tau_a, tau_b, n_th, r)
@@ -256,34 +258,23 @@ def _mm_excess_fn(t: Topology, caps: DeviceCaps, n_th: float, r: float, split: t
         root1, root2 = math.sqrt(tau1), math.sqrt(tau2)
 
     def excess(c_a1, c_b1, c_a2, c_b2):
-        stable = True if stable1 is None else stable1(c_a1, c_b1)
-        if stable2 is not None:
-            stable = stable & stable2(c_a2, c_b2)
-        # `is True` first, so that a stable float point needs no type check
-        if stable is not True and not isinstance(stable, np.ndarray) and not stable:
-            return None
-
         if down:
             A0, B0, c0, P0 = node1(c_a1, c_b1)
             td, md = node2(c_a2, c_b2)
-            out = (B0, td * td * A0 + md, td * c0, td * td * P0 + md * B0)
-        else:
-            A1, B1, c1, P1 = node1(c_a1, c_b1)
-            A1, c1, P1 = tau1 * A1, root1 * c1, tau1 * P1
-            A2, B2, c2, P2 = node2(c_a2, c_b2)
-            A2, c2, P2 = tau2 * A2, root2 * c2, tau2 * P2
-            den = 1.0 + A1 + A2
-            # B1 - c1**2 / den, rewritten with P1 = A1 B1 - c1**2 so that nothing
-            # cancels when a source sits next to its instability (A1, c1 huge)
-            out = (
-                (B1 * (1.0 + A2) + P1) / den,
-                (B2 * (1.0 + A1) + P2) / den,
-                -c1 * c2 / den,
-                (B1 * B2 + P1 * B2 + P2 * B1) / den,
-            )
-        if stable is True or not isinstance(stable, np.ndarray):
-            return out
-        return tuple(np.where(stable, v, np.nan) for v in out)
+            return B0, td * td * A0 + md, td * c0, td * td * P0 + md * B0
+        A1, B1, c1, P1 = node1(c_a1, c_b1)
+        A1, c1, P1 = tau1 * A1, root1 * c1, tau1 * P1
+        A2, B2, c2, P2 = node2(c_a2, c_b2)
+        A2, c2, P2 = tau2 * A2, root2 * c2, tau2 * P2
+        den = 1.0 + A1 + A2
+        # B1 - c1**2 / den, rewritten with P1 = A1 B1 - c1**2 so that nothing
+        # cancels when a source sits next to its instability (A1, c1 huge)
+        return (
+            (B1 * (1.0 + A2) + P1) / den,
+            (B2 * (1.0 + A1) + P2) / den,
+            -c1 * c2 / den,
+            (B1 * B2 + P1 * B2 + P2 * B1) / den,
+        )
 
     return excess
 
@@ -300,10 +291,8 @@ def _margin_of_excess(out) -> float:
     which is free of the catastrophic cancellation that the direct
     symplectic-eigenvalue formula suffers for amplified states; in
     particular the sign is exactly the sign of -P.  On the arrays of an
-    array evaluation of _mm_excess it works elementwise (NaN stays NaN).
+    array evaluation of _mm_excess it works elementwise.
     """
-    if out is None:
-        return -math.inf
     A, B, c, P = out
     s = A + B
     d = s * s - 4.0 * P

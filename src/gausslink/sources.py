@@ -26,7 +26,6 @@ under c -> -c.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 
 import numpy as np
@@ -39,7 +38,6 @@ from .transducer import (
     PhysicalRates,
     UnstableOperatingPointError,
     _blue_bound,
-    _blue_bound_fn,
     conversion_channel,
     dpt_two_mode_channel,
 )
@@ -138,36 +136,19 @@ def _mo_excess(kind: MoKind, c_a, c_b, tau_a, tau_b, n_th, r):
     return _mo_excess_fn(kind, tau_a, tau_b, n_th, r)(c_a, c_b)
 
 
-def _stable_intrinsic_fn(kind: MoKind, rates: PhysicalRates):
-    """f(c_a, c_b): whether a source is stable, elementwise on numpy arrays.
+def _check_stable(kind: MoKind, c_a: float, c_b: float, rates: PhysicalRates) -> None:
+    """Raise UnstableOperatingPointError, naming the enforced bound, for an unstable source.
 
-    Only the intrinsic kinds have a blue pump; EO and EM, always stable,
-    give None.  An IO or IM check is built once per process for each
-    rates, by _stable_intrinsic_of, and every network on them shares it.
+    Only the intrinsic kinds have a blue pump; EO and EM are always stable.
     """
     if kind is _EO or kind is _EM:
-        return None
-    return _stable_intrinsic_of(kind is _IO, rates._key)
-
-
-@functools.lru_cache(maxsize=16)
-def _stable_intrinsic_of(optical_blue: bool, rates_key: tuple):
-    """The check of an IO (optical_blue) or IM source, at the rates of an exact key (transducer._exact_key)."""
-    bound = _blue_bound_fn(PhysicalRates(*rates_key[0]), optical_blue)
-    if optical_blue:
-        return lambda c_a, c_b: c_a < bound(c_b)
-    return lambda c_a, c_b: c_b < bound(c_a)
-
-
-def _check_stable(kind: MoKind, c_a: float, c_b: float, rates: PhysicalRates) -> None:
-    """Raise UnstableOperatingPointError, naming the enforced bound, for an unstable source."""
-    stable = _stable_intrinsic_fn(kind, rates)
-    if stable is not None and not stable(c_a, c_b):
-        optical = kind is _IO
-        name, value, c_red = ("C_a", c_a, c_b) if optical else ("C_b", c_b, c_a)
+        return
+    optical = kind is _IO
+    name, value, c_red = ("C_a", c_a, c_b) if optical else ("C_b", c_b, c_a)
+    bound = _blue_bound(c_red, rates, optical)
+    if not value < bound:
         raise UnstableOperatingPointError(
-            f"{kind.name} source unstable: {name} = {value} violates "
-            f"{name} < {_blue_bound(c_red, rates, optical)}"
+            f"{kind.name} source unstable: {name} = {value} violates {name} < {bound}"
         )
 
 

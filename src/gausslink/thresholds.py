@@ -360,20 +360,45 @@ def _margin_closure(t, caps, n_th, r, split, axes: tuple):
     ndarray) to evaluate many points at once; they are evaluated
     everywhere and masked, bit for bit equal to the points one at a time.
 
+    Only a free node (code 2) of an IO or IM source is checked; a
+    mirrored 1-tuple layout gives its code to both nodes, so to both
+    kinds of an asymmetric swap.  The other codes go only to red-red
+    nodes, always stable, and to pinned IO/IM nodes, which need no
+    check.  A pinned node's blue-pumped side is the face
+    nextafter(bound) clipped to [0, cap] (_stable_bound_fn), and the
+    bound, min(C_- + 1, second) - STRICT_MARGIN, is at least
+    1 - STRICT_MARGIN > 0 for any rates and any C_- >= 0: second =
+    (C_- kappa_- gamma_m / (kappa_+ + gamma_m) + kappa_+ + kappa_-)
+    (kappa_- + gamma_m) / (kappa_+ gamma_m) >= 1, also as computed,
+    since each rounded step is monotone.  So every face point lies
+    strictly below its bound.
+
     Everything fixed for one search (topology, caps, n_th, r, split and
     layout) is bound here once, by _mm_excess_fn, so one evaluation is
     a few calls of straight-line float arithmetic.
     """
     excess = _mm_excess_fn(t, caps, n_th, r, split)
     coords = _layout_coords(caps, axes)
+    # (index of C_+, index of C_-, bound) in coords(x) of each free IO/IM node
+    checks = []
+    if 2 in axes:
+        for i, (kind, code) in enumerate(zip(t.kinds, axes * 2 if len(axes) == 1 else axes)):
+            if code == 2 and (kind is _IO or kind is _IM):
+                plus = 2 * i + (kind is _IM)
+                checks.append((plus, plus ^ 1, _blue_bound_fn(caps.rates, kind is _IO)))
 
     def margin(x):
-        c_a1, c_b1, c_a2, c_b2 = coords(x)
-        if isinstance(c_a1, np.ndarray):
+        cs = coords(x)
+        if isinstance(cs[0], np.ndarray):
             with np.errstate(all="ignore"):  # unstable entries may overflow or divide by 0
-                m = _margin_of_excess(excess(c_a1, c_b1, c_a2, c_b2))
-            return np.where(np.isnan(m), -np.inf, m)
-        return _margin_of_excess(excess(c_a1, c_b1, c_a2, c_b2))
+                m = _margin_of_excess(excess(*cs))
+            for plus, minus, bound in checks:
+                m = np.where(cs[plus] < bound(cs[minus]), m, -np.inf)
+            return m
+        for plus, minus, bound in checks:
+            if not cs[plus] < bound(cs[minus]):
+                return -math.inf
+        return _margin_of_excess(excess(*cs))
 
     return margin
 

@@ -118,11 +118,6 @@ class PhysicalRates:
         if not all(0.0 < x <= _FINITE for x in (self.kappa_a, self.kappa_b, self.gamma_m)):
             raise ValueError(f"all rates must be finite and > 0, got {self}")
 
-    @cached_property
-    def _key(self) -> tuple:
-        """The rates as an exact cache key (_exact_key), made once per object."""
-        return _exact_key(self.kappa_a, self.kappa_b, self.gamma_m)
-
 
 DEFAULT_RATES = PhysicalRates(kappa_a=100.0, kappa_b=100.0, gamma_m=1.0)
 

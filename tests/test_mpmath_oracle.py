@@ -229,7 +229,6 @@ def _mm_edge_cases(t, edge):
 def test_mm_excess_matches_50_digit_oracle(t, edge):
     for caps, r, cs, split in _mm_edge_cases(t, edge):
         got = _mm_excess(t, caps, caps.n_th, r, cs, split)
-        assert got is not None
         _assert_close(got, _excess(_mp_mm_state(t, caps, caps.n_th, r, cs, split)), (cs, r))
         # array path: the point between two neighbours (which may be unstable)
         arrays = _mm_excess(

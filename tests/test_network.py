@@ -105,6 +105,17 @@ class TestTopologyType:
         with pytest.raises(ValueError, match="MoKind"):
             Topology(scheme, kinds)
 
+    @pytest.mark.parametrize("seq", [list, tuple, iter], ids=["list", "tuple", "generator"])
+    def test_kinds_sequence_is_stored_as_a_tuple(self, seq):
+        # a list used to be kept as given for a downconversion, which made the
+        # topology unequal to Topology.down's and unhashable; a generator was
+        # used up by the kind check before its length was taken
+        for kinds, want in (((MoKind.EO,), Topology.down(MoKind.EO)),
+                            ((MoKind.IM, MoKind.EO), Topology.swap_asym(MoKind.EO, MoKind.IM))):
+            t = Topology(want.scheme, seq(kinds))
+            assert t == want and hash(t) == hash(want)
+            assert t.kinds == want.kinds and type(t.kinds) is tuple
+
     def test_labels(self):
         assert Topology.down(MoKind.IM).label == "IM-down"
         assert Topology.swap_sym(MoKind.EO).label == "EO-swap"
@@ -302,9 +313,7 @@ class TestMmState:
                 cb = min(max(ca + rng.uniform(-0.7, 0.7), 0.5), 8.0)
                 cs = (ca, cb, ca, cb)
                 split = default_loss_split(t, rng.uniform(0.6, 1.0))
-                out = _mm_excess(t, caps, 0.7, 0.5, cs, split)
-                assert out is not None
-                A, B, c, P = out
+                A, B, c, P = _mm_excess(t, caps, 0.7, 0.5, cs, split)
                 assert P == pytest.approx(A * B - c * c, rel=1e-9, abs=1e-12)
 
     def test_down_eo_approaches_tms_at_high_cooperativity(self):

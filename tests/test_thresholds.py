@@ -47,8 +47,10 @@ from gausslink.thresholds import (
     _margin_fn_down,
     _ranked_starts,
     _stable_bound,
+    _stable_bound_fn,
     stability_ok,
 )
+from gausslink.transducer import C_MAX, STRICT_MARGIN, _blue_bound_fn
 
 
 class TestAnalyticTable:
@@ -1281,7 +1283,7 @@ def _integral(x):
     return int(x) if x == int(x) else x
 
 
-_CACHES = (_layout_coords_of, _blue_node_of, sources._stable_intrinsic_of)
+_CACHES = (_layout_coords_of, _blue_node_of)
 
 
 def _clear_caches():
@@ -1326,17 +1328,6 @@ class TestFactoryCaches:
 
             _check_exact(_layout_coords, _layout_coords_of,
                          [(caps, axes) for caps in self.variants + self.zeros], probe)
-
-    def test_stable_intrinsic_fn(self):
-        def probe(stable):
-            return repr([stable(1.0, 2.0), stable(1e9, 3.0),
-                         stable(np.array([1.0, 1e9]), np.array([2.0, 3.0]))])
-
-        for kind in _BLUE_KINDS:
-            _check_exact(sources._stable_intrinsic_fn, sources._stable_intrinsic_of,
-                         [(kind, caps.rates) for caps in self.variants], probe)
-        assert sources._stable_intrinsic_fn(MoKind.EO, self.caps.rates) is None
-        assert sources._stable_intrinsic_fn(MoKind.EM, self.caps.rates) is None
 
     def test_blue_node(self):
         def probe(node):
@@ -1465,6 +1456,49 @@ class TestBluePin:
                     assert box.margin(point) == many[k] == free(cs), (i, t.label, point)
                     for blue, red in _blue_nodes(t):
                         assert cs[blue] == _stable_bound(caps, cs[red], blue % 2 == 0)
+
+    def test_face_is_strictly_stable_for_any_rates(self):
+        # why a pinned layout needs no stability check (_margin_closure): the
+        # bound is at least 1 - STRICT_MARGIN > 0, so the face, the float
+        # below it clipped to [0, cap], lies strictly below it.  Rates over
+        # 16 decades let either criterion bind; red sides at 0, at the cap
+        # and log-spread up to C_MAX
+        rng = generator(20261019, stream=116)
+        for i in range(200):
+            kappa_a, kappa_b, gamma_m = (10.0 ** rng.uniform(-8.0, 8.0, 3)).tolist()
+            d_a, d_b = (10.0 ** rng.uniform(-3.0, 12.0, 2)).tolist()
+            caps = DeviceCaps(d_a, d_b, 0.9, 0.8, 0.0, PhysicalRates(kappa_a, kappa_b, gamma_m))
+            for optical_blue in (True, False):
+                face = _stable_bound_fn(caps, optical_blue)
+                bound = _blue_bound_fn(caps.rates, optical_blue)
+                cap_red = d_b if optical_blue else d_a
+                reds = np.concatenate([[0.0, cap_red], np.geomspace(1e-8, C_MAX, 41)])
+                assert np.all(face(reds) < bound(reds)), (i, caps, optical_blue)
+                assert np.all(bound(reds) >= 1.0 - STRICT_MARGIN), (i, caps, optical_blue)
+                for x in reds.tolist():
+                    assert face(x) < bound(x) and bound(x) >= 1.0 - STRICT_MARGIN, (i, caps, x)
+
+    def test_pinned_layouts_are_finite_on_the_seed_grid(self):
+        # the unchecked pinned layouts of every topology never meet an
+        # unstable point; _margin_fn's mirrored layout serves only
+        # symmetric topologies (_CooperativityBox)
+        rng = generator(20261019, stream=117)
+        for i in range(6):
+            rates = PhysicalRates(*(10.0 ** rng.uniform(-8.0, 8.0, 3)).tolist())
+            caps = PRESETS["brubaker2022"]["caps"] if i == 0 else random_caps(rng, rates)
+            n_th, r = 0.1 * caps.tau_a * caps.d_a * rng.uniform(), rng.uniform(0.0, 1.2)
+            for t in ALL_TOPOLOGIES:
+                split = default_loss_split(t, rng.uniform(0.5, 1.0))
+                nodes = thresholds._converter_nodes(t)
+                for factory, axes in ((_margin_fn, nodes[:1]), (_margin_fn4, nodes)):
+                    dim = sum(len(thresholds._NODE_AXES[k]) for k in axes)
+                    if factory is _margin_fn and not t.is_symmetric or dim > 3:
+                        continue  # EM-swap's 4-D layout, with no blue node, has no seed grid
+                    hi = np.array([(caps.d_a, caps.d_b)[j] for k in axes
+                                   for j in thresholds._NODE_AXES[k]])
+                    m = factory(t, caps, n_th, r, split, pin_cb=True)(
+                        thresholds._unit_seed_grid(dim) * hi[:, None])
+                    assert np.all(np.isfinite(m)), (i, t.label, factory.__name__, caps)
 
     def test_mends_a_search_miss_next_to_the_face(self):
         # the free 3-D search ended at the downconverter's cap with 2.08e-4

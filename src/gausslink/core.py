@@ -80,6 +80,12 @@ def squeeze_r_to_db(r: float) -> float:
     return 20.0 * r / math.log(10.0)
 
 
+def _check_r(r) -> None:
+    """The rule of SqueezeParam, 0 <= r <= R_MAX."""
+    if not (0.0 <= r <= R_MAX):
+        raise ValueError(f"squeezing parameter must be finite and >= 0, at most {R_MAX}, got {r}")
+
+
 @dataclass(frozen=True)
 class SqueezeParam:
     """Dimensionless two-mode squeezing parameter, 0 <= r <= R_MAX."""
@@ -87,10 +93,7 @@ class SqueezeParam:
     r: float
 
     def __post_init__(self):
-        if not (0.0 <= self.r <= R_MAX):
-            raise ValueError(
-                f"squeezing parameter must be finite and >= 0, at most {R_MAX}, got {self.r}"
-            )
+        _check_r(self.r)
 
     @classmethod
     def from_db(cls, db: float) -> "SqueezeParam":
@@ -103,7 +106,11 @@ class SqueezeParam:
 
 def _as_r(r) -> float:
     """Accept either a SqueezeParam or a bare float, checked as a SqueezeParam."""
-    return (r if isinstance(r, SqueezeParam) else SqueezeParam(float(r))).r
+    if isinstance(r, SqueezeParam):
+        return r.r
+    r = float(r)
+    _check_r(r)
+    return r
 
 
 def _frozen_matrix(m, n: int, what: str, symmetric: bool = False) -> np.ndarray:

@@ -405,38 +405,42 @@ def cmd_threshold_vs_loss(cfg: ExperimentConfig):
 
 # -- realistic-device run -----------------------------------------------------
 
-def _device_cells(squeezing_db, tau_e: float) -> list:
-    """(column, topology, r, split, tagged) of each device-run column, in CSV order.
+def _device_cells(squeezing_db) -> list:
+    """(column, topology, r, equal, tagged) of each device-run column, in CSV order.
 
-    split None is the default placement; a tagged column also records
-    "<column>_ok" and "<column>_argmax".
+    equal puts the loss of each point's tau_e equally on both measured
+    arms, (sqrt(tau_e), sqrt(tau_e)); otherwise the column takes the
+    default placement.  A tagged column also records "<column>_ok" and
+    "<column>_argmax".  Built once per command and shared by its points.
     """
-    sq = math.sqrt(tau_e)
     eo_swap = Topology.swap_sym(MoKind.EO)
     cells = []
     for db in squeezing_db:
         r, tag = squeeze_db_to_r(db), _db_tag(db)
-        cells += [(f"eo_down_{tag}", Topology.down(MoKind.EO), r, None, True),
-                  (f"eo_swap_{tag}", eo_swap, r, None, True),
-                  (f"eo_swap_eqsplit_{tag}", eo_swap, r, (sq, sq), False)]
+        cells += [(f"eo_down_{tag}", Topology.down(MoKind.EO), r, False, True),
+                  (f"eo_swap_{tag}", eo_swap, r, False, True),
+                  (f"eo_swap_eqsplit_{tag}", eo_swap, r, True, False)]
     for kind in (MoKind.EM, MoKind.IO, MoKind.IM):
         name = kind.name.lower()
-        cells += [(f"{name}_down", Topology.down(kind), 0.0, None, True),
-                  (f"{name}_swap", Topology.swap_sym(kind), 0.0, None, True)]
+        cells += [(f"{name}_down", Topology.down(kind), 0.0, False, True),
+                  (f"{name}_swap", Topology.swap_sym(kind), 0.0, False, True)]
     db_max = max(squeezing_db)
     return cells + [
-        ("im_swap_eqsplit", Topology.swap_sym(MoKind.IM), 0.0, (sq, sq), False),
+        ("im_swap_eqsplit", Topology.swap_sym(MoKind.IM), 0.0, True, False),
         (f"im_eo_swap_asym_{_db_tag(db_max)}", Topology.swap_asym(MoKind.IM, MoKind.EO),
-         squeeze_db_to_r(db_max), None, True),
+         squeeze_db_to_r(db_max), False, True),
     ]
 
 
 def _device_point(args):
-    caps, squeezing_db, taue_db = args
+    caps, cells, taue_db = args
     tau_e = 10.0 ** (-taue_db / 10.0)
+    equal = (math.sqrt(tau_e),) * 2
     row = {"tau_e_db": taue_db, "tau_e": tau_e}
-    for name, topo, r, split, tagged in _device_cells(squeezing_db, tau_e):
-        cs, e = optimize_cooperativities(topo, caps, caps.n_th, r, tau_e=tau_e, loss_split=split)
+    for name, topo, r, eq, tagged in cells:
+        cs, e = optimize_cooperativities(
+            topo, caps, caps.n_th, r, tau_e=tau_e, loss_split=equal if eq else None
+        )
         if tagged:
             row[f"{name}_ok"] = e > 0.0
             row[f"{name}_argmax"] = cs
@@ -450,7 +454,7 @@ def _db_tag(db: float) -> str:
 
 def device_columns(squeezing_db) -> list[str]:
     """The device-run CSV columns."""
-    return ["tau_e_db", "tau_e"] + [cell[0] for cell in _device_cells(squeezing_db, 1.0)]
+    return ["tau_e_db", "tau_e"] + [cell[0] for cell in _device_cells(squeezing_db)]
 
 
 def cmd_device_run(cfg: ExperimentConfig):
@@ -466,8 +470,9 @@ def cmd_device_run(cfg: ExperimentConfig):
     """
     _check_settings(cfg, "device-run")
     columns = device_columns(cfg.squeezing_db)
+    cells = _device_cells(cfg.squeezing_db)
     grid = np.linspace(0.0, cfg.taue_db_max, cfg.points)
-    args = [(cfg.caps, tuple(cfg.squeezing_db), db) for db in grid]
+    args = [(cfg.caps, cells, db) for db in grid]
     rows = _map_points(_device_point, args, cfg.jobs)
     header = _provenance(
         cfg, cfg.caps, {"squeezing_db": ",".join(map(str, cfg.squeezing_db)), "points": cfg.points}

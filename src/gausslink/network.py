@@ -61,7 +61,9 @@ class Topology:
     """A network topology: scheme plus the MO resource kind(s).
 
     Downconversion topologies carry one kind; swapping topologies carry
-    the (unordered) pair of kinds feeding the measurement.
+    the (unordered) pair of kinds feeding the measurement.  down,
+    swap_sym and swap_asym return the instances of ALL_TOPOLOGIES, built
+    and checked once; the constructor builds and checks a new one.
     """
 
     scheme: str
@@ -87,17 +89,30 @@ class Topology:
 
     @classmethod
     def down(cls, kind: MoKind) -> "Topology":
-        return cls("down", (kind,))
+        return cls._canonical("down", (kind,))
 
     @classmethod
     def swap_sym(cls, kind: MoKind) -> "Topology":
-        return cls("swap", (kind, kind))
+        return cls._canonical("swap", (kind, kind))
 
     @classmethod
     def swap_asym(cls, kind1: MoKind, kind2: MoKind) -> "Topology":
         if kind1 == kind2:
             raise ValueError("asymmetric swapping needs two distinct kinds")
-        return cls("swap", (kind1, kind2))
+        return cls._canonical("swap", (kind1, kind2))
+
+    @classmethod
+    def _canonical(cls, scheme: str, kinds: tuple) -> "Topology":
+        """The instance of ALL_TOPOLOGIES with this scheme and kinds, else cls(scheme, kinds).
+
+        A miss, a kind that is no MoKind member or is unhashable included,
+        builds and checks a new topology, which raises the constructor's
+        ValueError.
+        """
+        try:
+            return _CANONICAL[scheme, kinds]
+        except (KeyError, TypeError):
+            return cls(scheme, kinds)
 
     @property
     def is_symmetric(self) -> bool:
@@ -112,22 +127,26 @@ class Topology:
         return f"{self.kinds[0].name}+{self.kinds[1].name}-swap"
 
 
-DOWN_TOPOLOGIES = tuple(Topology.down(k) for k in MoKind)
-SYMMETRIC_SWAP_TOPOLOGIES = tuple(Topology.swap_sym(k) for k in MoKind)
+DOWN_TOPOLOGIES = tuple(Topology("down", (k,)) for k in MoKind)
+SYMMETRIC_SWAP_TOPOLOGIES = tuple(Topology("swap", (k, k)) for k in MoKind)
 ASYMMETRIC_SWAP_TOPOLOGIES = tuple(
-    Topology.swap_asym(k1, k2)
+    Topology("swap", (k1, k2))
     for i, k1 in enumerate(MoKind)
     for k2 in list(MoKind)[i + 1 :]
 )
 SYMMETRIC_TOPOLOGIES = DOWN_TOPOLOGIES + SYMMETRIC_SWAP_TOPOLOGIES
 ALL_TOPOLOGIES = SYMMETRIC_TOPOLOGIES + ASYMMETRIC_SWAP_TOPOLOGIES
+#: Each topology of ALL_TOPOLOGIES under (scheme, kinds), its kinds in
+#: either order (Topology._canonical)
+_CANONICAL = {(t.scheme, k): t for t in ALL_TOPOLOGIES for k in (t.kinds, t.kinds[::-1])}
 
 
 def loss_slot_count(t: Topology) -> int:
     """Number of optical modes over which tau_e may be distributed."""
     if t.scheme == "down":
-        return 2 if t.kinds[0] is MoKind.EO else 1
-    return 2 + sum(1 for k in t.kinds if k is MoKind.EO and not t.is_symmetric)
+        return 2 if t.kinds[0] is _EO else 1
+    # an asymmetric swap with an EO source adds that source's pre-downconversion mode
+    return 3 if _EO in t.kinds and not t.is_symmetric else 2
 
 
 def default_loss_split(t: Topology, tau_e: float) -> tuple[float, ...]:
@@ -320,13 +339,14 @@ def _resolve_split(t: Topology, tau_e: float, split) -> tuple[float, ...]:
 
 def _validate_cooperativities(t: Topology, cfg: NetworkConfig) -> None:
     caps = cfg.caps
-    pairs = ((cfg.c_a1, cfg.c_b1), (cfg.c_a2, cfg.c_b2))
-    for i, (c_a, c_b) in enumerate(pairs, 1):
-        _check_cap(f"C_a,{i}", c_a, caps.d_a)
-        _check_cap(f"C_b,{i}", c_b, caps.d_b)
+    _check_cap("C_a,1", cfg.c_a1, caps.d_a)
+    _check_cap("C_b,1", cfg.c_b1, caps.d_b)
+    _check_cap("C_a,2", cfg.c_a2, caps.d_a)
+    _check_cap("C_b,2", cfg.c_b2, caps.d_b)
+    _check_stable(t.kinds[0], cfg.c_a1, cfg.c_b1, caps.rates)
     # a downconversion topology has one source kind, on transducer 1
-    for kind, (c_a, c_b) in zip(t.kinds, pairs):
-        _check_stable(kind, c_a, c_b, caps.rates)
+    if t.scheme == "swap":
+        _check_stable(t.kinds[1], cfg.c_a2, cfg.c_b2, caps.rates)
 
 
 def _checked_excess(t: Topology, cfg: NetworkConfig):

@@ -42,7 +42,6 @@ from .transducer import (
     STRICT_MARGIN,
     DeviceCaps,
     _blue_bound,
-    _blue_bound_fn,
     _blue_bound_lines,
     _caps_of,
     _check_cap,
@@ -120,18 +119,17 @@ def max_stable_ca(caps: DeviceCaps, c_b: float) -> float:
 def _stable_bound_fn(caps: DeviceCaps, optical_blue: bool):
     """f(c_red): the largest stable cooperativity of the blue-pumped side, within its cap.
 
-    The side is picked as in _blue_bound_fn, whose bound is bound here
-    once.  The result is the largest float below that bound (the largest
-    that stability_ok admits), clipped to [0, the side's cap]: the
-    supremum of the region that a search over cooperativities visits,
-    since its margin is -inf wherever a source is unstable.  c_red may
-    be a float or a numpy array, with the same bits elementwise.
+    The side is picked as in _blue_bound.  The result is the largest
+    float below that bound (the largest that stability_ok admits),
+    clipped to [0, the side's cap]: the supremum of the region that a
+    search over cooperativities visits, since its margin is -inf
+    wherever a source is unstable.  c_red may be a float or a numpy
+    array, with the same bits elementwise.
     """
-    bound = _blue_bound_fn(caps.rates, optical_blue)
-    cap = caps.d_a if optical_blue else caps.d_b
+    rates, cap = caps.rates, (caps.d_a if optical_blue else caps.d_b)
 
     def stable(c_red):
-        b = bound(c_red)
+        b = _blue_bound(c_red, rates, optical_blue)
         if isinstance(b, np.ndarray):
             return np.minimum(cap, np.maximum(np.nextafter(b, -np.inf), 0.0))
         b = math.nextafter(b, -math.inf)
@@ -379,24 +377,25 @@ def _margin_closure(t, caps, n_th, r, split, axes: tuple):
     """
     excess = _mm_excess_fn(t, caps, n_th, r, split)
     coords = _layout_coords(caps, axes)
-    # (index of C_+, index of C_-, bound) in coords(x) of each free IO/IM node
+    rates = caps.rates
+    # (index of C_+, index of C_-, optical_blue) in coords(x) of each free IO/IM node
     checks = []
     if 2 in axes:
         for i, (kind, code) in enumerate(zip(t.kinds, axes * 2 if len(axes) == 1 else axes)):
             if code == 2 and (kind is _IO or kind is _IM):
                 plus = 2 * i + (kind is _IM)
-                checks.append((plus, plus ^ 1, _blue_bound_fn(caps.rates, kind is _IO)))
+                checks.append((plus, plus ^ 1, kind is _IO))
 
     def margin(x):
         cs = coords(x)
         if isinstance(cs[0], np.ndarray):
             with np.errstate(all="ignore"):  # unstable entries may overflow or divide by 0
                 m = _margin_of_excess(excess(*cs))
-            for plus, minus, bound in checks:
-                m = np.where(cs[plus] < bound(cs[minus]), m, -np.inf)
+            for plus, minus, optical in checks:
+                m = np.where(cs[plus] < _blue_bound(cs[minus], rates, optical), m, -np.inf)
             return m
-        for plus, minus, bound in checks:
-            if not cs[plus] < bound(cs[minus]):
+        for plus, minus, optical in checks:
+            if not cs[plus] < _blue_bound(cs[minus], rates, optical):
                 return -math.inf
         return _margin_of_excess(excess(*cs))
 
@@ -828,19 +827,20 @@ class _NodeRoot:
         x2, v2 = second.argmax(mu)
         return x1 + x2, w1 * v1 + w2 * v2 - self.offset
 
-    def solve(self, margin: Callable) -> tuple[list[float], float]:
+    def solve(self, margin_of: Callable[[], Callable]) -> tuple[list[float], float]:
         """The best point of the box and its margin (see optimize_cooperativities).
 
         Where the condition fails at mu = 0 no point entangles, and the
         point with every axis at 0, where no node correlates, is
-        returned with a margin of 0.  Otherwise each step moves to the
-        best point at the margin of the last, while that raises the
-        margin.
+        returned with a margin of 0.  Otherwise margin_of() builds the
+        margin of the layout, and each step moves to the best point at
+        the margin of the last, while that raises the margin.  So a cell
+        that stops at mu = 0 never builds its margin.
         """
         x, excess = self.argmax(0.0)
         if not excess > 0.0:
             return [0.0] * len(x), 0.0
-        x, m = _ascend(x, margin, lambda mu: self.argmax(mu)[0])
+        x, m = _ascend(x, margin_of(), lambda mu: self.argmax(mu)[0])
         return list(x), m
 
 
@@ -854,12 +854,14 @@ class _CooperativityBox:
     its C_a axis, an IO or IM source only its red-pumped side, and an EM
     source both.  nodes pairs each node's kind (None for a
     downconverter) with its layout code.  full maps a point of the box
-    to the cooperativity 4-tuple; hi is the clamped all-max corner.  A
-    symmetric swap is mirrored at any split and down(EO) at a uniform
-    one (the diagonal of optimize_cooperativities).  root() builds the
-    _NodeRoot that solves every layout node by node.  search, which
-    production code does not call, serves as the oracle of root: the
-    validate checks and the tests compare the two.
+    to the cooperativity 4-tuple; hi is the clamped all-max corner.  The
+    layout comes from _cell_layout, as in optimize_cooperativities.
+    root() builds the _NodeRoot that solves every layout node by node:
+    full applied to root().solve(lambda: box.margin) is the point that
+    optimize_cooperativities returns, which builds the same margin only
+    past mu = 0 and no box.  search, which production code does not
+    call, serves as the oracle of root: the validate checks and the
+    tests compare the two.
     """
 
     caps: DeviceCaps
@@ -873,14 +875,7 @@ class _CooperativityBox:
     @classmethod
     def of(cls, t, caps, n_th, r, tau_e=1.0, loss_split=None) -> "_CooperativityBox":
         """Check the inputs as optimize_cooperativities does and build its box."""
-        _check_fields(n_th)
-        rv = _as_r(r)
-        split = _resolve_split(t, tau_e, loss_split)
-        # a symmetric swap at any split, down(EO) at a uniform one
-        mirrored = t.is_symmetric and (
-            t.scheme == "swap" or (t.kinds[0] is _EO and split[0] == split[1])
-        )
-        axes = _converter_nodes(t)[: 1 if mirrored else 2]
+        rv, split, mirrored, axes = _cell_layout(t, n_th, r, tau_e, loss_split)
         margin = (_margin_fn if mirrored else _margin_fn4)(t, caps, n_th, rv, split, pin_cb=True)
         hi = [(caps.d_a, caps.d_b)[j] for k in axes for j in _NODE_AXES[k]]
         full = _layout_coords(caps, axes)
@@ -912,6 +907,36 @@ class _CooperativityBox:
         )
 
 
+def _cell_layout(t: Topology, n_th: float, r, tau_e: float, loss_split):
+    """(r, split, mirrored, axes) of a cell, its inputs checked as in optimize_cooperativities.
+
+    A symmetric swap is mirrored at any split and down(EO) at a uniform
+    one (the diagonal of optimize_cooperativities); axes is the layout
+    (_layout_coords) of one transducer when mirrored, else of both
+    (_converter_nodes).  optimize_cooperativities and the oracle
+    _CooperativityBox.of both take a cell's layout from here.
+    """
+    _check_fields(n_th)
+    rv = _as_r(r)
+    split = _resolve_split(t, tau_e, loss_split)
+    mirrored = t.is_symmetric and (t.scheme == "swap" or (t.kinds[0] is _EO and split[0] == split[1]))
+    return rv, split, mirrored, _converter_nodes(t)[: 1 if mirrored else 2]
+
+
+def _solve_cell(t: Topology, caps: DeviceCaps, n_th: float, r, tau_e: float, loss_split):
+    """(the cooperativity 4-tuple, its margin): optimize_cooperativities before the e-bits.
+
+    Builds the cell's _NodeRoot and tests mu = 0 first; the margin,
+    through _margin_fn or _margin_fn4, is built only for a cell that
+    then ascends.
+    """
+    rv, split, mirrored, axes = _cell_layout(t, n_th, r, tau_e, loss_split)
+    root = _NodeRoot.of(t, caps, n_th, rv, split, mirrored)
+    factory = _margin_fn if mirrored else _margin_fn4
+    x, m = root.solve(lambda: factory(t, caps, n_th, rv, split, pin_cb=True))
+    return _layout_coords(caps, axes)(x), m
+
+
 def optimize_cooperativities(
     t: Topology,
     caps: DeviceCaps,
@@ -936,10 +961,16 @@ def optimize_cooperativities(
     as its only axis, its blue-pumped side sitting at its stable bound
     (_stable_bound_fn); both pins are exact, as shown below.  Only an EM
     source keeps both axes.  Nothing is searched: every layout is solved
-    node by node (_NodeRoot), as proven below.  n_starts and nm_max_iter
-    are inert: they were the budget of the search that the node-local
-    root replaced, and they are still checked and accepted only because
-    callers pass them (the benchmark's warm-up,
+    node by node (_NodeRoot), as proven below.  A call builds only what
+    its solve reads: it checks its inputs, builds the cell's _NodeRoot
+    and tests the condition at mu = 0 first; where that fails it returns
+    0.0 at once, and only a cell that then ascends builds its margin
+    (_margin_fn or _margin_fn4).  The IO and IM nodes and the layout
+    maps are built once per process (_blue_node, _layout_coords).
+    n_starts and nm_max_iter are inert: they were the budget of the
+    search that the node-local root replaced, and they are still
+    checked and accepted only because callers pass them (the
+    benchmark's warm-up,
     perfbench/workloads.py:DeviceSweep.warm_up); they select nothing.
     loss_split is checked as in NetworkConfig (one share per slot,
     multiplying to tau_e, each in [tau_e, 1]); ValueError otherwise, for
@@ -1093,12 +1124,12 @@ def optimize_cooperativities(
     after 1 to 10 on default device-run (5 to 7 on most cells), and the
     returned value is the margin at the returned point.
     """
-    for name, value, least in (("n_starts", n_starts, 1), ("nm_max_iter", nm_max_iter, 0)):
-        if type(value) is not int or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    box = _CooperativityBox.of(t, caps, n_th, r, tau_e, loss_split)
-    x, m = box.root().solve(box.margin)
-    return box.full(x), _log2_negativity(m)
+    if type(n_starts) is not int or n_starts < 1:
+        raise ValueError(f"n_starts must be an integer >= 1, got {n_starts!r}")
+    if type(nm_max_iter) is not int or nm_max_iter < 0:
+        raise ValueError(f"nm_max_iter must be an integer >= 0, got {nm_max_iter!r}")
+    cs, m = _solve_cell(t, caps, n_th, r, tau_e, loss_split)
+    return cs, _log2_negativity(m)
 
 
 def optimize_loss_split(
@@ -1189,8 +1220,7 @@ def optimize_loss_split(
         return min(1.0, t3) if t3 > tau_e else tau_e
 
     def margin_at(t3: float) -> float:
-        box = _CooperativityBox.of(t, caps, n_th, rv, tau_e, (tau_e / t3, 1.0, t3))
-        return box.root().solve(box.margin)[1]
+        return _solve_cell(t, caps, n_th, rv, tau_e, (tau_e / t3, 1.0, t3))[1]
 
     t3, m = _ascend(peak(0.0), margin_at, peak)
     if not m > 0.0:

@@ -279,44 +279,39 @@ def conversion_channel(direction: Literal["up", "down"], p: DptParams) -> OneMod
     return OneModeChannel(t * np.eye(2), n * np.eye(2))
 
 
-def _blue_bound_fn(rates: PhysicalRates, optical_blue: bool):
-    """f(c_red): the strict stability bound on C_+, one blue pump's only rule.
+def _blue_bound(c_red, rates: PhysicalRates, optical_blue: bool):
+    """The strict stability bound on C_+ at C_- = c_red, one blue pump's only rule.
 
     The blue-pumped side (+) is the optical one (sigma_a = +1, IO source)
     if optical_blue, else the microwave one; c_red is the other side's C_-,
     a float or, elementwise, a numpy array.  A point is stable iff
-    C_+ < f(C_-): the lesser of the two criteria's largest C_+, less
-    STRICT_MARGIN.
+    C_+ < _blue_bound(C_-): the lesser of the two criteria's largest C_+,
+    less STRICT_MARGIN.  A plain function, so that a one-off check builds
+    nothing; the hot callers bind rates and optical_blue in their own
+    closures.
     """
     if optical_blue:
         kappa_plus, kappa_minus = rates.kappa_a, rates.kappa_b
     else:
         kappa_plus, kappa_minus = rates.kappa_b, rates.kappa_a
     gamma_m = rates.gamma_m
-    # the parenthesised groups of the formulas below, bound once
-    plus_den, minus_num = kappa_plus + gamma_m, kappa_minus + gamma_m
-    second_den = kappa_plus * gamma_m
-
-    def bound(c_red):
-        first = c_red + 1.0
-        # second criterion, linear in C_+ once the coupling bridge is applied
-        rhs = c_red * kappa_minus * gamma_m / plus_den + kappa_plus + kappa_minus
-        second = rhs * minus_num / second_den
-        if isinstance(first, np.ndarray):
-            least = np.minimum(first, second)
-        else:
-            least = first if first <= second else second
-        return least - STRICT_MARGIN
-
-    return bound
+    first = c_red + 1.0
+    # second criterion, linear in C_+ once the coupling bridge is applied
+    rhs = c_red * kappa_minus * gamma_m / (kappa_plus + gamma_m) + kappa_plus + kappa_minus
+    second = rhs * (kappa_minus + gamma_m) / (kappa_plus * gamma_m)
+    if isinstance(first, np.ndarray):
+        least = np.minimum(first, second)
+    else:
+        least = first if first <= second else second
+    return least - STRICT_MARGIN
 
 
 def _blue_bound_lines(rates: PhysicalRates, optical_blue: bool):
-    """The two criteria of _blue_bound_fn as lines (slope, intercept) in C_-, before STRICT_MARGIN.
+    """The two criteria of _blue_bound as lines (slope, intercept) in C_-, before STRICT_MARGIN.
 
     The bound is the lesser line less STRICT_MARGIN.  These coefficients
     may differ from the bound's own arithmetic in the last bit, so they
-    locate its pieces; the bound itself stays _blue_bound_fn's.
+    locate its pieces; the bound itself stays _blue_bound's.
     """
     if optical_blue:
         kappa_plus, kappa_minus = rates.kappa_a, rates.kappa_b
@@ -326,11 +321,6 @@ def _blue_bound_lines(rates: PhysicalRates, optical_blue: bool):
     scale = (kappa_minus + gamma_m) / (kappa_plus * gamma_m)
     second = (kappa_minus * gamma_m / (kappa_plus + gamma_m) * scale, (kappa_plus + kappa_minus) * scale)
     return (1.0, 1.0), second
-
-
-def _blue_bound(c_red: float, rates: PhysicalRates, optical_blue: bool) -> float:
-    """_blue_bound_fn evaluated once."""
-    return _blue_bound_fn(rates, optical_blue)(c_red)
 
 
 def stability_ok(p: DptParams, rates: PhysicalRates) -> bool:
@@ -356,7 +346,7 @@ def _check_loss_split(tau_e: float, split: Sequence[float] | None = None):
         raise ValueError(f"external transmissivity must be in (0, 1], got {tau_e}")
     if split is None:
         return None
-    split = tuple(float(f) for f in split)
+    split = tuple(map(float, split))
     prod = math.prod(split)
     if not abs(prod - tau_e) <= 1e-12 * max(1.0, tau_e):
         raise ValueError(f"loss split {split} multiplies to {prod}, expected tau_e={tau_e}")

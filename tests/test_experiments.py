@@ -39,6 +39,7 @@ from gausslink.experiments import (
     cmd_threshold_vs_da,
     cmd_threshold_vs_loss,
     cmd_validate,
+    device_columns,
 )
 from gausslink.presets import brubaker2022_caps
 from gausslink.sources import MoKind
@@ -188,16 +189,25 @@ class TestDeviceRun:
 
     def test_searches_nothing(self, monkeypatch):
         # every column is solved node by node, and the EM columns (r = 0)
-        # stop at mu = 0: their sources correlate nothing
-        from gausslink.thresholds import _CooperativityBox
+        # stop at mu = 0: their sources correlate nothing.  Every search
+        # runs optimize.maximize_box, which thresholds looks up at each
+        # call, and device-run builds no search box; its cells all reach
+        # the _NodeRoot that solves them
+        from gausslink import thresholds
 
-        def search(box, *args):
+        def search(*args, **kwargs):
             raise AssertionError("device-run searched")
 
-        monkeypatch.setattr(_CooperativityBox, "search", search)
+        solved = []
+        of = thresholds._NodeRoot.of.__func__
+        monkeypatch.setattr(thresholds, "maximize_box", search)
+        monkeypatch.setattr(thresholds._CooperativityBox, "of", classmethod(search))
+        monkeypatch.setattr(thresholds._NodeRoot, "of",
+                            classmethod(lambda cls, *a: solved.append(1) or of(cls, *a)))
         cfg = ExperimentConfig(experiment="device-run")
         rows, _ = cmd_device_run(cfg)
         assert len(rows) == cfg.points
+        assert len(solved) == cfg.points * (len(device_columns(cfg.squeezing_db)) - 2)
 
     def test_determinism(self):
         cfg = ExperimentConfig(

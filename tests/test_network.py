@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -116,6 +117,55 @@ class TestTopologyType:
             assert t == want and hash(t) == hash(want)
             assert t.kinds == want.kinds and type(t.kinds) is tuple
 
+    def test_factories_return_the_canonical_instances(self):
+        # down, swap_sym and swap_asym hand out the instances of
+        # ALL_TOPOLOGIES, equal and hashing alike to a constructed one
+        for k in MoKind:
+            for t, built in ((Topology.down(k), Topology("down", [k])),
+                             (Topology.swap_sym(k), Topology("swap", (k, k)))):
+                assert t is ALL_TOPOLOGIES[ALL_TOPOLOGIES.index(t)]
+                assert t == built and hash(t) == hash(built) and t is not built
+        assert Topology.down(MoKind.EO) is Topology.down(MoKind.EO)
+        for k1, k2 in itertools.permutations(MoKind, 2):
+            t = Topology.swap_asym(k1, k2)
+            assert t is Topology.swap_asym(k2, k1)
+            assert t is ALL_TOPOLOGIES[ALL_TOPOLOGIES.index(t)]
+            built = Topology("swap", (k2, k1))
+            assert t == built and hash(t) == hash(built)
+
+    def test_pickle_round_trip(self):
+        # a process pool (--jobs) sends topologies to its workers
+        for t in ALL_TOPOLOGIES:
+            back = pickle.loads(pickle.dumps(t))
+            assert back == t and hash(back) == hash(t) and back.label == t.label
+
+    @pytest.mark.parametrize("factory, kinds", [
+        ("down", ("EO",)),
+        ("down", (1,)),
+        ("down", ([MoKind.EO],)),
+        ("swap_sym", ("EO",)),
+        ("swap_sym", ([MoKind.EO],)),
+        ("swap_asym", (MoKind.EO, "IM")),
+        ("swap_asym", ([MoKind.EO], MoKind.IM)),
+        ("swap_asym", ([MoKind.EO], [MoKind.IM])),
+        ("swap_asym", (MoKind.EO, MoKind.EO)),
+        ("swap_asym", ([MoKind.EO], [MoKind.EO])),
+        ("swap_asym", ("EO", "EO")),
+    ])
+    def test_factories_raise_the_constructors_value_error(self, factory, kinds):
+        # a kind that is no MoKind member, unhashable or not, and equal kinds
+        # of an asymmetric swap: the lookup of the canonical instance turns
+        # none of them into a TypeError
+        with pytest.raises(ValueError) as info:
+            getattr(Topology, factory)(*kinds)
+        assert type(info.value) is ValueError
+        if factory == "swap_asym" and kinds[0] == kinds[1]:
+            assert str(info.value) == "asymmetric swapping needs two distinct kinds"
+            return
+        with pytest.raises(ValueError) as direct:
+            Topology(factory[:4], kinds * 2 if factory == "swap_sym" else kinds)
+        assert str(info.value) == str(direct.value)
+
     def test_labels(self):
         assert Topology.down(MoKind.IM).label == "IM-down"
         assert Topology.swap_sym(MoKind.EO).label == "EO-swap"
@@ -126,6 +176,12 @@ class TestTopologyType:
         assert loss_slot_count(Topology.swap_sym(MoKind.EO)) == 2
         assert loss_slot_count(Topology.swap_asym(MoKind.IM, MoKind.EO)) == 3
         assert loss_slot_count(Topology.swap_asym(MoKind.IM, MoKind.IO)) == 2
+        # the rule on all 14: down(EO)'s two arms, a swap's two measured
+        # modes, and an asymmetric EO swap's pre-downconversion mode
+        for t in ALL_TOPOLOGIES:
+            eo = MoKind.EO in t.kinds
+            want = (2 if eo else 1) if t.scheme == "down" else 2 + (eo and not t.is_symmetric)
+            assert loss_slot_count(t) == want and type(loss_slot_count(t)) is int, t.label
 
     def test_default_splits_multiply_to_tau_e(self):
         # sweeps pass numpy scalars; numpy shares would slow the hot path

@@ -35,6 +35,7 @@ from gausslink.sources import MoKind
 from gausslink.thresholds import (
     _BlueNode,
     _CooperativityBox,
+    _NodeRoot,
     _blue_node,
     _blue_node_of,
     _em_down_cell,
@@ -50,7 +51,7 @@ from gausslink.thresholds import (
     _stable_bound_fn,
     stability_ok,
 )
-from gausslink.transducer import C_MAX, STRICT_MARGIN, _blue_bound_fn
+from gausslink.transducer import C_MAX, STRICT_MARGIN, _blue_bound
 
 
 class TestAnalyticTable:
@@ -604,7 +605,7 @@ def _shortcut_draw(rng, t):
 
 def _separable_at_mu_0(box) -> bool:
     """_NodeRoot.solve stops at mu = 0, at the zero point with a margin of 0."""
-    return box.root().solve(box.margin) == ([0.0] * len(box.hi), 0.0)
+    return box.root().solve(lambda: box.margin) == ([0.0] * len(box.hi), 0.0)
 
 
 _NON_EM = [t for t in ALL_TOPOLOGIES if MoKind.EM not in t.kinds]
@@ -706,21 +707,24 @@ class TestCornerShortcut:
 
     def test_device_run_unchanged_without_the_shortcut(self, monkeypatch):
         # the EM cells, all at r = 0, stop at mu = 0; searched instead of
-        # solved, they print the same text
+        # solved, they print the same text.  device-run builds no box, so
+        # the search takes the place of each EM cell's _NodeRoot
         cfg = ExperimentConfig(experiment="device-run", points=13, jobs=1)
         _, text = cmd_device_run(cfg)
-        of = _CooperativityBox.of.__func__
+        of = _NodeRoot.of.__func__
         searched = []
 
-        def busy(cls, t, caps, n_th, r, *args):
-            box = of(cls, t, caps, n_th, r, *args)
+        def busy(cls, t, caps, n_th, r, split, mirrored):
+            root = of(cls, t, caps, n_th, r, split, mirrored)
             if MoKind.EM not in t.kinds:
-                return box
-            assert r == 0.0 and _separable_at_mu_0(box), (t.label, r)
+                return root
+            box = _CooperativityBox.of(t, caps, n_th, r, math.prod(split), split)
+            assert box.mirrored == mirrored
+            assert r == 0.0 and root.solve(lambda: box.margin) == ([0.0] * len(box.hi), 0.0)
             searched.append(t.label)
-            return replace(box, root=lambda: SimpleNamespace(solve=lambda m: box.search(16, 250)))
+            return SimpleNamespace(solve=lambda margin_of: box.search(16, 250))
 
-        monkeypatch.setattr(_CooperativityBox, "of", classmethod(busy))
+        monkeypatch.setattr(_NodeRoot, "of", classmethod(busy))
         _, forced = cmd_device_run(cfg)
         assert text == forced
         assert len(searched) == 26, len(searched)
@@ -810,11 +814,12 @@ class TestConverterPin:
                 "em_swap": 2, "io_down": 2, "io_swap": 1, "im_down": 2, "im_swap": 1,
                 "im_swap_eqsplit": 1, "im_eo_swap_asym": 2}
         for tau_e in (0.5, 1.0):
-            for name, t, r, split, _ in _device_cells((3.0, 10.0), tau_e):
+            for name, t, r, equal, _ in _device_cells((3.0, 10.0)):
+                split = (math.sqrt(tau_e),) * 2 if equal else None
                 box = _CooperativityBox.of(t, caps, caps.n_th, r, tau_e, split)
                 column = name.rsplit("_", 1)[0] if name.endswith("db") else name
                 assert len(box.hi) == dims[column], (name, tau_e)
-                assert len(box.root().solve(box.margin)[0]) == dims[column], (name, tau_e)
+                assert len(box.root().solve(lambda: box.margin)[0]) == dims[column], (name, tau_e)
 
     def test_argmax_satisfies_the_pin(self):
         rng = generator(20260808, stream=113)
@@ -1168,7 +1173,7 @@ class TestNodeRoot:
             if e > 0.0:
                 entangled["n_th = 0" if n_th == 0.0 else "n_th > 0"] += 1
                 root = box.root()
-                x, _ = root.solve(box.margin)
+                x, _ = root.solve(lambda: box.margin)
                 for k, node in enumerate(root.nodes[: len(x)]):
                     if isinstance(node, _BlueNode):
                         pieces.add(("IO" if node.io else "IM", _face_piece(node, x[k])))
@@ -1199,8 +1204,78 @@ class TestNodeRoot:
             box = _CooperativityBox.of(t, caps, caps.tau_a * caps.d_a, 0.0)
             root = box.root()
             assert root.argmax(0.0)[1] <= 0.0
-            x, m = root.solve(box.margin)
+            x, m = root.solve(lambda: box.margin)
             assert x == [0.0] * len(box.hi) and m <= 0.0
+
+
+def _lazy_draw(rng, t, i):
+    """(caps, n_th, r, tau_e, split) over the regimes of optimize_cooperativities's mu = 0 test.
+
+    Caps come from random_caps; r is 0 in every fourth draw; tau_e is
+    below 1, on the default split (None) or on explicit random shares
+    of every slot, 3-slot swaps included.  n_th cycles through 0, within
+    1e-6 relative of the n_th at which the condition at mu = 0 turns
+    (found by bisection), and up to 100 tau_a d_a.
+    """
+    kappa_a, kappa_b = (10.0 ** rng.uniform(-1.0, 2.5, 2)).tolist()
+    caps = random_caps(rng, PhysicalRates(kappa_a, kappa_b, 1.0))
+    r = 0.0 if i % 4 == 0 else rng.uniform(0.05, 1.2)
+    tau_e = rng.uniform(0.3, 0.99)
+    split = None
+    if rng.uniform() < 0.5:
+        split = tuple((tau_e ** rng.dirichlet(np.ones(loss_slot_count(t)))).tolist())
+        tau_e = math.prod(split)
+    regime = i // len(ALL_TOPOLOGIES) % 3
+    if regime == 0:
+        return caps, 0.0, r, tau_e, split
+    if regime == 1:
+        lo, hi = 0.0, caps.tau_a * caps.d_a
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            root = _CooperativityBox.of(t, caps, mid, r, tau_e, split).root()
+            lo, hi = (mid, hi) if root.argmax(0.0)[1] > 0.0 else (lo, mid)
+        return caps, hi * (1.0 + rng.uniform(-1e-6, 1e-6)), r, tau_e, split
+    return caps, caps.tau_a * caps.d_a * 10.0 ** rng.uniform(-1.0, 2.0), r, tau_e, split
+
+
+class TestMarginAfterMu0:
+    """optimize_cooperativities tests mu = 0 before it builds a margin,
+    and builds one only for a cell that then ascends; nothing else moves."""
+
+    def test_device_run_builds_a_margin_only_to_ascend(self, monkeypatch):
+        # of a 13-point pass's 182 cells, 82 stop at mu = 0; building every
+        # cell's margin, as a box does, makes 182
+        built, ascents = [], []
+        for name in ("_margin_fn", "_margin_fn4"):
+            factory = getattr(thresholds, name)
+            monkeypatch.setattr(thresholds, name, functools.partial(
+                lambda f, *a, **k: built.append(a[0].label) or f(*a, **k), factory))
+        ascend = thresholds._ascend
+        monkeypatch.setattr(thresholds, "_ascend",
+                            lambda *a: ascents.append(1) or ascend(*a))
+        rows, _ = cmd_device_run(ExperimentConfig(experiment="device-run", points=13, jobs=1))
+        assert len(rows) * (len(experiments.device_columns((3.0, 10.0))) - 2) == 182
+        assert len(built) == len(ascents) == 100, (len(built), len(ascents))
+
+    def test_same_as_the_eager_box_on_random_draws(self):
+        # every topology, both sides of the test at mu = 0: the value and
+        # the argmax equal, in repr, those of the box, whose margin is built
+        # before its root is solved
+        rng = generator(20261020, stream=140)
+        stopped = ascended = three_slot = 0
+        for i in range(6 * len(ALL_TOPOLOGIES)):
+            t = ALL_TOPOLOGIES[i % len(ALL_TOPOLOGIES)]
+            caps, n_th, r, tau_e, split = _lazy_draw(rng, t, i)
+            got = optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)
+            box = _CooperativityBox.of(t, caps, n_th, r, tau_e, split)
+            margin = box.margin
+            x, m = box.root().solve(lambda: margin)
+            config = (i, t.label, caps, n_th, r, tau_e, split)
+            assert repr(got) == repr((box.full(x), _log2_negativity(m))), config
+            stopped += x == [0.0] * len(box.hi) and m == 0.0
+            ascended += m > 0.0
+            three_slot += split is not None and len(split) == 3
+        assert stopped >= 20 and ascended >= 20 and three_slot >= 3, (stopped, ascended, three_slot)
 
 
 def _generic_argmax(node, mu):
@@ -1470,7 +1545,7 @@ class TestBluePin:
             caps = DeviceCaps(d_a, d_b, 0.9, 0.8, 0.0, PhysicalRates(kappa_a, kappa_b, gamma_m))
             for optical_blue in (True, False):
                 face = _stable_bound_fn(caps, optical_blue)
-                bound = _blue_bound_fn(caps.rates, optical_blue)
+                bound = functools.partial(_blue_bound, rates=caps.rates, optical_blue=optical_blue)
                 cap_red = d_b if optical_blue else d_a
                 reds = np.concatenate([[0.0, cap_red], np.geomspace(1e-8, C_MAX, 41)])
                 assert np.all(face(reds) < bound(reds)), (i, caps, optical_blue)

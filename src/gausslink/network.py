@@ -32,10 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BalancedForm, OneModeChannel, SqueezeParam, _as_r
-from .sources import _EO, MoKind, _check_stable, _mo_excess_fn
-# the benchmark's tracer (perfbench/tracer.py) patches network._mo_excess by name
-from .sources import _mo_excess  # noqa: F401
-from .transducer import DeviceCaps, _check_cap, _check_loss_split, _conversion_t_mu_fn
+from .sources import _EO, MoKind, _check_stable, _mo_excess
+from .transducer import DeviceCaps, _check_cap, _check_loss_split, _conversion_t_mu
 
 __all__ = [
     "Topology",
@@ -227,8 +225,8 @@ def swap(mo1: BalancedForm, mo2: BalancedForm) -> BalancedForm:
     )
 
 
-def _mm_excess_fn(t: Topology, caps: DeviceCaps, n_th: float, r: float, split: tuple[float, ...]):
-    """f(c_a1, c_b1, c_a2, c_b2): final MM state as (A, B, c, P).
+def _mm_excess(t: Topology, caps: DeviceCaps, n_th: float, r: float, cs, split):
+    """Final MM state as (A, B, c, P) at the cooperativities cs = (c_a1, c_b1, c_a2, c_b2).
 
     A and B are variances in excess of vacuum and P = A*B - c*c is
     tracked through every stage in a form of its own (its sign decides
@@ -241,10 +239,9 @@ def _mm_excess_fn(t: Topology, caps: DeviceCaps, n_th: float, r: float, split: t
     shared by the public API, which validates each point
     (_checked_excess), and the margin closures, which mask the points
     of their free intrinsic nodes (thresholds._margin_closure).  At an
-    unstable source the result is meaningless.  The branch, the node
-    functions and every factor fixed by (t, caps, n_th, r, split) are
-    bound once, so that each evaluation is straight-line arithmetic;
-    no bound factor regroups a sum, so binding changes no bit.
+    unstable source the result is meaningless.  _mo_excess is looked up
+    in this module at each call, where the benchmark's tracer
+    (perfbench/tracer.py) counts it.
 
     The cooperativities may also be numpy arrays of one shape.  The
     result is then four arrays, bit for bit equal to the float
@@ -262,45 +259,30 @@ def _mm_excess_fn(t: Topology, caps: DeviceCaps, n_th: float, r: float, split: t
     (B1 B2 + P1 B2 + P2 B1) / (1 + A1 + A2).
     """
     tau_a, tau_b = caps.tau_a, caps.tau_b
+    c_a1, c_b1, c_a2, c_b2 = cs
     k1 = t.kinds[0]
-    down = t.scheme == "down"
-    if down:
-        node1 = _mo_excess_fn(k1, tau_a * split[0] if k1 is _EO else tau_a, tau_b, n_th, r)
-        node2 = _conversion_t_mu_fn(tau_a * split[-1], tau_b, n_th)
-    else:
-        k2 = t.kinds[1]
-        # a third slot is the EO state's pre-downconversion mode
-        ta_eo = tau_a * split[2] if len(split) == 3 else tau_a
-        node1 = _mo_excess_fn(k1, ta_eo if k1 is _EO else tau_a, tau_b, n_th, r)
-        node2 = _mo_excess_fn(k2, ta_eo if k2 is _EO else tau_a, tau_b, n_th, r)
-        tau1, tau2 = split[0], split[1]
-        root1, root2 = math.sqrt(tau1), math.sqrt(tau2)
-
-    def excess(c_a1, c_b1, c_a2, c_b2):
-        if down:
-            A0, B0, c0, P0 = node1(c_a1, c_b1)
-            td, md = node2(c_a2, c_b2)
-            return B0, td * td * A0 + md, td * c0, td * td * P0 + md * B0
-        A1, B1, c1, P1 = node1(c_a1, c_b1)
-        A1, c1, P1 = tau1 * A1, root1 * c1, tau1 * P1
-        A2, B2, c2, P2 = node2(c_a2, c_b2)
-        A2, c2, P2 = tau2 * A2, root2 * c2, tau2 * P2
-        den = 1.0 + A1 + A2
-        # B1 - c1**2 / den, rewritten with P1 = A1 B1 - c1**2 so that nothing
-        # cancels when a source sits next to its instability (A1, c1 huge)
-        return (
-            (B1 * (1.0 + A2) + P1) / den,
-            (B2 * (1.0 + A1) + P2) / den,
-            -c1 * c2 / den,
-            (B1 * B2 + P1 * B2 + P2 * B1) / den,
-        )
-
-    return excess
-
-
-def _mm_excess(t: Topology, caps: DeviceCaps, n_th: float, r: float, cs, split):
-    """_mm_excess_fn evaluated once, at the cooperativities cs = (c_a1, c_b1, c_a2, c_b2)."""
-    return _mm_excess_fn(t, caps, n_th, r, split)(*cs)
+    if t.scheme == "down":
+        A0, B0, c0, P0 = _mo_excess(k1, c_a1, c_b1, tau_a * split[0] if k1 is _EO else tau_a,
+                                    tau_b, n_th, r)
+        td, md = _conversion_t_mu(c_a2, c_b2, tau_a * split[-1], tau_b, n_th)
+        return B0, td * td * A0 + md, td * c0, td * td * P0 + md * B0
+    k2 = t.kinds[1]
+    # a third slot is the EO state's pre-downconversion mode
+    ta_eo = tau_a * split[2] if len(split) == 3 else tau_a
+    tau1, tau2 = split[0], split[1]
+    A1, B1, c1, P1 = _mo_excess(k1, c_a1, c_b1, ta_eo if k1 is _EO else tau_a, tau_b, n_th, r)
+    A1, c1, P1 = tau1 * A1, math.sqrt(tau1) * c1, tau1 * P1
+    A2, B2, c2, P2 = _mo_excess(k2, c_a2, c_b2, ta_eo if k2 is _EO else tau_a, tau_b, n_th, r)
+    A2, c2, P2 = tau2 * A2, math.sqrt(tau2) * c2, tau2 * P2
+    den = 1.0 + A1 + A2
+    # B1 - c1**2 / den, rewritten with P1 = A1 B1 - c1**2 so that nothing
+    # cancels when a source sits next to its instability (A1, c1 huge)
+    return (
+        (B1 * (1.0 + A2) + P1) / den,
+        (B2 * (1.0 + A1) + P2) / den,
+        -c1 * c2 / den,
+        (B1 * B2 + P1 * B2 + P2 * B1) / den,
+    )
 
 
 def _margin_of_excess(out) -> float:

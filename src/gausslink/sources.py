@@ -65,8 +65,8 @@ REQUIRED_SIGMAS = {
 _EO, _EM, _IO, _IM = MoKind
 
 
-def _mo_excess_fn(kind: MoKind, tau_a, tau_b, n_th, r):
-    """Closed-form state above vacuum, f(c_a, c_b) = (A, B, c, P); no validation, hot path.
+def _mo_excess(kind: MoKind, c_a, c_b, tau_a, tau_b, n_th, r):
+    """Closed-form state above vacuum, (A, B, c, P); no validation, hot path.
 
     A = a - 1/2 and B = b - 1/2 are the mode variances in excess of
     vacuum, and P = A*B - c*c is carried in a cancellation-free closed
@@ -81,59 +81,31 @@ def _mo_excess_fn(kind: MoKind, tau_a, tau_b, n_th, r):
     is then elementwise, bit for bit equal to the float evaluation.
     That is why a float's square root is math.sqrt and not ** 0.5:
     libm's pow is not correctly rounded, numpy's sqrt and math.sqrt are.
-    The factors fixed by (tau_a, tau_b, n_th, r) are bound once; each
-    is a leading prefix of a left-to-right product or a whole call, so
-    binding it changes no bit of the result.
     """
     mirror = kind is _EM or kind is _IM
     if mirror:
-        tau_a, tau_b = tau_b, tau_a
-    tau_ab = tau_a * tau_b
-    four_tau_b = 4.0 * tau_b
+        c_a, c_b, tau_a, tau_b = c_b, c_a, tau_b, tau_a
+    g = tau_a * tau_b * c_a * c_b
+    g = math.sqrt(g) if type(g) is float else np.sqrt(g)
     if kind is _EO or kind is _EM:
         # the squeezed pair's second (b-side) mode passes the red-red converter
         sh2 = math.sinh(r) ** 2
-        sh_2r = math.sinh(2.0 * r)
-
-        def eo(c_a, c_b):
-            if mirror:
-                c_a, c_b = c_b, c_a
-            g = tau_ab * c_a * c_b
-            g = math.sqrt(g) if type(g) is float else np.sqrt(g)
-            s = 1.0 + c_a + c_b
-            s2 = s * s
-            k = four_tau_b * c_b
-            A = sh2
-            B = k * (n_th + tau_a * c_a * sh2) / s2
-            c = -g * sh_2r / s
-            P = k * sh2 * (n_th - tau_a * c_a) / s2
-            return (B, A, c, P) if mirror else (A, B, c, P)
-
-        return eo
-    # the a side is pumped blue; d > 0 is the stability margin
-    four_tau_a = 4.0 * tau_a
-    two_n_th = 2.0 * n_th
-    minus_four_tau_ab = -4.0 * tau_a * tau_b
-
-    def io(c_a, c_b):
-        if mirror:
-            c_a, c_b = c_b, c_a
-        g = tau_ab * c_a * c_b
-        g = math.sqrt(g) if type(g) is float else np.sqrt(g)
+        s = 1.0 + c_a + c_b
+        s2 = s * s
+        k = 4.0 * tau_b * c_b
+        A = sh2
+        B = k * (n_th + tau_a * c_a * sh2) / s2
+        c = -g * math.sinh(2.0 * r) / s
+        P = k * sh2 * (n_th - tau_a * c_a) / s2
+    else:
+        # the a side is pumped blue; d > 0 is the stability margin
         d = 1.0 - c_a + c_b
         d2 = d * d
-        A = four_tau_a * c_a * (c_b + n_th + 1.0) / d2
-        B = four_tau_b * c_b * (c_a + n_th) / d2
-        c = -2.0 * (c_a + c_b + two_n_th + 1.0) * g / d2
-        P = minus_four_tau_ab * c_a * c_b / d2
-        return (B, A, c, P) if mirror else (A, B, c, P)
-
-    return io
-
-
-def _mo_excess(kind: MoKind, c_a, c_b, tau_a, tau_b, n_th, r):
-    """_mo_excess_fn evaluated once."""
-    return _mo_excess_fn(kind, tau_a, tau_b, n_th, r)(c_a, c_b)
+        A = 4.0 * tau_a * c_a * (c_b + n_th + 1.0) / d2
+        B = 4.0 * tau_b * c_b * (c_a + n_th) / d2
+        c = -2.0 * (c_a + c_b + 2.0 * n_th + 1.0) * g / d2
+        P = -4.0 * tau_a * tau_b * c_a * c_b / d2
+    return (B, A, c, P) if mirror else (A, B, c, P)
 
 
 def _check_stable(kind: MoKind, c_a: float, c_b: float, rates: PhysicalRates) -> None:

@@ -29,13 +29,11 @@ from .network import (
     Topology,
     _log2_negativity,
     _margin_of_excess,
-    _mm_excess_fn,
+    _mm_excess,
     _resolve_split,
     default_loss_split,
     loss_slot_count,
 )
-# the benchmark's tracer (perfbench/tracer.py) patches thresholds._mm_excess by name
-from .network import _mm_excess  # noqa: F401
 from .optimize import maximize_box
 from .sources import _EM, _EO, _IM, _IO, MoKind
 from .transducer import (
@@ -116,8 +114,8 @@ def max_stable_ca(caps: DeviceCaps, c_b: float) -> float:
     return lo
 
 
-def _stable_bound_fn(caps: DeviceCaps, optical_blue: bool):
-    """f(c_red): the largest stable cooperativity of the blue-pumped side, within its cap.
+def _stable_bound(caps: DeviceCaps, c_red, optical_blue: bool):
+    """The largest stable cooperativity of the blue-pumped side at C_- = c_red, within its cap.
 
     The side is picked as in _blue_bound.  The result is the largest
     float below that bound (the largest that stability_ok admits),
@@ -126,22 +124,13 @@ def _stable_bound_fn(caps: DeviceCaps, optical_blue: bool):
     wherever a source is unstable.  c_red may be a float or a numpy
     array, with the same bits elementwise.
     """
-    rates, cap = caps.rates, (caps.d_a if optical_blue else caps.d_b)
-
-    def stable(c_red):
-        b = _blue_bound(c_red, rates, optical_blue)
-        if isinstance(b, np.ndarray):
-            return np.minimum(cap, np.maximum(np.nextafter(b, -np.inf), 0.0))
-        b = math.nextafter(b, -math.inf)
-        b = b if b > 0.0 else 0.0
-        return b if b < cap else cap  # min(cap, max(b, 0.0)), bit for bit
-
-    return stable
-
-
-def _stable_bound(caps: DeviceCaps, c_red: float, optical_blue: bool) -> float:
-    """_stable_bound_fn evaluated once."""
-    return _stable_bound_fn(caps, optical_blue)(c_red)
+    cap = caps.d_a if optical_blue else caps.d_b
+    b = _blue_bound(c_red, caps.rates, optical_blue)
+    if isinstance(b, np.ndarray):
+        return np.minimum(cap, np.maximum(np.nextafter(b, -np.inf), 0.0))
+    b = math.nextafter(b, -math.inf)
+    b = b if b > 0.0 else 0.0
+    return b if b < cap else cap  # min(cap, max(b, 0.0)), bit for bit
 
 
 def _em_down_cell(c_a, c_b, tau_a, tau_b, d_a):
@@ -216,8 +205,9 @@ def analytic_threshold(
     searched, by Nelder-Mead from the _SEARCH_STARTS best points of the
     ranked log grid.
     Intrinsic-optical rows use the largest stable optical cooperativity at
-    c_b = d_b.  Raises ValueError for an asymmetric swapping topology
-    (it has no closed form), for c_a or c_b on any other row than an
+    c_b = d_b.  No row entangles at d_b = 0 or tau_b = 0 (can_entangle
+    False, a bound of 0).  Raises ValueError for an asymmetric swapping
+    topology (it has no closed form), for c_a or c_b on any other row than an
     extrinsic-microwave one, for only one of the two, and for a point
     outside 0 <= c_a <= d_a, 0 <= c_b <= d_b.
     """
@@ -268,7 +258,10 @@ def analytic_threshold(
         cb_star = _stable_bound(caps, da, False)
         arg = (da, cb_star, da, db if down else cb_star)
 
-    if value <= 0.0 or not math.isfinite(value):
+    # the closed forms are suprema over C_b > 0: at C_b = 0 or tau_b = 0 no
+    # converter transmits and no intrinsic source correlates, as their
+    # c is proportional to sqrt(tau_a tau_b C_a C_b)
+    if value <= 0.0 or not math.isfinite(value) or db == 0.0 or tb == 0.0:
         return ThresholdResult(0.0, "analytic", arg, can_entangle=False)
     return ThresholdResult(value, "analytic", arg, can_entangle=True)
 
@@ -307,7 +300,7 @@ def _layout_coords(caps, axes: tuple):
     (C_a, C_b); 1 its C_a alone, a converter node whose C_b is
     min(d_b, 1 + C_a); _IM its C_a and _IO its C_b, the red-pumped side
     of an intrinsic source, whose blue-pumped side sits at its stable
-    bound (_stable_bound_fn); 0 none, the node held at its caps (d_a,
+    bound (_stable_bound); 0 none, the node held at its caps (d_a,
     d_b).  The pinned side has the same bits on floats and arrays.  A
     1-tuple is mirrored: its node's setting serves both transducers.  x
     may hold floats or arrays.  Built once per process for each caps and
@@ -328,11 +321,10 @@ def _layout_coords_of(caps_key: tuple, axes: tuple):
             return operator.itemgetter(i, i + 1)
         if k == 0:
             return lambda x: (d_a, d_b)
-        if k is _IO or k is _IM:
-            face = _stable_bound_fn(caps, k is _IO)
-            if k is _IO:
-                return lambda x: (face(x[i]), x[i])
-            return lambda x: (x[i], face(x[i]))
+        if k is _IO:
+            return lambda x: (_stable_bound(caps, x[i], True), x[i])
+        if k is _IM:
+            return lambda x: (x[i], _stable_bound(caps, x[i], False))
 
         def converter(x):
             c_a = x[i]
@@ -363,7 +355,7 @@ def _margin_closure(t, caps, n_th, r, split, axes: tuple):
     kinds of an asymmetric swap.  The other codes go only to red-red
     nodes, always stable, and to pinned IO/IM nodes, which need no
     check.  A pinned node's blue-pumped side is the face
-    nextafter(bound) clipped to [0, cap] (_stable_bound_fn), and the
+    nextafter(bound) clipped to [0, cap] (_stable_bound), and the
     bound, min(C_- + 1, second) - STRICT_MARGIN, is at least
     1 - STRICT_MARGIN > 0 for any rates and any C_- >= 0: second =
     (C_- kappa_- gamma_m / (kappa_+ + gamma_m) + kappa_+ + kappa_-)
@@ -371,11 +363,12 @@ def _margin_closure(t, caps, n_th, r, split, axes: tuple):
     since each rounded step is monotone.  So every face point lies
     strictly below its bound.
 
-    Everything fixed for one search (topology, caps, n_th, r, split and
-    layout) is bound here once, by _mm_excess_fn, so one evaluation is
-    a few calls of straight-line float arithmetic.
+    A closure, because its callers (the searches and the ascent of
+    _NodeRoot.solve) take the margin as a function of x alone.  It
+    binds the layout map and the checks; each evaluation calls
+    _mm_excess, looked up in this module at each call, where the
+    benchmark's tracer (perfbench/tracer.py) counts it.
     """
-    excess = _mm_excess_fn(t, caps, n_th, r, split)
     coords = _layout_coords(caps, axes)
     rates = caps.rates
     # (index of C_+, index of C_-, optical_blue) in coords(x) of each free IO/IM node
@@ -390,14 +383,14 @@ def _margin_closure(t, caps, n_th, r, split, axes: tuple):
         cs = coords(x)
         if isinstance(cs[0], np.ndarray):
             with np.errstate(all="ignore"):  # unstable entries may overflow or divide by 0
-                m = _margin_of_excess(excess(*cs))
+                m = _margin_of_excess(_mm_excess(t, caps, n_th, r, cs, split))
             for plus, minus, optical in checks:
                 m = np.where(cs[plus] < _blue_bound(cs[minus], rates, optical), m, -np.inf)
             return m
         for plus, minus, optical in checks:
             if not cs[plus] < _blue_bound(cs[minus], rates, optical):
                 return -math.inf
-        return _margin_of_excess(excess(*cs))
+        return _margin_of_excess(_mm_excess(t, caps, n_th, r, cs, split))
 
     return margin
 
@@ -637,7 +630,7 @@ class _BlueNode:
     """An IO or IM source on its stability face, in the node-local condition.
 
     Its axis is its red-pumped side v, and its blue-pumped side u sits
-    at the face (_stable_bound_fn).  Times d^2, d = 1 + v - u, its h is
+    at the face (_stable_bound).  Times d^2, d = 1 + v - u, its h is
     (4 tau_a tau_b u v - mu a~) / (b~ + mu d^2), with a~ = 4 tau_a u (v
     + n + 1) and b~ = 4 tau_b v (u + n) for IO, and a~ = 4 tau_a v (u +
     n) and b~ = 4 tau_b u (v + n + 1) for IM.  The face is the least of
@@ -652,8 +645,7 @@ class _BlueNode:
     """
 
     def __init__(self, kind: MoKind, caps: DeviceCaps, n_th: float):
-        self.io = kind is _IO
-        self.face = _stable_bound_fn(caps, self.io)
+        self.io, self.caps = kind is _IO, caps
         self.n_th = n_th
         self.ta, self.tb, self.tab = 4.0 * caps.tau_a, 4.0 * caps.tau_b, 4.0 * caps.tau_a * caps.tau_b
         d_red, d_blue = (caps.d_b, caps.d_a) if self.io else (caps.d_a, caps.d_b)
@@ -693,7 +685,7 @@ class _BlueNode:
 
     def state(self, v: float):
         """(v, 4 tau_a tau_b u v, a~, b~, d^2) at the face point of red side v."""
-        u = self.face(v)
+        u = _stable_bound(self.caps, v, self.io)
         d = 1.0 + v - u
         vu, xa, xb = self._factors(v, u)
         return v, self.tab * vu, self.ta * xa, self.tb * xb, d * d
@@ -959,7 +951,7 @@ def optimize_cooperativities(
     downconversion), has C_a as its only axis, its C_b being min(d_b, 1
     + C_a); an IO or IM source has its red-pumped side
     as its only axis, its blue-pumped side sitting at its stable bound
-    (_stable_bound_fn); both pins are exact, as shown below.  Only an EM
+    (_stable_bound); both pins are exact, as shown below.  Only an EM
     source keeps both axes.  Nothing is searched: every layout is solved
     node by node (_NodeRoot), as proven below.  A call builds only what
     its solve reads: it checks its inputs, builds the cell's _NodeRoot
@@ -980,7 +972,7 @@ def optimize_cooperativities(
     negativity.
 
     The converter pin is exact.  In the excess form of
-    network._mm_excess_fn a converter maps the mode it converts as A ->
+    network._mm_excess a converter maps the mode it converts as A ->
     t^2 (A + nu), c -> t c and P -> t^2 (P + nu B), B being the other
     mode's excess, with nu = n_th / (tau' C_a) and t^2 = 4 tau' tau_b
     C_a C_b / (1 + C_a + C_b)^2, where tau' is tau_a times the loss
@@ -1018,7 +1010,7 @@ def optimize_cooperativities(
     dm/dC_+ = -(w' F + w dF/dC_+) / (dQ/dm) >= 0, dQ/dm being >= 0 at
     the larger root.  The margin thus never falls along the blue axis
     where it is positive, and the best point of the stable interval [0,
-    bound) within the cap is its largest float: _stable_bound_fn at C_-.
+    bound) within the cap is its largest float: _stable_bound at C_-.
     Pinning one node and then the other gives the same for two sources.
     A separable margin may fall instead, which changes no returned value.
 

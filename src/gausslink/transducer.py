@@ -226,34 +226,21 @@ def dpt_two_mode_channel(p: DptParams) -> TwoModeChannel:
     return TwoModeChannel(T, N)
 
 
-def _conversion_t_mu_fn(tau_a, tau_b, n_th):
-    """Scalar form of the down-conversion channel, T = t I and N = n I.
-
-    Returns f(c_a, c_b) = (t, mu), with mu = t**2/2 + n - 1/2 the
-    above-vacuum output on vacuum input.  mu collapses to 4 tau_b C_b
-    n_th / s**2, the cancellation-free form needed when tracking states
-    as excesses over vacuum; conversion_channel recovers n = 1/2 - t**2/2
-    + mu, and gets up-conversion by exchanging the a and b roles.
-    Elementwise on arrays.  The factors fixed by (tau_a, tau_b) are
-    bound once; each is a leading prefix of a left-to-right product, so
-    binding it changes no bit of the result.
-    """
-    tau_ab = tau_a * tau_b
-    four_tau_b = 4.0 * tau_b
-
-    def t_mu(c_a, c_b):
-        s = 1.0 + c_a + c_b
-        g = tau_ab * c_a * c_b
-        # math.sqrt, as in sources._mo_excess_fn, to match numpy's sqrt bit for bit
-        t = -2.0 * (math.sqrt(g) if type(g) is float else np.sqrt(g)) / s
-        return t, four_tau_b * c_b * n_th / (s * s)
-
-    return t_mu
-
-
 def _conversion_t_mu(c_a, c_b, tau_a, tau_b, n_th) -> tuple[float, float]:
-    """_conversion_t_mu_fn evaluated once."""
-    return _conversion_t_mu_fn(tau_a, tau_b, n_th)(c_a, c_b)
+    """Scalar form of the down-conversion channel, T = t I and N = n I: (t, mu).
+
+    mu = t**2/2 + n - 1/2 is the above-vacuum output on vacuum input.
+    It collapses to 4 tau_b C_b n_th / s**2, the cancellation-free form
+    needed when tracking states as excesses over vacuum;
+    conversion_channel recovers n = 1/2 - t**2/2 + mu, and gets
+    up-conversion by exchanging the a and b roles.  Elementwise on
+    arrays.
+    """
+    s = 1.0 + c_a + c_b
+    g = tau_a * tau_b * c_a * c_b
+    # math.sqrt, as in sources._mo_excess, to match numpy's sqrt bit for bit
+    t = -2.0 * (math.sqrt(g) if type(g) is float else np.sqrt(g)) / s
+    return t, 4.0 * tau_b * c_b * n_th / (s * s)
 
 
 def conversion_channel(direction: Literal["up", "down"], p: DptParams) -> OneModeChannel:
@@ -286,9 +273,8 @@ def _blue_bound(c_red, rates: PhysicalRates, optical_blue: bool):
     if optical_blue, else the microwave one; c_red is the other side's C_-,
     a float or, elementwise, a numpy array.  A point is stable iff
     C_+ < _blue_bound(C_-): the lesser of the two criteria's largest C_+,
-    less STRICT_MARGIN.  A plain function, so that a one-off check builds
-    nothing; the hot callers bind rates and optical_blue in their own
-    closures.
+    less STRICT_MARGIN.  A plain function, so that a check builds
+    nothing.
     """
     if optical_blue:
         kappa_plus, kappa_minus = rates.kappa_a, rates.kappa_b

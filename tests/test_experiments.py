@@ -339,6 +339,16 @@ class TestCli:
         assert lines[0].split(",")[0] == first_column
         assert len(lines) == 1 + (4 if command == "threshold-vs-da" else 2)
 
+    def test_threshold_vs_da_at_zero_d_b_prints_zeros(self, tmp_path):
+        # no topology entangles without a microwave cooperativity
+        config, out = tmp_path / "cfg.json", tmp_path / "sweep.csv"
+        config.write_text(json.dumps({"d_b_values": [0], "points": 3}))
+        assert main(["threshold-vs-da", "--config", str(config), "--out", str(out)]) == 0
+        lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        assert header[:2] == ["d_a", "d_b"] and len(rows) == 3
+        assert all(float(v) == 0.0 for row in rows for v in row[1:]), rows
+
     def test_csv_output_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["threshold-vs-da", "--points", "5", "--seed", "11"]

@@ -4,10 +4,13 @@ golden_margins.json holds the float.hex of every margin factory's value
 at seeded points of all 14 topologies: half of them drawn over the caps
 and half within 1e-12..1 of the first stability criterion, where the
 stability check decides.
-It was recorded before the margin closures were staged, so any change
-in the order of their floating-point operations shows up here as a
-changed last bit.  Each case is also evaluated once on arrays, which
-must give the same bits as the points one at a time.
+The file was recorded before the excess formulas (sources._mo_excess,
+transducer._conversion_t_mu, network._mm_excess) were staged into
+closure factories, and the same bits held while they were staged and
+after they became plain functions again: any change in the order of
+their floating-point operations shows up here as a changed last bit.
+Each case is also evaluated once on arrays, which must give the same
+bits as the points one at a time.
 
 Rerecord (only for a deliberate change of the arithmetic) with
 ``PYTHONPATH=src python tests/test_golden_margins.py --write``.

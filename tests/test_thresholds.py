@@ -19,11 +19,12 @@ from gausslink import (
     optimize_cooperativities,
     optimize_loss_split,
 )
-from gausslink import experiments, optimize, sources, thresholds
+from gausslink import experiments, network, optimize, sources, thresholds
 from gausslink.experiments import ExperimentConfig, _device_cells, cmd_device_run
 from gausslink.network import (
     ALL_TOPOLOGIES,
     ASYMMETRIC_SWAP_TOPOLOGIES,
+    SYMMETRIC_TOPOLOGIES,
     _log2_negativity,
     default_loss_split,
     loss_slot_count,
@@ -48,7 +49,6 @@ from gausslink.thresholds import (
     _margin_fn_down,
     _ranked_starts,
     _stable_bound,
-    _stable_bound_fn,
     stability_ok,
 )
 from gausslink.transducer import C_MAX, STRICT_MARGIN, _blue_bound
@@ -409,6 +409,30 @@ class TestNumericThreshold:
         for topo in (Topology.down(MoKind.EO), Topology.swap_sym(MoKind.IM)):
             assert not analytic_threshold(topo, caps, 0.8).can_entangle
             assert not numeric_threshold(topo, caps, 0.8).can_entangle
+
+    def test_no_row_entangles_without_d_b_or_tau_b(self):
+        # the closed forms are suprema over C_b > 0; at C_b = 0 or tau_b = 0
+        # no converter transmits and no intrinsic source correlates
+        for caps in (DeviceCaps(100.0, 0.0, 0.9, 0.8, 0.0), DeviceCaps(100.0, 50.0, 0.9, 0.0, 0.0)):
+            for topo in SYMMETRIC_TOPOLOGIES:
+                res = analytic_threshold(topo, caps, 0.5)
+                assert (res.n_th_max, res.can_entangle) == (0.0, False), (topo.label, caps)
+                assert not numeric_threshold(topo, caps, 0.5).can_entangle, (topo.label, caps)
+
+    def test_tiny_d_b_or_tau_b_keeps_the_closed_forms(self):
+        # any C_b > 0 keeps the suprema of the six rows that the rule above zeroes
+        labels = ("EO-down", "EO-swap", "IO-down", "IO-swap", "IM-down", "IM-swap")
+        for caps, values in (
+            (DeviceCaps(100.0, 1e-300, 0.9, 0.8, 0.0), (28.445425147285096, 15.837557685125159,
+             8.513878184359456, 0.7999999991443474, 52.70004844960103, 79.0)),
+            (DeviceCaps(100.0, 50.0, 0.9, 1e-300, 0.0), (28.445425147285096, 15.837557685125159,
+             43.646583429407755, 40.79999999914435, 52.70004844960103, 79.0)),
+        ):
+            for topo in SYMMETRIC_TOPOLOGIES:
+                if topo.label in labels:
+                    res = analytic_threshold(topo, caps, 0.5)
+                    want = values[labels.index(topo.label)]
+                    assert (res.n_th_max, res.can_entangle) == (want, True), (topo.label, caps)
 
 
 class TestOptimizeCooperativities:
@@ -1257,6 +1281,24 @@ class TestMarginAfterMu0:
         assert len(rows) * (len(experiments.device_columns((3.0, 10.0))) - 2) == 182
         assert len(built) == len(ascents) == 100, (len(built), len(ascents))
 
+    def test_device_run_counts_at_the_excess_names(self, monkeypatch):
+        # every margin evaluation calls thresholds._mm_excess, and that calls
+        # network._mo_excess, each looked up in its module at call time: a
+        # counting wrapper there sees every call of a 13-point pass
+        counts = {"mm": 0, "mo": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(thresholds, "_mm_excess", counted("mm", thresholds._mm_excess))
+        monkeypatch.setattr(network, "_mo_excess", counted("mo", network._mo_excess))
+        cmd_device_run(ExperimentConfig(experiment="device-run", points=13, jobs=1))
+        assert counts["mm"] == 618, counts
+        assert counts["mo"] > 0, counts
+
     def test_same_as_the_eager_box_on_random_draws(self):
         # every topology, both sides of the test at mu = 0: the value and
         # the argmax equal, in repr, those of the box, whose margin is built
@@ -1544,7 +1586,7 @@ class TestBluePin:
             d_a, d_b = (10.0 ** rng.uniform(-3.0, 12.0, 2)).tolist()
             caps = DeviceCaps(d_a, d_b, 0.9, 0.8, 0.0, PhysicalRates(kappa_a, kappa_b, gamma_m))
             for optical_blue in (True, False):
-                face = _stable_bound_fn(caps, optical_blue)
+                face = functools.partial(_stable_bound, caps, optical_blue=optical_blue)
                 bound = functools.partial(_blue_bound, rates=caps.rates, optical_blue=optical_blue)
                 cap_red = d_b if optical_blue else d_a
                 reds = np.concatenate([[0.0, cap_red], np.geomspace(1e-8, C_MAX, 41)])

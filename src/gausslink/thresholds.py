@@ -304,8 +304,9 @@ def _layout_coords(caps, axes: tuple):
     d_b).  The pinned side has the same bits on floats and arrays.  A
     1-tuple is mirrored: its node's setting serves both transducers.  x
     may hold floats or arrays.  Built once per process for each caps and
-    layout, by _layout_coords_of, and shared by every cell and margin
-    closure of that layout.
+    layout, by _layout_coords_of, and shared by the margin closures, the
+    witness points of numeric_threshold and the oracle _CooperativityBox;
+    the node-local root pins its points itself, with the same bits.
     """
     return _layout_coords_of(caps._key, axes)
 
@@ -363,11 +364,13 @@ def _margin_closure(t, caps, n_th, r, split, axes: tuple):
     since each rounded step is monotone.  So every face point lies
     strictly below its bound.
 
-    A closure, because its callers (the searches and the ascent of
-    _NodeRoot.solve) take the margin as a function of x alone.  It
-    binds the layout map and the checks; each evaluation calls
-    _mm_excess, looked up in this module at each call, where the
-    benchmark's tracer (perfbench/tracer.py) counts it.
+    A closure, because its callers (numeric_threshold's witness search
+    and the oracle search of _CooperativityBox) take the margin as a
+    function of x alone.  It binds the layout map and the checks; each
+    evaluation calls _mm_excess, looked up in this module at each call,
+    where the benchmark's tracer (perfbench/tracer.py) counts it.  The
+    node-local root needs neither: its nodes return the 4-tuple, and
+    _NodeRoot.margin evaluates _mm_excess there.
     """
     coords = _layout_coords(caps, axes)
     rates = caps.rates
@@ -553,13 +556,17 @@ def _ascend(x, margin: Callable, best_at: Callable):
 
     Each step moves to best_at(m), the best point at the margin m of
     the last, while the margin is positive and that raises it; at most
-    _ROOT_STEPS steps.
+    _ROOT_STEPS steps.  A step that returns the point it started from
+    ends the ascent without evaluating the margin there again, which
+    could not rise.
     """
     m = margin(x)
     for _ in range(_ROOT_STEPS):
         if not m > 0.0:
             break
         y = best_at(m)
+        if y == x:
+            break
         m_y = margin(y)
         if not m_y > m:
             break
@@ -599,7 +606,9 @@ class _ConverterNode:
     With sh2 = sinh(r)^2 it is an EO source, whose value is its h; with
     sh2 None the downconverter, whose value is -g.  tau is tau_a times
     the loss share in front of the converter.  Both are best at the one
-    C_a that minimises g (optimize_cooperativities).
+    C_a that minimises g (optimize_cooperativities).  Its point is (C_a,
+    C_b), with C_b at the pin min(d_b, 1 + C_a), bit for bit as in
+    _layout_coords; zero is the point at C_a = 0.
     """
 
     def __init__(self, caps: DeviceCaps, tau: float, n_th: float, sh2: float | None = None):
@@ -607,19 +616,27 @@ class _ConverterNode:
         self.four_tau_b = 4.0 * caps.tau_b
         self.x_sq, self.x_sq_mu = (1.0 + caps.d_b) ** 2, self.four_tau_b * caps.d_b * n_th
 
-    def argmax(self, mu: float) -> tuple[tuple[float], float]:
-        """((x*,), value there): x* = min(d_a, sqrt((1 + d_b)^2 + 4 tau_b d_b n_th / mu)), d_a at mu = 0."""
+    @property
+    def zero(self) -> tuple[float, float]:
+        return 0.0, (1.0 if 1.0 < self.d_b else self.d_b)
+
+    def argmax(self, mu: float) -> tuple[tuple[float, float], float]:
+        """((x*, min(d_b, 1 + x*)), value there).
+
+        x* = min(d_a, sqrt((1 + d_b)^2 + 4 tau_b d_b n_th / mu)), d_a at mu = 0.
+        """
         x = self.d_a
         if mu > 0.0:
             x = min(x, math.sqrt(self.x_sq + self.x_sq_mu / mu))
-        return (x,), self.value(x, mu)
+        c_b = 1.0 + x
+        point = x, (c_b if c_b < self.d_b else self.d_b)  # min(d_b, 1 + x), bit for bit
+        return point, self.value(*point, mu)
 
-    def value(self, x: float, mu: float) -> float:
-        c_b = min(self.d_b, 1.0 + x)
-        s = 1.0 + x + c_b
+    def value(self, c_a: float, c_b: float, mu: float) -> float:
+        s = 1.0 + c_a + c_b
         q = s * s
         # t^2 and the added noise, times s^2
-        tq = self.four_tau_b * c_b * self.tau * x
+        tq = self.four_tau_b * c_b * self.tau * c_a
         nq = self.four_tau_b * c_b * self.n_th
         if self.sh2 is None:
             return -_ratio(mu * q + nq, tq)
@@ -630,10 +647,11 @@ class _BlueNode:
     """An IO or IM source on its stability face, in the node-local condition.
 
     Its axis is its red-pumped side v, and its blue-pumped side u sits
-    at the face (_stable_bound).  Times d^2, d = 1 + v - u, its h is
-    (4 tau_a tau_b u v - mu a~) / (b~ + mu d^2), with a~ = 4 tau_a u (v
-    + n + 1) and b~ = 4 tau_b v (u + n) for IO, and a~ = 4 tau_a v (u +
-    n) and b~ = 4 tau_b u (v + n + 1) for IM.  The face is the least of
+    at the face (_stable_bound); its point is the face point as (C_a,
+    C_b), and zero is the one at v = 0.  Times d^2, d = 1 + v - u, its
+    h is (4 tau_a tau_b u v - mu a~) / (b~ + mu d^2), with a~ = 4 tau_a
+    u (v + n + 1) and b~ = 4 tau_b v (u + n) for IO, and a~ = 4 tau_a v
+    (u + n) and b~ = 4 tau_b u (v + n + 1) for IM.  The face is the least of
     the two stability lines, less STRICT_MARGIN, and the cap, so on each
     piece between their crossings u is linear in v, and h is a ratio of
     polynomials of degree <= 2.
@@ -657,6 +675,7 @@ class _BlueNode:
                 cuts.add((c2 - c1) / (s1 - s2))
         cuts = sorted(cuts)
         self.ends = tuple(self.state(v) for v in cuts)
+        self.zero = self.ends[0][0]
         pieces = []
         for lo, hi in zip(cuts, cuts[1:]):
             s, c = min(lines, key=lambda line: line[0] * 0.5 * (lo + hi) + line[1])
@@ -684,22 +703,27 @@ class _BlueNode:
         )
 
     def state(self, v: float):
-        """(v, 4 tau_a tau_b u v, a~, b~, d^2) at the face point of red side v."""
+        """(point, 4 tau_a tau_b u v, a~, b~, d^2) at the face point of red side v.
+
+        point is that face point as (C_a, C_b): (u, v) for IO, (v, u) for
+        IM, u bit for bit as in _layout_coords.
+        """
         u = _stable_bound(self.caps, v, self.io)
         d = 1.0 + v - u
         vu, xa, xb = self._factors(v, u)
-        return v, self.tab * vu, self.ta * xa, self.tb * xb, d * d
+        return (u, v) if self.io else (v, u), self.tab * vu, self.ta * xa, self.tb * xb, d * d
 
     @staticmethod
     def h(state, mu: float) -> float:
         _, p, a, b, w = state
         return _ratio(p - mu * a, b + mu * w)
 
-    def value(self, v: float, mu: float) -> float:
-        return self.h(self.state(v), mu)
+    def value(self, c_a: float, c_b: float, mu: float) -> float:
+        """h at mu at the face point of the red side of (c_a, c_b)."""
+        return self.h(self.state(c_b if self.io else c_a), mu)
 
-    def argmax(self, mu: float) -> tuple[tuple[float], float]:
-        """((v,), h) at the best of the piece ends and the local maxima inside the pieces.
+    def argmax(self, mu: float) -> tuple[tuple[float, float], float]:
+        """(face point, h) at the best of the piece ends and the local maxima inside the pieces.
 
         On a piece h = N / D with D > 0, so h' has the sign of N'D - ND',
         a polynomial of degree <= 2, and h has a local maximum inside the
@@ -720,7 +744,7 @@ class _BlueNode:
                 h = self.h(st, mu)
                 if h > value:
                     best, value = st, h
-        return best[:1], value
+        return best[0], value
 
 
 def _blue_node(kind: MoKind, caps: DeviceCaps, n_th: float) -> _BlueNode:
@@ -742,6 +766,8 @@ class _EmNode:
     at one of three points (optimize_cooperativities).  At r = 0 kappa is
     0, and (0, 0) is best at every mu.  Its point is (C_a, C_b).
     """
+
+    zero = (0.0, 0.0)
 
     def __init__(self, caps: DeviceCaps, n_th: float, sh2: float):
         self.d_a, self.d_b, self.n_th, self.sh2 = caps.d_a, caps.d_b, n_th, sh2
@@ -772,26 +798,31 @@ class _EmNode:
         return best, value
 
 
-@dataclass(frozen=True)
 class _NodeRoot:
-    """The best point of a layout, by the node-local condition.
+    """The best point of a cell, by the node-local condition.
 
     The margin exceeds mu > 0 iff w_1 v_1 + w_2 v_2 > offset, where v_i
     is node i's value at mu: a swap has w = (t_1, t_2), offset 1 and v =
     h; a downconversion w = (1, 1), offset 0, v_1 = h of the source and
     v_2 = -g of the downconverter (optimize_cooperativities).  Each node
-    maximises its value alone (argmax, which returns the node's axes as
-    a tuple); a mirrored layout takes node 1's point for both.
+    maximises its value alone (argmax, which returns the node's (C_a,
+    C_b), pins applied), so a point is the cooperativity 4-tuple; a
+    mirrored layout takes node 1's point for both.  A symmetric swap
+    holds one node (second is first), whose value serves both.
 
     of builds one per cell: its converter and EM nodes and its weights
     depend on the cell's r and split, while its IO and IM nodes come
     from _blue_node, built once per process for each (kind, caps, n_th).
+    The root keeps the cell, so its margin evaluates _mm_excess at a
+    4-tuple directly, with no layout map.
     """
 
-    nodes: tuple
-    weights: tuple[float, float]
-    offset: float
-    mirrored: bool
+    __slots__ = ("t", "caps", "n_th", "r", "split", "first", "second", "w1", "w2", "offset", "mirrored")
+
+    def __init__(self, t, caps, n_th, r, split, first, second, w1, w2, offset, mirrored):
+        self.t, self.caps, self.n_th, self.r, self.split = t, caps, n_th, r, split
+        self.first, self.second, self.w1, self.w2 = first, second, w1, w2
+        self.offset, self.mirrored = offset, mirrored
 
     @classmethod
     def of(cls, t, caps: DeviceCaps, n_th: float, r: float, split, mirrored: bool) -> "_NodeRoot":
@@ -802,38 +833,44 @@ class _NodeRoot:
                 return _ConverterNode(caps, tau, n_th, sh2)
             return _EmNode(caps, n_th, sh2) if kind is _EM else _blue_node(kind, caps, n_th)
 
+        cell = (t, caps, n_th, r, split)
         if t.scheme == "down":
-            nodes = (source(t.kinds[0], caps.tau_a * split[0]),
-                     _ConverterNode(caps, caps.tau_a * split[-1], n_th))
-            return cls(nodes, (1.0, 1.0), 0.0, mirrored)
+            first = source(t.kinds[0], caps.tau_a * split[0])
+            second = _ConverterNode(caps, caps.tau_a * split[-1], n_th)
+            return cls(*cell, first, second, 1.0, 1.0, 0.0, mirrored)
         # a third slot is the EO state's pre-downconversion mode
         tau = caps.tau_a * split[2] if len(split) == 3 else caps.tau_a
-        return cls(tuple(source(k, tau) for k in t.kinds), (split[0], split[1]), 1.0, mirrored)
+        first = source(t.kinds[0], tau)
+        second = first if t.is_symmetric else source(t.kinds[1], tau)
+        return cls(*cell, first, second, split[0], split[1], 1.0, mirrored)
 
-    def argmax(self, mu: float) -> tuple[tuple[float, ...], float]:
-        """The best point of the layout at mu, and w_1 v_1 + w_2 v_2 - offset there."""
-        (w1, w2), first, second = self.weights, *self.nodes
+    def argmax(self, mu: float) -> tuple[tuple[float, float, float, float], float]:
+        """The best 4-tuple at mu, and w_1 v_1 + w_2 v_2 - offset there."""
+        first, second = self.first, self.second
         x1, v1 = first.argmax(mu)
         if self.mirrored:
-            return x1, w1 * v1 + w2 * second.value(*x1, mu) - self.offset
+            v2 = v1 if second is first else second.value(*x1, mu)
+            return x1 * 2, self.w1 * v1 + self.w2 * v2 - self.offset
         x2, v2 = second.argmax(mu)
-        return x1 + x2, w1 * v1 + w2 * v2 - self.offset
+        return x1 + x2, self.w1 * v1 + self.w2 * v2 - self.offset
 
-    def solve(self, margin_of: Callable[[], Callable]) -> tuple[list[float], float]:
-        """The best point of the box and its margin (see optimize_cooperativities).
+    def margin(self, cs) -> float:
+        """The margin (1/2 - nu) at the cooperativity 4-tuple cs."""
+        return _margin_of_excess(_mm_excess(self.t, self.caps, self.n_th, self.r, cs, self.split))
+
+    def solve(self) -> tuple[tuple[float, float, float, float], float]:
+        """The best 4-tuple of the cell and its margin (see optimize_cooperativities).
 
         Where the condition fails at mu = 0 no point entangles, and the
-        point with every axis at 0, where no node correlates, is
-        returned with a margin of 0.  Otherwise margin_of() builds the
-        margin of the layout, and each step moves to the best point at
-        the margin of the last, while that raises the margin.  So a cell
-        that stops at mu = 0 never builds its margin.
+        point with every axis at 0 (each node's zero), where no node
+        correlates, is returned with a margin of 0, no margin evaluated.
+        Otherwise each step moves to the best point at the margin of the
+        last, while that raises the margin (_ascend).
         """
-        x, excess = self.argmax(0.0)
+        cs, excess = self.argmax(0.0)
         if not excess > 0.0:
-            return [0.0] * len(x), 0.0
-        x, m = _ascend(x, margin_of(), lambda mu: self.argmax(mu)[0])
-        return list(x), m
+            return self.first.zero + self.second.zero, 0.0
+        return _ascend(cs, self.margin, lambda mu: self.argmax(mu)[0])
 
 
 @dataclass(frozen=True)
@@ -849,11 +886,12 @@ class _CooperativityBox:
     to the cooperativity 4-tuple; hi is the clamped all-max corner.  The
     layout comes from _cell_layout, as in optimize_cooperativities.
     root() builds the _NodeRoot that solves every layout node by node:
-    full applied to root().solve(lambda: box.margin) is the point that
-    optimize_cooperativities returns, which builds the same margin only
-    past mu = 0 and no box.  search, which production code does not
-    call, serves as the oracle of root: the validate checks and the
-    tests compare the two.
+    root().solve() is the 4-tuple and margin that
+    optimize_cooperativities returns, which builds no box.  The box is
+    the oracle of the root: full is the oracle of its pins (the 4-tuple
+    is full at that point's axes, and margin there is the root's, bit
+    for bit), and search, which production code does not call, of its
+    value; the validate checks and the tests compare them.
     """
 
     caps: DeviceCaps
@@ -918,15 +956,12 @@ def _cell_layout(t: Topology, n_th: float, r, tau_e: float, loss_split):
 def _solve_cell(t: Topology, caps: DeviceCaps, n_th: float, r, tau_e: float, loss_split):
     """(the cooperativity 4-tuple, its margin): optimize_cooperativities before the e-bits.
 
-    Builds the cell's _NodeRoot and tests mu = 0 first; the margin,
-    through _margin_fn or _margin_fn4, is built only for a cell that
-    then ascends.
+    Builds the cell's _NodeRoot and solves it: the test at mu = 0 comes
+    first, and only a cell that then ascends evaluates its margin, at
+    the 4-tuples that the nodes return (_NodeRoot.margin).
     """
-    rv, split, mirrored, axes = _cell_layout(t, n_th, r, tau_e, loss_split)
-    root = _NodeRoot.of(t, caps, n_th, rv, split, mirrored)
-    factory = _margin_fn if mirrored else _margin_fn4
-    x, m = root.solve(lambda: factory(t, caps, n_th, rv, split, pin_cb=True))
-    return _layout_coords(caps, axes)(x), m
+    rv, split, mirrored, _ = _cell_layout(t, n_th, r, tau_e, loss_split)
+    return _NodeRoot.of(t, caps, n_th, rv, split, mirrored).solve()
 
 
 def optimize_cooperativities(
@@ -956,9 +991,10 @@ def optimize_cooperativities(
     node by node (_NodeRoot), as proven below.  A call builds only what
     its solve reads: it checks its inputs, builds the cell's _NodeRoot
     and tests the condition at mu = 0 first; where that fails it returns
-    0.0 at once, and only a cell that then ascends builds its margin
-    (_margin_fn or _margin_fn4).  The IO and IM nodes and the layout
-    maps are built once per process (_blue_node, _layout_coords).
+    0.0 at once, and only a cell that then ascends evaluates its margin,
+    _mm_excess at the 4-tuple that the nodes return (_NodeRoot.margin),
+    with no layout map.  The IO and IM nodes are built once per process
+    (_blue_node).
     n_starts and nm_max_iter are inert: they were the budget of the
     search that the node-local root replaced, and they are still
     checked and accepted only because callers pass them (the
@@ -1112,9 +1148,10 @@ def optimize_cooperativities(
     last point: its margin is above mu_k unless mu_k >= m*, so the
     margins rise to m*, superlinearly as in Dinkelbach's method for
     fractional programs, and reach it in one step where the best point
-    is a piece end.  The steps stop once the margin no longer rises,
-    after 1 to 10 on default device-run (5 to 7 on most cells), and the
-    returned value is the margin at the returned point.
+    is a piece end.  The steps stop once the margin no longer rises, or
+    once a step returns the point it started from, whose margin is
+    known, after 1 to 10 on default device-run (5 to 7 on most cells),
+    and the returned value is the margin at the returned point.
     """
     if type(n_starts) is not int or n_starts < 1:
         raise ValueError(f"n_starts must be an integer >= 1, got {n_starts!r}")

@@ -348,7 +348,7 @@ def test_criterion_7_global_necessary_condition():
         box = _CooperativityBox.of(t, caps, n_th, rng.uniform(0.0, 1.2))
         _, m = box.search(6, 80)
         assert m <= 0.0, (i, t.label, caps)
-        assert box.root().solve(lambda: box.margin) == ([0.0] * len(box.hi), 0.0), (i, t.label, caps)
+        assert box.root().solve() == (box.full([0.0] * len(box.hi)), 0.0), (i, t.label, caps)
     _report(7, f"{checked} random configs + 100 optimized configs all separable")
 
 

@@ -629,7 +629,28 @@ def _shortcut_draw(rng, t):
 
 def _separable_at_mu_0(box) -> bool:
     """_NodeRoot.solve stops at mu = 0, at the zero point with a margin of 0."""
-    return box.root().solve(lambda: box.margin) == ([0.0] * len(box.hi), 0.0)
+    return box.root().solve() == (box.full([0.0] * len(box.hi)), 0.0)
+
+
+def _box_point(box, cs) -> list[float]:
+    """The point of box's layout whose 4-tuple is cs: each node's axes (_NODE_AXES) of cs."""
+    return [cs[2 * i + j] for i, (_, k) in enumerate(box.nodes) for j in thresholds._NODE_AXES[k]]
+
+
+def _box_solve(box):
+    """(4-tuple, margin) of box.root(), ascended on the box's own axes and margin.
+
+    The root's argmax, cut to the box's axes, gives each step; the
+    layout map box.full and the layout's margin closure box.margin do
+    the rest, as the root did before its nodes pinned their points.
+    """
+    root = box.root()
+    x, excess = root.argmax(0.0)
+    if not excess > 0.0:
+        return box.full([0.0] * len(box.hi)), 0.0
+    x, m = thresholds._ascend(_box_point(box, x), box.margin,
+                              lambda mu: _box_point(box, root.argmax(mu)[0]))
+    return box.full(x), m
 
 
 _NON_EM = [t for t in ALL_TOPOLOGIES if MoKind.EM not in t.kinds]
@@ -744,9 +765,14 @@ class TestCornerShortcut:
                 return root
             box = _CooperativityBox.of(t, caps, n_th, r, math.prod(split), split)
             assert box.mirrored == mirrored
-            assert r == 0.0 and root.solve(lambda: box.margin) == ([0.0] * len(box.hi), 0.0)
+            assert r == 0.0 and root.solve() == (box.full([0.0] * len(box.hi)), 0.0)
             searched.append(t.label)
-            return SimpleNamespace(solve=lambda margin_of: box.search(16, 250))
+
+            def solve():
+                x, m = box.search(16, 250)
+                return box.full(x), m
+
+            return SimpleNamespace(solve=solve)
 
         monkeypatch.setattr(_NodeRoot, "of", classmethod(busy))
         _, forced = cmd_device_run(cfg)
@@ -831,8 +857,8 @@ class TestConverterPin:
     def test_device_run_search_dimensions(self):
         # one axis per free cooperativity: a converter node keeps only C_a,
         # an IO or IM source only its red-pumped side, an EM source both.
-        # The symmetric swaps mirror at every split, and the root's point
-        # has the box's dimension on every column
+        # The symmetric swaps mirror at every split, and the root's 4-tuple
+        # is the box's layout at a point of the box's dimension on every column
         caps = PRESETS["brubaker2022"]["caps"]
         dims = {"eo_down": 1, "eo_swap": 1, "eo_swap_eqsplit": 1, "em_down": 3,
                 "em_swap": 2, "io_down": 2, "io_swap": 1, "im_down": 2, "im_swap": 1,
@@ -843,7 +869,9 @@ class TestConverterPin:
                 box = _CooperativityBox.of(t, caps, caps.n_th, r, tau_e, split)
                 column = name.rsplit("_", 1)[0] if name.endswith("db") else name
                 assert len(box.hi) == dims[column], (name, tau_e)
-                assert len(box.root().solve(lambda: box.margin)[0]) == dims[column], (name, tau_e)
+                cs, _ = box.root().solve()
+                x = _box_point(box, cs)
+                assert len(x) == dims[column] and box.full(x) == cs, (name, tau_e, cs)
 
     def test_argmax_satisfies_the_pin(self):
         rng = generator(20260808, stream=113)
@@ -1163,7 +1191,7 @@ def _node_root_draw(rng, t):
 
 def _face_piece(node, v) -> str:
     """Where v lies on a blue node's face: "end" (a kink or a cap of v), or the line of its piece."""
-    if any(abs(v - end[0]) <= 1e-9 * max(1.0, end[0]) for end in node.ends):
+    if any(abs(v - end[0][node.io]) <= 1e-9 * max(1.0, end[0][node.io]) for end in node.ends):
         return "end"
     for lo, hi, N0, *_ in node.pieces:
         if lo < v < hi:
@@ -1197,10 +1225,11 @@ class TestNodeRoot:
             if e > 0.0:
                 entangled["n_th = 0" if n_th == 0.0 else "n_th > 0"] += 1
                 root = box.root()
-                x, _ = root.solve(lambda: box.margin)
-                for k, node in enumerate(root.nodes[: len(x)]):
+                cs, _ = root.solve()
+                for k, node in enumerate((root.first, root.second)):
                     if isinstance(node, _BlueNode):
-                        pieces.add(("IO" if node.io else "IM", _face_piece(node, x[k])))
+                        # the red side of node k: C_b of IO, C_a of IM
+                        pieces.add(("IO" if node.io else "IM", _face_piece(node, cs[2 * k + node.io])))
         assert min(entangled.values()) >= 20, entangled
         want = {(kind, piece) for kind in ("IO", "IM") for piece in ("end", "cap", "second")}
         assert want <= pieces, pieces
@@ -1228,8 +1257,8 @@ class TestNodeRoot:
             box = _CooperativityBox.of(t, caps, caps.tau_a * caps.d_a, 0.0)
             root = box.root()
             assert root.argmax(0.0)[1] <= 0.0
-            x, m = root.solve(lambda: box.margin)
-            assert x == [0.0] * len(box.hi) and m <= 0.0
+            cs, m = root.solve()
+            assert cs == box.full([0.0] * len(box.hi)) and m <= 0.0
 
 
 def _lazy_draw(rng, t, i):
@@ -1263,12 +1292,14 @@ def _lazy_draw(rng, t, i):
 
 
 class TestMarginAfterMu0:
-    """optimize_cooperativities tests mu = 0 before it builds a margin,
-    and builds one only for a cell that then ascends; nothing else moves."""
+    """optimize_cooperativities tests mu = 0 before it evaluates a margin,
+    and evaluates one only for a cell that then ascends, at the 4-tuples
+    of its nodes with no margin closure; nothing else moves."""
 
     def test_device_run_builds_a_margin_only_to_ascend(self, monkeypatch):
-        # of a 13-point pass's 182 cells, 82 stop at mu = 0; building every
-        # cell's margin, as a box does, makes 182
+        # of a 13-point pass's 182 cells, 82 stop at mu = 0 and 100
+        # ascend; none builds a margin closure, which a box builds for
+        # every cell
         built, ascents = [], []
         for name in ("_margin_fn", "_margin_fn4"):
             factory = getattr(thresholds, name)
@@ -1279,7 +1310,7 @@ class TestMarginAfterMu0:
                             lambda *a: ascents.append(1) or ascend(*a))
         rows, _ = cmd_device_run(ExperimentConfig(experiment="device-run", points=13, jobs=1))
         assert len(rows) * (len(experiments.device_columns((3.0, 10.0))) - 2) == 182
-        assert len(built) == len(ascents) == 100, (len(built), len(ascents))
+        assert built == [] and len(ascents) == 100, (built, len(ascents))
 
     def test_device_run_counts_at_the_excess_names(self, monkeypatch):
         # every margin evaluation calls thresholds._mm_excess, and that calls
@@ -1296,13 +1327,13 @@ class TestMarginAfterMu0:
         monkeypatch.setattr(thresholds, "_mm_excess", counted("mm", thresholds._mm_excess))
         monkeypatch.setattr(network, "_mo_excess", counted("mo", network._mo_excess))
         cmd_device_run(ExperimentConfig(experiment="device-run", points=13, jobs=1))
-        assert counts["mm"] == 618, counts
+        assert counts["mm"] == 597, counts
         assert counts["mo"] > 0, counts
 
     def test_same_as_the_eager_box_on_random_draws(self):
         # every topology, both sides of the test at mu = 0: the value and
-        # the argmax equal, in repr, those of the box, whose margin is built
-        # before its root is solved
+        # the argmax equal, in repr, those of the box, whose margin closure
+        # and layout map carry the same ascent on the box's own axes
         rng = generator(20261020, stream=140)
         stopped = ascended = three_slot = 0
         for i in range(6 * len(ALL_TOPOLOGIES)):
@@ -1310,14 +1341,49 @@ class TestMarginAfterMu0:
             caps, n_th, r, tau_e, split = _lazy_draw(rng, t, i)
             got = optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)
             box = _CooperativityBox.of(t, caps, n_th, r, tau_e, split)
-            margin = box.margin
-            x, m = box.root().solve(lambda: margin)
+            cs, m = _box_solve(box)
             config = (i, t.label, caps, n_th, r, tau_e, split)
-            assert repr(got) == repr((box.full(x), _log2_negativity(m))), config
-            stopped += x == [0.0] * len(box.hi) and m == 0.0
+            assert repr(got) == repr((cs, _log2_negativity(m))), config
+            stopped += cs == box.full([0.0] * len(box.hi)) and m == 0.0
             ascended += m > 0.0
             three_slot += split is not None and len(split) == 3
         assert stopped >= 20 and ascended >= 20 and three_slot >= 3, (stopped, ascended, three_slot)
+
+
+class TestRootPins:
+    """The node-local root pins each node's point itself, and evaluates
+    its margin at the 4-tuple; the box's layout map (_layout_coords) and
+    margin closure stay the oracles of both, bit for bit."""
+
+    def test_solve_cell_is_the_layout_map_at_its_axes(self):
+        # _lazy_draw: random caps and rates, r = 0 in every fourth draw,
+        # default or explicit splits, 3-slot swaps included, and n_th on
+        # both sides of the test at mu = 0.  The 4-tuple of every cell,
+        # and of the root's argmax at other mu, is the layout map at its
+        # own axes, in repr; the margin of an ascent is the closure's there
+        rng = generator(20261020, stream=141)
+        seen = dict.fromkeys(("exit", "ascent", "r = 0", "r > 0", "default", "explicit"), 0)
+        for i in range(12 * len(ALL_TOPOLOGIES)):
+            t = ALL_TOPOLOGIES[i % len(ALL_TOPOLOGIES)]
+            caps, n_th, r, tau_e, loss_split = _lazy_draw(rng, t, i)
+            box = _CooperativityBox.of(t, caps, n_th, r, tau_e, loss_split)
+            cs, m = thresholds._solve_cell(t, caps, n_th, r, tau_e, loss_split)
+            x = _box_point(box, cs)
+            config = (i, t.label, caps, n_th, r, tau_e, loss_split, cs)
+            assert repr(box.full(x)) == repr(cs), config
+            root = box.root()
+            if root.argmax(0.0)[1] > 0.0:
+                assert m == box.margin(x), config
+                seen["ascent"] += 1
+            else:
+                assert x == [0.0] * len(x) and m == 0.0, config
+                seen["exit"] += 1
+            for mu in (1e-6, 1e-3, 0.1, max(m, 0.0)):
+                point = root.argmax(mu)[0]
+                assert repr(box.full(_box_point(box, point))) == repr(point), (config, mu)
+            seen["r = 0" if r == 0.0 else "r > 0"] += 1
+            seen["default" if loss_split is None else "explicit"] += 1
+        assert min(seen.values()) >= 20, seen
 
 
 def _generic_argmax(node, mu):
@@ -1332,13 +1398,13 @@ def _generic_argmax(node, mu):
             st = node.state(v)
             if node.h(st, mu) > value:
                 best, value = st, node.h(st, mu)
-    return best[:1], value
+    return best[0], value
 
 
 def _winner(node, mu) -> str:
     """Where node's best point at mu lies: "end" (a kink or a cap of its face) or "root"."""
-    (v,) = node.argmax(mu)[0]
-    return "end" if any(v == end[0] for end in node.ends) else "root"
+    point = node.argmax(mu)[0]
+    return "end" if any(point == end[0] for end in node.ends) else "root"
 
 
 class TestBlueNodeArgmax:
@@ -1374,7 +1440,7 @@ class TestBlueNodeArgmax:
         assert winners == {"end", "root"} and switches >= 10, (winners, switches)
 
     def test_ties_keep_the_first_maximum(self):
-        # copies of the best end, with other red sides, before and after
+        # copies of the best end, with other points, before and after
         # the others: both forms return the first copy
         rng = generator(20260808, stream=132)
         for i in range(16):
@@ -1383,10 +1449,10 @@ class TestBlueNodeArgmax:
             node = _BlueNode(kind, caps, n_th)
             for mu in (0.0, 1e-3, 1.0):
                 best = max(node.ends, key=lambda st: node.h(st, mu))
-                node.ends = ((-1.0, *best[1:]), *node.ends, (-2.0, *best[1:]))
+                node.ends = (((-1.0, -1.0), *best[1:]), *node.ends, ((-2.0, -2.0), *best[1:]))
                 got, want = node.argmax(mu), _generic_argmax(node, mu)
                 assert repr(got) == repr(want), (i, kind, caps, n_th, mu)
-                assert got[0] == (-1.0,) or _winner(node, mu) == "root"
+                assert got[0] == (-1.0, -1.0) or _winner(node, mu) == "root"
 
 
 def _caps_cast(caps, cast):
@@ -1449,7 +1515,7 @@ class TestFactoryCaches:
     def test_blue_node(self):
         def probe(node):
             return repr((vars(node).keys(), node.ends, node.pieces,
-                         [node.argmax(mu) for mu in (0.0, 0.1, 10.0)], node.value(0.5, 0.1)))
+                         [node.argmax(mu) for mu in (0.0, 0.1, 10.0)], node.value(0.5, 0.5, 0.1)))
 
         for kind in _BLUE_KINDS:
             variants = [(kind, caps, n_th) for caps in self.variants + self.zeros
@@ -1463,8 +1529,8 @@ class TestFactoryCaches:
             node = _blue_node(kind, self.caps, self.caps.n_th)
             before = repr(vars(node))
             for mu in [0.0] + np.geomspace(1e-6, 1e3, 40).tolist():
-                (v,), _ = node.argmax(mu)
-                node.value(v, mu)
+                point, _ = node.argmax(mu)
+                node.value(*point, mu)
             assert repr(vars(node)) == before
             assert _blue_node(kind, self.caps, self.caps.n_th) is node
 

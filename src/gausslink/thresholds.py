@@ -273,8 +273,8 @@ _NODE_AXES = {2: (0, 1), 1: (0,), 0: (), _IM: (0,), _IO: (1,)}
 #: The layout code of each kind of source (_converter_nodes).
 _SOURCE_CODES = {_EO: 1, _EM: 2, _IO: _IO, _IM: _IM}
 
-#: Most entries of each cache of a factory that depends only on the caps
-#: (_layout_coords_of, _blue_node_of): device-run fills 8 and 2.
+#: Most entries of the cache of _blue_node_of, which depends only on the
+#: kind, the caps and n_th: device-run fills 2.
 _CAPS_CACHE = 64
 
 
@@ -303,18 +303,11 @@ def _layout_coords(caps, axes: tuple):
     bound (_stable_bound); 0 none, the node held at its caps (d_a,
     d_b).  The pinned side has the same bits on floats and arrays.  A
     1-tuple is mirrored: its node's setting serves both transducers.  x
-    may hold floats or arrays.  Built once per process for each caps and
-    layout, by _layout_coords_of, and shared by the margin closures, the
-    witness points of numeric_threshold and the oracle _CooperativityBox;
-    the node-local root pins its points itself, with the same bits.
+    may hold floats or arrays.  Built from caps at each call, for the
+    margin closures, the witness points of numeric_threshold and the
+    oracle _CooperativityBox; the node-local root pins its points
+    itself, with the same bits.
     """
-    return _layout_coords_of(caps._key, axes)
-
-
-@functools.lru_cache(maxsize=_CAPS_CACHE)
-def _layout_coords_of(caps_key: tuple, axes: tuple):
-    """_layout_coords at the caps of an exact key (transducer._exact_key)."""
-    caps = _caps_of(caps_key)
     d_a, d_b = caps.d_a, caps.d_b
 
     def node(k, i: int):
@@ -558,7 +551,9 @@ def _ascend(x, margin: Callable, best_at: Callable):
     the last, while the margin is positive and that raises it; at most
     _ROOT_STEPS steps.  A step that returns the point it started from
     ends the ascent without evaluating the margin there again, which
-    could not rise.
+    could not rise.  A point is any value that compares with ==: the
+    cooperativity 4-tuple of _NodeRoot.solve, or (t_3, 4-tuple) in the
+    split ascent of optimize_loss_split.
     """
     m = margin(x)
     for _ in range(_ROOT_STEPS):
@@ -953,17 +948,6 @@ def _cell_layout(t: Topology, n_th: float, r, tau_e: float, loss_split):
     return rv, split, mirrored, _converter_nodes(t)[: 1 if mirrored else 2]
 
 
-def _solve_cell(t: Topology, caps: DeviceCaps, n_th: float, r, tau_e: float, loss_split):
-    """(the cooperativity 4-tuple, its margin): optimize_cooperativities before the e-bits.
-
-    Builds the cell's _NodeRoot and solves it: the test at mu = 0 comes
-    first, and only a cell that then ascends evaluates its margin, at
-    the 4-tuples that the nodes return (_NodeRoot.margin).
-    """
-    rv, split, mirrored, _ = _cell_layout(t, n_th, r, tau_e, loss_split)
-    return _NodeRoot.of(t, caps, n_th, rv, split, mirrored).solve()
-
-
 def optimize_cooperativities(
     t: Topology,
     caps: DeviceCaps,
@@ -1157,7 +1141,8 @@ def optimize_cooperativities(
         raise ValueError(f"n_starts must be an integer >= 1, got {n_starts!r}")
     if type(nm_max_iter) is not int or nm_max_iter < 0:
         raise ValueError(f"nm_max_iter must be an integer >= 0, got {nm_max_iter!r}")
-    cs, m = _solve_cell(t, caps, n_th, r, tau_e, loss_split)
+    rv, split, mirrored, _ = _cell_layout(t, n_th, r, tau_e, loss_split)
+    cs, m = _NodeRoot.of(t, caps, n_th, rv, split, mirrored).solve()
     return cs, _log2_negativity(m)
 
 
@@ -1171,10 +1156,10 @@ def optimize_loss_split(
     """Best distribution of external optical loss over a topology's slots.
 
     Returns the split, as Python floats, and the logarithmic negativity
-    there; the cooperativities are optimized at every split evaluated,
-    as optimize_cooperativities does.  A downconversion or a symmetric
-    swap takes network.default_loss_split: equal shares for down(EO),
-    everything on one measured arm for a symmetric swap (the diagonal in
+    there, which is optimize_cooperativities's at that split, bit for
+    bit.  A downconversion or a symmetric swap takes
+    network.default_loss_split: equal shares for down(EO), everything on
+    one measured arm for a symmetric swap (the diagonal in
     optimize_cooperativities proves it).  A 2-slot asymmetric swap takes
     the better of its two ends, (tau_e, 1) and (1, tau_e), the first on
     a tie.  A 3-slot one, an asymmetric swap whose EO node (node 1) has
@@ -1219,12 +1204,16 @@ def optimize_loss_split(
     t_3, and X / T there is the least g of a converter with tau' =
     tau_a.  The best point at mu of the split and the cooperativities
     together is thus t_3*(mu) at x*(mu), with each node at its own
-    best.  The ascent is that of _NodeRoot.solve, on the split too: at
-    mu = 0 the condition at t_3*(0) decides whether any split of the
-    edge entangles; then each step moves to t_3*(mu_k), mu_k the best
-    margin at the last split, whose best margin exceeds mu_k unless mu_k
-    is already the best over the edge, and the steps stop once it no
-    longer rises (_ascend).  At r = 0, F = 0 and no split entangles.
+    best.  The ascent is that of _NodeRoot.solve, on the split too, and
+    there is one: a point is (t_3, the cooperativity 4-tuple).  At mu =
+    0 the condition at t_3*(0) decides whether any split of the edge
+    entangles; then each step moves to t_3*(mu_k) and the nodes' best
+    4-tuple at that split and mu_k, mu_k the margin of the last point,
+    which is one _mm_excess evaluation (_NodeRoot.margin), and the steps
+    stop once it no longer rises (_ascend).  One _NodeRoot.solve at the
+    split reached then gives the returned value, so that it is
+    optimize_cooperativities's there.  At r = 0, F = 0 and no split
+    entangles.
     """
     _check_loss_split(tau_e)
     # Python floats, as default_loss_split returns: a numpy tau_e would
@@ -1240,18 +1229,24 @@ def optimize_loss_split(
     if loss_slot_count(t) == 2:
         return max(((s, e_at(s)) for s in ((tau_e, 1.0), (1.0, tau_e))), key=operator.itemgetter(1))
     rv = _as_r(r)
+    _check_fields(n_th)
     converter = _ConverterNode(caps, caps.tau_a, n_th)
     lead = 1.0 + 1.0 / math.tanh(rv) if rv > 0.0 else 0.0
 
-    def peak(mu: float) -> float:
-        """t_3*(mu) at x*(mu), clipped to [tau_e, 1]; tau_e at r = 0 (0 times g, or NaN)."""
+    def root(t3: float) -> _NodeRoot:
+        return _NodeRoot.of(t, caps, n_th, rv, (tau_e / t3, 1.0, t3), False)
+
+    def best_at(mu: float):
+        """(t_3*(mu) at x*(mu), clipped to [tau_e, 1], and the best 4-tuple at
+        that split and mu); t_3 is tau_e at r = 0 (0 times g, or NaN)."""
         t3 = float(-converter.argmax(mu)[1] * lead)
-        return min(1.0, t3) if t3 > tau_e else tau_e
+        t3 = min(1.0, t3) if t3 > tau_e else tau_e
+        return t3, root(t3).argmax(mu)[0]
 
-    def margin_at(t3: float) -> float:
-        return _solve_cell(t, caps, n_th, rv, tau_e, (tau_e / t3, 1.0, t3))[1]
-
-    t3, m = _ascend(peak(0.0), margin_at, peak)
+    t3, cs = best_at(0.0)
+    m = root(t3).argmax(0.0)[1]
+    if m > 0.0:  # the condition at mu = 0: some split of the edge entangles
+        (t3, _), m = _ascend((t3, cs), lambda point: root(point[0]).margin(point[1]), best_at)
     if not m > 0.0:
         t3 = tau_e
-    return (tau_e / t3, 1.0, t3), _log2_negativity(m)
+    return (tau_e / t3, 1.0, t3), _log2_negativity(root(t3).solve()[1])

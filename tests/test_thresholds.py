@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -43,7 +44,6 @@ from gausslink.thresholds import (
     _em_swap_cell,
     _falling_root,
     _layout_coords,
-    _layout_coords_of,
     _margin_fn,
     _margin_fn4,
     _margin_fn_down,
@@ -1355,7 +1355,7 @@ class TestRootPins:
     its margin at the 4-tuple; the box's layout map (_layout_coords) and
     margin closure stay the oracles of both, bit for bit."""
 
-    def test_solve_cell_is_the_layout_map_at_its_axes(self):
+    def test_root_solve_is_the_layout_map_at_its_axes(self):
         # _lazy_draw: random caps and rates, r = 0 in every fourth draw,
         # default or explicit splits, 3-slot swaps included, and n_th on
         # both sides of the test at mu = 0.  The 4-tuple of every cell,
@@ -1367,7 +1367,8 @@ class TestRootPins:
             t = ALL_TOPOLOGIES[i % len(ALL_TOPOLOGIES)]
             caps, n_th, r, tau_e, loss_split = _lazy_draw(rng, t, i)
             box = _CooperativityBox.of(t, caps, n_th, r, tau_e, loss_split)
-            cs, m = thresholds._solve_cell(t, caps, n_th, r, tau_e, loss_split)
+            rv, split, mirrored, _ = thresholds._cell_layout(t, n_th, r, tau_e, loss_split)
+            cs, m = _NodeRoot.of(t, caps, n_th, rv, split, mirrored).solve()
             x = _box_point(box, cs)
             config = (i, t.label, caps, n_th, r, tau_e, loss_split, cs)
             assert repr(box.full(x)) == repr(cs), config
@@ -1466,7 +1467,7 @@ def _integral(x):
     return int(x) if x == int(x) else x
 
 
-_CACHES = (_layout_coords_of, _blue_node_of)
+_CACHES = (_blue_node_of,)
 
 
 def _clear_caches():
@@ -1487,8 +1488,9 @@ def _check_exact(factory, cache, variants, probe):
 
 
 class TestFactoryCaches:
-    """The factories that depend only on the caps, a kind or a layout are
-    built once per process; a hit returns what a miss would, in repr."""
+    """A blue node, which depends only on its kind, the caps and n_th, is
+    built once per process; a hit returns what a miss would, in repr.
+    The layout map is built from the caps at each call."""
 
     caps = PRESETS["brubaker2022"]["caps"]
     # equal under ==, but not in type or in the sign of a zero
@@ -1509,8 +1511,11 @@ class TestFactoryCaches:
                 return repr([coords([0.5] * dim), coords([1e9] * dim),
                              coords(np.array([[0.0, 0.5, 1e9]] * dim))])
 
-            _check_exact(_layout_coords, _layout_coords_of,
-                         [(caps, axes) for caps in self.variants + self.zeros], probe)
+            # a map built from the caps reads what one built from the caps
+            # rebuilt from their exact key reads, the same number objects
+            for caps in self.variants + self.zeros:
+                rebuilt = thresholds._caps_of(caps._key)
+                assert probe(_layout_coords(caps, axes)) == probe(_layout_coords(rebuilt, axes)), caps
 
     def test_blue_node(self):
         def probe(node):
@@ -2016,6 +2021,93 @@ class TestThreeSlotEdge:
         caps = PRESETS["brubaker2022"]["caps"]
         for t in _THREE_SLOT:
             assert optimize_loss_split(t, caps, 0.0, 0.0, 0.5) == ((1.0, 1.0, 0.5), 0.0)
+
+
+def _nested_loss_split(t, caps, n_th, r, tau_e):
+    """The 3-slot split and value by the nested ascent: over t_3, with a
+    cooperativity solve (optimize_cooperativities) at every split."""
+    converter = thresholds._ConverterNode(caps, caps.tau_a, n_th)
+    lead = 1.0 + 1.0 / math.tanh(r) if r > 0.0 else 0.0
+
+    def peak(mu):
+        t3 = float(-converter.argmax(mu)[1] * lead)
+        return min(1.0, t3) if t3 > tau_e else tau_e
+
+    def margin_of_split(t3):
+        # the margin at the returned point, read through network's own
+        # binding of _mm_excess, so that a count on thresholds' sees only
+        # the solves
+        split = (tau_e / t3, 1.0, t3)
+        cs, e = optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)
+        return network._margin_of_excess(network._mm_excess(t, caps, n_th, r, cs, split)) if e > 0.0 else 0.0
+
+    t3, m = thresholds._ascend(peak(0.0), margin_of_split, peak)
+    if not m > 0.0:
+        t3 = tau_e
+    return (tau_e / t3, 1.0, t3), _log2_negativity(m)
+
+
+def _joint_draws(n):
+    """n draws (t, caps, n_th, r, tau_e) of the 3-slot swaps in turn: r in
+    [0, 1.5], tau_e in [0.05, 1] and n_th up to 0.3 tau_a d_a."""
+    rng = generator(20261020, stream=151)
+    draws = []
+    for i in range(n):
+        rates = PhysicalRates(*(10.0 ** rng.uniform(-1.0, 2.5, 2)).tolist(), 1.0)
+        caps = random_caps(rng, rates)
+        r, tau_e, share = rng.uniform(0.0, 1.5), rng.uniform(0.05, 1.0), rng.uniform(0.0, 0.3)
+        draws.append((_THREE_SLOT[i % 3], caps, share * caps.tau_a * caps.d_a, r, tau_e))
+    return draws
+
+
+class TestJointSplitAscent:
+    """A 3-slot swap's split and cooperativities take one ascent, over
+    (t_3, 4-tuple), and one solve at the split reached; the nested ascent,
+    a cooperativity solve at every split, is its reference."""
+
+    def test_never_below_the_nested_ascent(self, monkeypatch):
+        calls = collections.Counter()
+        counting = ["joint"]
+        excess = thresholds._mm_excess
+
+        def counted(*args):
+            calls[counting[0]] += 1
+            return excess(*args)
+
+        monkeypatch.setattr(thresholds, "_mm_excess", counted)
+        where = collections.Counter()
+        for i, (t, caps, n_th, r, tau_e) in enumerate(_joint_draws(1500)):
+            counting[0] = "joint"
+            split, e = optimize_loss_split(t, caps, n_th, r, tau_e)
+            counting[0] = "nested"
+            ref_split, ref = _nested_loss_split(t, caps, n_th, r, tau_e)
+            counting[0] = "check"
+            config = (i, t.label, caps, n_th, r, tau_e, split, e, ref_split, ref)
+            assert e >= ref - 1e-14 * max(1.0, abs(ref)), config
+            assert e == optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)[1], config
+            where[_split_position(split) if e > 0.0 else "none"] += 1
+        assert calls["joint"] < calls["nested"], calls
+        assert min(where[k] for k in ("none", "(1, 1, tau_e)", "(tau_e / t_3, 1, t_3)")) >= 20, where
+
+    def test_solves_the_cell_once(self, monkeypatch):
+        # no optimize_cooperativities call, and one _NodeRoot.solve per
+        # call, at the split reached
+        draws = _joint_draws(30)
+        want = [optimize_loss_split(*draw) for draw in draws]
+        solve, solved = _NodeRoot.solve, []
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("optimize_cooperativities called")
+
+        def counted(root):
+            solved.append(root.split)
+            return solve(root)
+
+        monkeypatch.setattr(thresholds, "optimize_cooperativities", refuse)
+        monkeypatch.setattr(_NodeRoot, "solve", counted)
+        assert [optimize_loss_split(*draw) for draw in draws] == want
+        assert solved == [split for split, _ in want]
+        assert any(e > 0.0 for _, e in want)
 
 
 _EM_TOPOLOGIES = [t for t in ALL_TOPOLOGIES if MoKind.EM in t.kinds]

@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "OMEGA",
@@ -44,18 +45,45 @@ __all__ = [
 
 VACUUM_VARIANCE = 0.5
 
-#: Pauli-z block used in the off-diagonal of balanced-correlated states.
-Z2 = np.diag([1.0, -1.0])
+#: The module's numpy constants, each built by __getattr__ on first access
+#: (PEP 562), so that importing the module does not import numpy: Z2, the
+#: Pauli-z block used in the off-diagonal of balanced-correlated states,
+#: and OMEGA, the two-mode symplectic form for the (x1, p1, x2, p2)
+#: ordering.
+_ARRAY_CONSTANTS = {
+    "Z2": lambda np: np.diag([1.0, -1.0]),
+    "OMEGA": lambda np: np.array(
+        [
+            [0.0, 1.0, 0.0, 0.0],
+            [-1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, -1.0, 0.0],
+        ]
+    ),
+}
 
-#: Two-mode symplectic form for the (x1, p1, x2, p2) ordering.
-OMEGA = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
+
+def __getattr__(name: str):
+    """Z2 or OMEGA, built once, at the first access; see _ARRAY_CONSTANTS."""
+    try:
+        build = _ARRAY_CONSTANTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    import numpy as np
+
+    value = globals()[name] = build(np)
+    return value
+
+
+def _is_array(x) -> bool:
+    """Whether x is a numpy array, 0-d included, without importing numpy.
+
+    A numpy scalar such as np.float64 is no array: it takes a function's
+    float path, as a float does.  No value is an array before numpy is
+    imported, so a float never imports it.
+    """
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
 
 _SYMMETRY_TOL = 1e-12
 _PHYSICALITY_TOL = 1e-10
@@ -115,6 +143,8 @@ def _as_r(r) -> float:
 
 def _frozen_matrix(m, n: int, what: str, symmetric: bool = False) -> np.ndarray:
     """Read-only float copy of an n x n matrix of finite entries, symmetric if asked."""
+    import numpy as np
+
     m = np.array(m, dtype=float)
     if m.shape != (n, n):
         raise ValueError(f"{what} must be {n}x{n}, got {m.shape}")
@@ -162,6 +192,8 @@ class BalancedForm(NamedTuple):
     c: float
 
     def to_cov(self) -> CovMat2:
+        import numpy as np
+
         m = np.zeros((4, 4))
         m[0, 0] = m[1, 1] = self.a
         m[2, 2] = m[3, 3] = self.b
@@ -179,7 +211,7 @@ class BalancedForm(NamedTuple):
         m = v.m
         a, b, c = m[0, 0], m[2, 2], m[0, 2]
         scale = max(1.0, abs(a), abs(b), abs(c))
-        if np.max(np.abs(m - cls(a, b, c).to_cov().m)) > tol * scale:
+        if abs(m - cls(a, b, c).to_cov().m).max() > tol * scale:
             raise ValueError("covariance matrix is not balanced-correlated")
         return cls(a, b, c)
 
@@ -241,6 +273,8 @@ def apply_one_mode(ch: OneModeChannel, v: CovMat2, mode: int) -> CovMat2:
     """
     if mode not in (1, 2):
         raise ValueError(f"mode index must be 1 or 2, got {mode}")
+    import numpy as np
+
     T = np.eye(4)
     N = np.zeros((4, 4))
     s = slice(0, 2) if mode == 1 else slice(2, 4)
@@ -253,6 +287,8 @@ def loss_channel(tau: float) -> OneModeChannel:
     """Pure-loss channel with transmissivity tau in [0, 1]."""
     if not (0.0 <= tau <= 1.0):
         raise ValueError(f"transmissivity must be in [0, 1], got {tau}")
+    import numpy as np
+
     t = math.sqrt(tau)
     return OneModeChannel(t * np.eye(2), ((1.0 - tau) / 2.0) * np.eye(2))
 
@@ -292,7 +328,10 @@ def physicality_check(v: CovMat2, tol: float = _PHYSICALITY_TOL) -> bool:
     Checks that all eigenvalues of the Hermitian matrix v + (i/2) Omega
     are >= -tol.
     """
-    h = v.m + 0.5j * OMEGA
+    import numpy as np
+
+    # read through the module, whose __getattr__ builds OMEGA at first use
+    h = v.m + 0.5j * sys.modules[__name__].OMEGA
     return bool(np.linalg.eigvalsh(h).min() >= -tol)
 
 

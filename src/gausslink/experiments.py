@@ -21,8 +21,6 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
 from . import __version__ as _version
 from .core import R_MAX, BalancedForm, log_negativity, squeeze_db_to_r, squeeze_r_to_db
 from .network import (
@@ -300,6 +298,26 @@ def _write_out(path, text: str) -> None:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """num evenly spaced floats from start to stop: np.linspace(...).tolist(), bit for bit.
+
+    Point i is i * step + start, step = (stop - start) / (num - 1), and
+    the last is stop, as numpy computes them; where the step underflows
+    to 0, point i is i / (num - 1) * (stop - start) + start.  One point
+    is start.
+    """
+    start, stop = float(start), float(stop)
+    delta, div = stop - start, num - 1
+    if div <= 0:
+        return [0.0 * delta + start] * num
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + start for i in range(div)]
+    else:
+        points = [i * step + start for i in range(div)]
+    return points + [stop]
+
+
 def _map_points(fn, args_list, jobs):
     # the pool forks every worker up front: start no more than can be busy
     workers = min(jobs, len(args_list), os.cpu_count() or 1)
@@ -339,6 +357,8 @@ def cmd_threshold_vs_da(cfg: ExperimentConfig):
     ConfigError, before any point runs, where a setting breaks its rule.
     """
     _check_settings(cfg, "threshold-vs-da")
+    import numpy as np
+
     r = cfg.resolve_r(0.58)
     grid = np.geomspace(cfg.d_a_range[0], cfg.d_a_range[1], cfg.points)
     args = [(d_a, d_b, cfg.tau_a, cfg.tau_b, r) for d_b in cfg.d_b_values for d_a in grid]
@@ -365,6 +385,8 @@ def _fit_slopes(rows, lo_db, hi_db):
     NaN where the window holds fewer than two distinct tau_a, or a
     threshold of 0.
     """
+    import numpy as np
+
     slopes = {}
     sel = [row for row in rows if lo_db <= row["loss_db"] <= hi_db]
     for name, _ in _TOPOLOGY_COLUMNS:
@@ -391,7 +413,7 @@ def cmd_threshold_vs_loss(cfg: ExperimentConfig):
     d_b = cfg.d_b_loss
     d_a = 10.0 * d_b
     tau_b = 1.0
-    grid = np.linspace(0.0, cfg.loss_db_max, cfg.points)
+    grid = _linspace(0.0, cfg.loss_db_max, cfg.points)
     args = [(db, d_a, d_b, tau_b, r) for db in grid]
     rows = _map_points(_loss_point, args, cfg.jobs)
     slopes = _fit_slopes(rows, cfg.loss_db_max - 10.0, cfg.loss_db_max)
@@ -467,11 +489,15 @@ def cmd_device_run(cfg: ExperimentConfig):
     Equal-split swap columns are included as references; the asymmetric
     topology overtakes both of them inside a loss window.  ConfigError,
     before any point runs, where a setting breaks its rule.
+
+    Each row's tau_e_db and tau_e are Python floats (they were numpy
+    float64 before the grid became _linspace's, with the same values);
+    the run imports no numpy.
     """
     _check_settings(cfg, "device-run")
     columns = device_columns(cfg.squeezing_db)
     cells = _device_cells(cfg.squeezing_db)
-    grid = np.linspace(0.0, cfg.taue_db_max, cfg.points)
+    grid = _linspace(0.0, cfg.taue_db_max, cfg.points)
     args = [(cfg.caps, cells, db) for db in grid]
     rows = _map_points(_device_point, args, cfg.jobs)
     header = _provenance(
@@ -589,10 +615,7 @@ def _check_conversion_trace(seed, n):
             t_marg = full.T[outp, inp]
             t_keep = full.T[outp, outp]
             n_marg = 0.5 * t_keep @ t_keep.T + full.N[outp, outp]
-            err = max(
-                np.max(np.abs(t_marg - ch.T)),
-                np.max(np.abs(n_marg - ch.N)),
-            )
+            err = max(abs(t_marg - ch.T).max(), abs(n_marg - ch.N).max())
             yield err, lambda: f"{direction} draw {i}: p={p!r}"
 
 
@@ -714,18 +737,18 @@ def _check_split_optimality(seed, n):
                            (Topology.swap_sym(MoKind.EO), (tau_e, 1.0))):
             e_best = mm_log_negativity(
                 topo, NetworkConfig(caps, *cs, r=r, tau_e=tau_e, loss_split=best))
-            for t1 in np.linspace(tau_e, 1.0, 101):
+            for t1 in _linspace(tau_e, 1.0, 101):
                 e = mm_log_negativity(
                     topo, NetworkConfig(caps, *cs, r=r, tau_e=tau_e, loss_split=(t1, tau_e / t1))
                 )
-                yield e - e_best, lambda: f"{topo.scheme} draw {i}: {config}, t1={float(t1)!r}"
+                yield e - e_best, lambda: f"{topo.scheme} draw {i}: {config}, t1={t1!r}"
 
 
 def _check_determinism(seed, n):
     """Identical seeds reproduce identical draws."""
     a = random_balanced_states(generator(seed, stream=1), n)
     b = random_balanced_states(generator(seed, stream=1), n)
-    yield np.max(np.abs(a - b)), lambda: ""
+    yield abs(a - b).max(), lambda: ""
 
 
 def _worst_draw(draws, worst: float) -> tuple[float, str]:

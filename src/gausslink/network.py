@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import BalancedForm, OneModeChannel, SqueezeParam, _as_r
 from .sources import _EO, MoKind, _check_stable, _mo_excess
 from .transducer import DeviceCaps, _check_cap, _check_loss_split, _conversion_t_mu
@@ -299,7 +297,12 @@ def _margin_of_excess(out) -> float:
     d = s * s - 4.0 * P
     d = d * (d > 0.0)  # d >= 0 up to rounding; clip it to 0
     # math.sqrt, as in sources._mo_excess, to match numpy's sqrt bit for bit
-    q = s + (math.sqrt(d) if type(d) is float else np.sqrt(d))
+    if type(d) is float:
+        q = s + math.sqrt(d)
+    else:
+        import numpy as np
+
+        q = s + np.sqrt(d)
     # q is 0 only at vacuum (A = B = P = 0), whose margin is 0; dividing by
     # q + 1 there gives it without a branch, so arrays take the same line
     return -2.0 * P / (q + (q <= 0.0))

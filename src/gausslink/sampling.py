@@ -9,10 +9,13 @@ replayable from the reported seed alone.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .sources import MoKind
 from .transducer import DeviceCaps, DptParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "generator",
@@ -25,6 +28,8 @@ __all__ = [
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox-backed generator for one named stream of a seeded run."""
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, np.uint64(stream)]))
 
 
@@ -35,6 +40,8 @@ def random_balanced_states(rng: np.random.Generator, n: int, scale: float = 2.0)
     definiteness and minimum symplectic eigenvalue >= 1/2), with both
     entangled and separable states well represented.
     """
+    import numpy as np
+
     out = np.empty((0, 3))
     while out.shape[0] < n:
         m = max(2 * (n - out.shape[0]), 128)

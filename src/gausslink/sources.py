@@ -28,8 +28,6 @@ from __future__ import annotations
 import enum
 import math
 
-import numpy as np
-
 from .core import BalancedForm, SqueezeParam, _as_r, apply_one_mode, apply_two_mode, make_tms
 from .transducer import (
     DEFAULT_RATES,
@@ -86,7 +84,12 @@ def _mo_excess(kind: MoKind, c_a, c_b, tau_a, tau_b, n_th, r):
     if mirror:
         c_a, c_b, tau_a, tau_b = c_b, c_a, tau_b, tau_a
     g = tau_a * tau_b * c_a * c_b
-    g = math.sqrt(g) if type(g) is float else np.sqrt(g)
+    if type(g) is float:
+        g = math.sqrt(g)
+    else:
+        import numpy as np
+
+        g = np.sqrt(g)
     if kind is _EO or kind is _EM:
         # the squeezed pair's second (b-side) mode passes the red-red converter
         sh2 = math.sinh(r) ** 2

@@ -20,11 +20,9 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
-from .core import SqueezeParam, _as_r
+from .core import SqueezeParam, _as_r, _is_array
 from .network import (
     Topology,
     _log2_negativity,
@@ -49,6 +47,9 @@ from .transducer import (
 )
 # the benchmark's tracer (perfbench/tracer.py) patches thresholds.stability_ok by name
 from .transducer import stability_ok  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ThresholdResult",
@@ -126,7 +127,9 @@ def _stable_bound(caps: DeviceCaps, c_red, optical_blue: bool):
     """
     cap = caps.d_a if optical_blue else caps.d_b
     b = _blue_bound(c_red, caps.rates, optical_blue)
-    if isinstance(b, np.ndarray):
+    if _is_array(b):
+        import numpy as np
+
         return np.minimum(cap, np.maximum(np.nextafter(b, -np.inf), 0.0))
     b = math.nextafter(b, -math.inf)
     b = b if b > 0.0 else 0.0
@@ -142,14 +145,13 @@ def _em_down_cell(c_a, c_b, tau_a, tau_b, d_a):
 def _em_swap_cell(c_a, c_b, tau_a, tau_b):
     """EM-swap bound at (c_a, c_b), -inf where tau_a c_a <= 0; floats or arrays, elementwise."""
     den = 8.0 * tau_a * c_a
-    array = isinstance(den, np.ndarray)
-    if array:
-        ok = den > 0.0
-        den = np.where(ok, den, 1.0)
-    elif den <= 0.0:
-        return -math.inf
-    value = tau_b * c_b - (1.0 + c_a + c_b) ** 2 / den
-    return np.where(ok, value, -np.inf) if array else value
+    if not _is_array(den):
+        return -math.inf if den <= 0.0 else tau_b * c_b - (1.0 + c_a + c_b) ** 2 / den
+    import numpy as np
+
+    ok = den > 0.0
+    value = tau_b * c_b - (1.0 + c_a + c_b) ** 2 / np.where(ok, den, 1.0)
+    return np.where(ok, value, -np.inf)
 
 
 def _em_down_max(caps: DeviceCaps) -> tuple[float, float, float]:
@@ -322,7 +324,9 @@ def _layout_coords(caps, axes: tuple):
 
         def converter(x):
             c_a = x[i]
-            if isinstance(c_a, np.ndarray):
+            if _is_array(c_a):
+                import numpy as np
+
                 return c_a, np.minimum(d_b, 1.0 + c_a)
             c_b = 1.0 + c_a
             return c_a, (c_b if c_b < d_b else d_b)  # min(d_b, c_b), bit for bit
@@ -377,7 +381,9 @@ def _margin_closure(t, caps, n_th, r, split, axes: tuple):
 
     def margin(x):
         cs = coords(x)
-        if isinstance(cs[0], np.ndarray):
+        if _is_array(cs[0]):
+            import numpy as np
+
             with np.errstate(all="ignore"):  # unstable entries may overflow or divide by 0
                 m = _margin_of_excess(_mm_excess(t, caps, n_th, r, cs, split))
             for plus, minus, optical in checks:
@@ -513,6 +519,8 @@ def numeric_threshold(
 @functools.lru_cache(maxsize=len(_SEED_GRID))
 def _unit_seed_grid(dim: int) -> np.ndarray:
     """The seed grid of the unit box in dim dimensions, one point per column; read-only."""
+    import numpy as np
+
     axis = np.geomspace(_SEED_FLOOR, 1.0, _SEED_GRID[dim])
     grid = np.stack(np.meshgrid(*[axis] * dim, indexing="ij")).reshape(dim, -1)
     grid.flags.writeable = False
@@ -527,6 +535,8 @@ def _ranked_starts(margin, hi, corners, n):
     cap); one array evaluation of margin ranks all of it.  Ties keep
     pool order, so the choice is deterministic.
     """
+    import numpy as np
+
     grid = np.array(hi, dtype=float)[:, None] * _unit_seed_grid(len(hi))
     pool = np.concatenate([np.array(corners, dtype=float).T, grid], axis=1)
     starts: list[list[float]] = []
@@ -1233,7 +1243,10 @@ def optimize_loss_split(
     converter = _ConverterNode(caps, caps.tau_a, n_th)
     lead = 1.0 + 1.0 / math.tanh(rv) if rv > 0.0 else 0.0
 
+    @functools.cache
     def root(t3: float) -> _NodeRoot:
+        """The root at the split (tau_e / t3, 1, t3), built once per t3: best_at's
+        serves the margin of its point and, at the split reached, the solve."""
         return _NodeRoot.of(t, caps, n_th, rv, (tau_e / t3, 1.0, t3), False)
 
     def best_at(mu: float):

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, Sequence
 
-import numpy as np
-
-from .core import _FINITE, OneModeChannel, TwoModeChannel
+from .core import _FINITE, OneModeChannel, TwoModeChannel, _is_array
 
 __all__ = [
     "C_MAX",
@@ -195,6 +193,8 @@ def dpt_two_mode_channel(p: DptParams) -> TwoModeChannel:
         raise SingularOperatingPointError(
             f"1 - sigma_a C_a - sigma_b C_b = {den} is (numerically) zero"
         )
+    import numpy as np
+
     g = math.sqrt(p.tau_a * p.tau_b * p.c_a * p.c_b)
 
     T = np.zeros((4, 4))
@@ -239,8 +239,13 @@ def _conversion_t_mu(c_a, c_b, tau_a, tau_b, n_th) -> tuple[float, float]:
     s = 1.0 + c_a + c_b
     g = tau_a * tau_b * c_a * c_b
     # math.sqrt, as in sources._mo_excess, to match numpy's sqrt bit for bit
-    t = -2.0 * (math.sqrt(g) if type(g) is float else np.sqrt(g)) / s
-    return t, 4.0 * tau_b * c_b * n_th / (s * s)
+    if type(g) is float:
+        g = math.sqrt(g)
+    else:
+        import numpy as np
+
+        g = np.sqrt(g)
+    return -2.0 * g / s, 4.0 * tau_b * c_b * n_th / (s * s)
 
 
 def conversion_channel(direction: Literal["up", "down"], p: DptParams) -> OneModeChannel:
@@ -263,6 +268,8 @@ def conversion_channel(direction: Literal["up", "down"], p: DptParams) -> OneMod
     else:
         t, mu = _conversion_t_mu(p.c_b, p.c_a, p.tau_b, p.tau_a, p.n_th)
     n = 0.5 - t * t / 2.0 + mu
+    import numpy as np
+
     return OneModeChannel(t * np.eye(2), n * np.eye(2))
 
 
@@ -285,7 +292,9 @@ def _blue_bound(c_red, rates: PhysicalRates, optical_blue: bool):
     # second criterion, linear in C_+ once the coupling bridge is applied
     rhs = c_red * kappa_minus * gamma_m / (kappa_plus + gamma_m) + kappa_plus + kappa_minus
     second = rhs * (kappa_minus + gamma_m) / (kappa_plus * gamma_m)
-    if isinstance(first, np.ndarray):
+    if _is_array(first):
+        import numpy as np
+
         least = np.minimum(first, second)
     else:
         least = first if first <= second else second

@@ -20,7 +20,7 @@ from gausslink import (
     min_sympl_eig_pt,
     physicality_check,
 )
-from gausslink.core import R_MAX
+from gausslink.core import R_MAX, _is_array
 from gausslink.sampling import generator, random_balanced_states
 
 from conftest import random_covmat_channel
@@ -266,3 +266,24 @@ class TestTypes:
                 cls(m[:n, :n], ok)
             with pytest.raises(ValueError, match="non-finite"):
                 cls(ok, m[:n, :n])
+
+
+class TestIsArray:
+    """The one array predicate of the float and array branches."""
+
+    @pytest.mark.parametrize("x", [1.0, 0.0, -math.inf, math.nan, 3, np.float64(1.0), np.float64(0.0)])
+    def test_scalars_are_not_arrays(self, x):
+        assert _is_array(x) is False
+
+    @pytest.mark.parametrize("x", [np.array(1.0), np.array([1.0]), np.zeros((2, 3))])
+    def test_arrays_of_any_shape_are(self, x):
+        assert _is_array(x) is True
+
+    def test_omega_and_z2_are_built_once(self):
+        from gausslink import core
+
+        assert core.OMEGA is core.OMEGA and core.Z2 is core.Z2
+        assert core.Z2.tolist() == [[1.0, 0.0], [0.0, -1.0]]
+        assert (core.OMEGA + core.OMEGA.T == 0.0).all() and core.OMEGA[0, 1] == core.OMEGA[2, 3] == 1.0
+        with pytest.raises(AttributeError, match="no attribute 'OMEGA2'"):
+            getattr(core, "OMEGA2")

@@ -32,6 +32,7 @@ from gausslink.experiments import (
     _check_mo_oracle,
     _check_swap_theorem,
     _check_thresholds,
+    _linspace,
     _map_points,
     _worst_draw,
     cmd_device_run,
@@ -741,3 +742,21 @@ class TestSettings:
             assert self._flags(lines[0]) == offered
         [row] = [line for line in readme.splitlines() if line.startswith(f"| `{command}` |")]
         assert re.findall(r"`(\w+)`", row.split("|")[2]) == list(SETTINGS[command])
+
+
+class TestLinspace:
+    """The device-run, threshold-vs-loss and loss-split grids, without numpy."""
+
+    @pytest.mark.parametrize("start", [0.0, 0.3])
+    @pytest.mark.parametrize("stop", [0, 1e-9, 3, 6, 7.3, 40, 1e3])
+    @pytest.mark.parametrize("num", [1, 2, 3, 13, 201, 1000])
+    def test_is_numpy_linspace_bit_for_bit(self, start, stop, num):
+        grid = _linspace(start, stop, num)
+        assert all(type(x) is float for x in grid)
+        assert [x.hex() for x in grid] == [x.hex() for x in np.linspace(start, stop, num).tolist()]
+
+    @pytest.mark.parametrize("stop, num", [(5e-324, 3), (1e-321, 1000), (-5e-324, 7)])
+    def test_an_underflowing_step_too(self, stop, num):
+        # step == 0, where numpy scales i / (num - 1) by stop - start
+        grid = _linspace(0.0, stop, num)
+        assert [x.hex() for x in grid] == [x.hex() for x in np.linspace(0.0, stop, num).tolist()]

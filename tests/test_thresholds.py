@@ -2109,6 +2109,52 @@ class TestJointSplitAscent:
         assert solved == [split for split, _ in want]
         assert any(e > 0.0 for _, e in want)
 
+    def test_builds_one_root_per_split(self, monkeypatch):
+        # one _NodeRoot.of per t_3 that a call visits: the first best_at
+        # (at mu = 0), each step of the ascent, and the split (1, 1,
+        # tau_e) where no split entangles; a step's root also serves its
+        # point's margin, and the final solve reuses the root at the
+        # split reached
+        draws = _joint_draws(300)
+        want = [optimize_loss_split(*draw) for draw in draws]
+        of, ascend, solve = _NodeRoot.of.__func__, thresholds._ascend, _NodeRoot.solve
+        built, steps, solving = [], [0], [False]
+
+        def counted_of(cls, *args):
+            built.append(args[4])
+            return of(cls, *args)
+
+        def counted_ascend(x, margin, best_at):
+            if solving[0]:  # a solve's own ascent, over cooperativities only
+                return ascend(x, margin, best_at)
+
+            def step(mu):
+                steps[0] += 1
+                return best_at(mu)
+
+            return ascend(x, margin, step)
+
+        def counted_solve(root):
+            solving[0] = True
+            try:
+                return solve(root)
+            finally:
+                solving[0] = False
+
+        monkeypatch.setattr(_NodeRoot, "of", classmethod(counted_of))
+        monkeypatch.setattr(thresholds, "_ascend", counted_ascend)
+        monkeypatch.setattr(_NodeRoot, "solve", counted_solve)
+        total = 0
+        for draw, w in zip(draws, want):
+            built.clear()
+            steps[0] = 0
+            assert optimize_loss_split(*draw) == w
+            config = (draw, w, built, steps[0])
+            assert len(set(built)) == len(built), config
+            assert len(built) <= steps[0] + 2, config
+            total += steps[0]
+        assert total >= len(draws) // 2, total  # the ascents take steps
+
 
 _EM_TOPOLOGIES = [t for t in ALL_TOPOLOGIES if MoKind.EM in t.kinds]
 _EM_EDGES = ("random", "small r", "d_b <= d_a - 1", "d_b >= d_a + 1", "d_b within 1 of d_a")

@@ -41,8 +41,8 @@ from .sampling import (
 )
 from .sources import MoKind, mo_state, mo_state_via_composition
 from .thresholds import (
-    _clamp_pair,
     _CooperativityBox,
+    _stable_bound,
     analytic_threshold,
     numeric_threshold,
     optimize_cooperativities,
@@ -530,7 +530,7 @@ def cmd_ebit_rate(cfg: ExperimentConfig) -> dict:
     tau_e = 10.0 ** (-loss_db / 10.0)
     topo = Topology.down(MoKind.IM)
     cs, e = optimize_cooperativities(topo, caps, caps.n_th, 0.0, tau_e=tau_e)
-    corner = (*_clamp_pair(MoKind.IM, caps, caps.d_a, caps.d_b), caps.d_a, caps.d_b)
+    corner = (caps.d_a, _stable_bound(caps, caps.d_a, False), caps.d_a, caps.d_b)
     e_corner = mm_log_negativity(topo, NetworkConfig(caps, *corner, tau_e=tau_e))
     bw, ln2 = cfg.bandwidth_hz, math.log(2.0)
     report = {

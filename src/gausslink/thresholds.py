@@ -423,15 +423,8 @@ def _witness_axes(t: Topology) -> tuple[int, ...]:
     return (2, 0) if t.scheme == "down" and t.kinds[0] is not _EO else (2,)
 
 
-def _clamp_pair(kind: MoKind, caps: DeviceCaps, c_a: float, c_b: float):
-    if kind is _IO:
-        c_a = min(c_a, _stable_bound(caps, c_b, True))
-    elif kind is _IM:
-        c_b = min(c_b, _stable_bound(caps, c_a, False))
-    return c_a, c_b
-
-
 def _corner_candidates(kind: MoKind, caps: DeviceCaps) -> list[tuple[float, float]]:
+    """Distinct corners of a source's box, an IO or IM source's blue side clamped to its bound."""
     da, db = caps.d_a, caps.d_b
     raw = [
         (da, db),
@@ -442,9 +435,12 @@ def _corner_candidates(kind: MoKind, caps: DeviceCaps) -> list[tuple[float, floa
     ]
     out: list[tuple[float, float]] = []
     for ca, cb in raw:
-        pt = _clamp_pair(kind, caps, ca, cb)
-        if pt not in out:
-            out.append(pt)
+        if kind is _IO:
+            ca = min(ca, _stable_bound(caps, cb, True))
+        elif kind is _IM:
+            cb = min(cb, _stable_bound(caps, ca, False))
+        if (ca, cb) not in out:
+            out.append((ca, cb))
     return out
 
 
@@ -606,13 +602,14 @@ def _times(p, q) -> tuple[float, float, float]:
 
 
 class _ConverterNode:
-    """A converter node (code 1 of _converter_nodes) in the node-local condition.
+    """A converter node in the node-local condition.
 
     With sh2 = sinh(r)^2 it is an EO source, whose value is its h; with
     sh2 None the downconverter, whose value is -g.  tau is tau_a times
     the loss share in front of the converter.  Both are best at the one
-    C_a that minimises g (optimize_cooperativities).  Its point is (C_a,
-    C_b), with C_b at the pin min(d_b, 1 + C_a), bit for bit as in
+    C_a that minimises g, whatever tau and sh2
+    (optimize_cooperativities).  Its point is (C_a, C_b), with C_b at
+    the pin min(d_b, 1 + C_a), bit for bit as in the oracle's
     _layout_coords; zero is the point at C_a = 0.
     """
 
@@ -723,10 +720,6 @@ class _BlueNode:
         _, p, a, b, w = state
         return _ratio(p - mu * a, b + mu * w)
 
-    def value(self, c_a: float, c_b: float, mu: float) -> float:
-        """h at mu at the face point of the red side of (c_a, c_b)."""
-        return self.h(self.state(c_b if self.io else c_a), mu)
-
     def argmax(self, mu: float) -> tuple[tuple[float, float], float]:
         """(face point, h) at the best of the piece ends and the local maxima inside the pieces.
 
@@ -785,9 +778,6 @@ class _EmNode:
         s = 1.0 + c_a + c_b
         return self.four_tau_a * c_a * (kappa * c_b - self.n_th) / (s * s)
 
-    def value(self, c_a: float, c_b: float, mu: float) -> float:
-        return self.h(c_a, c_b, self.kappa(mu))
-
     def argmax(self, mu: float) -> tuple[tuple[float, float], float]:
         """((C_a, C_b), h) at the first best of (0, 0), (min(d_a, 1 + d_b), d_b)
         and (d_a, min(d_b, 1 + d_a + 2 n_th / kappa))."""
@@ -811,9 +801,9 @@ class _NodeRoot:
     h; a downconversion w = (1, 1), offset 0, v_1 = h of the source and
     v_2 = -g of the downconverter (optimize_cooperativities).  Each node
     maximises its value alone (argmax, which returns the node's (C_a,
-    C_b), pins applied), so a point is the cooperativity 4-tuple; a
-    mirrored layout takes node 1's point for both.  A symmetric swap
-    holds one node (second is first), whose value serves both.
+    C_b), pins applied), so a point is the cooperativity 4-tuple.  A
+    symmetric swap holds one node (second is first), whose best point
+    and value serve both.
 
     of builds one per cell: its converter and EM nodes and its weights
     depend on the cell's r and split, while its IO and IM nodes come
@@ -822,15 +812,14 @@ class _NodeRoot:
     4-tuple directly, with no layout map.
     """
 
-    __slots__ = ("t", "caps", "n_th", "r", "split", "first", "second", "w1", "w2", "offset", "mirrored")
+    __slots__ = ("t", "caps", "n_th", "r", "split", "first", "second", "w1", "w2", "offset")
 
-    def __init__(self, t, caps, n_th, r, split, first, second, w1, w2, offset, mirrored):
+    def __init__(self, t, caps, n_th, r, split, first, second, w1, w2, offset):
         self.t, self.caps, self.n_th, self.r, self.split = t, caps, n_th, r, split
-        self.first, self.second, self.w1, self.w2 = first, second, w1, w2
-        self.offset, self.mirrored = offset, mirrored
+        self.first, self.second, self.w1, self.w2, self.offset = first, second, w1, w2, offset
 
     @classmethod
-    def of(cls, t, caps: DeviceCaps, n_th: float, r: float, split, mirrored: bool) -> "_NodeRoot":
+    def of(cls, t, caps: DeviceCaps, n_th: float, r: float, split) -> "_NodeRoot":
         sh2 = math.sinh(r) ** 2
 
         def source(kind, tau):
@@ -842,21 +831,18 @@ class _NodeRoot:
         if t.scheme == "down":
             first = source(t.kinds[0], caps.tau_a * split[0])
             second = _ConverterNode(caps, caps.tau_a * split[-1], n_th)
-            return cls(*cell, first, second, 1.0, 1.0, 0.0, mirrored)
+            return cls(*cell, first, second, 1.0, 1.0, 0.0)
         # a third slot is the EO state's pre-downconversion mode
         tau = caps.tau_a * split[2] if len(split) == 3 else caps.tau_a
         first = source(t.kinds[0], tau)
         second = first if t.is_symmetric else source(t.kinds[1], tau)
-        return cls(*cell, first, second, split[0], split[1], 1.0, mirrored)
+        return cls(*cell, first, second, split[0], split[1], 1.0)
 
     def argmax(self, mu: float) -> tuple[tuple[float, float, float, float], float]:
         """The best 4-tuple at mu, and w_1 v_1 + w_2 v_2 - offset there."""
         first, second = self.first, self.second
         x1, v1 = first.argmax(mu)
-        if self.mirrored:
-            v2 = v1 if second is first else second.value(*x1, mu)
-            return x1 * 2, self.w1 * v1 + self.w2 * v2 - self.offset
-        x2, v2 = second.argmax(mu)
+        x2, v2 = (x1, v1) if second is first else second.argmax(mu)
         return x1 + x2, self.w1 * v1 + self.w2 * v2 - self.offset
 
     def margin(self, cs) -> float:
@@ -886,13 +872,14 @@ class _CooperativityBox:
     unstable, in the layout (_layout_coords) of one transducer when
     mirrored, else of both: a converter node (_converter_nodes) has only
     its C_a axis, an IO or IM source only its red-pumped side, and an EM
-    source both.  nodes pairs each node's kind (None for a
-    downconverter) with its layout code.  full maps a point of the box
-    to the cooperativity 4-tuple; hi is the clamped all-max corner.  The
-    layout comes from _cell_layout, as in optimize_cooperativities.
-    root() builds the _NodeRoot that solves every layout node by node:
-    root().solve() is the 4-tuple and margin that
-    optimize_cooperativities returns, which builds no box.  The box is
+    source both.  A symmetric swap at any split and down(EO) at a
+    uniform one are mirrored (the diagonal of optimize_cooperativities).
+    nodes pairs each node's kind (None for a downconverter) with its
+    layout code.  full maps a point of the box to the cooperativity
+    4-tuple; hi is the clamped all-max corner.  The layout is the box's
+    alone: optimize_cooperativities builds no box and no layout.
+    root() builds the cell's _NodeRoot: root().solve() is the 4-tuple
+    and margin that optimize_cooperativities returns.  The box is
     the oracle of the root: full is the oracle of its pins (the 4-tuple
     is full at that point's axes, and margin there is the root's, bit
     for bit), and search, which production code does not call, of its
@@ -910,12 +897,14 @@ class _CooperativityBox:
     @classmethod
     def of(cls, t, caps, n_th, r, tau_e=1.0, loss_split=None) -> "_CooperativityBox":
         """Check the inputs as optimize_cooperativities does and build its box."""
-        rv, split, mirrored, axes = _cell_layout(t, n_th, r, tau_e, loss_split)
+        rv, split = _checked_cell(t, n_th, r, tau_e, loss_split)
+        mirrored = t.is_symmetric and (t.scheme == "swap" or (t.kinds[0] is _EO and split[0] == split[1]))
+        axes = _converter_nodes(t)[: 1 if mirrored else 2]
         margin = (_margin_fn if mirrored else _margin_fn4)(t, caps, n_th, rv, split, pin_cb=True)
         hi = [(caps.d_a, caps.d_b)[j] for k in axes for j in _NODE_AXES[k]]
         full = _layout_coords(caps, axes)
         nodes = tuple(zip(t.kinds if t.scheme == "swap" else (t.kinds[0], None), axes))
-        root = functools.partial(_NodeRoot.of, t, caps, n_th, rv, split, mirrored)
+        root = functools.partial(_NodeRoot.of, t, caps, n_th, rv, split)
         return cls(caps, nodes, margin, full, hi, mirrored, root)
 
     def search(self, n_starts: int, nm_max_iter: int) -> tuple[list[float], float]:
@@ -942,20 +931,14 @@ class _CooperativityBox:
         )
 
 
-def _cell_layout(t: Topology, n_th: float, r, tau_e: float, loss_split):
-    """(r, split, mirrored, axes) of a cell, its inputs checked as in optimize_cooperativities.
+def _checked_cell(t: Topology, n_th: float, r, tau_e: float, loss_split):
+    """(r, split) of a cell, n_th, r and the split checked in that order.
 
-    A symmetric swap is mirrored at any split and down(EO) at a uniform
-    one (the diagonal of optimize_cooperativities); axes is the layout
-    (_layout_coords) of one transducer when mirrored, else of both
-    (_converter_nodes).  optimize_cooperativities and the oracle
-    _CooperativityBox.of both take a cell's layout from here.
+    optimize_cooperativities and the oracle _CooperativityBox.of both
+    check a cell here, so they raise the same errors.
     """
     _check_fields(n_th)
-    rv = _as_r(r)
-    split = _resolve_split(t, tau_e, loss_split)
-    mirrored = t.is_symmetric and (t.scheme == "swap" or (t.kinds[0] is _EO and split[0] == split[1]))
-    return rv, split, mirrored, _converter_nodes(t)[: 1 if mirrored else 2]
+    return _as_r(r), _resolve_split(t, tau_e, loss_split)
 
 
 def optimize_cooperativities(
@@ -971,24 +954,22 @@ def optimize_cooperativities(
 ) -> tuple[tuple[float, float, float, float], float]:
     """Maximize the MM logarithmic negativity over the cooperativities.
 
-    A symmetric swap, at any loss split, and down(EO), at a uniform one,
-    are mirrored: one transducer's cooperativities serve both, which is
-    exact (the diagonal, below); the others take both transducers'.
-    _converter_nodes gives each node its axes: a converter node, a
-    red-red converter whose output is a final microwave mode (the
-    converter inside an EO source, and the downconverter of a
-    downconversion), has C_a as its only axis, its C_b being min(d_b, 1
-    + C_a); an IO or IM source has its red-pumped side
-    as its only axis, its blue-pumped side sitting at its stable bound
-    (_stable_bound); both pins are exact, as shown below.  Only an EM
-    source keeps both axes.  Nothing is searched: every layout is solved
-    node by node (_NodeRoot), as proven below.  A call builds only what
-    its solve reads: it checks its inputs, builds the cell's _NodeRoot
-    and tests the condition at mu = 0 first; where that fails it returns
+    Nothing is searched: the cell is solved node by node (_NodeRoot), as
+    proven below.  A node is one transducer's source or the
+    downconverter of a downconversion, and it finds its best point
+    alone.  A converter node, a red-red converter whose output is a
+    final microwave mode (the converter inside an EO source, and the
+    downconverter), moves only C_a, its C_b pinned at min(d_b, 1 +
+    C_a); an IO or IM source moves only its red-pumped side, its
+    blue-pumped side pinned at its stable bound (_stable_bound); both
+    pins are exact, as shown below.  Only an EM source moves both.  A
+    symmetric swap's two transducers share one node, at any split (the
+    diagonal, below).  A call builds only what its solve reads: it
+    checks its inputs (_checked_cell), builds the cell's _NodeRoot and
+    tests the condition at mu = 0 first; where that fails it returns
     0.0 at once, and only a cell that then ascends evaluates its margin,
-    _mm_excess at the 4-tuple that the nodes return (_NodeRoot.margin),
-    with no layout map.  The IO and IM nodes are built once per process
-    (_blue_node).
+    _mm_excess at the 4-tuple that the nodes return (_NodeRoot.margin).
+    The IO and IM nodes are built once per process (_blue_node).
     n_starts and nm_max_iter are inert: they were the budget of the
     search that the node-local root replaced, and they are still
     checked and accepted only because callers pass them (the
@@ -1066,7 +1047,7 @@ def optimize_cooperativities(
     / t_1, convex on [tau_e, 1]: an end, all the loss on one measured
     arm, as network.default_loss_split places it.
 
-    The node-local root.  Every layout is solved node by node.  A swap's
+    The node-local root.  Every cell is solved node by node.  A swap's
     margin exceeds mu > 0 iff t_1 h_1 + t_2 h_2 > 1 (the diagonal,
     above).  A downconversion's final state is (B0, t^2
     A0 + m, t c0, .), where (A0, B0, c0, P0) is the source's state and
@@ -1078,10 +1059,9 @@ def optimize_cooperativities(
     + mu s^2 / (4 tau' tau_b C_a2 C_b2), s = 1 + C_a2 + C_b2, is the
     downconverter's alone.  Each node thus enters through one value, so
     the best point at mu is each node's own best: the largest h of a
-    source, the least g of the downconverter; a mirrored layout's node
-    1 has the same best point as node 2.  h falls as mu grows (dh/dmu =
-    -g_i^2 / (b_i + mu)^2) and g rises, so the condition holds on an
-    interval (0, m*), and m* is the best margin.
+    source, the least g of the downconverter.  h falls as mu grows
+    (dh/dmu = -g_i^2 / (b_i + mu)^2) and g rises, so the condition holds
+    on an interval (0, m*), and m* is the best margin.
     Each node's best point at mu has a closed form or a short list of
     candidates.  The least g of a converter: on C_b = d_b, 4 tau' tau_b
     d_b g = 4 tau_b d_b n_th / x + mu (1 + d_b + x)^2 / x with x = C_a,
@@ -1091,7 +1071,8 @@ def optimize_cooperativities(
     sqrt((1 + d_b)^2 + 4 tau_b d_b n_th / mu)), d_a at mu = 0, and it does
     not depend on tau'.  An EO source has h = 1 - X ch^2 / (T sh^2 + X),
     X = T nu + mu (optimize_loss_split), which rises as X / T falls, and
-    X / T is g with its own tau': its best point is the same x*.  An IO
+    X / T is g with its own tau': its best point is the same x*, so
+    down(EO)'s two nodes reach the same point at any split.  An IO
     or IM source sits on its face, the least of the two stability lines
     (less STRICT_MARGIN) and its cap, so on each piece between their
     crossings its blue side is linear in its red side v.  Times d^2, h
@@ -1135,7 +1116,7 @@ def optimize_cooperativities(
     with 0.0: no node correlates there, so its margin is <= 0 (without
     rounding for an EO node, whose converter then transmits nothing),
     even where the corner's margin rounds above 0 (an EO swap at share
-    1/2, where it is 0).  A layout with an EM source at r = 0 fails the
+    1/2, where it is 0).  A cell with an EM source at r = 0 fails the
     condition at mu = 0 and returns that point too: its EM node's best
     h is 0, at (0, 0), and the other node alone cannot entangle.
     Otherwise each step takes the best point at mu_k, the margin of the
@@ -1151,8 +1132,8 @@ def optimize_cooperativities(
         raise ValueError(f"n_starts must be an integer >= 1, got {n_starts!r}")
     if type(nm_max_iter) is not int or nm_max_iter < 0:
         raise ValueError(f"nm_max_iter must be an integer >= 0, got {nm_max_iter!r}")
-    rv, split, mirrored, _ = _cell_layout(t, n_th, r, tau_e, loss_split)
-    cs, m = _NodeRoot.of(t, caps, n_th, rv, split, mirrored).solve()
+    rv, split = _checked_cell(t, n_th, r, tau_e, loss_split)
+    cs, m = _NodeRoot.of(t, caps, n_th, rv, split).solve()
     return cs, _log2_negativity(m)
 
 
@@ -1247,7 +1228,7 @@ def optimize_loss_split(
     def root(t3: float) -> _NodeRoot:
         """The root at the split (tau_e / t3, 1, t3), built once per t3: best_at's
         serves the margin of its point and, at the split reached, the solve."""
-        return _NodeRoot.of(t, caps, n_th, rv, (tau_e / t3, 1.0, t3), False)
+        return _NodeRoot.of(t, caps, n_th, rv, (tau_e / t3, 1.0, t3))
 
     def best_at(mu: float):
         """(t_3*(mu) at x*(mu), clipped to [tau_e, 1], and the best 4-tuple at

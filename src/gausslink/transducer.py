@@ -273,6 +273,13 @@ def conversion_channel(direction: Literal["up", "down"], p: DptParams) -> OneMod
     return OneModeChannel(t * np.eye(2), n * np.eye(2))
 
 
+def _blue_rates(rates: PhysicalRates, optical_blue: bool) -> tuple[float, float, float]:
+    """(kappa_+, kappa_-, gamma_m); kappa_+ is kappa_a if optical_blue (IO), else kappa_b (IM)."""
+    if optical_blue:
+        return rates.kappa_a, rates.kappa_b, rates.gamma_m
+    return rates.kappa_b, rates.kappa_a, rates.gamma_m
+
+
 def _blue_bound(c_red, rates: PhysicalRates, optical_blue: bool):
     """The strict stability bound on C_+ at C_- = c_red, one blue pump's only rule.
 
@@ -283,11 +290,7 @@ def _blue_bound(c_red, rates: PhysicalRates, optical_blue: bool):
     less STRICT_MARGIN.  A plain function, so that a check builds
     nothing.
     """
-    if optical_blue:
-        kappa_plus, kappa_minus = rates.kappa_a, rates.kappa_b
-    else:
-        kappa_plus, kappa_minus = rates.kappa_b, rates.kappa_a
-    gamma_m = rates.gamma_m
+    kappa_plus, kappa_minus, gamma_m = _blue_rates(rates, optical_blue)
     first = c_red + 1.0
     # second criterion, linear in C_+ once the coupling bridge is applied
     rhs = c_red * kappa_minus * gamma_m / (kappa_plus + gamma_m) + kappa_plus + kappa_minus
@@ -308,11 +311,7 @@ def _blue_bound_lines(rates: PhysicalRates, optical_blue: bool):
     may differ from the bound's own arithmetic in the last bit, so they
     locate its pieces; the bound itself stays _blue_bound's.
     """
-    if optical_blue:
-        kappa_plus, kappa_minus = rates.kappa_a, rates.kappa_b
-    else:
-        kappa_plus, kappa_minus = rates.kappa_b, rates.kappa_a
-    gamma_m = rates.gamma_m
+    kappa_plus, kappa_minus, gamma_m = _blue_rates(rates, optical_blue)
     scale = (kappa_minus + gamma_m) / (kappa_plus * gamma_m)
     second = (kappa_minus * gamma_m / (kappa_plus + gamma_m) * scale, (kappa_plus + kappa_minus) * scale)
     return (1.0, 1.0), second

@@ -1,5 +1,7 @@
+import ast
 import collections
 import functools
+import inspect
 import itertools
 import math
 from dataclasses import replace
@@ -759,12 +761,11 @@ class TestCornerShortcut:
         of = _NodeRoot.of.__func__
         searched = []
 
-        def busy(cls, t, caps, n_th, r, split, mirrored):
-            root = of(cls, t, caps, n_th, r, split, mirrored)
+        def busy(cls, t, caps, n_th, r, split):
+            root = of(cls, t, caps, n_th, r, split)
             if MoKind.EM not in t.kinds:
                 return root
             box = _CooperativityBox.of(t, caps, n_th, r, math.prod(split), split)
-            assert box.mirrored == mirrored
             assert r == 0.0 and root.solve() == (box.full([0.0] * len(box.hi)), 0.0)
             searched.append(t.label)
 
@@ -1367,8 +1368,8 @@ class TestRootPins:
             t = ALL_TOPOLOGIES[i % len(ALL_TOPOLOGIES)]
             caps, n_th, r, tau_e, loss_split = _lazy_draw(rng, t, i)
             box = _CooperativityBox.of(t, caps, n_th, r, tau_e, loss_split)
-            rv, split, mirrored, _ = thresholds._cell_layout(t, n_th, r, tau_e, loss_split)
-            cs, m = _NodeRoot.of(t, caps, n_th, rv, split, mirrored).solve()
+            rv, split = thresholds._checked_cell(t, n_th, r, tau_e, loss_split)
+            cs, m = _NodeRoot.of(t, caps, n_th, rv, split).solve()
             x = _box_point(box, cs)
             config = (i, t.label, caps, n_th, r, tau_e, loss_split, cs)
             assert repr(box.full(x)) == repr(cs), config
@@ -1520,7 +1521,7 @@ class TestFactoryCaches:
     def test_blue_node(self):
         def probe(node):
             return repr((vars(node).keys(), node.ends, node.pieces,
-                         [node.argmax(mu) for mu in (0.0, 0.1, 10.0)], node.value(0.5, 0.5, 0.1)))
+                         [node.argmax(mu) for mu in (0.0, 0.1, 10.0)], _BlueNode.h(node.state(0.5), 0.1)))
 
         for kind in _BLUE_KINDS:
             variants = [(kind, caps, n_th) for caps in self.variants + self.zeros
@@ -1535,7 +1536,7 @@ class TestFactoryCaches:
             before = repr(vars(node))
             for mu in [0.0] + np.geomspace(1e-6, 1e3, 40).tolist():
                 point, _ = node.argmax(mu)
-                node.value(*point, mu)
+                _BlueNode.h(node.state(point[1] if node.io else point[0]), mu)
             assert repr(vars(node)) == before
             assert _blue_node(kind, self.caps, self.caps.n_th) is node
 
@@ -2246,11 +2247,11 @@ class TestEmNode:
             A, B, _, P = sources._mo_excess(MoKind.EM, x[0], x[1], caps.tau_a, caps.tau_b, n_th, r)
             h = -(P + mu * A) / (B + mu)
             for k in rng.integers(x.shape[1], size=20).tolist():
-                got = node.value(float(x[0, k]), float(x[1, k]), mu)
+                got = node.h(float(x[0, k]), float(x[1, k]), node.kappa(mu))
                 assert got == pytest.approx(h[k], rel=1e-12, abs=1e-300), (i, caps, n_th, r, mu)
             (c_a, c_b), value = node.argmax(mu)
             config = (i, caps, n_th, r, mu, c_a, c_b, value)
-            assert value == node.value(c_a, c_b, mu) or (c_a, c_b) == (0.0, 0.0), config
+            assert value == node.h(c_a, c_b, node.kappa(mu)) or (c_a, c_b) == (0.0, 0.0), config
             assert value >= np.max(h) - 1e-12 * max(1e-300, abs(value)), config
             if value > 0.0:
                 branches.add("C_b = d_b" if c_b == caps.d_b else "C_b inside")
@@ -2292,3 +2293,119 @@ class TestNothingSearched:
                 if e > 0.0 and e_split > 0.0:
                     entangled.add(t.label)
         assert len(entangled) == len(ALL_TOPOLOGIES), entangled
+
+
+class TestOneRootPath:
+    """The node-local root takes one path for every cell: a symmetric
+    swap holds one node, and down(EO)'s two converter nodes reach the same
+    point at every split, so neither needs a mirrored branch."""
+
+    def test_mirrored_cells_need_no_branch(self):
+        # random caps, rates, n_th (0 in about a fifth of the draws), r (0
+        # in a fifth), splits (down(EO), every other draw, uniform in half
+        # of its draws) and mu in {0} and geomspace(1e-8, 1).  The root's
+        # argmax is x1 * 2, with the value that a mirrored branch computed
+        # from node 1's point
+        rng = generator(20261020, stream=161)
+        swaps = [t for t in SYMMETRIC_TOPOLOGIES if t.scheme == "swap"]
+        mus = [0.0] + np.geomspace(1e-8, 1.0, 17).tolist()
+        seen = collections.Counter()
+        for i in range(400):
+            t = Topology.down(MoKind.EO) if i % 2 else swaps[i // 2 % len(swaps)]
+            rates = PhysicalRates(*(10.0 ** rng.uniform(-1.0, 2.5, 2)).tolist(), 1.0)
+            caps = random_caps(rng, rates)
+            n_th = 0.0 if rng.uniform() < 0.2 else caps.tau_a * caps.d_a * 10.0 ** rng.uniform(-4.0, 0.0)
+            r = 0.0 if rng.uniform() < 0.2 else rng.uniform(0.0, 2.0)
+            tau_e = rng.uniform(0.05, 1.0)
+            t_1 = tau_e ** rng.uniform(0.0, 1.0)
+            split = (math.sqrt(tau_e),) * 2 if i % 4 == 1 else (t_1, tau_e / t_1)
+            root = _NodeRoot.of(t, caps, n_th, r, split)
+            first, second = root.first, root.second
+            assert (second is first) == (t.scheme == "swap"), t.label
+            for mu in mus:
+                x1, v1 = first.argmax(mu)
+                x2, _ = second.argmax(mu)
+                v2 = v1 if second is first else second.value(*x1, mu)
+                config = (i, t.label, caps, n_th, r, split, mu)
+                assert x2 == x1, config
+                assert root.argmax(mu) == (x1 * 2, root.w1 * v1 + root.w2 * v2 - root.offset), config
+            seen[(t.scheme, split[0] == split[1], r > 0.0)] += 1
+        assert len(seen) == 6 and min(seen.values()) >= 15, seen
+
+
+#: Entry points of the production solves, by module.
+_PRODUCTION = {
+    "thresholds": ("optimize_cooperativities", "optimize_loss_split", "analytic_threshold",
+                   "max_stable_ca"),
+    "experiments": ("cmd_device_run", "cmd_ebit_rate"),
+}
+
+#: The oracles' code: layout maps, margin closures, corner candidates and
+#: searches, which production code must not reach.
+_ORACLE_ONLY = {"_layout_coords", "_margin_closure", "_margin_fn", "_margin_fn_down", "_margin_fn4",
+                "_converter_nodes", "_NODE_AXES", "_clamp_pair", "_corner_candidates",
+                "_CooperativityBox", "_entangled_at", "numeric_threshold", "_ranked_starts",
+                "_unit_seed_grid", "maximize_box"}
+
+#: The one production search: analytic_threshold's EM-swap row runs
+#: Nelder-Mead from ranked starts.  Its closed form (ROADMAP item 3(a))
+#: retires this exception; the walk does not follow it.
+_SEARCH_EXCEPTION = "_maximize_em_swap_cell"
+
+
+def _module_names(module) -> tuple[dict, dict]:
+    """(definitions, imports from thresholds) of a module's top level, by name."""
+    defs, imported = {}, {}
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                defs.update((name.id, node) for name in ast.walk(target) if isinstance(name, ast.Name))
+        elif isinstance(node, ast.ImportFrom) and node.module == "thresholds":
+            imported.update((alias.asname or alias.name, alias.name) for alias in node.names)
+    return defs, imported
+
+
+def _production_reach() -> dict:
+    """Each (module, name) that the production entry points reach, mapped to the path there.
+
+    A definition of thresholds or experiments is followed through every
+    name that its body loads or imports from thresholds (a local name
+    that shadows a module-level one counts too, so the walk may reach
+    more, never less); a name bound elsewhere is reached, not followed.
+    """
+    modules = {"thresholds": _module_names(thresholds), "experiments": _module_names(experiments)}
+    paths = {(module, name): (name,) for module, names in _PRODUCTION.items() for name in names}
+    todo = list(paths)
+    while todo:
+        module, name = todo.pop()
+        defs, imported = modules[module]
+        if name == _SEARCH_EXCEPTION or name not in defs:
+            continue
+        refs = []
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.append(node.id)
+            elif isinstance(node, ast.ImportFrom) and node.module == "thresholds":
+                refs += [alias.name for alias in node.names]
+        for ref in refs:
+            key = ("thresholds", imported[ref]) if ref in imported else (module, ref)
+            if key not in paths:
+                paths[key] = paths[(module, name)] + (key[1],)
+                todo.append(key)
+    return paths
+
+
+class TestOracleBoundary:
+    """No production solve reaches the oracles' layout, closures or
+    searches (ROADMAP item 17, in place): the oracles stay independent
+    of the code they check."""
+
+    def test_production_reaches_no_oracle_code(self):
+        paths = _production_reach()
+        leaks = sorted(" -> ".join(path) for (_, name), path in paths.items() if name in _ORACLE_ONLY)
+        assert not leaks, leaks
+        assert ("thresholds", _SEARCH_EXCEPTION) in paths
+        for name in ("_NodeRoot", "_checked_cell", "_blue_node_of", "_stable_bound", "_device_point"):
+            assert any(key[1] == name for key in paths), name

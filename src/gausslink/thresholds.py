@@ -177,7 +177,23 @@ def _em_down_max(caps: DeviceCaps) -> tuple[float, float, float]:
 
 
 def _maximize_em_swap_cell(caps: DeviceCaps) -> tuple[float, float, float]:
-    """Maximize the EM-swap bound over both cooperativities, by Nelder-Mead."""
+    """Maximum of the EM-swap bound over the caps, as (c_a, c_b, value).
+
+    Where 2 tau_a tau_b <= 1 the maximiser is c_b = 0, c_a = min(d_a, 1),
+    in closed form.  Write g = tau_b c_b - (1 + c_a + c_b)^2 / (8 tau_a
+    c_a).  At fixed c_b, g is unimodal in c_a with its peak at 1 + c_b,
+    so the best c_a is min(d_a, 1 + c_b).  On c_a = 1 + c_b, g = c_b
+    (tau_b - 1/(2 tau_a)) - 1/(2 tau_a), which does not rise in c_b.  On
+    c_a = d_a (where c_b >= d_a - 1), dg/dc_b = tau_b - (1 + d_a + c_b) /
+    (4 tau_a d_a) <= tau_b - 1/(2 tau_a) <= 0.  So c_b = 0 is a
+    maximiser (at 2 tau_a tau_b = 1, one of a flat set with the same
+    value), and the value there is < 0, or -inf at tau_a c_a = 0: the
+    row cannot entangle.  Elsewhere the bound is searched, by Nelder-Mead
+    from the _SEARCH_STARTS best points of the ranked log grid.
+    """
+    if not 2.0 * caps.tau_a * caps.tau_b > 1.0:
+        c_a = min(caps.d_a, 1.0)
+        return c_a, 0.0, _em_swap_cell(c_a, 0.0, caps.tau_a, caps.tau_b)
     cell = lambda x: _em_swap_cell(x[0], x[1], caps.tau_a, caps.tau_b)
     # the optimum in c_a sits near 1 + c_b; the ridge leads the ranked pool
     ridge = [
@@ -203,9 +219,11 @@ def analytic_threshold(
     Extrinsic-microwave rows are closed forms at given source
     cooperativities; pass c_a and c_b to evaluate there, or leave both
     None to maximize the bound over the caps.  EM-down takes the better
-    of two edge points, in closed form (_em_down_max); EM-swap is still
-    searched, by Nelder-Mead from the _SEARCH_STARTS best points of the
-    ranked log grid.
+    of two edge points, in closed form (_em_down_max).  EM-swap is a
+    closed form where 2 tau_a tau_b <= 1 (c_b = 0, c_a = min(d_a, 1):
+    it cannot entangle) and is searched only where 2 tau_a tau_b > 1, by
+    Nelder-Mead from the _SEARCH_STARTS best points of the ranked log
+    grid (_maximize_em_swap_cell).
     Intrinsic-optical rows use the largest stable optical cooperativity at
     c_b = d_b.  No row entangles at d_b = 0 or tau_b = 0 (can_entangle
     False, a bound of 0).  Raises ValueError for an asymmetric swapping

@@ -154,6 +154,13 @@ class TestThresholdVsLoss:
             if row["tau_a"] < 0.5:
                 for name in ("em_swap", "io_swap", "im_swap"):
                     assert row[name] == 0.0
+        # tau_b = 1, so 2 tau_a tau_b <= 1 wherever tau_a <= 1/2: EM-swap's
+        # maximiser is then exactly c_b = 0, c_a = min(d_a, 1) = 1
+        high_loss = [row for row in rows if not 2.0 * row["tau_a"] > 1.0]
+        assert len(high_loss) == 27
+        for row in high_loss:
+            assert row["em_swap"] == 0.0 and not row["em_swap_ok"], row["loss_db"]
+            assert row["em_swap_argmax"] == (1.0, 0.0, 1.0, 0.0), row["loss_db"]
 
     def test_downconversion_rows_coincide_for_large_microwave_cap(self):
         # when the microwave cap dwarfs the optical one, the EM/IO/IM

@@ -165,7 +165,8 @@ def _em_down_search(caps: DeviceCaps) -> float:
 
 class TestEmOracle:
     """The EM rows of analytic_threshold: EM-down, a closed form, against a
-    search; EM-swap, a search, against its closed-form candidates."""
+    search; EM-swap, a search where 2 tau_a tau_b > 1, against its
+    closed-form candidates, and a closed form elsewhere, against both."""
 
     def _check(self, caps, r):
         down = analytic_threshold(Topology.down(MoKind.EM), caps, r)
@@ -199,6 +200,55 @@ class TestEmOracle:
         assert not analytic_threshold(Topology.swap_sym(MoKind.EM), caps).can_entangle
         cells = _em_swap_cell(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 0.0, 0.5)
         assert np.all(cells == -math.inf)
+
+    @staticmethod
+    def _exit_caps(rng):
+        """Random caps with 2 tau_a tau_b <= 1, then the edges of the exit."""
+        drawn = []
+        for _ in range(200):
+            tau_a = rng.uniform(0.01, 1.0)
+            tau_b = min(1.0, rng.uniform(0.0, 1.0) / (2.0 * tau_a))
+            drawn.append(DeviceCaps(10.0 ** rng.uniform(-2.0, 4.0), 10.0 ** rng.uniform(-2.0, 3.0),
+                                    tau_a, tau_b, 0.0))
+        edges = [
+            DeviceCaps(50.0, 20.0, 1.0, 0.5, 0.0),  # the tie 2 tau_a tau_b = 1
+            DeviceCaps(0.4, 20.0, 1.0, 0.5, 0.0),  # the tie with d_a < 1
+            DeviceCaps(0.3, 5.0, 0.7, 0.6, 0.0),  # d_a < 1
+            DeviceCaps(10.0, 5.0, 0.0, 0.9, 0.0),  # tau_a = 0
+            DeviceCaps(0.0, 5.0, 0.6, 0.8, 0.0),  # d_a = 0
+            DeviceCaps(10.0, 0.0, 0.6, 0.8, 0.0),  # d_b = 0
+        ]
+        return drawn + edges
+
+    def test_no_search_where_two_tau_a_tau_b_at_most_one(self, rng, monkeypatch):
+        # c_b* = 0, c_a* = min(d_a, 1) (the proof is in _maximize_em_swap_cell's
+        # docstring), checked against the closed-form candidates and a search
+        # that the test builds itself; the library's search is made to raise
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(thresholds, "maximize_box", no_search)
+        t = Topology.swap_sym(MoKind.EM)
+        with pytest.raises(AssertionError, match="searched"):
+            analytic_threshold(t, DeviceCaps(10.0, 5.0, 0.9, 0.8, 0.0))
+        for caps in self._exit_caps(rng):
+            assert not 2.0 * caps.tau_a * caps.tau_b > 1.0, caps
+            ta, tb = caps.tau_a, caps.tau_b
+            c_a = min(caps.d_a, 1.0)
+            got = analytic_threshold(t, caps, 0.4)
+            assert got.argmax == (c_a, 0.0, c_a, 0.0), caps
+            assert not got.can_entangle and got.n_th_max == 0.0, caps
+            value = _em_swap_cell(c_a, 0.0, ta, tb)
+            assert value < 0.0, caps
+            for ca, cb in _em_swap_candidates(caps):
+                assert _em_swap_cell(ca, cb, ta, tb) <= value, (caps, ca, cb)
+            cell = lambda x: _em_swap_cell(x[0], x[1], ta, tb)
+            hi = [caps.d_a, caps.d_b]
+            starts = _ranked_starts(cell, hi, [hi, [c_a, caps.d_b]], 3)
+            x, searched = maximize_box(cell, [0.0, 0.0], hi, starts, nm_max_iter=200)
+            # the cell rounds: near c_a = 1 it may read a few ulps above its value there
+            slack = 0.0 if value == -math.inf else 1e-13 * (abs(value) + tb * caps.d_b)
+            assert searched <= value + slack, (caps, x, searched, value)
 
     def test_em_cells_take_arrays(self, rng):
         # the ranked start pool evaluates the cells on arrays; every entry,
@@ -2348,8 +2398,9 @@ _ORACLE_ONLY = {"_layout_coords", "_margin_closure", "_margin_fn", "_margin_fn_d
                 "_unit_seed_grid", "maximize_box"}
 
 #: The one production search: analytic_threshold's EM-swap row runs
-#: Nelder-Mead from ranked starts.  Its closed form (ROADMAP item 3(a))
-#: retires this exception; the walk does not follow it.
+#: Nelder-Mead from ranked starts where 2 tau_a tau_b > 1.  The rest of
+#: its closed form (ROADMAP item 3(a)) retires this exception; the walk
+#: does not follow it.
 _SEARCH_EXCEPTION = "_maximize_em_swap_cell"
 
 

@@ -179,29 +179,35 @@ def _em_down_max(caps: DeviceCaps) -> tuple[float, float, float]:
 def _maximize_em_swap_cell(caps: DeviceCaps) -> tuple[float, float, float]:
     """Maximum of the EM-swap bound over the caps, as (c_a, c_b, value).
 
-    Where 2 tau_a tau_b <= 1 the maximiser is c_b = 0, c_a = min(d_a, 1),
-    in closed form.  Write g = tau_b c_b - (1 + c_a + c_b)^2 / (8 tau_a
-    c_a).  At fixed c_b, g is unimodal in c_a with its peak at 1 + c_b,
-    so the best c_a is min(d_a, 1 + c_b).  On c_a = 1 + c_b, g = c_b
-    (tau_b - 1/(2 tau_a)) - 1/(2 tau_a), which does not rise in c_b.  On
-    c_a = d_a (where c_b >= d_a - 1), dg/dc_b = tau_b - (1 + d_a + c_b) /
-    (4 tau_a d_a) <= tau_b - 1/(2 tau_a) <= 0.  So c_b = 0 is a
-    maximiser (at 2 tau_a tau_b = 1, one of a flat set with the same
-    value), and the value there is < 0, or -inf at tau_a c_a = 0: the
-    row cannot entangle.  Elsewhere the bound is searched, by Nelder-Mead
-    from the _SEARCH_STARTS best points of the ranked log grid.
+    Where 2 tau_a tau_b <= 1, or 4 tau_a tau_b d_a <= 1 + d_a, the
+    maximiser is c_b = 0, c_a = min(d_a, 1), in closed form.  Write g =
+    tau_b c_b - (1 + c_a + c_b)^2 / (8 tau_a c_a).  At fixed c_b, g is
+    unimodal in c_a with its peak at 1 + c_b, so the best c_a is min(d_a,
+    1 + c_b).  Where 2 tau_a tau_b <= 1: on c_a = 1 + c_b, g = c_b (tau_b
+    - 1/(2 tau_a)) - 1/(2 tau_a), which does not rise in c_b; on c_a =
+    d_a (where c_b >= d_a - 1), dg/dc_b = tau_b - (1 + d_a + c_b) / (4
+    tau_a d_a) <= tau_b - 1/(2 tau_a) <= 0.  Where 2 tau_a tau_b > 1 and
+    4 tau_a tau_b d_a <= 1 + d_a: d_a (4 tau_a tau_b - 1) <= 1 with 4
+    tau_a tau_b - 1 > 1, so d_a < 1 <= 1 + c_b and the best c_a is d_a =
+    min(d_a, 1) at every c_b; on c_a = d_a, g is concave in c_b with
+    slope tau_b - (1 + d_a) / (4 tau_a d_a) <= 0 at c_b = 0.  Either way
+    c_b = 0 is a maximiser (at 2 tau_a tau_b = 1, one of a flat set with
+    the same value), and the value there, -(1 + c_a)^2 / (8 tau_a c_a),
+    is < 0, or -inf at tau_a c_a = 0: the row cannot entangle.  Should
+    rounding move a cell across the second condition's tie, P = 4 tau_a
+    tau_b d_a - 1 - d_a is within a few ulps of 0, and the maximum moves
+    by O(P^2), still < 0.  Elsewhere (P > 0, where c_b* = min(d_b, P))
+    the bound is searched, by Nelder-Mead from the _SEARCH_STARTS best
+    points of the ranked log grid.
     """
-    if not 2.0 * caps.tau_a * caps.tau_b > 1.0:
-        c_a = min(caps.d_a, 1.0)
-        return c_a, 0.0, _em_swap_cell(c_a, 0.0, caps.tau_a, caps.tau_b)
-    cell = lambda x: _em_swap_cell(x[0], x[1], caps.tau_a, caps.tau_b)
+    da, db, ta, tb = caps.d_a, caps.d_b, caps.tau_a, caps.tau_b
+    if not (2.0 * ta * tb > 1.0 and 4.0 * ta * tb * da > 1.0 + da):
+        c_a = min(da, 1.0)
+        return c_a, 0.0, _em_swap_cell(c_a, 0.0, ta, tb)
+    cell = lambda x: _em_swap_cell(x[0], x[1], ta, tb)
     # the optimum in c_a sits near 1 + c_b; the ridge leads the ranked pool
-    ridge = [
-        [min(caps.d_a, 1.0 + caps.d_b), caps.d_b],
-        [caps.d_a, caps.d_b],
-        [min(caps.d_a, 1.0), min(caps.d_b, 1.0)],
-    ]
-    hi = [caps.d_a, caps.d_b]
+    ridge = [[min(da, 1.0 + db), db], [da, db], [min(da, 1.0), min(db, 1.0)]]
+    hi = [da, db]
     starts = _ranked_starts(cell, hi, ridge, _SEARCH_STARTS)
     x, val = maximize_box(cell, [0.0, 0.0], hi, starts, nm_max_iter=200)
     return x[0], x[1], val
@@ -220,8 +226,9 @@ def analytic_threshold(
     cooperativities; pass c_a and c_b to evaluate there, or leave both
     None to maximize the bound over the caps.  EM-down takes the better
     of two edge points, in closed form (_em_down_max).  EM-swap is a
-    closed form where 2 tau_a tau_b <= 1 (c_b = 0, c_a = min(d_a, 1):
-    it cannot entangle) and is searched only where 2 tau_a tau_b > 1, by
+    closed form where 2 tau_a tau_b <= 1 or 4 tau_a tau_b d_a <= 1 + d_a
+    (c_b = 0, c_a = min(d_a, 1): it cannot entangle) and is searched
+    elsewhere, where c_b* = min(d_b, 4 tau_a tau_b d_a - 1 - d_a), by
     Nelder-Mead from the _SEARCH_STARTS best points of the ranked log
     grid (_maximize_em_swap_cell).
     Intrinsic-optical rows use the largest stable optical cooperativity at

@@ -105,6 +105,19 @@ class TestThresholdVsDa:
         small = [row for row in rows if row["d_b"] == 1e-2]
         assert small and all(row["em_swap"] == 0.0 for row in small)
 
+    def test_em_swap_closed_form_where_c_b_star_is_zero(self, vs_da_result):
+        # where 4 tau_a tau_b d_a <= 1 + d_a (tau_a = 1, tau_b = 0.75 here) the
+        # maximiser is (d_a, 0) in closed form, d_a itself and not a search's
+        # point an ulp below it
+        rows, _ = vs_da_result
+        cfg = ExperimentConfig()
+        exit_rows = [row for row in rows
+                     if 4.0 * cfg.tau_a * cfg.tau_b * row["d_a"] <= 1.0 + row["d_a"]]
+        assert len(exit_rows) == 8
+        for row in exit_rows:
+            assert row["em_swap"] == 0.0 and not row["em_swap_ok"], row
+            assert row["em_swap_argmax"] == (row["d_a"], 0.0, row["d_a"], 0.0), row
+
     def test_global_bound_on_every_cell(self, vs_da_result):
         rows, _ = vs_da_result
         for row in rows:

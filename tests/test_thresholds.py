@@ -165,8 +165,9 @@ def _em_down_search(caps: DeviceCaps) -> float:
 
 class TestEmOracle:
     """The EM rows of analytic_threshold: EM-down, a closed form, against a
-    search; EM-swap, a search where 2 tau_a tau_b > 1, against its
-    closed-form candidates, and a closed form elsewhere, against both."""
+    search; EM-swap, a search where 2 tau_a tau_b > 1 and 4 tau_a tau_b
+    d_a > 1 + d_a, against its closed-form candidates, and a closed form
+    elsewhere, against both."""
 
     def _check(self, caps, r):
         down = analytic_threshold(Topology.down(MoKind.EM), caps, r)
@@ -203,13 +204,22 @@ class TestEmOracle:
 
     @staticmethod
     def _exit_caps(rng):
-        """Random caps with 2 tau_a tau_b <= 1, then the edges of the exit."""
+        """Random caps with c_b* = 0, then the edges of the exit.
+
+        First 2 tau_a tau_b <= 1, then 2 tau_a tau_b > 1 with d_a <=
+        1/(4 tau_a tau_b - 1), that is 4 tau_a tau_b d_a <= 1 + d_a.
+        """
         drawn = []
         for _ in range(200):
             tau_a = rng.uniform(0.01, 1.0)
             tau_b = min(1.0, rng.uniform(0.0, 1.0) / (2.0 * tau_a))
             drawn.append(DeviceCaps(10.0 ** rng.uniform(-2.0, 4.0), 10.0 ** rng.uniform(-2.0, 3.0),
                                     tau_a, tau_b, 0.0))
+        for _ in range(200):
+            tau_a = rng.uniform(0.51, 1.0)
+            tau_b = rng.uniform(0.5 / tau_a, 1.0)
+            d_a = 10.0 ** rng.uniform(-4.0, 0.0) / (4.0 * tau_a * tau_b - 1.0)
+            drawn.append(DeviceCaps(d_a, 10.0 ** rng.uniform(-2.0, 3.0), tau_a, tau_b, 0.0))
         edges = [
             DeviceCaps(50.0, 20.0, 1.0, 0.5, 0.0),  # the tie 2 tau_a tau_b = 1
             DeviceCaps(0.4, 20.0, 1.0, 0.5, 0.0),  # the tie with d_a < 1
@@ -217,10 +227,13 @@ class TestEmOracle:
             DeviceCaps(10.0, 5.0, 0.0, 0.9, 0.0),  # tau_a = 0
             DeviceCaps(0.0, 5.0, 0.6, 0.8, 0.0),  # d_a = 0
             DeviceCaps(10.0, 0.0, 0.6, 0.8, 0.0),  # d_b = 0
+            DeviceCaps(0.5, 20.0, 1.0, 0.75, 0.0),  # the tie 4 tau_a tau_b d_a = 1 + d_a
+            DeviceCaps(0.0, 5.0, 0.9, 0.8, 0.0),  # d_a = 0 with 2 tau_a tau_b > 1
+            DeviceCaps(0.3, 0.0, 0.9, 0.8, 0.0),  # d_b = 0 with 2 tau_a tau_b > 1
         ]
         return drawn + edges
 
-    def test_no_search_where_two_tau_a_tau_b_at_most_one(self, rng, monkeypatch):
+    def test_no_search_where_c_b_star_is_zero(self, rng, monkeypatch):
         # c_b* = 0, c_a* = min(d_a, 1) (the proof is in _maximize_em_swap_cell's
         # docstring), checked against the closed-form candidates and a search
         # that the test builds itself; the library's search is made to raise
@@ -231,10 +244,13 @@ class TestEmOracle:
         t = Topology.swap_sym(MoKind.EM)
         with pytest.raises(AssertionError, match="searched"):
             analytic_threshold(t, DeviceCaps(10.0, 5.0, 0.9, 0.8, 0.0))
+        # one ulp past the tie 4 tau_a tau_b d_a = 1 + d_a, c_b* > 0: searched
+        with pytest.raises(AssertionError, match="searched"):
+            analytic_threshold(t, DeviceCaps(math.nextafter(0.5, math.inf), 20.0, 1.0, 0.75, 0.0))
         for caps in self._exit_caps(rng):
-            assert not 2.0 * caps.tau_a * caps.tau_b > 1.0, caps
-            ta, tb = caps.tau_a, caps.tau_b
-            c_a = min(caps.d_a, 1.0)
+            ta, tb, da = caps.tau_a, caps.tau_b, caps.d_a
+            assert not (2.0 * ta * tb > 1.0 and 4.0 * ta * tb * da > 1.0 + da), caps
+            c_a = min(da, 1.0)
             got = analytic_threshold(t, caps, 0.4)
             assert got.argmax == (c_a, 0.0, c_a, 0.0), caps
             assert not got.can_entangle and got.n_th_max == 0.0, caps

@@ -490,9 +490,8 @@ def cmd_device_run(cfg: ExperimentConfig):
     topology overtakes both of them inside a loss window.  ConfigError,
     before any point runs, where a setting breaks its rule.
 
-    Each row's tau_e_db and tau_e are Python floats (they were numpy
-    float64 before the grid became _linspace's, with the same values);
-    the run imports no numpy.
+    Each row's tau_e_db and tau_e are Python floats; the run imports no
+    numpy.
     """
     _check_settings(cfg, "device-run")
     columns = device_columns(cfg.squeezing_db)

@@ -39,11 +39,9 @@ from .transducer import (
     DeviceCaps,
     _blue_bound,
     _blue_bound_lines,
-    _caps_of,
     _check_cap,
     _check_fields,
     _check_loss_split,
-    _exact_key,
 )
 # the benchmark's tracer (perfbench/tracer.py) patches thresholds.stability_ok by name
 from .transducer import stability_ok  # noqa: F401
@@ -299,10 +297,6 @@ _NODE_AXES = {2: (0, 1), 1: (0,), 0: (), _IM: (0,), _IO: (1,)}
 
 #: The layout code of each kind of source (_converter_nodes).
 _SOURCE_CODES = {_EO: 1, _EM: 2, _IO: _IO, _IM: _IM}
-
-#: Most entries of the cache of _blue_node_of, which depends only on the
-#: kind, the caps and n_th: device-run fills 2.
-_CAPS_CACHE = 64
 
 
 def _converter_nodes(t: Topology) -> tuple:
@@ -685,8 +679,8 @@ class _BlueNode:
 
     A node depends on its kind, the caps and n_th alone, not on a
     cell's tau_e, r or split, so _NodeRoot takes it from _blue_node,
-    which builds it once per process for each of them (up to
-    _CAPS_CACHE).  Nothing changes it after __init__.
+    which keeps it on the caps object.  Nothing changes it after
+    __init__.
     """
 
     def __init__(self, kind: MoKind, caps: DeviceCaps, n_th: float):
@@ -771,14 +765,16 @@ class _BlueNode:
 
 
 def _blue_node(kind: MoKind, caps: DeviceCaps, n_th: float) -> _BlueNode:
-    """_BlueNode(kind, caps, n_th), built once per process for each kind, caps and n_th."""
-    return _blue_node_of(kind, caps._key, _exact_key(n_th))
+    """_BlueNode(kind, caps, n_th), kept on caps for kind until a call with another n_th object.
 
-
-@functools.lru_cache(maxsize=_CAPS_CACHE)
-def _blue_node_of(kind: MoKind, caps_key: tuple, n_th_key: tuple) -> _BlueNode:
-    """_blue_node at the caps and n_th of exact keys (transducer._exact_key)."""
-    return _BlueNode(kind, _caps_of(caps_key), n_th_key[0][0])
+    The memo (caps._nodes) is keyed on the objects themselves, so a hit
+    is the node a miss would build, whatever the numbers' types or the
+    signs of their zeros.
+    """
+    node = caps._nodes.get(kind)
+    if node is None or node.n_th is not n_th:
+        node = caps._nodes[kind] = _BlueNode(kind, caps, n_th)
+    return node
 
 
 class _EmNode:
@@ -832,7 +828,7 @@ class _NodeRoot:
 
     of builds one per cell: its converter and EM nodes and its weights
     depend on the cell's r and split, while its IO and IM nodes come
-    from _blue_node, built once per process for each (kind, caps, n_th).
+    from _blue_node, kept on the caps object for each kind.
     The root keeps the cell, so its margin evaluates _mm_excess at a
     4-tuple directly, with no layout map.
     """
@@ -994,7 +990,7 @@ def optimize_cooperativities(
     tests the condition at mu = 0 first; where that fails it returns
     0.0 at once, and only a cell that then ascends evaluates its margin,
     _mm_excess at the 4-tuple that the nodes return (_NodeRoot.margin).
-    The IO and IM nodes are built once per process (_blue_node).
+    The IO and IM nodes are kept on the caps object (_blue_node).
     n_starts and nm_max_iter are inert: they were the budget of the
     search that the node-local root replaced, and they are still
     checked and accepted only because callers pass them (the

@@ -128,7 +128,9 @@ class DeviceCaps:
     tau_a, tau_b the maximal transmissivities (with fixed coupling losses
     pre-folded); n_th the minimal thermal occupancy.  Both transducers of
     a network share tau_a, tau_b, n_th and the physical rates, but their
-    cooperativities may be tuned independently below the caps.
+    cooperativities may be tuned independently below the caps.  Each
+    object keeps the IO and IM nodes built from it (_nodes), which are
+    not fields: ==, hash and repr ignore them.
     """
 
     d_a: float
@@ -154,31 +156,9 @@ class DeviceCaps:
         )
 
     @cached_property
-    def _key(self) -> tuple:
-        """The fields, the rates' included, as an exact cache key (_exact_key); see _caps_of."""
-        r = self.rates
-        return _exact_key(self.d_a, self.d_b, self.tau_a, self.tau_b, self.n_th,
-                          r.kappa_a, r.kappa_b, r.gamma_m)
-
-
-def _exact_key(*numbers) -> tuple:
-    """numbers as a cache key that is equal only for the same numbers; numbers is key[0].
-
-    == takes 1 == 1.0 == np.float64(1.0) and 0.0 == -0.0, but a result
-    built from them may keep a number's type or sign, in its bits or its
-    repr.  So the key also holds each number's type and, where one is a
-    zero, every sign: a cache hit returns what a miss would, in repr.
-    """
-    types = tuple(map(type, numbers))
-    if 0 in numbers:
-        return numbers, types, tuple(math.copysign(1.0, x) for x in numbers)
-    return numbers, types
-
-
-def _caps_of(key: tuple) -> DeviceCaps:
-    """The DeviceCaps whose _key is key: the same numbers as the caps it came from."""
-    numbers = key[0]
-    return DeviceCaps(*numbers[:5], PhysicalRates(*numbers[5:]))
+    def _nodes(self) -> dict:
+        """The blue node of each kind built from these caps (thresholds._blue_node)."""
+        return {}
 
 
 def dpt_two_mode_channel(p: DptParams) -> TwoModeChannel:

@@ -23,7 +23,7 @@ from gausslink import (
     optimize_loss_split,
 )
 from gausslink import experiments, network, optimize, sources, thresholds
-from gausslink.experiments import ExperimentConfig, _device_cells, cmd_device_run
+from gausslink.experiments import ExperimentConfig, _device_cells, cmd_device_run, cmd_ebit_rate
 from gausslink.network import (
     ALL_TOPOLOGIES,
     ASYMMETRIC_SWAP_TOPOLOGIES,
@@ -41,11 +41,9 @@ from gausslink.thresholds import (
     _CooperativityBox,
     _NodeRoot,
     _blue_node,
-    _blue_node_of,
     _em_down_cell,
     _em_swap_cell,
     _falling_root,
-    _layout_coords,
     _margin_fn,
     _margin_fn4,
     _margin_fn_down,
@@ -1534,30 +1532,15 @@ def _integral(x):
     return int(x) if x == int(x) else x
 
 
-_CACHES = (_blue_node_of,)
-
-
-def _clear_caches():
-    for cache in _CACHES:
-        cache.cache_clear()
-
-
-def _check_exact(factory, cache, variants, probe):
-    """Variants equal under == each get their own entry of cache, and a hit is what a miss builds."""
-    cache.cache_clear()
-    built = [factory(*args) for args in variants]
-    assert len(set(map(id, built))) == len(variants)
-    assert cache.cache_info().misses == len(variants)
-    assert all(factory(*args) is obj for args, obj in zip(variants, built))
-    for args, obj in zip(variants, built):
-        cache.cache_clear()
-        assert probe(obj) == probe(factory(*args)), args
+def _fresh(caps):
+    """caps built anew, every field a new number object of the same type and value."""
+    return _caps_cast(caps, lambda x: type(x)(str(x)))
 
 
 class TestFactoryCaches:
     """A blue node, which depends only on its kind, the caps and n_th, is
-    built once per process; a hit returns what a miss would, in repr.
-    The layout map is built from the caps at each call."""
+    kept on the caps object it was built from; a hit is the node a miss
+    builds from the same objects, in repr."""
 
     caps = PRESETS["brubaker2022"]["caps"]
     # equal under ==, but not in type or in the sign of a zero
@@ -1565,36 +1548,35 @@ class TestFactoryCaches:
     zero = DeviceCaps(5.0, 0.0, 0.9, 0.8, 0.0)
     zeros = [zero, replace(zero, d_b=-0.0), replace(zero, d_b=0), replace(zero, d_b=np.float64(0.0))]
 
-    def test_caches_are_bounded(self):
-        for cache in _CACHES:
-            assert 0 < cache.cache_info().maxsize <= 64
-
-    def test_layout_coords(self):
-        for axes in [(2,), (1,), (0,), (MoKind.IO,), (MoKind.IM,), (2, 0), (1, 1),
-                     (MoKind.IO, MoKind.IM)]:
-            dim = sum(len(thresholds._NODE_AXES[k]) for k in axes)
-
-            def probe(coords):
-                return repr([coords([0.5] * dim), coords([1e9] * dim),
-                             coords(np.array([[0.0, 0.5, 1e9]] * dim))])
-
-            # a map built from the caps reads what one built from the caps
-            # rebuilt from their exact key reads, the same number objects
-            for caps in self.variants + self.zeros:
-                rebuilt = thresholds._caps_of(caps._key)
-                assert probe(_layout_coords(caps, axes)) == probe(_layout_coords(rebuilt, axes)), caps
+    @staticmethod
+    def probe(node):
+        return repr((vars(node).keys(), node.ends, node.pieces,
+                     [node.argmax(mu) for mu in (0.0, 0.1, 10.0)], _BlueNode.h(node.state(0.5), 0.1)))
 
     def test_blue_node(self):
-        def probe(node):
-            return repr((vars(node).keys(), node.ends, node.pieces,
-                         [node.argmax(mu) for mu in (0.0, 0.1, 10.0)], _BlueNode.h(node.state(0.5), 0.1)))
-
         for kind in _BLUE_KINDS:
-            variants = [(kind, caps, n_th) for caps in self.variants + self.zeros
-                        for n_th in (caps.n_th, 1.0, 1)]
-            _check_exact(_blue_node, _blue_node_of, variants, probe)
-            for args in variants:
-                assert probe(_blue_node(*args)) == probe(_BlueNode(*args)), args
+            capses = [replace(caps) for caps in self.variants + self.zeros]
+            built = [_blue_node(kind, caps, caps.n_th) for caps in capses]
+            # caps equal under == are still other objects, each with its own node
+            assert len(set(map(id, built))) == len(capses)
+            for caps, node in zip(capses, built):
+                assert _blue_node(kind, caps, caps.n_th) is node
+                assert caps._nodes == {kind: node}
+                assert self.probe(node) == self.probe(_BlueNode(kind, caps, caps.n_th)), caps
+
+    def test_a_new_n_th_object_replaces_the_node(self):
+        for base in self.variants + self.zeros:
+            caps = replace(base)
+            for kind in _BLUE_KINDS:
+                node = None
+                for n_th in (caps.n_th, float(str(caps.n_th)), 1.0, 1, caps.n_th):
+                    old, node = node, _blue_node(kind, caps, n_th)
+                    assert node is not old and node.n_th is n_th
+                    assert _blue_node(kind, caps, n_th) is node
+                    assert caps._nodes[kind] is node
+                    assert self.probe(node) == self.probe(_BlueNode(kind, caps, n_th)), (caps, n_th)
+            # at most one node per kind
+            assert sorted(caps._nodes, key=_BLUE_KINDS.index) == list(_BLUE_KINDS)
 
     def test_argmax_leaves_a_cached_node_unchanged(self):
         for kind in _BLUE_KINDS:
@@ -1607,7 +1589,7 @@ class TestFactoryCaches:
             assert _blue_node(kind, self.caps, self.caps.n_th) is node
 
     def test_device_run_builds_each_blue_node_once(self, monkeypatch):
-        # without the cache every IO or IM node of every cell built one, 117 in all
+        # without the memo every IO or IM node of every cell built one, 117 in all
         built = []
         init = _BlueNode.__init__
 
@@ -1615,23 +1597,32 @@ class TestFactoryCaches:
             built.append(kind.name)
             init(node, kind, *args)
 
-        _clear_caches()
         monkeypatch.setattr(_BlueNode, "__init__", counted)
-        cmd_device_run(ExperimentConfig(experiment="device-run", points=13, jobs=1))
+        cmd_device_run(ExperimentConfig(experiment="device-run", points=13, jobs=1, caps=replace(self.caps)))
         assert sorted(built) == ["IM", "IO"]
 
     def test_device_run_same_with_cold_caches(self, monkeypatch):
-        cfg = ExperimentConfig(experiment="device-run", points=13, jobs=1)
-        cmd_device_run(cfg)
-        warm, _ = cmd_device_run(cfg)
+        # float caps, then caps equal under == with integer fields, then the
+        # float caps again, in one process: each run reads as a run on
+        # freshly built caps whose every solve builds its own nodes
+        runs, coops = [], []
+        for caps in (self.caps, _caps_cast(self.caps, _integral), self.caps):
+            report = cmd_ebit_rate(ExperimentConfig(experiment="ebit-rate", caps=caps))
+            device = ExperimentConfig(experiment="device-run", points=13, jobs=1, caps=caps)
+            runs.append((caps, repr(report), repr(cmd_device_run(device)[0])))
+            coops.append(list(map(type, report["cooperativities"])))
+        assert coops == [[float] * 4, [float, int, float, int], [float] * 4]
 
-        def cold(*args, **kwargs):
-            _clear_caches()
-            return optimize_cooperativities(*args, **kwargs)
+        def cold(t, caps, *args, **kwargs):
+            return optimize_cooperativities(t, _fresh(caps), *args, **kwargs)
 
         monkeypatch.setattr(experiments, "optimize_cooperativities", cold)
-        rows, _ = cmd_device_run(cfg)
-        assert repr(rows) == repr(warm)
+        for caps, rate, rows in runs:
+            fresh = _fresh(caps)
+            assert repr(cmd_ebit_rate(ExperimentConfig(experiment="ebit-rate", caps=fresh))) == rate
+            device = ExperimentConfig(experiment="device-run", points=13, jobs=1, caps=fresh)
+            assert repr(cmd_device_run(device)[0]) == rows
+            assert not fresh._nodes
 
 
 _BLUE_KINDS = (MoKind.IO, MoKind.IM)
@@ -2474,5 +2465,5 @@ class TestOracleBoundary:
         leaks = sorted(" -> ".join(path) for (_, name), path in paths.items() if name in _ORACLE_ONLY)
         assert not leaks, leaks
         assert ("thresholds", _SEARCH_EXCEPTION) in paths
-        for name in ("_NodeRoot", "_checked_cell", "_blue_node_of", "_stable_bound", "_device_point"):
+        for name in ("_NodeRoot", "_checked_cell", "_blue_node", "_stable_bound", "_device_point"):
             assert any(key[1] == name for key in paths), name

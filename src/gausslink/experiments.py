@@ -60,15 +60,11 @@ __all__ = [
     "cmd_validate",
 ]
 
+#: (column, topology) of each threshold-sweep column, in CSV order.
 _TOPOLOGY_COLUMNS = [
-    ("eo_down", Topology.down(MoKind.EO)),
-    ("eo_swap", Topology.swap_sym(MoKind.EO)),
-    ("em_down", Topology.down(MoKind.EM)),
-    ("em_swap", Topology.swap_sym(MoKind.EM)),
-    ("io_down", Topology.down(MoKind.IO)),
-    ("io_swap", Topology.swap_sym(MoKind.IO)),
-    ("im_down", Topology.down(MoKind.IM)),
-    ("im_swap", Topology.swap_sym(MoKind.IM)),
+    (t.label.lower().replace("-", "_"), t)
+    for kind in MoKind
+    for t in (Topology.down(kind), Topology.swap_sym(kind))
 ]
 
 
@@ -333,12 +329,11 @@ def _map_points(fn, args_list, jobs):
 # -- threshold vs maximum optical cooperativity ------------------------------
 
 def _threshold_cells(caps, r, row):
-    """Fill per-topology threshold values plus the SweepRow bookkeeping:
-    a feasibility flag and the achieving cooperativities per column."""
+    """Fill each column's threshold ("<column>", 0 where the row cannot
+    entangle) and its achieving cooperativities ("<column>_argmax")."""
     for name, topo in _TOPOLOGY_COLUMNS:
         res = analytic_threshold(topo, caps, r)
-        row[name] = res.n_th_max if res.can_entangle else 0.0
-        row[f"{name}_ok"] = res.can_entangle
+        row[name] = res.n_th_max
         row[f"{name}_argmax"] = res.argmax
     return row
 
@@ -432,8 +427,8 @@ def _device_cells(squeezing_db) -> list:
 
     equal puts the loss of each point's tau_e equally on both measured
     arms, (sqrt(tau_e), sqrt(tau_e)); otherwise the column takes the
-    default placement.  A tagged column also records "<column>_ok" and
-    "<column>_argmax".  Built once per command and shared by its points.
+    default placement.  A tagged column also records "<column>_argmax".
+    Built once per command and shared by its points.
     """
     eo_swap = Topology.swap_sym(MoKind.EO)
     cells = []
@@ -464,7 +459,6 @@ def _device_point(args):
             topo, caps, caps.n_th, r, tau_e=tau_e, loss_split=equal if eq else None
         )
         if tagged:
-            row[f"{name}_ok"] = e > 0.0
             row[f"{name}_argmax"] = cs
         row[name] = e
     return row
@@ -509,12 +503,15 @@ def cmd_device_run(cfg: ExperimentConfig):
 # -- e-bit rate estimate ------------------------------------------------------
 
 def cmd_ebit_rate(cfg: ExperimentConfig) -> dict:
-    """Distillable-entanglement rate bound for fiber-linked transducers.
+    """Upper bound on the entanglement rate of fiber-linked transducers.
 
     Evaluates the microwave-microwave logarithmic negativity of the
     intrinsic-microwave downconversion topology with the configured
     fiber loss folded into the single optical path, and multiplies it
-    by the device bandwidth.  It reports two operating points: the
+    by the device bandwidth.  The log-negativity is an upper bound on
+    the distillable entanglement (Vidal & Werner, PRA 65, 032314, 2002),
+    so rate_ebits_per_s bounds the distillable rate from above; it is
+    not an achievable rate.  It reports two operating points: the
     cooperativities that maximize the negativity (``log_negativity``,
     ``rate_ebits_per_s``, ``cooperativities``), and the all-maximal
     corner (``corner_*``), where every cooperativity sits at its cap,
@@ -621,11 +618,7 @@ def _check_conversion_trace(seed, n):
 def _check_thresholds(seed, n):
     """Analytic table versus bisection, non-EM rows."""
     rng = generator(seed, stream=4)
-    rows = [
-        Topology.down(MoKind.EO), Topology.swap_sym(MoKind.EO),
-        Topology.down(MoKind.IO), Topology.swap_sym(MoKind.IO),
-        Topology.down(MoKind.IM), Topology.swap_sym(MoKind.IM),
-    ]
+    rows = [t for _, t in _TOPOLOGY_COLUMNS if t.kinds[0] is not MoKind.EM]
     for i in range(n):
         caps = random_caps(rng)
         r = rng.uniform(0.0, 1.2)

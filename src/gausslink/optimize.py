@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-__all__ = ["maximize_box", "golden_max_1d"]
+__all__ = ["maximize_box"]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -37,16 +37,8 @@ def _check_box(lo: Sequence[float], hi: Sequence[float]) -> None:
             raise ValueError(f"box bounds must be finite with lo <= hi, got [{l}, {h}]")
 
 
-def golden_max_1d(
-    f: Callable[[float], float], lo: float, hi: float, *, iters: int = 60
-) -> tuple[float, float]:
-    """Golden-section maximization of f on [lo, hi]; ValueError for a bad bracket."""
-    _check_box((lo,), (hi,))
-    return _golden(f, lo, hi, iters)
-
-
 def _golden(f, a, b, iters):
-    """golden_max_1d on a checked bracket [a, b]."""
+    """Golden-section maximization of f on a checked bracket [a, b], as (x, f(x))."""
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)

@@ -33,20 +33,21 @@ def generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, np.uint64(stream)]))
 
 
-def random_balanced_states(rng: np.random.Generator, n: int, scale: float = 2.0) -> np.ndarray:
+def random_balanced_states(rng: np.random.Generator, n: int) -> np.ndarray:
     """n physical balanced-correlated states as an (n, 3) array of (a, b, c).
 
     Rejection-samples against the exact physicality condition (positive
     definiteness and minimum symplectic eigenvalue >= 1/2), with both
-    entangled and separable states well represented.
+    entangled and separable states well represented: a and b are 1/2
+    plus an exponential draw of mean 2.
     """
     import numpy as np
 
     out = np.empty((0, 3))
     while out.shape[0] < n:
         m = max(2 * (n - out.shape[0]), 128)
-        a = 0.5 + rng.exponential(scale, m)
-        b = 0.5 + rng.exponential(scale, m)
+        a = 0.5 + rng.exponential(2.0, m)
+        b = 0.5 + rng.exponential(2.0, m)
         c = rng.uniform(-1.0, 1.0, m) * np.sqrt(a * b)
         x = a * b - c * c
         delta = a * a + b * b - 2.0 * c * c

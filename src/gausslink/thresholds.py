@@ -68,7 +68,6 @@ class ThresholdResult:
     """
 
     n_th_max: float
-    method: str
     argmax: tuple[float, float, float, float]
     can_entangle: bool = True
 
@@ -212,29 +211,23 @@ def _maximize_em_swap_cell(caps: DeviceCaps) -> tuple[float, float, float]:
 
 
 def analytic_threshold(
-    t: Topology,
-    caps: DeviceCaps,
-    r: SqueezeParam | float = 0.0,
-    c_a: float | None = None,
-    c_b: float | None = None,
+    t: Topology, caps: DeviceCaps, r: SqueezeParam | float = 0.0
 ) -> ThresholdResult:
     """Closed-form n_th bound for one of the eight symmetric topologies.
 
-    Extrinsic-microwave rows are closed forms at given source
-    cooperativities; pass c_a and c_b to evaluate there, or leave both
-    None to maximize the bound over the caps.  EM-down takes the better
-    of two edge points, in closed form (_em_down_max).  EM-swap is a
-    closed form where 2 tau_a tau_b <= 1 or 4 tau_a tau_b d_a <= 1 + d_a
-    (c_b = 0, c_a = min(d_a, 1): it cannot entangle) and is searched
-    elsewhere, where c_b* = min(d_b, 4 tau_a tau_b d_a - 1 - d_a), by
-    Nelder-Mead from the _SEARCH_STARTS best points of the ranked log
-    grid (_maximize_em_swap_cell).
+    Each row is the bound at its optimum cooperativities within the caps.
+    Extrinsic-microwave rows maximize a closed form in the source
+    cooperativities (_em_down_cell, _em_swap_cell) over the caps.
+    EM-down takes the better of two edge points, in closed form
+    (_em_down_max).  EM-swap is a closed form where 2 tau_a tau_b <= 1
+    or 4 tau_a tau_b d_a <= 1 + d_a (c_b = 0, c_a = min(d_a, 1): it
+    cannot entangle) and is searched elsewhere, where c_b* = min(d_b, 4
+    tau_a tau_b d_a - 1 - d_a), by Nelder-Mead from the _SEARCH_STARTS
+    best points of the ranked log grid (_maximize_em_swap_cell).
     Intrinsic-optical rows use the largest stable optical cooperativity at
     c_b = d_b.  No row entangles at d_b = 0 or tau_b = 0 (can_entangle
     False, a bound of 0).  Raises ValueError for an asymmetric swapping
-    topology (it has no closed form), for c_a or c_b on any other row than an
-    extrinsic-microwave one, for only one of the two, and for a point
-    outside 0 <= c_a <= d_a, 0 <= c_b <= d_b.
+    topology (it has no closed form).
     """
     if not t.is_symmetric:
         raise ValueError("no closed-form threshold for asymmetric swapping topologies")
@@ -242,9 +235,6 @@ def analytic_threshold(
     kind = t.kinds[0]
     down = t.scheme == "down"
     da, db, ta, tb = caps.d_a, caps.d_b, caps.tau_a, caps.tau_b
-    if kind is not _EM and (c_a is not None or c_b is not None):
-        raise ValueError(f"c_a and c_b apply only to extrinsic-microwave rows, not {t.label}")
-
     if kind is _EO:
         value = (
             ta * da * (1.0 - math.exp(-2.0 * rv)) / 2.0
@@ -253,18 +243,7 @@ def analytic_threshold(
         )
         arg = (da, db, da, db)
     elif kind is _EM:
-        if (c_a is None) != (c_b is None):
-            raise ValueError("supply both c_a and c_b for extrinsic-microwave rows")
-        if c_a is None:
-            c_a, c_b, value = _em_down_max(caps) if down else _maximize_em_swap_cell(caps)
-        else:
-            _check_cap("c_a", c_a, da)
-            _check_cap("c_b", c_b, db)
-            value = (
-                _em_down_cell(c_a, c_b, ta, tb, da)
-                if down
-                else _em_swap_cell(c_a, c_b, ta, tb)
-            )
+        c_a, c_b, value = _em_down_max(caps) if down else _maximize_em_swap_cell(caps)
         arg = (c_a, c_b, da if down else c_a, db if down else c_b)
     elif kind is _IO:
         ca_bar = max_stable_ca(caps, db)
@@ -287,8 +266,8 @@ def analytic_threshold(
     # converter transmits and no intrinsic source correlates, as their
     # c is proportional to sqrt(tau_a tau_b C_a C_b)
     if value <= 0.0 or not math.isfinite(value) or db == 0.0 or tb == 0.0:
-        return ThresholdResult(0.0, "analytic", arg, can_entangle=False)
-    return ThresholdResult(value, "analytic", arg, can_entangle=True)
+        return ThresholdResult(0.0, arg, can_entangle=False)
+    return ThresholdResult(value, arg, can_entangle=True)
 
 
 #: The entries of a node's (C_a, C_b) that each node code of a layout
@@ -515,7 +494,7 @@ def numeric_threshold(
 
     witness = _entangled_at(t, caps, 0.0, rv, split, candidates)
     if hi0 <= 0.0 or witness is None:
-        return ThresholdResult(0.0, "bisection", coords(candidates[0]), False)
+        return ThresholdResult(0.0, coords(candidates[0]), False)
 
     lo, hi = 0.0, hi0
     for _ in range(_BISECT_STEPS):
@@ -528,7 +507,7 @@ def numeric_threshold(
         else:
             hi = mid
     n_star = 0.5 * (lo + hi)
-    return ThresholdResult(n_star, "bisection", coords(witness), True)
+    return ThresholdResult(n_star, coords(witness), True)
 
 
 @functools.lru_cache(maxsize=len(_SEED_GRID))

@@ -17,7 +17,7 @@ the physical linewidths, see stability_ok.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Literal, Sequence
 
@@ -130,7 +130,7 @@ class DeviceCaps:
     a network share tau_a, tau_b, n_th and the physical rates, but their
     cooperativities may be tuned independently below the caps.  Each
     object keeps the IO and IM nodes built from it (_nodes), which are
-    not fields: ==, hash and repr ignore them.
+    not fields: ==, hash, repr and pickle ignore them.
     """
 
     d_a: float
@@ -159,6 +159,10 @@ class DeviceCaps:
     def _nodes(self) -> dict:
         """The blue node of each kind built from these caps (thresholds._blue_node)."""
         return {}
+
+    def __getstate__(self) -> dict:
+        """The fields alone: a copy, such as a pool worker's, builds its own nodes."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def dpt_two_mode_channel(p: DptParams) -> TwoModeChannel:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gausslink import DeviceCaps
+from gausslink.optimize import _check_box, _golden
 from gausslink.sampling import generator
 
 
@@ -20,3 +21,9 @@ def random_covmat_channel(rng: np.random.Generator, dim: int = 4):
     T = rng.normal(size=(dim, dim))
     G = rng.normal(size=(dim, dim))
     return T, G @ G.T
+
+
+def golden_max_1d(f, lo: float, hi: float, *, iters: int = 60) -> tuple[float, float]:
+    """Golden-section maximization of f on [lo, hi]; ValueError for a bad bracket."""
+    _check_box((lo,), (hi,))
+    return _golden(f, lo, hi, iters)

@@ -26,6 +26,7 @@ from gausslink import cli
 from gausslink.cli import main
 from gausslink.experiments import (
     SETTINGS,
+    _TOPOLOGY_COLUMNS,
     ConfigError,
     ExperimentConfig,
     _check_conversion_trace,
@@ -115,7 +116,7 @@ class TestThresholdVsDa:
                      if 4.0 * cfg.tau_a * cfg.tau_b * row["d_a"] <= 1.0 + row["d_a"]]
         assert len(exit_rows) == 8
         for row in exit_rows:
-            assert row["em_swap"] == 0.0 and not row["em_swap_ok"], row
+            assert row["em_swap"] == 0.0, row
             assert row["em_swap_argmax"] == (row["d_a"], 0.0, row["d_a"], 0.0), row
 
     def test_global_bound_on_every_cell(self, vs_da_result):
@@ -140,11 +141,14 @@ class TestThresholdVsDa:
         assert "d_a,d_b,eo_down" in text
 
     def test_rows_carry_consistent_flags_and_argmax(self, vs_da_result):
+        # each column holds its value and its argmax, and nothing else
         rows, _ = vs_da_result
         for row in rows:
-            for name in ("eo_down", "em_swap", "io_down", "im_swap"):
+            assert set(row) == {"d_a", "d_b"} | {
+                key for name, _ in _TOPOLOGY_COLUMNS for key in (name, f"{name}_argmax")
+            }
+            for name, _ in _TOPOLOGY_COLUMNS:
                 assert row[name] >= 0.0
-                assert row[f"{name}_ok"] == (row[name] > 0.0)
                 assert len(row[f"{name}_argmax"]) == 4
 
 
@@ -172,7 +176,7 @@ class TestThresholdVsLoss:
         high_loss = [row for row in rows if not 2.0 * row["tau_a"] > 1.0]
         assert len(high_loss) == 27
         for row in high_loss:
-            assert row["em_swap"] == 0.0 and not row["em_swap_ok"], row["loss_db"]
+            assert row["em_swap"] == 0.0, row["loss_db"]
             assert row["em_swap_argmax"] == (1.0, 0.0, 1.0, 0.0), row["loss_db"]
 
     def test_downconversion_rows_coincide_for_large_microwave_cap(self):

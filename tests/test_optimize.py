@@ -2,7 +2,9 @@ import math
 
 import pytest
 
-from gausslink.optimize import _POLISH_WIDTH, golden_max_1d, maximize_box
+from gausslink.optimize import _POLISH_WIDTH, maximize_box
+
+from conftest import golden_max_1d
 
 
 def _bumpy(x):

@@ -4,6 +4,7 @@ import functools
 import inspect
 import itertools
 import math
+import pickle
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -32,8 +33,8 @@ from gausslink.network import (
     default_loss_split,
     loss_slot_count,
 )
-from gausslink.optimize import golden_max_1d, maximize_box
-from gausslink.presets import PRESETS
+from gausslink.optimize import maximize_box
+from gausslink.presets import PRESETS, brubaker2022_caps
 from gausslink.sampling import generator, random_caps
 from gausslink.sources import MoKind
 from gausslink.thresholds import (
@@ -52,6 +53,8 @@ from gausslink.thresholds import (
     stability_ok,
 )
 from gausslink.transducer import C_MAX, STRICT_MARGIN, _blue_bound
+
+from conftest import golden_max_1d
 
 
 class TestAnalyticTable:
@@ -94,33 +97,13 @@ class TestAnalyticTable:
             analytic_threshold(Topology.swap_asym(MoKind.IM, MoKind.EO), caps, 0.5)
 
     def test_em_rows_at_given_cooperativities(self):
-        caps = DeviceCaps(100.0, 10.0, 0.9, 0.8, 0.0)
-        res = analytic_threshold(Topology.swap_sym(MoKind.EM), caps, 0.0, c_a=11.0, c_b=10.0)
+        # the EM-swap row maximizes this closed form over the caps
         want = 0.8 * 10.0 - (1 + 11.0 + 10.0) ** 2 / (8 * 0.9 * 11.0)
-        assert res.n_th_max == pytest.approx(want, rel=1e-12)
-        with pytest.raises(ValueError):
-            analytic_threshold(Topology.swap_sym(MoKind.EM), caps, 0.0, c_a=11.0)
-
-    def test_cooperativities_only_on_em_rows(self):
-        caps = DeviceCaps(100.0, 10.0, 0.9, 0.8, 0.0)
-        for kind in (MoKind.EO, MoKind.IO, MoKind.IM):
-            for t in (Topology.down(kind), Topology.swap_sym(kind)):
-                for kw in (dict(c_a=11.0, c_b=10.0), dict(c_a=11.0), dict(c_b=5.0)):
-                    with pytest.raises(ValueError, match="only to extrinsic-microwave"):
-                        analytic_threshold(t, caps, 0.5, **kw)
-
-    @pytest.mark.parametrize(
-        "c_a, c_b", [(1e6, 10.0), (11.0, -3.0), (math.nan, 10.0), (11.0, math.inf)]
-    )
-    def test_em_point_must_lie_within_the_caps(self, c_a, c_b):
-        caps = DeviceCaps(100.0, 10.0, 0.9, 0.8, 0.0)
-        for t in (Topology.down(MoKind.EM), Topology.swap_sym(MoKind.EM)):
-            with pytest.raises(ValueError, match="violates 0 <= c_"):
-                analytic_threshold(t, caps, 0.0, c_a=c_a, c_b=c_b)
+        assert _em_swap_cell(11.0, 10.0, 0.9, 0.8) == pytest.approx(want, rel=1e-12)
 
     def test_all_cells_below_global_bound(self, rng):
-        # EM cells are sampled at supplied cooperativities (their table
-        # entries are parameterized); the other rows are the optimized cells
+        # EM cells are sampled at drawn cooperativities, through the closed
+        # forms that their rows maximize; the other rows are the optimized cells
         for _ in range(10000):
             caps = random_caps(rng)
             r = rng.uniform(0.0, 1.2)
@@ -133,9 +116,8 @@ class TestAnalyticTable:
                 assert analytic_threshold(t, caps, r).n_th_max <= bound
             c_a = rng.uniform(0.0, 1.0) * caps.d_a
             c_b = rng.uniform(0.0, 1.0) * caps.d_b
-            for t in (Topology.down(MoKind.EM), Topology.swap_sym(MoKind.EM)):
-                res = analytic_threshold(t, caps, r, c_a=c_a, c_b=c_b)
-                assert res.n_th_max <= bound
+            assert _em_down_cell(c_a, c_b, caps.tau_a, caps.tau_b, caps.d_a) <= bound
+            assert _em_swap_cell(c_a, c_b, caps.tau_a, caps.tau_b) <= bound
 
 
 def _em_swap_candidates(caps: DeviceCaps) -> list[tuple[float, float]]:
@@ -175,8 +157,7 @@ class TestEmOracle:
         t = Topology.swap_sym(MoKind.EM)
         got = analytic_threshold(t, caps, r)
         best = max(
-            analytic_threshold(t, caps, r, c_a=ca, c_b=cb).n_th_max
-            for ca, cb in _em_swap_candidates(caps)
+            _em_swap_cell(ca, cb, caps.tau_a, caps.tau_b) for ca, cb in _em_swap_candidates(caps)
         )
         assert got.can_entangle == (best > 0.0), (t.label, caps)
         if best > 0.0:
@@ -1601,6 +1582,16 @@ class TestFactoryCaches:
         cmd_device_run(ExperimentConfig(experiment="device-run", points=13, jobs=1, caps=replace(self.caps)))
         assert sorted(built) == ["IM", "IO"]
 
+    def test_caps_pickle_without_their_nodes(self):
+        # a pool worker's copy of n_th is another float object, so the nodes
+        # kept on the caps could not hit there: a pool task ships the fields alone
+        caps = replace(self.caps)
+        cmd_device_run(ExperimentConfig(experiment="device-run", points=13, jobs=1, caps=caps))
+        assert sorted(caps._nodes, key=_BLUE_KINDS.index) == list(_BLUE_KINDS)
+        assert len(pickle.dumps(caps)) <= len(pickle.dumps(brubaker2022_caps()))
+        back = pickle.loads(pickle.dumps(caps))
+        assert back == caps and "_nodes" not in vars(back)
+
     def test_device_run_same_with_cold_caches(self, monkeypatch):
         # float caps, then caps equal under == with integer fields, then the
         # float caps again, in one process: each run reads as a run on
@@ -2334,9 +2325,8 @@ class TestNothingSearched:
         def searched(*args, **kwargs):
             raise AssertionError("a production path searched")
 
-        assert not hasattr(thresholds, "golden_max_1d")
         for module, name in ((thresholds, "maximize_box"), (optimize, "maximize_box"),
-                             (optimize, "golden_max_1d"), (thresholds, "_ranked_starts")):
+                             (thresholds, "_ranked_starts")):
             monkeypatch.setattr(module, name, searched)
         monkeypatch.setattr(_CooperativityBox, "search", searched)
         rng = generator(20260808, stream=135)
@@ -2400,7 +2390,7 @@ _PRODUCTION = {
 #: The oracles' code: layout maps, margin closures, corner candidates and
 #: searches, which production code must not reach.
 _ORACLE_ONLY = {"_layout_coords", "_margin_closure", "_margin_fn", "_margin_fn_down", "_margin_fn4",
-                "_converter_nodes", "_NODE_AXES", "_clamp_pair", "_corner_candidates",
+                "_converter_nodes", "_NODE_AXES", "_corner_candidates",
                 "_CooperativityBox", "_entangled_at", "numeric_threshold", "_ranked_starts",
                 "_unit_seed_grid", "maximize_box"}
 
@@ -2461,6 +2451,8 @@ class TestOracleBoundary:
     of the code they check."""
 
     def test_production_reaches_no_oracle_code(self):
+        stale = sorted(name for name in _ORACLE_ONLY if not hasattr(thresholds, name))
+        assert not stale, stale
         paths = _production_reach()
         leaks = sorted(" -> ".join(path) for (_, name), path in paths.items() if name in _ORACLE_ONLY)
         assert not leaks, leaks

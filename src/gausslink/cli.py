@@ -1,8 +1,8 @@
 """Command-line interface.
 
-    gausslink threshold-vs-da [--config F] [--out PATH] [--seed N] [--jobs N] [--points N]
-    gausslink threshold-vs-loss [--config F] [--out PATH] [--seed N] [--jobs N] [--points N]
-    gausslink device-run [--config F] [--out PATH] [--seed N] [--jobs N] [--points N]
+    gausslink threshold-vs-da [--config F] [--out PATH] [--jobs N] [--points N]
+    gausslink threshold-vs-loss [--config F] [--out PATH] [--jobs N] [--points N]
+    gausslink device-run [--config F] [--out PATH] [--jobs N] [--points N]
     gausslink ebit-rate [--config F] [--out PATH]
     gausslink validate [--config F] [--out PATH] [--seed N] [--quick]
 
@@ -130,7 +130,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text, epilog=conventions)
         p.add_argument("--config", help="JSON object of any of: " + ", ".join(reads))
         p.add_argument("--out", help="output path (CSV or JSON)")
-        for key, flag_help in (("seed", "seed of validate's draws; a sweep's provenance"),
+        for key, flag_help in (("seed", "seed of validate's draws"),
                                ("jobs", "parallel workers for sweep points"),
                                ("points", "sweep grid size")):
             if key in reads:

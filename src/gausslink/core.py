@@ -22,9 +22,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "OMEGA",
-    "Z2",
-    "VACUUM_VARIANCE",
     "CovMat2",
     "BalancedForm",
     "TwoModeChannel",
@@ -42,37 +39,6 @@ __all__ = [
     "squeeze_r_to_db",
     "R_MAX",
 ]
-
-VACUUM_VARIANCE = 0.5
-
-#: The module's numpy constants, each built by __getattr__ on first access
-#: (PEP 562), so that importing the module does not import numpy: Z2, the
-#: Pauli-z block used in the off-diagonal of balanced-correlated states,
-#: and OMEGA, the two-mode symplectic form for the (x1, p1, x2, p2)
-#: ordering.
-_ARRAY_CONSTANTS = {
-    "Z2": lambda np: np.diag([1.0, -1.0]),
-    "OMEGA": lambda np: np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [-1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [0.0, 0.0, -1.0, 0.0],
-        ]
-    ),
-}
-
-
-def __getattr__(name: str):
-    """Z2 or OMEGA, built once, at the first access; see _ARRAY_CONSTANTS."""
-    try:
-        build = _ARRAY_CONSTANTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import numpy as np
-
-    value = globals()[name] = build(np)
-    return value
 
 
 def _is_array(x) -> bool:
@@ -175,16 +141,12 @@ class CovMat2:
     def __repr__(self):
         return f"CovMat2({self.m!r})"
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        """Return the 2x2 block for modes (i, j) with i, j in {1, 2}."""
-        return self.m[2 * (i - 1) : 2 * i, 2 * (j - 1) : 2 * j]
-
 
 class BalancedForm(NamedTuple):
     """(a, b, c) triple of a balanced-correlated two-mode state.
 
     The covariance matrix is a*I2 and b*I2 on the diagonal blocks and
-    c*Z2 on the off-diagonal block.  Mode 1 carries variance ``a``.
+    c*diag(1, -1) on the off-diagonal block.  Mode 1 carries variance ``a``.
     """
 
     a: float
@@ -246,8 +208,8 @@ class OneModeChannel:
 def make_tms(r) -> CovMat2:
     """Covariance matrix of a two-mode squeezed vacuum state.
 
-    Diagonal blocks are cosh(2r)/2 * I2, off-diagonal sinh(2r)/2 * Z2.
-    r = 0 gives the vacuum, I/2.
+    Diagonal blocks are cosh(2r)/2 * I2, off-diagonal
+    sinh(2r)/2 * diag(1, -1).  r = 0 gives the vacuum, I/2.
     """
     rv = _as_r(r)
     ch = math.cosh(2.0 * rv) / 2.0
@@ -326,12 +288,12 @@ def physicality_check(v: CovMat2, tol: float = _PHYSICALITY_TOL) -> bool:
     """Whether v satisfies the bosonic uncertainty relation.
 
     Checks that all eigenvalues of the Hermitian matrix v + (i/2) Omega
-    are >= -tol.
+    are >= -tol, Omega the symplectic form of the (x1, p1, x2, p2) order.
     """
     import numpy as np
 
-    # read through the module, whose __getattr__ builds OMEGA at first use
-    h = v.m + 0.5j * sys.modules[__name__].OMEGA
+    omega = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    h = v.m + 0.5j * omega
     return bool(np.linalg.eigvalsh(h).min() >= -tol)
 
 

@@ -2,9 +2,10 @@
 
 Each command evaluates a sweep into a list of rows and (optionally)
 writes a CSV whose leading comment lines record the full parameter
-provenance: device caps, physical rates, squeezing, seed, and tool
-version.  Identical configuration and seed produce byte-identical
-files.  Scalar reports (e-bit rate, validation) are emitted as JSON.
+provenance: device caps, physical rates, squeezing, and tool version.
+The sweeps run on fixed grids, so identical configuration produces
+byte-identical files.  Scalar reports (e-bit rate, validation) are
+emitted as JSON.
 
 dB conventions: squeezing dB = 10*log10(e**(2r)); loss dB =
 -10*log10(tau).
@@ -18,11 +19,10 @@ import json
 import math
 import numbers
 import os
-import sys
 from dataclasses import dataclass, fields, replace
 
 from . import __version__ as _version
-from .core import R_MAX, BalancedForm, log_negativity, squeeze_db_to_r, squeeze_r_to_db
+from .core import _FINITE, R_MAX, BalancedForm, log_negativity, squeeze_db_to_r, squeeze_r_to_db
 from .network import (
     ALL_TOPOLOGIES,
     SYMMETRIC_TOPOLOGIES,
@@ -105,10 +105,10 @@ class ExperimentConfig:
 #: The ExperimentConfig fields each command reads besides experiment; the
 #: CLI offers each command these settings and no other.
 SETTINGS = {
-    "threshold-vs-da": ("r", "points", "d_a_range", "d_b_values", "tau_a", "tau_b", "seed",
-                        "jobs", "out"),
-    "threshold-vs-loss": ("r", "points", "d_b_loss", "loss_db_max", "seed", "jobs", "out"),
-    "device-run": ("caps", "squeezing_db", "points", "taue_db_max", "seed", "jobs", "out"),
+    "threshold-vs-da": ("r", "points", "d_a_range", "d_b_values", "tau_a", "tau_b", "jobs",
+                        "out"),
+    "threshold-vs-loss": ("r", "points", "d_b_loss", "loss_db_max", "jobs", "out"),
+    "device-run": ("caps", "squeezing_db", "points", "taue_db_max", "jobs", "out"),
     "ebit-rate": ("caps", "fiber_km", "loss_db_per_km", "bandwidth_hz", "out"),
     "validate": ("seed", "checks_n", "out"),
 }
@@ -200,8 +200,7 @@ def _writable(key, path, cfg):
 #: integer too large for a float is rejected rather than overflowing at
 #: run time; squeezing_db is compared in dB, and an external or fiber loss
 #: must leave a transmissivity a double holds.
-_FLOAT_MAX = sys.float_info.max
-_NONNEGATIVE = _domain("finite and >= 0", lambda v: 0 <= v <= _FLOAT_MAX)
+_NONNEGATIVE = _domain("finite and >= 0", lambda v: 0 <= v <= _FINITE)
 _DB_MAX = squeeze_r_to_db(R_MAX)
 _RULES = [
     # checks_n's one rule checks its type along with its range
@@ -220,7 +219,7 @@ _RULES = [
     ("squeezing_db", _domain(f"each >= 0 and at most r = {R_MAX} (about 869 dB)",
                              lambda v: all(0 <= x <= _DB_MAX for x in v))),
     ("taue_db_max", _domain("finite and >= 0, leaving a transmissivity > 0",
-                            lambda v: 0 <= v <= _FLOAT_MAX and 10.0 ** (-v / 10.0) > 0.0)),
+                            lambda v: 0 <= v <= _FINITE and 10.0 ** (-v / 10.0) > 0.0)),
     *((key, _NONNEGATIVE)
       for key in ("loss_db_max", "fiber_km", "loss_db_per_km", "bandwidth_hz")),
     ("squeezing_db", _distinct_tags),
@@ -247,7 +246,6 @@ def _provenance(cfg: ExperimentConfig, caps: DeviceCaps, extra: dict) -> list[st
     items = {
         "tool": f"gausslink {_version}",
         "experiment": cfg.experiment,
-        "seed": cfg.seed,
         "d_a": caps.d_a,
         "d_b": caps.d_b,
         "tau_a": caps.tau_a,
@@ -423,29 +421,29 @@ def cmd_threshold_vs_loss(cfg: ExperimentConfig):
 # -- realistic-device run -----------------------------------------------------
 
 def _device_cells(squeezing_db) -> list:
-    """(column, topology, r, equal, tagged) of each device-run column, in CSV order.
+    """(column, topology, r, equal) of each device-run column, in CSV order.
 
     equal puts the loss of each point's tau_e equally on both measured
     arms, (sqrt(tau_e), sqrt(tau_e)); otherwise the column takes the
-    default placement.  A tagged column also records "<column>_argmax".
+    default placement and also records "<column>_argmax".
     Built once per command and shared by its points.
     """
     eo_swap = Topology.swap_sym(MoKind.EO)
     cells = []
     for db in squeezing_db:
         r, tag = squeeze_db_to_r(db), _db_tag(db)
-        cells += [(f"eo_down_{tag}", Topology.down(MoKind.EO), r, False, True),
-                  (f"eo_swap_{tag}", eo_swap, r, False, True),
-                  (f"eo_swap_eqsplit_{tag}", eo_swap, r, True, False)]
+        cells += [(f"eo_down_{tag}", Topology.down(MoKind.EO), r, False),
+                  (f"eo_swap_{tag}", eo_swap, r, False),
+                  (f"eo_swap_eqsplit_{tag}", eo_swap, r, True)]
     for kind in (MoKind.EM, MoKind.IO, MoKind.IM):
         name = kind.name.lower()
-        cells += [(f"{name}_down", Topology.down(kind), 0.0, False, True),
-                  (f"{name}_swap", Topology.swap_sym(kind), 0.0, False, True)]
+        cells += [(f"{name}_down", Topology.down(kind), 0.0, False),
+                  (f"{name}_swap", Topology.swap_sym(kind), 0.0, False)]
     db_max = max(squeezing_db)
     return cells + [
-        ("im_swap_eqsplit", Topology.swap_sym(MoKind.IM), 0.0, True, False),
+        ("im_swap_eqsplit", Topology.swap_sym(MoKind.IM), 0.0, True),
         (f"im_eo_swap_asym_{_db_tag(db_max)}", Topology.swap_asym(MoKind.IM, MoKind.EO),
-         squeeze_db_to_r(db_max), False, True),
+         squeeze_db_to_r(db_max), False),
     ]
 
 
@@ -454,11 +452,11 @@ def _device_point(args):
     tau_e = 10.0 ** (-taue_db / 10.0)
     equal = (math.sqrt(tau_e),) * 2
     row = {"tau_e_db": taue_db, "tau_e": tau_e}
-    for name, topo, r, eq, tagged in cells:
+    for name, topo, r, eq in cells:
         cs, e = optimize_cooperativities(
             topo, caps, caps.n_th, r, tau_e=tau_e, loss_split=equal if eq else None
         )
-        if tagged:
+        if not eq:
             row[f"{name}_argmax"] = cs
         row[name] = e
     return row

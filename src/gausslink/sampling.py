@@ -69,31 +69,34 @@ def random_caps(rng: np.random.Generator, rates=None) -> DeviceCaps:
     )
 
 
-def random_red_params(rng: np.random.Generator, n_th_max: float = 3.0) -> DptParams:
+#: Upper end of the drawn thermal occupation n_th.
+_N_TH_MAX = 3.0
+#: Distance a blue-detuned draw keeps to its first stability boundary.
+_BLUE_MARGIN = 0.05
+
+
+def random_red_params(rng: np.random.Generator) -> DptParams:
     """Red-red operating point with moderate cooperativities."""
     return DptParams(
         c_a=10.0 ** rng.uniform(-2.0, 2.0),
         c_b=10.0 ** rng.uniform(-2.0, 2.0),
         tau_a=rng.uniform(0.05, 1.0),
         tau_b=rng.uniform(0.05, 1.0),
-        n_th=rng.uniform(0.0, n_th_max),
+        n_th=rng.uniform(0.0, _N_TH_MAX),
     )
 
 
-def random_source_params(
-    rng: np.random.Generator, kind: MoKind, n_th_max: float = 3.0, margin: float = 0.05
-) -> DptParams:
+def random_source_params(rng: np.random.Generator, kind: MoKind) -> DptParams:
     """Valid operating point for an MO source of the given kind.
 
-    Blue-detuned draws keep the given margin to the first stability
-    boundary so the resulting states stay in a numerically comfortable
-    range.
+    Blue-detuned draws keep _BLUE_MARGIN to the first stability boundary
+    so the resulting states stay in a numerically comfortable range.
     """
-    p = random_red_params(rng, n_th_max)
+    p = random_red_params(rng)
     if kind is MoKind.IO:
-        c_a = rng.uniform(0.0, 1.0) * min(p.c_b + 1.0 - margin, 100.0)
+        c_a = rng.uniform(0.0, 1.0) * min(p.c_b + 1.0 - _BLUE_MARGIN, 100.0)
         return DptParams(c_a, p.c_b, p.tau_a, p.tau_b, p.n_th, sigma_a=1)
     if kind is MoKind.IM:
-        c_b = rng.uniform(0.0, 1.0) * min(p.c_a + 1.0 - margin, 100.0)
+        c_b = rng.uniform(0.0, 1.0) * min(p.c_a + 1.0 - _BLUE_MARGIN, 100.0)
         return DptParams(p.c_a, c_b, p.tau_a, p.tau_b, p.n_th, sigma_b=1)
     return p

@@ -37,7 +37,6 @@ from gausslink import (
     stability_ok,
     swap,
 )
-from gausslink.core import OMEGA
 from gausslink.experiments import ExperimentConfig, cmd_ebit_rate, cmd_threshold_vs_loss
 from gausslink.network import SYMMETRIC_TOPOLOGIES
 from gausslink.presets import brubaker2022_caps
@@ -180,7 +179,9 @@ def _im_down_oracle(caps, cs, tau_e):
     conv = DptParams(c_a2, c_b2, caps.tau_a, caps.tau_b, caps.n_th)
     v = apply_one_mode(conversion_channel("down", conv), v, mode=1)
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    nu = np.min(np.abs(np.linalg.eigvals(1j * OMEGA @ flip @ v.m @ flip)))
+    omega = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
+    nu = np.min(np.abs(np.linalg.eigvals(1j * omega @ flip @ v.m @ flip)))
     return max(0.0, -math.log2(2.0 * nu))
 
 

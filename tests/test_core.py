@@ -278,12 +278,3 @@ class TestIsArray:
     @pytest.mark.parametrize("x", [np.array(1.0), np.array([1.0]), np.zeros((2, 3))])
     def test_arrays_of_any_shape_are(self, x):
         assert _is_array(x) is True
-
-    def test_omega_and_z2_are_built_once(self):
-        from gausslink import core
-
-        assert core.OMEGA is core.OMEGA and core.Z2 is core.Z2
-        assert core.Z2.tolist() == [[1.0, 0.0], [0.0, -1.0]]
-        assert (core.OMEGA + core.OMEGA.T == 0.0).all() and core.OMEGA[0, 1] == core.OMEGA[2, 3] == 1.0
-        with pytest.raises(AttributeError, match="no attribute 'OMEGA2'"):
-            getattr(core, "OMEGA2")

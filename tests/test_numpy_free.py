@@ -69,8 +69,11 @@ try:
 except SystemExit:
     pass
 assert numpy_free()
-from gausslink.core import OMEGA  # built on first access, with numpy
-assert not numpy_free() and OMEGA.shape == (4, 4)
+from gausslink.core import CovMat2, physicality_check
+assert numpy_free()
+# the symplectic form is built at the call, with numpy
+assert physicality_check(CovMat2([[0.5 * (i == j) for j in range(4)] for i in range(4)]))
+assert not numpy_free()
 """)
 
 

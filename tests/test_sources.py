@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ class TestEntanglementConditions:
     def test_intrinsic_always_entangled(self, rng):
         for kind in (MoKind.IO, MoKind.IM):
             for _ in range(200):
-                p = random_source_params(rng, kind, n_th_max=50.0)
+                p = replace(random_source_params(rng, kind), n_th=rng.uniform(0.0, 50.0))
                 if p.c_a == 0.0 or p.c_b == 0.0:
                     continue
                 assert log_negativity(mo_state(kind, p)) > 0.0

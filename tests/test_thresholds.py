@@ -910,7 +910,7 @@ class TestConverterPin:
                 "em_swap": 2, "io_down": 2, "io_swap": 1, "im_down": 2, "im_swap": 1,
                 "im_swap_eqsplit": 1, "im_eo_swap_asym": 2}
         for tau_e in (0.5, 1.0):
-            for name, t, r, equal, _ in _device_cells((3.0, 10.0)):
+            for name, t, r, equal in _device_cells((3.0, 10.0)):
                 split = (math.sqrt(tau_e),) * 2 if equal else None
                 box = _CooperativityBox.of(t, caps, caps.n_th, r, tau_e, split)
                 column = name.rsplit("_", 1)[0] if name.endswith("db") else name

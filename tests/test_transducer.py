@@ -51,12 +51,12 @@ def reference_channel(p):
     return T, N
 
 
-def random_stable_params(rng, margin=0.05):
+def random_stable_params(rng):
     """Any pump-sign configuration, stable with a healthy margin."""
     pick = rng.integers(3)
     if pick == 0:
         return random_red_params(rng)
-    return random_source_params(rng, MoKind.IO if pick == 1 else MoKind.IM, margin=margin)
+    return random_source_params(rng, MoKind.IO if pick == 1 else MoKind.IM)
 
 
 class TestDptChannel:

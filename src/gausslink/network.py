@@ -249,7 +249,11 @@ def _mm_excess(t: Topology, caps: DeviceCaps, n_th: float, r: float, cs, split):
     mode).  A downconversion sends the optical mode of transducer 1's
     source, after loss split[-1], through transducer 2's converter;
     down(EO)'s source is an EO state whose converted arm carries
-    split[0].  A swap measures the optical modes of two sources.  Exact
+    split[0].  A swap measures the optical modes of two sources; where
+    node 2 has node 1's kind and its very cooperativity objects (the
+    4-tuple x1 + x1 of thresholds._NodeRoot for a symmetric swap), node
+    1's source state serves both, bit for bit the state node 2 would
+    compute, before each arm's own loss share.  Exact
     update rules: loss tau on the measured mode scales (A, c**2, P)
     by tau; an isotropic conversion (t, mu) on mode 1 maps A -> t**2 A + mu
     and P -> t**2 P + mu B; the EPR measurement maps B1 to
@@ -268,9 +272,14 @@ def _mm_excess(t: Topology, caps: DeviceCaps, n_th: float, r: float, cs, split):
     # a third slot is the EO state's pre-downconversion mode
     ta_eo = tau_a * split[2] if len(split) == 3 else tau_a
     tau1, tau2 = split[0], split[1]
-    A1, B1, c1, P1 = _mo_excess(k1, c_a1, c_b1, ta_eo if k1 is _EO else tau_a, tau_b, n_th, r)
+    source = _mo_excess(k1, c_a1, c_b1, ta_eo if k1 is _EO else tau_a, tau_b, n_th, r)
+    A1, B1, c1, P1 = source
+    # node 2 at node 1's kind and very cooperativity objects has node 1's
+    # source state; == would not do, as -0.0 == 0.0 and sqrt keeps the sign
+    if not (k2 is k1 and c_a2 is c_a1 and c_b2 is c_b1):
+        source = _mo_excess(k2, c_a2, c_b2, ta_eo if k2 is _EO else tau_a, tau_b, n_th, r)
+    A2, B2, c2, P2 = source
     A1, c1, P1 = tau1 * A1, math.sqrt(tau1) * c1, tau1 * P1
-    A2, B2, c2, P2 = _mo_excess(k2, c_a2, c_b2, ta_eo if k2 is _EO else tau_a, tau_b, n_th, r)
     A2, c2, P2 = tau2 * A2, math.sqrt(tau2) * c2, tau2 * P2
     den = 1.0 + A1 + A2
     # B1 - c1**2 / den, rewritten with P1 = A1 B1 - c1**2 so that nothing

@@ -553,11 +553,13 @@ def _ascend(x, margin: Callable, best_at: Callable):
 
     Each step moves to best_at(m), the best point at the margin m of
     the last, while the margin is positive and that raises it; at most
-    _ROOT_STEPS steps.  A step that returns the point it started from
-    ends the ascent without evaluating the margin there again, which
-    could not rise.  A point is any value that compares with ==: the
-    cooperativity 4-tuple of _NodeRoot.solve, or (t_3, 4-tuple) in the
-    split ascent of optimize_loss_split.
+    _ROOT_STEPS steps.  A step reads the point and its margin alone, so
+    best_at computes no value at its point (_NodeRoot.point).  A step
+    that returns the point it started from ends the ascent without
+    evaluating the margin there again, which could not rise.  A point
+    is any value that compares with ==: the cooperativity 4-tuple of
+    _NodeRoot.solve, or (t_3, 4-tuple) in the split ascent of
+    optimize_loss_split.
     """
     m = margin(x)
     for _ in range(_ROOT_STEPS):
@@ -620,8 +622,8 @@ class _ConverterNode:
     def zero(self) -> tuple[float, float]:
         return 0.0, (1.0 if 1.0 < self.d_b else self.d_b)
 
-    def argmax(self, mu: float) -> tuple[tuple[float, float], float]:
-        """((x*, min(d_b, 1 + x*)), value there).
+    def point(self, mu: float) -> tuple[float, float]:
+        """(x*, min(d_b, 1 + x*)), argmax's point without its value.
 
         x* = min(d_a, sqrt((1 + d_b)^2 + 4 tau_b d_b n_th / mu)), d_a at mu = 0.
         """
@@ -629,7 +631,11 @@ class _ConverterNode:
         if mu > 0.0:
             x = min(x, math.sqrt(self.x_sq + self.x_sq_mu / mu))
         c_b = 1.0 + x
-        point = x, (c_b if c_b < self.d_b else self.d_b)  # min(d_b, 1 + x), bit for bit
+        return x, (c_b if c_b < self.d_b else self.d_b)  # min(d_b, 1 + x), bit for bit
+
+    def argmax(self, mu: float) -> tuple[tuple[float, float], float]:
+        """(point(mu), value there)."""
+        point = self.point(mu)
         return point, self.value(*point, mu)
 
     def value(self, c_a: float, c_b: float, mu: float) -> float:
@@ -742,6 +748,10 @@ class _BlueNode:
                     best, value = st, h
         return best[0], value
 
+    def point(self, mu: float) -> tuple[float, float]:
+        """argmax's face point alone."""
+        return self.argmax(mu)[0]
+
 
 def _blue_node(kind: MoKind, caps: DeviceCaps, n_th: float) -> _BlueNode:
     """_BlueNode(kind, caps, n_th), kept on caps for kind until a call with another n_th object.
@@ -792,6 +802,18 @@ class _EmNode:
                     best, value = point, h
         return best, value
 
+    def point(self, mu: float) -> tuple[float, float]:
+        """argmax's point alone."""
+        return self.argmax(mu)[0]
+
+
+def _source_node(kind: MoKind, caps: DeviceCaps, n_th: float, sh2: float, tau: float):
+    """The node of a source: a converter node for EO (tau in front of its
+    converter), an _EmNode for EM, the kept _blue_node for IO and IM."""
+    if kind is _EO:
+        return _ConverterNode(caps, tau, n_th, sh2)
+    return _EmNode(caps, n_th, sh2) if kind is _EM else _blue_node(kind, caps, n_th)
+
 
 class _NodeRoot:
     """The best point of a cell, by the node-local condition.
@@ -803,7 +825,11 @@ class _NodeRoot:
     maximises its value alone (argmax, which returns the node's (C_a,
     C_b), pins applied), so a point is the cooperativity 4-tuple.  A
     symmetric swap holds one node (second is first), whose best point
-    and value serve both.
+    and value serve both.  Only the test at mu = 0 reads the values;
+    an ascent step reads the 4-tuple alone (point), which a converter
+    node computes without its value.  A symmetric swap's 4-tuple holds
+    node 1's point twice, the same objects, so its margin evaluates
+    one source state (network._mm_excess).
 
     of builds one per cell: its converter and EM nodes and its weights
     depend on the cell's r and split, while its IO and IM nodes come
@@ -821,21 +847,15 @@ class _NodeRoot:
     @classmethod
     def of(cls, t, caps: DeviceCaps, n_th: float, r: float, split) -> "_NodeRoot":
         sh2 = math.sinh(r) ** 2
-
-        def source(kind, tau):
-            if kind is _EO:
-                return _ConverterNode(caps, tau, n_th, sh2)
-            return _EmNode(caps, n_th, sh2) if kind is _EM else _blue_node(kind, caps, n_th)
-
         cell = (t, caps, n_th, r, split)
         if t.scheme == "down":
-            first = source(t.kinds[0], caps.tau_a * split[0])
+            first = _source_node(t.kinds[0], caps, n_th, sh2, caps.tau_a * split[0])
             second = _ConverterNode(caps, caps.tau_a * split[-1], n_th)
             return cls(*cell, first, second, 1.0, 1.0, 0.0)
         # a third slot is the EO state's pre-downconversion mode
         tau = caps.tau_a * split[2] if len(split) == 3 else caps.tau_a
-        first = source(t.kinds[0], tau)
-        second = first if t.is_symmetric else source(t.kinds[1], tau)
+        first = _source_node(t.kinds[0], caps, n_th, sh2, tau)
+        second = first if t.is_symmetric else _source_node(t.kinds[1], caps, n_th, sh2, tau)
         return cls(*cell, first, second, split[0], split[1], 1.0)
 
     def argmax(self, mu: float) -> tuple[tuple[float, float, float, float], float]:
@@ -844,6 +864,11 @@ class _NodeRoot:
         x1, v1 = first.argmax(mu)
         x2, v2 = (x1, v1) if second is first else second.argmax(mu)
         return x1 + x2, self.w1 * v1 + self.w2 * v2 - self.offset
+
+    def point(self, mu: float) -> tuple[float, float, float, float]:
+        """argmax's 4-tuple alone, from each node's point: all that a step reads."""
+        x1 = self.first.point(mu)
+        return x1 + (x1 if self.second is self.first else self.second.point(mu))
 
     def margin(self, cs) -> float:
         """The margin (1/2 - nu) at the cooperativity 4-tuple cs."""
@@ -861,7 +886,7 @@ class _NodeRoot:
         cs, excess = self.argmax(0.0)
         if not excess > 0.0:
             return self.first.zero + self.second.zero, 0.0
-        return _ascend(cs, self.margin, lambda mu: self.argmax(mu)[0])
+        return _ascend(cs, self.margin, self.point)
 
 
 @dataclass(frozen=True)
@@ -969,6 +994,8 @@ def optimize_cooperativities(
     tests the condition at mu = 0 first; where that fails it returns
     0.0 at once, and only a cell that then ascends evaluates its margin,
     _mm_excess at the 4-tuple that the nodes return (_NodeRoot.margin).
+    A step asks the nodes for their points alone (_NodeRoot.point), and
+    a symmetric swap's margin evaluates its one source state once.
     The IO and IM nodes are kept on the caps object (_blue_node).
     n_starts and nm_max_iter are inert: they were the budget of the
     search that the node-local root replaced, and they are still
@@ -1235,7 +1262,7 @@ def optimize_loss_split(
         that split and mu); t_3 is tau_e at r = 0 (0 times g, or NaN)."""
         t3 = float(-converter.argmax(mu)[1] * lead)
         t3 = min(1.0, t3) if t3 > tau_e else tau_e
-        return t3, root(t3).argmax(mu)[0]
+        return t3, root(t3).point(mu)
 
     t3, cs = best_at(0.0)
     m = root(t3).argmax(0.0)[1]

@@ -31,8 +31,9 @@ from gausslink.network import (
     SYMMETRIC_SWAP_TOPOLOGIES,
     SYMMETRIC_TOPOLOGIES,
 )
-from gausslink.sampling import random_balanced_states
-from gausslink.sources import MoKind
+from gausslink import network
+from gausslink.sampling import random_balanced_states, random_caps
+from gausslink.sources import MoKind, _mo_excess
 from gausslink.transducer import STRICT_MARGIN
 
 
@@ -256,6 +257,103 @@ class TestDownconvert:
         ch = OneModeChannel(np.diag([0.5, 0.6]), np.eye(2))
         with pytest.raises(ValueError):
             downconvert_mm(BalancedForm(1.0, 1.0, 0.3), ch)
+
+
+def _fresh(x):
+    """A new float object with the bits of x, the sign of a zero included."""
+    y = float.fromhex(x.hex())
+    assert y is not x and y.hex() == x.hex()
+    return y
+
+
+def _swap_of_sources(s1, s2, split):
+    """_mm_excess's swap from the source states s1 and s2, each computed on its own."""
+    (A1, B1, c1, P1), (A2, B2, c2, P2) = s1, s2
+    tau1, tau2 = split
+    A1, c1, P1 = tau1 * A1, math.sqrt(tau1) * c1, tau1 * P1
+    A2, c2, P2 = tau2 * A2, math.sqrt(tau2) * c2, tau2 * P2
+    den = 1.0 + A1 + A2
+    return ((B1 * (1.0 + A2) + P1) / den, (B2 * (1.0 + A1) + P2) / den, -c1 * c2 / den,
+            (B1 * B2 + P1 * B2 + P2 * B1) / den)
+
+
+class TestSymmetricSwapSource:
+    """A symmetric swap whose node 2 holds node 1's very cooperativity
+    objects evaluates node 1's source once: bit for bit the evaluation
+    from two source states computed apart."""
+
+    def test_shared_source_equals_two_sources(self, rng):
+        # random caps, n_th and split; r = 0 in a fifth of the draws, and
+        # each cooperativity 0.0 or -0.0 in a fifth of its own
+        flipped = 0
+        for i in range(400):
+            t = SYMMETRIC_SWAP_TOPOLOGIES[i % len(SYMMETRIC_SWAP_TOPOLOGIES)]
+            caps = random_caps(rng)
+            n_th = 0.0 if i % 3 == 0 else rng.uniform(0.0, 3.0)
+            r = 0.0 if i % 5 == 0 else rng.uniform(0.0, 1.5)
+            tau_e = rng.uniform(0.3, 1.0)
+            t_1 = tau_e ** rng.uniform(0.0, 1.0)
+            split = (t_1, tau_e / t_1)
+            c_a, c_b = ((-0.0 if rng.uniform() < 0.5 else 0.0) if rng.uniform() < 0.2 else rng.uniform(0.0, cap)
+                        for cap in (caps.d_a, caps.d_b))
+            config = (i, t.label, caps, n_th, r, split, c_a, c_b)
+
+            def state(a, b, kind=t.kinds[0]):
+                return _mo_excess(kind, a, b, caps.tau_a, caps.tau_b, n_th, r)
+
+            want = _swap_of_sources(state(c_a, c_b), state(_fresh(c_a), _fresh(c_b)), split)
+            got = network._mm_excess(t, caps, n_th, r, (c_a, c_b, c_a, c_b), split)
+            assert [repr(x) for x in got] == [repr(x) for x in want], config
+            # equal but other objects: evaluated apart, with the same bits
+            apart = network._mm_excess(t, caps, n_th, r, (c_a, c_b, _fresh(c_a), _fresh(c_b)), split)
+            assert repr(apart) == repr(got), config
+            if c_a == 0.0:
+                # the other zero at node 2 is == node 1's, and its own state
+                other = -c_a
+                want = _swap_of_sources(state(c_a, c_b), state(other, c_b), split)
+                got_other = network._mm_excess(t, caps, n_th, r, (c_a, c_b, other, c_b), split)
+                assert [repr(x) for x in got_other] == [repr(x) for x in want], config
+                flipped += repr(got_other) != repr(got)
+        # == in place of identity would have given these draws node 1's sign
+        assert flipped >= 5, flipped
+
+    def test_shared_source_on_arrays(self, rng):
+        caps = random_caps(rng)
+        c_a = rng.uniform(0.0, caps.d_a, 50)
+        c_b = np.minimum(c_a + 0.5, caps.d_b)
+        split = (0.6, 1.0)
+        for t in SYMMETRIC_SWAP_TOPOLOGIES:
+            kind = t.kinds[0]
+            with np.errstate(all="ignore"):  # an unstable IO/IM entry may divide by 0
+                s1 = _mo_excess(kind, c_a, c_b, caps.tau_a, caps.tau_b, 0.5, 0.7)
+                s2 = _mo_excess(kind, c_a.copy(), c_b.copy(), caps.tau_a, caps.tau_b, 0.5, 0.7)
+                want = _swap_of_sources(s1, s2, split)
+                got = network._mm_excess(t, caps, 0.5, 0.7, (c_a, c_b, c_a, c_b), split)
+            assert [repr(x.tolist()) for x in got] == [repr(x.tolist()) for x in want], t.label
+
+    def test_mo_excess_calls_per_evaluation(self, monkeypatch):
+        # counted at network._mo_excess, the name the benchmark's tracer
+        # patches: one source per downconversion or symmetric swap at node
+        # 1's objects, through the public API too, and two per asymmetric swap
+        calls = []
+        mo = network._mo_excess
+        monkeypatch.setattr(network, "_mo_excess", lambda *a: calls.append(a[0]) or mo(*a))
+        caps = DeviceCaps(d_a=50.0, d_b=8.0, tau_a=0.9, tau_b=0.85, n_th=1.0)
+        c_a, c_b = 4.0, 3.6
+        for t in ALL_TOPOLOGIES:
+            want = 1 if t.is_symmetric else 2
+            split = default_loss_split(t, 0.8)
+            calls.clear()
+            network._mm_excess(t, caps, caps.n_th, 0.5, (c_a, c_b) * 2, split)
+            assert len(calls) == want, (t.label, calls)
+            calls.clear()
+            mm_log_negativity(t, NetworkConfig(caps, c_a, c_b, c_a, c_b, r=0.5, tau_e=0.8))
+            assert len(calls) == want, (t.label, calls)
+            if t.scheme == "swap" and t.is_symmetric:
+                # equal values in other objects: two sources, evaluated apart
+                calls.clear()
+                network._mm_excess(t, caps, caps.n_th, 0.5, (c_a, c_b, _fresh(c_a), _fresh(c_b)), split)
+                assert len(calls) == 2, (t.label, calls)
 
 
 class TestMmState:

@@ -6,6 +6,7 @@ import itertools
 import math
 import pickle
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -1360,21 +1361,25 @@ class TestMarginAfterMu0:
 
     def test_device_run_counts_at_the_excess_names(self, monkeypatch):
         # every margin evaluation calls thresholds._mm_excess, and that calls
-        # network._mo_excess, each looked up in its module at call time: a
-        # counting wrapper there sees every call of a 13-point pass
-        counts = {"mm": 0, "mo": 0}
-
-        def counted(key, fn):
-            def wrapper(*args):
-                counts[key] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(thresholds, "_mm_excess", counted("mm", thresholds._mm_excess))
-        monkeypatch.setattr(network, "_mo_excess", counted("mo", network._mo_excess))
+        # network._mo_excess, each looked up in its module at call time (the
+        # names the benchmark's tracer patches): a counting wrapper there
+        # sees every call of a 13-point pass, as do wrappers on the cells
+        # (experiments.optimize_cooperativities) and the ascents
+        # (thresholds._ascend).  README's device-run bullets state the counts
+        counts = collections.Counter()
+        for module, name in ((experiments, "optimize_cooperativities"), (thresholds, "_ascend"),
+                             (thresholds, "_mm_excess"), (network, "_mo_excess")):
+            monkeypatch.setattr(module, name, functools.partial(
+                lambda f, key, *a, **k: counts.update([key]) or f(*a, **k), getattr(module, name), name))
         cmd_device_run(ExperimentConfig(experiment="device-run", points=13, jobs=1))
-        assert counts["mm"] == 597, counts
-        assert counts["mo"] > 0, counts
+        cells, ascents = counts["optimize_cooperativities"], counts["_ascend"]
+        margins, sources = counts["_mm_excess"], counts["_mo_excess"]
+        assert (cells, ascents, margins, sources) == (182, 100, 597, 688), counts
+        readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+        for claim in (f"Of the {cells} cells of a 13-point `brubaker2022` run, {ascents} ascend and "
+                      f"evaluate {margins} margins in all; the other {cells - ascents} stop",
+                      f"The {margins} margins of that run evaluate `_mo_excess` {sources} times"):
+            assert claim in readme, claim
 
     def test_same_as_the_eager_box_on_random_draws(self):
         # every topology, both sides of the test at mu = 0: the value and
@@ -1431,6 +1436,67 @@ class TestRootPins:
             seen["r = 0" if r == 0.0 else "r > 0"] += 1
             seen["default" if loss_split is None else "explicit"] += 1
         assert min(seen.values()) >= 20, seen
+
+
+def _layout_of(root) -> str:
+    """The kind of a root's cell: down, symmetric swap, or a 2- or 3-slot asymmetric swap."""
+    if root.t.scheme == "down":
+        return "down"
+    return "symmetric swap" if root.t.is_symmetric else f"{len(root.split)}-slot swap"
+
+
+class TestPointsOnlyStep:
+    """An ascent step reads only the best 4-tuple at mu: point, which
+    skips the nodes' values, is argmax's point in repr, node by node and
+    for the root, and a symmetric swap's margin evaluates one source."""
+
+    def test_point_is_the_argmax_point(self):
+        # _lazy_draw: random caps, rates, splits (3-slot swaps included) and
+        # n_th on both sides of the test at mu = 0; mu at 0, small and at
+        # and just below the margin the root reaches
+        rng = generator(20261020, stream=171)
+        nodes, layouts = collections.Counter(), collections.Counter()
+        for i in range(12 * len(ALL_TOPOLOGIES)):
+            t = ALL_TOPOLOGIES[i % len(ALL_TOPOLOGIES)]
+            caps, n_th, r, tau_e, loss_split = _lazy_draw(rng, t, i)
+            rv, split = thresholds._checked_cell(t, n_th, r, tau_e, loss_split)
+            root = _NodeRoot.of(t, caps, n_th, rv, split)
+            m = max(root.solve()[1], 0.0)
+            for mu in (0.0, 1e-9, 1e-3, m * (1.0 - 1e-9), m):
+                config = (i, t.label, caps, n_th, r, split, mu)
+                for node in (root.first, root.second):
+                    assert repr(node.point(mu)) == repr(node.argmax(mu)[0]), config
+                point = root.point(mu)
+                assert repr(point) == repr(root.argmax(mu)[0]), config
+                if root.second is root.first:  # node 1's very objects: _mm_excess reuses its source
+                    assert point[2] is point[0] and point[3] is point[1], config
+            nodes.update(type(node).__name__ for node in (root.first, root.second))
+            layouts[_layout_of(root)] += 1
+        assert len(nodes) == 3 and min(nodes.values()) >= 20, nodes
+        assert len(layouts) == 4 and min(layouts.values()) >= 10, layouts
+
+    def test_one_source_per_symmetric_margin(self, monkeypatch):
+        # every margin evaluation of a solve is one _mm_excess call, which
+        # evaluates one source for a downconversion or a symmetric swap and
+        # two for an asymmetric swap, each counted at its module name
+        calls = collections.Counter()
+        mm, mo = thresholds._mm_excess, network._mo_excess
+        monkeypatch.setattr(thresholds, "_mm_excess", lambda *a: calls.update(["mm"]) or mm(*a))
+        monkeypatch.setattr(network, "_mo_excess", lambda *a: calls.update(["mo"]) or mo(*a))
+        rng = generator(20261020, stream=172)
+        ascended = collections.Counter()
+        for i in range(12 * len(ALL_TOPOLOGIES)):
+            t = ALL_TOPOLOGIES[i % len(ALL_TOPOLOGIES)]
+            caps, n_th, r, tau_e, loss_split = _lazy_draw(rng, t, i)
+            rv, split = thresholds._checked_cell(t, n_th, r, tau_e, loss_split)
+            calls.clear()
+            root = _NodeRoot.of(t, caps, n_th, rv, split)
+            root.solve()
+            per_margin = 1 if t.is_symmetric else 2
+            assert calls["mo"] == per_margin * calls["mm"], (i, t.label, calls)
+            if calls["mm"]:
+                ascended[_layout_of(root)] += 1
+        assert len(ascended) == 4 and min(ascended.values()) >= 3, ascended
 
 
 def _generic_argmax(node, mu):

@@ -46,8 +46,11 @@ def _is_array(x) -> bool:
 
     A numpy scalar such as np.float64 is no array: it takes a function's
     float path, as a float does.  No value is an array before numpy is
-    imported, so a float never imports it.
+    imported, so a float never imports it.  A float, the common case on
+    the scalar paths, returns at once.
     """
+    if type(x) is float:
+        return False
     np = sys.modules.get("numpy")
     return np is not None and isinstance(x, np.ndarray)
 

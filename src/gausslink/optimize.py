@@ -11,6 +11,18 @@ one array evaluation over a log grid (thresholds._ranked_starts).
 Nothing is random, so results are reproducible.  Objectives signal
 infeasible points (e.g. unstable operating points) by returning -inf,
 which the simplex treats as a rejection.
+
+The simplex is kept ordered best first, ties in the order they arrived:
+it is sorted (stably) once when built and again after a shrink, and a
+reflected, expanded or contracted vertex replaces the worst and is
+inserted after every value >= its own, where a stable descending sort
+would put it.  A NaN value is read as -inf where it enters the simplex
+(the initial vertices and a shrink's; a trial vertex enters only by
+comparing greater), so the order is total and the best vertex,
+simplex[0], never scores NaN.  Every comparison that steers the simplex
+is false for NaN and -inf alike, so it makes the same probes for both;
+maximize_box keeps a polish value only where it beats the best, which
+NaN never does.
 """
 
 from __future__ import annotations
@@ -59,13 +71,11 @@ def _golden(f, a, b, iters):
 def _nelder_mead(f, x0, f0, lo, hi, max_iter):
     """Projected Nelder-Mead maximization from x0 in the box, where f(x0) = f0.
 
-    Returns (x_best, f_best).
+    Returns (x_best, f_best).  The simplex stays ordered best first (see
+    the module docstring), so the best vertex is simplex[0].
     """
     dim = len(x0)
-    bounds = list(zip(lo, hi))
-
-    def clip(x):
-        return [l if v < l else (h if v > h else v) for v, (l, h) in zip(x, bounds)]
+    bounds = tuple(zip(lo, hi))
 
     # initial simplex: x0 plus 5% of the box span along each axis
     simplex = [x0]
@@ -73,41 +83,49 @@ def _nelder_mead(f, x0, f0, lo, hi, max_iter):
         step = 0.05 * (hi[i] - lo[i])
         x = list(x0)
         x[i] = x[i] + step if x[i] + step <= hi[i] else x[i] - step
-        simplex.append(clip(x))
+        simplex.append([l if v < l else (h if v > h else v) for v, (l, h) in zip(x, bounds)])
     values = [f0] + [f(x) for x in simplex[1:]]
+    simplex, values = _ordered(simplex, values)
 
     for _ in range(max_iter):
-        order = sorted(range(dim + 1), key=values.__getitem__, reverse=True)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
         best, worst = values[0], values[-1]
         if math.isfinite(best) and math.isfinite(worst):
             if best - worst <= _F_TOL * max(1.0, abs(best)):
                 break
-        centroid = [sum(col) / dim for col in zip(*simplex[:-1])]
-        pairs = list(zip(centroid, simplex[-1]))
-        refl = clip([2.0 * c - w for c, w in pairs])
-        f_refl = f(refl)
-        if f_refl > best:
-            exp = clip([3.0 * c - 2.0 * w for c, w in pairs])
+        # (centroid, worst vertex, bounds) per axis, each trial vertex clipped as it is built
+        rows = [(sum(col) / dim, w, l, h)
+                for col, w, (l, h) in zip(zip(*simplex[:-1]), simplex[-1], bounds)]
+        x = [l if (v := 2.0 * c - w) < l else (h if v > h else v) for c, w, l, h in rows]
+        fx = f(x)
+        if fx > best:
+            exp = [l if (v := 3.0 * c - 2.0 * w) < l else (h if v > h else v) for c, w, l, h in rows]
             f_exp = f(exp)
-            if f_exp > f_refl:
-                simplex[-1], values[-1] = exp, f_exp
-            else:
-                simplex[-1], values[-1] = refl, f_refl
-        elif f_refl > values[-2]:
-            simplex[-1], values[-1] = refl, f_refl
-        else:
-            contr = clip([0.5 * (c + w) for c, w in pairs])
-            f_contr = f(contr)
-            if f_contr > worst:
-                simplex[-1], values[-1] = contr, f_contr
-            else:
+            if f_exp > fx:
+                x, fx = exp, f_exp
+        elif not fx > values[-2]:
+            x = [l if (v := 0.5 * (c + w)) < l else (h if v > h else v) for c, w, l, h in rows]
+            fx = f(x)
+            if not fx > worst:
                 for i in range(1, dim + 1):
                     simplex[i] = [0.5 * (b + v) for b, v in zip(simplex[0], simplex[i])]
                     values[i] = f(simplex[i])
-    i_best = max(range(dim + 1), key=values.__getitem__)
-    return simplex[i_best], values[i_best]
+                simplex, values = _ordered(simplex, values)
+                continue
+        # the trial replaces the worst vertex, after every value >= its own
+        i = dim
+        while i and values[i - 1] < fx:
+            i -= 1
+        del simplex[-1], values[-1]
+        simplex.insert(i, x)
+        values.insert(i, fx)
+    return simplex[0], values[0]
+
+
+def _ordered(simplex, values):
+    """The simplex and its values sorted best first, NaN read as -inf; ties keep their order."""
+    values = [-math.inf if v != v else v for v in values]
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    return [simplex[i] for i in order], [values[i] for i in order]
 
 
 def maximize_box(

@@ -638,6 +638,11 @@ class _ConverterNode:
         point = self.point(mu)
         return point, self.value(*point, mu)
 
+    @property
+    def at_zero(self) -> tuple[tuple[float, float], float]:
+        """argmax(0.0), the test at mu = 0."""
+        return self.argmax(0.0)
+
     def value(self, c_a: float, c_b: float, mu: float) -> float:
         s = 1.0 + c_a + c_b
         q = s * s
@@ -665,7 +670,8 @@ class _BlueNode:
     A node depends on its kind, the caps and n_th alone, not on a
     cell's tau_e, r or split, so _NodeRoot takes it from _blue_node,
     which keeps it on the caps object.  Nothing changes it after
-    __init__.
+    __init__, which also keeps argmax(0.0), the test of every cell at
+    mu = 0, as at_zero.
     """
 
     def __init__(self, kind: MoKind, caps: DeviceCaps, n_th: float):
@@ -687,6 +693,7 @@ class _BlueNode:
             s, c = min(lines, key=lambda line: line[0] * 0.5 * (lo + hi) + line[1])
             pieces.append((lo, hi, *self._coefficients(s, c)))
         self.pieces = tuple(pieces)
+        self.at_zero = self.argmax(0.0)
 
     def _factors(self, v, u):
         """The factors (v u, a~ / 4 tau_a, b~ / 4 tau_b), of numbers or of polynomials in v."""
@@ -806,6 +813,11 @@ class _EmNode:
         """argmax's point alone."""
         return self.argmax(mu)[0]
 
+    @property
+    def at_zero(self) -> tuple[tuple[float, float], float]:
+        """argmax(0.0), the test at mu = 0."""
+        return self.argmax(0.0)
+
 
 def _source_node(kind: MoKind, caps: DeviceCaps, n_th: float, sh2: float, tau: float):
     """The node of a source: a converter node for EO (tau in front of its
@@ -859,10 +871,15 @@ class _NodeRoot:
         return cls(*cell, first, second, split[0], split[1], 1.0)
 
     def argmax(self, mu: float) -> tuple[tuple[float, float, float, float], float]:
-        """The best 4-tuple at mu, and w_1 v_1 + w_2 v_2 - offset there."""
-        first, second = self.first, self.second
-        x1, v1 = first.argmax(mu)
-        x2, v2 = (x1, v1) if second is first else second.argmax(mu)
+        """The best 4-tuple at mu, and w_1 v_1 + w_2 v_2 - offset there.
+
+        At mu = 0 each node's at_zero serves, which a blue node keeps.
+        """
+        def best(node):
+            return node.at_zero if mu == 0.0 else node.argmax(mu)
+
+        x1, v1 = best(self.first)
+        x2, v2 = (x1, v1) if self.second is self.first else best(self.second)
         return x1 + x2, self.w1 * v1 + self.w2 * v2 - self.offset
 
     def point(self, mu: float) -> tuple[float, float, float, float]:

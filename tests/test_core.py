@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,10 +275,24 @@ class TestTypes:
 class TestIsArray:
     """The one array predicate of the float and array branches."""
 
-    @pytest.mark.parametrize("x", [1.0, 0.0, -math.inf, math.nan, 3, np.float64(1.0), np.float64(0.0)])
+    @pytest.mark.parametrize("x", [1.0, 0.0, -0.0, -math.inf, math.nan, 3, True,
+                                   np.float64(1.0), np.float64(0.0), np.int64(3), [1.0], (1.0,)])
     def test_scalars_are_not_arrays(self, x):
         assert _is_array(x) is False
 
-    @pytest.mark.parametrize("x", [np.array(1.0), np.array([1.0]), np.zeros((2, 3))])
+    @pytest.mark.parametrize("x", [np.array(1.0), np.array([1.0]), np.zeros((2, 3)), np.array(3)])
     def test_arrays_of_any_shape_are(self, x):
         assert _is_array(x) is True
+
+    def test_no_value_is_an_array_before_numpy_is_imported(self):
+        # a fresh interpreter that has not imported numpy: every value takes
+        # the scalar path, and asking imports nothing
+        code = ("import sys\n"
+                "from gausslink.core import _is_array\n"
+                "assert 'numpy' not in sys.modules\n"
+                "assert [_is_array(x) for x in (1.0, float('nan'), 3, True, [1.0], None)] == [False] * 6\n"
+                "assert 'numpy' not in sys.modules\n"
+                "print('ok')")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")})
+        assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr

@@ -1381,6 +1381,34 @@ class TestMarginAfterMu0:
                       f"The {margins} margins of that run evaluate `_mo_excess` {sources} times"):
             assert claim in readme, claim
 
+    def test_blue_nodes_keep_their_test_at_mu_0(self, monkeypatch):
+        # an IO or IM node computes argmax(0.0) once, when it is built
+        # (at_zero), and each IO or IM cell's test at mu = 0 reads it.  A
+        # root that calls argmax(0.0) per cell makes 78 such calls in a
+        # 13-point run, beside 218 at mu > 0; with the nodes kept on the
+        # caps, a run makes the 218 alone, and every run's rows are equal
+        # in repr
+        calls = collections.Counter()
+        argmax = _BlueNode.argmax
+        monkeypatch.setattr(_BlueNode, "argmax", lambda node, mu: calls.update(
+            ["mu = 0" if mu == 0.0 else "mu > 0"]) or argmax(node, mu))
+        cfg = ExperimentConfig(experiment="device-run", points=13, jobs=1, caps=brubaker2022_caps())
+        rows = repr(cmd_device_run(cfg)[0])
+        assert calls == {"mu = 0": 2, "mu > 0": 218}, calls  # one per node built
+        calls.clear()
+        assert repr(cmd_device_run(cfg)[0]) == rows
+        assert calls == {"mu > 0": 218}, calls
+
+        def per_cell(root, mu):
+            x1, v1 = root.first.argmax(mu)
+            x2, v2 = (x1, v1) if root.second is root.first else root.second.argmax(mu)
+            return x1 + x2, root.w1 * v1 + root.w2 * v2 - root.offset
+
+        monkeypatch.setattr(_NodeRoot, "argmax", per_cell)
+        calls.clear()
+        assert repr(cmd_device_run(cfg)[0]) == rows
+        assert calls == {"mu = 0": 78, "mu > 0": 218}, calls
+
     def test_same_as_the_eager_box_on_random_draws(self):
         # every topology, both sides of the test at mu = 0: the value and
         # the argmax equal, in repr, those of the box, whose margin closure

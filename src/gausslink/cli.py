@@ -1,7 +1,7 @@
 """Command-line interface.
 
     gausslink threshold-vs-da [--config F] [--out PATH] [--jobs N] [--points N]
-    gausslink threshold-vs-loss [--config F] [--out PATH] [--jobs N] [--points N]
+    gausslink threshold-vs-loss [--config F] [--out PATH] [--points N]
     gausslink device-run [--config F] [--out PATH] [--jobs N] [--points N]
     gausslink ebit-rate [--config F] [--out PATH]
     gausslink validate [--config F] [--out PATH] [--seed N] [--quick]
@@ -26,7 +26,6 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     OutputError,
-    _wrong_type,
     cmd_device_run,
     cmd_ebit_rate,
     cmd_threshold_vs_da,
@@ -60,14 +59,6 @@ def _caps_from_dict(d) -> DeviceCaps:
         raise ConfigError(f"invalid caps: {exc}") from exc
 
 
-def _config_value(key: str, value):
-    """Config value for an ExperimentConfig field, checked against the field's type."""
-    problem = _wrong_type(key, value)
-    if problem:
-        raise ConfigError(problem)
-    return tuple(value) if isinstance(value, list) else value
-
-
 def _load_config(args) -> ExperimentConfig:
     reads = SETTINGS[args.command]
     cfg = ExperimentConfig(experiment=args.command)
@@ -86,7 +77,7 @@ def _load_config(args) -> ExperimentConfig:
         if key == "caps":
             cfg.caps = _caps_from_dict(value)
         else:
-            setattr(cfg, key, _config_value(key, value))
+            setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
     for key in reads:
         value = getattr(args, key, None)
         if value is not None:

@@ -107,7 +107,7 @@ class ExperimentConfig:
 SETTINGS = {
     "threshold-vs-da": ("r", "points", "d_a_range", "d_b_values", "tau_a", "tau_b", "jobs",
                         "out"),
-    "threshold-vs-loss": ("r", "points", "d_b_loss", "loss_db_max", "jobs", "out"),
+    "threshold-vs-loss": ("r", "points", "d_b_loss", "loss_db_max", "out"),
     "device-run": ("caps", "squeezing_db", "points", "taue_db_max", "jobs", "out"),
     "ebit-rate": ("caps", "fiber_km", "loss_db_per_km", "bandwidth_hz", "out"),
     "validate": ("seed", "checks_n", "out"),
@@ -121,14 +121,13 @@ class ConfigError(ValueError):
 _DEFAULTS = ExperimentConfig()
 
 
-def _wrong_type(key: str, value, cfg=None):
+def _wrong_type(key: str, value, cfg):
     """Why value cannot be the ExperimentConfig field key, if it cannot; a rule of _RULES.
 
     The field's default sets the type: an integer where it is an int, a
     list or tuple of numbers where it is a tuple, a DeviceCaps for caps,
     a string or None for out, and otherwise a number (or None for r).  A
-    bool is neither an integer nor a number.  The CLI checks the values
-    of a JSON config with it too.
+    bool is neither an integer nor a number.
     """
     default = getattr(_DEFAULTS, key)
     if value is None and default is None:
@@ -152,10 +151,8 @@ def _is_number(v) -> bool:
 
 
 def _domain(want: str, ok):
-    """The rule that a setting's whole value, unless None, passes ok, described as want."""
-    return lambda key, value, cfg: (
-        None if value is None or ok(value) else f"{key} must be {want}, got {value!r}"
-    )
+    """The rule that a setting's whole value passes ok, described as want."""
+    return lambda key, value, cfg: None if ok(value) else f"{key} must be {want}, got {value!r}"
 
 
 def _distinct_tags(key, squeezing_db, cfg):
@@ -191,7 +188,7 @@ def _writable(key, path, cfg):
 #: they are checked: rule(field, value, cfg) names what is wrong, if
 #: anything.  Each field's type (_wrong_type) is checked first, so a value
 #: rule sees a value of its field's type, or None where the field may be
-#: None (r, out), which passes it.  NaN fails every domain.
+#: None (r, out), which its rule passes.  NaN fails every domain.
 #: A negative loss in dB would be a gain, the seed keys a 64-bit generator,
 #: a geometric d_a grid cannot reach 0, squeezing is bounded as
 #: SqueezeParam bounds it, and the caps as DeviceCaps bounds them, by C_MAX
@@ -215,7 +212,7 @@ _RULES = [
                            lambda v: all(0 <= x <= C_MAX for x in v))),
     ("d_b_loss", _domain(f">= 0 and at most {C_MAX / 10:g}", lambda v: 0 <= v <= C_MAX / 10)),
     *((key, _domain("in [0, 1]", lambda v: 0 <= v <= 1)) for key in ("tau_a", "tau_b")),
-    ("r", _domain(f"in [0, {R_MAX}]", lambda v: 0 <= v <= R_MAX)),
+    ("r", _domain(f"in [0, {R_MAX}]", lambda v: v is None or 0 <= v <= R_MAX)),
     ("squeezing_db", _domain(f"each >= 0 and at most r = {R_MAX} (about 869 dB)",
                              lambda v: all(0 <= x <= _DB_MAX for x in v))),
     ("taue_db_max", _domain("finite and >= 0, leaving a transmissivity > 0",
@@ -365,13 +362,6 @@ def cmd_threshold_vs_da(cfg: ExperimentConfig):
 
 # -- threshold vs optical loss ------------------------------------------------
 
-def _loss_point(args):
-    loss_db, d_a, d_b, tau_b, r = args
-    tau_a = 10.0 ** (-loss_db / 10.0)
-    caps = DeviceCaps(d_a=d_a, d_b=d_b, tau_a=tau_a, tau_b=tau_b, n_th=0.0)
-    return _threshold_cells(caps, r, {"loss_db": loss_db, "tau_a": tau_a})
-
-
 def _fit_slopes(rows, lo_db, hi_db):
     """Log-log slope of threshold versus tau_a over [lo_db, hi_db].
 
@@ -406,9 +396,11 @@ def cmd_threshold_vs_loss(cfg: ExperimentConfig):
     d_b = cfg.d_b_loss
     d_a = 10.0 * d_b
     tau_b = 1.0
-    grid = _linspace(0.0, cfg.loss_db_max, cfg.points)
-    args = [(db, d_a, d_b, tau_b, r) for db in grid]
-    rows = _map_points(_loss_point, args, cfg.jobs)
+    rows = []
+    for loss_db in _linspace(0.0, cfg.loss_db_max, cfg.points):
+        tau_a = 10.0 ** (-loss_db / 10.0)
+        caps = DeviceCaps(d_a=d_a, d_b=d_b, tau_a=tau_a, tau_b=tau_b, n_th=0.0)
+        rows.append(_threshold_cells(caps, r, {"loss_db": loss_db, "tau_a": tau_a}))
     slopes = _fit_slopes(rows, cfg.loss_db_max - 10.0, cfg.loss_db_max)
     columns = ["loss_db", "tau_a"] + [name for name, _ in _TOPOLOGY_COLUMNS]
     caps0 = DeviceCaps(d_a, d_b, 1.0, tau_b, 0.0)

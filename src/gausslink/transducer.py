@@ -105,7 +105,10 @@ class PhysicalRates:
     """Resonator linewidths needed by the second stability criterion.
 
     Only the ratios to gamma_m matter; the cooperativity-coupling bridge
-    is C_i = 4 G_i**2 / (kappa_i gamma_m).
+    is C_i = 4 G_i**2 / (kappa_i gamma_m).  With either side blue-pumped
+    (+, the other -), kappa_+ gamma_m and the stability bound's scale
+    (kappa_- + gamma_m) / (kappa_+ gamma_m) must be finite and > 0 as
+    doubles, so that _blue_bound never divides by 0 or reads NaN.
     """
 
     kappa_a: float
@@ -115,6 +118,13 @@ class PhysicalRates:
     def __post_init__(self):
         if not all(0.0 < x <= _FINITE for x in (self.kappa_a, self.kappa_b, self.gamma_m)):
             raise ValueError(f"all rates must be finite and > 0, got {self}")
+        for plus, minus in ((self.kappa_a, self.kappa_b), (self.kappa_b, self.kappa_a)):
+            product = plus * self.gamma_m
+            if not (0.0 < product <= _FINITE and 0.0 < (minus + self.gamma_m) / product <= _FINITE):
+                raise ValueError(
+                    "kappa_+ gamma_m and (kappa_- + gamma_m) / (kappa_+ gamma_m) must be finite"
+                    f" and > 0 for both pump sides, got {self}"
+                )
 
 
 DEFAULT_RATES = PhysicalRates(kappa_a=100.0, kappa_b=100.0, gamma_m=1.0)

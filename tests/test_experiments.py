@@ -306,7 +306,7 @@ class TestValidateCommand:
         assert code == 0, f"failing checks: {failing}"
         assert report["pass"]
 
-    @pytest.mark.parametrize("checks_n", [-5, 0, 2.0, True])
+    @pytest.mark.parametrize("checks_n", [-5, 0, 2.0, True, None])
     def test_rejects_an_invalid_checks_n(self, checks_n):
         # checks_n=-5 used to run the floor draw counts and pass
         with pytest.raises(ValueError, match="checks_n must be an integer >= 1"):
@@ -430,6 +430,7 @@ class TestCli:
             ("device-run", {"squeezing_db": [3, 3.0000000000001]}, [], True),
             ("validate", {"checks_n": -5}, [], True),
             ("validate", {"checks_n": 0}, [], True),
+            ("validate", {"checks_n": None}, [], True),
             ("validate", {"checks_n": 100}, ["--quick"], False),
             ("threshold-vs-da", {"points": 0}, [], True),
             ("ebit-rate", {"bandwidth_hz": -1}, [], True),
@@ -437,7 +438,7 @@ class TestCli:
             ("threshold-vs-da", {"d_b_values": []}, [], True),
             ("device-run", {"squeezing_db": []}, [], True),
             ("device-run", {"points": 2.5}, [], True),
-            ("threshold-vs-loss", {"jobs": 1.5}, [], True),
+            ("device-run", {"jobs": 1.5}, [], True),
             ("threshold-vs-da", {"points": True}, [], True),
             ("validate", {"seed": 1.0}, [], True),
             ("device-run", {"squeezing_db": 5.0}, [], True),
@@ -450,8 +451,8 @@ class TestCli:
              "tau-above-1", "negative-squeezing", "one-entry-d_a_range", "seed-beyond-64-bits",
              "underflowing-fiber-loss", "zero-jobs", "negative-jobs", "nan-d_a",
              "infinite-kappa_a", "repeated-squeezing", "squeezing-sharing-a-tag",
-             "negative-checks_n", "zero-checks_n", "quick-with-checks_n", "zero-points-config",
-             "negative-bandwidth", "three-entry-d_a_range", "empty-d_b_values",
+             "negative-checks_n", "zero-checks_n", "null-checks_n", "quick-with-checks_n",
+             "zero-points-config", "negative-bandwidth", "three-entry-d_a_range", "empty-d_b_values",
              "empty-squeezing", "fractional-points", "fractional-jobs", "boolean-points",
              "float-seed", "float-for-list", "string-tau_a", "null-caps-device-run",
              "null-caps-ebit-rate"],
@@ -605,7 +606,8 @@ class TestCli:
         # the path is checked before the command runs any point, search or check
         import gausslink.experiments as exp
 
-        for name in ("_map_points", "optimize_cooperativities", "_worst_draw"):
+        for name in ("_map_points", "_threshold_cells", "optimize_cooperativities",
+                     "_worst_draw"):
             monkeypatch.setattr(exp, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
         out = tmp_path / "missing" / "out"
         argv = [command] + (["--quick"] if command == "validate" else []) + ["--out", str(out)]
@@ -657,6 +659,27 @@ class TestCli:
         assert main(["ebit-rate", "--config", str(cfg)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["log_negativity"] > 0.0
+
+    @pytest.mark.parametrize("command", ["device-run", "ebit-rate"])
+    @pytest.mark.parametrize(
+        "rates",
+        [{"kappa_a": 1e6, "kappa_b": 3.0, "gamma_m": 1e308},
+         {"kappa_a": 1e-200, "kappa_b": 1e-200, "gamma_m": 1e-200},
+         {"kappa_a": 1e-170, "kappa_b": 3.0, "gamma_m": 1e-170}],
+        ids=["overflowing-product", "underflowing-products", "underflowing-optical-product"],
+    )
+    def test_rates_beyond_the_double_range_are_config_errors(self, command, rates, tmp_path,
+                                                             capsys):
+        # kappa_+ gamma_m overflows to inf (the stability bound is NaN) or
+        # underflows to 0 (the bound divides by it)
+        caps = {"d_a": 26000.0, "d_b": 10.0, "tau_a": 0.157, "tau_b": 0.33, "n_th": 1.0, **rates}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"caps": caps}))
+        size = ["--points", "2"] if command == "device-run" else []
+        assert main([command, "--config", str(cfg)] + size) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid caps: ") and len(err.splitlines()) == 1
+        assert all(f"{k}={v!r}" in err for k, v in rates.items()), err
 
     def test_validate_quick_exit_zero(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -748,7 +771,7 @@ class TestSettings:
         "argv", [["threshold-vs-da", "--preset", "brubaker2022"], ["ebit-rate", "--seed", "3"],
                  ["validate", "--jobs", "2"], ["device-run", "--preset", "brubaker2022"],
                  ["ebit-rate", "--preset", "brubaker2022"], ["threshold-vs-da", "--seed", "1"],
-                 ["device-run", "--seed", "1"]],
+                 ["device-run", "--seed", "1"], ["threshold-vs-loss", "--jobs", "2"]],
     )
     def test_other_flags_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

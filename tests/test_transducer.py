@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gausslink import (
     CovMat2,
@@ -20,6 +22,8 @@ from gausslink import (
 )
 from gausslink.sampling import generator, random_red_params, random_source_params
 from gausslink.sources import MoKind
+from gausslink.thresholds import _BlueNode
+from gausslink.transducer import C_MAX, _blue_bound, _blue_bound_lines
 
 
 def reference_channel(p):
@@ -197,6 +201,27 @@ class TestStability:
     def test_rates_validated(self):
         with pytest.raises(ValueError):
             PhysicalRates(0.0, 1.0, 1.0)
+
+    # log-uniform over [5e-324, the largest double]: 2**-1074 up to just below 2**1024
+    _RATE = st.floats(-1074.0, 1024.0, exclude_max=True).map(lambda e: 2.0**e)
+
+    @given(_RATE, _RATE, _RATE)
+    @example(1e3, 1e-2, 1e-320)  # the scales overflow, and a line would read 0 * inf
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_rates_give_a_bound(self, kappa_a, kappa_b, gamma_m):
+        # every accepted set of rates gives numbers as the bound and its
+        # lines on both sides, and a blue node, without a 0 division
+        try:
+            rates = PhysicalRates(kappa_a, kappa_b, gamma_m)
+        except ValueError:
+            return
+        for optical_blue in (True, False):
+            for c_red in (0.0, 1.0, C_MAX):
+                assert not math.isnan(_blue_bound(c_red, rates, optical_blue))
+            assert not any(map(math.isnan, sum(_blue_bound_lines(rates, optical_blue), ())))
+        caps = DeviceCaps(26000.0, 10.0, 0.157, 0.33, 1.0, rates)
+        for kind in (MoKind.IO, MoKind.IM):
+            _BlueNode(kind, caps, caps.n_th)
 
 
 class TestParamsValidation:

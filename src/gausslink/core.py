@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -125,7 +125,20 @@ def _frozen_matrix(m, n: int, what: str, symmetric: bool = False) -> np.ndarray:
     return m
 
 
-class CovMat2:
+class _Frozen:
+    """Base of the values that hold read-only matrices (frozen dataclasses, eq=False).
+
+    Equality and hash are by identity, since arrays have no truth value
+    to compare by.  A copy, deep copy or unpickled value is built again
+    through the constructor, so its matrices are read-only again.
+    """
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class CovMat2(_Frozen):
     """4x4 real symmetric covariance matrix of a two-mode Gaussian state.
 
     Construction only enforces finite entries and symmetry; physicality
@@ -133,16 +146,10 @@ class CovMat2:
     matrices are useful as negative test inputs.
     """
 
-    __slots__ = ("m",)
+    m: np.ndarray
 
-    def __init__(self, m):
-        object.__setattr__(self, "m", _frozen_matrix(m, 4, "covariance matrix", symmetric=True))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CovMat2 is immutable")
-
-    def __repr__(self):
-        return f"CovMat2({self.m!r})"
+    def __post_init__(self):
+        object.__setattr__(self, "m", _frozen_matrix(self.m, 4, "covariance matrix", symmetric=True))
 
 
 class BalancedForm(NamedTuple):
@@ -181,31 +188,28 @@ class BalancedForm(NamedTuple):
         return cls(a, b, c)
 
 
-def _freeze_channel(ch, n: int) -> None:
-    object.__setattr__(ch, "T", _frozen_matrix(ch.T, n, "channel matrix T"))
-    object.__setattr__(ch, "N", _frozen_matrix(ch.N, n, "channel noise matrix N", symmetric=True))
+@dataclass(frozen=True, eq=False)
+class _Channel(_Frozen):
+    """Gaussian channel V -> T V T^t + N, T and N of the subclass's size _dim."""
+
+    T: np.ndarray
+    N: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "T", _frozen_matrix(self.T, self._dim, "channel matrix T"))
+        object.__setattr__(self, "N", _frozen_matrix(self.N, self._dim, "channel noise matrix N", True))
 
 
-@dataclass(frozen=True)
-class TwoModeChannel:
+class TwoModeChannel(_Channel):
     """Gaussian channel acting on covariance matrices as V -> T V T^t + N."""
 
-    T: np.ndarray
-    N: np.ndarray
-
-    def __post_init__(self):
-        _freeze_channel(self, 4)
+    _dim = 4
 
 
-@dataclass(frozen=True)
-class OneModeChannel:
+class OneModeChannel(_Channel):
     """Single-mode Gaussian channel, same convention at 2x2."""
 
-    T: np.ndarray
-    N: np.ndarray
-
-    def __post_init__(self):
-        _freeze_channel(self, 2)
+    _dim = 2
 
 
 def make_tms(r) -> CovMat2:

@@ -161,6 +161,11 @@ def _distinct_tags(key, squeezing_db, cfg):
         return f"squeezing_db values {list(squeezing_db)} repeat a column tag: {tags}"
 
 
+def _grid_fits(key, d_b_values, cfg):
+    if cfg.points * len(d_b_values) > _MAX_POINTS:
+        return f"points x len({key}) must be at most {_MAX_POINTS}, got {cfg.points * len(d_b_values)}"
+
+
 def _fiber_transmits(key, fiber_km, cfg):
     db = fiber_km * cfg.loss_db_per_km
     if not 10.0 ** (-db / 10.0) > 0.0:
@@ -197,14 +202,29 @@ def _writable(key, path, cfg):
 #: integer too large for a float is rejected rather than overflowing at
 #: run time; squeezing_db is compared in dB, and an external or fiber loss
 #: must leave a transmissivity a double holds.
+#:
+#: The sizes are bounded above too, so that a run ends with rows that
+#: fit in memory, and a rate stays finite.  A sweep keeps every row, and
+#: threshold-vs-da's grid is points x len(d_b_values) cells, so either
+#: grid holds at most _MAX_POINTS points, five times the largest run
+#: measured (20,100 points).  Each squeezing_db value adds three columns,
+#: each optimised at every device-run point, so at most 16 values.  The
+#: validate checks draw up to checks_n items each, the swap theorem's
+#: 2 checks_n states in one array, so checks_n is at most 10**6, 50
+#: times its default.  bandwidth_hz is at most 1e15 Hz, above any
+#: optical carrier, so that a rate (at most a few tens of e-bits times
+#: the bandwidth) stays finite.
 _NONNEGATIVE = _domain("finite and >= 0", lambda v: 0 <= v <= _FINITE)
 _DB_MAX = squeeze_r_to_db(R_MAX)
+_MAX_POINTS = 100_000
 _RULES = [
     # checks_n's one rule checks its type along with its range
     *((f.name, _wrong_type) for f in fields(ExperimentConfig) if f.name != "checks_n"),
-    *((key, _domain(">= 1", lambda v: v >= 1)) for key in ("points", "jobs")),
-    *((key, _domain("non-empty", lambda v: len(v) > 0)) for key in ("d_b_values", "squeezing_db")),
-    ("checks_n", _domain("an integer >= 1", lambda v: type(v) is int and v >= 1)),
+    ("points", _domain(f">= 1 and at most {_MAX_POINTS}", lambda v: 1 <= v <= _MAX_POINTS)),
+    ("jobs", _domain(">= 1", lambda v: v >= 1)),
+    ("d_b_values", _domain("non-empty", lambda v: len(v) > 0)),
+    ("squeezing_db", _domain("1 to 16 values", lambda v: 1 <= len(v) <= 16)),
+    ("checks_n", _domain("an integer >= 1, at most 10**6", lambda v: type(v) is int and 1 <= v <= 10**6)),
     ("seed", _domain("in [0, 2**64)", lambda v: 0 <= v < 2**64)),
     ("d_a_range", _domain(f"2 numbers, each > 0 and at most {C_MAX:g}",
                           lambda v: len(v) == 2 and all(0 < x <= C_MAX for x in v))),
@@ -217,9 +237,10 @@ _RULES = [
                              lambda v: all(0 <= x <= _DB_MAX for x in v))),
     ("taue_db_max", _domain("finite and >= 0, leaving a transmissivity > 0",
                             lambda v: 0 <= v <= _FINITE and 10.0 ** (-v / 10.0) > 0.0)),
-    *((key, _NONNEGATIVE)
-      for key in ("loss_db_max", "fiber_km", "loss_db_per_km", "bandwidth_hz")),
+    *((key, _NONNEGATIVE) for key in ("loss_db_max", "fiber_km", "loss_db_per_km")),
+    ("bandwidth_hz", _domain(">= 0 and at most 1e15 Hz", lambda v: 0 <= v <= 1e15)),
     ("squeezing_db", _distinct_tags),
+    ("d_b_values", _grid_fits),
     ("fiber_km", _fiber_transmits),
     ("out", _writable),
 ]

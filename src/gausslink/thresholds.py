@@ -63,13 +63,16 @@ __all__ = [
 class ThresholdResult:
     """Upper bound on n_th for entanglement, with the achieving settings.
 
-    can_entangle is False when the topology cannot entangle at these
-    caps for any n_th >= 0 (the bound is then reported as 0).
+    The bound is 0 where the topology cannot entangle at these caps
+    for any n_th >= 0, and only there, so can_entangle reads it.
     """
 
     n_th_max: float
     argmax: tuple[float, float, float, float]
-    can_entangle: bool = True
+
+    @property
+    def can_entangle(self) -> bool:
+        return self.n_th_max > 0.0
 
 
 #: Ranked starts of each threshold search (the EM-swap cell of
@@ -265,9 +268,8 @@ def analytic_threshold(
     # the closed forms are suprema over C_b > 0: at C_b = 0 or tau_b = 0 no
     # converter transmits and no intrinsic source correlates, as their
     # c is proportional to sqrt(tau_a tau_b C_a C_b)
-    if value <= 0.0 or not math.isfinite(value) or db == 0.0 or tb == 0.0:
-        return ThresholdResult(0.0, arg, can_entangle=False)
-    return ThresholdResult(value, arg, can_entangle=True)
+    entangles = 0.0 < value < math.inf and db > 0.0 and tb > 0.0
+    return ThresholdResult(value if entangles else 0.0, arg)
 
 
 #: The entries of a node's (C_a, C_b) that each node code of a layout
@@ -395,9 +397,9 @@ def _margin_closure(t, caps, n_th, r, split, axes: tuple):
     return margin
 
 
-def _margin_fn(t, caps, n_th, r, split, pin_cb: bool = False):
-    """Margin over mirrored (c_a, c_b), less the axis that pin_cb pins (_converter_nodes)."""
-    return _margin_closure(t, caps, n_th, r, split, _converter_nodes(t)[:1] if pin_cb else (2,))
+def _margin_fn(t, caps, n_th, r, split):
+    """Margin over mirrored (c_a, c_b)."""
+    return _margin_closure(t, caps, n_th, r, split, (2,))
 
 
 def _margin_fn_down(t, caps, n_th, r, split):
@@ -411,9 +413,9 @@ def _margin_fn_down(t, caps, n_th, r, split):
     return _margin_closure(t, caps, n_th, r, split, (2, 0))
 
 
-def _margin_fn4(t, caps, n_th, r, split, pin_cb: bool = False):
-    """Margin over all four cooperativities, less the axes that pin_cb pins (_converter_nodes)."""
-    return _margin_closure(t, caps, n_th, r, split, _converter_nodes(t) if pin_cb else (2, 2))
+def _margin_fn4(t, caps, n_th, r, split):
+    """Margin over all four cooperativities."""
+    return _margin_closure(t, caps, n_th, r, split, (2, 2))
 
 
 def _witness_axes(t: Topology) -> tuple[int, ...]:
@@ -481,8 +483,8 @@ def numeric_threshold(
     threshold.  At most
     _BISECT_STEPS halvings bound the loop, which binds only for
     thresholds below about 2**-176 of the bracket.  If the topology
-    cannot entangle even at n_th = 0 the result carries
-    can_entangle=False and a bound of 0.
+    cannot entangle even at n_th = 0 the bound is 0 (can_entangle
+    False).
     """
     if not t.is_symmetric:
         raise ValueError("numeric thresholds are defined for the symmetric topologies")
@@ -494,7 +496,7 @@ def numeric_threshold(
 
     witness = _entangled_at(t, caps, 0.0, rv, split, candidates)
     if hi0 <= 0.0 or witness is None:
-        return ThresholdResult(0.0, coords(candidates[0]), False)
+        return ThresholdResult(0.0, coords(candidates[0]))
 
     lo, hi = 0.0, hi0
     for _ in range(_BISECT_STEPS):
@@ -507,7 +509,7 @@ def numeric_threshold(
         else:
             hi = mid
     n_star = 0.5 * (lo + hi)
-    return ThresholdResult(n_star, coords(witness), True)
+    return ThresholdResult(n_star, coords(witness))
 
 
 @functools.lru_cache(maxsize=len(_SEED_GRID))
@@ -601,7 +603,22 @@ def _times(p, q) -> tuple[float, float, float]:
     return p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[1] * q[1]
 
 
-class _ConverterNode:
+class _Node:
+    """A node of the node-local condition: argmax(mu) is its best point and value at mu.
+
+    point(mu) is argmax's point alone, and at_zero is argmax(0.0), the
+    test at mu = 0.
+    """
+
+    def point(self, mu: float) -> tuple[float, float]:
+        return self.argmax(mu)[0]
+
+    @property
+    def at_zero(self) -> tuple[tuple[float, float], float]:
+        return self.argmax(0.0)
+
+
+class _ConverterNode(_Node):
     """A converter node in the node-local condition.
 
     With sh2 = sinh(r)^2 it is an EO source, whose value is its h; with
@@ -638,11 +655,6 @@ class _ConverterNode:
         point = self.point(mu)
         return point, self.value(*point, mu)
 
-    @property
-    def at_zero(self) -> tuple[tuple[float, float], float]:
-        """argmax(0.0), the test at mu = 0."""
-        return self.argmax(0.0)
-
     def value(self, c_a: float, c_b: float, mu: float) -> float:
         s = 1.0 + c_a + c_b
         q = s * s
@@ -654,7 +666,7 @@ class _ConverterNode:
         return _ratio(self.sh2 * (tq - nq - mu * q), tq * self.sh2 + nq + mu * q)
 
 
-class _BlueNode:
+class _BlueNode(_Node):
     """An IO or IM source on its stability face, in the node-local condition.
 
     Its axis is its red-pumped side v, and its blue-pumped side u sits
@@ -670,9 +682,11 @@ class _BlueNode:
     A node depends on its kind, the caps and n_th alone, not on a
     cell's tau_e, r or split, so _NodeRoot takes it from _blue_node,
     which keeps it on the caps object.  Nothing changes it after
-    __init__, which also keeps argmax(0.0), the test of every cell at
-    mu = 0, as at_zero.
+    __init__, so it computes at_zero, the test of every cell at mu = 0,
+    once and keeps it.
     """
+
+    at_zero = functools.cached_property(_Node.at_zero.fget)
 
     def __init__(self, kind: MoKind, caps: DeviceCaps, n_th: float):
         self.io, self.caps = kind is _IO, caps
@@ -693,7 +707,6 @@ class _BlueNode:
             s, c = min(lines, key=lambda line: line[0] * 0.5 * (lo + hi) + line[1])
             pieces.append((lo, hi, *self._coefficients(s, c)))
         self.pieces = tuple(pieces)
-        self.at_zero = self.argmax(0.0)
 
     def _factors(self, v, u):
         """The factors (v u, a~ / 4 tau_a, b~ / 4 tau_b), of numbers or of polynomials in v."""
@@ -755,10 +768,6 @@ class _BlueNode:
                     best, value = st, h
         return best[0], value
 
-    def point(self, mu: float) -> tuple[float, float]:
-        """argmax's face point alone."""
-        return self.argmax(mu)[0]
-
 
 def _blue_node(kind: MoKind, caps: DeviceCaps, n_th: float) -> _BlueNode:
     """_BlueNode(kind, caps, n_th), kept on caps for kind until a call with another n_th object.
@@ -773,7 +782,7 @@ def _blue_node(kind: MoKind, caps: DeviceCaps, n_th: float) -> _BlueNode:
     return node
 
 
-class _EmNode:
+class _EmNode(_Node):
     """An EM source in the node-local condition; both of its axes stay open.
 
     Its h is 4 tau_a C_a (kappa C_b - n_th) / (1 + C_a + C_b)^2, with
@@ -809,15 +818,6 @@ class _EmNode:
                     best, value = point, h
         return best, value
 
-    def point(self, mu: float) -> tuple[float, float]:
-        """argmax's point alone."""
-        return self.argmax(mu)[0]
-
-    @property
-    def at_zero(self) -> tuple[tuple[float, float], float]:
-        """argmax(0.0), the test at mu = 0."""
-        return self.argmax(0.0)
-
 
 def _source_node(kind: MoKind, caps: DeviceCaps, n_th: float, sh2: float, tau: float):
     """The node of a source: a converter node for EO (tau in front of its
@@ -837,9 +837,9 @@ class _NodeRoot:
     maximises its value alone (argmax, which returns the node's (C_a,
     C_b), pins applied), so a point is the cooperativity 4-tuple.  A
     symmetric swap holds one node (second is first), whose best point
-    and value serve both.  Only the test at mu = 0 reads the values;
-    an ascent step reads the 4-tuple alone (point), which a converter
-    node computes without its value.  A symmetric swap's 4-tuple holds
+    and value serve both.  Only the test at mu = 0 (at_zero) reads the
+    values; an ascent step reads the 4-tuple alone (point), which a
+    converter node computes without its value.  A symmetric swap's 4-tuple holds
     node 1's point twice, the same objects, so its margin evaluates
     one source state (network._mm_excess).
 
@@ -870,20 +870,20 @@ class _NodeRoot:
         second = first if t.is_symmetric else _source_node(t.kinds[1], caps, n_th, sh2, tau)
         return cls(*cell, first, second, split[0], split[1], 1.0)
 
-    def argmax(self, mu: float) -> tuple[tuple[float, float, float, float], float]:
-        """The best 4-tuple at mu, and w_1 v_1 + w_2 v_2 - offset there.
+    @property
+    def at_zero(self) -> tuple[tuple[float, float, float, float], float]:
+        """The best 4-tuple at mu = 0, and w_1 v_1 + w_2 v_2 - offset there.
 
-        At mu = 0 each node's at_zero serves, which a blue node keeps.
+        From each node's at_zero, which a blue node keeps.  A symmetric
+        swap reads its one node once, so its 4-tuple holds node 1's point
+        twice, the same objects.
         """
-        def best(node):
-            return node.at_zero if mu == 0.0 else node.argmax(mu)
-
-        x1, v1 = best(self.first)
-        x2, v2 = (x1, v1) if self.second is self.first else best(self.second)
+        x1, v1 = self.first.at_zero
+        x2, v2 = (x1, v1) if self.second is self.first else self.second.at_zero
         return x1 + x2, self.w1 * v1 + self.w2 * v2 - self.offset
 
     def point(self, mu: float) -> tuple[float, float, float, float]:
-        """argmax's 4-tuple alone, from each node's point: all that a step reads."""
+        """The best 4-tuple at mu, from each node's point: all that a step reads."""
         x1 = self.first.point(mu)
         return x1 + (x1 if self.second is self.first else self.second.point(mu))
 
@@ -900,7 +900,7 @@ class _NodeRoot:
         Otherwise each step moves to the best point at the margin of the
         last, while that raises the margin (_ascend).
         """
-        cs, excess = self.argmax(0.0)
+        cs, excess = self.at_zero
         if not excess > 0.0:
             return self.first.zero + self.second.zero, 0.0
         return _ascend(cs, self.margin, self.point)
@@ -942,7 +942,7 @@ class _CooperativityBox:
         rv, split = _checked_cell(t, n_th, r, tau_e, loss_split)
         mirrored = t.is_symmetric and (t.scheme == "swap" or (t.kinds[0] is _EO and split[0] == split[1]))
         axes = _converter_nodes(t)[: 1 if mirrored else 2]
-        margin = (_margin_fn if mirrored else _margin_fn4)(t, caps, n_th, rv, split, pin_cb=True)
+        margin = _margin_closure(t, caps, n_th, rv, split, axes)
         hi = [(caps.d_a, caps.d_b)[j] for k in axes for j in _NODE_AXES[k]]
         full = _layout_coords(caps, axes)
         nodes = tuple(zip(t.kinds if t.scheme == "swap" else (t.kinds[0], None), axes))
@@ -1282,7 +1282,7 @@ def optimize_loss_split(
         return t3, root(t3).point(mu)
 
     t3, cs = best_at(0.0)
-    m = root(t3).argmax(0.0)[1]
+    m = root(t3).at_zero[1]
     if m > 0.0:  # the condition at mu = 0: some split of the edge entangles
         (t3, _), m = _ascend((t3, cs), lambda point: root(point[0]).margin(point[1]), best_at)
     if not m > 0.0:

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -257,6 +260,30 @@ class TestTypes:
         for m in (ch.T, ch.N):
             with pytest.raises(ValueError):
                 m[0, 0] = 2.0
+
+    @pytest.mark.parametrize("make", [lambda: make_tms(0.3), lambda: loss_channel(0.5),
+                                      lambda: TwoModeChannel(np.eye(4), 0.25 * np.eye(4))],
+                             ids=["CovMat2", "OneModeChannel", "TwoModeChannel"])
+    def test_copies_are_frozen_again(self, make):
+        # pickle, copy and deepcopy rebuild through the constructor: equal
+        # arrays, read-only again, and an object of the same type
+        x = make()
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(y) is type(x) and y is not x
+            for name in vars(x):
+                got = getattr(y, name)
+                assert np.array_equal(got, getattr(x, name)) and not got.flags.writeable, name
+                with pytest.raises(ValueError):
+                    got[0, 0] = 2.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                y.T = None
+
+    def test_equality_and_hash_are_by_identity(self):
+        for make in (lambda: make_tms(0.3), lambda: loss_channel(0.5),
+                     lambda: TwoModeChannel(np.eye(4), 0.25 * np.eye(4))):
+            x, y = make(), make()
+            assert x == x and x != y and x in [y, x] and x not in [y]
+            assert hash(x) == hash(x) and len({x, y, x}) == 2
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_matrices_reject_non_finite_entries(self, bad):

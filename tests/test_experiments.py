@@ -1,14 +1,19 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gausslink import (
     SYMMETRIC_TOPOLOGIES,
@@ -22,7 +27,7 @@ from gausslink import (
     mm_log_negativity,
     numeric_threshold,
 )
-from gausslink import cli
+from gausslink import cli, experiments
 from gausslink.cli import main
 from gausslink.experiments import (
     SETTINGS,
@@ -809,3 +814,149 @@ class TestLinspace:
         # step == 0, where numpy scales i / (num - 1) by stop - start
         grid = _linspace(0.0, stop, num)
         assert [x.hex() for x in grid] == [x.hex() for x in np.linspace(0.0, stop, num).tolist()]
+
+
+class TestSizeBounds:
+    """Each size a run allocates by is bounded above, and a setting beyond
+    its bound exits 2 before a grid, a point or a draw is built."""
+
+    @pytest.mark.parametrize(
+        "command, config, argv, message",
+        [
+            ("device-run", {}, ["--points", "1000000000"], "points must be >= 1 and at most 100000"),
+            ("device-run", {"points": 10**28}, [], "points must be >= 1 and at most 100000"),
+            ("threshold-vs-loss", {}, ["--points", "100001"], "points must be >= 1 and at most 100000"),
+            ("threshold-vs-loss", {"points": 10**28}, [], "points must be >= 1 and at most 100000"),
+            ("threshold-vs-da", {}, ["--points", "50001"],
+             "points x len(d_b_values) must be at most 100000, got 100002"),
+            ("threshold-vs-da", {"points": 20001, "d_b_values": [1, 2, 3, 4, 5]}, [],
+             "points x len(d_b_values) must be at most 100000, got 100005"),
+            ("device-run", {"squeezing_db": list(range(17))}, [], "squeezing_db must be 1 to 16 values"),
+            ("validate", {"checks_n": 10**7}, [], "checks_n must be an integer >= 1, at most 10**6"),
+            ("ebit-rate", {"caps": {"d_a": 1e6, "d_b": 1e6, "tau_a": 1, "tau_b": 1, "n_th": 0},
+                           "fiber_km": 0, "bandwidth_hz": 1e308}, [],
+             "bandwidth_hz must be >= 0 and at most 1e15 Hz"),
+        ],
+        ids=["points-flag", "points-config", "loss-points-flag", "loss-points-config",
+             "da-grid-flag", "da-grid-config", "squeezing-values", "checks_n", "bandwidth"],
+    )
+    def test_beyond_a_bound_is_config_error(self, command, config, argv, message, tmp_path, capsys,
+                                            monkeypatch):
+        def ran(name):
+            return lambda *args, **kwargs: pytest.fail(f"{name} ran")
+
+        for name in ("_linspace", "_map_points", "_threshold_cells", "_worst_draw",
+                     "optimize_cooperativities"):
+            monkeypatch.setattr(experiments, name, ran(name))
+        monkeypatch.setattr(np, "geomspace", ran("geomspace"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path)] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [("threshold-vs-loss", {"points": 100_000}),
+         ("threshold-vs-da", {"points": 50_000, "d_b_values": [1, 2]}),
+         ("device-run", {"squeezing_db": list(range(16))}),
+         ("validate", {"checks_n": 10**6}),
+         ("ebit-rate", {"bandwidth_hz": 1e15})],
+    )
+    def test_the_bounds_themselves_pass(self, command, config):
+        cfg = ExperimentConfig(experiment=command, **{
+            k: tuple(v) if isinstance(v, list) else v for k, v in config.items()})
+        experiments._check_settings(cfg, command)
+
+
+#: Edge values of the config fuzz: numbers (zero, +-1, the least
+#: subnormal, the largest double, 2**64), lists of them, and values of
+#: no setting's type (a string, null, an empty list, an object)
+_NUMBER = st.sampled_from([0, 1, -1, 0.5, 5e-324, 1e308, -1e308, 2**64])
+_EDGE_VALUE = st.one_of(
+    _NUMBER,
+    st.lists(_NUMBER, min_size=1, max_size=3),
+    st.sampled_from(["1", None, [], [None], {"d_a": 1}]),
+)
+#: caps objects: each field a cap's edge, with all three rates or none
+_EDGE_CAPS = st.builds(
+    lambda caps, rates: {**caps, **rates},
+    st.fixed_dictionaries({k: st.sampled_from([0, 5e-324, 0.5, 1, 1e6, 1e12, -1, 1e308])
+                           for k in _CAPS}),
+    st.one_of(st.just({}), st.fixed_dictionaries({k: _NUMBER for k in ("kappa_a", "kappa_b", "gamma_m")})),
+)
+
+
+def _edge_setting(key):
+    """Edge values for a setting: three in four of its default's shape (a
+    number, a list of numbers, caps), so that some configs run."""
+    default = getattr(ExperimentConfig(), key)
+    if key == "points":
+        shaped = st.sampled_from([1, 2, 5])
+    elif key == "caps":
+        shaped = _EDGE_CAPS
+    elif isinstance(default, tuple):
+        shaped = st.lists(_NUMBER, min_size=1, max_size=3)
+    else:
+        shaped = _NUMBER
+    return st.integers(0, 3).flatmap(lambda i: shaped if i else _EDGE_VALUE)
+
+
+#: Each setting at a largest edge, the one explicit draw of every
+#: command: at these caps ebit-rate's 19.9 e-bits times 1e308 Hz would
+#: overflow to inf
+_LARGEST = {
+    "caps": {"d_a": 1e6, "d_b": 1e6, "tau_a": 1, "tau_b": 1, "n_th": 0}, "fiber_km": 0,
+    "loss_db_per_km": 0, "bandwidth_hz": 1e308, "points": 5, "checks_n": 1, "squeezing_db": [868],
+    "d_a_range": [1e12, 1e12], "d_b_values": [1e12], "r": 100, "d_b_loss": 1e11,
+    "loss_db_max": 1e308, "taue_db_max": 3000, "seed": 2**64 - 1, "jobs": 1, "tau_a": 1, "tau_b": 1,
+}
+#: A nan, inf or Infinity token in an output
+_NON_FINITE = re.compile(r"(?<![a-z])(nan|-?inf(inity)?)(?![a-z])", re.I)
+
+
+class TestConfigFuzz:
+    """No JSON config lets an exception escape main, and no successful run
+    prints a value that is not finite."""
+
+    @pytest.mark.parametrize("command", list(SETTINGS))
+    def test_edge_configs_exit_cleanly(self, command):
+        # points stays at 5 or fewer and checks_n at 1 or invalid, so that
+        # a run is quick; out is a path in a fresh directory or null
+        row = SETTINGS[command]
+        forced = {"points": _edge_setting("points").filter(lambda v: not (type(v) is int and v > 5)),
+                  "checks_n": _edge_setting("checks_n").filter(lambda v: not (type(v) is int and v > 1))}
+        strategies = {k: _edge_setting(k) for k in row if k not in forced and k != "out"}
+        config = st.fixed_dictionaries(
+            {k: forced[k] for k in row if k in forced},
+            optional={**strategies, "out": st.sampled_from([None, "out"])})
+
+        @settings(max_examples=15 if command == "validate" else 150, deadline=None,
+                  derandomize=True, database=None)
+        @given(config)
+        @example({k: v for k, v in _LARGEST.items() if k in row})
+        def run(config):
+            with tempfile.TemporaryDirectory() as folder:
+                if config.get("out"):
+                    config["out"] = os.path.join(folder, "out")
+                path = os.path.join(folder, "cfg.json")
+                with open(path, "w") as fh:
+                    json.dump(config, fh)
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main([command, "--config", path])
+                assert code in (0, 1, 2), (config, code)
+                if code == 2:
+                    assert stderr.getvalue().startswith("config error: "), (config, stderr.getvalue())
+                if code == 0:
+                    texts = [stdout.getvalue()]
+                    if config.get("out"):
+                        with open(config["out"]) as fh:
+                            texts.append(fh.read())
+                    for text in texts:
+                        # threshold-vs-loss's slopes are NaN where the fit
+                        # window holds fewer than two distinct tau_a
+                        lines = [line for line in text.splitlines() if not line.startswith("# slope_")]
+                        assert not _NON_FINITE.search("\n".join(lines)), (config, text)
+
+        run()

@@ -1,5 +1,6 @@
 import ast
 import collections
+import dataclasses
 import functools
 import inspect
 import itertools
@@ -16,6 +17,7 @@ from gausslink import (
     DeviceCaps,
     NetworkConfig,
     PhysicalRates,
+    ThresholdResult,
     Topology,
     analytic_threshold,
     max_stable_ca,
@@ -688,16 +690,17 @@ def _box_point(box, cs) -> list[float]:
 def _box_solve(box):
     """(4-tuple, margin) of box.root(), ascended on the box's own axes and margin.
 
-    The root's argmax, cut to the box's axes, gives each step; the
-    layout map box.full and the layout's margin closure box.margin do
-    the rest, as the root did before its nodes pinned their points.
+    The root's test at mu = 0 and its points, cut to the box's axes,
+    give each step; the layout map box.full and the layout's margin
+    closure box.margin do the rest, as the root did before its nodes
+    pinned their points.
     """
     root = box.root()
-    x, excess = root.argmax(0.0)
+    x, excess = root.at_zero
     if not excess > 0.0:
         return box.full([0.0] * len(box.hi)), 0.0
     x, m = thresholds._ascend(_box_point(box, x), box.margin,
-                              lambda mu: _box_point(box, root.argmax(mu)[0]))
+                              lambda mu: _box_point(box, root.point(mu)))
     return box.full(x), m
 
 
@@ -1159,8 +1162,8 @@ class TestSwapDiagonal:
     @pytest.mark.parametrize("t", _SYMMETRIC_SWAPS, ids=lambda t: t.label)
     def test_diagonal_reaches_the_free_search(self, t, noise, shares):
         # the same search of the test's own runs on the pinned layout with
-        # both nodes free (_margin_fn4 with pin_cb, 2-D; 4-D for EM) and on
-        # its diagonal (_margin_fn with pin_cb): the diagonal is never
+        # both nodes free (_converter_nodes, 2-D; 4-D for EM) and on its
+        # diagonal (the mirrored box's margin): the diagonal is never
         # lower.  optimize_cooperativities solves that diagonal node by
         # node, to the same 1e-12
         rng = generator(20260808, stream=120)
@@ -1169,8 +1172,8 @@ class TestSwapDiagonal:
             caps, n_th, r, tau_e, split = _diagonal_draw(rng, noise, shares)
             box = _CooperativityBox.of(t, caps, n_th, r, tau_e, split)
             assert box.mirrored
-            free = _margin_fn4(t, caps, n_th, r, split, pin_cb=True)
-            diagonal = _margin_fn(t, caps, n_th, r, split, pin_cb=True)
+            free = thresholds._margin_closure(t, caps, n_th, r, split, thresholds._converter_nodes(t))
+            diagonal = box.margin
             v = _log2_negativity(_free_search(free, box.hi * 2, rng))
             d = _log2_negativity(_free_search(diagonal, box.hi, rng))
             cs, e = optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)
@@ -1193,7 +1196,7 @@ class TestSwapDiagonal:
             caps, n_th, r, tau_e, split = _diagonal_draw(rng, noise, shares)
             assert _CooperativityBox.of(t, caps, n_th, r, tau_e, split).root is not None
             cs, e = optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)
-            free = _margin_fn4(t, caps, n_th, r, split, pin_cb=True)
+            free = thresholds._margin_closure(t, caps, n_th, r, split, thresholds._converter_nodes(t))
             axes = [np.unique(np.concatenate([[0.0], caps.d_a * np.geomspace(1e-9, 1.0, 200),
                                               np.linspace(0.0, caps.d_a, 200)]))] * 2
             best = -math.inf
@@ -1303,7 +1306,7 @@ class TestNodeRoot:
         for t in (Topology.swap_sym(MoKind.IO), Topology.down(MoKind.IM)):
             box = _CooperativityBox.of(t, caps, caps.tau_a * caps.d_a, 0.0)
             root = box.root()
-            assert root.argmax(0.0)[1] <= 0.0
+            assert root.at_zero[1] <= 0.0
             cs, m = root.solve()
             assert cs == box.full([0.0] * len(box.hi)) and m <= 0.0
 
@@ -1333,7 +1336,7 @@ def _lazy_draw(rng, t, i):
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             root = _CooperativityBox.of(t, caps, mid, r, tau_e, split).root()
-            lo, hi = (mid, hi) if root.argmax(0.0)[1] > 0.0 else (lo, mid)
+            lo, hi = (mid, hi) if root.at_zero[1] > 0.0 else (lo, mid)
         return caps, hi * (1.0 + rng.uniform(-1e-6, 1e-6)), r, tau_e, split
     return caps, caps.tau_a * caps.d_a * 10.0 ** rng.uniform(-1.0, 2.0), r, tau_e, split
 
@@ -1348,10 +1351,9 @@ class TestMarginAfterMu0:
         # ascend; none builds a margin closure, which a box builds for
         # every cell
         built, ascents = [], []
-        for name in ("_margin_fn", "_margin_fn4"):
-            factory = getattr(thresholds, name)
-            monkeypatch.setattr(thresholds, name, functools.partial(
-                lambda f, *a, **k: built.append(a[0].label) or f(*a, **k), factory))
+        closure = thresholds._margin_closure  # every margin factory and box builds through it
+        monkeypatch.setattr(thresholds, "_margin_closure",
+                            lambda *a: built.append(a[0].label) or closure(*a))
         ascend = thresholds._ascend
         monkeypatch.setattr(thresholds, "_ascend",
                             lambda *a: ascents.append(1) or ascend(*a))
@@ -1404,7 +1406,7 @@ class TestMarginAfterMu0:
             x2, v2 = (x1, v1) if root.second is root.first else root.second.argmax(mu)
             return x1 + x2, root.w1 * v1 + root.w2 * v2 - root.offset
 
-        monkeypatch.setattr(_NodeRoot, "argmax", per_cell)
+        monkeypatch.setattr(_NodeRoot, "at_zero", property(lambda root: per_cell(root, 0.0)))
         calls.clear()
         assert repr(cmd_device_run(cfg)[0]) == rows
         assert calls == {"mu = 0": 78, "mu > 0": 218}, calls
@@ -1438,7 +1440,7 @@ class TestRootPins:
         # _lazy_draw: random caps and rates, r = 0 in every fourth draw,
         # default or explicit splits, 3-slot swaps included, and n_th on
         # both sides of the test at mu = 0.  The 4-tuple of every cell,
-        # and of the root's argmax at other mu, is the layout map at its
+        # and of the root's point at other mu, is the layout map at its
         # own axes, in repr; the margin of an ascent is the closure's there
         rng = generator(20261020, stream=141)
         seen = dict.fromkeys(("exit", "ascent", "r = 0", "r > 0", "default", "explicit"), 0)
@@ -1452,14 +1454,14 @@ class TestRootPins:
             config = (i, t.label, caps, n_th, r, tau_e, loss_split, cs)
             assert repr(box.full(x)) == repr(cs), config
             root = box.root()
-            if root.argmax(0.0)[1] > 0.0:
+            if root.at_zero[1] > 0.0:
                 assert m == box.margin(x), config
                 seen["ascent"] += 1
             else:
                 assert x == [0.0] * len(x) and m == 0.0, config
                 seen["exit"] += 1
             for mu in (1e-6, 1e-3, 0.1, max(m, 0.0)):
-                point = root.argmax(mu)[0]
+                point = root.point(mu)
                 assert repr(box.full(_box_point(box, point))) == repr(point), (config, mu)
             seen["r = 0" if r == 0.0 else "r > 0"] += 1
             seen["default" if loss_split is None else "explicit"] += 1
@@ -1476,7 +1478,8 @@ def _layout_of(root) -> str:
 class TestPointsOnlyStep:
     """An ascent step reads only the best 4-tuple at mu: point, which
     skips the nodes' values, is argmax's point in repr, node by node and
-    for the root, and a symmetric swap's margin evaluates one source."""
+    for the root (its nodes' argmax points), and a symmetric swap's
+    margin evaluates one source."""
 
     def test_point_is_the_argmax_point(self):
         # _lazy_draw: random caps, rates, splits (3-slot swaps included) and
@@ -1495,7 +1498,7 @@ class TestPointsOnlyStep:
                 for node in (root.first, root.second):
                     assert repr(node.point(mu)) == repr(node.argmax(mu)[0]), config
                 point = root.point(mu)
-                assert repr(point) == repr(root.argmax(mu)[0]), config
+                assert repr(point) == repr(root.first.argmax(mu)[0] + root.second.argmax(mu)[0]), config
                 if root.second is root.first:  # node 1's very objects: _mm_excess reuses its source
                     assert point[2] is point[0] and point[3] is point[1], config
             nodes.update(type(node).__name__ for node in (root.first, root.second))
@@ -1811,8 +1814,8 @@ class TestBluePin:
 
     def test_pinned_layouts_are_finite_on_the_seed_grid(self):
         # the unchecked pinned layouts of every topology never meet an
-        # unstable point; _margin_fn's mirrored layout serves only
-        # symmetric topologies (_CooperativityBox)
+        # unstable point; the mirrored layout serves only symmetric
+        # topologies (_CooperativityBox)
         rng = generator(20261019, stream=117)
         for i in range(6):
             rates = PhysicalRates(*(10.0 ** rng.uniform(-8.0, 8.0, 3)).tolist())
@@ -1821,15 +1824,15 @@ class TestBluePin:
             for t in ALL_TOPOLOGIES:
                 split = default_loss_split(t, rng.uniform(0.5, 1.0))
                 nodes = thresholds._converter_nodes(t)
-                for factory, axes in ((_margin_fn, nodes[:1]), (_margin_fn4, nodes)):
+                for axes in (nodes[:1], nodes):
                     dim = sum(len(thresholds._NODE_AXES[k]) for k in axes)
-                    if factory is _margin_fn and not t.is_symmetric or dim > 3:
+                    if len(axes) == 1 and not t.is_symmetric or dim > 3:
                         continue  # EM-swap's 4-D layout, with no blue node, has no seed grid
                     hi = np.array([(caps.d_a, caps.d_b)[j] for k in axes
                                    for j in thresholds._NODE_AXES[k]])
-                    m = factory(t, caps, n_th, r, split, pin_cb=True)(
+                    m = thresholds._margin_closure(t, caps, n_th, r, split, axes)(
                         thresholds._unit_seed_grid(dim) * hi[:, None])
-                    assert np.all(np.isfinite(m)), (i, t.label, factory.__name__, caps)
+                    assert np.all(np.isfinite(m)), (i, t.label, axes, caps)
 
     def test_mends_a_search_miss_next_to_the_face(self):
         # the free 3-D search ended at the downconverter's cap with 2.08e-4
@@ -2445,7 +2448,8 @@ class TestOneRootPath:
         # random caps, rates, n_th (0 in about a fifth of the draws), r (0
         # in a fifth), splits (down(EO), every other draw, uniform in half
         # of its draws) and mu in {0} and geomspace(1e-8, 1).  The root's
-        # argmax is x1 * 2, with the value that a mirrored branch computed
+        # point is x1 * 2, and at mu = 0, the only mu whose value the root
+        # computes, its value is the one that a mirrored branch computed
         # from node 1's point
         rng = generator(20261020, stream=161)
         swaps = [t for t in SYMMETRIC_TOPOLOGIES if t.scheme == "swap"]
@@ -2469,9 +2473,56 @@ class TestOneRootPath:
                 v2 = v1 if second is first else second.value(*x1, mu)
                 config = (i, t.label, caps, n_th, r, split, mu)
                 assert x2 == x1, config
-                assert root.argmax(mu) == (x1 * 2, root.w1 * v1 + root.w2 * v2 - root.offset), config
+                assert root.point(mu) == x1 * 2, config
+                if mu == 0.0:
+                    assert root.at_zero == (x1 * 2, root.w1 * v1 + root.w2 * v2 - root.offset), config
             seen[(t.scheme, split[0] == split[1], r > 0.0)] += 1
         assert len(seen) == 6 and min(seen.values()) >= 15, seen
+
+
+
+class TestEachFactHeldOnce:
+    """A threshold's feasibility is its bound, a box's margin is the
+    closure of the axes it holds, and the root computes a value only at
+    mu = 0."""
+
+    def test_can_entangle_is_a_positive_bound(self):
+        arg = (1.0, 1.0, 1.0, 1.0)
+        assert [f.name for f in dataclasses.fields(ThresholdResult)] == ["n_th_max", "argmax"]
+        assert not ThresholdResult(0.0, arg).can_entangle
+        assert ThresholdResult(5e-324, arg).can_entangle
+        rng = generator(20261022, stream=180)
+        caps = [random_caps(rng) for _ in range(6)] + [DeviceCaps(100.0, 0.0, 0.9, 0.75, 0.0)]
+        bounds = [analytic_threshold(t, c, r).n_th_max
+                  for c in caps for t in SYMMETRIC_TOPOLOGIES for r in (0.0, 0.6)]
+        assert 0.0 in bounds and max(bounds) > 0.0
+
+    def test_box_margin_is_the_closure_of_its_axes(self):
+        # each margin factory keeps one layout, and the box builds its
+        # margin from the axes it holds: equal to their closure bit for bit
+        # on its seed grid, for every topology
+        for name in ("_margin_fn", "_margin_fn_down", "_margin_fn4"):
+            assert list(inspect.signature(getattr(thresholds, name)).parameters) == [
+                "t", "caps", "n_th", "r", "split"], name
+        caps = PRESETS["brubaker2022"]["caps"]
+        n_th = 0.01 * caps.tau_a * caps.d_a
+        for t in ALL_TOPOLOGIES:
+            box = _CooperativityBox.of(t, caps, n_th, 0.5, 0.8)
+            if len(box.hi) > 3:
+                continue  # EM-swap's 4-D layout has no seed grid
+            split = default_loss_split(t, 0.8)
+            closure = thresholds._margin_closure(t, caps, n_th, 0.5, split, tuple(k for _, k in box.nodes))
+            x = thresholds._unit_seed_grid(len(box.hi)) * np.array(box.hi)[:, None]
+            assert box.margin(x).tobytes() == closure(x).tobytes(), t.label
+
+    def test_root_tests_only_mu_0(self):
+        assert not hasattr(_NodeRoot, "argmax")
+        caps = PRESETS["brubaker2022"]["caps"]
+        for t in ALL_TOPOLOGIES:
+            root = _NodeRoot.of(t, caps, caps.n_th, 0.5, default_loss_split(t, 0.8))
+            (x1, v1), (x2, v2) = root.first.at_zero, root.second.at_zero
+            assert root.at_zero == (x1 + x2, root.w1 * v1 + root.w2 * v2 - root.offset), t.label
+            assert root.point(0.0) == x1 + x2, t.label
 
 
 #: Entry points of the production solves, by module.

@@ -88,34 +88,38 @@ def _nelder_mead(f, x0, f0, lo, hi, max_iter):
     simplex, values = _ordered(simplex, values)
 
     for _ in range(max_iter):
-        best, worst = values[0], values[-1]
-        if math.isfinite(best) and math.isfinite(worst):
-            if best - worst <= _F_TOL * max(1.0, abs(best)):
-                break
-        # (centroid, worst vertex, bounds) per axis, each trial vertex clipped as it is built
-        rows = [(sum(col) / dim, w, l, h)
-                for col, w, (l, h) in zip(zip(*simplex[:-1]), simplex[-1], bounds)]
-        x = [l if (v := 2.0 * c - w) < l else (h if v > h else v) for c, w, l, h in rows]
+        best = values[0]
+        # ordered, so a finite best over a -inf worst already fails the spread test
+        if math.isfinite(best) and best - values[-1] <= _F_TOL * max(1.0, abs(best)):
+            break
+        centroid = [sum(col) / dim for col in zip(*simplex[:-1])]
+        worst = simplex[-1]
+        # each trial vertex is clipped to the box as it is built
+        x = [l if (v := 2.0 * c - w) < l else (h if v > h else v)
+             for c, w, (l, h) in zip(centroid, worst, bounds)]
         fx = f(x)
         if fx > best:
-            exp = [l if (v := 3.0 * c - 2.0 * w) < l else (h if v > h else v) for c, w, l, h in rows]
+            exp = [l if (v := 3.0 * c - 2.0 * w) < l else (h if v > h else v)
+                   for c, w, (l, h) in zip(centroid, worst, bounds)]
             f_exp = f(exp)
             if f_exp > fx:
                 x, fx = exp, f_exp
         elif not fx > values[-2]:
-            x = [l if (v := 0.5 * (c + w)) < l else (h if v > h else v) for c, w, l, h in rows]
+            x = [l if (v := 0.5 * (c + w)) < l else (h if v > h else v)
+                 for c, w, (l, h) in zip(centroid, worst, bounds)]
             fx = f(x)
-            if not fx > worst:
+            if not fx > values[-1]:
                 for i in range(1, dim + 1):
                     simplex[i] = [0.5 * (b + v) for b, v in zip(simplex[0], simplex[i])]
                     values[i] = f(simplex[i])
                 simplex, values = _ordered(simplex, values)
                 continue
         # the trial replaces the worst vertex, after every value >= its own
+        simplex.pop()
+        values.pop()
         i = dim
         while i and values[i - 1] < fx:
             i -= 1
-        del simplex[-1], values[-1]
         simplex.insert(i, x)
         values.insert(i, fx)
     return simplex[0], values[0]

@@ -145,7 +145,7 @@ def _em_down_cell(c_a, c_b, tau_a, tau_b, d_a):
 def _em_swap_cell(c_a, c_b, tau_a, tau_b):
     """EM-swap bound at (c_a, c_b), -inf where tau_a c_a <= 0; floats or arrays, elementwise."""
     den = 8.0 * tau_a * c_a
-    if not _is_array(den):
+    if type(den) is float or not _is_array(den):  # a float probe skips the call
         return -math.inf if den <= 0.0 else tau_b * c_b - (1.0 + c_a + c_b) ** 2 / den
     import numpy as np
 
@@ -528,15 +528,37 @@ def _ranked_starts(margin, hi, corners, n):
 
     The pool is the corners followed by a log grid of the box [0, hi]
     (_SEED_GRID points per axis, from _SEED_FLOOR of each cap up to the
-    cap); one array evaluation of margin ranks all of it.  Ties keep
-    pool order, so the choice is deterministic.
+    cap); one array evaluation of margin ranks all of it.  The points
+    are picked by selection, not by sorting the pool: argmax, which
+    takes the first of equal values, picks the best point left above
+    -inf and masks it, and a pick equal to a point already taken masks
+    every pool column equal to it instead.  Once no point above -inf is
+    left, the -inf points and then the NaN ones follow, each in pool
+    order.  That is the order of a stable descending sort of the whole
+    pool, NaN last, so the starts are the sort's:
+    tests/test_thresholds.py::TestRankedStarts holds the selection to a
+    frozen copy of the sort.
     """
     import numpy as np
 
     grid = np.array(hi, dtype=float)[:, None] * _unit_seed_grid(len(hi))
     pool = np.concatenate([np.array(corners, dtype=float).T, grid], axis=1)
+    values = margin(pool)
+    live = np.fmax(values, -np.inf)  # a copy, NaN read as -inf
     starts: list[list[float]] = []
-    for i in np.argsort(-margin(pool), kind="stable"):
+    while len(starts) < n:
+        i = int(live.argmax())
+        if live[i] == -np.inf:
+            break
+        point = pool[:, i].tolist()
+        if point in starts:
+            live[(pool == pool[:, i : i + 1]).all(axis=0)] = -np.inf
+        else:
+            live[i] = -np.inf
+            starts.append(point)
+    if len(starts) == n:
+        return starts
+    for i in [*np.flatnonzero(values == -np.inf), *np.flatnonzero(np.isnan(values))]:
         if len(starts) == n:
             break
         point = pool[:, i].tolist()

@@ -261,6 +261,85 @@ class TestEmOracle:
             assert down[i] == _em_down_cell(float(c_a[i]), float(c_b[i]), 0.9, 0.8, 50.0)
 
 
+def _sorting_ranked_starts(margin, hi, corners, n):
+    """_ranked_starts as it was before it picked by selection: the
+    reference of the selection, frozen.  It sorts the whole pool, stably
+    and best first, NaN last, and takes the first n distinct points."""
+    grid = np.array(hi, dtype=float)[:, None] * thresholds._unit_seed_grid(len(hi))
+    pool = np.concatenate([np.array(corners, dtype=float).T, grid], axis=1)
+    starts = []
+    for i in np.argsort(-margin(pool), kind="stable"):
+        if len(starts) == n:
+            break
+        point = pool[:, i].tolist()
+        if point not in starts:
+            starts.append(point)
+    return starts
+
+
+def _ranked_draw(rng):
+    """A seeded start pool: (margin, hi, corners, n, kinds).
+
+    The margin is a function of the point, so equal points score alike.
+    It takes a few levels, zeros of both signs among them, so distinct
+    points tie; a share of points scores +inf, -inf or NaN, most of the
+    pool in some draws.  One corner is a grid point, an axis may have
+    zero width, and n may exceed the number of distinct points.
+    """
+    dim = int(rng.integers(1, 4))
+    hi = 10.0 ** rng.uniform(-2.0, 3.0, dim)
+    kinds = {f"dim {dim}"}
+    if rng.random() < 0.3:
+        hi[rng.integers(dim)] = 0.0
+        kinds.add("zero-width axis")
+    grid = hi[:, None] * thresholds._unit_seed_grid(dim)
+    corners = [hi.tolist(), grid[:, rng.integers(grid.shape[1])].tolist(),
+               (hi * rng.uniform(0.0, 1.0, dim)).tolist()]
+    levels = int(rng.integers(2, 40))
+    # shares of NaN, -inf and +inf, each up to about a third of the pool, or nearly all of it
+    cuts = np.cumsum(rng.uniform(0.0, 0.33, 3) * (0.999 if rng.random() < 0.3 else rng.random()))
+    phase = rng.uniform(0.0, 10.0, 3)
+
+    def margin(pool):
+        s = np.log1p(pool).sum(axis=0)
+        level = np.floor(levels * (0.5 + 0.5 * np.sin(7.0 * s + phase[0])))
+        sign = np.where(np.sin(3.0 * s + phase[1]) < 0.0, -1.0, 1.0)
+        special = 0.5 + 0.5 * np.sin(13.0 * s + phase[2])
+        out = sign * level
+        out[special < cuts[2]] = np.inf
+        out[special < cuts[1]] = -np.inf
+        out[special < cuts[0]] = np.nan
+        return out
+
+    n = int(rng.choice([1, 3, 4, 8, 16, 60]))
+    return margin, hi.tolist(), corners, n, kinds
+
+
+class TestRankedStarts:
+    def test_selection_takes_the_sorted_starts(self):
+        # the selection returns the stable sort's starts, in its order,
+        # on pools with ties, a corner on the grid, zero-width axes,
+        # +inf, -inf and NaN margins, and n beyond the distinct points
+        rng = np.random.default_rng(20261022)
+        seen = set()
+        for i in range(400):
+            margin, hi, corners, n, kinds = _ranked_draw(rng)
+            want = _sorting_ranked_starts(margin, hi, corners, n)
+            assert _ranked_starts(margin, hi, corners, n) == want, (i, hi, corners, n, kinds)
+            values = margin(np.array(want).T)
+            seen |= kinds | {str(v) for v in values if not np.isfinite(v)}
+            if len(want) < n:
+                seen.add("n beyond the distinct points")
+            if np.isnan(values).any() and (values == -np.inf).any():
+                seen.add("-inf and NaN starts")
+            finite = values[np.isfinite(values)]
+            if len(finite) > len(set(finite.tolist())):
+                seen.add("tied starts")
+        want = {"dim 1", "dim 2", "dim 3", "zero-width axis", "inf", "-inf", "nan",
+                "n beyond the distinct points", "-inf and NaN starts", "tied starts"}
+        assert seen >= want, want - seen
+
+
 class TestMaxStableCa:
     def test_first_criterion_binds_with_default_rates(self):
         caps = DeviceCaps(100.0, 10.0, 0.9, 0.8, 0.0)

@@ -12,8 +12,10 @@ imported from src/ of this checkout.  Each line is ``DIGEST  NAME``:
   digits.
 
 Two checkouts whose lines are equal give the same outputs, byte for
-byte.  Only the standard library and the package's own dependencies
-are used.
+byte.  The five file lines are committed beside this script, in
+``output_digests.txt``, and CI fails where they differ: a change that
+moves an output updates that file in the same diff.  Only the standard
+library and the package's own dependencies are used.
 """
 
 from __future__ import annotations

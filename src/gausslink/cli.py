@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 from .experiments import (
     SETTINGS,
@@ -34,8 +35,9 @@ from .experiments import (
 )
 from .transducer import DEFAULT_RATES, DeviceCaps, PhysicalRates
 
-_CAPS_KEYS = {"d_a", "d_b", "tau_a", "tau_b", "n_th"}
-_RATE_KEYS = {"kappa_a", "kappa_b", "gamma_m"}
+# a caps object of a config gives its rates flat, beside the other fields
+_CAPS_KEYS = {f.name for f in fields(DeviceCaps)} - {"rates"}
+_RATE_KEYS = {f.name for f in fields(PhysicalRates)}
 
 
 def _caps_from_dict(d) -> DeviceCaps:

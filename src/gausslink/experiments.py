@@ -261,19 +261,11 @@ def _fmt(x) -> str:
 
 
 def _provenance(cfg: ExperimentConfig, caps: DeviceCaps, extra: dict) -> list[str]:
-    items = {
-        "tool": f"gausslink {_version}",
-        "experiment": cfg.experiment,
-        "d_a": caps.d_a,
-        "d_b": caps.d_b,
-        "tau_a": caps.tau_a,
-        "tau_b": caps.tau_b,
-        "n_th": caps.n_th,
-        "kappa_a": caps.rates.kappa_a,
-        "kappa_b": caps.rates.kappa_b,
-        "gamma_m": caps.rates.gamma_m,
-        **extra,
-    }
+    items = {"tool": f"gausslink {_version}", "experiment": cfg.experiment}
+    # each record's fields as declared, the rates last: the header's bytes follow this order
+    for record in (caps, caps.rates):
+        items.update((f.name, getattr(record, f.name)) for f in fields(record) if f.name != "rates")
+    items.update(extra)
     return [f"# {k}={_fmt(v)}" for k, v in items.items()]
 
 

@@ -49,9 +49,6 @@ __all__ = [
     "default_loss_split",
 ]
 
-_KIND_ORDER = {MoKind.EO: 0, MoKind.EM: 1, MoKind.IO: 2, MoKind.IM: 3}
-
-
 @dataclass(frozen=True)
 class Topology:
     """A network topology: scheme plus the MO resource kind(s).
@@ -80,7 +77,7 @@ class Topology:
         if self.scheme == "swap":
             if n != 2:
                 raise ValueError("swapping topologies take exactly two kinds")
-            ordered = tuple(sorted(self.kinds, key=_KIND_ORDER.get))
+            ordered = tuple(sorted(self.kinds, key=tuple(MoKind).index))
             object.__setattr__(self, "kinds", ordered)
 
     @classmethod
@@ -169,6 +166,19 @@ def default_loss_split(t: Topology, tau_e: float) -> tuple[float, ...]:
     return (tau_e, 1.0)
 
 
+def _slot_taus(t: Topology, tau_a: float, split) -> tuple[float, float, float, float]:
+    """(ta_1, ta_2, t_1, t_2) of a split, node by node, for _mm_excess.
+
+    ta_i is tau_a times the share in front of node i's converter (tau_a
+    where there is none), t_i node i's measured share (1.0 for a
+    downconversion).  The slots are in the module docstring's order; a
+    swap's third slot is in front of node 1's converter, as EO sorts first.
+    """
+    if t.scheme == "down":
+        return tau_a * split[0] if t.kinds[0] is _EO else tau_a, tau_a * split[-1], 1.0, 1.0
+    return tau_a * split[2] if len(split) == 3 else tau_a, tau_a, split[0], split[1]
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Operating point of a two-transducer network.
@@ -223,7 +233,7 @@ def swap(mo1: BalancedForm, mo2: BalancedForm) -> BalancedForm:
     )
 
 
-def _mm_excess(t: Topology, caps: DeviceCaps, n_th: float, r: float, cs, split):
+def _mm_excess(t: Topology, caps: DeviceCaps, n_th: float, r: float, cs, taus):
     """Final MM state as (A, B, c, P) at the cooperativities cs = (c_a1, c_b1, c_a2, c_b2).
 
     A and B are variances in excess of vacuum and P = A*B - c*c is
@@ -245,39 +255,32 @@ def _mm_excess(t: Topology, caps: DeviceCaps, n_th: float, r: float, cs, split):
     result is then four arrays, bit for bit equal to the float
     evaluation.
 
-    One branch per scheme, both in node order (A is node 1's microwave
-    mode).  A downconversion sends the optical mode of transducer 1's
-    source, after loss split[-1], through transducer 2's converter;
-    down(EO)'s source is an EO state whose converted arm carries
-    split[0].  A swap measures the optical modes of two sources; where
-    node 2 has node 1's kind and its very cooperativity objects (the
-    4-tuple x1 + x1 of thresholds._NodeRoot for a symmetric swap), node
-    1's source state serves both, bit for bit the state node 2 would
-    compute, before each arm's own loss share.  Exact
-    update rules: loss tau on the measured mode scales (A, c**2, P)
-    by tau; an isotropic conversion (t, mu) on mode 1 maps A -> t**2 A + mu
-    and P -> t**2 P + mu B; the EPR measurement maps B1 to
-    (B1 (1 + A2) + P1) / (1 + A1 + A2), B2 likewise, and P1, P2 to
-    (B1 B2 + P1 B2 + P2 B1) / (1 + A1 + A2).
+    taus is the split node by node (_slot_taus).  Both branches are in
+    node order (A is node 1's microwave mode).  Where node 2 has node
+    1's kind and very cooperativity objects (a symmetric swap's x1 + x1
+    of thresholds._NodeRoot), node 1's source state serves both, bit for
+    bit node 2's own, before each arm's own loss share.  Exact update
+    rules: loss tau on the measured mode scales (A, c**2, P) by tau; an
+    isotropic conversion (t, mu) on mode 1 maps A -> t**2 A + mu and P
+    -> t**2 P + mu B; the EPR measurement maps B1 to (B1 (1 + A2) + P1)
+    / (1 + A1 + A2), B2 likewise, and P1, P2 to (B1 B2 + P1 B2 + P2 B1)
+    / (1 + A1 + A2).
     """
-    tau_a, tau_b = caps.tau_a, caps.tau_b
+    tau_b = caps.tau_b
     c_a1, c_b1, c_a2, c_b2 = cs
+    ta1, ta2, tau1, tau2 = taus
     k1 = t.kinds[0]
     if t.scheme == "down":
-        A0, B0, c0, P0 = _mo_excess(k1, c_a1, c_b1, tau_a * split[0] if k1 is _EO else tau_a,
-                                    tau_b, n_th, r)
-        td, md = _conversion_t_mu(c_a2, c_b2, tau_a * split[-1], tau_b, n_th)
+        A0, B0, c0, P0 = _mo_excess(k1, c_a1, c_b1, ta1, tau_b, n_th, r)
+        td, md = _conversion_t_mu(c_a2, c_b2, ta2, tau_b, n_th)
         return B0, td * td * A0 + md, td * c0, td * td * P0 + md * B0
     k2 = t.kinds[1]
-    # a third slot is the EO state's pre-downconversion mode
-    ta_eo = tau_a * split[2] if len(split) == 3 else tau_a
-    tau1, tau2 = split[0], split[1]
-    source = _mo_excess(k1, c_a1, c_b1, ta_eo if k1 is _EO else tau_a, tau_b, n_th, r)
+    source = _mo_excess(k1, c_a1, c_b1, ta1, tau_b, n_th, r)
     A1, B1, c1, P1 = source
     # node 2 at node 1's kind and very cooperativity objects has node 1's
     # source state; == would not do, as -0.0 == 0.0 and sqrt keeps the sign
     if not (k2 is k1 and c_a2 is c_a1 and c_b2 is c_b1):
-        source = _mo_excess(k2, c_a2, c_b2, ta_eo if k2 is _EO else tau_a, tau_b, n_th, r)
+        source = _mo_excess(k2, c_a2, c_b2, ta2, tau_b, n_th, r)
     A2, B2, c2, P2 = source
     A1, c1, P1 = tau1 * A1, math.sqrt(tau1) * c1, tau1 * P1
     A2, c2, P2 = tau2 * A2, math.sqrt(tau2) * c2, tau2 * P2
@@ -348,7 +351,8 @@ def _checked_excess(t: Topology, cfg: NetworkConfig):
     split = _resolve_split(t, cfg.tau_e, cfg.loss_split)
     _validate_cooperativities(t, cfg)
     cs = (cfg.c_a1, cfg.c_b1, cfg.c_a2, cfg.c_b2)
-    return _mm_excess(t, cfg.caps, cfg.caps.n_th, _as_r(cfg.r), cs, split)
+    taus = _slot_taus(t, cfg.caps.tau_a, split)
+    return _mm_excess(t, cfg.caps, cfg.caps.n_th, _as_r(cfg.r), cs, taus)
 
 
 def mm_state(t: Topology, cfg: NetworkConfig) -> BalancedForm:

@@ -29,6 +29,7 @@ from .network import (
     _margin_of_excess,
     _mm_excess,
     _resolve_split,
+    _slot_taus,
     default_loss_split,
     loss_slot_count,
 )
@@ -371,6 +372,7 @@ def _margin_closure(t, caps, n_th, r, split, axes: tuple):
     """
     coords = _layout_coords(caps, axes)
     rates = caps.rates
+    taus = _slot_taus(t, caps.tau_a, split)
     # (index of C_+, index of C_-, optical_blue) in coords(x) of each free IO/IM node
     checks = []
     if 2 in axes:
@@ -385,14 +387,14 @@ def _margin_closure(t, caps, n_th, r, split, axes: tuple):
             import numpy as np
 
             with np.errstate(all="ignore"):  # unstable entries may overflow or divide by 0
-                m = _margin_of_excess(_mm_excess(t, caps, n_th, r, cs, split))
+                m = _margin_of_excess(_mm_excess(t, caps, n_th, r, cs, taus))
             for plus, minus, optical in checks:
                 m = np.where(cs[plus] < _blue_bound(cs[minus], rates, optical), m, -np.inf)
             return m
         for plus, minus, optical in checks:
             if not cs[plus] < _blue_bound(cs[minus], rates, optical):
                 return -math.inf
-        return _margin_of_excess(_mm_excess(t, caps, n_th, r, cs, split))
+        return _margin_of_excess(_mm_excess(t, caps, n_th, r, cs, taus))
 
     return margin
 
@@ -866,31 +868,28 @@ class _NodeRoot:
     one source state (network._mm_excess).
 
     of builds one per cell: its converter and EM nodes and its weights
-    depend on the cell's r and split, while its IO and IM nodes come
-    from _blue_node, kept on the caps object for each kind.
-    The root keeps the cell, so its margin evaluates _mm_excess at a
-    4-tuple directly, with no layout map.
+    depend on the cell's r and split (network._slot_taus), while its IO
+    and IM nodes come from _blue_node, kept on the caps object for each
+    kind.  The root keeps the cell, so its margin evaluates _mm_excess
+    at a 4-tuple directly, with no layout map.
     """
 
-    __slots__ = ("t", "caps", "n_th", "r", "split", "first", "second", "w1", "w2", "offset")
+    __slots__ = ("t", "caps", "n_th", "r", "taus", "first", "second", "w1", "w2", "offset")
 
-    def __init__(self, t, caps, n_th, r, split, first, second, w1, w2, offset):
-        self.t, self.caps, self.n_th, self.r, self.split = t, caps, n_th, r, split
-        self.first, self.second, self.w1, self.w2, self.offset = first, second, w1, w2, offset
+    def __init__(self, t, caps, n_th, r, taus, first, second, offset):
+        self.t, self.caps, self.n_th, self.r, self.taus = t, caps, n_th, r, taus
+        self.first, self.second, self.offset = first, second, offset
+        self.w1, self.w2 = taus[2:]
 
     @classmethod
     def of(cls, t, caps: DeviceCaps, n_th: float, r: float, split) -> "_NodeRoot":
         sh2 = math.sinh(r) ** 2
-        cell = (t, caps, n_th, r, split)
+        taus = _slot_taus(t, caps.tau_a, split)
+        first = _source_node(t.kinds[0], caps, n_th, sh2, taus[0])
         if t.scheme == "down":
-            first = _source_node(t.kinds[0], caps, n_th, sh2, caps.tau_a * split[0])
-            second = _ConverterNode(caps, caps.tau_a * split[-1], n_th)
-            return cls(*cell, first, second, 1.0, 1.0, 0.0)
-        # a third slot is the EO state's pre-downconversion mode
-        tau = caps.tau_a * split[2] if len(split) == 3 else caps.tau_a
-        first = _source_node(t.kinds[0], caps, n_th, sh2, tau)
-        second = first if t.is_symmetric else _source_node(t.kinds[1], caps, n_th, sh2, tau)
-        return cls(*cell, first, second, split[0], split[1], 1.0)
+            return cls(t, caps, n_th, r, taus, first, _ConverterNode(caps, taus[1], n_th), 0.0)
+        second = first if t.is_symmetric else _source_node(t.kinds[1], caps, n_th, sh2, taus[1])
+        return cls(t, caps, n_th, r, taus, first, second, 1.0)
 
     @property
     def at_zero(self) -> tuple[tuple[float, float, float, float], float]:
@@ -911,7 +910,7 @@ class _NodeRoot:
 
     def margin(self, cs) -> float:
         """The margin (1/2 - nu) at the cooperativity 4-tuple cs."""
-        return _margin_of_excess(_mm_excess(self.t, self.caps, self.n_th, self.r, cs, self.split))
+        return _margin_of_excess(_mm_excess(self.t, self.caps, self.n_th, self.r, cs, self.taus))
 
     def solve(self) -> tuple[tuple[float, float, float, float], float]:
         """The best 4-tuple of the cell and its margin (see optimize_cooperativities).
@@ -962,7 +961,7 @@ class _CooperativityBox:
     def of(cls, t, caps, n_th, r, tau_e=1.0, loss_split=None) -> "_CooperativityBox":
         """Check the inputs as optimize_cooperativities does and build its box."""
         rv, split = _checked_cell(t, n_th, r, tau_e, loss_split)
-        mirrored = t.is_symmetric and (t.scheme == "swap" or (t.kinds[0] is _EO and split[0] == split[1]))
+        mirrored = t.is_symmetric and (t.scheme == "swap" or (t.kinds[0] is _EO and len(set(split)) == 1))
         axes = _converter_nodes(t)[: 1 if mirrored else 2]
         margin = _margin_closure(t, caps, n_th, rv, split, axes)
         hi = [(caps.d_a, caps.d_b)[j] for k in axes for j in _NODE_AXES[k]]

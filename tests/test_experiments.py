@@ -387,16 +387,44 @@ class TestCli:
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    @pytest.mark.parametrize("command", ["device-run", "threshold-vs-da"])
-    def test_parallel_points_give_identical_output(self, command, tmp_path, monkeypatch):
-        # _map_points caps its workers at the CPU count: report two, so that
-        # --jobs 2 starts a real pool on a one-CPU machine too
+    @pytest.mark.parametrize(
+        "command, settings",
+        [("device-run", {"squeezing_db": (0, 6), "points": 13}), ("device-run", {}), ("threshold-vs-da", {})],
+        ids=["device-run-13-points-0-6-dB", "device-run", "threshold-vs-da"],
+    )
+    def test_parallel_points_give_identical_output(self, command, settings, monkeypatch):
+        # every row, values and argmax at full precision (repr), where a CSV
+        # prints 12 digits and no argmax.  _map_points caps its workers at the
+        # CPU count: report two, so that jobs = 2 starts a real pool on a
+        # one-CPU machine too.  Both runs share the preset caps object, whose
+        # blue nodes the jobs = 1 run builds; a worker gets its fields alone
+        # (DeviceCaps.__getstate__) and builds its own.  device-run builds its
+        # column list once and sends it to the workers, so a run at other
+        # squeezing values is compared too
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        out1, out2 = tmp_path / "jobs1.csv", tmp_path / "jobs2.csv"
-        argv = [command, "--points", "3"]
-        assert main(argv + ["--jobs", "1", "--out", str(out1)]) == 0
-        assert main(argv + ["--jobs", "2", "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        cmd = cmd_device_run if command == "device-run" else cmd_threshold_vs_da
+        texts = [repr(cmd(ExperimentConfig(experiment=command, jobs=jobs, **settings))[0]) for jobs in (1, 2)]
+        assert texts[0] == texts[1], f"{command} rows differ between jobs = 1 and jobs = 2"
+        assert "_argmax" in texts[0]
+
+    def test_device_run_text_does_not_depend_on_earlier_caps(self, tmp_path):
+        # each caps object keeps the blue nodes built from it: default caps,
+        # other rates, then default caps again give the first text twice,
+        # and the run at other rates, in a process that has solved the
+        # default caps, gives the text of a fresh process
+        cfg = ExperimentConfig(experiment="device-run")
+        other = dataclasses.replace(cfg.caps, rates=PhysicalRates(kappa_a=20.0, kappa_b=500.0, gamma_m=2.0))
+        first = cmd_device_run(cfg)[1]
+        warm = cmd_device_run(dataclasses.replace(cfg, caps=other))[1]
+        assert warm != first and cmd_device_run(cfg)[1] == first
+        caps = dataclasses.asdict(other)
+        caps.update(caps.pop("rates"))
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps({"caps": caps}))
+        code = "import sys; from gausslink.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run([sys.executable, "-c", code, "device-run", "--config", str(path)],
+                              capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+        assert done.returncode == 0 and done.stdout == warm, done.stderr
 
     def test_bad_config_file_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"

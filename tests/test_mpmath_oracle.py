@@ -38,7 +38,7 @@ from gausslink import (
     loss_slot_count,
     mm_log_negativity,
 )
-from gausslink.network import _mm_excess
+from gausslink.network import _mm_excess, _slot_taus
 from gausslink.sources import MoKind, _mo_excess
 from gausslink.transducer import STRICT_MARGIN
 
@@ -228,11 +228,12 @@ def _mm_edge_cases(t, edge):
 @pytest.mark.parametrize("t", ALL_TOPOLOGIES, ids=lambda t: t.label)
 def test_mm_excess_matches_50_digit_oracle(t, edge):
     for caps, r, cs, split in _mm_edge_cases(t, edge):
-        got = _mm_excess(t, caps, caps.n_th, r, cs, split)
+        taus = _slot_taus(t, caps.tau_a, split)
+        got = _mm_excess(t, caps, caps.n_th, r, cs, taus)
         _assert_close(got, _excess(_mp_mm_state(t, caps, caps.n_th, r, cs, split)), (cs, r))
         # array path: the point between two neighbours (which may be unstable)
         arrays = _mm_excess(
-            t, caps, caps.n_th, r, tuple(np.array([0.999, 1.0, 1.001]) * c for c in cs), split
+            t, caps, caps.n_th, r, tuple(np.array([0.999, 1.0, 1.001]) * c for c in cs), taus
         )
         assert [float(np.broadcast_to(v, (3,))[1]) for v in arrays] == list(got)
 
@@ -266,7 +267,7 @@ def test_swap_output_excess_does_not_cancel_at_numeric_gap():
     caps = DeviceCaps(25.0, 6.0, 0.9, 0.85, 0.2)
     t = Topology.swap_asym(MoKind.IM, MoKind.IO)
     cs, split = (3.99999995801, 2.9999999995, 20.0, 5.0), (0.6, 1.0)
-    got = _mm_excess(t, caps, 0.2, 0.8, cs, split)
+    got = _mm_excess(t, caps, 0.2, 0.8, cs, _slot_taus(t, caps.tau_a, split))
     want = _excess(_mp_mm_state(t, caps, 0.2, 0.8, cs, split))
     assert float(want[0]) == pytest.approx(2.29997519976, rel=1e-11)
     _assert_close(got, want, cs)

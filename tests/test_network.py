@@ -294,6 +294,7 @@ class TestSymmetricSwapSource:
             tau_e = rng.uniform(0.3, 1.0)
             t_1 = tau_e ** rng.uniform(0.0, 1.0)
             split = (t_1, tau_e / t_1)
+            taus = network._slot_taus(t, caps.tau_a, split)
             c_a, c_b = ((-0.0 if rng.uniform() < 0.5 else 0.0) if rng.uniform() < 0.2 else rng.uniform(0.0, cap)
                         for cap in (caps.d_a, caps.d_b))
             config = (i, t.label, caps, n_th, r, split, c_a, c_b)
@@ -302,16 +303,16 @@ class TestSymmetricSwapSource:
                 return _mo_excess(kind, a, b, caps.tau_a, caps.tau_b, n_th, r)
 
             want = _swap_of_sources(state(c_a, c_b), state(_fresh(c_a), _fresh(c_b)), split)
-            got = network._mm_excess(t, caps, n_th, r, (c_a, c_b, c_a, c_b), split)
+            got = network._mm_excess(t, caps, n_th, r, (c_a, c_b, c_a, c_b), taus)
             assert [repr(x) for x in got] == [repr(x) for x in want], config
             # equal but other objects: evaluated apart, with the same bits
-            apart = network._mm_excess(t, caps, n_th, r, (c_a, c_b, _fresh(c_a), _fresh(c_b)), split)
+            apart = network._mm_excess(t, caps, n_th, r, (c_a, c_b, _fresh(c_a), _fresh(c_b)), taus)
             assert repr(apart) == repr(got), config
             if c_a == 0.0:
                 # the other zero at node 2 is == node 1's, and its own state
                 other = -c_a
                 want = _swap_of_sources(state(c_a, c_b), state(other, c_b), split)
-                got_other = network._mm_excess(t, caps, n_th, r, (c_a, c_b, other, c_b), split)
+                got_other = network._mm_excess(t, caps, n_th, r, (c_a, c_b, other, c_b), taus)
                 assert [repr(x) for x in got_other] == [repr(x) for x in want], config
                 flipped += repr(got_other) != repr(got)
         # == in place of identity would have given these draws node 1's sign
@@ -328,7 +329,7 @@ class TestSymmetricSwapSource:
                 s1 = _mo_excess(kind, c_a, c_b, caps.tau_a, caps.tau_b, 0.5, 0.7)
                 s2 = _mo_excess(kind, c_a.copy(), c_b.copy(), caps.tau_a, caps.tau_b, 0.5, 0.7)
                 want = _swap_of_sources(s1, s2, split)
-                got = network._mm_excess(t, caps, 0.5, 0.7, (c_a, c_b, c_a, c_b), split)
+                got = network._mm_excess(t, caps, 0.5, 0.7, (c_a, c_b, c_a, c_b), network._slot_taus(t, caps.tau_a, split))
             assert [repr(x.tolist()) for x in got] == [repr(x.tolist()) for x in want], t.label
 
     def test_mo_excess_calls_per_evaluation(self, monkeypatch):
@@ -342,9 +343,9 @@ class TestSymmetricSwapSource:
         c_a, c_b = 4.0, 3.6
         for t in ALL_TOPOLOGIES:
             want = 1 if t.is_symmetric else 2
-            split = default_loss_split(t, 0.8)
+            taus = network._slot_taus(t, caps.tau_a, default_loss_split(t, 0.8))
             calls.clear()
-            network._mm_excess(t, caps, caps.n_th, 0.5, (c_a, c_b) * 2, split)
+            network._mm_excess(t, caps, caps.n_th, 0.5, (c_a, c_b) * 2, taus)
             assert len(calls) == want, (t.label, calls)
             calls.clear()
             mm_log_negativity(t, NetworkConfig(caps, c_a, c_b, c_a, c_b, r=0.5, tau_e=0.8))
@@ -352,7 +353,7 @@ class TestSymmetricSwapSource:
             if t.scheme == "swap" and t.is_symmetric:
                 # equal values in other objects: two sources, evaluated apart
                 calls.clear()
-                network._mm_excess(t, caps, caps.n_th, 0.5, (c_a, c_b, _fresh(c_a), _fresh(c_b)), split)
+                network._mm_excess(t, caps, caps.n_th, 0.5, (c_a, c_b, _fresh(c_a), _fresh(c_b)), taus)
                 assert len(calls) == 2, (t.label, calls)
 
 
@@ -457,7 +458,7 @@ class TestMmState:
     def test_tracked_product_defect_matches_direct_product(self, rng):
         # away from the instability the naive product A*B - c^2 is accurate,
         # so the cancellation-free bookkeeping must agree with it there
-        from gausslink.network import _mm_excess
+        from gausslink.network import _mm_excess, _slot_taus
 
         caps = self.caps
         for t in ALL_TOPOLOGIES:
@@ -466,8 +467,8 @@ class TestMmState:
                 ca = rng.uniform(1.0, 7.0)
                 cb = min(max(ca + rng.uniform(-0.7, 0.7), 0.5), 8.0)
                 cs = (ca, cb, ca, cb)
-                split = default_loss_split(t, rng.uniform(0.6, 1.0))
-                A, B, c, P = _mm_excess(t, caps, 0.7, 0.5, cs, split)
+                taus = _slot_taus(t, caps.tau_a, default_loss_split(t, rng.uniform(0.6, 1.0)))
+                A, B, c, P = _mm_excess(t, caps, 0.7, 0.5, cs, taus)
                 assert P == pytest.approx(A * B - c * c, rel=1e-9, abs=1e-12)
 
     def test_down_eo_approaches_tms_at_high_cooperativity(self):

@@ -1,9 +1,11 @@
 """The float path runs without numpy; the array branches import it where they run.
 
 Each test runs in a fresh interpreter, so that nothing imported by the
-test session hides an import: it runs a float-path entry point, asserts
-that numpy is not in sys.modules, then imports numpy itself and checks
-that the array branches give the float path's bits.
+test session hides an import: it runs a float-path entry point (the
+numpy-free commands through cli.main: --help, device-run at --jobs 1
+and 2, ebit-rate), asserts that numpy is not in sys.modules, then
+imports numpy itself and checks that the array branches give the float
+path's bits.
 """
 
 import os
@@ -63,11 +65,12 @@ import contextlib, io
 import gausslink
 from gausslink import cli
 assert numpy_free()
-try:
-    with contextlib.redirect_stdout(io.StringIO()):
-        cli.main(["device-run", "--help"])
-except SystemExit:
-    pass
+for argv in (["--help"], ["device-run", "--help"]):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code == 0, (argv, exc.code)
 assert numpy_free()
 from gausslink.core import CovMat2, physicality_check
 assert numpy_free()
@@ -91,19 +94,23 @@ assert numpy_free()
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_device_run_loads_no_numpy(jobs):
+    # with numpy never loaded, no row value can be a numpy scalar
     out = _fresh(f"""
-from gausslink.experiments import ExperimentConfig, cmd_device_run
-rows, text = cmd_device_run(ExperimentConfig(experiment="device-run", jobs={jobs}))
+import contextlib, io
+from gausslink.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as csv_text:
+    assert main(["device-run", "--jobs", "{jobs}"]) == 0
 assert numpy_free()
-assert all(type(row["tau_e_db"]) is float and type(row["tau_e"]) is float for row in rows)
-print(len(rows))
+print(sum(not line.startswith("#") for line in csv_text.getvalue().splitlines()) - 1)
 """)
     assert out.splitlines()[0] == "201"
 
 
 def test_ebit_rate_loads_no_numpy():
     _fresh("""
-from gausslink.experiments import ExperimentConfig, cmd_ebit_rate
-report = cmd_ebit_rate(ExperimentConfig(experiment="ebit-rate"))
-assert numpy_free() and report["rate_ebits_per_s"] > 0.0
+import contextlib, io, json
+from gausslink.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as report:
+    assert main(["ebit-rate"]) == 0
+assert numpy_free() and json.loads(report.getvalue())["rate_ebits_per_s"] > 0.0
 """)

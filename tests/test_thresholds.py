@@ -1547,11 +1547,11 @@ class TestRootPins:
         assert min(seen.values()) >= 20, seen
 
 
-def _layout_of(root) -> str:
-    """The kind of a root's cell: down, symmetric swap, or a 2- or 3-slot asymmetric swap."""
-    if root.t.scheme == "down":
+def _layout_of(t, split) -> str:
+    """The kind of a cell: down, symmetric swap, or a 2- or 3-slot asymmetric swap."""
+    if t.scheme == "down":
         return "down"
-    return "symmetric swap" if root.t.is_symmetric else f"{len(root.split)}-slot swap"
+    return "symmetric swap" if t.is_symmetric else f"{len(split)}-slot swap"
 
 
 class TestPointsOnlyStep:
@@ -1581,7 +1581,7 @@ class TestPointsOnlyStep:
                 if root.second is root.first:  # node 1's very objects: _mm_excess reuses its source
                     assert point[2] is point[0] and point[3] is point[1], config
             nodes.update(type(node).__name__ for node in (root.first, root.second))
-            layouts[_layout_of(root)] += 1
+            layouts[_layout_of(t, split)] += 1
         assert len(nodes) == 3 and min(nodes.values()) >= 20, nodes
         assert len(layouts) == 4 and min(layouts.values()) >= 10, layouts
 
@@ -1605,7 +1605,7 @@ class TestPointsOnlyStep:
             per_margin = 1 if t.is_symmetric else 2
             assert calls["mo"] == per_margin * calls["mm"], (i, t.label, calls)
             if calls["mm"]:
-                ascended[_layout_of(root)] += 1
+                ascended[_layout_of(t, split)] += 1
         assert len(ascended) == 4 and min(ascended.values()) >= 3, ascended
 
 
@@ -2264,7 +2264,8 @@ def _nested_loss_split(t, caps, n_th, r, tau_e):
         # the solves
         split = (tau_e / t3, 1.0, t3)
         cs, e = optimize_cooperativities(t, caps, n_th, r, tau_e=tau_e, loss_split=split)
-        return network._margin_of_excess(network._mm_excess(t, caps, n_th, r, cs, split)) if e > 0.0 else 0.0
+        taus = network._slot_taus(t, caps.tau_a, split)
+        return network._margin_of_excess(network._mm_excess(t, caps, n_th, r, cs, taus)) if e > 0.0 else 0.0
 
     t3, m = thresholds._ascend(peak(0.0), margin_of_split, peak)
     if not m > 0.0:
@@ -2319,16 +2320,23 @@ class TestJointSplitAscent:
         # call, at the split reached
         draws = _joint_draws(30)
         want = [optimize_loss_split(*draw) for draw in draws]
-        solve, solved = _NodeRoot.solve, []
+        of, solve, solved = _NodeRoot.of.__func__, _NodeRoot.solve, []
+        split_of = {}  # each root built, by identity, and the split it was built at
 
         def refuse(*args, **kwargs):
             raise AssertionError("optimize_cooperativities called")
 
+        def recorded_of(cls, *args):
+            root = of(cls, *args)
+            split_of[root] = args[4]
+            return root
+
         def counted(root):
-            solved.append(root.split)
+            solved.append(split_of[root])
             return solve(root)
 
         monkeypatch.setattr(thresholds, "optimize_cooperativities", refuse)
+        monkeypatch.setattr(_NodeRoot, "of", classmethod(recorded_of))
         monkeypatch.setattr(_NodeRoot, "solve", counted)
         assert [optimize_loss_split(*draw) for draw in draws] == want
         assert solved == [split for split, _ in want]

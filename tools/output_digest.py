@@ -13,9 +13,10 @@ imported from src/ of this checkout.  Each line is ``DIGEST  NAME``:
 
 Two checkouts whose lines are equal give the same outputs, byte for
 byte.  The five file lines are committed beside this script, in
-``output_digests.txt``, and CI fails where they differ: a change that
-moves an output updates that file in the same diff.  Only the standard
-library and the package's own dependencies are used.
+``output_digests.txt``, and ``tests/test_output_digests.py`` fails where
+``file_digests`` differs from them: a change that moves an output
+updates that file in the same diff.  Only the standard library and the
+package's own dependencies are used.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests() -> list[tuple[str, str]]:
-    """(sha256, name) of every output, in a fixed order."""
+def file_digests() -> list[tuple[str, str]]:
+    """(sha256, name) of each output file, in the order of FILES."""
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in FILES:
@@ -62,6 +63,12 @@ def digests() -> list[tuple[str, str]]:
             with contextlib.redirect_stdout(io.StringIO()):
                 cli_main(argv + ["--out", str(path)])
             out.append((_sha256(path.read_bytes()), name))
+    return out
+
+
+def digests() -> list[tuple[str, str]]:
+    """(sha256, name) of every output, in a fixed order: the files, then the rows."""
+    out = file_digests()
     for points in (13, ExperimentConfig().points):
         rows = cmd_device_run(ExperimentConfig(experiment="device-run", points=points))[0]
         out.append((_sha256(repr(rows).encode()), f"device-run rows, {points} points"))
